@@ -98,16 +98,27 @@ def _weight(value, n: int, what: str) -> np.ndarray:
     return M
 
 
+_PLANT_PARAMS = {"numerical_example": {"lambda", "mu"}, "unicycle": {"dt"}}
+
+
 def _build_plant(doc: dict):
     kind = doc.get("kind")
     params = doc.get("params", {})
+    if kind not in _PLANT_PARAMS:
+        raise ValueError(f"unknown plant kind {kind!r}")
+    if not isinstance(params, dict):
+        raise ValueError("plant.params must be an object")
+    unknown = sorted(set(params) - _PLANT_PARAMS[kind])
+    if unknown:
+        raise ValueError(
+            f"unknown plant.params key {unknown[0]!r} for kind {kind!r} "
+            f"(allowed: {', '.join(sorted(_PLANT_PARAMS[kind]))})"
+        )
     if kind == "numerical_example":
         return numerical_example_plant(
             lam=float(params.get("lambda", -0.1)), mu=float(params.get("mu", 2.0))
         )
-    if kind == "unicycle":
-        return unicycle_plant(dt=float(params.get("dt", 0.1)))
-    raise ValueError(f"unknown plant kind {kind!r}")
+    return unicycle_plant(dt=float(params.get("dt", 0.1)))
 
 
 def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:

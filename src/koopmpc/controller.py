@@ -365,8 +365,14 @@ def solve_step(
     x_k,
     y_t,
     warm_start: KtmpcSolution | None = None,
+    candidate: tuple | None = None,
 ) -> tuple[np.ndarray, KtmpcSolution]:
-    """Solve the tracking QP at ``x_k`` and return the first input to apply."""
+    """Solve the tracking QP at ``x_k`` and return the first input to apply.
+
+    ``candidate`` is what :func:`shifted_candidate` returns for
+    ``warm_start`` at ``x_k`` and ``y_t``, for a caller that already has it;
+    without it the candidate is computed here.
+    """
     x_k = _as_vector(x_k, model.n_x, "x_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
     m0 = _poly_margin(schedule.state_sets[0], x_k)
@@ -376,7 +382,9 @@ def solve_step(
 
     x0 = None
     if warm_start is not None:
-        u_c, z_c, _ = shifted_candidate(warm_start, model, config, config.K, x_k, y_t, schedule)
+        if candidate is None:
+            candidate = shifted_candidate(warm_start, model, config, config.K, x_k, y_t, schedule)
+        u_c, z_c, _ = candidate
         x0 = np.concatenate(
             [u_c.ravel(), z_c[1:].ravel(), warm_start.target.z_s, warm_start.target.u_s]
         )

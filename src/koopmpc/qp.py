@@ -6,9 +6,14 @@ Problems have the form
     subject to  A_eq x  = b_eq
                 A_in x <= b_in
 
-and are solved by a primal active-set method. A feasible start is produced by
-a phase-1 linear program (HiGHS), whose optimal slack also certifies primal
-infeasibility. Pure linear programs (P = 0) are dispatched to HiGHS directly.
+and are solved by a null-space primal active-set method. One SVD of A_eq per
+solve gives an orthonormal basis Z of its null space; the iterations then work
+on the reduced variables x = x_feas + Z v, where the KKT systems hold only the
+working inequality rows and the reduced Hessian Z'PZ. The same SVD projects a
+warm start onto the equalities and recovers their multipliers. A feasible start
+is otherwise produced by a phase-1 linear program (HiGHS), whose optimal slack
+also certifies primal infeasibility. Pure linear programs (P = 0) are
+dispatched to HiGHS directly.
 """
 
 from __future__ import annotations
@@ -148,16 +153,22 @@ def _solve_lp(qp: QuadraticProgram) -> QpSolution:
     )
 
 
-def _phase1(qp: QuadraticProgram):
+def _factor_equalities(A_eq: np.ndarray, d: int):
+    """One SVD of A_eq: an orthonormal basis Z of its null space and its
+    pseudo-inverse, whose product with r is the minimum-norm solution of
+    A_eq x = r (and whose transpose solves A_eq' nu = r the same way)."""
+    if A_eq.shape[0] == 0:
+        return np.eye(d), np.zeros((d, 0))
+    u, s, vt = np.linalg.svd(A_eq)
+    rank = int(np.sum(s > s[0] * max(A_eq.shape) * np.finfo(float).eps))
+    return vt[rank:].T, (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+
+
+def _phase1(qp: QuadraticProgram, A_eq_pinv: np.ndarray):
     """Feasible point, or None when infeasibility is certified."""
     d = qp.dim
     if qp.A_in.shape[0] == 0:
-        if qp.A_eq.shape[0] == 0:
-            return np.zeros(d)
-        x, *_ = np.linalg.lstsq(qp.A_eq, qp.b_eq, rcond=None)
-        if np.max(np.abs(qp.A_eq @ x - qp.b_eq)) > 1e-8:
-            return None
-        return x
+        return _project_equalities(qp, A_eq_pinv, np.zeros(d))
     # minimize s  s.t.  A_in x - s <= b_in,  A_eq x = b_eq,  s >= 0
     c = np.zeros(d + 1)
     c[-1] = 1.0
@@ -182,14 +193,14 @@ def _phase1(qp: QuadraticProgram):
     return np.asarray(res.x[:d], dtype=float)
 
 
-def _project_equalities(qp: QuadraticProgram, x: np.ndarray):
+def _project_equalities(qp: QuadraticProgram, A_eq_pinv: np.ndarray, x: np.ndarray):
     """Minimum-norm correction of x onto the equality manifold, or None if the
-    correction leaves an inequality meaningfully violated."""
+    equalities are inconsistent or the correction leaves an inequality
+    meaningfully violated."""
     if qp.A_eq.shape[0]:
         r = qp.b_eq - qp.A_eq @ x
         if np.max(np.abs(r)) > 0:
-            delta, *_ = np.linalg.lstsq(qp.A_eq, r, rcond=None)
-            x = x + delta
+            x = x + A_eq_pinv @ r
         if np.max(np.abs(qp.A_eq @ x - qp.b_eq)) > 1e-8:
             return None
     if qp.A_in.shape[0] and np.max(qp.A_in @ x - qp.b_in) > _FEAS_TOL:
@@ -197,77 +208,155 @@ def _project_equalities(qp: QuadraticProgram, x: np.ndarray):
     return x
 
 
-def _independent_working_set(qp, candidates):
-    """Greedily keep candidate inequality rows that stay independent of the
-    equality rows (so the KKT system keeps full row rank)."""
-    base = qp.A_eq
-    rank = np.linalg.matrix_rank(base) if base.shape[0] else 0
-    keep = []
-    for i in candidates:
-        trial = np.vstack([base, qp.A_in[i : i + 1]])
-        trial_rank = np.linalg.matrix_rank(trial)
-        if trial_rank > rank:
-            keep.append(int(i))
-            base, rank = trial, trial_rank
-    return keep
+class _WorkingSet:
+    """Indices of the inequality rows held active, kept linearly independent
+    of each other and of the equality rows.
+
+    A row a_i depends on the equality rows and the kept rows exactly when its
+    reduced row a_i Z lies in the span of the kept reduced rows, so each test
+    is one projection onto an orthonormal basis of those rows.
+    """
+
+    def __init__(self, rows: np.ndarray, row_norms: np.ndarray):
+        self._rows = rows
+        self._tol = 1e-10 * row_norms
+        self._basis = np.zeros((0, rows.shape[1]))
+        self.index: list[int] = []
+
+    def add(self, i: int) -> bool:
+        """Keep row i if it is independent; report whether it was kept."""
+        if self._basis is None:
+            self._basis = np.linalg.qr(self._rows[self.index].T)[0].T
+        v = self._rows[i]
+        r = v - self._basis.T @ (self._basis @ v)
+        norm = float(np.linalg.norm(r))
+        if norm <= self._tol[i]:
+            return False
+        # A second pass restores the orthogonality one classical
+        # Gram-Schmidt pass loses on nearly parallel rows.
+        r = r - self._basis.T @ (self._basis @ r)
+        self._basis = np.vstack([self._basis, r / np.linalg.norm(r)])
+        self.index.append(int(i))
+        return True
+
+    def drop(self, k: int) -> None:
+        """Release the k-th working row. The basis is rebuilt at the next
+        add, so a run of drops costs one factorization."""
+        del self.index[k]
+        self._basis = None
 
 
-def _eqp_direction(qp, x, working, g):
-    """Solve the equality-constrained subproblem at x for a step direction.
+def _eqp_direction(H, C, c):
+    """Solve the reduced equality subproblem  min 0.5 p'Hp + c'p  s.t.  C p = 0.
 
-    Returns (p, y, is_ray): y are the stacked multipliers from the fast KKT
-    path when available (None otherwise), and is_ray flags a direction of
+    Returns (p, lam, is_ray): lam are the working-row multipliers from the KKT
+    solve (None when the fallback ran), and is_ray flags a direction of
     linear descent along which the subproblem is unbounded.
     """
-    d = qp.dim
-    A_w = np.vstack([qp.A_eq, qp.A_in[working]]) if (qp.A_eq.shape[0] or working) else np.zeros((0, d))
-    m = A_w.shape[0]
-    kkt = np.zeros((d + m, d + m))
-    kkt[:d, :d] = qp.P
-    if m:
-        kkt[:d, d:] = A_w.T
-        kkt[d:, :d] = A_w
-    rhs = np.concatenate([-g, np.zeros(m)])
+    n, m = H.shape[0], C.shape[0]
+    kkt = np.block([[H, C.T], [C, np.zeros((m, m))]])
+    rhs = np.concatenate([-c, np.zeros(m)])
     try:
         sol = np.linalg.solve(kkt, rhs)
         resid = np.max(np.abs(kkt @ sol - rhs))
         if resid <= 1e-7 * max(1.0, np.max(np.abs(rhs))):
-            return sol[:d], sol[d:], False
+            return sol[:n], sol[n:], False
     except np.linalg.LinAlgError:
         pass
-    # Degenerate working set or singular reduced Hessian: fall back to an
-    # explicit nullspace solve (deterministic via SVD/eigh).
-    if m:
-        _, s, vt = np.linalg.svd(A_w)
-        rank = int(np.sum(s > s[0] * max(A_w.shape) * np.finfo(float).eps)) if s.size else 0
-        Z = vt[rank:].T
-    else:
-        Z = np.eye(d)
-    if Z.shape[1] == 0:
-        return np.zeros(d), None, False
-    H = Z.T @ qp.P @ Z
-    c = Z.T @ g
-    evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
-    ch = evecs.T @ c
+    # Singular reduced Hessian on the null space of the working rows: solve
+    # there explicitly (deterministic via SVD/eigh). The working rows are
+    # independent, so C has full row rank and its null basis is vt[m:].
+    W = np.linalg.svd(C)[2][m:].T
+    if W.shape[1] == 0:
+        return np.zeros(n), None, False
+    evals, evecs = np.linalg.eigh(W.T @ H @ W)
+    ch = evecs.T @ (W.T @ c)
     eps_h = 1e-11 * max(1.0, float(evals.max(initial=0.0)))
-    eps_c = 1e-9 * max(1.0, float(np.max(np.abs(g))) if g.size else 1.0)
+    eps_c = 1e-9 * max(1.0, float(np.max(np.abs(c))))
     flat = evals <= eps_h
-    if np.any(flat & (np.abs(ch) > eps_c)):
-        w = np.where(flat & (np.abs(ch) > eps_c), -ch, 0.0)
-        ray = Z @ (evecs @ w)
-        ray = ray / max(np.max(np.abs(ray)), 1e-300)
-        return ray, None, True
+    descent = flat & (np.abs(ch) > eps_c)
+    if np.any(descent):
+        ray = W @ (evecs @ np.where(descent, -ch, 0.0))
+        return ray / np.linalg.norm(ray), None, True
     v = np.where(flat, 0.0, -ch / np.where(flat, 1.0, evals))
-    return Z @ (evecs @ v), None, False
+    return W @ (evecs @ v), None, False
 
 
-def _multipliers_at(qp, working, g):
-    """Minimum-norm stacked multipliers solving A_w' y = -g."""
-    A_w = np.vstack([qp.A_eq, qp.A_in[working]])
-    if A_w.shape[0] == 0:
+def _active_set(qp, Z, x, tol, max_iter, active0):
+    """Primal active-set iterations in the null space of A_eq, from the
+    feasible point x. Returns (x, lam, status, iterations, working)."""
+    m_i = qp.A_in.shape[0]
+    H = Z.T @ qp.P @ Z
+    H = 0.5 * (H + H.T)
+    AZ = qp.A_in @ Z
+
+    # Initial working set: constraints active at x, warm-start indices first.
+    resid = qp.b_in - qp.A_in @ x
+    active_now = set(np.flatnonzero(resid <= 1e-9).tolist())
+    ordered = [i for i in active0 if i in active_now] if active0 else []
+    ordered.extend(i for i in sorted(active_now) if i not in set(ordered))
+    working = _WorkingSet(AZ, np.linalg.norm(qp.A_in, axis=1))
+    for i in ordered:
+        working.add(i)
+
+    status = MAX_ITERATIONS
+    iterations = 0
+    lam = np.zeros(m_i)
+    for iterations in range(1, max_iter + 1):
+        C = AZ[working.index]
+        p_z, lam_w, is_ray = _eqp_direction(H, C, Z.T @ (qp.P @ x + qp.q))
+        p = Z @ p_z
+        step_scale = max(1.0, float(np.max(np.abs(x))))
+        if is_ray or np.max(np.abs(p)) > 1e-11 * step_scale:
+            # Ratio test against the non-working inequalities; the lowest
+            # index wins a tie.
+            alpha = np.inf if is_ray else 1.0
+            blocking = -1
+            if m_i:
+                Ap = AZ @ p_z
+                ahead = Ap > 1e-13
+                ahead[working.index] = False
+                ratio = np.full(m_i, np.inf)
+                r = np.maximum(qp.b_in - qp.A_in @ x, 0.0)
+                ratio[ahead] = r[ahead] / Ap[ahead]
+                i = int(np.argmin(ratio))
+                if ratio[i] < alpha - 1e-15:
+                    alpha, blocking = float(ratio[i]), i
+            if is_ray and blocking < 0:
+                raise RuntimeError("objective is unbounded below on the feasible set")
+            x = x + alpha * p
+            if blocking >= 0:
+                if not working.add(blocking):
+                    # Dependent blocking row: swap it in for a dependent
+                    # partner by dropping the working row with the smallest
+                    # multiplier.
+                    lam_now = _multipliers(C, Z.T @ (qp.P @ x + qp.q))
+                    if lam_now.size:
+                        working.drop(int(np.argmin(lam_now)))
+                    working.add(blocking)
+                continue
+        # x now minimizes over the working set: either the step vanished, or
+        # the full unblocked step landed on the minimizer (the KKT solve
+        # gives stationarity at x + p). Testing multipliers right after a
+        # full step, instead of waiting for the next direction to vanish,
+        # avoids spinning forever on ill-conditioned KKT systems whose
+        # computed steps never drop below the zero-direction threshold.
+        if lam_w is None:
+            lam_w = _multipliers(C, Z.T @ (qp.P @ x + qp.q))
+        if lam_w.size == 0 or np.min(lam_w) >= -tol:
+            lam[working.index] = np.maximum(lam_w, 0.0)
+            status = OPTIMAL
+            break
+        working.drop(int(np.argmin(lam_w)))
+    return x, lam, status, iterations, working.index
+
+
+def _multipliers(C, c):
+    """Minimum-norm working-row multipliers solving C' lam = -c."""
+    if C.shape[0] == 0:
         return np.zeros(0)
-    y, *_ = np.linalg.lstsq(A_w.T, -g, rcond=None)
-    return y
+    lam, *_ = np.linalg.lstsq(C.T, -c, rcond=None)
+    return lam
 
 
 def solve(
@@ -277,7 +366,7 @@ def solve(
     x0: np.ndarray | None = None,
     active0=None,
 ) -> QpSolution:
-    """Solve a convex QP with a primal active-set method.
+    """Solve a convex QP with a null-space primal active-set method.
 
     `x0`/`active0` are optional warm starts (a candidate point and the
     inequality indices expected active at the optimum); correctness never
@@ -287,17 +376,15 @@ def solve(
     -1e-10 relative to scale).
     """
     _validate_psd(qp.P)
-    m_i = qp.A_in.shape[0]
-    m_e = qp.A_eq.shape[0]
-
     if not np.any(qp.P):
         return _solve_lp(qp)
 
+    Z, A_eq_pinv = _factor_equalities(qp.A_eq, qp.dim)
     x = None
     if x0 is not None:
-        x = _project_equalities(qp, np.asarray(x0, dtype=float).ravel().copy())
+        x = _project_equalities(qp, A_eq_pinv, np.asarray(x0, dtype=float).ravel().copy())
     if x is None:
-        x = _phase1(qp)
+        x = _phase1(qp, A_eq_pinv)
         if x is None:
             return QpSolution(
                 x_star=np.full(qp.dim, np.nan),
@@ -306,81 +393,16 @@ def solve(
                 kkt_residuals={},
             )
 
-    # Initial working set: constraints active at x, warm-start indices first.
-    resid = qp.b_in - qp.A_in @ x if m_i else np.zeros(0)
-    active_now = set(np.flatnonzero(resid <= 1e-9).tolist())
-    ordered = []
-    if active0:
-        ordered.extend(i for i in active0 if i in active_now)
-    ordered.extend(i for i in sorted(active_now) if i not in set(ordered))
-    working = _independent_working_set(qp, ordered)
+    if Z.shape[1]:
+        x, lam, status, iterations, working = _active_set(qp, Z, x, tol, max_iter, active0)
+    else:
+        # A_eq has full column rank: the feasible x is the only feasible
+        # point, hence optimal, and no inequality needs a multiplier.
+        lam, status, iterations, working = np.zeros(qp.A_in.shape[0]), OPTIMAL, 0, []
+    nu = np.zeros(qp.A_eq.shape[0])
+    if status == OPTIMAL:
+        nu = -A_eq_pinv.T @ (qp.P @ x + qp.q + qp.A_in.T @ lam)
 
-    status = MAX_ITERATIONS
-    iterations = 0
-    nu = np.zeros(m_e)
-    lam = np.zeros(m_i)
-    for iterations in range(1, max_iter + 1):
-        g = qp.P @ x + qp.q
-        p, y, is_ray = _eqp_direction(qp, x, working, g)
-        step_scale = max(1.0, float(np.max(np.abs(x))))
-        if not is_ray and np.max(np.abs(p), initial=0.0) <= 1e-11 * step_scale:
-            if y is None:
-                y = _multipliers_at(qp, working, g)
-            lam_w = y[m_e:]
-            if lam_w.size == 0 or np.min(lam_w) >= -tol:
-                nu = y[:m_e]
-                lam = np.zeros(m_i)
-                lam[working] = np.maximum(lam_w, 0.0)
-                status = OPTIMAL
-                break
-            working.pop(int(np.argmin(lam_w)))
-            continue
-        # Ratio test against the non-working inequalities.
-        alpha = np.inf if is_ray else 1.0
-        blocking = -1
-        if m_i:
-            r = qp.b_in - qp.A_in @ x
-            Ap = qp.A_in @ p
-            for i in range(m_i):
-                if i in working or Ap[i] <= 1e-13:
-                    continue
-                a_i = max(r[i], 0.0) / Ap[i]
-                if a_i < alpha - 1e-15:
-                    alpha = a_i
-                    blocking = i
-        if is_ray and blocking < 0:
-            raise RuntimeError("objective is unbounded below on the feasible set")
-        x = x + alpha * p
-        if blocking >= 0 and (is_ray or alpha < 1.0):
-            trial = _independent_working_set(qp, working + [blocking])
-            if blocking in trial:
-                working = trial
-            else:
-                # Dependent blocking row: swap it in for a dependent partner by
-                # dropping the working row with the smallest multiplier.
-                y_now = _multipliers_at(qp, working, qp.P @ x + qp.q)
-                lam_w = y_now[m_e:]
-                if lam_w.size:
-                    working.pop(int(np.argmin(lam_w)))
-                working = _independent_working_set(qp, working + [blocking])
-            continue
-        # Unblocked full step: x is the minimizer over the current working set
-        # (the KKT solve gives stationarity at x + p), so run the multiplier
-        # test here. Waiting for the next direction to vanish instead can spin
-        # forever on ill-conditioned KKT systems whose computed steps never
-        # drop below the zero-direction threshold.
-        if y is None:
-            y = _multipliers_at(qp, working, qp.P @ x + qp.q)
-        lam_w = y[m_e:]
-        if lam_w.size == 0 or np.min(lam_w) >= -tol:
-            nu = y[:m_e]
-            lam = np.zeros(m_i)
-            lam[working] = np.maximum(lam_w, 0.0)
-            status = OPTIMAL
-            break
-        working.pop(int(np.argmin(lam_w)))
-
-    x = np.asarray(x, dtype=float)
     return QpSolution(
         x_star=x,
         objective=_objective(qp, x),

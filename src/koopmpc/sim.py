@@ -279,15 +279,17 @@ def run_closed_loop(
         z = lift(model, x)
         y = plant.C @ x
         cand_margin = np.nan
+        candidate = None
         if prev is not None:
-            _, _, report = shifted_candidate(prev, model, config, config.K, x, y_t, schedule)
-            cand_margin = report.min_margin
+            candidate = shifted_candidate(prev, model, config, config.K, x, y_t, schedule)
+            cand_margin = candidate[2].min_margin
         try:
             key = y_t.tobytes()
             if key not in offline_cache:
                 offline_cache[key] = solve_steady_offline(model, schedule, y_t, config.s)
             offline = offline_cache[key]
-            u_k, sol = solve_step(model, config, schedule, x, y_t, warm_start=prev)
+            u_k, sol = solve_step(model, config, schedule, x, y_t, warm_start=prev,
+                                  candidate=candidate)
         except Infeasible:
             rows.append(
                 k=k, x=x, z=z, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,

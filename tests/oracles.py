@@ -5,6 +5,7 @@ arithmetic, exhaustive vertex enumeration, closed-form roots) so that the
 library under test is checked against a second, independent computation.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -101,3 +102,46 @@ def numerical_example_matrices(lam, mu):
     )
     B = np.array([[0.0], [1.0], [0.0]])
     return A, B
+
+
+def qp_by_active_set_enumeration(P, q, A_eq, b_eq, A_in, b_in, tol=1e-9):
+    """Optimum of a convex QP over a bounded feasible set, by enumerating
+    candidate active sets.
+
+    For every subset S of at most d inequality rows, the KKT system of
+    ``min 0.5 x'Px + q'x  s.t.  A_eq x = b_eq,  A_S x = b_S`` is solved by
+    least squares. A consistent system gives a minimizer on that affine set;
+    it is a candidate when it also satisfies every inequality. The optimal set
+    of a convex QP over a bounded polyhedron has a vertex v, and a maximal
+    independent subset S of the rows active at v (at most d of them) makes v
+    the only minimizer on its affine set, so the least candidate objective is
+    the optimum.
+
+    Returns (objective, x); (inf, None) when no candidate exists.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    q = np.asarray(q, dtype=float)
+    d = q.size
+    A_eq = np.zeros((0, d)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, dtype=float))
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    A_in = np.atleast_2d(np.asarray(A_in, dtype=float))
+    b_in = np.asarray(b_in, dtype=float)
+    best = (math.inf, None)
+    for k in range(min(d, A_in.shape[0]) + 1):
+        for S in itertools.combinations(range(A_in.shape[0]), k):
+            M = np.vstack([A_eq, A_in[list(S)]])
+            b = np.concatenate([b_eq, b_in[list(S)]])
+            m = M.shape[0]
+            kkt = np.block([[P, M.T], [M, np.zeros((m, m))]])
+            rhs = np.concatenate([-q, b])
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            scale = 1.0 + np.max(np.abs(rhs))
+            if np.max(np.abs(kkt @ sol - rhs)) > tol * scale:
+                continue  # no minimizer on this affine set
+            x = sol[:d]
+            if np.any(A_in @ x > b_in + tol * scale):
+                continue
+            obj = float(0.5 * x @ P @ x + q @ x)
+            if obj < best[0]:
+                best = (obj, x)
+    return best

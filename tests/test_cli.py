@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from koopmpc import controller, sim
 from koopmpc.cli import main
 from koopmpc.model import load_model, save_trajectories
 from koopmpc.sets import box_zonotope
@@ -169,6 +171,29 @@ def test_simulate_deterministic_flag_idempotent(tmp_path):
     assert (out1 / "metrics_seed0.json").read_bytes() == (out2 / "metrics_seed0.json").read_bytes()
 
 
+def test_precomputed_candidate_leaves_a2_log_unchanged(tmp_path, monkeypatch):
+    # The closed loop hands solve_step the shifted candidate it already built
+    # for the margin column; solve_step building its own must give the same
+    # bytes.
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "a2.json"
+    passed = []
+
+    def own_candidate(*args, candidate=None, **kwargs):
+        passed.append(candidate is not None)
+        return controller.solve_step(*args, **kwargs)
+
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "given"),
+                 "--deterministic"]) == 0
+    monkeypatch.setattr(sim, "solve_step", own_candidate)
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "own"),
+                 "--deterministic"]) == 0
+    assert sum(passed) == len(passed) - 1  # every step but the first is warm
+    logs = sorted(p.name for p in (tmp_path / "given").glob("log_seed*.csv"))
+    assert logs
+    for name in logs:
+        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
+
+
 def test_simulate_seed_fanout(tmp_path):
     scenario = base_scenario(
         tmp_path,
@@ -216,6 +241,16 @@ def test_simulate_missing_scenario_exit_2(tmp_path, capsys):
     missing = tmp_path / "ghost.json"
     assert main(["simulate", str(missing)]) == 2
     assert "ghost.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plant, key", [
+    ({"kind": "numerical_example", "params": {"lam": -0.5, "mu": 2.0}}, "lam"),
+    ({"kind": "unicycle", "params": {"dt": 0.1, "speed": 1.0}}, "speed"),
+])
+def test_simulate_unknown_plant_param_exit_2(tmp_path, capsys, plant, key):
+    scenario = base_scenario(tmp_path, plant=plant)
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "r")]) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 # --- steady -----------------------------------------------------------------------

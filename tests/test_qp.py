@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from koopmpc import qp as qp_module
 from koopmpc.qp import (
     MAX_ITERATIONS,
     OPTIMAL,
@@ -9,6 +10,7 @@ from koopmpc.qp import (
     QuadraticProgram,
     solve,
 )
+from oracles import qp_by_active_set_enumeration
 
 
 def _check_kkt(sol, tol=1e-8):
@@ -101,6 +103,34 @@ def test_degenerate_equalities_handled():
     assert sol.status == OPTIMAL
     assert np.allclose(sol.x_star, [0.5, 0.5], atol=1e-8)
     _check_kkt(sol)
+
+
+def test_equalities_of_full_column_rank_pin_the_point():
+    # Three consistent equality rows of rank 2 in R^2: the null space of A_eq
+    # is empty, so the only feasible point is optimal whatever the objective.
+    A_eq = np.array([[1.0, 2.0], [3.0, -1.0], [4.0, 1.0]])
+    x_pin = np.array([0.25, -0.5])
+    qp = QuadraticProgram(
+        P=np.array([[2.0, 0.5], [0.5, 1.0]]),
+        q=[1.0, -3.0],
+        A_eq=A_eq,
+        b_eq=A_eq @ x_pin,
+        A_in=np.vstack([np.eye(2), -np.eye(2)]),
+        b_in=np.ones(4),
+    )
+    for x0 in (None, np.zeros(2)):
+        sol = solve(qp, x0=x0)
+        assert sol.status == OPTIMAL
+        assert np.allclose(sol.x_star, x_pin, atol=1e-12)
+        assert np.array_equal(sol.in_multipliers, np.zeros(4))
+        assert sol.active_set == ()
+        _check_kkt(sol)
+        # nu solves A_eq' nu = -(P x + q) exactly: the residual is rounding.
+        assert sol.kkt_residuals["stationarity"] <= 1e-12
+    # The pinned point outside the box is certified infeasible.
+    outside = QuadraticProgram(P=qp.P, q=qp.q, A_eq=A_eq, b_eq=A_eq @ np.array([2.0, 0.0]),
+                               A_in=qp.A_in, b_in=qp.b_in)
+    assert solve(outside).status == PRIMAL_INFEASIBLE
 
 
 def test_active_set_walks_multiple_constraints():
@@ -223,3 +253,111 @@ def test_random_qp_batch_certified(rng):
                 found += 1
                 obj = 0.5 * cand @ qp.P @ cand + qp.q @ cand
                 assert sol.objective <= obj + 1e-6
+
+
+# --- degenerate problems, checked against the active-set enumeration oracle ----------
+
+def _box(d):
+    return np.vstack([np.eye(d), -np.eye(d)]), np.ones(2 * d)
+
+
+def _duplicate_equalities(rng):
+    """Rank-deficient A_eq: every row repeated, and one repeated scaled."""
+    d = int(rng.integers(2, 7))
+    M = rng.standard_normal((d, d))
+    a = rng.standard_normal((max(d // 2, 1), d))
+    A_eq = np.vstack([a, a, 2.0 * a[:1]])
+    A_in, b_in = _box(d)
+    return QuadraticProgram(P=M.T @ M + 0.1 * np.eye(d), q=3.0 * rng.standard_normal(d),
+                            A_eq=A_eq, b_eq=A_eq @ rng.uniform(-0.5, 0.5, d),
+                            A_in=A_in, b_in=b_in)
+
+
+def _parallel_active_rows(rng):
+    """A known optimum x* on box faces and one oblique face; each active
+    face appears again duplicated and scaled, so dependent rows are active
+    at the optimum. q is set from KKT with positive multipliers. d <= 4
+    keeps the oracle's enumeration of up to 17 rows short."""
+    d = int(rng.integers(2, 5))
+    M = rng.standard_normal((d, d))
+    P = M.T @ M + 0.1 * np.eye(d)
+    x_star = rng.uniform(-0.5, 0.5, d)
+    J = rng.choice(d, size=int(rng.integers(1, d)), replace=False)
+    sign = rng.choice([-1.0, 1.0], size=J.size)
+    x_star[J] = sign
+    faces = np.zeros((J.size, d))
+    faces[np.arange(J.size), J] = sign
+    oblique = rng.standard_normal((1, d))
+    active = np.vstack([faces, oblique])
+    A_box, b_box = _box(d)
+    A_in = np.vstack([A_box, oblique, active, 2.5 * active])
+    b_in = np.concatenate([b_box, oblique @ x_star, active @ x_star, 2.5 * active @ x_star])
+    lam = rng.uniform(0.5, 2.0, size=active.shape[0])
+    q = -P @ x_star - active.T @ lam
+    return QuadraticProgram(P=P, q=q, A_in=A_in, b_in=b_in), x_star
+
+
+def _zero_width_box(rng):
+    """Some coordinates fixed by upper bound = lower bound."""
+    d = int(rng.integers(2, 7))
+    M = rng.standard_normal((d, d))
+    lo, hi = -np.ones(d), np.ones(d)
+    fixed = rng.choice(d, size=int(rng.integers(1, d)), replace=False)
+    lo[fixed] = hi[fixed] = rng.uniform(-0.9, 0.9, size=fixed.size)
+    return QuadraticProgram(P=M.T @ M + 0.1 * np.eye(d), q=3.0 * rng.standard_normal(d),
+                            A_in=np.vstack([np.eye(d), -np.eye(d)]),
+                            b_in=np.concatenate([hi, -lo]))
+
+
+def _flat_hessian(rng):
+    """P of rank 1 or 2, so the reduced Hessian is singular and the linear
+    term descends along flat directions until box faces stop it."""
+    d = int(rng.integers(3, 7))
+    U = rng.standard_normal((d, int(rng.integers(1, 3))))
+    A_in, b_in = _box(d)
+    A_eq = rng.standard_normal((1, d)) if rng.uniform() < 0.5 else None
+    return QuadraticProgram(P=U @ U.T, q=rng.standard_normal(d), A_eq=A_eq,
+                            b_eq=None if A_eq is None else np.zeros(1),
+                            A_in=A_in, b_in=b_in)
+
+
+def _check_against_oracle(qp, *sols):
+    best, _ = qp_by_active_set_enumeration(qp.P, qp.q, qp.A_eq, qp.b_eq, qp.A_in, qp.b_in)
+    for sol in sols:
+        assert sol.status == OPTIMAL
+        _check_kkt(sol)
+        assert sol.objective == pytest.approx(best, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("make", [_duplicate_equalities, _zero_width_box])
+def test_degenerate_constraints_match_oracle(make):
+    for seed in range(12):
+        qp = make(np.random.default_rng(seed))
+        _check_against_oracle(qp, solve(qp), solve(qp, x0=np.zeros(qp.dim)))
+
+
+def test_dependent_rows_active_at_the_optimum():
+    for seed in range(12):
+        qp, x_star = _parallel_active_rows(np.random.default_rng(seed))
+        cold, warm = solve(qp), solve(qp, x0=x_star)
+        _check_against_oracle(qp, cold, warm)
+        assert np.allclose(cold.x_star, x_star, atol=1e-8)
+        assert np.allclose(warm.x_star, x_star, atol=1e-8)
+
+
+def test_singular_reduced_hessian_takes_rays(monkeypatch):
+    directions = []
+
+    def spy(H, C, c):
+        p, lam, is_ray = direction(H, C, c)
+        directions.append((lam is None, is_ray))
+        return p, lam, is_ray
+
+    direction = qp_module._eqp_direction
+    monkeypatch.setattr(qp_module, "_eqp_direction", spy)
+    for seed in range(12):
+        qp = _flat_hessian(np.random.default_rng(seed))
+        _check_against_oracle(qp, solve(qp))
+    # The batch must reach the eigh fallback and follow a descent ray.
+    assert any(fallback for fallback, _ in directions)
+    assert any(ray for _, ray in directions)
