@@ -7,9 +7,12 @@ disturbance description used for tightening (``declared`` sets or
 ``estimate`` + inflation), the disturbance actually injected into the plant
 (``injected``, optional), box constraints, controller weights, the reference
 schedule, and run length.  See ``scenarios/`` for complete examples.
+:func:`build_stack` validates and assembles the whole scenario for every
+scenario command.
 
 Exit codes: 0 success, 2 missing/malformed input, 3 underdetermined fit,
-4 empty tightened constraint set, 5 closed-loop infeasibility.
+4 the tube could not be built: no converged stabilizing LQR gain, or an empty
+tightened set, 5 closed-loop infeasibility.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,8 +34,10 @@ from .controller import (
     solve_steady_nonlinear,
     solve_steady_offline,
 )
-from .gains import dlqr
+from .gains import NoConvergence, NotStabilizing, dlqr
 from .model import (
+    DisturbanceModel,
+    KoopmanModel,
     TrajectoryData,
     UnderdeterminedData,
     _lifting_from_doc,
@@ -42,12 +48,13 @@ from .model import (
     load_trajectories,
     predict,
     save_model,
-    DisturbanceModel,
 )
-from .sets import EmptyTightenedSet, Zonotope, box_polytope, tighten_constraints
+from .sets import EmptyTightenedSet, TighteningSchedule, Zonotope, box_polytope, tighten_constraints
 from .sim import (
     InfeasibleAtStep,
+    Plant,
     ReferenceSchedule,
+    SimLog,
     generate_training_data,
     numerical_example_plant,
     run_closed_loop,
@@ -99,6 +106,23 @@ def _weight(value, n: int, what: str) -> np.ndarray:
 
 
 _PLANT_PARAMS = {"numerical_example": {"lambda", "mu"}, "unicycle": {"dt"}}
+_SCENARIO_KEYS = {
+    "plant", "lifting", "output_matrix", "ridge", "data", "disturbance", "injected", "constraints",
+    "controller", "references", "x0", "T", "seed", "settle_window", "out_dir", "steady_grid",
+}
+_CONTROLLER_KEYS = {"N", "Q", "R", "s", "lqr"}
+_LQR_KEYS = {"Qk", "Rk", "tol", "max_iter"}
+
+
+def _check_keys(doc, allowed: set, what: str) -> None:
+    """Reject a non-object or an unknown key, naming the block it sits in."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object")
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ValueError(
+            f"unknown {what} key {unknown[0]!r} (allowed: {', '.join(sorted(allowed))})"
+        )
 
 
 def _build_plant(doc: dict):
@@ -106,14 +130,7 @@ def _build_plant(doc: dict):
     params = doc.get("params", {})
     if kind not in _PLANT_PARAMS:
         raise ValueError(f"unknown plant kind {kind!r}")
-    if not isinstance(params, dict):
-        raise ValueError("plant.params must be an object")
-    unknown = sorted(set(params) - _PLANT_PARAMS[kind])
-    if unknown:
-        raise ValueError(
-            f"unknown plant.params key {unknown[0]!r} for kind {kind!r} "
-            f"(allowed: {', '.join(sorted(_PLANT_PARAMS[kind]))})"
-        )
+    _check_keys(params, _PLANT_PARAMS[kind], "plant.params")
     if kind == "numerical_example":
         return numerical_example_plant(
             lam=float(params.get("lambda", -0.1)), mu=float(params.get("mu", 2.0))
@@ -138,79 +155,6 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
     )
 
 
-def _fit_from_scenario(sc: dict, plant, scenario_dir: Path):
-    lifting = _lifting_from_doc(sc["lifting"], n_x=plant.n_x)
-    data = _training_data(sc, plant, scenario_dir)
-    output_matrix = sc.get("output_matrix")
-    if output_matrix is not None:
-        output_matrix = np.asarray(output_matrix, dtype=float)
-    model = fit_edmd(data, lifting, ridge=float(sc.get("ridge", 1e-8)), output_matrix=output_matrix)
-    return model, data
-
-
-def _disturbance_from_scenario(sc: dict, model, data) -> DisturbanceModel:
-    doc = sc.get("disturbance")
-    if not isinstance(doc, dict) or ("declared" not in doc) == ("estimate" not in doc):
-        raise ValueError("scenario 'disturbance' must give exactly one of 'declared' or 'estimate'")
-    if "declared" in doc:
-        return DisturbanceModel(
-            W=_zonotope_from_doc(doc["declared"]["W"], "disturbance.declared.W"),
-            V=_zonotope_from_doc(doc["declared"]["V"], "disturbance.declared.V"),
-        )
-    return estimate_disturbance_sets(model, data, inflation=float(doc["estimate"].get("inflation", 1.0)))
-
-
-def _injected_from_scenario(sc: dict) -> DisturbanceModel | None:
-    doc = sc.get("injected")
-    if doc is None:
-        return None
-    return DisturbanceModel(
-        W=_zonotope_from_doc(doc["W"], "injected.W"),
-        V=_zonotope_from_doc(doc["V"], "injected.V"),
-    )
-
-
-def _constraint_boxes(sc: dict):
-    con = sc["constraints"]
-    X = box_polytope(con["state"]["lo"], con["state"]["hi"])
-    U = box_polytope(con["input"]["lo"], con["input"]["hi"])
-    return X, U
-
-
-def _controller_from_scenario(sc: dict, model, disturbance):
-    cfg_doc = sc["controller"]
-    N = int(cfg_doc["N"])
-    lqr_doc = cfg_doc.get("lqr", {})
-    gain = dlqr(
-        model.A,
-        model.B,
-        _weight(lqr_doc.get("Qk", 1.0), model.n_z, "controller.lqr.Qk"),
-        _weight(lqr_doc.get("Rk", 1.0), model.n_u, "controller.lqr.Rk"),
-        tol=float(lqr_doc.get("tol", 1e-12)),
-        max_iter=int(lqr_doc.get("max_iter", 10_000)),
-    )
-    X, U = _constraint_boxes(sc)
-    schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)
-    config = KtmpcConfig(
-        N=N,
-        Q=_weight(cfg_doc["Q"], model.n_z, "controller.Q"),
-        R=_weight(cfg_doc["R"], model.n_u, "controller.R"),
-        s=float(cfg_doc["s"]),
-        K=gain.K,
-    )
-    return config, schedule
-
-
-def _refs_from_scenario(sc: dict) -> ReferenceSchedule:
-    doc = sc.get("references")
-    if isinstance(doc, dict) and "timed" in doc:
-        return ReferenceSchedule.timed([(int(k), y) for k, y in doc["timed"]])
-    if isinstance(doc, dict) and "waypoints" in doc:
-        wp = doc["waypoints"]
-        return ReferenceSchedule.waypoints(wp["points"], switch_radius=float(wp["switch_radius"]))
-    raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
-
-
 def _grid_from_scenario(sc: dict, plant) -> GridSpec:
     con = sc["constraints"]
     x_lo, x_hi = con["state"]["lo"], con["state"]["hi"]
@@ -223,6 +167,109 @@ def _grid_from_scenario(sc: dict, plant) -> GridSpec:
         x_values=tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in zip(x_lo, x_hi, x_points)),
         u_values=tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in zip(u_lo, u_hi, u_points)),
         fp_tol=float(doc.get("fp_tol", 1e-6)),
+    )
+
+
+# --- the scenario stack ----------------------------------------------------------------
+
+_INJECTED = object()  # Stack.run default: the scenario's own injected disturbance
+
+
+@dataclass(frozen=True)
+class Stack:
+    """A scenario assembled: plant, fitted model, tube controller and run settings."""
+
+    sc: dict
+    plant: Plant
+    model: KoopmanModel
+    config: KtmpcConfig
+    schedule: TighteningSchedule
+    refs: ReferenceSchedule
+    injected: DisturbanceModel | None
+    x0: np.ndarray | None
+    T: int
+    seed: int
+    settle_window: int
+
+    def run(self, seed: int, disturbances=_INJECTED) -> SimLog:
+        """Closed loop under ``seed``; a run that halts infeasible returns its partial log."""
+        if disturbances is _INJECTED:
+            disturbances = self.injected
+        try:
+            return run_closed_loop(
+                self.plant, self.model, self.config, self.schedule, self.refs,
+                disturbances=disturbances, T=self.T, seed=int(seed), x0=self.x0,
+            )
+        except InfeasibleAtStep as exc:
+            return exc.log
+
+
+def build_stack(scenario_path) -> Stack:
+    """Validate a whole scenario, then fit, gain and tighten it into a :class:`Stack`.
+
+    Training data ``path``s resolve relative to the scenario file.
+    """
+    sc = _load_json(scenario_path)
+    _check_keys(sc, _SCENARIO_KEYS, "scenario")
+    cfg_doc = sc["controller"]
+    _check_keys(cfg_doc, _CONTROLLER_KEYS, "controller")
+    lqr_doc = cfg_doc.get("lqr", {})
+    _check_keys(lqr_doc, _LQR_KEYS, "controller.lqr")
+    plant = _build_plant(sc["plant"])
+
+    def noise(doc, what) -> DisturbanceModel:
+        return DisturbanceModel(
+            W=_zonotope_from_doc(doc["W"], f"{what}.W"),
+            V=_zonotope_from_doc(doc["V"], f"{what}.V"),
+        )
+
+    dist_doc = sc.get("disturbance")
+    if not isinstance(dist_doc, dict) or ("declared" in dist_doc) == ("estimate" in dist_doc):
+        raise ValueError("scenario 'disturbance' must give exactly one of 'declared' or 'estimate'")
+    injected = None if sc.get("injected") is None else noise(sc["injected"], "injected")
+    refs_doc = sc.get("references")
+    if isinstance(refs_doc, dict) and "timed" in refs_doc:
+        refs = ReferenceSchedule.timed([(int(k), y) for k, y in refs_doc["timed"]])
+    elif isinstance(refs_doc, dict) and "waypoints" in refs_doc:
+        wp = refs_doc["waypoints"]
+        refs = ReferenceSchedule.waypoints(wp["points"], switch_radius=float(wp["switch_radius"]))
+    else:
+        raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
+    con = sc["constraints"]
+    X = box_polytope(con["state"]["lo"], con["state"]["hi"])
+    U = box_polytope(con["input"]["lo"], con["input"]["hi"])
+    x0 = None if sc.get("x0") is None else np.asarray(sc["x0"], dtype=float)
+    T, seed, settle_window = int(sc["T"]), int(sc.get("seed", 0)), int(sc.get("settle_window", 20))
+
+    data = _training_data(sc, plant, Path(scenario_path).parent)
+    lifting = _lifting_from_doc(sc["lifting"], n_x=plant.n_x)
+    model = fit_edmd(data, lifting, ridge=float(sc.get("ridge", 1e-8)),
+                     output_matrix=sc.get("output_matrix"))
+    if "declared" in dist_doc:
+        disturbance = noise(dist_doc["declared"], "disturbance.declared")
+    else:
+        inflation = float(dist_doc["estimate"].get("inflation", 1.0))
+        disturbance = estimate_disturbance_sets(model, data, inflation=inflation)
+    N = int(cfg_doc["N"])
+    gain = dlqr(
+        model.A,
+        model.B,
+        _weight(lqr_doc.get("Qk", 1.0), model.n_z, "controller.lqr.Qk"),
+        _weight(lqr_doc.get("Rk", 1.0), model.n_u, "controller.lqr.Rk"),
+        tol=float(lqr_doc.get("tol", 1e-12)),
+        max_iter=int(lqr_doc.get("max_iter", 10_000)),
+    )
+    schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)
+    config = KtmpcConfig(
+        N=N,
+        Q=_weight(cfg_doc["Q"], model.n_z, "controller.Q"),
+        R=_weight(cfg_doc["R"], model.n_u, "controller.R"),
+        s=float(cfg_doc["s"]),
+        K=gain.K,
+    )
+    return Stack(
+        sc=sc, plant=plant, model=model, config=config, schedule=schedule, refs=refs,
+        injected=injected, x0=x0, T=T, seed=seed, settle_window=settle_window,
     )
 
 
@@ -240,9 +287,6 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
         lifting = _lifting_from_doc(lift_doc, n_x=int(lift_doc["n_x"]))
     except KeyError as exc:
         raise ValueError(f"{lifting_json} is missing required field {exc}") from exc
-    output_matrix = lift_doc.get("output_matrix")
-    if output_matrix is not None:
-        output_matrix = np.asarray(output_matrix, dtype=float)
 
     data = load_trajectories(data_csv)
     n_hold = max(1, len(data.trajectories) // 10)
@@ -251,7 +295,7 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
         TrajectoryData(train_trajs),
         lifting,
         ridge=float(lift_doc.get("ridge", 1e-8)),
-        output_matrix=output_matrix,
+        output_matrix=lift_doc.get("output_matrix"),
     )
 
     one_step, multi_step = [], []
@@ -278,11 +322,7 @@ def _polytope_doc(P) -> dict:
 
 def cmd_tighten(scenario_json, out_json) -> int:
     """Compute the tightened constraint schedule for a scenario and save it as JSON."""
-    sc = _load_json(scenario_json)
-    plant = _build_plant(sc["plant"])
-    model, data = _fit_from_scenario(sc, plant, Path(scenario_json).parent)
-    disturbance = _disturbance_from_scenario(sc, model, data)
-    _, schedule = _controller_from_scenario(sc, model, disturbance)
+    schedule = build_stack(scenario_json).schedule
     doc = {
         "horizon": schedule.horizon,
         "state_sets": [_polytope_doc(P) for P in schedule.state_sets],
@@ -304,31 +344,16 @@ def _json_float(v):
 
 def cmd_simulate(scenario_json, seed=None, seeds=None, out=None, deterministic=False) -> int:
     """Run the closed loop for one or more seeds, writing a log CSV and metrics JSON each."""
-    sc = _load_json(scenario_json)
-    plant = _build_plant(sc["plant"])
-    model, data = _fit_from_scenario(sc, plant, Path(scenario_json).parent)
-    disturbance = _disturbance_from_scenario(sc, model, data)
-    config, schedule = _controller_from_scenario(sc, model, disturbance)
-    refs = _refs_from_scenario(sc)
-    injected = _injected_from_scenario(sc)
-    x0 = None if sc.get("x0") is None else np.asarray(sc["x0"], dtype=float)
-    settle_window = int(sc.get("settle_window", 20))
-
-    seed_list = seeds if seeds is not None else [seed if seed is not None else int(sc.get("seed", 0))]
-    out_dir = Path(out) if out is not None else Path(sc.get("out_dir", "."))
+    stack = build_stack(scenario_json)
+    seed_list = seeds if seeds is not None else [seed if seed is not None else stack.seed]
+    out_dir = Path(out) if out is not None else Path(stack.sc.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     any_halted = False
     for run_seed in seed_list:
-        try:
-            log = run_closed_loop(
-                plant, model, config, schedule, refs,
-                disturbances=injected, T=int(sc["T"]), seed=int(run_seed), x0=x0,
-            )
-        except InfeasibleAtStep as exc:
-            log = exc.log
-            any_halted = True
-        m = tracking_metrics(log, settle_window=settle_window)
+        log = stack.run(run_seed)
+        any_halted |= log.halted_at is not None
+        m = tracking_metrics(log, settle_window=stack.settle_window)
         metrics = {
             "seed": int(run_seed),
             "halted_at": log.halted_at,
@@ -352,24 +377,18 @@ def cmd_simulate(scenario_json, seed=None, seeds=None, out=None, deterministic=F
 
 def cmd_steady(scenario_json, y_t) -> int:
     """Print the lifted-model steady target next to a grid search over true plant fixed points."""
-    sc = _load_json(scenario_json)
-    plant = _build_plant(sc["plant"])
-    model, data = _fit_from_scenario(sc, plant, Path(scenario_json).parent)
-    disturbance = _disturbance_from_scenario(sc, model, data)
-    config, schedule = _controller_from_scenario(sc, model, disturbance)
+    stack = build_stack(scenario_json)
+    plant, model, s = stack.plant, stack.model, stack.config.s
     y_target = np.atleast_1d(np.asarray(y_t, dtype=float))
 
-    target = solve_steady_offline(model, schedule, y_target, config.s)
+    target = solve_steady_offline(model, stack.schedule, y_target, s)
     x_s = model.C_x @ target.z_s
     print(f"lifted-model steady target: y_s = {np.array2string(target.y_s)}, "
           f"x_s = {np.array2string(x_s)}, u_s = {np.array2string(target.u_s)}, "
           f"offset cost = {target.offset_cost:.6e}")
 
-    if plant.kind not in _DEFAULT_GRIDS:
-        print("no fixed-point oracle for this plant kind; skipping grid search")
-        return 0
     try:
-        oracle = solve_steady_nonlinear(plant, y_target, config.s, _grid_from_scenario(sc, plant))
+        oracle = solve_steady_nonlinear(plant, y_target, s, _grid_from_scenario(stack.sc, plant))
     except ValueError as exc:
         print(f"grid search found no steady pair: {exc}")
         return 0
@@ -441,8 +460,8 @@ def main(argv=None) -> int:
     except UnderdeterminedData as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 3
-    except EmptyTightenedSet as exc:
-        print(f"tightening failed: {exc}", file=sys.stderr)
+    except (NoConvergence, NotStabilizing, EmptyTightenedSet) as exc:
+        print(f"the tube could not be built: {exc}", file=sys.stderr)
         return 4
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

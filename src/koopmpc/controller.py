@@ -148,7 +148,6 @@ class FeasibilityReport:
     steady_state_margin: float
     steady_input_margin: float
     terminal_gap: float
-    candidate_cost: float
     min_margin: float
     feasible: bool
 
@@ -189,17 +188,10 @@ class _Layout:
 
 
 def _tracking_cost(config: KtmpcConfig, u_bar, z_bar, z_s, u_s) -> float:
-    Lq = np.linalg.cholesky(config.Q)
-    Lr = np.linalg.cholesky(config.R)
-    cost = 0.0
-    for j in range(config.N):
-        cost += float(np.sum((Lq.T @ (z_bar[j] - z_s)) ** 2))
-        cost += float(np.sum((Lr.T @ (u_bar[j] - u_s)) ** 2))
-    return cost
-
-
-def _offset_cost(config: KtmpcConfig, model: KoopmanModel, z_s, y_t) -> float:
-    return config.s * float(np.sum((model.C_y @ z_s - y_t) ** 2))
+    """Sum over j < N of ||z(j) - z_s||_Q^2 + ||u(j) - u_s||_R^2."""
+    dz = z_bar[: config.N] - z_s
+    du = u_bar[: config.N] - u_s
+    return float(np.sum((dz @ config.Q) * dz) + np.sum((du @ config.R) * du))
 
 
 # --- steady-target optimizers ---------------------------------------------------
@@ -370,8 +362,8 @@ def solve_step(
     """Solve the tracking QP at ``x_k`` and return the first input to apply.
 
     ``candidate`` is what :func:`shifted_candidate` returns for
-    ``warm_start`` at ``x_k`` and ``y_t``, for a caller that already has it;
-    without it the candidate is computed here.
+    ``warm_start`` at ``x_k``, for a caller that already has it; without it
+    the candidate is computed here.
     """
     x_k = _as_vector(x_k, model.n_x, "x_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
@@ -383,7 +375,7 @@ def solve_step(
     x0 = None
     if warm_start is not None:
         if candidate is None:
-            candidate = shifted_candidate(warm_start, model, config, config.K, x_k, y_t, schedule)
+            candidate = shifted_candidate(warm_start, model, config, x_k, schedule)
         u_c, z_c, _ = candidate
         x0 = np.concatenate(
             [u_c.ravel(), z_c[1:].ravel(), warm_start.target.z_s, warm_start.target.u_s]
@@ -406,7 +398,7 @@ def solve_step(
         z_s=z_s,
         u_s=u_s,
         y_s=model.C_y @ z_s,
-        offset_cost=_offset_cost(config, model, z_s, y_t),
+        offset_cost=config.s * float(np.sum((model.C_y @ z_s - y_t) ** 2)),
     )
     total = _tracking_cost(config, u_bar, z_bar, z_s, u_s) + target.offset_cost
     solution = KtmpcSolution(
@@ -426,24 +418,21 @@ def shifted_candidate(
     prev: KtmpcSolution,
     model: KoopmanModel,
     config: KtmpcConfig,
-    K: np.ndarray,
     x_next,
-    y_t,
     schedule: TighteningSchedule,
 ) -> tuple[np.ndarray, np.ndarray, FeasibilityReport]:
     """One-step-shifted candidate built from the previous optimum.
 
-    The candidate tracks the shifted previous trajectory under the tube gain,
-    ``u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1))``, finishing with the previous
-    steady input; the previous steady pair is reused as the candidate target.
+    The candidate tracks the shifted previous trajectory under the tube gain
+    ``K = config.K``, ``u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1))``, finishing
+    with the previous steady input; the previous steady pair is reused as the
+    candidate target.
     The report gives the worst margin of every constraint of the tracking QP
     against the tightened schedule (j-indexed sets), plus the terminal defect
     ``||z_c(N) - z_s||_inf``, which is zero only in the disturbance-free case.
     """
     x_next = _as_vector(x_next, model.n_x, "x_next")
-    y_t = _as_vector(y_t, model.n_y, "y_t")
-    K = np.asarray(K, dtype=float)
-    N = config.N
+    K, N = config.K, config.N
     z_c = np.zeros((N + 1, model.n_z))
     u_c = np.zeros((N, model.n_u))
     z_c[0] = lift(model, x_next)
@@ -464,16 +453,12 @@ def shifted_candidate(
     min_margin = float(
         min(state_margins.min(), input_margins.min(), steady_state, steady_input)
     )
-    cost = _tracking_cost(config, u_c, z_c, prev.target.z_s, prev.target.u_s) + _offset_cost(
-        config, model, prev.target.z_s, y_t
-    )
     report = FeasibilityReport(
         state_margins=state_margins,
         input_margins=input_margins,
         steady_state_margin=steady_state,
         steady_input_margin=steady_input,
         terminal_gap=float(np.max(np.abs(z_c[N] - prev.target.z_s))),
-        candidate_cost=cost,
         min_margin=min_margin,
         feasible=bool(min_margin >= -_MARGIN_TOL),
     )

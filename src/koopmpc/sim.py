@@ -10,7 +10,7 @@ margins, and the injected noise realizations.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -211,38 +211,32 @@ class SimLog:
 
     @classmethod
     def empty(cls, n_x: int, n_u: int, n_y: int, n_z: int, n_w: int, n_v: int) -> "SimLog":
-        def m(n):
-            return np.zeros((0, n))
+        widths = {"x": n_x, "z": n_z, "u": n_u, "u_s": n_u, "w_inj": n_w, "v_inj": n_v,
+                  "y": n_y, "y_t": n_y, "y_s": n_y, "y_sr": n_y}
 
-        return cls(
-            k=np.zeros(0, dtype=int), x=m(n_x), z=m(n_z), u=m(n_u), y=m(n_y),
-            y_t=m(n_y), y_s=m(n_y), u_s=m(n_u), y_sr=m(n_y), J_N=np.zeros(0),
-            V1=np.zeros(0), V2=np.zeros(0), feasible=np.zeros(0, dtype=bool),
-            margin_min=np.zeros(0), state_margin=np.zeros(0), input_margin=np.zeros(0),
-            w_inj=m(n_w), v_inj=m(n_v),
-        )
+        def column(name):
+            shape = (0, widths[name]) if name in widths else (0,)
+            return np.zeros(shape, dtype=_DTYPES.get(name, float))
+
+        return cls(**{name: column(name) for name in _COLUMNS})
+
+
+# The per-step columns are the SimLog fields without a default.
+_COLUMNS = tuple(f.name for f in fields(SimLog) if f.default is MISSING)
+_DTYPES = {"k": int, "feasible": bool}
 
 
 class _LogRows:
     def __init__(self):
-        self.rows: dict[str, list] = {name: [] for name in (
-            "k", "x", "z", "u", "y", "y_t", "y_s", "u_s", "y_sr", "J_N", "V1", "V2",
-            "feasible", "margin_min", "state_margin", "input_margin", "w_inj", "v_inj",
-        )}
+        self.rows: dict[str, list] = {name: [] for name in _COLUMNS}
 
     def append(self, **kw):
         for name, value in kw.items():
             self.rows[name].append(value)
 
     def build(self, reached_steps, halted_at) -> SimLog:
-        out = {}
-        for name, values in self.rows.items():
-            arr = np.array(values)
-            if name == "k":
-                arr = arr.astype(int)
-            elif name == "feasible":
-                arr = arr.astype(bool)
-            out[name] = arr
+        out = {name: np.array(values, dtype=_DTYPES.get(name, float))
+               for name, values in self.rows.items()}
         return SimLog(reached_steps=tuple(reached_steps), halted_at=halted_at, **out)
 
 
@@ -281,7 +275,7 @@ def run_closed_loop(
         cand_margin = np.nan
         candidate = None
         if prev is not None:
-            candidate = shifted_candidate(prev, model, config, config.K, x, y_t, schedule)
+            candidate = shifted_candidate(prev, model, config, x, schedule)
             cand_margin = candidate[2].min_margin
         try:
             key = y_t.tobytes()

@@ -28,12 +28,7 @@ from koopmpc.sets import (
     pontryagin_diff,
     tighten_constraints,
 )
-from koopmpc.sim import (
-    InfeasibleAtStep,
-    generate_training_data,
-    run_closed_loop,
-    tracking_metrics,
-)
+from koopmpc.sim import generate_training_data, tracking_metrics
 from oracles import grid_membership_diff, numerical_example_matrices
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -47,37 +42,6 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _stack(scenario_name: str) -> SimpleNamespace:
-    """Build the full pipeline for a scenario exactly as the CLI would."""
-    sc = cli._load_json(SCENARIOS / scenario_name)
-    plant = cli._build_plant(sc["plant"])
-    model, data = cli._fit_from_scenario(sc, plant, SCENARIOS)
-    disturbance = cli._disturbance_from_scenario(sc, model, data)
-    config, schedule = cli._controller_from_scenario(sc, model, disturbance)
-    return SimpleNamespace(
-        sc=sc,
-        plant=plant,
-        model=model,
-        config=config,
-        schedule=schedule,
-        refs=cli._refs_from_scenario(sc),
-        injected=cli._injected_from_scenario(sc),
-        x0=np.asarray(sc["x0"], dtype=float),
-    )
-
-
-def _run(stack, seed, injected="default"):
-    if injected == "default":
-        injected = stack.injected
-    try:
-        return run_closed_loop(
-            stack.plant, stack.model, stack.config, stack.schedule, stack.refs,
-            disturbances=injected, T=int(stack.sc["T"]), seed=seed, x0=stack.x0,
-        )
-    except InfeasibleAtStep as exc:
-        return exc.log
-
-
 def _segments(y_t: np.ndarray):
     """Half-open [lo, hi) index ranges of constant reference."""
     changed = np.any(y_t[1:] != y_t[:-1], axis=1)
@@ -87,22 +51,22 @@ def _segments(y_t: np.ndarray):
 
 @pytest.fixture(scope="module")
 def a1_run():
-    stack = _stack("a1.json")
+    stack = cli.build_stack(SCENARIOS / "a1.json")
     t0 = time.perf_counter()
-    log = _run(stack, seed=int(stack.sc["seed"]))
+    log = stack.run(stack.seed)
     return SimpleNamespace(stack=stack, log=log, runtime=time.perf_counter() - t0)
 
 
 @pytest.fixture(scope="module")
 def a2_batch():
-    stack = _stack("a2.json")
+    stack = cli.build_stack(SCENARIOS / "a2.json")
     half_injected = DisturbanceModel(
         W=Zonotope(0.5 * stack.injected.W.center, 0.5 * stack.injected.W.generators),
         V=Zonotope(0.5 * stack.injected.V.center, 0.5 * stack.injected.V.generators),
     )
-    full = [_run(stack, seed) for seed in A2_SEEDS]
-    half = [_run(stack, seed, injected=half_injected) for seed in A2_SEEDS]
-    window = int(stack.sc["settle_window"])
+    full = [stack.run(seed) for seed in A2_SEEDS]
+    half = [stack.run(seed, disturbances=half_injected) for seed in A2_SEEDS]
+    window = stack.settle_window
     return SimpleNamespace(
         stack=stack,
         full=full,
@@ -114,8 +78,8 @@ def a2_batch():
 
 def test_exact_model_recovery():
     """Noise-free identification returns the analytic lifted matrices."""
-    sc = cli._load_json(SCENARIOS / "a1.json")
-    plant = cli._build_plant(sc["plant"])
+    stack = cli.build_stack(SCENARIOS / "a1.json")
+    plant, sc = stack.plant, stack.sc
     lifting = _lifting_from_doc(sc["lifting"], n_x=plant.n_x)
     t0 = time.perf_counter()
     data = generate_training_data(
@@ -272,7 +236,7 @@ def test_tightening_monotone_and_emptiness(tmp_path):
     inflated disturbance makes the CLI exit with the empty-set code."""
     max_growth = -np.inf
     for name in ("a1.json", "a2.json", "unicycle_square.json"):
-        sets = _stack(name).schedule.state_sets
+        sets = cli.build_stack(SCENARIOS / name).schedule.state_sets
         for prev, cur in zip(sets, sets[1:]):
             assert np.array_equal(prev.normals, cur.normals)
             max_growth = max(max_growth, float((cur.offsets - prev.offsets).max()))
@@ -344,13 +308,13 @@ def test_unicycle_waypoint_course():
     the vehicle must turn.  The run below halts infeasible after ~30 steps
     with zero waypoints reached; see README for the analysis.
     """
-    stack = _stack("unicycle_square.json")
+    stack = cli.build_stack(SCENARIOS / "unicycle_square.json")
     n_waypoints = len(stack.sc["references"]["waypoints"]["points"])
     t0 = time.perf_counter()
-    log = _run(stack, seed=int(stack.sc["seed"]))
+    log = stack.run(stack.seed)
     elapsed = time.perf_counter() - t0
 
-    U = cli._constraint_boxes(stack.sc)[1]
+    U = stack.schedule.input_sets[0]  # U~(0) = U, the raw input box
     executed = log.u[np.isfinite(log.u).all(axis=1)]  # halt row logs NaN input
     input_ok = all(margin(U, u) >= -1e-9 for u in executed)
     reached = list(log.reached_steps)

@@ -35,6 +35,10 @@ def write_lifting_json(path, ridge=0.0):
     path.write_text(json.dumps(doc))
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+CONTROLLER = {"N": 10, "Q": 1.0, "R": 1.0, "s": 1000.0, "lqr": {"Qk": 1.0, "Rk": 1.0}}
+
+
 def base_scenario(tmp_path, **overrides):
     doc = {
         "plant": {"kind": "numerical_example", "params": {"lambda": -0.1, "mu": 2.0}},
@@ -60,7 +64,7 @@ def base_scenario(tmp_path, **overrides):
             "state": {"lo": [-5.0, -5.0], "hi": [5.0, 5.0]},
             "input": {"lo": [-3.0], "hi": [3.0]},
         },
-        "controller": {"N": 10, "Q": 1.0, "R": 1.0, "s": 1000.0, "lqr": {"Qk": 1.0, "Rk": 1.0}},
+        "controller": CONTROLLER,
         "references": {"timed": [[0, [1.0]]]},
         "T": 40,
         "seed": 0,
@@ -143,6 +147,50 @@ def test_tighten_oversized_disturbance_exit_4(tmp_path, capsys):
     assert "1" in capsys.readouterr().err  # names the offending horizon index
 
 
+def test_tighten_lqr_no_convergence_exit_4(tmp_path, capsys):
+    scenario = base_scenario(
+        tmp_path, controller={**CONTROLLER, "lqr": {"Qk": 1.0, "Rk": 1.0, "max_iter": 1}}
+    )
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 4
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_tighten_lqr_not_stabilizing_exit_4(tmp_path, capsys):
+    # |lambda| > 1 makes the x1 and x1^2 modes unstable, and no input reaches them.
+    scenario = base_scenario(
+        tmp_path, plant={"kind": "numerical_example", "params": {"lambda": 1.5, "mu": 2.0}}
+    )
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 4
+    assert "spectral radius" in capsys.readouterr().err
+
+
+# --- scenario validation -------------------------------------------------------------
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"contoller_typo": {}}, "scenario key 'contoller_typo'"),
+    ({"controller": {**CONTROLLER, "S": 1000.0}}, "controller key 'S'"),
+    ({"controller": {**CONTROLLER, "lqr": {"Qk": 1.0, "Rk": 1.0, "Q": 1.0}}},
+     "controller.lqr key 'Q'"),
+])
+@pytest.mark.parametrize("command", ["tighten", "simulate", "steady"])
+def test_unknown_scenario_key_exit_2(tmp_path, capsys, overrides, named, command):
+    scenario = str(base_scenario(tmp_path, **overrides))
+    args = {
+        "tighten": [scenario, str(tmp_path / "schedule.json")],
+        "simulate": [scenario, "--out", str(tmp_path / "runs")],
+        "steady": [scenario, "1.0"],
+    }[command]
+    assert main([command, *args]) == 2
+    assert f"unknown {named}" in capsys.readouterr().err
+
+
+def test_tighten_validates_the_whole_scenario(tmp_path, capsys):
+    # tighten never reads the references, but a scenario must be complete.
+    scenario = base_scenario(tmp_path, references={"timed": [[5, [1.0]]]})
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    assert "step 0" in capsys.readouterr().err
+
+
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_writes_log_and_metrics(tmp_path):
@@ -175,7 +223,7 @@ def test_precomputed_candidate_leaves_a2_log_unchanged(tmp_path, monkeypatch):
     # The closed loop hands solve_step the shifted candidate it already built
     # for the margin column; solve_step building its own must give the same
     # bytes.
-    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "a2.json"
+    scenario = SCENARIOS / "a2.json"
     passed = []
 
     def own_candidate(*args, candidate=None, **kwargs):

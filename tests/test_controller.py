@@ -286,6 +286,20 @@ def test_solve_step_deterministic():
     assert s1.total_cost == s2.total_cost
 
 
+def test_total_cost_is_the_per_step_sum(rng):
+    model, config, schedule = make_setup(N=5)
+    M = rng.normal(size=(3, 3))
+    config = KtmpcConfig(N=5, Q=M @ M.T + 0.1 * np.eye(3), R=np.array([[0.7]]),
+                         s=config.s, K=config.K)
+    _, sol = solve_step(model, config, schedule, x_k=[0.0, -1.0], y_t=[1.0])
+    z_s, u_s = sol.target.z_s, sol.target.u_s
+    expected = sol.target.offset_cost
+    for j in range(config.N):
+        dz, du = sol.z_bar[j] - z_s, sol.u_bar[j] - u_s
+        expected += dz @ config.Q @ dz + du @ config.R @ du
+    assert sol.total_cost == pytest.approx(expected, rel=1e-12)
+
+
 def test_terminal_equality_needs_decayed_uncontrollable_mode():
     # The first lifted coordinate evolves autonomously (its B row is zero), so
     # the terminal equality z(N) = z_s pins (-0.1)^N x1(0) to zero: with x1 != 0
@@ -340,7 +354,7 @@ def test_shifted_candidate_nominal_margins():
     x = np.array([0.0, -1.0])
     u_k, sol = solve_step(model, config, schedule, x, y_t=[1.0])
     x_next = nominal_step(model, x, u_k)
-    u_c, z_c, report = shifted_candidate(sol, model, config, config.K, x_next, [1.0], schedule)
+    u_c, z_c, report = shifted_candidate(sol, model, config, x_next, schedule)
     assert isinstance(report, FeasibilityReport)
     assert report.min_margin >= -1e-9
     assert report.feasible
@@ -365,7 +379,7 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
         z = lift(model, x)
         w = np.array([0.0, rng.uniform(-0.1, 0.1), 0.0])
         x = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + w)
-        _, _, report = shifted_candidate(sol, model, config, config.K, x, y_t, schedule)
+        _, _, report = shifted_candidate(sol, model, config, x, schedule)
         assert report.min_margin >= -1e-9, report
         prev = sol
     # The applied disturbance moves the candidate off the terminal equality.
@@ -380,7 +394,7 @@ def test_shifted_candidate_detects_excess_disturbance():
     # successor state outside the tightened initial set.
     z = lift(model, x)
     x_bad = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + np.array([0.0, 3.0, 0.0]))
-    _, _, report = shifted_candidate(sol, model, config, config.K, x_bad, [2.8], schedule)
+    _, _, report = shifted_candidate(sol, model, config, x_bad, schedule)
     assert report.min_margin < 0
     assert not report.feasible
 
