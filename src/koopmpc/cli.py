@@ -172,9 +172,6 @@ def _grid_from_scenario(sc: dict, plant) -> GridSpec:
 
 # --- the scenario stack ----------------------------------------------------------------
 
-_INJECTED = object()  # Stack.run default: the scenario's own injected disturbance
-
-
 @dataclass(frozen=True)
 class Stack:
     """A scenario assembled: plant, fitted model, tube controller and run settings."""
@@ -191,14 +188,12 @@ class Stack:
     seed: int
     settle_window: int
 
-    def run(self, seed: int, disturbances=_INJECTED) -> SimLog:
+    def run(self, seed: int) -> SimLog:
         """Closed loop under ``seed``; a run that halts infeasible returns its partial log."""
-        if disturbances is _INJECTED:
-            disturbances = self.injected
         try:
             return run_closed_loop(
                 self.plant, self.model, self.config, self.schedule, self.refs,
-                disturbances=disturbances, T=self.T, seed=int(seed), x0=self.x0,
+                disturbances=self.injected, T=self.T, seed=int(seed), x0=self.x0,
             )
         except InfeasibleAtStep as exc:
             return exc.log

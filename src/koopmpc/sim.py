@@ -10,7 +10,7 @@ margins, and the injected noise realizations.
 from __future__ import annotations
 
 import csv
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -184,59 +184,62 @@ class _RefCursor:
 
 # --- logging ---------------------------------------------------------------------------
 
+def _column(width: str | None = None, dtype=float):
+    """A per-step SimLog column: one row per step, ``width`` names its row length."""
+    return field(metadata={"width": width, "dtype": dtype})
+
+
 @dataclass(frozen=True)
 class SimLog:
     """One record per simulated step; arrays are row-per-step."""
 
-    k: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
-    y_t: np.ndarray
-    y_s: np.ndarray
-    u_s: np.ndarray
-    y_sr: np.ndarray
-    J_N: np.ndarray
-    V1: np.ndarray
-    V2: np.ndarray
-    feasible: np.ndarray
-    margin_min: np.ndarray
-    state_margin: np.ndarray
-    input_margin: np.ndarray
-    w_inj: np.ndarray
-    v_inj: np.ndarray
+    k: np.ndarray = _column(dtype=int)
+    x: np.ndarray = _column("n_x")
+    z: np.ndarray = _column("n_z")
+    u: np.ndarray = _column("n_u")
+    y: np.ndarray = _column("n_y")
+    y_t: np.ndarray = _column("n_y")
+    y_s: np.ndarray = _column("n_y")
+    u_s: np.ndarray = _column("n_u")
+    y_sr: np.ndarray = _column("n_y")
+    J_N: np.ndarray = _column()
+    V1: np.ndarray = _column()
+    V2: np.ndarray = _column()
+    feasible: np.ndarray = _column(dtype=bool)
+    margin_min: np.ndarray = _column()
+    state_margin: np.ndarray = _column()
+    input_margin: np.ndarray = _column()
+    w_inj: np.ndarray = _column("n_w")
+    v_inj: np.ndarray = _column("n_v")
     reached_steps: tuple = ()
     halted_at: int | None = None
 
     @classmethod
     def empty(cls, n_x: int, n_u: int, n_y: int, n_z: int, n_w: int, n_v: int) -> "SimLog":
-        widths = {"x": n_x, "z": n_z, "u": n_u, "u_s": n_u, "w_inj": n_w, "v_inj": n_v,
-                  "y": n_y, "y_t": n_y, "y_s": n_y, "y_sr": n_y}
+        widths = {"n_x": n_x, "n_u": n_u, "n_y": n_y, "n_z": n_z, "n_w": n_w, "n_v": n_v}
 
-        def column(name):
-            shape = (0, widths[name]) if name in widths else (0,)
-            return np.zeros(shape, dtype=_DTYPES.get(name, float))
+        def column(f):
+            width = f.metadata["width"]
+            shape = (0,) if width is None else (0, widths[width])
+            return np.zeros(shape, dtype=f.metadata["dtype"])
 
-        return cls(**{name: column(name) for name in _COLUMNS})
+        return cls(**{f.name: column(f) for f in _COLUMNS})
 
 
-# The per-step columns are the SimLog fields without a default.
-_COLUMNS = tuple(f.name for f in fields(SimLog) if f.default is MISSING)
-_DTYPES = {"k": int, "feasible": bool}
+# The per-step columns are the SimLog fields declared with _column.
+_COLUMNS = tuple(f for f in fields(SimLog) if "width" in f.metadata)
 
 
 class _LogRows:
     def __init__(self):
-        self.rows: dict[str, list] = {name: [] for name in _COLUMNS}
+        self.rows: dict[str, list] = {f.name: [] for f in _COLUMNS}
 
     def append(self, **kw):
         for name, value in kw.items():
             self.rows[name].append(value)
 
     def build(self, reached_steps, halted_at) -> SimLog:
-        out = {name: np.array(values, dtype=_DTYPES.get(name, float))
-               for name, values in self.rows.items()}
+        out = {f.name: np.array(self.rows[f.name], dtype=f.metadata["dtype"]) for f in _COLUMNS}
         return SimLog(reached_steps=tuple(reached_steps), halted_at=halted_at, **out)
 
 
