@@ -112,6 +112,8 @@ _SCENARIO_KEYS = {
 }
 _CONTROLLER_KEYS = {"N", "Q", "R", "s", "lqr"}
 _LQR_KEYS = {"Qk", "Rk", "tol", "max_iter"}
+_GENERATE_KEYS = {"n_traj", "traj_len", "input_box", "state_box", "seed"}
+_GRID_KEYS = {"x_points", "u_points", "fp_tol"}
 
 
 def _check_keys(doc, allowed: set, what: str) -> None:
@@ -126,6 +128,7 @@ def _check_keys(doc, allowed: set, what: str) -> None:
 
 
 def _build_plant(doc: dict):
+    _check_keys(doc, {"kind", "params"}, "plant")
     kind = doc.get("kind")
     params = doc.get("params", {})
     if kind not in _PLANT_PARAMS:
@@ -142,9 +145,11 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
     doc = sc.get("data")
     if not isinstance(doc, dict) or ("path" not in doc) == ("generate" not in doc):
         raise ValueError("scenario 'data' must give exactly one of 'path' or 'generate'")
+    _check_keys(doc, {"path", "generate"}, "data")
     if "path" in doc:
         return load_trajectories(scenario_dir / doc["path"])
     gen = doc["generate"]
+    _check_keys(gen, _GENERATE_KEYS, "data.generate")
     return generate_training_data(
         plant,
         n_traj=int(gen["n_traj"]),
@@ -156,16 +161,25 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
 
 
 def _grid_from_scenario(sc: dict, plant) -> GridSpec:
-    con = sc["constraints"]
-    x_lo, x_hi = con["state"]["lo"], con["state"]["hi"]
-    u_lo, u_hi = con["input"]["lo"], con["input"]["hi"]
+    """The steady-pair search grid: ``x_points``/``u_points`` give one positive
+    point count per state/input dimension, spread over the constraint box."""
     doc = sc.get("steady_grid", {})
+    _check_keys(doc, _GRID_KEYS, "steady_grid")
+    con = sc["constraints"]
     x_default, u_default = _DEFAULT_GRIDS[plant.kind]
-    x_points = doc.get("x_points", x_default)
-    u_points = doc.get("u_points", u_default)
+
+    def axes(key, default, box, n, what):
+        points = doc.get(key, default)
+        if not (isinstance(points, list) and len(points) == n
+                and all(type(p) is int and p >= 1 for p in points)):
+            raise ValueError(f"steady_grid.{key} must list one positive integer per {what} "
+                             f"dimension ({n}), got {points!r}")
+        return tuple(np.linspace(lo, hi, p)
+                     for lo, hi, p in zip(box["lo"], box["hi"], points, strict=True))
+
     return GridSpec(
-        x_values=tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in zip(x_lo, x_hi, x_points)),
-        u_values=tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in zip(u_lo, u_hi, u_points)),
+        x_values=axes("x_points", x_default, con["state"], plant.n_x, "state"),
+        u_values=axes("u_points", u_default, con["input"], plant.n_u, "input"),
         fp_tol=float(doc.get("fp_tol", 1e-6)),
     )
 
@@ -174,7 +188,8 @@ def _grid_from_scenario(sc: dict, plant) -> GridSpec:
 
 @dataclass(frozen=True)
 class Stack:
-    """A scenario assembled: plant, fitted model, tube controller and run settings."""
+    """A scenario assembled: plant, fitted model, tube controller, steady-pair
+    search grid and run settings."""
 
     sc: dict
     plant: Plant
@@ -182,6 +197,7 @@ class Stack:
     config: KtmpcConfig
     schedule: TighteningSchedule
     refs: ReferenceSchedule
+    grid: GridSpec
     injected: DisturbanceModel | None
     x0: np.ndarray | None
     T: int
@@ -213,6 +229,7 @@ def build_stack(scenario_path) -> Stack:
     plant = _build_plant(sc["plant"])
 
     def noise(doc, what) -> DisturbanceModel:
+        _check_keys(doc, {"W", "V"}, what)
         return DisturbanceModel(
             W=_zonotope_from_doc(doc["W"], f"{what}.W"),
             V=_zonotope_from_doc(doc["V"], f"{what}.V"),
@@ -221,16 +238,24 @@ def build_stack(scenario_path) -> Stack:
     dist_doc = sc.get("disturbance")
     if not isinstance(dist_doc, dict) or ("declared" in dist_doc) == ("estimate" in dist_doc):
         raise ValueError("scenario 'disturbance' must give exactly one of 'declared' or 'estimate'")
+    _check_keys(dist_doc, {"declared", "estimate"}, "disturbance")
+    if "estimate" in dist_doc:
+        _check_keys(dist_doc["estimate"], {"inflation"}, "disturbance.estimate")
     injected = None if sc.get("injected") is None else noise(sc["injected"], "injected")
     refs_doc = sc.get("references")
     if isinstance(refs_doc, dict) and "timed" in refs_doc:
+        _check_keys(refs_doc, {"timed"}, "references")
         refs = ReferenceSchedule.timed([(int(k), y) for k, y in refs_doc["timed"]])
     elif isinstance(refs_doc, dict) and "waypoints" in refs_doc:
+        _check_keys(refs_doc, {"waypoints"}, "references")
         wp = refs_doc["waypoints"]
+        _check_keys(wp, {"points", "switch_radius"}, "references.waypoints")
         refs = ReferenceSchedule.waypoints(wp["points"], switch_radius=float(wp["switch_radius"]))
     else:
         raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
     con = sc["constraints"]
+    _check_keys(con, {"state", "input"}, "constraints")
+    grid = _grid_from_scenario(sc, plant)
     X = box_polytope(con["state"]["lo"], con["state"]["hi"])
     U = box_polytope(con["input"]["lo"], con["input"]["hi"])
     x0 = None if sc.get("x0") is None else np.asarray(sc["x0"], dtype=float)
@@ -263,7 +288,7 @@ def build_stack(scenario_path) -> Stack:
         K=gain.K,
     )
     return Stack(
-        sc=sc, plant=plant, model=model, config=config, schedule=schedule, refs=refs,
+        sc=sc, plant=plant, model=model, config=config, schedule=schedule, refs=refs, grid=grid,
         injected=injected, x0=x0, T=T, seed=seed, settle_window=settle_window,
     )
 
@@ -383,7 +408,7 @@ def cmd_steady(scenario_json, y_t) -> int:
           f"offset cost = {target.offset_cost:.6e}")
 
     try:
-        oracle = solve_steady_nonlinear(plant, y_target, s, _grid_from_scenario(stack.sc, plant))
+        oracle = solve_steady_nonlinear(plant, y_target, s, stack.grid)
     except ValueError as exc:
         print(f"grid search found no steady pair: {exc}")
         return 0

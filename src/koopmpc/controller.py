@@ -290,7 +290,6 @@ def build_qp(
         raise ValueError("Q/R dimensions do not match the model")
     x_k = _as_vector(x_k, model.n_x, "x_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
-    z0 = lift(model, x_k)
     lay = _Layout(N, n_z, n_u)
     Q2, R2 = 2.0 * config.Q, 2.0 * config.R
 
@@ -306,14 +305,12 @@ def build_qp(
         P[lay.z(j), lay.z_s] = -Q2
         P[lay.z_s, lay.z(j)] = -Q2
     P[lay.z_s, lay.z_s] = N * Q2 + 2.0 * config.s * model.C_y.T @ model.C_y
-    q[lay.z_s] = -Q2 @ z0 - 2.0 * config.s * model.C_y.T @ y_t
 
     n_eq = (N + 2) * n_z
     A_eq = np.zeros((n_eq, lay.dim))
     b_eq = np.zeros(n_eq)
     A_eq[0:n_z, lay.z(1)] = np.eye(n_z)
     A_eq[0:n_z, lay.u(0)] = -model.B
-    b_eq[0:n_z] = model.A @ z0
     for j in range(1, N):
         r = slice(j * n_z, (j + 1) * n_z)
         A_eq[r, lay.z(j + 1)] = np.eye(n_z)
@@ -345,9 +342,38 @@ def build_qp(
     U_N = schedule.input_sets[N]
     add(U_N.normals, U_N.offsets, lay.u_s)
 
+    b_eq[0:n_z], q[lay.z_s] = _step_terms(model, config, lift(model, x_k), y_t)
     return qps.QuadraticProgram(
         P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=np.vstack(rows_A), b_in=np.concatenate(rows_b)
     )
+
+
+def _step_terms(model: KoopmanModel, config: KtmpcConfig, z0, y_t):
+    """The only parts of the tracking QP that change from step to step: the
+    first dynamics right-hand side ``A z0`` and the linear cost of ``z_s``."""
+    return model.A @ z0, -2.0 * config.Q @ z0 - 2.0 * config.s * model.C_y.T @ y_t
+
+
+class TrackingProblem:
+    """The tracking QP of one (model, config, schedule), built and factored once.
+
+    :func:`build_qp` assembles it once; the solver factors its constant
+    matrices on the first solve and keeps the factors on the QP. Each step
+    then rewrites only ``b_eq[:n_z] = A psi(x_k)`` and
+    ``q[z_s] = -2 Q psi(x_k) - 2 s C_y' y_t``.
+    """
+
+    def __init__(self, model: KoopmanModel, config: KtmpcConfig, schedule: TighteningSchedule):
+        self.model, self.config = model, config
+        self.layout = _Layout(config.N, model.n_z, model.n_u)
+        self.qp = build_qp(model, config, schedule, np.zeros(model.n_x), np.zeros(model.n_y))
+
+    def at(self, z0, y_t) -> qps.QuadraticProgram:
+        """The QP at lifted state ``z0`` and reference ``y_t``, updated in place."""
+        self.qp.b_eq[: self.model.n_z], self.qp.q[self.layout.z_s] = _step_terms(
+            self.model, self.config, z0, y_t
+        )
+        return self.qp
 
 
 def solve_step(
@@ -358,19 +384,23 @@ def solve_step(
     y_t,
     warm_start: KtmpcSolution | None = None,
     candidate: tuple | None = None,
+    problem: TrackingProblem | None = None,
 ) -> tuple[np.ndarray, KtmpcSolution]:
     """Solve the tracking QP at ``x_k`` and return the first input to apply.
 
     ``candidate`` is what :func:`shifted_candidate` returns for
-    ``warm_start`` at ``x_k``, for a caller that already has it; without it
-    the candidate is computed here.
+    ``warm_start`` at ``x_k``, and ``problem`` the :class:`TrackingProblem` of
+    the same (model, config, schedule), for a caller that already has them;
+    without them both are built here.
     """
     x_k = _as_vector(x_k, model.n_x, "x_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
     m0 = _poly_margin(schedule.state_sets[0], x_k)
     if m0 < -_MARGIN_TOL:
         raise Infeasible(f"measured state violates the initial tightened set by {-m0:.3g}")
-    problem = build_qp(model, config, schedule, x_k, y_t)
+    if problem is None:
+        problem = TrackingProblem(model, config, schedule)
+    z0 = lift(model, x_k)
 
     x0 = None
     if warm_start is not None:
@@ -381,17 +411,17 @@ def solve_step(
             [u_c.ravel(), z_c[1:].ravel(), warm_start.target.z_s, warm_start.target.u_s]
         )
 
-    sol = qps.solve(problem, tol=1e-8, max_iter=2000, x0=x0)
+    sol = qps.solve(problem.at(z0, y_t), tol=1e-8, max_iter=2000, x0=x0)
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("tracking QP is primal infeasible")
     if sol.status != qps.OPTIMAL:
         raise RuntimeError(f"tracking QP ended with status {sol.status}")
 
     N, n_z, n_u = config.N, model.n_z, model.n_u
-    lay = _Layout(N, n_z, n_u)
+    lay = problem.layout
     u_bar = sol.x_star[: N * n_u].reshape(N, n_u)
     z_tail = sol.x_star[lay._z0 : lay._z0 + N * n_z].reshape(N, n_z)
-    z_bar = np.vstack([lift(model, x_k)[None, :], z_tail])
+    z_bar = np.vstack([z0[None, :], z_tail])
     z_s = sol.x_star[lay.z_s]
     u_s = sol.x_star[lay.u_s]
     target = SteadyTarget(

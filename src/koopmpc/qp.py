@@ -6,19 +6,24 @@ Problems have the form
     subject to  A_eq x  = b_eq
                 A_in x <= b_in
 
-and are solved by a null-space primal active-set method. One SVD of A_eq per
-solve gives an orthonormal basis Z of its null space; the iterations then work
-on the reduced variables x = x_feas + Z v, where the KKT systems hold only the
-working inequality rows and the reduced Hessian Z'PZ. The same SVD projects a
-warm start onto the equalities and recovers their multipliers. A feasible start
-is otherwise produced by a phase-1 linear program (HiGHS), whose optimal slack
-also certifies primal infeasibility. Pure linear programs (P = 0) are
-dispatched to HiGHS directly.
+and are solved by a null-space primal active-set method. Everything the solver
+derives from P, A_eq and A_in (the PSD check, one SVD of A_eq giving an
+orthonormal null basis Z and the pseudo-inverse, the reduced Hessian Z'PZ and
+the reduced rows A_in Z) is computed once per problem, on first use, and stays
+valid while q, b_eq and b_in change. The iterations work on the reduced
+variables x = x_feas + Z v, where the KKT systems hold only the working
+inequality rows and Z'PZ. A warm start is projected onto the equalities, then
+the inequality rows it violates are held at their bounds by minimum-norm steps
+in the null space; the held rows, active there, seed the working set. A
+feasible start is otherwise produced by a phase-1 linear program (HiGHS),
+whose optimal slack also certifies primal infeasibility. Pure linear programs
+(P = 0) are dispatched to HiGHS directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -73,6 +78,14 @@ class QuadraticProgram:
     @property
     def dim(self) -> int:
         return self.q.size
+
+    @cached_property
+    def factors(self) -> "_Factors":
+        """The solver's factors of P, A_eq and A_in, computed on first use.
+
+        They stay valid while q, b_eq and b_in change; P, A_eq and A_in must
+        not change once they are computed."""
+        return _factor(self)
 
 
 @dataclass
@@ -153,22 +166,43 @@ def _solve_lp(qp: QuadraticProgram) -> QpSolution:
     )
 
 
-def _factor_equalities(A_eq: np.ndarray, d: int):
-    """One SVD of A_eq: an orthonormal basis Z of its null space and its
+@dataclass(frozen=True)
+class _Factors:
+    """What the solver derives from P, A_eq and A_in alone.
+
+    Z is an orthonormal basis of the null space of A_eq, and A_eq_pinv its
     pseudo-inverse, whose product with r is the minimum-norm solution of
-    A_eq x = r (and whose transpose solves A_eq' nu = r the same way)."""
+    A_eq x = r (and whose transpose solves A_eq' nu = r the same way). H = Z'PZ
+    is the reduced Hessian, AZ = A_in Z holds the reduced inequality rows and
+    row_norms the norms of the full rows."""
+
+    Z: np.ndarray
+    A_eq_pinv: np.ndarray
+    H: np.ndarray
+    AZ: np.ndarray
+    row_norms: np.ndarray
+
+
+def _factor(qp: QuadraticProgram) -> _Factors:
+    """Validate P and take one SVD of A_eq."""
+    _validate_psd(qp.P)
+    A_eq, d = qp.A_eq, qp.dim
     if A_eq.shape[0] == 0:
-        return np.eye(d), np.zeros((d, 0))
-    u, s, vt = np.linalg.svd(A_eq)
-    rank = int(np.sum(s > s[0] * max(A_eq.shape) * np.finfo(float).eps))
-    return vt[rank:].T, (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+        Z, A_eq_pinv = np.eye(d), np.zeros((d, 0))
+    else:
+        u, s, vt = np.linalg.svd(A_eq)
+        rank = int(np.sum(s > s[0] * max(A_eq.shape) * np.finfo(float).eps))
+        Z, A_eq_pinv = vt[rank:].T, (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    H = Z.T @ qp.P @ Z
+    return _Factors(Z=Z, A_eq_pinv=A_eq_pinv, H=0.5 * (H + H.T), AZ=qp.A_in @ Z,
+                    row_norms=np.linalg.norm(qp.A_in, axis=1))
 
 
-def _phase1(qp: QuadraticProgram, A_eq_pinv: np.ndarray):
+def _phase1(qp: QuadraticProgram, f: _Factors):
     """Feasible point, or None when infeasibility is certified."""
     d = qp.dim
     if qp.A_in.shape[0] == 0:
-        return _project_equalities(qp, A_eq_pinv, np.zeros(d))
+        return _project(qp, f, np.zeros(d))
     # minimize s  s.t.  A_in x - s <= b_in,  A_eq x = b_eq,  s >= 0
     c = np.zeros(d + 1)
     c[-1] = 1.0
@@ -193,18 +227,32 @@ def _phase1(qp: QuadraticProgram, A_eq_pinv: np.ndarray):
     return np.asarray(res.x[:d], dtype=float)
 
 
-def _project_equalities(qp: QuadraticProgram, A_eq_pinv: np.ndarray, x: np.ndarray):
-    """Minimum-norm correction of x onto the equality manifold, or None if the
-    equalities are inconsistent or the correction leaves an inequality
-    meaningfully violated."""
+def _project(qp: QuadraticProgram, f: _Factors, x: np.ndarray):
+    """Move x onto the feasible set, or return None.
+
+    The minimum-norm correction puts x on the equality manifold. While an
+    inequality row is violated, the violated rows join the held rows, and a
+    minimum-norm step v in the null space of A_eq, solving
+    (A_in Z)[held] v = b_in[held] - A_in[held] x, puts every held row at its
+    bound, so the held rows are active at the returned point and enter the
+    initial working set. None means the equalities are inconsistent or the
+    held rows became dependent; the caller then falls back to phase 1.
+    """
     if qp.A_eq.shape[0]:
-        r = qp.b_eq - qp.A_eq @ x
-        if np.max(np.abs(r)) > 0:
-            x = x + A_eq_pinv @ r
+        x = x + f.A_eq_pinv @ (qp.b_eq - qp.A_eq @ x)
         if np.max(np.abs(qp.A_eq @ x - qp.b_eq)) > 1e-8:
             return None
-    if qp.A_in.shape[0] and np.max(qp.A_in @ x - qp.b_in) > _FEAS_TOL:
-        return None
+    working = _WorkingSet(f.AZ, f.row_norms)
+    while qp.A_in.shape[0]:
+        violated = np.flatnonzero(qp.A_in @ x - qp.b_in > _FEAS_TOL)
+        if violated.size == 0:
+            break
+        for i in violated:
+            if not working.add(i):
+                return None
+        held = working.index
+        v = np.linalg.lstsq(f.AZ[held], qp.b_in[held] - qp.A_in[held] @ x, rcond=None)[0]
+        x = x + f.Z @ v
     return x
 
 
@@ -282,20 +330,18 @@ def _eqp_direction(H, C, c):
     return W @ (evecs @ v), None, False
 
 
-def _active_set(qp, Z, x, tol, max_iter, active0):
+def _active_set(qp, f, x, tol, max_iter, active0):
     """Primal active-set iterations in the null space of A_eq, from the
     feasible point x. Returns (x, lam, status, iterations, working)."""
     m_i = qp.A_in.shape[0]
-    H = Z.T @ qp.P @ Z
-    H = 0.5 * (H + H.T)
-    AZ = qp.A_in @ Z
+    Z, H, AZ = f.Z, f.H, f.AZ
 
     # Initial working set: constraints active at x, warm-start indices first.
     resid = qp.b_in - qp.A_in @ x
     active_now = set(np.flatnonzero(resid <= 1e-9).tolist())
     ordered = [i for i in active0 if i in active_now] if active0 else []
     ordered.extend(i for i in sorted(active_now) if i not in set(ordered))
-    working = _WorkingSet(AZ, np.linalg.norm(qp.A_in, axis=1))
+    working = _WorkingSet(AZ, f.row_norms)
     for i in ordered:
         working.add(i)
 
@@ -370,21 +416,22 @@ def solve(
 
     `x0`/`active0` are optional warm starts (a candidate point and the
     inequality indices expected active at the optimum); correctness never
-    depends on them — an unusable warm start falls back to phase 1.
+    depends on them — a warm start that cannot be projected onto the
+    feasible set falls back to phase 1.
 
     Raises NonConvex when P fails the PSD validation (eigenvalues below
-    -1e-10 relative to scale).
+    -1e-10 relative to scale), which runs once per problem with its other
+    factors.
     """
-    _validate_psd(qp.P)
     if not np.any(qp.P):
         return _solve_lp(qp)
 
-    Z, A_eq_pinv = _factor_equalities(qp.A_eq, qp.dim)
+    f = qp.factors
     x = None
     if x0 is not None:
-        x = _project_equalities(qp, A_eq_pinv, np.asarray(x0, dtype=float).ravel().copy())
+        x = _project(qp, f, np.asarray(x0, dtype=float).ravel())
     if x is None:
-        x = _phase1(qp, A_eq_pinv)
+        x = _phase1(qp, f)
         if x is None:
             return QpSolution(
                 x_star=np.full(qp.dim, np.nan),
@@ -393,15 +440,15 @@ def solve(
                 kkt_residuals={},
             )
 
-    if Z.shape[1]:
-        x, lam, status, iterations, working = _active_set(qp, Z, x, tol, max_iter, active0)
+    if f.Z.shape[1]:
+        x, lam, status, iterations, working = _active_set(qp, f, x, tol, max_iter, active0)
     else:
         # A_eq has full column rank: the feasible x is the only feasible
         # point, hence optimal, and no inequality needs a multiplier.
         lam, status, iterations, working = np.zeros(qp.A_in.shape[0]), OPTIMAL, 0, []
     nu = np.zeros(qp.A_eq.shape[0])
     if status == OPTIMAL:
-        nu = -A_eq_pinv.T @ (qp.P @ x + qp.q + qp.A_in.T @ lam)
+        nu = -f.A_eq_pinv.T @ (qp.P @ x + qp.q + qp.A_in.T @ lam)
 
     return QpSolution(
         x_star=x,

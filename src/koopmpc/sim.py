@@ -19,6 +19,7 @@ from .controller import (
     Infeasible,
     KtmpcConfig,
     KtmpcSolution,
+    TrackingProblem,
     diagnostics,
     shifted_candidate,
     solve_steady_offline,
@@ -267,6 +268,7 @@ def run_closed_loop(
     n_v = 2 if plant.kind == "numerical_example" else 0
 
     cursor = _RefCursor(refs)
+    problem = TrackingProblem(model, config, schedule)
     offline_cache: dict[bytes, object] = {}
     rows = _LogRows()
     prev: KtmpcSolution | None = None
@@ -286,7 +288,7 @@ def run_closed_loop(
                 offline_cache[key] = solve_steady_offline(model, schedule, y_t, config.s)
             offline = offline_cache[key]
             u_k, sol = solve_step(model, config, schedule, x, y_t, warm_start=prev,
-                                  candidate=candidate)
+                                  candidate=candidate, problem=problem)
         except Infeasible:
             rows.append(
                 k=k, x=x, z=z, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,

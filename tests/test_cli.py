@@ -191,6 +191,47 @@ def test_tighten_validates_the_whole_scenario(tmp_path, capsys):
     assert "step 0" in capsys.readouterr().err
 
 
+def scenario_with_key(tmp_path, block, key):
+    """The base scenario with ``key`` added to the (possibly new) dotted ``block``."""
+    scenario = base_scenario(tmp_path)
+    doc = json.loads(scenario.read_text())
+    node = doc
+    for part in block.split("."):
+        node = node.setdefault(part, {})
+    node[key] = 1.0
+    scenario.write_text(json.dumps(doc))
+    return scenario
+
+
+@pytest.mark.parametrize("block, key", [
+    ("plant", "parms"),
+    ("data", "pth"),
+    ("data.generate", "n_trajs"),
+    ("disturbance", "inflation"),
+    ("disturbance.declared", "w"),
+    ("injected", "scale"),
+    ("constraints", "output"),
+    ("references", "waypoint"),
+    ("steady_grid", "xpoints"),
+])
+def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
+    scenario = scenario_with_key(tmp_path, block, key)
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    assert f"unknown {block} key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, named", [
+    ({"x_points": [11]}, "steady_grid.x_points"),  # one count for a two-state plant
+    ({"u_points": [121, 5]}, "steady_grid.u_points"),
+    ({"x_points": [11, 0]}, "steady_grid.x_points"),
+    ({"x_points": [11, 10.5]}, "steady_grid.x_points"),
+])
+def test_steady_rejects_a_malformed_grid_exit_2(tmp_path, capsys, grid, named):
+    scenario = base_scenario(tmp_path, steady_grid=grid)
+    assert main(["steady", str(scenario), "1.0"]) == 2
+    assert named in capsys.readouterr().err
+
+
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_writes_log_and_metrics(tmp_path):

@@ -361,3 +361,81 @@ def test_singular_reduced_hessian_takes_rays(monkeypatch):
     # The batch must reach the eigh fallback and follow a descent ray.
     assert any(fallback for fallback, _ in directions)
     assert any(ray for _, ray in directions)
+
+
+# --- warm starts that the equality projection alone leaves infeasible -------------------
+
+def _count_phase1(monkeypatch):
+    calls = []
+    phase1 = qp_module._phase1
+
+    def counted(qp, f):
+        calls.append(qp.dim)
+        return phase1(qp, f)
+
+    monkeypatch.setattr(qp_module, "_phase1", counted)
+    return calls
+
+
+def _overshooting_warm_start(rng):
+    """A QP over the unit box with random equalities through an interior
+    point, and a warm start on the equality manifold that overshoots the
+    box along a null-space direction, so the equality projection leaves
+    box rows violated."""
+    d = int(rng.integers(3, 7))
+    M = rng.standard_normal((d, d))
+    A_eq = rng.standard_normal((int(rng.integers(1, d - 1)), d))
+    x_in = rng.uniform(-0.5, 0.5, d)
+    A_in, b_in = _box(d)
+    qp = QuadraticProgram(P=M.T @ M + 0.1 * np.eye(d), q=3.0 * rng.standard_normal(d),
+                          A_eq=A_eq, b_eq=A_eq @ x_in, A_in=A_in, b_in=b_in)
+    z = np.linalg.svd(A_eq)[2][-1]
+    reach = np.min((1.0 - np.sign(z) * x_in) / np.maximum(np.abs(z), 1e-12))
+    return qp, x_in + 1.5 * reach * z
+
+
+@pytest.mark.parametrize("make", [
+    _overshooting_warm_start,
+    lambda rng: (_zero_width_box(rng), None),  # no A_eq rows; x0 = 0 misses the fixed values
+])
+def test_violated_rows_are_held_without_phase1(monkeypatch, make):
+    phase1 = _count_phase1(monkeypatch)
+    for seed in range(12):
+        qp, x0 = make(np.random.default_rng(seed))
+        x0 = np.zeros(qp.dim) if x0 is None else x0
+        assert np.max(qp.A_in @ x0 - qp.b_in) > 1e-3
+        if qp.A_eq.shape[0]:
+            assert np.allclose(qp.A_eq @ x0, qp.b_eq)  # only the held-row step can help
+        warm = solve(qp, x0=x0)
+        assert not phase1, f"seed {seed}: the warm start was refused and phase 1 ran"
+        _check_against_oracle(qp, warm, solve(qp))
+        phase1.clear()
+
+
+def test_warm_started_infeasible_qp_is_still_certified(monkeypatch):
+    phase1 = _count_phase1(monkeypatch)
+    box = dict(A_in=np.vstack([np.eye(2), -np.eye(2)]), b_in=[1.0, 1.0, 0.0, 0.0])
+    outside = QuadraticProgram(P=np.eye(2), q=np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[4.0], **box)
+    contradictory = QuadraticProgram(P=np.eye(1), q=[0.0], A_in=[[1.0], [-1.0]], b_in=[0.0, -1.0])
+    for qp, x0 in [(outside, np.array([2.0, 2.0])), (outside, np.zeros(2)),
+                   (contradictory, np.array([0.5]))]:
+        assert solve(qp, x0=x0).status == PRIMAL_INFEASIBLE
+    assert len(phase1) == 3  # the certificate always comes from phase 1
+
+
+def test_factors_are_computed_once_per_problem(monkeypatch):
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    qp = QuadraticProgram(P=2.0 * np.eye(3), q=[-2.0, 0.0, 4.0], A_eq=[[1.0, 1.0, 1.0]],
+                          b_eq=[0.0], A_in=np.vstack([np.eye(3), -np.eye(3)]), b_in=np.ones(6))
+    first = solve(qp)
+    # The right-hand sides may change between solves; the factors stay.
+    qp.q[:] = [1.0, -1.0, 0.5]
+    qp.b_eq[:] = [0.5]
+    second = solve(qp, x0=first.x_star)
+    assert len(svds) == 1
+    fresh = QuadraticProgram(P=qp.P, q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq, A_in=qp.A_in,
+                             b_in=qp.b_in)
+    assert np.allclose(second.x_star, solve(fresh).x_star, atol=1e-10)
+    _check_kkt(second)
