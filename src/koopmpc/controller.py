@@ -364,7 +364,7 @@ class TrackingProblem:
     """
 
     def __init__(self, model: KoopmanModel, config: KtmpcConfig, schedule: TighteningSchedule):
-        self.model, self.config = model, config
+        self.model, self.config, self.schedule = model, config, schedule
         self.layout = _Layout(config.N, model.n_z, model.n_u)
         self.qp = build_qp(model, config, schedule, np.zeros(model.n_x), np.zeros(model.n_y))
 
@@ -377,29 +377,25 @@ class TrackingProblem:
 
 
 def solve_step(
-    model: KoopmanModel,
-    config: KtmpcConfig,
-    schedule: TighteningSchedule,
+    problem: TrackingProblem,
     x_k,
     y_t,
     warm_start: KtmpcSolution | None = None,
     candidate: tuple | None = None,
-    problem: TrackingProblem | None = None,
 ) -> tuple[np.ndarray, KtmpcSolution]:
-    """Solve the tracking QP at ``x_k`` and return the first input to apply.
+    """Solve the tracking QP of ``problem`` at ``x_k`` and return the first
+    input to apply.
 
     ``candidate`` is what :func:`shifted_candidate` returns for
-    ``warm_start`` at ``x_k``, and ``problem`` the :class:`TrackingProblem` of
-    the same (model, config, schedule), for a caller that already has them;
-    without them both are built here.
+    ``warm_start`` at ``x_k``, for a caller that already has it; without it
+    it is built here.
     """
+    model, config, schedule = problem.model, problem.config, problem.schedule
     x_k = _as_vector(x_k, model.n_x, "x_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
     m0 = _poly_margin(schedule.state_sets[0], x_k)
     if m0 < -_MARGIN_TOL:
         raise Infeasible(f"measured state violates the initial tightened set by {-m0:.3g}")
-    if problem is None:
-        problem = TrackingProblem(model, config, schedule)
     z0 = lift(model, x_k)
 
     x0 = None

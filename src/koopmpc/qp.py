@@ -43,7 +43,8 @@ class NonConvex(Exception):
 class QuadraticProgram:
     """Convex QP data. P is symmetrized on construction; empty constraint
     blocks are normalized to 0-row matrices so downstream code never branches
-    on None."""
+    on None. P, A_eq and A_in are private read-only copies, since the solver's
+    factors of them are kept; q, b_eq and b_in may be rewritten in place."""
 
     P: np.ndarray
     q: np.ndarray
@@ -63,7 +64,7 @@ class QuadraticProgram:
         def _block(A, b, name):
             if A is None:
                 return np.zeros((0, d)), np.zeros(0)
-            A = np.atleast_2d(np.asarray(A, dtype=float))
+            A = np.atleast_2d(np.array(A, dtype=float))
             b = np.asarray(b, dtype=float).ravel()
             if A.shape != (b.size, d):
                 raise ValueError(
@@ -74,6 +75,8 @@ class QuadraticProgram:
 
         self.A_eq, self.b_eq = _block(self.A_eq, self.b_eq, "A_eq")
         self.A_in, self.b_in = _block(self.A_in, self.b_in, "A_in")
+        for M in (self.P, self.A_eq, self.A_in):
+            M.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -83,8 +86,8 @@ class QuadraticProgram:
     def factors(self) -> "_Factors":
         """The solver's factors of P, A_eq and A_in, computed on first use.
 
-        They stay valid while q, b_eq and b_in change; P, A_eq and A_in must
-        not change once they are computed."""
+        They stay valid while q, b_eq and b_in change; P, A_eq and A_in are
+        read-only."""
         return _factor(self)
 
 
@@ -429,7 +432,7 @@ def solve(
     f = qp.factors
     x = None
     if x0 is not None:
-        x = _project(qp, f, np.asarray(x0, dtype=float).ravel())
+        x = _project(qp, f, np.array(x0, dtype=float).ravel())
     if x is None:
         x = _phase1(qp, f)
         if x is None:

@@ -287,8 +287,7 @@ def run_closed_loop(
             if key not in offline_cache:
                 offline_cache[key] = solve_steady_offline(model, schedule, y_t, config.s)
             offline = offline_cache[key]
-            u_k, sol = solve_step(model, config, schedule, x, y_t, warm_start=prev,
-                                  candidate=candidate, problem=problem)
+            u_k, sol = solve_step(problem, x, y_t, warm_start=prev, candidate=candidate)
         except Infeasible:
             rows.append(
                 k=k, x=x, z=z, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,

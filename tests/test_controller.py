@@ -10,6 +10,7 @@ from koopmpc.controller import (
     LyapunovDiag,
     NonlinearSteadyTarget,
     SteadyTarget,
+    TrackingProblem,
     build_qp,
     diagnostics,
     segment_inequality_check,
@@ -240,7 +241,7 @@ def test_build_qp_horizon_mismatch():
 
 def test_solve_step_at_steady_state():
     model, config, schedule = make_setup(N=3)
-    u_k, sol = solve_step(model, config, schedule, x_k=[0.0, 1.0], y_t=[1.0])
+    u_k, sol = solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, 1.0], y_t=[1.0])
     assert np.allclose(u_k, [-1.0], atol=1e-6)
     assert np.allclose(sol.u_bar, -1.0, atol=1e-6)
     assert sol.total_cost <= 1e-9
@@ -251,7 +252,7 @@ def test_solve_step_at_steady_state():
 
 def test_solve_step_origin():
     model, config, schedule = make_setup(N=3)
-    u_k, sol = solve_step(model, config, schedule, x_k=[0.0, 0.0], y_t=[0.0])
+    u_k, sol = solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, 0.0], y_t=[0.0])
     assert np.allclose(u_k, 0.0, atol=1e-8)
     assert sol.total_cost <= 1e-12
 
@@ -259,12 +260,12 @@ def test_solve_step_origin():
 def test_solve_step_outside_tightened_initial_set():
     model, config, schedule = make_setup(N=3)
     with pytest.raises(Infeasible):
-        solve_step(model, config, schedule, x_k=[0.0, 10.0], y_t=[0.0])
+        solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, 10.0], y_t=[0.0])
 
 
 def test_solve_step_solution_invariants():
     model, config, schedule = make_setup(N=5)
-    _, sol = solve_step(model, config, schedule, x_k=[0.0, -1.0], y_t=[1.0])
+    _, sol = solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, -1.0], y_t=[1.0])
     for j in range(config.N):
         assert np.allclose(
             model.A @ sol.z_bar[j] + model.B @ sol.u_bar[j], sol.z_bar[j + 1], atol=1e-7
@@ -280,8 +281,9 @@ def test_solve_step_solution_invariants():
 
 def test_solve_step_deterministic():
     model, config, schedule = make_setup(N=4)
-    u1, s1 = solve_step(model, config, schedule, x_k=[0.0, 0.7], y_t=[1.5])
-    u2, s2 = solve_step(model, config, schedule, x_k=[0.0, 0.7], y_t=[1.5])
+    problem = TrackingProblem(model, config, schedule)
+    u1, s1 = solve_step(problem, x_k=[0.0, 0.7], y_t=[1.5])
+    u2, s2 = solve_step(problem, x_k=[0.0, 0.7], y_t=[1.5])
     assert np.array_equal(u1, u2)
     assert s1.total_cost == s2.total_cost
 
@@ -291,7 +293,7 @@ def test_total_cost_is_the_per_step_sum(rng):
     M = rng.normal(size=(3, 3))
     config = KtmpcConfig(N=5, Q=M @ M.T + 0.1 * np.eye(3), R=np.array([[0.7]]),
                          s=config.s, K=config.K)
-    _, sol = solve_step(model, config, schedule, x_k=[0.0, -1.0], y_t=[1.0])
+    _, sol = solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, -1.0], y_t=[1.0])
     z_s, u_s = sol.target.z_s, sol.target.u_s
     expected = sol.target.offset_cost
     for j in range(config.N):
@@ -305,9 +307,10 @@ def test_terminal_equality_needs_decayed_uncontrollable_mode():
     # the terminal equality z(N) = z_s pins (-0.1)^N x1(0) to zero: with x1 != 0
     # the problem is infeasible until the mode has decayed through the horizon.
     model, config, schedule = make_setup(N=4)
+    problem = TrackingProblem(model, config, schedule)
     with pytest.raises(Infeasible):
-        solve_step(model, config, schedule, x_k=[0.5, 0.0], y_t=[0.0])
-    _, sol = solve_step(model, config, schedule, x_k=[0.0, 0.0], y_t=[0.0])
+        solve_step(problem, x_k=[0.5, 0.0], y_t=[0.0])
+    _, sol = solve_step(problem, x_k=[0.0, 0.0], y_t=[0.0])
     assert sol.qp_status == "Optimal"
 
 
@@ -318,8 +321,9 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
     costs, v1s, v2s = [], [], []
     offline = solve_steady_offline(model, schedule, y_t, config.s)
     prev = None
+    problem = TrackingProblem(model, config, schedule)
     for _ in range(40):
-        u_k, sol = solve_step(model, config, schedule, x, y_t, warm_start=prev)
+        u_k, sol = solve_step(problem, x, y_t, warm_start=prev)
         d = diagnostics(sol, offline)
         costs.append(sol.total_cost)
         v1s.append(d.V1)
@@ -339,10 +343,11 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
 def test_warm_start_matches_cold_start():
     model, config, schedule = make_setup(N=6)
     x = np.array([0.0, 0.8])
-    u_k, prev = solve_step(model, config, schedule, x, y_t=[2.0])
+    problem = TrackingProblem(model, config, schedule)
+    u_k, prev = solve_step(problem, x, y_t=[2.0])
     x_next = nominal_step(model, x, u_k)
-    _, cold = solve_step(model, config, schedule, x_next, y_t=[2.0])
-    _, warm = solve_step(model, config, schedule, x_next, y_t=[2.0], warm_start=prev)
+    _, cold = solve_step(problem, x_next, y_t=[2.0])
+    _, warm = solve_step(problem, x_next, y_t=[2.0], warm_start=prev)
     assert warm.total_cost == pytest.approx(cold.total_cost, abs=1e-8)
     assert np.allclose(warm.u_bar, cold.u_bar, atol=1e-6)
 
@@ -352,7 +357,7 @@ def test_warm_start_matches_cold_start():
 def test_shifted_candidate_nominal_margins():
     model, config, schedule = make_setup(N=5)
     x = np.array([0.0, -1.0])
-    u_k, sol = solve_step(model, config, schedule, x, y_t=[1.0])
+    u_k, sol = solve_step(TrackingProblem(model, config, schedule), x, y_t=[1.0])
     x_next = nominal_step(model, x, u_k)
     u_c, z_c, report = shifted_candidate(sol, model, config, x_next, schedule)
     assert isinstance(report, FeasibilityReport)
@@ -374,8 +379,9 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
     x = np.array([0.0, 0.5])
     y_t = [0.8]
     prev = None
+    problem = TrackingProblem(model, config, schedule)
     for _ in range(20):
-        u_k, sol = solve_step(model, config, schedule, x, y_t, warm_start=prev)
+        u_k, sol = solve_step(problem, x, y_t, warm_start=prev)
         z = lift(model, x)
         w = np.array([0.0, rng.uniform(-0.1, 0.1), 0.0])
         x = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + w)
@@ -389,7 +395,7 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
 def test_shifted_candidate_detects_excess_disturbance():
     model, config, schedule = make_setup(N=4)
     x = np.array([0.0, 2.8])
-    u_k, sol = solve_step(model, config, schedule, x, y_t=[2.8])
+    u_k, sol = solve_step(TrackingProblem(model, config, schedule), x, y_t=[2.8])
     # A process disturbance far beyond the declared (zero) set pushes the
     # successor state outside the tightened initial set.
     z = lift(model, x)
@@ -404,7 +410,7 @@ def test_shifted_candidate_detects_excess_disturbance():
 def test_diagnostics_steady_start_zero():
     model, config, schedule = make_setup(N=3)
     offline = solve_steady_offline(model, schedule, [1.0], config.s)
-    _, sol = solve_step(model, config, schedule, [0.0, 1.0], [1.0])
+    _, sol = solve_step(TrackingProblem(model, config, schedule), [0.0, 1.0], [1.0])
     d = diagnostics(sol, offline)
     assert d.V1 == pytest.approx(0.0, abs=1e-9)
     assert d.V2 == pytest.approx(0.0, abs=1e-9)
@@ -440,8 +446,9 @@ def test_segment_inequality_on_live_controller_data():
     y_t = [10.0]  # unreachable: optimal steady output is capped by the state box
     offline = solve_steady_offline(model, schedule, y_t, config.s)
     x = np.array([0.0, -2.0])
+    problem = TrackingProblem(model, config, schedule)
     for _ in range(5):
-        u_k, sol = solve_step(model, config, schedule, x, y_t)
+        u_k, sol = solve_step(problem, x, y_t)
         assert segment_inequality_check(
             sol.target.y_s, offline.y_s, y_t, config.s, np.linspace(0, 1, 21)
         )

@@ -439,3 +439,26 @@ def test_factors_are_computed_once_per_problem(monkeypatch):
                              b_in=qp.b_in)
     assert np.allclose(second.x_star, solve(fresh).x_star, atol=1e-10)
     _check_kkt(second)
+
+
+def test_factored_matrices_are_read_only():
+    A_in = np.vstack([np.eye(2), -np.eye(2)])
+    qp = QuadraticProgram(P=np.eye(2), q=[1.0, -1.0], A_eq=[[1.0, 1.0]], b_eq=[0.0], A_in=A_in,
+                          b_in=np.ones(4))
+    solve(qp)
+    for M in (qp.P, qp.A_eq, qp.A_in):
+        with pytest.raises(ValueError):
+            M[0, 0] = 5.0
+    A_in[0, 0] = 5.0  # the caller's array stays writable and is not the one factored
+    assert qp.A_in[0, 0] == 1.0
+    qp.q[0], qp.b_eq[0], qp.b_in[0] = 2.0, 0.5, 2.0  # the right-hand sides stay writable
+
+
+def test_solution_does_not_alias_the_warm_start():
+    qp = QuadraticProgram(P=np.eye(2), q=np.zeros(2), A_in=np.vstack([np.eye(2), -np.eye(2)]),
+                          b_in=np.ones(4))
+    x0 = np.zeros(2)
+    sol = solve(qp, x0=x0)  # already optimal: no projection and no step move it
+    assert sol.status == OPTIMAL and np.array_equal(sol.x_star, x0)
+    x0[0] = 7.0
+    assert sol.x_star[0] == 0.0

@@ -75,9 +75,8 @@ def test_unicycle_warm_and_cold_solves_agree_along_the_course(course):
     problem = TrackingProblem(model, config, schedule)
     prev = None
     for k in range(log.halted_at):
-        _, cold = solve_step(model, config, schedule, log.x[k], log.y_t[k], problem=problem)
-        u_k, warm = solve_step(model, config, schedule, log.x[k], log.y_t[k], warm_start=prev,
-                               problem=problem)
+        _, cold = solve_step(problem, log.x[k], log.y_t[k])
+        u_k, warm = solve_step(problem, log.x[k], log.y_t[k], warm_start=prev)
         for a, b in [(warm.u_bar, cold.u_bar), (warm.z_bar, cold.z_bar),
                      (warm.target.z_s, cold.target.z_s), (warm.target.u_s, cold.target.u_s)]:
             assert np.allclose(a, b, rtol=0.0, atol=1e-8), k
@@ -86,8 +85,7 @@ def test_unicycle_warm_and_cold_solves_agree_along_the_course(course):
     k = log.halted_at
     for warm_start in (None, prev):
         with pytest.raises(Infeasible):
-            solve_step(model, config, schedule, log.x[k], log.y_t[k], warm_start=warm_start,
-                       problem=problem)
+            solve_step(problem, log.x[k], log.y_t[k], warm_start=warm_start)
 
 
 def test_unicycle_course_runs_phase1_only_at_the_cold_start_and_the_halt(
@@ -133,7 +131,7 @@ def test_solve_step_lifts_the_state_once(stacks, problems, monkeypatch):
     stack = stacks["a2"]
     model, config, schedule = stack.model, stack.config, stack.schedule
     x, y_t = np.array([0.0, 0.5]), np.array([1.0])
-    u_k, prev = solve_step(model, config, schedule, x, y_t, problem=problems["a2"])
+    u_k, prev = solve_step(problems["a2"], x, y_t)
     x_next = model.C_x @ (model.A @ lift(model, x) + model.B @ u_k)
     candidate = shifted_candidate(prev, model, config, x_next, schedule)
     lifts = []
@@ -144,7 +142,6 @@ def test_solve_step_lifts_the_state_once(stacks, problems, monkeypatch):
         return lift_once(*args)
 
     monkeypatch.setattr(controller, "lift", counted)
-    _, sol = solve_step(model, config, schedule, x_next, y_t, warm_start=prev,
-                        candidate=candidate, problem=problems["a2"])
+    _, sol = solve_step(problems["a2"], x_next, y_t, warm_start=prev, candidate=candidate)
     assert len(lifts) == 1
     assert np.array_equal(sol.z_bar[0], lift_once(model, x_next))
