@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 class NoConvergence(Exception):
@@ -107,17 +108,23 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
     if R.shape[0] != B.shape[1]:
         raise ValueError("R_k dimension does not match B")
 
+    # The loop runs thousands of times on small matrices when rho(A+BK) is
+    # near 1, so it calls LAPACK's LU solve (the one np.linalg.solve uses)
+    # without np.linalg's per-call checks. S = R + B'PB is positive definite,
+    # so no pivot vanishes.
     P = Q.copy()
     converged = False
     for _ in range(max_iter):
         S = R + B.T @ P @ B
-        APB = A.T @ P @ B
-        P_next = Q + A.T @ P @ A - APB @ np.linalg.solve(S, APB.T)
+        AtP = A.T @ P
+        APB = AtP @ B
+        P_next = Q + AtP @ A - APB @ lapack.dgesv(S, APB.T)[2]
         P_next = 0.5 * (P_next + P_next.T)
-        delta = np.max(np.abs(P_next - P))
+        delta = np.abs(P_next - P).max()
         P = P_next
-        if not np.isfinite(P).all() or np.max(np.abs(P)) > 1e12:
-            # Diverging cost-to-go: some unstable mode is out of reach of B.
+        if not np.abs(P).max() <= 1e12:
+            # Diverging cost-to-go (NaN fails the test too): some unstable
+            # mode is out of reach of B.
             break
         if delta <= tol:
             converged = True

@@ -160,10 +160,21 @@ def pontryagin_diff(P: HPolytope, Z: Zonotope) -> HPolytope:
 def is_empty(P: HPolytope, tol: float = CONTAINS_TOL) -> bool:
     """Emptiness via the slack program min s s.t. a_i'x <= b_i + s, s >= 0.
 
-    Routed through the QP solver (which dispatches the pure LP to HiGHS);
-    empty iff the minimal slack exceeds the feasibility tolerance.
+    Empty iff the minimal slack exceeds the feasibility tolerance. When every
+    row is a signed unit vector (a box, as every set the CLI builds), the
+    minimal slack has a closed form; otherwise the program goes through the
+    QP solver, which dispatches the pure LP to HiGHS.
     """
     m, n = P.normals.shape
+    rows, axis = np.nonzero(P.normals)
+    sign = P.normals[rows, axis]
+    if np.array_equal(rows, np.arange(m)) and np.all(np.abs(sign) == 1.0):
+        # Each row bounds one coordinate: the minimal slack is half the
+        # widest gap between a lower and an upper bound.
+        hi, lo = np.full(n, np.inf), np.full(n, -np.inf)
+        np.minimum.at(hi, axis[sign > 0], P.offsets[sign > 0])
+        np.maximum.at(lo, axis[sign < 0], -P.offsets[sign < 0])
+        return bool(np.max(lo - hi, initial=0.0) / 2 > tol)
     A_in = np.zeros((m + 1, n + 1))
     A_in[:m, :n] = P.normals
     A_in[:m, n] = -1.0

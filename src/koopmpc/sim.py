@@ -321,21 +321,29 @@ def generate_training_data(
     state_box: Zonotope,
     seed: int,
 ) -> TrajectoryData:
-    """Random-restart rollouts: uniform initial states, uniform i.i.d. inputs."""
+    """Random-restart rollouts: uniform initial states, uniform i.i.d. inputs.
+
+    The draws come in trajectory order (initial state, then its inputs), and
+    all trajectories are stepped together.
+    """
     if state_box.dim != plant.n_x or input_box.dim != plant.n_u:
         raise ValueError("state_box/input_box dimensions do not match the plant")
     rng = np.random.default_rng(seed)
-    trajectories = []
-    for _ in range(n_traj):
-        x = sample(state_box, rng)
-        states, inputs = [x], []
-        for _ in range(traj_len):
-            u = sample(input_box, rng)
-            x, _, _, _ = step_plant(plant, x, u)
-            states.append(x)
-            inputs.append(u)
-        trajectories.append((np.array(states), np.array(inputs)))
-    return TrajectoryData(trajectories)
+    g_x, g_u = state_box.generators.shape[1], input_box.generators.shape[1]
+    xi = rng.uniform(-1.0, 1.0, size=(n_traj, g_x + traj_len * g_u))
+    inputs = input_box.center + xi[:, g_x:].reshape(n_traj, traj_len, g_u) @ input_box.generators.T
+    states = [state_box.center + xi[:, :g_x] @ state_box.generators.T]
+    for t in range(traj_len):
+        states.append(_step_rows(plant, states[-1], inputs[:, t]))
+    return TrajectoryData(list(zip(np.stack(states, axis=1), inputs)))
+
+
+def _step_rows(plant: Plant, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Undisturbed :func:`step_plant` of each row of X under the same row of U."""
+    if plant.kind == "numerical_example":
+        # Through the lifted model, as step_plant does: plant.f rounds differently.
+        return np.array([step_plant(plant, x, u)[0] for x, u in zip(X, U)])
+    return plant.f(X, U)
 
 
 # --- metrics and persistence ------------------------------------------------------------

@@ -176,6 +176,23 @@ def test_is_empty_cases():
     assert not is_empty(degenerate)
 
 
+def test_is_empty_box_closed_form_agrees_with_the_slack_program():
+    """Signed unit rows take the closed form; the same halfspaces scaled by 2
+    take the slack LP. Offsets on a 0.25 grid keep every gap 0 or far from
+    the tolerance."""
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(60):
+        m = int(rng.integers(1, 8))
+        normals = np.zeros((m, 3))
+        normals[np.arange(m), rng.integers(0, 3, m)] = rng.choice([-1.0, 1.0], m)
+        offsets = rng.integers(-8, 9, m) * 0.25
+        empty = is_empty(HPolytope(normals=normals, offsets=offsets))
+        assert empty == is_empty(HPolytope(normals=2 * normals, offsets=2 * offsets))
+        outcomes.add(empty)
+    assert outcomes == {True, False}
+
+
 def test_contains_tolerance():
     P = box_polytope([-1.0, -1.0], [1.0, 1.0])
     assert contains(P, [0.0, 0.0])

@@ -4,7 +4,7 @@ import pytest
 from koopmpc.controller import KtmpcConfig
 from koopmpc.gains import dlqr
 from koopmpc.model import DisturbanceModel, LiftingSpec, make_model
-from koopmpc.sets import Zonotope, box_polytope, box_zonotope, tighten_constraints
+from koopmpc.sets import Zonotope, box_polytope, box_zonotope, sample, tighten_constraints
 from koopmpc.sim import (
     InfeasibleAtStep,
     ReferenceSchedule,
@@ -124,6 +124,25 @@ def test_generate_training_data_deterministic():
     for (sa, ua), (sb, ub) in zip(a.trajectories, b.trajectories):
         assert np.array_equal(sa, sb) and np.array_equal(ua, ub)
     assert not np.array_equal(a.trajectories[0][0], c.trajectories[0][0])
+
+
+@pytest.mark.parametrize("plant", [numerical_example_plant(), unicycle_plant(dt=0.1)],
+                         ids=["numerical_example", "unicycle"])
+def test_generate_training_data_matches_one_rollout_at_a_time(plant):
+    """Stepping all trajectories together gives the bits of a per-trajectory
+    rollout through sample() and step_plant(), draw for draw."""
+    state_box = box_zonotope(np.linspace(1.0, 2.0, plant.n_x), center=np.linspace(-0.5, 0.5, plant.n_x))
+    input_box = box_zonotope(np.linspace(0.5, 3.0, plant.n_u), center=np.linspace(0.2, 0.4, plant.n_u))
+    data = generate_training_data(plant, n_traj=5, traj_len=4, input_box=input_box,
+                                  state_box=state_box, seed=3)
+    rng = np.random.default_rng(3)
+    for states, inputs in data.trajectories:
+        x = sample(state_box, rng)
+        assert np.array_equal(states[0], x)
+        for t in range(4):
+            u = sample(input_box, rng)
+            x = step_plant(plant, x, u)[0]
+            assert np.array_equal(inputs[t], u) and np.array_equal(states[t + 1], x)
 
 
 # --- reference schedules --------------------------------------------------------------
