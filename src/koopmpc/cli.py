@@ -12,7 +12,8 @@ scenario command.
 
 Exit codes: 0 success, 2 missing/malformed input, 3 underdetermined fit,
 4 the tube could not be built: no converged stabilizing LQR gain, or an empty
-tightened set, 5 closed-loop infeasibility.
+tightened set, 5 closed-loop infeasibility, 6 the QP solver failed (a
+nonconvex objective, an LP failure, or the iteration limit).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (
     predict,
     save_model,
 )
+from .qp import NonConvex, SolverFailed
 from .sets import EmptyTightenedSet, TighteningSchedule, Zonotope, box_polytope, tighten_constraints
 from .sim import (
     InfeasibleAtStep,
@@ -486,6 +488,9 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 5
+    except (NonConvex, SolverFailed) as exc:
+        print(f"the QP solver failed: {exc}", file=sys.stderr)
+        return 6
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -226,7 +226,7 @@ def solve_steady_offline(
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("no steady pair exists inside the terminal tightened sets")
     if sol.status != qps.OPTIMAL:
-        raise RuntimeError(f"steady-target QP ended with status {sol.status}")
+        raise qps.SolverFailed(f"steady-target QP ended with status {sol.status}")
     z_s, u_s = sol.x_star[:n_z], sol.x_star[n_z:]
     return SteadyTarget(
         z_s=z_s,
@@ -411,7 +411,7 @@ def solve_step(
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("tracking QP is primal infeasible")
     if sol.status != qps.OPTIMAL:
-        raise RuntimeError(f"tracking QP ended with status {sol.status}")
+        raise qps.SolverFailed(f"tracking QP ended with status {sol.status}")
 
     N, n_z, n_u = config.N, model.n_z, model.n_u
     lay = problem.layout

@@ -12,13 +12,12 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.stats import qmc
 
 from .sets import Zonotope
 
@@ -516,13 +515,3 @@ def load_trajectories(path) -> TrajectoryData:
         inputs = np.array([u for _, u in steps[:-1]], dtype=float).reshape(len(steps) - 1, n_u)
         trajectories.append((states, inputs))
     return TrajectoryData(trajectories)
-
-
-def latin_hypercube_centers(lo, hi, count: int, seed: int = 0) -> np.ndarray:
-    """Deterministic Latin-hypercube RBF centers spread over a box."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise ValueError("need lo < hi elementwise")
-    sampler = qmc.LatinHypercube(d=lo.size, seed=seed)
-    return lo + sampler.random(count) * (hi - lo)

@@ -8,16 +8,23 @@ Problems have the form
 
 and are solved by a null-space primal active-set method. Everything the solver
 derives from P, A_eq and A_in (the PSD check, one SVD of A_eq giving an
-orthonormal null basis Z and the pseudo-inverse, the reduced Hessian Z'PZ and
-the reduced rows A_in Z) is computed once per problem, on first use, and stays
-valid while q, b_eq and b_in change. The iterations work on the reduced
-variables x = x_feas + Z v, where the KKT systems hold only the working
-inequality rows and Z'PZ. A warm start is projected onto the equalities, then
-the inequality rows it violates are held at their bounds by minimum-norm steps
-in the null space; the held rows, active there, seed the working set. A
-feasible start is otherwise produced by a phase-1 linear program (HiGHS),
-whose optimal slack also certifies primal infeasibility. Pure linear programs
-(P = 0) are dispatched to HiGHS directly.
+orthonormal null basis Z and the pseudo-inverse, the Cholesky factorization
+Z'PZ = LL' and the reduced rows) is computed once per problem, on first use,
+and stays valid while q, b_eq and b_in change. The iterations work in the
+basis Y = Z L^-T, in which the reduced Hessian is the identity, so each step
+is a projection on the working-set basis: the reduced gradient with its
+component along the working rows removed. The multipliers come from one
+triangular solve with the Gram-Schmidt factor that the independence test of
+each added row builds anyway (as in Goldfarb & Idnani, 1983, the Hessian is
+factored once and only the working rows' factor changes). A singular Z'PZ is
+handled by an eigendecomposition on the working rows' complement instead.
+
+A warm start is projected onto the equalities, then the inequality rows it
+violates are held at their bounds by minimum-norm steps in the null space; the
+held rows, active there, seed the working set. A feasible start is otherwise
+produced by a phase-1 linear program (HiGHS), whose optimal slack also
+certifies primal infeasibility. Pure linear programs (P = 0) are dispatched to
+HiGHS directly.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import linprog
 
 OPTIMAL = "Optimal"
@@ -37,6 +46,11 @@ _FEAS_TOL = 1e-9
 
 class NonConvex(Exception):
     """The quadratic term has a negative eigenvalue beyond tolerance."""
+
+
+class SolverFailed(RuntimeError):
+    """A QP could not be solved: an LP failed, the objective is unbounded
+    below on the feasible set, or the iterations ran out."""
 
 
 @dataclass
@@ -108,18 +122,13 @@ def _objective(qp: QuadraticProgram, x: np.ndarray) -> float:
 
 
 def _kkt_residuals(qp, x, nu, lam) -> dict[str, float]:
-    stat = qp.P @ x + qp.q
-    if qp.A_eq.shape[0]:
-        stat = stat + qp.A_eq.T @ nu
-    if qp.A_in.shape[0]:
-        stat = stat + qp.A_in.T @ lam
-    r_in = qp.A_in @ x - qp.b_in if qp.A_in.shape[0] else np.zeros(0)
-    r_eq = qp.A_eq @ x - qp.b_eq if qp.A_eq.shape[0] else np.zeros(0)
+    stat = qp.P @ x + qp.q + qp.A_eq.T @ nu + qp.A_in.T @ lam
+    r_in, r_eq = qp.A_in @ x - qp.b_in, qp.A_eq @ x - qp.b_eq
     return {
-        "stationarity": float(np.max(np.abs(stat))) if stat.size else 0.0,
-        "primal_eq": float(np.max(np.abs(r_eq))) if r_eq.size else 0.0,
-        "primal_in": float(max(np.max(r_in), 0.0)) if r_in.size else 0.0,
-        "complementarity": float(np.max(np.abs(lam * r_in))) if r_in.size else 0.0,
+        "stationarity": float(np.max(np.abs(stat), initial=0.0)),
+        "primal_eq": float(np.max(np.abs(r_eq), initial=0.0)),
+        "primal_in": float(np.max(r_in, initial=0.0)),
+        "complementarity": float(np.max(np.abs(lam * r_in), initial=0.0)),
     }
 
 
@@ -149,9 +158,9 @@ def _solve_lp(qp: QuadraticProgram) -> QpSolution:
             kkt_residuals={},
         )
     if res.status == 3:
-        raise RuntimeError("linear objective is unbounded below on the feasible set")
+        raise SolverFailed("linear objective is unbounded below on the feasible set")
     if not res.success:
-        raise RuntimeError(f"LP solve failed: {res.message}")
+        raise SolverFailed(f"LP solve failed: {res.message}")
     x = np.asarray(res.x, dtype=float)
     lam = -np.asarray(res.ineqlin.marginals) if qp.A_in.shape[0] else np.zeros(0)
     nu = -np.asarray(res.eqlin.marginals) if qp.A_eq.shape[0] else np.zeros(0)
@@ -175,19 +184,30 @@ class _Factors:
 
     Z is an orthonormal basis of the null space of A_eq, and A_eq_pinv its
     pseudo-inverse, whose product with r is the minimum-norm solution of
-    A_eq x = r (and whose transpose solves A_eq' nu = r the same way). H = Z'PZ
-    is the reduced Hessian, AZ = A_in Z holds the reduced inequality rows and
-    row_norms the norms of the full rows."""
+    A_eq x = r (and whose transpose solves A_eq' nu = r the same way). AZ =
+    A_in Z holds the reduced inequality rows, on which the feasibility
+    projection takes its minimum-norm steps.
+
+    The iterations use the basis Y = Z L^-T of the same null space, where
+    Z'PZ = LL' is the Cholesky factorization of the reduced Hessian, so that
+    Y'PY = I, and the rows AY = A_in Y. H is None then; when Z'PZ is singular
+    (its factorization fails, or a pivot falls below 1e-11 of its largest
+    diagonal entry) H = Z'PZ and Y = Z. tol_Z and tol_Y are the tolerances
+    below which a row of AZ or AY counts as dependent: 1e-10 of the norm of
+    the full row, scaled for AY by how Y stretches the reduced row."""
 
     Z: np.ndarray
     A_eq_pinv: np.ndarray
-    H: np.ndarray
     AZ: np.ndarray
-    row_norms: np.ndarray
+    Y: np.ndarray
+    AY: np.ndarray
+    H: np.ndarray | None
+    tol_Z: np.ndarray
+    tol_Y: np.ndarray
 
 
 def _factor(qp: QuadraticProgram) -> _Factors:
-    """Validate P and take one SVD of A_eq."""
+    """Validate P, take one SVD of A_eq and one Cholesky factorization of Z'PZ."""
     _validate_psd(qp.P)
     A_eq, d = qp.A_eq, qp.dim
     if A_eq.shape[0] == 0:
@@ -197,8 +217,19 @@ def _factor(qp: QuadraticProgram) -> _Factors:
         rank = int(np.sum(s > s[0] * max(A_eq.shape) * np.finfo(float).eps))
         Z, A_eq_pinv = vt[rank:].T, (vt[:rank].T / s[:rank]) @ u[:, :rank].T
     H = Z.T @ qp.P @ Z
-    return _Factors(Z=Z, A_eq_pinv=A_eq_pinv, H=0.5 * (H + H.T), AZ=qp.A_in @ Z,
-                    row_norms=np.linalg.norm(qp.A_in, axis=1))
+    try:
+        L = np.linalg.cholesky(H)
+        if L.size and np.min(np.diag(L)) ** 2 <= 1e-11 * np.max(np.diag(H)):
+            raise np.linalg.LinAlgError("reduced Hessian is singular")
+        Y, H = solve_triangular(L, Z.T, lower=True).T, None
+    except np.linalg.LinAlgError:
+        Y = Z
+    AZ, AY = qp.A_in @ Z, qp.A_in @ Y
+    tol_Z = 1e-10 * np.linalg.norm(qp.A_in, axis=1)
+    norm_Z = np.linalg.norm(AZ, axis=1)
+    tol_Y = np.divide(tol_Z * np.linalg.norm(AY, axis=1), norm_Z, out=np.zeros_like(tol_Z),
+                      where=norm_Z > 0)
+    return _Factors(Z=Z, A_eq_pinv=A_eq_pinv, AZ=AZ, Y=Y, AY=AY, H=H, tol_Z=tol_Z, tol_Y=tol_Y)
 
 
 def _phase1(qp: QuadraticProgram, f: _Factors):
@@ -224,7 +255,7 @@ def _phase1(qp: QuadraticProgram, f: _Factors):
     if res.status == 2:
         return None  # equality system itself is inconsistent
     if not res.success:
-        raise RuntimeError(f"phase-1 LP failed: {res.message}")
+        raise SolverFailed(f"phase-1 LP failed: {res.message}")
     if res.x[-1] > _FEAS_TOL:
         return None  # certified: even the minimal constraint violation is positive
     return np.asarray(res.x[:d], dtype=float)
@@ -245,7 +276,7 @@ def _project(qp: QuadraticProgram, f: _Factors, x: np.ndarray):
         x = x + f.A_eq_pinv @ (qp.b_eq - qp.A_eq @ x)
         if np.max(np.abs(qp.A_eq @ x - qp.b_eq)) > 1e-8:
             return None
-    working = _WorkingSet(f.AZ, f.row_norms)
+    working = _WorkingSet(f.AZ, f.tol_Z)
     while qp.A_in.shape[0]:
         violated = np.flatnonzero(qp.A_in @ x - qp.b_in > _FEAS_TOL)
         if violated.size == 0:
@@ -261,69 +292,82 @@ def _project(qp: QuadraticProgram, f: _Factors, x: np.ndarray):
 
 class _WorkingSet:
     """Indices of the inequality rows held active, kept linearly independent
-    of each other and of the equality rows.
+    of each other and of the equality rows, with the factorization
+    rows[index]' = Q'R: Q has orthonormal rows spanning the kept rows and R
+    is upper triangular.
 
     A row a_i depends on the equality rows and the kept rows exactly when its
-    reduced row a_i Z lies in the span of the kept reduced rows, so each test
-    is one projection onto an orthonormal basis of those rows.
+    reduced row lies in the span of the kept reduced rows, so each test is one
+    projection onto Q, and a kept row extends Q and R by that projection's
+    Gram-Schmidt step.
     """
 
-    def __init__(self, rows: np.ndarray, row_norms: np.ndarray):
-        self._rows = rows
-        self._tol = 1e-10 * row_norms
-        self._basis = np.zeros((0, rows.shape[1]))
+    def __init__(self, rows: np.ndarray, tol: np.ndarray):
+        n = rows.shape[1]
+        self._rows, self._tol = rows, tol
+        self._Q, self._R = np.empty((n, n)), np.zeros((n, n))
+        self._stale = False
         self.index: list[int] = []
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q and R of the kept rows. They are rebuilt by one QR after drops,
+        so a run of drops costs one factorization."""
+        k = len(self.index)
+        if self._stale:
+            q, self._R[:k, :k] = np.linalg.qr(self._rows[self.index].T)
+            self._Q[:k] = q.T
+            self._stale = False
+        return self._Q[:k], self._R[:k, :k]
 
     def add(self, i: int) -> bool:
         """Keep row i if it is independent; report whether it was kept."""
-        if self._basis is None:
-            self._basis = np.linalg.qr(self._rows[self.index].T)[0].T
+        Q, _ = self.factors()
         v = self._rows[i]
-        r = v - self._basis.T @ (self._basis @ v)
-        norm = float(np.linalg.norm(r))
-        if norm <= self._tol[i]:
+        c = Q @ v
+        r = v - Q.T @ c
+        if np.linalg.norm(r) <= self._tol[i]:
             return False
         # A second pass restores the orthogonality one classical
         # Gram-Schmidt pass loses on nearly parallel rows.
-        r = r - self._basis.T @ (self._basis @ r)
-        self._basis = np.vstack([self._basis, r / np.linalg.norm(r)])
+        c2 = Q @ r
+        r = r - Q.T @ c2
+        k, rho = len(self.index), np.linalg.norm(r)
+        self._Q[k], self._R[:k, k], self._R[k, k] = r / rho, c + c2, rho
         self.index.append(int(i))
         return True
 
     def drop(self, k: int) -> None:
-        """Release the k-th working row. The basis is rebuilt at the next
-        add, so a run of drops costs one factorization."""
+        """Release the k-th kept row."""
         del self.index[k]
-        self._basis = None
+        self._stale = True
+
+    def multipliers(self, g: np.ndarray) -> np.ndarray:
+        """The least-squares solution of rows[index]' lam = -g, from R lam = -Q g."""
+        Q, R = self.factors()
+        return dtrtrs(R, -(Q @ g))[0] if self.index else np.zeros(0)
 
 
-def _eqp_direction(H, C, c):
-    """Solve the reduced equality subproblem  min 0.5 p'Hp + c'p  s.t.  C p = 0.
+def _eqp_direction(f: _Factors, working: _WorkingSet, g: np.ndarray):
+    """Solve the equality subproblem  min 0.5 p'(Y'PY)p + g'p  s.t.  C p = 0,
+    where C = AY[working.index] and g is the gradient in the basis Y.
 
-    Returns (p, lam, is_ray): lam are the working-row multipliers from the KKT
-    solve (None when the fallback ran), and is_ray flags a direction of
-    linear descent along which the subproblem is unbounded.
+    Returns (p, lam, is_ray): lam are the working-row multipliers (None when
+    the reduced Hessian is singular), and is_ray flags a direction of linear
+    descent along which the subproblem is unbounded. With Y'PY = I the
+    minimizer is -g projected off the working rows, and R lam = -Q g.
     """
-    n, m = H.shape[0], C.shape[0]
-    kkt = np.block([[H, C.T], [C, np.zeros((m, m))]])
-    rhs = np.concatenate([-c, np.zeros(m)])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        resid = np.max(np.abs(kkt @ sol - rhs))
-        if resid <= 1e-7 * max(1.0, np.max(np.abs(rhs))):
-            return sol[:n], sol[n:], False
-    except np.linalg.LinAlgError:
-        pass
-    # Singular reduced Hessian on the null space of the working rows: solve
-    # there explicitly (deterministic via SVD/eigh). The working rows are
-    # independent, so C has full row rank and its null basis is vt[m:].
-    W = np.linalg.svd(C)[2][m:].T
+    Q, _ = working.factors()
+    if f.H is None:
+        return Q.T @ (Q @ g) - g, working.multipliers(g), False
+    # Singular reduced Hessian (Y = Z): minimize on the complement of Q
+    # explicitly, by eigh.
+    W = np.linalg.svd(Q)[2][Q.shape[0]:].T
     if W.shape[1] == 0:
-        return np.zeros(n), None, False
-    evals, evecs = np.linalg.eigh(W.T @ H @ W)
-    ch = evecs.T @ (W.T @ c)
+        return np.zeros(g.size), None, False
+    evals, evecs = np.linalg.eigh(W.T @ f.H @ W)
+    ch = evecs.T @ (W.T @ g)
     eps_h = 1e-11 * max(1.0, float(evals.max(initial=0.0)))
-    eps_c = 1e-9 * max(1.0, float(np.max(np.abs(c))))
+    eps_c = 1e-9 * max(1.0, float(np.max(np.abs(g))))
     flat = evals <= eps_h
     descent = flat & (np.abs(ch) > eps_c)
     if np.any(descent):
@@ -333,65 +377,66 @@ def _eqp_direction(H, C, c):
     return W @ (evecs @ v), None, False
 
 
-def _active_set(qp, f, x, tol, max_iter, active0):
+def _active_set(qp, f, x, tol, max_iter):
     """Primal active-set iterations in the null space of A_eq, from the
-    feasible point x. Returns (x, lam, status, iterations, working)."""
-    m_i = qp.A_in.shape[0]
-    Z, H, AZ = f.Z, f.H, f.AZ
+    feasible point x. Returns (x, lam, status, iterations, working).
 
-    # Initial working set: constraints active at x, warm-start indices first.
-    resid = qp.b_in - qp.A_in @ x
-    active_now = set(np.flatnonzero(resid <= 1e-9).tolist())
-    ordered = [i for i in active0 if i in active_now] if active0 else []
-    ordered.extend(i for i in sorted(active_now) if i not in set(ordered))
-    working = _WorkingSet(AZ, f.row_norms)
-    for i in ordered:
+    The gradient g = Y'(Px + q) and the slacks b_in - A_in x are updated
+    along each step, so the full-space products run once per solve."""
+    m_i = qp.A_in.shape[0]
+    Y, AY = f.Y, f.AY
+    slack = qp.b_in - qp.A_in @ x
+    g = Y.T @ (qp.P @ x + qp.q)
+    working = _WorkingSet(AY, f.tol_Y)
+    for i in np.flatnonzero(slack <= 1e-9):
         working.add(i)
 
     status = MAX_ITERATIONS
     iterations = 0
     lam = np.zeros(m_i)
     for iterations in range(1, max_iter + 1):
-        C = AZ[working.index]
-        p_z, lam_w, is_ray = _eqp_direction(H, C, Z.T @ (qp.P @ x + qp.q))
-        p = Z @ p_z
+        w, lam_w, is_ray = _eqp_direction(f, working, g)
+        p = Y @ w
         step_scale = max(1.0, float(np.max(np.abs(x))))
         if is_ray or np.max(np.abs(p)) > 1e-11 * step_scale:
             # Ratio test against the non-working inequalities; the lowest
             # index wins a tie.
             alpha = np.inf if is_ray else 1.0
             blocking = -1
+            Ap = AY @ w
             if m_i:
-                Ap = AZ @ p_z
                 ahead = Ap > 1e-13
                 ahead[working.index] = False
                 ratio = np.full(m_i, np.inf)
-                r = np.maximum(qp.b_in - qp.A_in @ x, 0.0)
+                r = np.maximum(slack, 0.0)
                 ratio[ahead] = r[ahead] / Ap[ahead]
                 i = int(np.argmin(ratio))
                 if ratio[i] < alpha - 1e-15:
                     alpha, blocking = float(ratio[i]), i
             if is_ray and blocking < 0:
-                raise RuntimeError("objective is unbounded below on the feasible set")
+                raise SolverFailed("objective is unbounded below on the feasible set")
             x = x + alpha * p
+            slack = slack - alpha * Ap
+            g = g + alpha * (w if f.H is None else f.H @ w)
             if blocking >= 0:
                 if not working.add(blocking):
                     # Dependent blocking row: swap it in for a dependent
                     # partner by dropping the working row with the smallest
-                    # multiplier.
-                    lam_now = _multipliers(C, Z.T @ (qp.P @ x + qp.q))
+                    # multiplier. With Y'PY = I the step left Q g, and so
+                    # the multipliers, unchanged.
+                    lam_now = working.multipliers(g) if lam_w is None else lam_w
                     if lam_now.size:
                         working.drop(int(np.argmin(lam_now)))
                     working.add(blocking)
                 continue
         # x now minimizes over the working set: either the step vanished, or
-        # the full unblocked step landed on the minimizer (the KKT solve
-        # gives stationarity at x + p). Testing multipliers right after a
-        # full step, instead of waiting for the next direction to vanish,
-        # avoids spinning forever on ill-conditioned KKT systems whose
+        # the full unblocked step landed on the minimizer, where the
+        # multipliers are those of the step's subproblem. Testing them right
+        # after a full step, instead of waiting for the next direction to
+        # vanish, avoids spinning forever on ill-conditioned problems whose
         # computed steps never drop below the zero-direction threshold.
         if lam_w is None:
-            lam_w = _multipliers(C, Z.T @ (qp.P @ x + qp.q))
+            lam_w = working.multipliers(g)
         if lam_w.size == 0 or np.min(lam_w) >= -tol:
             lam[working.index] = np.maximum(lam_w, 0.0)
             status = OPTIMAL
@@ -400,27 +445,17 @@ def _active_set(qp, f, x, tol, max_iter, active0):
     return x, lam, status, iterations, working.index
 
 
-def _multipliers(C, c):
-    """Minimum-norm working-row multipliers solving C' lam = -c."""
-    if C.shape[0] == 0:
-        return np.zeros(0)
-    lam, *_ = np.linalg.lstsq(C.T, -c, rcond=None)
-    return lam
-
-
 def solve(
     qp: QuadraticProgram,
     tol: float = 1e-8,
     max_iter: int = 500,
     x0: np.ndarray | None = None,
-    active0=None,
 ) -> QpSolution:
     """Solve a convex QP with a null-space primal active-set method.
 
-    `x0`/`active0` are optional warm starts (a candidate point and the
-    inequality indices expected active at the optimum); correctness never
-    depends on them — a warm start that cannot be projected onto the
-    feasible set falls back to phase 1.
+    `x0` is an optional warm start; correctness never depends on it: a warm
+    start that cannot be projected onto the feasible set falls back to
+    phase 1.
 
     Raises NonConvex when P fails the PSD validation (eigenvalues below
     -1e-10 relative to scale), which runs once per problem with its other
@@ -444,7 +479,7 @@ def solve(
             )
 
     if f.Z.shape[1]:
-        x, lam, status, iterations, working = _active_set(qp, f, x, tol, max_iter, active0)
+        x, lam, status, iterations, working = _active_set(qp, f, x, tol, max_iter)
     else:
         # A_eq has full column rank: the feasible x is the only feasible
         # point, hence optimal, and no inequality needs a multiplier.

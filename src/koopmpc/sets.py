@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import qp as qpmod
 from .gains import spectral_radius
@@ -188,7 +187,7 @@ def is_empty(P: HPolytope, tol: float = CONTAINS_TOL) -> bool:
     )
     sol = qpmod.solve(prog)
     if sol.status != qpmod.OPTIMAL:
-        raise RuntimeError(f"slack program did not solve: {sol.status}")
+        raise qpmod.SolverFailed(f"slack program did not solve: {sol.status}")
     return bool(sol.x_star[n] > tol)
 
 
@@ -210,36 +209,6 @@ def sample(Z: Zonotope, rng: np.random.Generator) -> np.ndarray:
         return Z.center.copy()
     xi = rng.uniform(-1.0, 1.0, size=g)
     return Z.center + Z.generators @ xi
-
-
-def is_bounded(P: HPolytope, tol: float = 1e-9) -> bool:
-    """True iff the recession cone {d : normals @ d <= 0} is trivial."""
-    n = P.dim
-    m = P.normals.shape[0]
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = -sign
-            res = linprog(
-                c,
-                A_ub=P.normals,
-                b_ub=np.zeros(m),
-                bounds=[(-1.0, 1.0)] * n,
-                method="highs",
-            )
-            if not res.success:
-                raise RuntimeError(f"recession-cone LP failed: {res.message}")
-            if -res.fun > tol:
-                return False
-    return True
-
-
-def validate_constraint_set(P: HPolytope) -> None:
-    """Constraint sets (state/input bounds) must be nonempty and bounded."""
-    if not is_bounded(P):
-        raise ValueError("constraint set is unbounded")
-    if is_empty(P):
-        raise ValueError("constraint set is empty")
 
 
 def tighten_constraints(X, U, disturbance, A, B, K, C_x, N: int) -> TighteningSchedule:

@@ -275,7 +275,6 @@ def run_closed_loop(
 
     for k in range(T):
         y_t, _ = cursor.advance(k, position=plant.C @ x)
-        z = lift(model, x)
         y = plant.C @ x
         cand_margin = np.nan
         candidate = None
@@ -290,7 +289,7 @@ def run_closed_loop(
             u_k, sol = solve_step(problem, x, y_t, warm_start=prev, candidate=candidate)
         except Infeasible:
             rows.append(
-                k=k, x=x, z=z, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,
+                k=k, x=x, z=lift(model, x), u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,
                 y_s=np.full(model.n_y, np.nan), u_s=np.full(plant.n_u, np.nan),
                 y_sr=np.full(model.n_y, np.nan), J_N=np.nan, V1=np.nan, V2=np.nan,
                 feasible=False, margin_min=cand_margin,
@@ -301,7 +300,7 @@ def run_closed_loop(
         diag = diagnostics(sol, offline)
         x_next, _, w, v = step_plant(plant, x, u_k, rng=rng, W=W, V=V)
         rows.append(
-            k=k, x=x, z=z, u=u_k, y=y, y_t=y_t, y_s=sol.target.y_s, u_s=sol.target.u_s,
+            k=k, x=x, z=sol.z_bar[0], u=u_k, y=y, y_t=y_t, y_s=sol.target.y_s, u_s=sol.target.u_s,
             y_sr=offline.y_s, J_N=sol.total_cost, V1=diag.V1, V2=diag.V2, feasible=True,
             margin_min=cand_margin, state_margin=margin(schedule.state_sets[0], x),
             input_margin=margin(schedule.input_sets[0], u_k), w_inj=w, v_inj=v,

@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from koopmpc import controller, sim
+from koopmpc import qp as qp_module
 from koopmpc.cli import main
 from koopmpc.model import load_model, save_trajectories
 from koopmpc.sets import box_zonotope
@@ -317,6 +319,42 @@ def test_simulate_infeasible_start_exit_5(tmp_path):
     assert code == 5
     metrics = json.loads((out_dir / "metrics_seed0.json").read_text())
     assert metrics["halted_at"] == 0
+
+
+def _simulate_exit_code(tmp_path, capsys):
+    scenario = base_scenario(tmp_path)
+    code = main(["simulate", str(scenario), "--out", str(tmp_path / "r"), "--deterministic"])
+    return code, capsys.readouterr().err
+
+
+def test_simulate_nonconvex_qp_exit_6(tmp_path, capsys, monkeypatch):
+    def nonconvex(P):
+        raise qp_module.NonConvex("quadratic term is not positive semidefinite")
+
+    monkeypatch.setattr(qp_module, "_validate_psd", nonconvex)
+    code, err = _simulate_exit_code(tmp_path, capsys)
+    assert code == 6 and "not positive semidefinite" in err
+
+
+def test_simulate_qp_iteration_limit_exit_6(tmp_path, capsys, monkeypatch):
+    solve = qp_module.solve
+
+    def capped(qp, **kw):
+        # Only the tracking QP passes a warm start (None at the first step).
+        return solve(qp, **{**kw, "max_iter": 0}) if "x0" in kw else solve(qp, **kw)
+
+    monkeypatch.setattr(qp_module, "solve", capped)
+    code, err = _simulate_exit_code(tmp_path, capsys)
+    assert code == 6 and "tracking QP ended with status MaxIterations" in err
+
+
+def test_simulate_phase1_lp_failure_exit_6(tmp_path, capsys, monkeypatch):
+    def failed(*args, **kwargs):
+        return SimpleNamespace(status=4, success=False, message="numerical difficulties")
+
+    monkeypatch.setattr(qp_module, "linprog", failed)
+    code, err = _simulate_exit_code(tmp_path, capsys)
+    assert code == 6 and "phase-1 LP failed: numerical difficulties" in err
 
 
 def test_simulate_bad_json_exit_2(tmp_path, capsys):

@@ -13,7 +13,6 @@ from koopmpc.model import (
     UnderdeterminedData,
     estimate_disturbance_sets,
     fit_edmd,
-    latin_hypercube_centers,
     lift,
     lift_many,
     load_model,
@@ -333,11 +332,3 @@ def test_trajectory_csv_rejects_malformed(tmp_path):
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         TrajectoryData([(np.zeros((3, 2)), np.zeros((3, 1)))])  # lengths mismatch
-
-
-def test_latin_hypercube_centers_deterministic():
-    a = latin_hypercube_centers([-1.0, -2.0], [1.0, 2.0], 8, seed=5)
-    b = latin_hypercube_centers([-1.0, -2.0], [1.0, 2.0], 8, seed=5)
-    assert np.array_equal(a, b)
-    assert a.shape == (8, 2)
-    assert np.all(a >= [-1.0, -2.0]) and np.all(a <= [1.0, 2.0])

@@ -202,7 +202,7 @@ def test_warm_start_agrees_with_cold_start(rng):
     )
     cold = solve(qp)
     warm = solve(qp, x0=np.zeros(4))
-    shifted = solve(qp, x0=cold.x_star, active0=cold.active_set)
+    shifted = solve(qp, x0=cold.x_star)
     assert cold.status == warm.status == shifted.status == OPTIMAL
     assert np.allclose(cold.x_star, warm.x_star, atol=1e-8)
     assert np.allclose(cold.x_star, shifted.x_star, atol=1e-8)
@@ -462,3 +462,82 @@ def test_solution_does_not_alias_the_warm_start():
     assert sol.status == OPTIMAL and np.array_equal(sol.x_star, x0)
     x0[0] = 7.0
     assert sol.x_star[0] == 0.0
+
+
+# --- the projected step against the reference KKT solve ---------------------------------
+
+def _kkt_direction(H, C, c):
+    """Step and multipliers of  min 0.5 p'Hp + c'p  s.t.  C p = 0  from the dense KKT system."""
+    n, m = H.shape[0], C.shape[0]
+    kkt = np.block([[H, C.T], [C, np.zeros((m, m))]])
+    sol = np.linalg.solve(kkt, np.concatenate([-c, np.zeros(m)]))
+    return sol[:n], sol[n:]
+
+
+def test_projected_step_matches_the_kkt_solve(rng):
+    # Random positive-definite problems. The working set grows and shrinks by
+    # adds and drops at any position; after each, the step and the multipliers
+    # are checked against the KKT solve in the orthonormal null basis Z. The
+    # last row a_0 + a_1 is dependent exactly when rows 0 and 1 are kept.
+    for _ in range(20):
+        d = int(rng.integers(5, 12))
+        e = int(rng.integers(0, 3))
+        M = rng.standard_normal((d, d))
+        A_eq = rng.standard_normal((e, d)) if e else None
+        rows = rng.standard_normal((d - e - 1, d))
+        qp = QuadraticProgram(P=M.T @ M + 0.5 * np.eye(d), q=rng.standard_normal(d),
+                              A_eq=A_eq, b_eq=None if A_eq is None else np.zeros(e),
+                              A_in=np.vstack([rows, rows[0] + rows[1]]), b_in=np.ones(d - e))
+        f = qp.factors
+        assert f.H is None
+        working = qp_module._WorkingSet(f.AY, f.tol_Y)
+        H = f.Z.T @ qp.P @ f.Z
+        for _ in range(12):
+            outside = [i for i in range(d - e) if i not in working.index]
+            if outside and (not working.index or rng.uniform() < 0.6):
+                i = int(rng.choice(outside))
+                independent = np.linalg.matrix_rank(f.AZ[working.index + [i]]) > len(working.index)
+                assert working.add(i) == independent
+            else:
+                working.drop(int(rng.integers(len(working.index))))
+            x = rng.standard_normal(d)
+            w, lam, is_ray = qp_module._eqp_direction(f, working, f.Y.T @ (qp.P @ x + qp.q))
+            p_ref, lam_ref = _kkt_direction(H, f.AZ[working.index], f.Z.T @ (qp.P @ x + qp.q))
+            assert not is_ray
+            scale = max(1.0, np.max(np.abs(p_ref)), np.max(np.abs(lam_ref), initial=0.0))
+            assert np.max(np.abs(f.Y @ w - f.Z @ p_ref)) <= 1e-10 * scale
+            assert np.max(np.abs(lam - lam_ref), initial=0.0) <= 1e-10 * scale
+
+
+# --- a vertex with more active rows than null-space dimensions ----------------------------
+
+def _overdetermined_vertex(rng):
+    """The feasible set is one point v: the reduced active rows at v (more of
+    them than the null space has dimensions) positively span the null space
+    of A_eq. A unit box around v keeps the oracle's feasible set bounded."""
+    d = int(rng.integers(2, 5))
+    e = int(rng.integers(0, d - 1))
+    v = rng.uniform(-0.5, 0.5, d)
+    A_eq = rng.standard_normal((e, d))
+    Z = np.linalg.svd(A_eq)[2][e:].T if e else np.eye(d)
+    n = d - e
+    spanning = np.vstack([np.eye(n), -np.ones((1, n)), rng.standard_normal((2, n))])
+    rows = spanning @ Z.T + rng.standard_normal((spanning.shape[0], e)) @ A_eq if e else spanning
+    rows = rows[rng.permutation(rows.shape[0])]
+    A_box, b_box = _box(d)
+    M = rng.standard_normal((d, d))
+    return QuadraticProgram(P=M.T @ M + 0.1 * np.eye(d), q=3.0 * rng.standard_normal(d),
+                            A_eq=A_eq if e else None, b_eq=A_eq @ v if e else None,
+                            A_in=np.vstack([rows, A_box]),
+                            b_in=np.concatenate([rows @ v, b_box + A_box @ v])), v
+
+
+def test_overdetermined_vertex_matches_oracle():
+    for seed in range(20):
+        qp, v = _overdetermined_vertex(np.random.default_rng(seed))
+        n_active = int(np.sum(qp.b_in - qp.A_in @ v <= 1e-9))
+        assert n_active > qp.dim - qp.A_eq.shape[0]
+        sols = [solve(qp), solve(qp, x0=np.zeros(qp.dim)), solve(qp, x0=v)]
+        _check_against_oracle(qp, *sols)
+        for sol in sols:
+            assert np.allclose(sol.x_star, v, atol=1e-8)

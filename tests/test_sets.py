@@ -18,7 +18,6 @@ from koopmpc.sets import (
     sample,
     support,
     tighten_constraints,
-    validate_constraint_set,
 )
 from oracles import box_vertices, grid_membership_diff, numerical_example_matrices, zonotope_vertices
 
@@ -225,14 +224,6 @@ def test_sample_deterministic_for_fixed_seed():
 def test_hpolytope_rejects_zero_rows():
     with pytest.raises(ValueError):
         HPolytope(normals=[[0.0, 0.0]], offsets=[1.0])
-
-
-def test_validate_constraint_set():
-    validate_constraint_set(box_polytope([-1.0], [1.0]))
-    with pytest.raises(ValueError):
-        validate_constraint_set(HPolytope(normals=[[1.0]], offsets=[1.0]))  # unbounded
-    with pytest.raises(ValueError):
-        validate_constraint_set(HPolytope(normals=[[1.0], [-1.0]], offsets=[-1.0, -1.0]))
 
 
 def test_zonotope_shape_validation():
