@@ -86,6 +86,9 @@ def _load_json(path) -> dict:
 
 
 def _zonotope_from_doc(doc: dict, what: str) -> Zonotope:
+    _check_keys(doc, {"center", "half_extents", "generators"}, what)
+    if ("half_extents" in doc) == ("generators" in doc):
+        raise ValueError(f"{what} must give exactly one of 'half_extents' or 'generators'")
     try:
         center = np.asarray(doc["center"], dtype=float)
         if "half_extents" in doc:
@@ -108,6 +111,8 @@ def _weight(value, n: int, what: str) -> np.ndarray:
 
 
 _PLANT_PARAMS = {"numerical_example": {"lambda", "mu"}, "unicycle": {"dt"}}
+_LIFTING_PARAMS = {"polynomial": {"pre", "max_degree"}, "explicit": {"pre", "exponents"},
+                   "rbf": {"pre", "centers", "width"}}
 _SCENARIO_KEYS = {
     "plant", "lifting", "output_matrix", "ridge", "data", "disturbance", "injected", "constraints",
     "controller", "references", "x0", "T", "seed", "settle_window", "out_dir", "steady_grid",
@@ -141,6 +146,14 @@ def _build_plant(doc: dict):
             lam=float(params.get("lambda", -0.1)), mu=float(params.get("mu", 2.0))
         )
     return unicycle_plant(dt=float(params.get("dt", 0.1)))
+
+
+def _box_from_doc(doc, n: int, what: str):
+    _check_keys(doc, {"lo", "hi"}, what)
+    for key in ("lo", "hi"):
+        if not (isinstance(doc.get(key), list) and len(doc[key]) == n):
+            raise ValueError(f"{what}.{key} must list {n} numbers, got {doc.get(key)!r}")
+    return box_polytope(doc["lo"], doc["hi"])
 
 
 def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
@@ -257,14 +270,19 @@ def build_stack(scenario_path) -> Stack:
         raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
     con = sc["constraints"]
     _check_keys(con, {"state", "input"}, "constraints")
+    X = _box_from_doc(con["state"], plant.n_x, "constraints.state")
+    U = _box_from_doc(con["input"], plant.n_u, "constraints.input")
     grid = _grid_from_scenario(sc, plant)
-    X = box_polytope(con["state"]["lo"], con["state"]["hi"])
-    U = box_polytope(con["input"]["lo"], con["input"]["hi"])
+    lifting_doc = sc["lifting"]
+    _check_keys(lifting_doc, {"kind", "params"}, "lifting")
+    kind_params = _LIFTING_PARAMS.get(lifting_doc.get("kind"))  # LiftingSpec rejects the rest
+    if kind_params is not None:
+        _check_keys(lifting_doc.get("params"), kind_params, "lifting.params")
     x0 = None if sc.get("x0") is None else np.asarray(sc["x0"], dtype=float)
     T, seed, settle_window = int(sc["T"]), int(sc.get("seed", 0)), int(sc.get("settle_window", 20))
 
     data = _training_data(sc, plant, Path(scenario_path).parent)
-    lifting = _lifting_from_doc(sc["lifting"], n_x=plant.n_x)
+    lifting = _lifting_from_doc(lifting_doc, n_x=plant.n_x)
     model = fit_edmd(data, lifting, ridge=float(sc.get("ridge", 1e-8)),
                      output_matrix=sc.get("output_matrix"))
     if "declared" in dist_doc:

@@ -6,12 +6,16 @@ a :class:`~koopmpc.sets.TighteningSchedule`.  The offset term ``s * ||C_y z_s
 - y_t||^2`` pulls the artificial target toward the requested reference while
 the tracking terms pull the trajectory toward the artificial target, which
 keeps the problem feasible even for unreachable or stepping references.
+
+A loop steps one :class:`TrackingProblem` with ``x0, report = shifted_candidate(problem,
+prev, x)`` and ``solve_step(problem, x, y_t, x0=x0)``: the shifted candidate is a
+decision vector of the same QP, so its margins are read off the QP's own rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,16 +75,15 @@ class KtmpcConfig:
 
 
 @dataclass(frozen=True)
-class SteadyTarget:
-    """A steady pair of the lifted model with its output and offset cost."""
+class _SteadyRecord:
+    """A steady input with its output and offset cost; subclasses add the state."""
 
-    z_s: np.ndarray
     u_s: np.ndarray
     y_s: np.ndarray
     offset_cost: float
 
     def __post_init__(self):
-        for name in ("z_s", "u_s", "y_s"):
+        for name in (f.name for f in fields(self) if f.name != "offset_cost"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
         if not (self.offset_cost >= 0.0):
             raise ValueError("offset_cost must be non-negative")
@@ -88,20 +91,17 @@ class SteadyTarget:
 
 
 @dataclass(frozen=True)
-class NonlinearSteadyTarget:
+class SteadyTarget(_SteadyRecord):
+    """A steady pair of the lifted model with its output and offset cost."""
+
+    z_s: np.ndarray
+
+
+@dataclass(frozen=True)
+class NonlinearSteadyTarget(_SteadyRecord):
     """Best steady pair of the true plant found by grid search."""
 
     x_s: np.ndarray
-    u_s: np.ndarray
-    y_s: np.ndarray
-    offset_cost: float
-
-    def __post_init__(self):
-        for name in ("x_s", "u_s", "y_s"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
-        if not (self.offset_cost >= 0.0):
-            raise ValueError("offset_cost must be non-negative")
-        object.__setattr__(self, "offset_cost", float(self.offset_cost))
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,27 @@ class _Layout:
     def z(self, j: int) -> slice:  # j = 1..N
         return slice(self._z0 + (j - 1) * self.n_z, self._z0 + j * self.n_z)
 
+    def split(self, x: np.ndarray):
+        """Views (u(0..N-1), z(1..N), z_s, u_s) of ``x``; writing to one writes to ``x``."""
+        return (
+            x[: self._z0].reshape(self.N, self.n_u),
+            x[self._z0 : self.z_s.start].reshape(self.N, self.n_z),
+            x[self.z_s],
+            x[self.u_s],
+        )
+
+
+def _inequality_blocks(model: KoopmanModel, schedule: TighteningSchedule, lay: _Layout):
+    """The tracking QP's inequality blocks in row order, as (set, columns, map into the
+    set's space): U~(0..N-1) on u(j), X~(1..N-1) on z(j), X~(N) on z_s, U~(N) on u_s."""
+    N = lay.N
+    for j in range(N):
+        yield schedule.input_sets[j], lay.u(j), None
+    for j in range(1, N):
+        yield schedule.state_sets[j], lay.z(j), model.C_x
+    yield schedule.state_sets[N], lay.z_s, model.C_x
+    yield schedule.input_sets[N], lay.u_s, None
+
 
 def _tracking_cost(config: KtmpcConfig, u_bar, z_bar, z_s, u_s) -> float:
     """Sum over j < N of ||z(j) - z_s||_Q^2 + ||u(j) - u_s||_R^2."""
@@ -227,7 +248,11 @@ def solve_steady_offline(
         raise Infeasible("no steady pair exists inside the terminal tightened sets")
     if sol.status != qps.OPTIMAL:
         raise qps.SolverFailed(f"steady-target QP ended with status {sol.status}")
-    z_s, u_s = sol.x_star[:n_z], sol.x_star[n_z:]
+    return _steady_target(model, s, sol.x_star[:n_z], sol.x_star[n_z:], y_t)
+
+
+def _steady_target(model: KoopmanModel, s: float, z_s, u_s, y_t) -> SteadyTarget:
+    """The pair (z_s, u_s) with its output ``C_y z_s`` and offset ``s ||C_y z_s - y_t||^2``."""
     return SteadyTarget(
         z_s=z_s,
         u_s=u_s,
@@ -324,23 +349,11 @@ def build_qp(
     A_eq[r, lay.z_s] = -np.eye(n_z)
 
     rows_A, rows_b = [], []
-
-    def add(normals: np.ndarray, offsets: np.ndarray, sl: slice, through=None):
-        block = np.zeros((normals.shape[0], lay.dim))
-        block[:, sl] = normals if through is None else normals @ through
+    for S, cols, through in _inequality_blocks(model, schedule, lay):
+        block = np.zeros((S.normals.shape[0], lay.dim))
+        block[:, cols] = S.normals if through is None else S.normals @ through
         rows_A.append(block)
-        rows_b.append(offsets)
-
-    for j in range(N):
-        Uj = schedule.input_sets[j]
-        add(Uj.normals, Uj.offsets, lay.u(j))
-    for j in range(1, N):
-        Xj = schedule.state_sets[j]
-        add(Xj.normals, Xj.offsets, lay.z(j), through=model.C_x)
-    X_N = schedule.state_sets[N]
-    add(X_N.normals, X_N.offsets, lay.z_s, through=model.C_x)
-    U_N = schedule.input_sets[N]
-    add(U_N.normals, U_N.offsets, lay.u_s)
+        rows_b.append(S.offsets)
 
     b_eq[0:n_z], q[lay.z_s] = _step_terms(model, config, lift(model, x_k), y_t)
     return qps.QuadraticProgram(
@@ -360,13 +373,18 @@ class TrackingProblem:
     :func:`build_qp` assembles it once; the solver factors its constant
     matrices on the first solve and keeps the factors on the QP. Each step
     then rewrites only ``b_eq[:n_z] = A psi(x_k)`` and
-    ``q[z_s] = -2 Q psi(x_k) - 2 s C_y' y_t``.
+    ``q[z_s] = -2 Q psi(x_k) - 2 s C_y' y_t``. ``block_starts`` holds the
+    first ``A_in`` row of each inequality block, in :func:`build_qp`'s order.
     """
 
     def __init__(self, model: KoopmanModel, config: KtmpcConfig, schedule: TighteningSchedule):
+        if any(S.offsets.size == 0 for S in (*schedule.state_sets, *schedule.input_sets)):
+            raise ValueError("every set of the tightening schedule needs at least one row")
         self.model, self.config, self.schedule = model, config, schedule
         self.layout = _Layout(config.N, model.n_z, model.n_u)
         self.qp = build_qp(model, config, schedule, np.zeros(model.n_x), np.zeros(model.n_y))
+        rows = [S.offsets.size for S, _, _ in _inequality_blocks(model, schedule, self.layout)]
+        self.block_starts = np.cumsum([0] + rows[:-1])
 
     def at(self, z0, y_t) -> qps.QuadraticProgram:
         """The QP at lifted state ``z0`` and reference ``y_t``, updated in place."""
@@ -377,18 +395,13 @@ class TrackingProblem:
 
 
 def solve_step(
-    problem: TrackingProblem,
-    x_k,
-    y_t,
-    warm_start: KtmpcSolution | None = None,
-    candidate: tuple | None = None,
+    problem: TrackingProblem, x_k, y_t, x0: np.ndarray | None = None
 ) -> tuple[np.ndarray, KtmpcSolution]:
     """Solve the tracking QP of ``problem`` at ``x_k`` and return the first
     input to apply.
 
-    ``candidate`` is what :func:`shifted_candidate` returns for
-    ``warm_start`` at ``x_k``, for a caller that already has it; without it
-    it is built here.
+    ``x0`` is a decision vector of the QP to warm-start from, such as the
+    one :func:`shifted_candidate` builds from the previous step's optimum.
     """
     model, config, schedule = problem.model, problem.config, problem.schedule
     x_k = _as_vector(x_k, model.n_x, "x_k")
@@ -397,35 +410,15 @@ def solve_step(
     if m0 < -_MARGIN_TOL:
         raise Infeasible(f"measured state violates the initial tightened set by {-m0:.3g}")
     z0 = lift(model, x_k)
-
-    x0 = None
-    if warm_start is not None:
-        if candidate is None:
-            candidate = shifted_candidate(warm_start, model, config, x_k, schedule)
-        u_c, z_c, _ = candidate
-        x0 = np.concatenate(
-            [u_c.ravel(), z_c[1:].ravel(), warm_start.target.z_s, warm_start.target.u_s]
-        )
-
     sol = qps.solve(problem.at(z0, y_t), tol=1e-8, max_iter=2000, x0=x0)
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("tracking QP is primal infeasible")
     if sol.status != qps.OPTIMAL:
         raise qps.SolverFailed(f"tracking QP ended with status {sol.status}")
 
-    N, n_z, n_u = config.N, model.n_z, model.n_u
-    lay = problem.layout
-    u_bar = sol.x_star[: N * n_u].reshape(N, n_u)
-    z_tail = sol.x_star[lay._z0 : lay._z0 + N * n_z].reshape(N, n_z)
+    u_bar, z_tail, z_s, u_s = problem.layout.split(sol.x_star)
     z_bar = np.vstack([z0[None, :], z_tail])
-    z_s = sol.x_star[lay.z_s]
-    u_s = sol.x_star[lay.u_s]
-    target = SteadyTarget(
-        z_s=z_s,
-        u_s=u_s,
-        y_s=model.C_y @ z_s,
-        offset_cost=config.s * float(np.sum((model.C_y @ z_s - y_t) ** 2)),
-    )
+    target = _steady_target(model, config.s, z_s, u_s, y_t)
     total = _tracking_cost(config, u_bar, z_bar, z_s, u_s) + target.offset_cost
     solution = KtmpcSolution(
         u_bar=u_bar, z_bar=z_bar, target=target, total_cost=total, qp_status=sol.status
@@ -441,54 +434,46 @@ def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:
 
 
 def shifted_candidate(
-    prev: KtmpcSolution,
-    model: KoopmanModel,
-    config: KtmpcConfig,
-    x_next,
-    schedule: TighteningSchedule,
-) -> tuple[np.ndarray, np.ndarray, FeasibilityReport]:
-    """One-step-shifted candidate built from the previous optimum.
+    problem: TrackingProblem, prev: KtmpcSolution, x_next
+) -> tuple[np.ndarray, FeasibilityReport]:
+    """One-step-shifted candidate built from the previous optimum, as a
+    decision vector ``x_c`` of ``problem``'s QP; returns ``(x_c, report)``.
 
     The candidate tracks the shifted previous trajectory under the tube gain
     ``K = config.K``, ``u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1))``, finishing
     with the previous steady input; the previous steady pair is reused as the
     candidate target.
-    The report gives the worst margin of every constraint of the tracking QP
-    against the tightened schedule (j-indexed sets), plus the terminal defect
-    ``||z_c(N) - z_s||_inf``, which is zero only in the disturbance-free case.
+    The report gives the worst margin of every constraint against the tightened
+    schedule, read off the QP's own rows block by block (X~(0) has no row and is
+    checked alone), and the terminal defect ``||z_c(N) - z_s||_inf``, which is
+    zero only in the disturbance-free case.
     """
+    model, K, N = problem.model, problem.config.K, problem.config.N
     x_next = _as_vector(x_next, model.n_x, "x_next")
-    K, N = config.K, config.N
-    z_c = np.zeros((N + 1, model.n_z))
-    u_c = np.zeros((N, model.n_u))
-    z_c[0] = lift(model, x_next)
+    x_c = np.empty(problem.layout.dim)
+    u_c, z_c, z_s, u_s = problem.layout.split(x_c)
+    z = lift(model, x_next)
+    m0 = _poly_margin(problem.schedule.state_sets[0], model.C_x @ z)
     for j in range(N - 1):
-        u_c[j] = prev.u_bar[j + 1] + K @ (z_c[j] - prev.z_bar[j + 1])
-        z_c[j + 1] = model.A @ z_c[j] + model.B @ u_c[j]
+        u_c[j] = prev.u_bar[j + 1] + K @ (z - prev.z_bar[j + 1])
+        z = z_c[j] = model.A @ z + model.B @ u_c[j]
     u_c[N - 1] = prev.target.u_s
-    z_c[N] = model.A @ z_c[N - 1] + model.B @ u_c[N - 1]
+    z_c[N - 1] = model.A @ z + model.B @ u_c[N - 1]
+    z_s[:] = prev.target.z_s
+    u_s[:] = prev.target.u_s
 
-    state_margins = np.array(
-        [_poly_margin(schedule.state_sets[j], model.C_x @ z_c[j]) for j in range(N)]
-    )
-    input_margins = np.array(
-        [_poly_margin(schedule.input_sets[j], u_c[j]) for j in range(N)]
-    )
-    steady_state = _poly_margin(schedule.state_sets[N], model.C_x @ prev.target.z_s)
-    steady_input = _poly_margin(schedule.input_sets[N], prev.target.u_s)
-    min_margin = float(
-        min(state_margins.min(), input_margins.min(), steady_state, steady_input)
-    )
+    blocks = np.minimum.reduceat(problem.qp.b_in - problem.qp.A_in @ x_c, problem.block_starts)
+    min_margin = float(min(m0, blocks.min()))
     report = FeasibilityReport(
-        state_margins=state_margins,
-        input_margins=input_margins,
-        steady_state_margin=steady_state,
-        steady_input_margin=steady_input,
-        terminal_gap=float(np.max(np.abs(z_c[N] - prev.target.z_s))),
+        state_margins=np.concatenate([[m0], blocks[N : 2 * N - 1]]),
+        input_margins=blocks[:N],
+        steady_state_margin=float(blocks[2 * N - 1]),
+        steady_input_margin=float(blocks[2 * N]),
+        terminal_gap=float(np.max(np.abs(z_c[N - 1] - prev.target.z_s))),
         min_margin=min_margin,
         feasible=bool(min_margin >= -_MARGIN_TOL),
     )
-    return u_c, z_c, report
+    return x_c, report
 
 
 def segment_inequality_check(y_s_star, y_sr_tilde, y_t, s: float, sigma_samples) -> bool:

@@ -25,7 +25,7 @@ from .controller import (
     solve_steady_offline,
     solve_step,
 )
-from .model import DisturbanceModel, KoopmanModel, TrajectoryData, lift
+from .model import DisturbanceModel, KoopmanModel, TrajectoryData
 from .sets import CONTAINS_TOL, TighteningSchedule, Zonotope, margin, sample
 
 
@@ -196,7 +196,6 @@ class SimLog:
 
     k: np.ndarray = _column(dtype=int)
     x: np.ndarray = _column("n_x")
-    z: np.ndarray = _column("n_z")
     u: np.ndarray = _column("n_u")
     y: np.ndarray = _column("n_y")
     y_t: np.ndarray = _column("n_y")
@@ -216,8 +215,8 @@ class SimLog:
     halted_at: int | None = None
 
     @classmethod
-    def empty(cls, n_x: int, n_u: int, n_y: int, n_z: int, n_w: int, n_v: int) -> "SimLog":
-        widths = {"n_x": n_x, "n_u": n_u, "n_y": n_y, "n_z": n_z, "n_w": n_w, "n_v": n_v}
+    def empty(cls, n_x: int, n_u: int, n_y: int, n_w: int, n_v: int) -> "SimLog":
+        widths = {"n_x": n_x, "n_u": n_u, "n_y": n_y, "n_w": n_w, "n_v": n_v}
 
         def column(f):
             width = f.metadata["width"]
@@ -276,20 +275,17 @@ def run_closed_loop(
     for k in range(T):
         y_t, _ = cursor.advance(k, position=plant.C @ x)
         y = plant.C @ x
-        cand_margin = np.nan
-        candidate = None
-        if prev is not None:
-            candidate = shifted_candidate(prev, model, config, x, schedule)
-            cand_margin = candidate[2].min_margin
+        x_c, report = (None, None) if prev is None else shifted_candidate(problem, prev, x)
+        cand_margin = np.nan if report is None else report.min_margin
         try:
             key = y_t.tobytes()
             if key not in offline_cache:
                 offline_cache[key] = solve_steady_offline(model, schedule, y_t, config.s)
             offline = offline_cache[key]
-            u_k, sol = solve_step(problem, x, y_t, warm_start=prev, candidate=candidate)
+            u_k, sol = solve_step(problem, x, y_t, x0=x_c)
         except Infeasible:
             rows.append(
-                k=k, x=x, z=lift(model, x), u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,
+                k=k, x=x, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,
                 y_s=np.full(model.n_y, np.nan), u_s=np.full(plant.n_u, np.nan),
                 y_sr=np.full(model.n_y, np.nan), J_N=np.nan, V1=np.nan, V2=np.nan,
                 feasible=False, margin_min=cand_margin,
@@ -300,7 +296,7 @@ def run_closed_loop(
         diag = diagnostics(sol, offline)
         x_next, _, w, v = step_plant(plant, x, u_k, rng=rng, W=W, V=V)
         rows.append(
-            k=k, x=x, z=sol.z_bar[0], u=u_k, y=y, y_t=y_t, y_s=sol.target.y_s, u_s=sol.target.u_s,
+            k=k, x=x, u=u_k, y=y, y_t=y_t, y_s=sol.target.y_s, u_s=sol.target.u_s,
             y_sr=offline.y_s, J_N=sol.total_cost, V1=diag.V1, V2=diag.V2, feasible=True,
             margin_min=cand_margin, state_margin=margin(schedule.state_sets[0], x),
             input_margin=margin(schedule.input_sets[0], u_k), w_inj=w, v_inj=v,

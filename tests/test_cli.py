@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from koopmpc import controller, sim
 from koopmpc import qp as qp_module
 from koopmpc.cli import main
 from koopmpc.model import load_model, save_trajectories
@@ -215,11 +214,30 @@ def scenario_with_key(tmp_path, block, key):
     ("constraints", "output"),
     ("references", "waypoint"),
     ("steady_grid", "xpoints"),
+    ("lifting", "parms"),
+    ("lifting.params", "max_degree"),  # a key of the polynomial kind, on an explicit lifting
+    ("disturbance.declared.W", "radius"),
+    ("constraints.state", "mid"),
 ])
 def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
     scenario = scenario_with_key(tmp_path, block, key)
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
     assert f"unknown {block} key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"injected": {"W": {"center": [0.0, 0.0, 0.0], "half_extents": [0.1, 0.1, 0.1],
+                         "generators": [[0.1], [0.1], [0.1]]},
+                   "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}},
+     "injected.W must give exactly one of 'half_extents' or 'generators'"),
+    ({"constraints": {"state": {"lo": [-5.0, -5.0], "hi": [5.0, 5.0, 5.0]},
+                      "input": {"lo": [-3.0], "hi": [3.0]}}},
+     "constraints.state.hi must list 2 numbers"),
+], ids=["injected.W-two-generator-forms", "constraints.state.hi-length"])
+def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, named):
+    scenario = base_scenario(tmp_path, **overrides)
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid, named", [
@@ -260,29 +278,6 @@ def test_simulate_deterministic_flag_idempotent(tmp_path):
     assert main(["simulate", str(scenario), "--out", str(out2), "--deterministic"]) == 0
     assert (out1 / "log_seed0.csv").read_bytes() == (out2 / "log_seed0.csv").read_bytes()
     assert (out1 / "metrics_seed0.json").read_bytes() == (out2 / "metrics_seed0.json").read_bytes()
-
-
-def test_precomputed_candidate_leaves_a2_log_unchanged(tmp_path, monkeypatch):
-    # The closed loop hands solve_step the shifted candidate it already built
-    # for the margin column; solve_step building its own must give the same
-    # bytes.
-    scenario = SCENARIOS / "a2.json"
-    passed = []
-
-    def own_candidate(*args, candidate=None, **kwargs):
-        passed.append(candidate is not None)
-        return controller.solve_step(*args, **kwargs)
-
-    assert main(["simulate", str(scenario), "--out", str(tmp_path / "given"),
-                 "--deterministic"]) == 0
-    monkeypatch.setattr(sim, "solve_step", own_candidate)
-    assert main(["simulate", str(scenario), "--out", str(tmp_path / "own"),
-                 "--deterministic"]) == 0
-    assert sum(passed) == len(passed) - 1  # every step but the first is warm
-    logs = sorted(p.name for p in (tmp_path / "given").glob("log_seed*.csv"))
-    assert logs
-    for name in logs:
-        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
 
 def test_simulate_seed_fanout(tmp_path):

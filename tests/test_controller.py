@@ -323,7 +323,8 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
     prev = None
     problem = TrackingProblem(model, config, schedule)
     for _ in range(40):
-        u_k, sol = solve_step(problem, x, y_t, warm_start=prev)
+        x0 = None if prev is None else shifted_candidate(problem, prev, x)[0]
+        u_k, sol = solve_step(problem, x, y_t, x0=x0)
         d = diagnostics(sol, offline)
         costs.append(sol.total_cost)
         v1s.append(d.V1)
@@ -347,7 +348,8 @@ def test_warm_start_matches_cold_start():
     u_k, prev = solve_step(problem, x, y_t=[2.0])
     x_next = nominal_step(model, x, u_k)
     _, cold = solve_step(problem, x_next, y_t=[2.0])
-    _, warm = solve_step(problem, x_next, y_t=[2.0], warm_start=prev)
+    x0, _ = shifted_candidate(problem, prev, x_next)
+    _, warm = solve_step(problem, x_next, y_t=[2.0], x0=x0)
     assert warm.total_cost == pytest.approx(cold.total_cost, abs=1e-8)
     assert np.allclose(warm.u_bar, cold.u_bar, atol=1e-6)
 
@@ -357,9 +359,12 @@ def test_warm_start_matches_cold_start():
 def test_shifted_candidate_nominal_margins():
     model, config, schedule = make_setup(N=5)
     x = np.array([0.0, -1.0])
-    u_k, sol = solve_step(TrackingProblem(model, config, schedule), x, y_t=[1.0])
+    problem = TrackingProblem(model, config, schedule)
+    u_k, sol = solve_step(problem, x, y_t=[1.0])
     x_next = nominal_step(model, x, u_k)
-    u_c, z_c, report = shifted_candidate(sol, model, config, x_next, schedule)
+    x_c, report = shifted_candidate(problem, sol, x_next)
+    u_c, z_tail, _, _ = problem.layout.split(x_c)
+    z_c = np.vstack([lift(model, x_next), z_tail])
     assert isinstance(report, FeasibilityReport)
     assert report.min_margin >= -1e-9
     assert report.feasible
@@ -381,11 +386,12 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
     prev = None
     problem = TrackingProblem(model, config, schedule)
     for _ in range(20):
-        u_k, sol = solve_step(problem, x, y_t, warm_start=prev)
+        x0 = None if prev is None else shifted_candidate(problem, prev, x)[0]
+        u_k, sol = solve_step(problem, x, y_t, x0=x0)
         z = lift(model, x)
         w = np.array([0.0, rng.uniform(-0.1, 0.1), 0.0])
         x = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + w)
-        _, _, report = shifted_candidate(sol, model, config, x, schedule)
+        _, report = shifted_candidate(problem, sol, x)
         assert report.min_margin >= -1e-9, report
         prev = sol
     # The applied disturbance moves the candidate off the terminal equality.
@@ -395,12 +401,13 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
 def test_shifted_candidate_detects_excess_disturbance():
     model, config, schedule = make_setup(N=4)
     x = np.array([0.0, 2.8])
-    u_k, sol = solve_step(TrackingProblem(model, config, schedule), x, y_t=[2.8])
+    problem = TrackingProblem(model, config, schedule)
+    u_k, sol = solve_step(problem, x, y_t=[2.8])
     # A process disturbance far beyond the declared (zero) set pushes the
     # successor state outside the tightened initial set.
     z = lift(model, x)
     x_bad = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + np.array([0.0, 3.0, 0.0]))
-    _, _, report = shifted_candidate(sol, model, config, x_bad, schedule)
+    _, report = shifted_candidate(problem, sol, x_bad)
     assert report.min_margin < 0
     assert not report.feasible
 

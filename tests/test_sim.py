@@ -274,7 +274,7 @@ def test_tracking_metrics_nominal():
 
 def test_tracking_metrics_empty_log():
     with pytest.raises(ValueError):
-        tracking_metrics(SimLog.empty(n_x=2, n_u=1, n_y=1, n_z=3, n_w=3, n_v=2), 10)
+        tracking_metrics(SimLog.empty(n_x=2, n_u=1, n_y=1, n_w=3, n_v=2), 10)
 
 
 def _log_with_margins(state_margin):
@@ -282,7 +282,7 @@ def _log_with_margins(state_margin):
     n = 3
     col = lambda v: np.full((n, 1), float(v))
     return SimLog(
-        k=np.arange(n), x=np.zeros((n, 2)), z=np.zeros((n, 3)), u=np.zeros((n, 1)),
+        k=np.arange(n), x=np.zeros((n, 2)), u=np.zeros((n, 1)),
         y=col(1.0), y_t=col(1.0), y_s=col(1.0), u_s=col(0.0), y_sr=col(1.0),
         J_N=np.zeros(n), V1=np.zeros(n), V2=np.zeros(n),
         feasible=np.ones(n, dtype=bool), margin_min=np.zeros(n),
