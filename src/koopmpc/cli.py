@@ -85,7 +85,8 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _zonotope_from_doc(doc: dict, what: str) -> Zonotope:
+def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
+    """The ``dim``-dimensional zonotope of ``doc``; every error names ``what``."""
     _check_keys(doc, {"center", "half_extents", "generators"}, what)
     if ("half_extents" in doc) == ("generators" in doc):
         raise ValueError(f"{what} must give exactly one of 'half_extents' or 'generators'")
@@ -97,7 +98,13 @@ def _zonotope_from_doc(doc: dict, what: str) -> Zonotope:
             gens = np.asarray(doc["generators"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{what} needs 'center' and 'half_extents' or 'generators'") from exc
-    return Zonotope(center=center, generators=gens)
+    try:
+        Z = Zonotope(center=center, generators=gens)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    if Z.dim != dim:
+        raise ValueError(f"{what} must be {dim}-dimensional, got {Z.dim}")
+    return Z
 
 
 def _weight(value, n: int, what: str) -> np.ndarray:
@@ -153,7 +160,10 @@ def _box_from_doc(doc, n: int, what: str):
     for key in ("lo", "hi"):
         if not (isinstance(doc.get(key), list) and len(doc[key]) == n):
             raise ValueError(f"{what}.{key} must list {n} numbers, got {doc.get(key)!r}")
-    return box_polytope(doc["lo"], doc["hi"])
+    try:
+        return box_polytope(doc["lo"], doc["hi"])
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
@@ -169,8 +179,8 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
         plant,
         n_traj=int(gen["n_traj"]),
         traj_len=int(gen["traj_len"]),
-        input_box=_zonotope_from_doc(gen["input_box"], "data.generate.input_box"),
-        state_box=_zonotope_from_doc(gen["state_box"], "data.generate.state_box"),
+        input_box=_zonotope_from_doc(gen["input_box"], "data.generate.input_box", plant.n_u),
+        state_box=_zonotope_from_doc(gen["state_box"], "data.generate.state_box", plant.n_x),
         seed=int(gen.get("seed", 0)),
     )
 
@@ -242,21 +252,36 @@ def build_stack(scenario_path) -> Stack:
     lqr_doc = cfg_doc.get("lqr", {})
     _check_keys(lqr_doc, _LQR_KEYS, "controller.lqr")
     plant = _build_plant(sc["plant"])
+    lifting_doc = sc["lifting"]
+    _check_keys(lifting_doc, {"kind", "params"}, "lifting")
+    kind_params = _LIFTING_PARAMS.get(lifting_doc.get("kind"))  # LiftingSpec rejects the rest
+    if kind_params is not None:
+        _check_keys(lifting_doc.get("params"), kind_params, "lifting.params")
+    lifting = _lifting_from_doc(lifting_doc, n_x=plant.n_x)
 
-    def noise(doc, what) -> DisturbanceModel:
+    def noise(doc, what, n_w) -> DisturbanceModel:
+        """W is n_w-dimensional and the measurement noise V acts on the state."""
         _check_keys(doc, {"W", "V"}, what)
         return DisturbanceModel(
-            W=_zonotope_from_doc(doc["W"], f"{what}.W"),
-            V=_zonotope_from_doc(doc["V"], f"{what}.V"),
+            W=_zonotope_from_doc(doc["W"], f"{what}.W", n_w),
+            V=_zonotope_from_doc(doc["V"], f"{what}.V", plant.n_x),
         )
 
+    # The plant's injected disturbance lives in its exact lifted coordinates,
+    # so a plant without an exact lifting takes none (see sim.step_plant).
+    injected = None
+    if sc.get("injected") is not None:
+        if plant.A_lift is None:
+            raise ValueError(f"injected: the {plant.kind} plant takes no injected disturbance")
+        injected = noise(sc["injected"], "injected", plant.A_lift.shape[0])
     dist_doc = sc.get("disturbance")
     if not isinstance(dist_doc, dict) or ("declared" in dist_doc) == ("estimate" in dist_doc):
         raise ValueError("scenario 'disturbance' must give exactly one of 'declared' or 'estimate'")
     _check_keys(dist_doc, {"declared", "estimate"}, "disturbance")
     if "estimate" in dist_doc:
         _check_keys(dist_doc["estimate"], {"inflation"}, "disturbance.estimate")
-    injected = None if sc.get("injected") is None else noise(sc["injected"], "injected")
+    else:
+        disturbance = noise(dist_doc["declared"], "disturbance.declared", lifting.n_z)
     refs_doc = sc.get("references")
     if isinstance(refs_doc, dict) and "timed" in refs_doc:
         _check_keys(refs_doc, {"timed"}, "references")
@@ -273,21 +298,15 @@ def build_stack(scenario_path) -> Stack:
     X = _box_from_doc(con["state"], plant.n_x, "constraints.state")
     U = _box_from_doc(con["input"], plant.n_u, "constraints.input")
     grid = _grid_from_scenario(sc, plant)
-    lifting_doc = sc["lifting"]
-    _check_keys(lifting_doc, {"kind", "params"}, "lifting")
-    kind_params = _LIFTING_PARAMS.get(lifting_doc.get("kind"))  # LiftingSpec rejects the rest
-    if kind_params is not None:
-        _check_keys(lifting_doc.get("params"), kind_params, "lifting.params")
     x0 = None if sc.get("x0") is None else np.asarray(sc["x0"], dtype=float)
+    if x0 is not None and x0.shape != (plant.n_x,):
+        raise ValueError(f"x0 must list {plant.n_x} numbers, got {sc['x0']!r}")
     T, seed, settle_window = int(sc["T"]), int(sc.get("seed", 0)), int(sc.get("settle_window", 20))
 
     data = _training_data(sc, plant, Path(scenario_path).parent)
-    lifting = _lifting_from_doc(lifting_doc, n_x=plant.n_x)
     model = fit_edmd(data, lifting, ridge=float(sc.get("ridge", 1e-8)),
                      output_matrix=sc.get("output_matrix"))
-    if "declared" in dist_doc:
-        disturbance = noise(dist_doc["declared"], "disturbance.declared")
-    else:
+    if "estimate" in dist_doc:
         inflation = float(dist_doc["estimate"].get("inflation", 1.0))
         disturbance = estimate_disturbance_sets(model, data, inflation=inflation)
     N = int(cfg_doc["N"])

@@ -410,7 +410,7 @@ def solve_step(
     if m0 < -_MARGIN_TOL:
         raise Infeasible(f"measured state violates the initial tightened set by {-m0:.3g}")
     z0 = lift(model, x_k)
-    sol = qps.solve(problem.at(z0, y_t), tol=1e-8, max_iter=2000, x0=x0)
+    sol = qps.solve(problem.at(z0, y_t), max_iter=2000, x0=x0)
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("tracking QP is primal infeasible")
     if sol.status != qps.OPTIMAL:

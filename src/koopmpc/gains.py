@@ -48,13 +48,9 @@ class GainResult:
             raise ValueError("riccati_P must be positive definite") from None
 
 
-def spectral_radius(M: np.ndarray, tol: float = 1e-8) -> float:
-    """Largest eigenvalue modulus of a square matrix.
-
-    Evaluated through the dense eigenvalue decomposition (Hessenberg reduction
-    followed by QR iteration), which meets the `tol` accuracy contract with a
-    wide margin on well-conditioned matrices.
-    """
+def spectral_radius(M: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a square matrix, through the dense
+    eigenvalue decomposition (Hessenberg reduction followed by QR iteration)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")

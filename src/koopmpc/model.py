@@ -411,13 +411,20 @@ def _lifting_to_doc(spec: LiftingSpec) -> dict:
 
 
 def _lifting_from_doc(doc: dict, n_x: int) -> LiftingSpec:
-    params = doc["params"]
-    common = {"kind": doc["kind"], "n_x": n_x, "pre": params.get("pre", "identity")}
-    if doc["kind"] == "polynomial":
-        return LiftingSpec(**common, max_degree=params["max_degree"])
-    if doc["kind"] == "explicit":
-        return LiftingSpec(**common, exponents=np.array(params["exponents"], dtype=int))
-    return LiftingSpec(**common, centers=params["centers"], width=params["width"])
+    """The lifting of a ``{"kind", "params"}`` document. A missing parameter
+    raises ValueError naming it; LiftingSpec rejects an unknown kind."""
+    kind, params = doc.get("kind"), doc.get("params", {})
+    common = {"kind": kind, "n_x": n_x, "pre": params.get("pre", "identity")}
+    try:
+        if kind == "polynomial":
+            return LiftingSpec(**common, max_degree=params["max_degree"])
+        if kind == "explicit":
+            return LiftingSpec(**common, exponents=np.array(params["exponents"], dtype=int))
+        if kind == "rbf":
+            return LiftingSpec(**common, centers=params["centers"], width=params["width"])
+    except KeyError as exc:
+        raise ValueError(f"lifting.params of kind {kind!r} needs key {exc}") from None
+    return LiftingSpec(**common)
 
 
 def save_model(model: KoopmanModel, path) -> None:

@@ -19,12 +19,12 @@ each added row builds anyway (as in Goldfarb & Idnani, 1983, the Hessian is
 factored once and only the working rows' factor changes). A singular Z'PZ is
 handled by an eigendecomposition on the working rows' complement instead.
 
-A warm start is projected onto the equalities, then the inequality rows it
-violates are held at their bounds by minimum-norm steps in the null space; the
-held rows, active there, seed the working set. A feasible start is otherwise
-produced by a phase-1 linear program (HiGHS), whose optimal slack also
-certifies primal infeasibility. Pure linear programs (P = 0) are dispatched to
-HiGHS directly.
+A warm start is projected onto the equalities, then the rows it violates are
+held at their bounds by the correction of least P-norm, taken from the working
+set's own factor; the held rows are the iterations' first working set. A
+feasible start is otherwise produced by a phase-1 linear program (HiGHS), whose
+optimal slack also certifies primal infeasibility. Pure linear programs (P = 0)
+are dispatched to HiGHS directly.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ PRIMAL_INFEASIBLE = "PrimalInfeasible"
 MAX_ITERATIONS = "MaxIterations"
 
 _FEAS_TOL = 1e-9
+_MULT_TOL = 1e-8  # optimal once every working-row multiplier is >= -_MULT_TOL
 
 
 class NonConvex(Exception):
@@ -184,25 +185,21 @@ class _Factors:
 
     Z is an orthonormal basis of the null space of A_eq, and A_eq_pinv its
     pseudo-inverse, whose product with r is the minimum-norm solution of
-    A_eq x = r (and whose transpose solves A_eq' nu = r the same way). AZ =
-    A_in Z holds the reduced inequality rows, on which the feasibility
-    projection takes its minimum-norm steps.
+    A_eq x = r (and whose transpose solves A_eq' nu = r the same way).
 
-    The iterations use the basis Y = Z L^-T of the same null space, where
-    Z'PZ = LL' is the Cholesky factorization of the reduced Hessian, so that
-    Y'PY = I, and the rows AY = A_in Y. H is None then; when Z'PZ is singular
-    (its factorization fails, or a pivot falls below 1e-11 of its largest
-    diagonal entry) H = Z'PZ and Y = Z. tol_Z and tol_Y are the tolerances
-    below which a row of AZ or AY counts as dependent: 1e-10 of the norm of
-    the full row, scaled for AY by how Y stretches the reduced row."""
+    The projection and the iterations use the basis Y = Z L^-T of the same
+    null space, where Z'PZ = LL' is the Cholesky factorization of the reduced
+    Hessian, so that Y'PY = I, and the rows AY = A_in Y. H is None then; when
+    Z'PZ is singular (its factorization fails, or a pivot falls below 1e-11 of
+    its largest diagonal entry) H = Z'PZ and Y = Z. tol_Y is the tolerance
+    below which a row of AY counts as dependent: 1e-10 of the norm of the
+    full row, scaled by how Y stretches the reduced row A_in Z."""
 
     Z: np.ndarray
     A_eq_pinv: np.ndarray
-    AZ: np.ndarray
     Y: np.ndarray
     AY: np.ndarray
     H: np.ndarray | None
-    tol_Z: np.ndarray
     tol_Y: np.ndarray
 
 
@@ -224,16 +221,16 @@ def _factor(qp: QuadraticProgram) -> _Factors:
         Y, H = solve_triangular(L, Z.T, lower=True).T, None
     except np.linalg.LinAlgError:
         Y = Z
-    AZ, AY = qp.A_in @ Z, qp.A_in @ Y
-    tol_Z = 1e-10 * np.linalg.norm(qp.A_in, axis=1)
-    norm_Z = np.linalg.norm(AZ, axis=1)
-    tol_Y = np.divide(tol_Z * np.linalg.norm(AY, axis=1), norm_Z, out=np.zeros_like(tol_Z),
+    AY = qp.A_in @ Y
+    tol = 1e-10 * np.linalg.norm(qp.A_in, axis=1)
+    norm_Z = np.linalg.norm(qp.A_in @ Z, axis=1)
+    tol_Y = np.divide(tol * np.linalg.norm(AY, axis=1), norm_Z, out=np.zeros_like(tol),
                       where=norm_Z > 0)
-    return _Factors(Z=Z, A_eq_pinv=A_eq_pinv, AZ=AZ, Y=Y, AY=AY, H=H, tol_Z=tol_Z, tol_Y=tol_Y)
+    return _Factors(Z=Z, A_eq_pinv=A_eq_pinv, Y=Y, AY=AY, H=H, tol_Y=tol_Y)
 
 
 def _phase1(qp: QuadraticProgram, f: _Factors):
-    """Feasible point, or None when infeasibility is certified."""
+    """A feasible point and an empty working set, or None if certified infeasible."""
     d = qp.dim
     if qp.A_in.shape[0] == 0:
         return _project(qp, f, np.zeros(d))
@@ -258,25 +255,25 @@ def _phase1(qp: QuadraticProgram, f: _Factors):
         raise SolverFailed(f"phase-1 LP failed: {res.message}")
     if res.x[-1] > _FEAS_TOL:
         return None  # certified: even the minimal constraint violation is positive
-    return np.asarray(res.x[:d], dtype=float)
+    return np.asarray(res.x[:d], dtype=float), _WorkingSet(f.AY, f.tol_Y)
 
 
 def _project(qp: QuadraticProgram, f: _Factors, x: np.ndarray):
-    """Move x onto the feasible set, or return None.
+    """Move x onto the feasible set: return (x, working), or None.
 
-    The minimum-norm correction puts x on the equality manifold. While an
-    inequality row is violated, the violated rows join the held rows, and a
-    minimum-norm step v in the null space of A_eq, solving
-    (A_in Z)[held] v = b_in[held] - A_in[held] x, puts every held row at its
-    bound, so the held rows are active at the returned point and enter the
-    initial working set. None means the equalities are inconsistent or the
-    held rows became dependent; the caller then falls back to phase 1.
+    The minimum-norm correction puts x on the equality manifold. While a row
+    is violated, the violated rows join the working set, and with its factor
+    AY[held] = R'Q the step w = Q'R'^-1 (b_in - A_in x)[held] puts every held
+    row at its bound: the least-norm step in the basis Y, so x + Y w is the
+    correction of least P-norm (Euclidean when Y = Z). None means the
+    equalities are inconsistent or a held row became dependent; the caller
+    then falls back to phase 1.
     """
     if qp.A_eq.shape[0]:
         x = x + f.A_eq_pinv @ (qp.b_eq - qp.A_eq @ x)
         if np.max(np.abs(qp.A_eq @ x - qp.b_eq)) > 1e-8:
             return None
-    working = _WorkingSet(f.AZ, f.tol_Z)
+    working = _WorkingSet(f.AY, f.tol_Y)
     while qp.A_in.shape[0]:
         violated = np.flatnonzero(qp.A_in @ x - qp.b_in > _FEAS_TOL)
         if violated.size == 0:
@@ -284,10 +281,10 @@ def _project(qp: QuadraticProgram, f: _Factors, x: np.ndarray):
         for i in violated:
             if not working.add(i):
                 return None
-        held = working.index
-        v = np.linalg.lstsq(f.AZ[held], qp.b_in[held] - qp.A_in[held] @ x, rcond=None)[0]
-        x = x + f.Z @ v
-    return x
+        Q, R = working.factors()
+        r = qp.b_in[working.index] - qp.A_in[working.index] @ x
+        x = x + f.Y @ (Q.T @ dtrtrs(R, r, trans=1)[0])
+    return x, working
 
 
 class _WorkingSet:
@@ -377,19 +374,19 @@ def _eqp_direction(f: _Factors, working: _WorkingSet, g: np.ndarray):
     return W @ (evecs @ v), None, False
 
 
-def _active_set(qp, f, x, tol, max_iter):
+def _active_set(qp, f, x, working, max_iter):
     """Primal active-set iterations in the null space of A_eq, from the
-    feasible point x. Returns (x, lam, status, iterations, working).
-
-    The gradient g = Y'(Px + q) and the slacks b_in - A_in x are updated
-    along each step, so the full-space products run once per solve."""
+    feasible point x and the working set its start holds, which the other rows
+    at their bounds join in index order. Returns (x, lam, status, iterations,
+    working). The gradient g = Y'(Px + q) and the slacks b_in - A_in x are
+    updated along each step, so the full-space products run once per solve."""
     m_i = qp.A_in.shape[0]
     Y, AY = f.Y, f.AY
     slack = qp.b_in - qp.A_in @ x
     g = Y.T @ (qp.P @ x + qp.q)
-    working = _WorkingSet(AY, f.tol_Y)
     for i in np.flatnonzero(slack <= 1e-9):
-        working.add(i)
+        if i not in working.index:
+            working.add(i)
 
     status = MAX_ITERATIONS
     iterations = 0
@@ -437,7 +434,7 @@ def _active_set(qp, f, x, tol, max_iter):
         # computed steps never drop below the zero-direction threshold.
         if lam_w is None:
             lam_w = working.multipliers(g)
-        if lam_w.size == 0 or np.min(lam_w) >= -tol:
+        if lam_w.size == 0 or np.min(lam_w) >= -_MULT_TOL:
             lam[working.index] = np.maximum(lam_w, 0.0)
             status = OPTIMAL
             break
@@ -447,7 +444,6 @@ def _active_set(qp, f, x, tol, max_iter):
 
 def solve(
     qp: QuadraticProgram,
-    tol: float = 1e-8,
     max_iter: int = 500,
     x0: np.ndarray | None = None,
 ) -> QpSolution:
@@ -465,12 +461,12 @@ def solve(
         return _solve_lp(qp)
 
     f = qp.factors
-    x = None
+    start = None
     if x0 is not None:
-        x = _project(qp, f, np.array(x0, dtype=float).ravel())
-    if x is None:
-        x = _phase1(qp, f)
-        if x is None:
+        start = _project(qp, f, np.array(x0, dtype=float).ravel())
+    if start is None:
+        start = _phase1(qp, f)
+        if start is None:
             return QpSolution(
                 x_star=np.full(qp.dim, np.nan),
                 objective=np.nan,
@@ -478,12 +474,7 @@ def solve(
                 kkt_residuals={},
             )
 
-    if f.Z.shape[1]:
-        x, lam, status, iterations, working = _active_set(qp, f, x, tol, max_iter)
-    else:
-        # A_eq has full column rank: the feasible x is the only feasible
-        # point, hence optimal, and no inequality needs a multiplier.
-        lam, status, iterations, working = np.zeros(qp.A_in.shape[0]), OPTIMAL, 0, []
+    x, lam, status, iterations, working = _active_set(qp, f, *start, max_iter)
     nu = np.zeros(qp.A_eq.shape[0])
     if status == OPTIMAL:
         nu = -f.A_eq_pinv.T @ (qp.P @ x + qp.q + qp.A_in.T @ lam)

@@ -50,7 +50,6 @@ class Plant:
     C: np.ndarray
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
-    dt: float | None = None
     A_lift: np.ndarray | None = None
     B_lift: np.ndarray | None = None
 
@@ -82,7 +81,7 @@ def unicycle_plant(dt: float = 0.1) -> Plant:
         v, w = U[:, 0], U[:, 1]
         return np.column_stack([px + dt * v * np.cos(th), py + dt * v * np.sin(th), th + dt * w])
 
-    return Plant(kind="unicycle", n_x=3, n_u=2, C=C, f=f, h=lambda X: X @ C.T, dt=dt)
+    return Plant(kind="unicycle", n_x=3, n_u=2, C=C, f=f, h=lambda X: X @ C.T)
 
 
 def step_plant(

@@ -233,7 +233,33 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
     ({"constraints": {"state": {"lo": [-5.0, -5.0], "hi": [5.0, 5.0, 5.0]},
                       "input": {"lo": [-3.0], "hi": [3.0]}}},
      "constraints.state.hi must list 2 numbers"),
-], ids=["injected.W-two-generator-forms", "constraints.state.hi-length"])
+    ({"lifting": {"kind": "explicit", "params": {"pre": "identity"}}},
+     "lifting.params of kind 'explicit' needs key 'exponents'"),
+    ({"injected": {"W": {"center": [0.0, 0.0, 0.0], "half_extents": [0.1, 0.1]},
+                   "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}},
+     "injected.W: generators have 2 rows for a 3-dim center"),
+    ({"disturbance": {"declared": {"W": {"center": [0.0, 0.0], "half_extents": [0.1, 0.1]},
+                                   "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}}},
+     "disturbance.declared.W must be 3-dimensional"),
+    ({"disturbance": {"declared": {"W": {"center": [0.0] * 3, "half_extents": [0.1] * 3},
+                                   "V": {"center": [0.0] * 3, "half_extents": [0.0] * 3}}}},
+     "disturbance.declared.V must be 2-dimensional"),
+    ({"injected": {"W": {"center": [0.0, 0.0], "half_extents": [0.1, 0.1]},
+                   "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}},
+     "injected.W must be 3-dimensional"),
+    ({"plant": {"kind": "unicycle", "params": {"dt": 0.1}},
+      "lifting": {"kind": "explicit", "params": {"pre": "identity", "exponents": [[2, 0, 0]]}},
+      "injected": {"W": {"center": [0.0] * 4, "half_extents": [0.1] * 4},
+                   "V": {"center": [0.0] * 3, "half_extents": [0.0] * 3}}},
+     "injected: the unicycle plant takes no injected disturbance"),
+    ({"x0": [0.0, 0.0, 0.0]}, "x0 must list 2 numbers"),
+    ({"constraints": {"state": {"lo": [-5.0, -5.0], "hi": [float("inf"), 5.0]},
+                      "input": {"lo": [-3.0], "hi": [3.0]}}},
+     "constraints.state: polytope data must be finite"),
+], ids=["injected.W-two-generator-forms", "constraints.state.hi-length",
+        "lifting.params-missing-exponents", "injected.W-half-extents-length",
+        "disturbance.declared.W-dim", "disturbance.declared.V-dim", "injected.W-dim",
+        "injected-on-unicycle", "x0-length", "constraints.state-infinite"])
 def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, named):
     scenario = base_scenario(tmp_path, **overrides)
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2

@@ -412,6 +412,58 @@ def test_violated_rows_are_held_without_phase1(monkeypatch, make):
         phase1.clear()
 
 
+def _flat_overshooting_warm_start(rng):
+    """The overshooting warm start under a rank-1 P, so that Z'PZ is singular."""
+    qp, x0 = _overshooting_warm_start(rng)
+    u = rng.standard_normal(qp.dim)
+    return QuadraticProgram(P=np.outer(u, u), q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq,
+                            A_in=qp.A_in, b_in=qp.b_in), x0
+
+
+def _two_round_overshoot(rng):
+    """A coupled P over the unit box, no equalities: holding x_0 <= 1 by the
+    least P-norm step pushes x_1 past its bound, so a second round holds it."""
+    P = np.array([[1.0, 0.9, 0.5], [0.9, 1.0, 0.3], [0.5, 0.3, 1.0]])
+    A_in, b_in = _box(3)
+    return QuadraticProgram(P=P, q=np.zeros(3), A_in=A_in, b_in=b_in), np.array([2.0, 0.9, 0.0])
+
+
+def _least_norm_correction(M, A_eq, rows, r):
+    """min D'MD  s.t.  A_eq D = 0 and rows D = r, from the dense KKT system."""
+    C = np.vstack([A_eq, rows])
+    kkt = np.block([[M, C.T], [C, np.zeros((C.shape[0], C.shape[0]))]])
+    rhs = np.concatenate([np.zeros(M.shape[0] + A_eq.shape[0]), r])
+    return np.linalg.solve(kkt, rhs)[:M.shape[0]]
+
+
+@pytest.mark.parametrize("make", [_overshooting_warm_start, _flat_overshooting_warm_start,
+                                  _two_round_overshoot])
+def test_projection_takes_the_least_norm_correction(make):
+    # The projection's whole correction is the least P-norm step in the null
+    # space of A_eq (Euclidean when Z'PZ is singular) that puts the held rows
+    # at their bounds, and the working set it returns holds exactly those
+    # rows, with their factor rows[index]' = Q'R in the basis Y.
+    for seed in range(12):
+        qp, x0 = make(np.random.default_rng(seed))
+        f = qp.factors
+        assert (f.H is None) != (make is _flat_overshooting_warm_start)
+        x, working = qp_module._project(qp, f, x0)
+        held = working.index
+        if make is _two_round_overshoot:
+            assert held == [0, 1]
+        assert set(np.flatnonzero(qp.A_in @ x0 - qp.b_in > 1e-9)) <= set(held)
+        assert np.max(qp.A_in @ x - qp.b_in) <= 1e-9
+        assert np.allclose(qp.A_in[held] @ x, qp.b_in[held], rtol=0.0, atol=1e-12)
+        M = qp.P if f.H is None else np.eye(qp.dim)
+        step = _least_norm_correction(M, qp.A_eq, qp.A_in[held],
+                                      qp.b_in[held] - qp.A_in[held] @ x0)
+        assert np.max(np.abs(x - x0 - step)) <= 1e-10 * max(1.0, np.max(np.abs(step)))
+        Q, R = working.factors()
+        assert np.allclose(Q.T @ R, f.AY[held].T, rtol=0.0, atol=1e-12)
+        assert np.allclose(Q @ Q.T, np.eye(len(held)), rtol=0.0, atol=1e-12)
+        assert np.array_equal(R, np.triu(R))
+
+
 def test_warm_started_infeasible_qp_is_still_certified(monkeypatch):
     phase1 = _count_phase1(monkeypatch)
     box = dict(A_in=np.vstack([np.eye(2), -np.eye(2)]), b_in=[1.0, 1.0, 0.0, 0.0])
@@ -491,18 +543,18 @@ def test_projected_step_matches_the_kkt_solve(rng):
         f = qp.factors
         assert f.H is None
         working = qp_module._WorkingSet(f.AY, f.tol_Y)
-        H = f.Z.T @ qp.P @ f.Z
+        H, AZ = f.Z.T @ qp.P @ f.Z, qp.A_in @ f.Z
         for _ in range(12):
             outside = [i for i in range(d - e) if i not in working.index]
             if outside and (not working.index or rng.uniform() < 0.6):
                 i = int(rng.choice(outside))
-                independent = np.linalg.matrix_rank(f.AZ[working.index + [i]]) > len(working.index)
+                independent = np.linalg.matrix_rank(AZ[working.index + [i]]) > len(working.index)
                 assert working.add(i) == independent
             else:
                 working.drop(int(rng.integers(len(working.index))))
             x = rng.standard_normal(d)
             w, lam, is_ray = qp_module._eqp_direction(f, working, f.Y.T @ (qp.P @ x + qp.q))
-            p_ref, lam_ref = _kkt_direction(H, f.AZ[working.index], f.Z.T @ (qp.P @ x + qp.q))
+            p_ref, lam_ref = _kkt_direction(H, AZ[working.index], f.Z.T @ (qp.P @ x + qp.q))
             assert not is_ray
             scale = max(1.0, np.max(np.abs(p_ref)), np.max(np.abs(lam_ref), initial=0.0))
             assert np.max(np.abs(f.Y @ w - f.Z @ p_ref)) <= 1e-10 * scale

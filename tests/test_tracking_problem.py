@@ -68,9 +68,8 @@ def test_tracking_problem_matches_build_qp(stacks, problems, logs, name, near, w
     else:
         x_k = lo + u * (hi - lo)
     y_t = stack.plant.C @ (lo + np.array(uy[:n]) * (hi - lo))
-    ref = solve(build_qp(stack.model, stack.config, stack.schedule, x_k, y_t),
-                tol=1e-8, max_iter=2000)
-    got = solve(problems[name].at(lift(stack.model, x_k), y_t), tol=1e-8, max_iter=2000)
+    ref = solve(build_qp(stack.model, stack.config, stack.schedule, x_k, y_t), max_iter=2000)
+    got = solve(problems[name].at(lift(stack.model, x_k), y_t), max_iter=2000)
     assert got.status == ref.status
     if ref.status == OPTIMAL:
         assert np.allclose(got.x_star, ref.x_star, rtol=0.0, atol=1e-8)
@@ -121,6 +120,44 @@ def test_unicycle_course_runs_phase1_only_at_the_cold_start_and_the_halt(
     assert [k for k, dim in phase1_at if dim == tracking_dim] == [0, 29]
     # The rest is the one offline steady target, solved cold before step 0.
     assert [k for k, dim in phase1_at if dim != tracking_dim] == [None]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rows_held_by_the_warm_start_are_not_added_again(stacks, name, monkeypatch):
+    # The rows the projection holds are the iterations' first working set:
+    # seeding adds only the other rows active at the start, and no add, then
+    # or later, is of a row the set already holds.
+    held, seed_adds, repeats = [], [], []
+    seeding = False
+    add, active_set, direction = (qp_module._WorkingSet.add, qp_module._active_set,
+                                  qp_module._eqp_direction)
+
+    def spied_active_set(qp, f, x, working, max_iter):
+        nonlocal seeding
+        seeding = True
+        held.append(list(working.index))
+        return active_set(qp, f, x, working, max_iter)
+
+    def spied_add(self, i):
+        if i in self.index or (seeding and i in held[-1]):
+            repeats.append(int(i))
+        if seeding:
+            seed_adds.append(int(i))
+        return add(self, i)
+
+    def spied_direction(*args):
+        nonlocal seeding
+        seeding = False
+        return direction(*args)
+
+    monkeypatch.setattr(qp_module, "_active_set", spied_active_set)
+    monkeypatch.setattr(qp_module._WorkingSet, "add", spied_add)
+    monkeypatch.setattr(qp_module, "_eqp_direction", spied_direction)
+    stack = stacks[name]
+    log = stack.run(stack.seed)
+    assert log.halted_at == (29 if name == "unicycle_square" else None)
+    assert sum(map(len, held)) > len(seed_adds) > 0
+    assert not repeats
 
 
 def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
