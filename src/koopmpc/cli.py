@@ -251,6 +251,13 @@ def build_stack(scenario_path) -> Stack:
     _check_keys(cfg_doc, _CONTROLLER_KEYS, "controller")
     lqr_doc = cfg_doc.get("lqr", {})
     _check_keys(lqr_doc, _LQR_KEYS, "controller.lqr")
+    # dlqr keeps the defaults of the keys a scenario leaves out.
+    lqr_opts = {key: lqr_doc[key] for key in ("tol", "max_iter") if key in lqr_doc}
+    tol, max_iter = lqr_opts.get("tol"), lqr_opts.get("max_iter")
+    if "tol" in lqr_opts and not (type(tol) in (int, float) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"controller.lqr.tol must be a finite positive number, got {tol!r}")
+    if "max_iter" in lqr_opts and not (type(max_iter) is int and max_iter >= 1):
+        raise ValueError(f"controller.lqr.max_iter must be a positive integer, got {max_iter!r}")
     plant = _build_plant(sc["plant"])
     lifting_doc = sc["lifting"]
     _check_keys(lifting_doc, {"kind", "params"}, "lifting")
@@ -315,8 +322,7 @@ def build_stack(scenario_path) -> Stack:
         model.B,
         _weight(lqr_doc.get("Qk", 1.0), model.n_z, "controller.lqr.Qk"),
         _weight(lqr_doc.get("Rk", 1.0), model.n_u, "controller.lqr.Rk"),
-        tol=float(lqr_doc.get("tol", 1e-12)),
-        max_iter=int(lqr_doc.get("max_iter", 10_000)),
+        **lqr_opts,
     )
     schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)
     config = KtmpcConfig(

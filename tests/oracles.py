@@ -25,6 +25,20 @@ def scalar_dare_root(a, b, q, r):
     return (-c1 + math.sqrt(disc)) / (2.0 * c2)
 
 
+def riccati_value_iterates(A, B, Q, R, steps):
+    """The plain one-step Riccati value iteration from P_0 = Q: returns the
+    list [P_0, P_1, ..., P_steps] with
+    P_{j+1} = Q + A'P_jA - A'P_jB (R + B'P_jB)^{-1} B'P_jA."""
+    P = np.array(Q, dtype=float)
+    iterates = [P]
+    for _ in range(steps):
+        AtPB = A.T @ P @ B
+        P = Q + A.T @ P @ A - AtPB @ np.linalg.solve(R + B.T @ P @ B, AtPB.T)
+        P = 0.5 * (P + P.T)
+        iterates.append(P)
+    return iterates
+
+
 def grid_membership_diff(normals, offsets, center, generators, points):
     """Brute-force membership of `points` in  P minus-sweep Z  (erosion).
 

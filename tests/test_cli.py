@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from koopmpc import cli as cli_module
 from koopmpc import qp as qp_module
 from koopmpc.cli import main
 from koopmpc.model import load_model, save_trajectories
@@ -163,6 +164,28 @@ def test_tighten_lqr_not_stabilizing_exit_4(tmp_path, capsys):
     )
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 4
     assert "spectral radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lqr, named", [
+    ({"tol": -1}, "controller.lqr.tol"),
+    ({"tol": "nan"}, "controller.lqr.tol"),
+    ({"tol": 0.0}, "controller.lqr.tol"),
+    ({"tol": float("inf")}, "controller.lqr.tol"),
+    ({"max_iter": 2.7}, "controller.lqr.max_iter"),
+    ({"max_iter": 0}, "controller.lqr.max_iter"),
+    ({"max_iter": "many"}, "controller.lqr.max_iter"),
+    ({"max_iter": True}, "controller.lqr.max_iter"),
+])
+def test_tighten_rejects_malformed_lqr_settings_exit_2(tmp_path, capsys, monkeypatch, lqr, named):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the scenario was fitted before its lqr block was checked")
+
+    monkeypatch.setattr(cli_module, "fit_edmd", no_fit)
+    scenario = base_scenario(
+        tmp_path, controller={**CONTROLLER, "lqr": {"Qk": 1.0, "Rk": 1.0, **lqr}}
+    )
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    assert named in capsys.readouterr().err
 
 
 # --- scenario validation -------------------------------------------------------------

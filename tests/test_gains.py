@@ -1,8 +1,18 @@
+from itertools import islice
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
-from koopmpc.gains import GainResult, NoConvergence, NotStabilizing, dlqr, spectral_radius
-from oracles import numerical_example_matrices, scalar_dare_root
+from koopmpc.gains import (
+    GainResult,
+    NoConvergence,
+    NotStabilizing,
+    _doubling_rounds,
+    dlqr,
+    spectral_radius,
+)
+from oracles import numerical_example_matrices, riccati_value_iterates, scalar_dare_root
 
 
 def test_spectral_radius_diagonal():
@@ -108,6 +118,55 @@ def test_dlqr_no_convergence_budget():
     A = np.array([[0.999]])
     with pytest.raises(NoConvergence):
         dlqr(A, np.array([[1.0]]), np.eye(1), np.eye(1), tol=1e-15, max_iter=2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_doubling_rounds_equal_one_step_iterates(seed):
+    # Round k ends at the one-step value iterate P_{2^k - 1}; the random
+    # pairs are generically controllable and mostly open-loop unstable.
+    rng = np.random.default_rng(seed)
+    A = 0.6 * rng.standard_normal((4, 4))
+    B = rng.standard_normal((4, 2))
+    Q, R = np.diag([1.0, 2.0, 0.5, 1.0]), np.diag([1.0, 3.0])
+    iterates = riccati_value_iterates(A, B, Q, R, 2**6 - 1)
+    for k, P in enumerate(islice(_doubling_rounds(A, B, Q, R), 6), start=1):
+        expected = iterates[2**k - 1]
+        assert np.abs(P - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_dlqr_near_unit_closed_loop_matches_are():
+    # Open-loop modes 1.02 (actuated) and 0.999 (barely actuated), mixed by a
+    # rotation: rho(A + BK) is about 0.999, like the unicycle's lifted model.
+    c, s = np.cos(0.4), np.sin(0.4)
+    T = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    A = T @ np.array([[1.02, 0.0, 0.0], [0.0, 0.999, 0.01], [0.0, 0.0, 0.5]]) @ T.T
+    B = T @ np.array([[1.0], [1e-3], [0.2]])
+    Q, R = np.eye(3), np.array([[100.0]])
+    assert np.abs(np.linalg.eigvals(A)).max() > 1.0
+    tol = 1e-9
+    res = dlqr(A, B, Q, R, tol=tol, max_iter=300_000)
+    assert 0.998 < res.spectral_radius_AK < 1.0
+    X = solve_discrete_are(A, B, Q, R)
+    P = res.riccati_P
+    assert np.abs(P - X).max() <= 1e-8 * np.abs(X).max()
+    AtPB = A.T @ P @ B
+    step = Q + A.T @ P @ A - AtPB @ np.linalg.solve(R + B.T @ P @ B, AtPB.T)
+    assert np.abs(step - P).max() <= tol
+
+
+def test_dlqr_budget_counts_riccati_steps():
+    # The benchmark pair converges in round k, the first whose own change is
+    # at most tol; its 2^k - 1 steps are the smallest budget that reaches it.
+    A, B = numerical_example_matrices(-0.1, 2.0)
+    Q, R, tol = np.eye(3), np.eye(1), 1e-12
+    iterates = riccati_value_iterates(A, B, Q, R, 2**8 - 1)
+    k = next(k for k in range(1, 9)
+             if np.abs(iterates[2**k - 1] - iterates[2 ** (k - 1) - 1]).max() <= tol)
+    assert k == 6
+    with pytest.raises(NoConvergence):
+        dlqr(A, B, Q, R, tol=tol, max_iter=2**k - 2)
+    res = dlqr(A, B, Q, R, tol=tol, max_iter=2**k - 1)
+    assert np.abs(res.riccati_P - iterates[2**k - 1]).max() <= 1e-12 * np.abs(res.riccati_P).max()
 
 
 def test_gain_result_validates_its_invariants():
