@@ -42,18 +42,15 @@ from .model import (
     TrajectoryData,
     UnderdeterminedData,
     _lifting_from_doc,
-    decode,
     estimate_disturbance_sets,
     fit_edmd,
     lift,
     load_trajectories,
-    predict,
     save_model,
 )
 from .qp import NonConvex, SolverFailed
 from .sets import EmptyTightenedSet, TighteningSchedule, Zonotope, box_polytope, tighten_constraints
 from .sim import (
-    InfeasibleAtStep,
     Plant,
     ReferenceSchedule,
     SimLog,
@@ -120,6 +117,7 @@ def _weight(value, n: int, what: str) -> np.ndarray:
 _PLANT_PARAMS = {"numerical_example": {"lambda", "mu"}, "unicycle": {"dt"}}
 _LIFTING_PARAMS = {"polynomial": {"pre", "max_degree"}, "explicit": {"pre", "exponents"},
                    "rbf": {"pre", "centers", "width"}}
+_FIT_LIFTING_KEYS = {"kind", "params", "n_x", "ridge", "output_matrix"}
 _SCENARIO_KEYS = {
     "plant", "lifting", "output_matrix", "ridge", "data", "disturbance", "injected", "constraints",
     "controller", "references", "x0", "T", "seed", "settle_window", "out_dir", "steady_grid",
@@ -139,6 +137,16 @@ def _check_keys(doc, allowed: set, what: str) -> None:
         raise ValueError(
             f"unknown {what} key {unknown[0]!r} (allowed: {', '.join(sorted(allowed))})"
         )
+
+
+def _lifting(doc, n_x: int, keys=frozenset({"kind", "params"})):
+    """The lifting of ``doc``; a key outside ``keys``, or a ``params`` key its
+    kind does not take, is rejected by name."""
+    _check_keys(doc, keys, "lifting")
+    kind_params = _LIFTING_PARAMS.get(doc.get("kind"))  # LiftingSpec rejects the rest
+    if kind_params is not None:
+        _check_keys(doc.get("params"), kind_params, "lifting.params")
+    return _lifting_from_doc(doc, n_x=n_x)
 
 
 def _build_plant(doc: dict):
@@ -231,13 +239,10 @@ class Stack:
 
     def run(self, seed: int) -> SimLog:
         """Closed loop under ``seed``; a run that halts infeasible returns its partial log."""
-        try:
-            return run_closed_loop(
-                self.plant, self.model, self.config, self.schedule, self.refs,
-                disturbances=self.injected, T=self.T, seed=int(seed), x0=self.x0,
-            )
-        except InfeasibleAtStep as exc:
-            return exc.log
+        return run_closed_loop(
+            self.plant, self.model, self.config, self.schedule, self.refs,
+            disturbances=self.injected, T=self.T, seed=int(seed), x0=self.x0,
+        )
 
 
 def build_stack(scenario_path) -> Stack:
@@ -259,12 +264,7 @@ def build_stack(scenario_path) -> Stack:
     if "max_iter" in lqr_opts and not (type(max_iter) is int and max_iter >= 1):
         raise ValueError(f"controller.lqr.max_iter must be a positive integer, got {max_iter!r}")
     plant = _build_plant(sc["plant"])
-    lifting_doc = sc["lifting"]
-    _check_keys(lifting_doc, {"kind", "params"}, "lifting")
-    kind_params = _LIFTING_PARAMS.get(lifting_doc.get("kind"))  # LiftingSpec rejects the rest
-    if kind_params is not None:
-        _check_keys(lifting_doc.get("params"), kind_params, "lifting.params")
-    lifting = _lifting_from_doc(lifting_doc, n_x=plant.n_x)
+    lifting = _lifting(sc["lifting"], plant.n_x)
 
     def noise(doc, what, n_w) -> DisturbanceModel:
         """W is n_w-dimensional and the measurement noise V acts on the state."""
@@ -348,10 +348,9 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     recorded inputs.
     """
     lift_doc = _load_json(lifting_json)
-    try:
-        lifting = _lifting_from_doc(lift_doc, n_x=int(lift_doc["n_x"]))
-    except KeyError as exc:
-        raise ValueError(f"{lifting_json} is missing required field {exc}") from exc
+    if "n_x" not in lift_doc:
+        raise ValueError(f"{lifting_json} is missing required field 'n_x'")
+    lifting = _lifting(lift_doc, int(lift_doc["n_x"]), _FIT_LIFTING_KEYS)
 
     data = load_trajectories(data_csv)
     n_hold = max(1, len(data.trajectories) // 10)
@@ -367,10 +366,10 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     for states, inputs in data.trajectories[-n_hold:]:
         z = lift(model, states[0])
         for t, u in enumerate(inputs[: min(10, len(inputs))]):
-            z_next = predict(model, lift(model, states[t]), u)
-            one_step.append(np.linalg.norm(decode(model, z_next) - states[t + 1]))
-            z = predict(model, z, u)
-            multi_step.append(np.linalg.norm(decode(model, z) - states[t + 1]))
+            z_next = model.A @ lift(model, states[t]) + model.B @ u
+            one_step.append(np.linalg.norm(model.C_x @ z_next - states[t + 1]))
+            z = model.A @ z + model.B @ u
+            multi_step.append(np.linalg.norm(model.C_x @ z - states[t + 1]))
     save_model(model, out_model_json)
     n_train = sum(len(inputs) for _, inputs in train_trajs)
     print(f"fitted lifted model: n_z={model.n_z}, {n_train} training transitions, "

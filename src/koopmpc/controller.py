@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import qp as qps
+from .gains import _as_spd
 from .model import KoopmanModel, lift
 from .sets import TighteningSchedule, margin as _poly_margin
 
@@ -37,19 +38,6 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
     return out
 
 
-def _check_spd(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if not np.allclose(M, M.T, atol=1e-9 * max(1.0, np.abs(M).max())):
-        raise ValueError(f"{name} must be symmetric")
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{name} must be positive definite") from None
-    return M
-
-
 @dataclass(frozen=True)
 class KtmpcConfig:
     """Horizon, tracking weights, offset weight s (for S = s*I), and tube gain."""
@@ -63,8 +51,8 @@ class KtmpcConfig:
     def __post_init__(self):
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ValueError("horizon N must be a positive integer")
-        object.__setattr__(self, "Q", _check_spd(self.Q, "Q"))
-        object.__setattr__(self, "R", _check_spd(self.R, "R"))
+        object.__setattr__(self, "Q", _as_spd("Q", self.Q))
+        object.__setattr__(self, "R", _as_spd("R", self.R))
         if not (float(self.s) > 0):
             raise ValueError("offset weight s must be positive")
         object.__setattr__(self, "s", float(self.s))
@@ -112,16 +100,6 @@ class KtmpcSolution:
     z_bar: np.ndarray
     target: SteadyTarget
     total_cost: float
-    qp_status: str
-
-    def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.u_bar, dtype=float))
-        z = np.atleast_2d(np.asarray(self.z_bar, dtype=float))
-        if z.shape[0] != u.shape[0] + 1:
-            raise ValueError("z_bar must hold one more step than u_bar")
-        object.__setattr__(self, "u_bar", u)
-        object.__setattr__(self, "z_bar", z)
-        object.__setattr__(self, "total_cost", float(self.total_cost))
 
 
 @dataclass(frozen=True)
@@ -420,10 +398,7 @@ def solve_step(
     z_bar = np.vstack([z0[None, :], z_tail])
     target = _steady_target(model, config.s, z_s, u_s, y_t)
     total = _tracking_cost(config, u_bar, z_bar, z_s, u_s) + target.offset_cost
-    solution = KtmpcSolution(
-        u_bar=u_bar, z_bar=z_bar, target=target, total_cost=total, qp_status=sol.status
-    )
-    return u_bar[0].copy(), solution
+    return u_bar[0].copy(), KtmpcSolution(u_bar=u_bar, z_bar=z_bar, target=target, total_cost=total)
 
 
 def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:

@@ -223,31 +223,6 @@ def lift_many(model: KoopmanModel, X) -> np.ndarray:
     return np.hstack([X, _features(model.lifting, X)])
 
 
-def predict(model: KoopmanModel, z, u) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if z.shape != (model.n_z,) or u.shape != (model.n_u,):
-        raise ValueError(
-            f"expected z of shape ({model.n_z},) and u of shape ({model.n_u},), "
-            f"got {z.shape} and {u.shape}"
-        )
-    return model.A @ z + model.B @ u
-
-
-def decode(model: KoopmanModel, z) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (model.n_z,):
-        raise ValueError(f"lifted state must have shape ({model.n_z},), got {z.shape}")
-    return model.C_x @ z
-
-
-def output(model: KoopmanModel, z) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (model.n_z,):
-        raise ValueError(f"lifted state must have shape ({model.n_z},), got {z.shape}")
-    return model.C_y @ z
-
-
 # --- training data ---------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The simulator owns disturbance injection (seeded, in lifted coordinates for
 the polynomial benchmark), reference scheduling (timed steps or position-based
 waypoint switching), training-data generation, and step-by-step logging of
 everything the analysis needs: costs, Lyapunov values, shifted-candidate
-margins, and the injected noise realizations.
+margins, and the injected noise realizations.  A run that loses feasibility
+ends there: its log stops at the infeasible step and records it in
+``halted_at``.
 """
 
 from __future__ import annotations
@@ -27,15 +29,6 @@ from .controller import (
 )
 from .model import DisturbanceModel, KoopmanModel, TrajectoryData
 from .sets import CONTAINS_TOL, TighteningSchedule, Zonotope, margin, sample
-
-
-class InfeasibleAtStep(Exception):
-    """Closed loop lost feasibility at `step`; the partial `log` is retained."""
-
-    def __init__(self, step: int, log: "SimLog"):
-        self.step = step
-        self.log = log
-        super().__init__(f"closed loop infeasible at step {step}")
 
 
 # --- plants -----------------------------------------------------------------------
@@ -161,46 +154,47 @@ class _RefCursor:
         self._last_reached = False
         self.reached_steps: list[int] = []
 
-    def advance(self, k: int, position) -> tuple[np.ndarray, bool]:
+    def advance(self, k: int, position) -> np.ndarray:
+        """The reference at step ``k``, with the system output at ``position``."""
         refs = self.refs
         if refs.mode == "timed":
-            switched = False
             while self._i + 1 < len(refs.entries) and refs.entries[self._i + 1][0] <= k:
                 self._i += 1
-                switched = True
-            return refs.entries[self._i][1], switched
+            return refs.entries[self._i][1]
         wp = refs.points[self._i]
-        switched = False
         if position is not None and not self._last_reached:
             if np.linalg.norm(np.asarray(position, dtype=float) - wp) < refs.switch_radius:
                 self.reached_steps.append(k)
                 if self._i + 1 < len(refs.points):
                     self._i += 1
-                    switched = True
                 else:
                     self._last_reached = True
-        return refs.points[self._i], switched
+        return refs.points[self._i]
 
 
 # --- logging ---------------------------------------------------------------------------
 
-def _column(width: str | None = None, dtype=float):
-    """A per-step SimLog column: one row per step, ``width`` names its row length."""
-    return field(metadata={"width": width, "dtype": dtype})
+def _column(dtype=float):
+    """A per-step SimLog column: one row per step."""
+    return field(metadata={"dtype": dtype})
 
 
 @dataclass(frozen=True)
 class SimLog:
-    """One record per simulated step; arrays are row-per-step."""
+    """One record per simulated step; arrays are row-per-step.
+
+    ``halted_at`` is the step that was infeasible, the log's last row, or
+    ``None`` for a run that completed all its steps.
+    """
 
     k: np.ndarray = _column(dtype=int)
-    x: np.ndarray = _column("n_x")
-    u: np.ndarray = _column("n_u")
-    y: np.ndarray = _column("n_y")
-    y_t: np.ndarray = _column("n_y")
-    y_s: np.ndarray = _column("n_y")
-    u_s: np.ndarray = _column("n_u")
-    y_sr: np.ndarray = _column("n_y")
+    x: np.ndarray = _column()
+    u: np.ndarray = _column()
+    y: np.ndarray = _column()
+    y_t: np.ndarray = _column()
+    y_s: np.ndarray = _column()
+    u_s: np.ndarray = _column()
+    y_sr: np.ndarray = _column()
     J_N: np.ndarray = _column()
     V1: np.ndarray = _column()
     V2: np.ndarray = _column()
@@ -208,25 +202,14 @@ class SimLog:
     margin_min: np.ndarray = _column()
     state_margin: np.ndarray = _column()
     input_margin: np.ndarray = _column()
-    w_inj: np.ndarray = _column("n_w")
-    v_inj: np.ndarray = _column("n_v")
+    w_inj: np.ndarray = _column()
+    v_inj: np.ndarray = _column()
     reached_steps: tuple = ()
     halted_at: int | None = None
 
-    @classmethod
-    def empty(cls, n_x: int, n_u: int, n_y: int, n_w: int, n_v: int) -> "SimLog":
-        widths = {"n_x": n_x, "n_u": n_u, "n_y": n_y, "n_w": n_w, "n_v": n_v}
-
-        def column(f):
-            width = f.metadata["width"]
-            shape = (0,) if width is None else (0, widths[width])
-            return np.zeros(shape, dtype=f.metadata["dtype"])
-
-        return cls(**{f.name: column(f) for f in _COLUMNS})
-
 
 # The per-step columns are the SimLog fields declared with _column.
-_COLUMNS = tuple(f for f in fields(SimLog) if "width" in f.metadata)
+_COLUMNS = tuple(f for f in fields(SimLog) if "dtype" in f.metadata)
 
 
 class _LogRows:
@@ -255,8 +238,8 @@ def run_closed_loop(
 ) -> SimLog:
     """Run T controller steps from x0 (origin by default); seeded, deterministic.
 
-    Raises :class:`InfeasibleAtStep` if any step's QP is infeasible; the log up
-    to and including the failing step rides along on the exception.
+    An infeasible step ends the run: the returned log stops at that
+    step, with ``feasible`` false in its last row and ``halted_at`` set to it.
     """
     rng = np.random.default_rng(seed)
     x = np.zeros(plant.n_x) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
@@ -272,7 +255,7 @@ def run_closed_loop(
     prev: KtmpcSolution | None = None
 
     for k in range(T):
-        y_t, _ = cursor.advance(k, position=plant.C @ x)
+        y_t = cursor.advance(k, position=plant.C @ x)
         y = plant.C @ x
         x_c, report = (None, None) if prev is None else shifted_candidate(problem, prev, x)
         cand_margin = np.nan if report is None else report.min_margin
@@ -291,7 +274,7 @@ def run_closed_loop(
                 state_margin=margin(schedule.state_sets[0], x), input_margin=np.nan,
                 w_inj=np.zeros(n_w), v_inj=np.zeros(n_v),
             )
-            raise InfeasibleAtStep(k, rows.build(cursor.reached_steps, halted_at=k)) from None
+            return rows.build(cursor.reached_steps, halted_at=k)
         diag = diagnostics(sol, offline)
         x_next, _, w, v = step_plant(plant, x, u_k, rng=rng, W=W, V=V)
         rows.append(

@@ -8,8 +8,15 @@ import pytest
 from koopmpc import cli as cli_module
 from koopmpc import qp as qp_module
 from koopmpc.cli import main
-from koopmpc.model import load_model, save_trajectories
-from koopmpc.sets import box_zonotope
+from koopmpc.gains import dlqr
+from koopmpc.model import (
+    LiftingSpec,
+    estimate_disturbance_sets,
+    fit_edmd,
+    load_model,
+    save_trajectories,
+)
+from koopmpc.sets import box_polytope, box_zonotope, tighten_constraints
 from koopmpc.sim import generate_training_data, numerical_example_plant
 from oracles import numerical_example_matrices
 
@@ -120,7 +127,64 @@ def test_fit_underdetermined_exit_3(tmp_path, capsys):
     assert main(["fit", str(csv_path), str(lift_path), str(tmp_path / "m.json")]) == 3
 
 
+@pytest.mark.parametrize("key, where, named", [
+    ("rigde", None, "unknown lifting key 'rigde'"),
+    ("exponent", "params", "unknown lifting.params key 'exponent'"),
+], ids=["top-level", "params"])
+def test_fit_rejects_an_unknown_lifting_key_exit_2(tmp_path, capsys, key, where, named):
+    csv_path = tmp_path / "train.csv"
+    lift_path = tmp_path / "lifting.json"
+    write_training_csv(csv_path)
+    write_lifting_json(lift_path)
+    doc = json.loads(lift_path.read_text())
+    (doc if where is None else doc[where])[key] = 0.0
+    lift_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "model.json"
+    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # --- tighten ----------------------------------------------------------------------
+
+def test_tighten_reads_training_data_from_a_path(tmp_path):
+    """A scenario whose ``data.path`` holds the trajectories that a2's
+    ``data.generate`` recipe makes yields a2's schedule, byte for byte."""
+    a2 = json.loads((SCENARIOS / "a2.json").read_text())
+    plant = cli_module._build_plant(a2["plant"])
+    save_trajectories(cli_module._training_data(a2, plant, SCENARIOS), tmp_path / "a2_data.csv")
+    a2["data"] = {"path": "a2_data.csv"}  # resolved against the scenario's directory
+    scenario = tmp_path / "a2_from_path.json"
+    scenario.write_text(json.dumps(a2))
+    assert main(["tighten", str(SCENARIOS / "a2.json"), str(tmp_path / "generated.json")]) == 0
+    assert main(["tighten", str(scenario), str(tmp_path / "from_path.json")]) == 0
+    assert (tmp_path / "from_path.json").read_bytes() == (tmp_path / "generated.json").read_bytes()
+
+
+def test_tighten_estimated_disturbance_matches_the_library(tmp_path):
+    scenario = base_scenario(tmp_path, disturbance={"estimate": {"inflation": 1.5}})
+    out = tmp_path / "schedule.json"
+    assert main(["tighten", str(scenario), str(out)]) == 0
+    data = generate_training_data(
+        numerical_example_plant(), n_traj=150, traj_len=4, input_box=box_zonotope([3.0]),
+        state_box=box_zonotope([2.0, 2.0]), seed=0,
+    )
+    lifting = LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 0]])
+    model = fit_edmd(data, lifting, ridge=0.0, output_matrix=[[0.0, 1.0]])
+    disturbance = estimate_disturbance_sets(model, data, inflation=1.5)
+    assert np.any(disturbance.W.generators != 0.0)  # the fit is exact only up to roundoff
+    K = dlqr(model.A, model.B, np.eye(3), np.eye(1)).K
+    X, U = box_polytope([-5.0, -5.0], [5.0, 5.0]), box_polytope([-3.0], [3.0])
+    schedule = tighten_constraints(X, U, disturbance, model.A, model.B, K, model.C_x, 10)
+    doc = json.loads(out.read_text())
+    for key in ("state_sets", "input_sets"):
+        for got, want in zip(doc[key], getattr(schedule, key), strict=True):
+            assert np.array_equal(got["normals"], want.normals)
+            assert np.array_equal(got["offsets"], want.offsets)
+    for got, want in zip(doc["error_sets"], schedule.error_sets, strict=True):
+        assert np.array_equal(got["center"], want.center)
+        assert np.array_equal(got["generators"], want.generators)
+
 
 def test_tighten_zero_disturbance_keeps_raw_sets(tmp_path):
     scenario = base_scenario(tmp_path)

@@ -245,7 +245,6 @@ def test_solve_step_at_steady_state():
     assert np.allclose(u_k, [-1.0], atol=1e-6)
     assert np.allclose(sol.u_bar, -1.0, atol=1e-6)
     assert sol.total_cost <= 1e-9
-    assert sol.qp_status == "Optimal"
     assert np.allclose(sol.z_bar[0], [0.0, 1.0, 0.0])
     assert np.allclose(sol.target.y_s, [1.0], atol=1e-6)
 
@@ -310,8 +309,8 @@ def test_terminal_equality_needs_decayed_uncontrollable_mode():
     problem = TrackingProblem(model, config, schedule)
     with pytest.raises(Infeasible):
         solve_step(problem, x_k=[0.5, 0.0], y_t=[0.0])
-    _, sol = solve_step(problem, x_k=[0.0, 0.0], y_t=[0.0])
-    assert sol.qp_status == "Optimal"
+    _, sol = solve_step(problem, x_k=[0.0, 0.0], y_t=[0.0])  # raises unless Optimal
+    assert sol.total_cost <= 1e-12
 
 
 def test_nominal_closed_loop_monotone_cost_and_convergence():

@@ -18,9 +18,6 @@ from koopmpc.model import (
     load_model,
     load_trajectories,
     make_model,
-    output,
-    decode,
-    predict,
     save_model,
     save_trajectories,
 )
@@ -107,41 +104,48 @@ def test_planar_heading_products():
     assert np.allclose(z, [2.0, 3.0, np.pi / 2, 2 * c, 2 * s, 3 * c, 3 * s])
 
 
+def test_planar_heading_polynomial_degree_two():
+    # Pre-features (p_x, p_y, s, c): s and c of degree one, then the ten
+    # degree-2 monomials in itertools.combinations_with_replacement order.
+    spec = LiftingSpec(kind="polynomial", n_x=3, pre="planar_heading", max_degree=2)
+    assert spec.n_z == 3 + 2 + 10
+    m = make_model(np.eye(15), np.zeros((15, 2)), spec, output_matrix=np.eye(3)[:2])
+    px, py, th = 2.0, -3.0, 0.7
+    s, c = np.sin(th), np.cos(th)
+    expected = [px, py, th, s, c,
+                px * px, px * py, px * s, px * c, py * py, py * s, py * c, s * s, s * c, c * c]
+    assert np.allclose(lift(m, [px, py, th]), expected, rtol=1e-15, atol=0.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31))
 def test_decode_inverts_lift(seed):
     r = np.random.default_rng(seed)
     m = benchmark_model()
     x = r.uniform(-5.0, 5.0, size=2)
-    assert np.array_equal(decode(m, lift(m, x)), x)
+    assert np.array_equal(m.C_x @ lift(m, x), x)
 
 
-# --- predict / decode / output -------------------------------------------------
+# --- the lifted dynamics and projections -----------------------------------------
 
 def test_predict_steady_fixed_point():
     m = benchmark_model()
-    z_next = predict(m, [0.0, 1.0, 0.0], [-1.0])
+    z_next = m.A @ np.array([0.0, 1.0, 0.0]) + m.B @ np.array([-1.0])
     assert np.allclose(z_next, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_predict_linearity_and_first_mode():
     m = benchmark_model()
-    assert np.allclose(predict(m, np.zeros(3), np.zeros(1)), np.zeros(3))
-    assert np.allclose(predict(m, [1.0, 0.0, 0.0], [0.0]), [LAM, 0.0, 0.0])
+    assert np.allclose(m.A @ np.zeros(3) + m.B @ np.zeros(1), np.zeros(3))
+    assert np.allclose(m.A @ np.array([1.0, 0.0, 0.0]), [LAM, 0.0, 0.0])
 
 
 def test_output_matrix_composition(rng):
     m = benchmark_model()
-    assert output(m, [0.0, 1.0, 0.0])[0] == pytest.approx(1.0)
-    assert np.allclose(output(m, np.zeros(3)), 0.0)
+    assert np.array_equal(m.C_y, np.array([[0.0, 1.0]]) @ m.C_x)
+    assert (m.C_y @ np.array([0.0, 1.0, 0.0]))[0] == pytest.approx(1.0)
     z = rng.standard_normal(3)
-    assert np.allclose(output(m, z), np.array([[0.0, 1.0]]) @ decode(m, z))
-
-
-def test_predict_dimension_mismatch():
-    m = benchmark_model()
-    with pytest.raises(ValueError):
-        predict(m, [1.0, 2.0], [0.0])
+    assert np.allclose(m.C_y @ z, np.array([[0.0, 1.0]]) @ (m.C_x @ z))
 
 
 # --- fit_edmd -------------------------------------------------------------------
@@ -302,6 +306,22 @@ def test_rbf_model_json_roundtrip(tmp_path):
     assert loaded.lifting.width == spec.width
     assert np.array_equal(loaded.lifting.centers, spec.centers)
     assert np.array_equal(lift(loaded, [0.3, 0.4]), lift(m, [0.3, 0.4]))
+
+
+def test_planar_heading_polynomial_model_json_roundtrip(tmp_path):
+    spec = LiftingSpec(kind="polynomial", n_x=3, pre="planar_heading", max_degree=2)
+    m = make_model(0.5 * np.eye(15), np.ones((15, 2)), spec, output_matrix=np.eye(3)[:2])
+    save_model(m, tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["lifting"] == {
+        "kind": "polynomial", "params": {"pre": "planar_heading", "max_degree": 2}
+    }
+    loaded = load_model(tmp_path / "m.json")
+    assert (loaded.lifting.pre, loaded.lifting.max_degree) == ("planar_heading", 2)
+    assert np.array_equal(loaded.lifting.exponents, spec.exponents)
+    for name in ("A", "B", "C_x", "C_y"):
+        assert np.array_equal(getattr(loaded, name), getattr(m, name))
+    x = [1.5, -0.5, 2.0]
+    assert np.array_equal(lift(loaded, x), lift(m, x))
 
 
 def test_trajectory_csv_roundtrip(tmp_path, rng):

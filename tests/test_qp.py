@@ -593,3 +593,27 @@ def test_overdetermined_vertex_matches_oracle():
         _check_against_oracle(qp, *sols)
         for sol in sols:
             assert np.allclose(sol.x_star, v, atol=1e-8)
+
+
+def test_dependent_blocking_row_is_swapped_in(monkeypatch):
+    """Row 1 sits 1e-11 off parallel to row 0, inside the independence
+    tolerance. At x0 = 0 both rows are active and row 1 is seeded as dependent;
+    the step along row 0 then runs into row 1, which takes row 0's place."""
+    adds = []
+    add = qp_module._WorkingSet.add
+
+    def recording_add(self, i):
+        adds.append((int(i), add(self, i)))
+        return adds[-1][1]
+
+    monkeypatch.setattr(qp_module._WorkingSet, "add", recording_add)
+    qp = QuadraticProgram(P=np.eye(2), q=np.array([-5.0, -5.0]),
+                          A_in=np.array([[1.0, 0.0], [1.0, 1e-11]]), b_in=np.array([0.0, 1e-11]))
+    sol = solve(qp, x0=np.zeros(2))
+    assert adds == [(0, True), (1, False), (1, False), (1, True)]
+    _check_against_oracle(qp, sol)
+    _check_kkt(sol, tol=1e-16)
+    assert sol.active_set == (1,)
+    # On row 1, x1 + 1e-11 x2 = 1e-11, the minimizer is (-4e-11, 5 - 5e-11) to first order.
+    assert sol.x_star[0] == pytest.approx(-4e-11, rel=1e-6)
+    assert sol.x_star[1] == pytest.approx(5.0 - 5e-11, rel=0.0, abs=1e-14)

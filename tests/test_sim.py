@@ -6,7 +6,6 @@ from koopmpc.gains import dlqr
 from koopmpc.model import DisturbanceModel, LiftingSpec, make_model
 from koopmpc.sets import Zonotope, box_polytope, box_zonotope, sample, tighten_constraints
 from koopmpc.sim import (
-    InfeasibleAtStep,
     ReferenceSchedule,
     SimLog,
     _RefCursor,
@@ -160,7 +159,7 @@ def test_reference_schedule_validation():
 def test_timed_cursor_lookup():
     refs = ReferenceSchedule.timed([(0, [1.0]), (3, [2.0]), (7, [-1.0])])
     cur = _RefCursor(refs)
-    got = [cur.advance(k, position=None)[0][0] for k in range(9)]
+    got = [cur.advance(k, position=None)[0] for k in range(9)]
     assert got == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, -1.0, -1.0]
     assert cur.reached_steps == []
 
@@ -168,13 +167,13 @@ def test_timed_cursor_lookup():
 def test_waypoint_cursor_switching():
     refs = ReferenceSchedule.waypoints([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], switch_radius=0.3)
     cur = _RefCursor(refs)
-    y0, _ = cur.advance(0, position=np.array([0.9, -0.9]))  # far from (0,0)
+    y0 = cur.advance(0, position=np.array([0.9, -0.9]))  # far from (0,0)
     assert np.allclose(y0, [0.0, 0.0])
-    y1, _ = cur.advance(1, position=np.array([0.1, 0.1]))  # inside radius of wp0
+    y1 = cur.advance(1, position=np.array([0.1, 0.1]))  # inside radius of wp0
     assert np.allclose(y1, [1.0, 0.0])
-    y2, _ = cur.advance(2, position=np.array([0.95, 0.05]))  # inside radius of wp1
+    y2 = cur.advance(2, position=np.array([0.95, 0.05]))  # inside radius of wp1
     assert np.allclose(y2, [1.0, 1.0])
-    y3, _ = cur.advance(3, position=np.array([1.0, 0.95]))  # arrival at last wp
+    y3 = cur.advance(3, position=np.array([1.0, 0.95]))  # arrival at last wp
     assert np.allclose(y3, [1.0, 1.0])
     assert cur.reached_steps == [1, 2, 3]
     # Arrival at the last waypoint is recorded once.
@@ -232,12 +231,10 @@ def test_infeasible_initial_state():
     model, config, schedule = make_loop_setup()
     plant = numerical_example_plant()
     refs = ReferenceSchedule.timed([(0, [1.0])])
-    with pytest.raises(InfeasibleAtStep) as exc:
-        run_closed_loop(plant, model, config, schedule, refs, T=10, seed=0, x0=[0.0, 10.0])
-    assert exc.value.step == 0
-    assert isinstance(exc.value.log, SimLog)
-    assert exc.value.log.halted_at == 0
-    assert exc.value.log.feasible[-1] == False  # noqa: E712
+    log = run_closed_loop(plant, model, config, schedule, refs, T=10, seed=0, x0=[0.0, 10.0])
+    assert log.halted_at == 0
+    assert log.k.tolist() == [0]
+    assert log.feasible[-1] == False  # noqa: E712
 
 
 def test_undeclared_disturbance_can_halt_run():
@@ -247,15 +244,15 @@ def test_undeclared_disturbance_can_halt_run():
     plant = numerical_example_plant()
     inject = DisturbanceModel(W=box_zonotope([0.2, 0.2, 0.2]), V=box_zonotope([0.1, 0.1]))
     refs = ReferenceSchedule.timed([(0, [4.0])])
-    try:
-        log = run_closed_loop(
-            plant, model, config, schedule, refs, disturbances=inject, T=80, seed=2
-        )
+    log = run_closed_loop(plant, model, config, schedule, refs, disturbances=inject, T=80, seed=2)
+    if log.halted_at is None:
+        assert log.k.size == 80
         assert np.nanmin(log.margin_min) < 0
-    except InfeasibleAtStep as exc:
-        assert exc.step > 0
-        assert exc.log.feasible[exc.step] == False  # noqa: E712
-        assert np.sum(~exc.log.feasible) == 1
+    else:
+        assert log.halted_at > 0
+        assert log.k.size == log.halted_at + 1
+        assert log.feasible[log.halted_at] == False  # noqa: E712
+        assert np.sum(~log.feasible) == 1
 
 
 # --- metrics and persistence -------------------------------------------------------------
@@ -273,8 +270,13 @@ def test_tracking_metrics_nominal():
 
 
 def test_tracking_metrics_empty_log():
+    model, config, schedule = make_loop_setup()
+    plant = numerical_example_plant()
+    refs = ReferenceSchedule.timed([(0, [1.0])])
+    log = run_closed_loop(plant, model, config, schedule, refs, T=0, seed=0)
+    assert log.k.size == 0 and log.halted_at is None
     with pytest.raises(ValueError):
-        tracking_metrics(SimLog.empty(n_x=2, n_u=1, n_y=1, n_w=3, n_v=2), 10)
+        tracking_metrics(log, 10)
 
 
 def _log_with_margins(state_margin):
