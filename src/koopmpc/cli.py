@@ -13,7 +13,8 @@ scenario command.
 Exit codes: 0 success, 2 missing/malformed input, 3 underdetermined fit,
 4 the tube could not be built: no converged stabilizing LQR gain, or an empty
 tightened set, 5 closed-loop infeasibility, 6 the QP solver failed (a
-nonconvex objective, an LP failure, or the iteration limit).
+nonconvex objective, an LP failure, an NNLS failure or a singular reduced
+Hessian).
 """
 
 from __future__ import annotations
@@ -174,6 +175,16 @@ def _box_from_doc(doc, n: int, what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
+def _count(doc: dict, key: str, what: str, minimum: int = 1, default: int | None = None) -> int:
+    """``doc[key]``, or ``default`` when the key is absent and a default is
+    given, as an integer of at least ``minimum``. A bool, a float (2.5, or
+    2.0) or a string is rejected with the key named, never truncated."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
     doc = sc.get("data")
     if not isinstance(doc, dict) or ("path" not in doc) == ("generate" not in doc):
@@ -185,11 +196,11 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
     _check_keys(gen, _GENERATE_KEYS, "data.generate")
     return generate_training_data(
         plant,
-        n_traj=int(gen["n_traj"]),
-        traj_len=int(gen["traj_len"]),
+        n_traj=_count(gen, "n_traj", "data.generate.n_traj"),
+        traj_len=_count(gen, "traj_len", "data.generate.traj_len"),
         input_box=_zonotope_from_doc(gen["input_box"], "data.generate.input_box", plant.n_u),
         state_box=_zonotope_from_doc(gen["state_box"], "data.generate.state_box", plant.n_x),
-        seed=int(gen.get("seed", 0)),
+        seed=_count(gen, "seed", "data.generate.seed", minimum=0, default=0),
     )
 
 
@@ -308,7 +319,9 @@ def build_stack(scenario_path) -> Stack:
     x0 = None if sc.get("x0") is None else np.asarray(sc["x0"], dtype=float)
     if x0 is not None and x0.shape != (plant.n_x,):
         raise ValueError(f"x0 must list {plant.n_x} numbers, got {sc['x0']!r}")
-    T, seed, settle_window = int(sc["T"]), int(sc.get("seed", 0)), int(sc.get("settle_window", 20))
+    T, N = _count(sc, "T", "T"), _count(cfg_doc, "N", "controller.N")
+    seed = _count(sc, "seed", "seed", minimum=0, default=0)
+    settle_window = _count(sc, "settle_window", "settle_window", default=20)
 
     data = _training_data(sc, plant, Path(scenario_path).parent)
     model = fit_edmd(data, lifting, ridge=float(sc.get("ridge", 1e-8)),
@@ -316,7 +329,6 @@ def build_stack(scenario_path) -> Stack:
     if "estimate" in dist_doc:
         inflation = float(dist_doc["estimate"].get("inflation", 1.0))
         disturbance = estimate_disturbance_sets(model, data, inflation=inflation)
-    N = int(cfg_doc["N"])
     gain = dlqr(
         model.A,
         model.B,

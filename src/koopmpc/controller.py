@@ -7,9 +7,10 @@ a :class:`~koopmpc.sets.TighteningSchedule`.  The offset term ``s * ||C_y z_s
 the tracking terms pull the trajectory toward the artificial target, which
 keeps the problem feasible even for unreachable or stepping references.
 
-A loop steps one :class:`TrackingProblem` with ``x0, report = shifted_candidate(problem,
-prev, x)`` and ``solve_step(problem, x, y_t, x0=x0)``: the shifted candidate is a
-decision vector of the same QP, so its margins are read off the QP's own rows.
+A loop steps one :class:`TrackingProblem` with ``solve_step(problem, x, y_t)``.
+``shifted_candidate(problem, prev, x)`` builds the recursive-feasibility
+candidate as a decision vector of the same QP, so its margins are read off the
+QP's own rows.
 """
 
 from __future__ import annotations
@@ -224,8 +225,6 @@ def solve_steady_offline(
     sol = qps.solve(qps.QuadraticProgram(P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in))
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("no steady pair exists inside the terminal tightened sets")
-    if sol.status != qps.OPTIMAL:
-        raise qps.SolverFailed(f"steady-target QP ended with status {sol.status}")
     return _steady_target(model, s, sol.x_star[:n_z], sol.x_star[n_z:], y_t)
 
 
@@ -372,15 +371,9 @@ class TrackingProblem:
         return self.qp
 
 
-def solve_step(
-    problem: TrackingProblem, x_k, y_t, x0: np.ndarray | None = None
-) -> tuple[np.ndarray, KtmpcSolution]:
+def solve_step(problem: TrackingProblem, x_k, y_t) -> tuple[np.ndarray, KtmpcSolution]:
     """Solve the tracking QP of ``problem`` at ``x_k`` and return the first
-    input to apply.
-
-    ``x0`` is a decision vector of the QP to warm-start from, such as the
-    one :func:`shifted_candidate` builds from the previous step's optimum.
-    """
+    input to apply."""
     model, config, schedule = problem.model, problem.config, problem.schedule
     x_k = _as_vector(x_k, model.n_x, "x_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
@@ -388,11 +381,9 @@ def solve_step(
     if m0 < -_MARGIN_TOL:
         raise Infeasible(f"measured state violates the initial tightened set by {-m0:.3g}")
     z0 = lift(model, x_k)
-    sol = qps.solve(problem.at(z0, y_t), max_iter=2000, x0=x0)
+    sol = qps.solve(problem.at(z0, y_t))
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("tracking QP is primal infeasible")
-    if sol.status != qps.OPTIMAL:
-        raise qps.SolverFailed(f"tracking QP ended with status {sol.status}")
 
     u_bar, z_tail, z_s, u_s = problem.layout.split(sol.x_star)
     z_bar = np.vstack([z0[None, :], z_tail])

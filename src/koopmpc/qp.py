@@ -1,4 +1,4 @@
-"""Dense convex quadratic programming with certified KKT residuals.
+"""Dense convex quadratic programming with certified results.
 
 Problems have the form
 
@@ -6,25 +6,27 @@ Problems have the form
     subject to  A_eq x  = b_eq
                 A_in x <= b_in
 
-and are solved by a null-space primal active-set method. Everything the solver
+with P positive definite on the null space of A_eq. Everything the solver
 derives from P, A_eq and A_in (the PSD check, one SVD of A_eq giving an
 orthonormal null basis Z and the pseudo-inverse, the Cholesky factorization
 Z'PZ = LL' and the reduced rows) is computed once per problem, on first use,
-and stays valid while q, b_eq and b_in change. The iterations work in the
-basis Y = Z L^-T, in which the reduced Hessian is the identity, so each step
-is a projection on the working-set basis: the reduced gradient with its
-component along the working rows removed. The multipliers come from one
-triangular solve with the Gram-Schmidt factor that the independence test of
-each added row builds anyway (as in Goldfarb & Idnani, 1983, the Hessian is
-factored once and only the working rows' factor changes). A singular Z'PZ is
-handled by an eigendecomposition on the working rows' complement instead.
+and stays valid while q, b_eq and b_in change. A singular Z'PZ raises
+SolverFailed when it is factored.
 
-A warm start is projected onto the equalities, then the rows it violates are
-held at their bounds by the correction of least P-norm, taken from the working
-set's own factor; the held rows are the iterations' first working set. A
-feasible start is otherwise produced by a phase-1 linear program (HiGHS), whose
-optimal slack also certifies primal infeasibility. Pure linear programs (P = 0)
-are dispatched to HiGHS directly.
+In the basis Y = Z L^-T, where the reduced Hessian is the identity, the QP is
+a least-distance program: with x_p = A_eq^+ b_eq, g = Y'(P x_p + q) and
+x = x_p + Y(v - g), it reads  minimize |v|  subject to  G v >= f, where
+G = -A_in Y and f = A_in x_p - b_in - A_in Y g. Lawson & Hanson (Solving Least
+Squares Problems, 1974, ch. 23) solve it by one nonnegative least-squares
+(NNLS) problem on E = [G'; f']: its solution u and residual r = Eu - e_{n+1}
+give either the optimum v = -r[:n]/r[n] with multipliers u/|r|^2, or, when
+r = 0, a Farkas vector u >= 0 with G'u = 0 and f'u = 1. Each is checked in the
+full space before a status is returned. The optimum must have KKT residuals
+within 1e-8 of the data's scale. The Farkas vector, with
+mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0 to a scaled tolerance
+and b_in'u + b_eq'mu < 0, which no feasible x allows. Inconsistent equalities
+are certified by the least-squares residual of x_p. Anything else raises
+SolverFailed. Pure linear programs (P = 0) are dispatched to HiGHS.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasible"
-MAX_ITERATIONS = "MaxIterations"
 
 _FEAS_TOL = 1e-9
-_MULT_TOL = 1e-8  # optimal once every working-row multiplier is >= -_MULT_TOL
+_KKT_TOL = 1e-8
 
 
 class NonConvex(Exception):
@@ -50,8 +50,8 @@ class NonConvex(Exception):
 
 
 class SolverFailed(RuntimeError):
-    """A QP could not be solved: an LP failed, the objective is unbounded
-    below on the feasible set, or the iterations ran out."""
+    """A QP could not be solved: an LP failed or is unbounded, the reduced
+    Hessian is singular, or NNLS gave no result that passes its check."""
 
 
 @dataclass
@@ -112,7 +112,6 @@ class QpSolution:
     objective: float
     status: str
     kkt_residuals: dict[str, float]
-    iterations: int = 0
     eq_multipliers: np.ndarray | None = None
     in_multipliers: np.ndarray | None = None
     active_set: tuple[int, ...] = ()
@@ -141,6 +140,15 @@ def _validate_psd(P: np.ndarray) -> None:
         raise NonConvex("quadratic term is not positive semidefinite")
 
 
+def _infeasible(qp: QuadraticProgram) -> QpSolution:
+    return QpSolution(
+        x_star=np.full(qp.dim, np.nan),
+        objective=np.nan,
+        status=PRIMAL_INFEASIBLE,
+        kkt_residuals={},
+    )
+
+
 def _solve_lp(qp: QuadraticProgram) -> QpSolution:
     res = linprog(
         qp.q,
@@ -152,12 +160,7 @@ def _solve_lp(qp: QuadraticProgram) -> QpSolution:
         method="highs",
     )
     if res.status == 2:
-        return QpSolution(
-            x_star=np.full(qp.dim, np.nan),
-            objective=np.nan,
-            status=PRIMAL_INFEASIBLE,
-            kkt_residuals={},
-        )
+        return _infeasible(qp)
     if res.status == 3:
         raise SolverFailed("linear objective is unbounded below on the feasible set")
     if not res.success:
@@ -183,28 +186,22 @@ def _solve_lp(qp: QuadraticProgram) -> QpSolution:
 class _Factors:
     """What the solver derives from P, A_eq and A_in alone.
 
-    Z is an orthonormal basis of the null space of A_eq, and A_eq_pinv its
-    pseudo-inverse, whose product with r is the minimum-norm solution of
-    A_eq x = r (and whose transpose solves A_eq' nu = r the same way).
+    A_eq_pinv is the pseudo-inverse of A_eq, whose product with r is the
+    minimum-norm solution of A_eq x = r (and whose transpose solves
+    A_eq' nu = r the same way). Y = Z L^-T, where Z is an orthonormal basis of
+    the null space of A_eq and Z'PZ = LL' the Cholesky factorization of the
+    reduced Hessian, spans the same null space with Y'PY = I; AY = A_in Y."""
 
-    The projection and the iterations use the basis Y = Z L^-T of the same
-    null space, where Z'PZ = LL' is the Cholesky factorization of the reduced
-    Hessian, so that Y'PY = I, and the rows AY = A_in Y. H is None then; when
-    Z'PZ is singular (its factorization fails, or a pivot falls below 1e-11 of
-    its largest diagonal entry) H = Z'PZ and Y = Z. tol_Y is the tolerance
-    below which a row of AY counts as dependent: 1e-10 of the norm of the
-    full row, scaled by how Y stretches the reduced row A_in Z."""
-
-    Z: np.ndarray
     A_eq_pinv: np.ndarray
     Y: np.ndarray
     AY: np.ndarray
-    H: np.ndarray | None
-    tol_Y: np.ndarray
 
 
 def _factor(qp: QuadraticProgram) -> _Factors:
-    """Validate P, take one SVD of A_eq and one Cholesky factorization of Z'PZ."""
+    """Validate P, take one SVD of A_eq and one Cholesky factorization of Z'PZ.
+
+    Raises SolverFailed when Z'PZ is singular: its factorization fails, or a
+    pivot falls below 1e-11 of its largest diagonal entry."""
     _validate_psd(qp.P)
     A_eq, d = qp.A_eq, qp.dim
     if A_eq.shape[0] == 0:
@@ -216,276 +213,86 @@ def _factor(qp: QuadraticProgram) -> _Factors:
     H = Z.T @ qp.P @ Z
     try:
         L = np.linalg.cholesky(H)
-        if L.size and np.min(np.diag(L)) ** 2 <= 1e-11 * np.max(np.diag(H)):
-            raise np.linalg.LinAlgError("reduced Hessian is singular")
-        Y, H = solve_triangular(L, Z.T, lower=True).T, None
     except np.linalg.LinAlgError:
-        Y = Z
-    AY = qp.A_in @ Y
-    tol = 1e-10 * np.linalg.norm(qp.A_in, axis=1)
-    norm_Z = np.linalg.norm(qp.A_in @ Z, axis=1)
-    tol_Y = np.divide(tol * np.linalg.norm(AY, axis=1), norm_Z, out=np.zeros_like(tol),
-                      where=norm_Z > 0)
-    return _Factors(Z=Z, A_eq_pinv=A_eq_pinv, Y=Y, AY=AY, H=H, tol_Y=tol_Y)
+        L = None
+    if L is None or (L.size and np.min(np.diag(L)) ** 2 <= 1e-11 * np.max(np.diag(H))):
+        raise SolverFailed(
+            "reduced Hessian Z'PZ is singular: P must be positive definite on the "
+            "null space of A_eq"
+        )
+    Y = solve_triangular(L, Z.T, lower=True).T
+    return _Factors(A_eq_pinv=A_eq_pinv, Y=Y, AY=qp.A_in @ Y)
 
 
-def _phase1(qp: QuadraticProgram, f: _Factors):
-    """A feasible point and an empty working set, or None if certified infeasible."""
-    d = qp.dim
-    if qp.A_in.shape[0] == 0:
-        return _project(qp, f, np.zeros(d))
-    # minimize s  s.t.  A_in x - s <= b_in,  A_eq x = b_eq,  s >= 0
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([qp.A_in, -np.ones((qp.A_in.shape[0], 1))])
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=qp.b_in,
-        A_eq=np.hstack([qp.A_eq, np.zeros((qp.A_eq.shape[0], 1))])
-        if qp.A_eq.shape[0]
-        else None,
-        b_eq=qp.b_eq if qp.A_eq.shape[0] else None,
-        bounds=[(None, None)] * d + [(0.0, None)],
-        method="highs",
+def _certify_infeasible(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> QpSolution:
+    """The PrimalInfeasible solution once u >= 0 and mu = -(A_eq^+)'A_in'u pass
+    the Farkas check, else SolverFailed. A_in'u + A_eq'mu = 0 and
+    b_in'u + b_eq'mu < 0 would give 0 = (A_in'u + A_eq'mu)'x <= b_in'u + b_eq'mu < 0
+    for any feasible x. Both hold to 1e-9 of the size of the terms summed."""
+    a = qp.A_in.T @ u
+    mu = -f.A_eq_pinv.T @ a
+    residual = np.max(np.abs(a + qp.A_eq.T @ mu))
+    gap = qp.b_in @ u + qp.b_eq @ mu
+    a_scale = max(1.0, float(np.max(np.abs(qp.A_in).T @ u)))
+    b_scale = max(1.0, float(np.abs(qp.b_in) @ u + np.abs(qp.b_eq) @ np.abs(mu)))
+    if np.min(u) >= 0.0 and residual <= 1e-9 * a_scale and gap < -1e-9 * b_scale:
+        return _infeasible(qp)
+    raise SolverFailed(
+        f"NNLS gave neither a checked optimum nor a Farkas vector "
+        f"(residual {residual:.3g}, gap {gap:.3g})"
     )
-    if res.status == 2:
-        return None  # equality system itself is inconsistent
-    if not res.success:
-        raise SolverFailed(f"phase-1 LP failed: {res.message}")
-    if res.x[-1] > _FEAS_TOL:
-        return None  # certified: even the minimal constraint violation is positive
-    return np.asarray(res.x[:d], dtype=float), _WorkingSet(f.AY, f.tol_Y)
 
 
-def _project(qp: QuadraticProgram, f: _Factors, x: np.ndarray):
-    """Move x onto the feasible set: return (x, working), or None.
+def solve(qp: QuadraticProgram) -> QpSolution:
+    """Solve a convex QP, with P positive definite on the null space of A_eq,
+    by one NNLS solve of its least-distance form; LPs (P = 0) go to HiGHS.
 
-    The minimum-norm correction puts x on the equality manifold. While a row
-    is violated, the violated rows join the working set, and with its factor
-    AY[held] = R'Q the step w = Q'R'^-1 (b_in - A_in x)[held] puts every held
-    row at its bound: the least-norm step in the basis Y, so x + Y w is the
-    correction of least P-norm (Euclidean when Y = Z). None means the
-    equalities are inconsistent or a held row became dependent; the caller
-    then falls back to phase 1.
-    """
-    if qp.A_eq.shape[0]:
-        x = x + f.A_eq_pinv @ (qp.b_eq - qp.A_eq @ x)
-        if np.max(np.abs(qp.A_eq @ x - qp.b_eq)) > 1e-8:
-            return None
-    working = _WorkingSet(f.AY, f.tol_Y)
-    while qp.A_in.shape[0]:
-        violated = np.flatnonzero(qp.A_in @ x - qp.b_in > _FEAS_TOL)
-        if violated.size == 0:
-            break
-        for i in violated:
-            if not working.add(i):
-                return None
-        Q, R = working.factors()
-        r = qp.b_in[working.index] - qp.A_in[working.index] @ x
-        x = x + f.Y @ (Q.T @ dtrtrs(R, r, trans=1)[0])
-    return x, working
-
-
-class _WorkingSet:
-    """Indices of the inequality rows held active, kept linearly independent
-    of each other and of the equality rows, with the factorization
-    rows[index]' = Q'R: Q has orthonormal rows spanning the kept rows and R
-    is upper triangular.
-
-    A row a_i depends on the equality rows and the kept rows exactly when its
-    reduced row lies in the span of the kept reduced rows, so each test is one
-    projection onto Q, and a kept row extends Q and R by that projection's
-    Gram-Schmidt step.
-    """
-
-    def __init__(self, rows: np.ndarray, tol: np.ndarray):
-        n = rows.shape[1]
-        self._rows, self._tol = rows, tol
-        self._Q, self._R = np.empty((n, n)), np.zeros((n, n))
-        self._stale = False
-        self.index: list[int] = []
-
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Q and R of the kept rows. They are rebuilt by one QR after drops,
-        so a run of drops costs one factorization."""
-        k = len(self.index)
-        if self._stale:
-            q, self._R[:k, :k] = np.linalg.qr(self._rows[self.index].T)
-            self._Q[:k] = q.T
-            self._stale = False
-        return self._Q[:k], self._R[:k, :k]
-
-    def add(self, i: int) -> bool:
-        """Keep row i if it is independent; report whether it was kept."""
-        Q, _ = self.factors()
-        v = self._rows[i]
-        c = Q @ v
-        r = v - Q.T @ c
-        if np.linalg.norm(r) <= self._tol[i]:
-            return False
-        # A second pass restores the orthogonality one classical
-        # Gram-Schmidt pass loses on nearly parallel rows.
-        c2 = Q @ r
-        r = r - Q.T @ c2
-        k, rho = len(self.index), np.linalg.norm(r)
-        self._Q[k], self._R[:k, k], self._R[k, k] = r / rho, c + c2, rho
-        self.index.append(int(i))
-        return True
-
-    def drop(self, k: int) -> None:
-        """Release the k-th kept row."""
-        del self.index[k]
-        self._stale = True
-
-    def multipliers(self, g: np.ndarray) -> np.ndarray:
-        """The least-squares solution of rows[index]' lam = -g, from R lam = -Q g."""
-        Q, R = self.factors()
-        return dtrtrs(R, -(Q @ g))[0] if self.index else np.zeros(0)
-
-
-def _eqp_direction(f: _Factors, working: _WorkingSet, g: np.ndarray):
-    """Solve the equality subproblem  min 0.5 p'(Y'PY)p + g'p  s.t.  C p = 0,
-    where C = AY[working.index] and g is the gradient in the basis Y.
-
-    Returns (p, lam, is_ray): lam are the working-row multipliers (None when
-    the reduced Hessian is singular), and is_ray flags a direction of linear
-    descent along which the subproblem is unbounded. With Y'PY = I the
-    minimizer is -g projected off the working rows, and R lam = -Q g.
-    """
-    Q, _ = working.factors()
-    if f.H is None:
-        return Q.T @ (Q @ g) - g, working.multipliers(g), False
-    # Singular reduced Hessian (Y = Z): minimize on the complement of Q
-    # explicitly, by eigh.
-    W = np.linalg.svd(Q)[2][Q.shape[0]:].T
-    if W.shape[1] == 0:
-        return np.zeros(g.size), None, False
-    evals, evecs = np.linalg.eigh(W.T @ f.H @ W)
-    ch = evecs.T @ (W.T @ g)
-    eps_h = 1e-11 * max(1.0, float(evals.max(initial=0.0)))
-    eps_c = 1e-9 * max(1.0, float(np.max(np.abs(g))))
-    flat = evals <= eps_h
-    descent = flat & (np.abs(ch) > eps_c)
-    if np.any(descent):
-        ray = W @ (evecs @ np.where(descent, -ch, 0.0))
-        return ray / np.linalg.norm(ray), None, True
-    v = np.where(flat, 0.0, -ch / np.where(flat, 1.0, evals))
-    return W @ (evecs @ v), None, False
-
-
-def _active_set(qp, f, x, working, max_iter):
-    """Primal active-set iterations in the null space of A_eq, from the
-    feasible point x and the working set its start holds, which the other rows
-    at their bounds join in index order. Returns (x, lam, status, iterations,
-    working). The gradient g = Y'(Px + q) and the slacks b_in - A_in x are
-    updated along each step, so the full-space products run once per solve."""
-    m_i = qp.A_in.shape[0]
-    Y, AY = f.Y, f.AY
-    slack = qp.b_in - qp.A_in @ x
-    g = Y.T @ (qp.P @ x + qp.q)
-    for i in np.flatnonzero(slack <= 1e-9):
-        if i not in working.index:
-            working.add(i)
-
-    status = MAX_ITERATIONS
-    iterations = 0
-    lam = np.zeros(m_i)
-    for iterations in range(1, max_iter + 1):
-        w, lam_w, is_ray = _eqp_direction(f, working, g)
-        p = Y @ w
-        step_scale = max(1.0, float(np.max(np.abs(x))))
-        if is_ray or np.max(np.abs(p)) > 1e-11 * step_scale:
-            # Ratio test against the non-working inequalities; the lowest
-            # index wins a tie.
-            alpha = np.inf if is_ray else 1.0
-            blocking = -1
-            Ap = AY @ w
-            if m_i:
-                ahead = Ap > 1e-13
-                ahead[working.index] = False
-                ratio = np.full(m_i, np.inf)
-                r = np.maximum(slack, 0.0)
-                ratio[ahead] = r[ahead] / Ap[ahead]
-                i = int(np.argmin(ratio))
-                if ratio[i] < alpha - 1e-15:
-                    alpha, blocking = float(ratio[i]), i
-            if is_ray and blocking < 0:
-                raise SolverFailed("objective is unbounded below on the feasible set")
-            x = x + alpha * p
-            slack = slack - alpha * Ap
-            g = g + alpha * (w if f.H is None else f.H @ w)
-            if blocking >= 0:
-                if not working.add(blocking):
-                    # Dependent blocking row: swap it in for a dependent
-                    # partner by dropping the working row with the smallest
-                    # multiplier. With Y'PY = I the step left Q g, and so
-                    # the multipliers, unchanged.
-                    lam_now = working.multipliers(g) if lam_w is None else lam_w
-                    if lam_now.size:
-                        working.drop(int(np.argmin(lam_now)))
-                    working.add(blocking)
-                continue
-        # x now minimizes over the working set: either the step vanished, or
-        # the full unblocked step landed on the minimizer, where the
-        # multipliers are those of the step's subproblem. Testing them right
-        # after a full step, instead of waiting for the next direction to
-        # vanish, avoids spinning forever on ill-conditioned problems whose
-        # computed steps never drop below the zero-direction threshold.
-        if lam_w is None:
-            lam_w = working.multipliers(g)
-        if lam_w.size == 0 or np.min(lam_w) >= -_MULT_TOL:
-            lam[working.index] = np.maximum(lam_w, 0.0)
-            status = OPTIMAL
-            break
-        working.drop(int(np.argmin(lam_w)))
-    return x, lam, status, iterations, working.index
-
-
-def solve(
-    qp: QuadraticProgram,
-    max_iter: int = 500,
-    x0: np.ndarray | None = None,
-) -> QpSolution:
-    """Solve a convex QP with a null-space primal active-set method.
-
-    `x0` is an optional warm start; correctness never depends on it: a warm
-    start that cannot be projected onto the feasible set falls back to
-    phase 1.
-
-    Raises NonConvex when P fails the PSD validation (eigenvalues below
-    -1e-10 relative to scale), which runs once per problem with its other
-    factors.
+    Returns an Optimal solution whose KKT residuals passed their check, or a
+    PrimalInfeasible one certified by a checked Farkas vector (or by the
+    residual of inconsistent equalities). Raises NonConvex when P fails the
+    PSD validation (eigenvalues below -1e-10 relative to scale), and
+    SolverFailed when Z'PZ is singular, NNLS reaches its iteration limit, or
+    neither result passes its check.
     """
     if not np.any(qp.P):
         return _solve_lp(qp)
 
     f = qp.factors
-    start = None
-    if x0 is not None:
-        start = _project(qp, f, np.array(x0, dtype=float).ravel())
-    if start is None:
-        start = _phase1(qp, f)
-        if start is None:
-            return QpSolution(
-                x_star=np.full(qp.dim, np.nan),
-                objective=np.nan,
-                status=PRIMAL_INFEASIBLE,
-                kkt_residuals={},
-            )
+    x_p = f.A_eq_pinv @ qp.b_eq
+    tol = _KKT_TOL * max(1.0, *(float(np.max(np.abs(b), initial=0.0))
+                                for b in (qp.q, qp.b_eq, qp.b_in)))
+    if np.max(np.abs(qp.A_eq @ x_p - qp.b_eq), initial=0.0) > tol:
+        return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
+    g = f.Y.T @ (qp.P @ x_p + qp.q)
+    n, m = g.size, qp.A_in.shape[0]
+    v, lam = np.zeros(n), np.zeros(m)
+    if m:  # nnls on a matrix with no columns aborts the process
+        E = np.vstack([-f.AY.T, qp.A_in @ x_p - qp.b_in - f.AY @ g])
+        e = np.zeros(n + 1)
+        e[n] = 1.0
+        try:
+            u = nnls(E, e)[0]
+        except RuntimeError as exc:
+            raise SolverFailed(f"NNLS solve of the least-distance program failed: {exc}") from exc
+        r = E @ u - e
+        if r[n] >= 0.0:  # r = 0 to rounding: u is the only result
+            return _certify_infeasible(qp, f, u)
+        # At the NNLS optimum |r|^2 = -r[n]; dividing by -r[n] keeps v = G'lam exact.
+        v, lam = -r[:n] / r[n], -u / r[n]
 
-    x, lam, status, iterations, working = _active_set(qp, f, *start, max_iter)
-    nu = np.zeros(qp.A_eq.shape[0])
-    if status == OPTIMAL:
-        nu = -f.A_eq_pinv.T @ (qp.P @ x + qp.q + qp.A_in.T @ lam)
-
+    x = x_p + f.Y @ (v - g)
+    nu = -f.A_eq_pinv.T @ (qp.P @ x + qp.q + qp.A_in.T @ lam)
+    kkt = _kkt_residuals(qp, x, nu, lam)
+    if not all(value <= tol for value in kkt.values()):
+        if m:
+            return _certify_infeasible(qp, f, u)
+        raise SolverFailed(f"QP solution failed its KKT check: {kkt}")
     return QpSolution(
         x_star=x,
         objective=_objective(qp, x),
-        status=status,
-        kkt_residuals=_kkt_residuals(qp, x, nu, lam),
-        iterations=iterations,
+        status=OPTIMAL,
+        kkt_residuals=kkt,
         eq_multipliers=nu,
         in_multipliers=lam,
-        active_set=tuple(sorted(working)),
+        active_set=tuple(int(i) for i in np.flatnonzero(lam)),
     )

@@ -257,14 +257,13 @@ def run_closed_loop(
     for k in range(T):
         y_t = cursor.advance(k, position=plant.C @ x)
         y = plant.C @ x
-        x_c, report = (None, None) if prev is None else shifted_candidate(problem, prev, x)
-        cand_margin = np.nan if report is None else report.min_margin
+        cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, x)[1].min_margin
         try:
             key = y_t.tobytes()
             if key not in offline_cache:
                 offline_cache[key] = solve_steady_offline(model, schedule, y_t, config.s)
             offline = offline_cache[key]
-            u_k, sol = solve_step(problem, x, y_t, x0=x_c)
+            u_k, sol = solve_step(problem, x, y_t)
         except Infeasible:
             rows.append(
                 k=k, x=x, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,

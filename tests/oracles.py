@@ -125,7 +125,10 @@ def qp_by_active_set_enumeration(P, q, A_eq, b_eq, A_in, b_in, tol=1e-9):
     For every subset S of at most d inequality rows, the KKT system of
     ``min 0.5 x'Px + q'x  s.t.  A_eq x = b_eq,  A_S x = b_S`` is solved by
     least squares. A consistent system gives a minimizer on that affine set;
-    it is a candidate when it also satisfies every inequality. The optimal set
+    it is a candidate when it also satisfies every inequality, to rounding
+    (1e-12 of the right-hand side's scale) rather than to ``tol``: least
+    squares merges rows 1e-11 off parallel, so a consistent system can give a
+    point just off one of them, and such a point is not feasible. The optimal set
     of a convex QP over a bounded polyhedron has a vertex v, and a maximal
     independent subset S of the rows active at v (at most d of them) makes v
     the only minimizer on its affine set, so the least candidate objective is
@@ -153,7 +156,7 @@ def qp_by_active_set_enumeration(P, q, A_eq, b_eq, A_in, b_in, tol=1e-9):
             if np.max(np.abs(kkt @ sol - rhs)) > tol * scale:
                 continue  # no minimizer on this affine set
             x = sol[:d]
-            if np.any(A_in @ x > b_in + tol * scale):
+            if np.any(A_in @ x > b_in + 1e-12 * scale):
                 continue
             obj = float(0.5 * x @ P @ x + q @ x)
             if obj < best[0]:

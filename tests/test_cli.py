@@ -1,11 +1,11 @@
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from koopmpc import cli as cli_module
+from koopmpc import controller as controller_module
 from koopmpc import qp as qp_module
 from koopmpc.cli import main
 from koopmpc.gains import dlqr
@@ -353,6 +353,37 @@ def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, nam
     assert named in capsys.readouterr().err
 
 
+def scenario_with_value(tmp_path, dotted, value):
+    """The base scenario with the dotted key set to ``value``."""
+    scenario = base_scenario(tmp_path)
+    doc = json.loads(scenario.read_text())
+    *blocks, key = dotted.split(".")
+    node = doc
+    for part in blocks:
+        node = node[part]
+    node[key] = value
+    scenario.write_text(json.dumps(doc))
+    return scenario
+
+
+@pytest.mark.parametrize("dotted, minimum", [
+    ("T", 1), ("seed", 0), ("settle_window", 1), ("controller.N", 1),
+    ("data.generate.n_traj", 1), ("data.generate.traj_len", 1), ("data.generate.seed", 0),
+])
+@pytest.mark.parametrize("bad", ["fraction", "integral float", "bool", "below minimum"])
+def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, dotted, minimum,
+                                                 bad):
+    # Rejected with the key named before any data is generated or fitted:
+    # "T": 2.5 used to run 2 steps, and "T": 0 to fit and tighten first.
+    value = {"fraction": 2.5, "integral float": 2.0, "bool": True,
+             "below minimum": minimum - 1}[bad]
+    for name in ("generate_training_data", "fit_edmd"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
+    scenario = scenario_with_value(tmp_path, dotted, value)
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
+    assert f"{dotted} must be an integer >= {minimum}, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid, named", [
     ({"x_points": [11]}, "steady_grid.x_points"),  # one count for a two-state plant
     ({"u_points": [121, 5]}, "steady_grid.u_points"),
@@ -445,24 +476,27 @@ def test_simulate_nonconvex_qp_exit_6(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_qp_iteration_limit_exit_6(tmp_path, capsys, monkeypatch):
-    solve = qp_module.solve
+    def capped(E, e):
+        raise RuntimeError("Maximum number of iterations reached.")  # as scipy's nnls does
 
-    def capped(qp, **kw):
-        # Only the tracking QP passes a warm start (None at the first step).
-        return solve(qp, **{**kw, "max_iter": 0}) if "x0" in kw else solve(qp, **kw)
-
-    monkeypatch.setattr(qp_module, "solve", capped)
+    monkeypatch.setattr(qp_module, "nnls", capped)
     code, err = _simulate_exit_code(tmp_path, capsys)
-    assert code == 6 and "tracking QP ended with status MaxIterations" in err
+    assert code == 6 and "Maximum number of iterations reached" in err
 
 
-def test_simulate_phase1_lp_failure_exit_6(tmp_path, capsys, monkeypatch):
-    def failed(*args, **kwargs):
-        return SimpleNamespace(status=4, success=False, message="numerical difficulties")
+def test_simulate_singular_reduced_hessian_exit_6(tmp_path, capsys, monkeypatch):
+    build = controller_module.build_qp
 
-    monkeypatch.setattr(qp_module, "linprog", failed)
+    def flat(*args):
+        qp = build(*args)
+        P = np.zeros_like(qp.P)
+        P[0, 0] = 1.0  # PSD and nonzero: an LP no longer, but flat on most of null(A_eq)
+        return qp_module.QuadraticProgram(P=P, q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq,
+                                          A_in=qp.A_in, b_in=qp.b_in)
+
+    monkeypatch.setattr(controller_module, "build_qp", flat)
     code, err = _simulate_exit_code(tmp_path, capsys)
-    assert code == 6 and "phase-1 LP failed: numerical difficulties" in err
+    assert code == 6 and "reduced Hessian Z'PZ is singular" in err
 
 
 def test_simulate_bad_json_exit_2(tmp_path, capsys):

@@ -319,17 +319,14 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
     y_t = [1.0]
     costs, v1s, v2s = [], [], []
     offline = solve_steady_offline(model, schedule, y_t, config.s)
-    prev = None
     problem = TrackingProblem(model, config, schedule)
     for _ in range(40):
-        x0 = None if prev is None else shifted_candidate(problem, prev, x)[0]
-        u_k, sol = solve_step(problem, x, y_t, x0=x0)
+        u_k, sol = solve_step(problem, x, y_t)
         d = diagnostics(sol, offline)
         costs.append(sol.total_cost)
         v1s.append(d.V1)
         v2s.append(d.V2)
         x = nominal_step(model, x, u_k)
-        prev = sol
     assert abs(x[1] - 1.0) <= 1e-3
     for a, b in zip(costs, costs[1:]):
         assert b <= a + 1e-7
@@ -341,16 +338,17 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
 
 
 def test_warm_start_matches_cold_start():
+    # The problem a loop keeps, warm from the previous step, solves the next
+    # step bit for bit as a cold problem built for it alone.
     model, config, schedule = make_setup(N=6)
     x = np.array([0.0, 0.8])
     problem = TrackingProblem(model, config, schedule)
-    u_k, prev = solve_step(problem, x, y_t=[2.0])
+    u_k, _ = solve_step(problem, x, y_t=[2.0])
     x_next = nominal_step(model, x, u_k)
-    _, cold = solve_step(problem, x_next, y_t=[2.0])
-    x0, _ = shifted_candidate(problem, prev, x_next)
-    _, warm = solve_step(problem, x_next, y_t=[2.0], x0=x0)
-    assert warm.total_cost == pytest.approx(cold.total_cost, abs=1e-8)
-    assert np.allclose(warm.u_bar, cold.u_bar, atol=1e-6)
+    _, warm = solve_step(problem, x_next, y_t=[2.0])
+    _, cold = solve_step(TrackingProblem(model, config, schedule), x_next, y_t=[2.0])
+    assert warm.total_cost == cold.total_cost
+    assert np.array_equal(warm.u_bar, cold.u_bar)
 
 
 # --- shifted candidate -------------------------------------------------------------------
@@ -382,17 +380,14 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
     # terminal-equality test above).
     x = np.array([0.0, 0.5])
     y_t = [0.8]
-    prev = None
     problem = TrackingProblem(model, config, schedule)
     for _ in range(20):
-        x0 = None if prev is None else shifted_candidate(problem, prev, x)[0]
-        u_k, sol = solve_step(problem, x, y_t, x0=x0)
+        u_k, sol = solve_step(problem, x, y_t)
         z = lift(model, x)
         w = np.array([0.0, rng.uniform(-0.1, 0.1), 0.0])
         x = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + w)
         _, report = shifted_candidate(problem, sol, x)
         assert report.min_margin >= -1e-9, report
-        prev = sol
     # The applied disturbance moves the candidate off the terminal equality.
     assert report.terminal_gap > 0.0
 

@@ -1,6 +1,6 @@
 """The parametric tracking QP (`TrackingProblem`) against its reference
-assembly (`build_qp` + `qp.solve`), its warm start on the unicycle course, and
-the shifted candidate's row-read margins against the per-set formula."""
+assembly (`build_qp` + `qp.solve`), the certified halt of the unicycle course,
+and the shifted candidate's row-read margins against the per-set formula."""
 
 import dataclasses
 from pathlib import Path
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmpc import cli, controller, qp as qp_module, sim
+from koopmpc import cli, controller, qp as qp_module
 from koopmpc.controller import (
     FeasibilityReport,
     Infeasible,
@@ -20,7 +20,7 @@ from koopmpc.controller import (
     solve_step,
 )
 from koopmpc.model import lift
-from koopmpc.qp import OPTIMAL, solve
+from koopmpc.qp import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from koopmpc.sets import TighteningSchedule, margin
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -68,8 +68,8 @@ def test_tracking_problem_matches_build_qp(stacks, problems, logs, name, near, w
     else:
         x_k = lo + u * (hi - lo)
     y_t = stack.plant.C @ (lo + np.array(uy[:n]) * (hi - lo))
-    ref = solve(build_qp(stack.model, stack.config, stack.schedule, x_k, y_t), max_iter=2000)
-    got = solve(problems[name].at(lift(stack.model, x_k), y_t), max_iter=2000)
+    ref = solve(build_qp(stack.model, stack.config, stack.schedule, x_k, y_t))
+    got = solve(problems[name].at(lift(stack.model, x_k), y_t))
     assert got.status == ref.status
     if ref.status == OPTIMAL:
         assert np.allclose(got.x_star, ref.x_star, rtol=0.0, atol=1e-8)
@@ -77,87 +77,57 @@ def test_tracking_problem_matches_build_qp(stacks, problems, logs, name, near, w
 
 
 def test_unicycle_warm_and_cold_solves_agree_along_the_course(course):
+    # The loop's problem, warm from every earlier step, against a cold one
+    # built for each step: the same inputs as the log, and the same halt.
     stack, log = course
     assert log.halted_at == 29
     model, config, schedule = stack.model, stack.config, stack.schedule
     problem = TrackingProblem(model, config, schedule)
-    prev = None
     for k in range(log.halted_at):
-        _, cold = solve_step(problem, log.x[k], log.y_t[k])
-        x0 = None if prev is None else shifted_candidate(problem, prev, log.x[k])[0]
-        u_k, warm = solve_step(problem, log.x[k], log.y_t[k], x0=x0)
+        u_k, warm = solve_step(problem, log.x[k], log.y_t[k])
+        _, cold = solve_step(TrackingProblem(model, config, schedule), log.x[k], log.y_t[k])
         for a, b in [(warm.u_bar, cold.u_bar), (warm.z_bar, cold.z_bar),
                      (warm.target.z_s, cold.target.z_s), (warm.target.u_s, cold.target.u_s)]:
             assert np.allclose(a, b, rtol=0.0, atol=1e-8), k
         assert np.array_equal(u_k, log.u[k])
-        prev = warm
     k = log.halted_at
-    for x0 in (None, shifted_candidate(problem, prev, log.x[k])[0]):
+    for fresh in (problem, TrackingProblem(model, config, schedule)):
         with pytest.raises(Infeasible):
-            solve_step(problem, log.x[k], log.y_t[k], x0=x0)
+            solve_step(fresh, log.x[k], log.y_t[k])
 
 
-def test_unicycle_course_runs_phase1_only_at_the_cold_start_and_the_halt(
-    course, problems, monkeypatch
-):
+def test_unicycle_course_halt_is_certified_without_highs(course, problems, monkeypatch):
+    # No HiGHS call anywhere in the loop: every QP, the offline steady target
+    # included, is one NNLS solve. The step-29 halt is certified by the NNLS
+    # Farkas vector u, which passes the full-space check here from scratch.
     stack, _ = course
-    steps, phase1_at = [], []
-    step, phase1 = sim.solve_step, qp_module._phase1
+    solves, farkas = [], []
+    solve_qp, nnls = qp_module.solve, qp_module.nnls
 
-    def counted_step(*args, **kwargs):
-        steps.append(len(steps))
-        return step(*args, **kwargs)
+    def refused(*args, **kwargs):
+        raise AssertionError("HiGHS was called in the closed loop")
 
-    def counted_phase1(qp, f):
-        phase1_at.append((steps[-1] if steps else None, qp.dim))
-        return phase1(qp, f)
+    def recorded_solve(qp):
+        solves.append((qp, solve_qp(qp)))
+        return solves[-1][1]
 
-    monkeypatch.setattr(sim, "solve_step", counted_step)
-    monkeypatch.setattr(qp_module, "_phase1", counted_phase1)
+    def recorded_nnls(E, e):
+        farkas.append(nnls(E, e)[0])
+        return farkas[-1], 0.0
+
+    monkeypatch.setattr(qp_module, "linprog", refused)
+    monkeypatch.setattr(qp_module, "solve", recorded_solve)
+    monkeypatch.setattr(qp_module, "nnls", recorded_nnls)
     log = stack.run(stack.seed)
     assert log.halted_at == 29
-    tracking_dim = problems["unicycle_square"].qp.dim
-    assert [k for k, dim in phase1_at if dim == tracking_dim] == [0, 29]
-    # The rest is the one offline steady target, solved cold before step 0.
-    assert [k for k, dim in phase1_at if dim != tracking_dim] == [None]
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_rows_held_by_the_warm_start_are_not_added_again(stacks, name, monkeypatch):
-    # The rows the projection holds are the iterations' first working set:
-    # seeding adds only the other rows active at the start, and no add, then
-    # or later, is of a row the set already holds.
-    held, seed_adds, repeats = [], [], []
-    seeding = False
-    add, active_set, direction = (qp_module._WorkingSet.add, qp_module._active_set,
-                                  qp_module._eqp_direction)
-
-    def spied_active_set(qp, f, x, working, max_iter):
-        nonlocal seeding
-        seeding = True
-        held.append(list(working.index))
-        return active_set(qp, f, x, working, max_iter)
-
-    def spied_add(self, i):
-        if i in self.index or (seeding and i in held[-1]):
-            repeats.append(int(i))
-        if seeding:
-            seed_adds.append(int(i))
-        return add(self, i)
-
-    def spied_direction(*args):
-        nonlocal seeding
-        seeding = False
-        return direction(*args)
-
-    monkeypatch.setattr(qp_module, "_active_set", spied_active_set)
-    monkeypatch.setattr(qp_module._WorkingSet, "add", spied_add)
-    monkeypatch.setattr(qp_module, "_eqp_direction", spied_direction)
-    stack = stacks[name]
-    log = stack.run(stack.seed)
-    assert log.halted_at == (29 if name == "unicycle_square" else None)
-    assert sum(map(len, held)) > len(seed_adds) > 0
-    assert not repeats
+    statuses = [sol.status for _, sol in solves]
+    assert statuses == [OPTIMAL] * (len(solves) - 1) + [PRIMAL_INFEASIBLE]
+    qp, u = solves[-1][0], farkas[-1]
+    assert qp.dim == problems["unicycle_square"].qp.dim
+    mu = -np.linalg.pinv(qp.A_eq).T @ (qp.A_in.T @ u)
+    assert np.min(u) >= 0.0
+    assert np.max(np.abs(qp.A_in.T @ u + qp.A_eq.T @ mu)) <= 1e-9
+    assert qp.b_in @ u + qp.b_eq @ mu < -0.5
 
 
 def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
@@ -177,9 +147,8 @@ def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
 def test_solve_step_lifts_the_state_once(stacks, problems, monkeypatch):
     model = stacks["a2"].model
     x, y_t = np.array([0.0, 0.5]), np.array([1.0])
-    u_k, prev = solve_step(problems["a2"], x, y_t)
+    u_k, _ = solve_step(problems["a2"], x, y_t)
     x_next = model.C_x @ (model.A @ lift(model, x) + model.B @ u_k)
-    x_c, _ = shifted_candidate(problems["a2"], prev, x_next)
     lifts = []
     lift_once = controller.lift
 
@@ -188,7 +157,7 @@ def test_solve_step_lifts_the_state_once(stacks, problems, monkeypatch):
         return lift_once(*args)
 
     monkeypatch.setattr(controller, "lift", counted)
-    _, sol = solve_step(problems["a2"], x_next, y_t, x0=x_c)
+    _, sol = solve_step(problems["a2"], x_next, y_t)
     assert len(lifts) == 1
     assert np.array_equal(sol.z_bar[0], lift_once(model, x_next))
 
@@ -218,12 +187,11 @@ def per_set_report(problem, prev, x_next, x_c) -> FeasibilityReport:
 
 
 def checked_candidate(problem, prev, x_next):
-    """``shifted_candidate``'s vector, after its report equals the reference's."""
+    """Check that ``shifted_candidate``'s report equals the reference's."""
     x_c, report = shifted_candidate(problem, prev, x_next)
     ref = per_set_report(problem, prev, x_next, x_c)
     for f in dataclasses.fields(FeasibilityReport):
         assert np.array_equal(getattr(report, f.name), getattr(ref, f.name)), f.name
-    return x_c
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -235,12 +203,12 @@ def test_row_margins_equal_the_per_set_margins_along_the_closed_loop(stacks, log
     last = log.k.size - 1 if log.halted_at is None else log.halted_at
     _, prev = solve_step(problem, log.x[0], log.y_t[0])
     for k in range(1, last + 1):
-        x_c = checked_candidate(problem, prev, log.x[k])
+        checked_candidate(problem, prev, log.x[k])
         if k == log.halted_at:
             with pytest.raises(Infeasible):
-                solve_step(problem, log.x[k], log.y_t[k], x0=x_c)
+                solve_step(problem, log.x[k], log.y_t[k])
         else:
-            u_k, prev = solve_step(problem, log.x[k], log.y_t[k], x0=x_c)
+            u_k, prev = solve_step(problem, log.x[k], log.y_t[k])
             assert np.array_equal(u_k, log.u[k])
     assert last == (299 if name == "a2" else 29)
 
@@ -260,7 +228,8 @@ def test_row_margins_equal_the_per_set_margins_at_horizon_one(stacks):
         # Disturb only x_2: the uncontrollable x_1 must be 0 for N = 1 to be feasible.
         w = np.array([0.0, rng.uniform(-0.05, 0.05), 0.0])
         x = model.C_x @ (model.A @ lift(model, x) + model.B @ u_k + w)
-        u_k, prev = solve_step(problem, x, y_t, x0=checked_candidate(problem, prev, x))
+        checked_candidate(problem, prev, x)
+        u_k, prev = solve_step(problem, x, y_t)
 
 
 def test_tracking_problem_rejects_a_set_with_no_rows(stacks):
