@@ -175,7 +175,7 @@ def _box_from_doc(doc, n: int, what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _count(doc: dict, key: str, what: str, minimum: int = 1, default: int | None = None) -> int:
+def _count(doc, key, what: str, minimum: int = 1, default: int | None = None) -> int:
     """``doc[key]``, or ``default`` when the key is absent and a default is
     given, as an integer of at least ``minimum``. A bool, a float (2.5, or
     2.0) or a string is rejected with the key named, never truncated."""
@@ -183,6 +183,51 @@ def _count(doc: dict, key: str, what: str, minimum: int = 1, default: int | None
     if type(value) is not int or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _positive(value, what: str):
+    """``value`` as a finite positive number; a bool or a string is rejected."""
+    if not (type(value) in (int, float) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be a finite positive number, got {value!r}")
+    return value
+
+
+def _numbers(values, n: int, what: str) -> list:
+    """``values`` as a list of ``n`` finite numbers (a bool is not one)."""
+    if not (isinstance(values, list) and len(values) == n and all(
+            type(v) in (int, float) and math.isfinite(v) for v in values)):
+        raise ValueError(f"{what} must list {n} numbers, all finite, got {values!r}")
+    return values
+
+
+def _references(doc, n_y: int) -> ReferenceSchedule:
+    """The reference schedule, checked before any data is made: each timed
+    start step is an integer >= 0, and each target and waypoint lists ``n_y``
+    finite numbers."""
+    def entries(value, what):
+        if not (isinstance(value, list) and value):
+            raise ValueError(f"{what} must be a non-empty list, got {value!r}")
+        return enumerate(value)
+
+    if isinstance(doc, dict) and "timed" in doc:
+        _check_keys(doc, {"timed"}, "references")
+        timed = []
+        for i, entry in entries(doc["timed"], "references.timed"):
+            what = f"references.timed[{i}]"
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ValueError(f"{what} must be [start_step, target], got {entry!r}")
+            timed.append((_count(entry, 0, f"{what} start step", minimum=0),
+                          _numbers(entry[1], n_y, f"{what} target")))
+        return ReferenceSchedule.timed(timed)
+    if not (isinstance(doc, dict) and "waypoints" in doc):
+        raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
+    _check_keys(doc, {"waypoints"}, "references")
+    wp = doc["waypoints"]
+    _check_keys(wp, {"points", "switch_radius"}, "references.waypoints")
+    points = [_numbers(p, n_y, f"references.waypoints.points[{i}]")
+              for i, p in entries(wp["points"], "references.waypoints.points")]
+    return ReferenceSchedule.waypoints(
+        points, _positive(wp["switch_radius"], "references.waypoints.switch_radius"))
 
 
 def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
@@ -268,12 +313,11 @@ def build_stack(scenario_path) -> Stack:
     lqr_doc = cfg_doc.get("lqr", {})
     _check_keys(lqr_doc, _LQR_KEYS, "controller.lqr")
     # dlqr keeps the defaults of the keys a scenario leaves out.
-    lqr_opts = {key: lqr_doc[key] for key in ("tol", "max_iter") if key in lqr_doc}
-    tol, max_iter = lqr_opts.get("tol"), lqr_opts.get("max_iter")
-    if "tol" in lqr_opts and not (type(tol) in (int, float) and math.isfinite(tol) and tol > 0):
-        raise ValueError(f"controller.lqr.tol must be a finite positive number, got {tol!r}")
-    if "max_iter" in lqr_opts and not (type(max_iter) is int and max_iter >= 1):
-        raise ValueError(f"controller.lqr.max_iter must be a positive integer, got {max_iter!r}")
+    lqr_opts = {}
+    if "tol" in lqr_doc:
+        lqr_opts["tol"] = _positive(lqr_doc["tol"], "controller.lqr.tol")
+    if "max_iter" in lqr_doc:
+        lqr_opts["max_iter"] = _count(lqr_doc, "max_iter", "controller.lqr.max_iter")
     plant = _build_plant(sc["plant"])
     lifting = _lifting(sc["lifting"], plant.n_x)
 
@@ -300,25 +344,14 @@ def build_stack(scenario_path) -> Stack:
         _check_keys(dist_doc["estimate"], {"inflation"}, "disturbance.estimate")
     else:
         disturbance = noise(dist_doc["declared"], "disturbance.declared", lifting.n_z)
-    refs_doc = sc.get("references")
-    if isinstance(refs_doc, dict) and "timed" in refs_doc:
-        _check_keys(refs_doc, {"timed"}, "references")
-        refs = ReferenceSchedule.timed([(int(k), y) for k, y in refs_doc["timed"]])
-    elif isinstance(refs_doc, dict) and "waypoints" in refs_doc:
-        _check_keys(refs_doc, {"waypoints"}, "references")
-        wp = refs_doc["waypoints"]
-        _check_keys(wp, {"points", "switch_radius"}, "references.waypoints")
-        refs = ReferenceSchedule.waypoints(wp["points"], switch_radius=float(wp["switch_radius"]))
-    else:
-        raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
+    om = sc.get("output_matrix")  # y = output_matrix x, or y = x without one
+    refs = _references(sc.get("references"), len(om) if isinstance(om, list) else plant.n_x)
     con = sc["constraints"]
     _check_keys(con, {"state", "input"}, "constraints")
     X = _box_from_doc(con["state"], plant.n_x, "constraints.state")
     U = _box_from_doc(con["input"], plant.n_u, "constraints.input")
     grid = _grid_from_scenario(sc, plant)
-    x0 = None if sc.get("x0") is None else np.asarray(sc["x0"], dtype=float)
-    if x0 is not None and x0.shape != (plant.n_x,):
-        raise ValueError(f"x0 must list {plant.n_x} numbers, got {sc['x0']!r}")
+    x0 = None if sc.get("x0") is None else np.array(_numbers(sc["x0"], plant.n_x, "x0"), float)
     T, N = _count(sc, "T", "T"), _count(cfg_doc, "N", "controller.N")
     seed = _count(sc, "seed", "seed", minimum=0, default=0)
     settle_window = _count(sc, "settle_window", "settle_window", default=20)

@@ -7,10 +7,11 @@ a :class:`~koopmpc.sets.TighteningSchedule`.  The offset term ``s * ||C_y z_s
 the tracking terms pull the trajectory toward the artificial target, which
 keeps the problem feasible even for unreachable or stepping references.
 
-A loop steps one :class:`TrackingProblem` with ``solve_step(problem, x, y_t)``.
-``shifted_candidate(problem, prev, x)`` builds the recursive-feasibility
-candidate as a decision vector of the same QP, so its margins are read off the
-QP's own rows.
+The QP takes the lifted state z = psi(x_k) through the equality z(0) = z, and
+x(0) in X~(0) is one more block of its rows. A loop lifts each measured state
+once, solves one :class:`TrackingProblem` with ``solve_step(problem, z, y_t)``
+and checks the recursive-feasibility candidate ``shifted_candidate(problem,
+prev, z)``, a decision vector of the same QP whose margins are read off its rows.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ import numpy as np
 
 from . import qp as qps
 from .gains import _as_spd
-from .model import KoopmanModel, lift
-from .sets import TighteningSchedule, margin as _poly_margin
+from .model import KoopmanModel
+from .sets import TighteningSchedule
 
 _MARGIN_TOL = 1e-9
 
 
 class Infeasible(Exception):
-    """The tracking QP (or its initial-state precondition) has no solution."""
+    """A controller QP is certified primal infeasible."""
 
 
 def _as_vector(v, n: int, name: str) -> np.ndarray:
@@ -41,7 +42,8 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KtmpcConfig:
-    """Horizon, tracking weights, offset weight s (for S = s*I), and tube gain."""
+    """Horizon, tracking weights, offset weight s (for S = s*I), and tube gain
+    (whose shape :func:`build_qp` checks against the model)."""
 
     N: int
     Q: np.ndarray
@@ -57,10 +59,7 @@ class KtmpcConfig:
         if not (float(self.s) > 0):
             raise ValueError("offset weight s must be positive")
         object.__setattr__(self, "s", float(self.s))
-        K = np.asarray(self.K, dtype=float)
-        if K.ndim != 2:
-            raise ValueError("K must be a matrix")
-        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -149,27 +148,27 @@ class GridSpec:
             raise ValueError("fp_tol must be positive")
 
 
-# --- layout of the decision vector [u(0..N-1); z(1..N); z_s; u_s] ----------------
+# --- layout of the decision vector [u(0..N-1); z(0..N); z_s; u_s] ----------------
 
 class _Layout:
     def __init__(self, N: int, n_z: int, n_u: int):
         self.N, self.n_z, self.n_u = N, n_z, n_u
-        self.dim = N * n_u + N * n_z + n_z + n_u
         self._z0 = N * n_u
-        self.z_s = slice(N * n_u + N * n_z, N * n_u + N * n_z + n_z)
-        self.u_s = slice(self.dim - n_u, self.dim)
+        self.z_s = slice(self._z0 + (N + 1) * n_z, self._z0 + (N + 2) * n_z)
+        self.u_s = slice(self.z_s.stop, self.z_s.stop + n_u)
+        self.dim = self.u_s.stop
 
     def u(self, j: int) -> slice:
         return slice(j * self.n_u, (j + 1) * self.n_u)
 
-    def z(self, j: int) -> slice:  # j = 1..N
-        return slice(self._z0 + (j - 1) * self.n_z, self._z0 + j * self.n_z)
+    def z(self, j: int) -> slice:  # j = 0..N
+        return slice(self._z0 + j * self.n_z, self._z0 + (j + 1) * self.n_z)
 
     def split(self, x: np.ndarray):
-        """Views (u(0..N-1), z(1..N), z_s, u_s) of ``x``; writing to one writes to ``x``."""
+        """Views (u(0..N-1), z(0..N), z_s, u_s) of ``x``; writing to one writes to ``x``."""
         return (
             x[: self._z0].reshape(self.N, self.n_u),
-            x[self._z0 : self.z_s.start].reshape(self.N, self.n_z),
+            x[self._z0 : self.z_s.start].reshape(self.N + 1, self.n_z),
             x[self.z_s],
             x[self.u_s],
         )
@@ -177,11 +176,11 @@ class _Layout:
 
 def _inequality_blocks(model: KoopmanModel, schedule: TighteningSchedule, lay: _Layout):
     """The tracking QP's inequality blocks in row order, as (set, columns, map into the
-    set's space): U~(0..N-1) on u(j), X~(1..N-1) on z(j), X~(N) on z_s, U~(N) on u_s."""
+    set's space): U~(0..N-1) on u(j), X~(0..N-1) on z(j), X~(N) on z_s, U~(N) on u_s."""
     N = lay.N
     for j in range(N):
         yield schedule.input_sets[j], lay.u(j), None
-    for j in range(1, N):
+    for j in range(N):
         yield schedule.state_sets[j], lay.z(j), model.C_x
     yield schedule.state_sets[N], lay.z_s, model.C_x
     yield schedule.input_sets[N], lay.u_s, None
@@ -275,55 +274,49 @@ def build_qp(
     model: KoopmanModel,
     config: KtmpcConfig,
     schedule: TighteningSchedule,
-    x_k,
+    z_k,
     y_t,
 ) -> qps.QuadraticProgram:
-    """Assemble the sparse tracking QP for the measured state ``x_k``.
+    """Assemble the sparse tracking QP for the lifted state ``z_k = psi(x_k)``.
 
-    Decision vector: ``[u(0..N-1); z(1..N); z_s; u_s]`` with ``z(0) = psi(x_k)``
-    substituted into the cost and the first dynamics row.  The initial state
-    constraint ``x_k in X~(0)`` involves no decision variable and is checked by
-    :func:`solve_step` instead.
+    Decision vector: ``[u(0..N-1); z(0..N); z_s; u_s]``. The first ``n_z``
+    equality rows pin ``z(0) = z_k``; then come the dynamics
+    ``z(j+1) = A z(j) + B u(j)`` for j = 0..N-1, the steady pair and the
+    terminal equality ``z(N) = z_s``. The inequality rows are the blocks of
+    :func:`_inequality_blocks`, ``x(0) in X~(0)`` among them.
     """
     N, n_z, n_u = config.N, model.n_z, model.n_u
     if schedule.horizon != N:
         raise ValueError(f"schedule horizon {schedule.horizon} != config horizon {N}")
     if config.Q.shape != (n_z, n_z) or config.R.shape != (n_u, n_u):
         raise ValueError("Q/R dimensions do not match the model")
-    x_k = _as_vector(x_k, model.n_x, "x_k")
+    if config.K.shape != (n_u, n_z):
+        raise ValueError(f"tube gain K must be {n_u}x{n_z}, got shape {config.K.shape}")
+    z_k = _as_vector(z_k, n_z, "z_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
     lay = _Layout(N, n_z, n_u)
     Q2, R2 = 2.0 * config.Q, 2.0 * config.R
 
+    # Stage costs ||z(j) - z_s||_Q^2 + ||u(j) - u_s||_R^2, j = 0..N-1, and the offset.
     P = np.zeros((lay.dim, lay.dim))
     q = np.zeros(lay.dim)
     for j in range(N):
-        P[lay.u(j), lay.u(j)] = R2
-        P[lay.u(j), lay.u_s] = -R2
-        P[lay.u_s, lay.u(j)] = -R2
+        for v, v_s, W2 in ((lay.u(j), lay.u_s, R2), (lay.z(j), lay.z_s, Q2)):
+            P[v, v] = W2
+            P[v, v_s] = P[v_s, v] = -W2
     P[lay.u_s, lay.u_s] = N * R2
-    for j in range(1, N):
-        P[lay.z(j), lay.z(j)] = Q2
-        P[lay.z(j), lay.z_s] = -Q2
-        P[lay.z_s, lay.z(j)] = -Q2
     P[lay.z_s, lay.z_s] = N * Q2 + 2.0 * config.s * model.C_y.T @ model.C_y
 
-    n_eq = (N + 2) * n_z
-    A_eq = np.zeros((n_eq, lay.dim))
-    b_eq = np.zeros(n_eq)
-    A_eq[0:n_z, lay.z(1)] = np.eye(n_z)
-    A_eq[0:n_z, lay.u(0)] = -model.B
-    for j in range(1, N):
-        r = slice(j * n_z, (j + 1) * n_z)
-        A_eq[r, lay.z(j + 1)] = np.eye(n_z)
-        A_eq[r, lay.z(j)] = -model.A
-        A_eq[r, lay.u(j)] = -model.B
-    r = slice(N * n_z, (N + 1) * n_z)
-    A_eq[r, lay.z_s] = np.eye(n_z) - model.A
-    A_eq[r, lay.u_s] = -model.B
-    r = slice((N + 1) * n_z, (N + 2) * n_z)
-    A_eq[r, lay.z(N)] = np.eye(n_z)
-    A_eq[r, lay.z_s] = -np.eye(n_z)
+    # Equality row blocks, n_z rows each, as (columns, coefficient) terms.
+    eye, A, B = np.eye(n_z), model.A, model.B
+    eq_blocks = [[(lay.z(0), eye)]]
+    eq_blocks += [[(lay.z(j + 1), eye), (lay.z(j), -A), (lay.u(j), -B)] for j in range(N)]
+    eq_blocks += [[(lay.z_s, eye - A), (lay.u_s, -B)], [(lay.z(N), eye), (lay.z_s, -eye)]]
+    A_eq = np.zeros((len(eq_blocks) * n_z, lay.dim))
+    b_eq = np.zeros(len(eq_blocks) * n_z)
+    for i, terms in enumerate(eq_blocks):
+        for cols, M in terms:
+            A_eq[i * n_z : (i + 1) * n_z, cols] = M
 
     rows_A, rows_b = [], []
     for S, cols, through in _inequality_blocks(model, schedule, lay):
@@ -332,7 +325,7 @@ def build_qp(
         rows_A.append(block)
         rows_b.append(S.offsets)
 
-    b_eq[0:n_z], q[lay.z_s] = _step_terms(model, config, lift(model, x_k), y_t)
+    b_eq[0:n_z], q[lay.z_s] = _step_terms(model, config, z_k, y_t)
     return qps.QuadraticProgram(
         P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=np.vstack(rows_A), b_in=np.concatenate(rows_b)
     )
@@ -340,8 +333,8 @@ def build_qp(
 
 def _step_terms(model: KoopmanModel, config: KtmpcConfig, z0, y_t):
     """The only parts of the tracking QP that change from step to step: the
-    first dynamics right-hand side ``A z0`` and the linear cost of ``z_s``."""
-    return model.A @ z0, -2.0 * config.Q @ z0 - 2.0 * config.s * model.C_y.T @ y_t
+    pinned initial state ``z(0) = z0`` and the linear cost of ``z_s``."""
+    return z0, -2.0 * config.s * model.C_y.T @ y_t
 
 
 class TrackingProblem:
@@ -349,9 +342,9 @@ class TrackingProblem:
 
     :func:`build_qp` assembles it once; the solver factors its constant
     matrices on the first solve and keeps the factors on the QP. Each step
-    then rewrites only ``b_eq[:n_z] = A psi(x_k)`` and
-    ``q[z_s] = -2 Q psi(x_k) - 2 s C_y' y_t``. ``block_starts`` holds the
-    first ``A_in`` row of each inequality block, in :func:`build_qp`'s order.
+    then rewrites only ``b_eq[:n_z] = psi(x_k)`` and ``q[z_s] = -2 s C_y' y_t``.
+    ``block_starts`` holds the first ``A_in`` row of each inequality block, in
+    :func:`build_qp`'s order.
     """
 
     def __init__(self, model: KoopmanModel, config: KtmpcConfig, schedule: TighteningSchedule):
@@ -359,7 +352,7 @@ class TrackingProblem:
             raise ValueError("every set of the tightening schedule needs at least one row")
         self.model, self.config, self.schedule = model, config, schedule
         self.layout = _Layout(config.N, model.n_z, model.n_u)
-        self.qp = build_qp(model, config, schedule, np.zeros(model.n_x), np.zeros(model.n_y))
+        self.qp = build_qp(model, config, schedule, np.zeros(model.n_z), np.zeros(model.n_y))
         rows = [S.offsets.size for S, _, _ in _inequality_blocks(model, schedule, self.layout)]
         self.block_starts = np.cumsum([0] + rows[:-1])
 
@@ -371,22 +364,18 @@ class TrackingProblem:
         return self.qp
 
 
-def solve_step(problem: TrackingProblem, x_k, y_t) -> tuple[np.ndarray, KtmpcSolution]:
-    """Solve the tracking QP of ``problem`` at ``x_k`` and return the first
-    input to apply."""
-    model, config, schedule = problem.model, problem.config, problem.schedule
-    x_k = _as_vector(x_k, model.n_x, "x_k")
+def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSolution]:
+    """Solve the tracking QP of ``problem`` at the lifted state ``z_k`` and
+    return the first input to apply. A state outside X~(0) makes the QP
+    infeasible, certified like any other infeasible step."""
+    model, config = problem.model, problem.config
+    z_k = _as_vector(z_k, model.n_z, "z_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
-    m0 = _poly_margin(schedule.state_sets[0], x_k)
-    if m0 < -_MARGIN_TOL:
-        raise Infeasible(f"measured state violates the initial tightened set by {-m0:.3g}")
-    z0 = lift(model, x_k)
-    sol = qps.solve(problem.at(z0, y_t))
+    sol = qps.solve(problem.at(z_k, y_t))
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("tracking QP is primal infeasible")
 
-    u_bar, z_tail, z_s, u_s = problem.layout.split(sol.x_star)
-    z_bar = np.vstack([z0[None, :], z_tail])
+    u_bar, z_bar, z_s, u_s = problem.layout.split(sol.x_star)
     target = _steady_target(model, config.s, z_s, u_s, y_t)
     total = _tracking_cost(config, u_bar, z_bar, z_s, u_s) + target.offset_cost
     return u_bar[0].copy(), KtmpcSolution(u_bar=u_bar, z_bar=z_bar, target=target, total_cost=total)
@@ -400,42 +389,41 @@ def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:
 
 
 def shifted_candidate(
-    problem: TrackingProblem, prev: KtmpcSolution, x_next
+    problem: TrackingProblem, prev: KtmpcSolution, z_next
 ) -> tuple[np.ndarray, FeasibilityReport]:
     """One-step-shifted candidate built from the previous optimum, as a
     decision vector ``x_c`` of ``problem``'s QP; returns ``(x_c, report)``.
 
-    The candidate tracks the shifted previous trajectory under the tube gain
+    The candidate starts at the lifted successor state, ``z_c(0) = z_next``,
+    and tracks the shifted previous trajectory under the tube gain
     ``K = config.K``, ``u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1))``, finishing
     with the previous steady input; the previous steady pair is reused as the
     candidate target.
     The report gives the worst margin of every constraint against the tightened
-    schedule, read off the QP's own rows block by block (X~(0) has no row and is
-    checked alone), and the terminal defect ``||z_c(N) - z_s||_inf``, which is
-    zero only in the disturbance-free case.
+    schedule, read off the QP's own rows block by block, and the terminal
+    defect ``||z_c(N) - z_s||_inf``, which is zero only in the disturbance-free
+    case.
     """
     model, K, N = problem.model, problem.config.K, problem.config.N
-    x_next = _as_vector(x_next, model.n_x, "x_next")
     x_c = np.empty(problem.layout.dim)
     u_c, z_c, z_s, u_s = problem.layout.split(x_c)
-    z = lift(model, x_next)
-    m0 = _poly_margin(problem.schedule.state_sets[0], model.C_x @ z)
+    z_c[0] = _as_vector(z_next, model.n_z, "z_next")
     for j in range(N - 1):
-        u_c[j] = prev.u_bar[j + 1] + K @ (z - prev.z_bar[j + 1])
-        z = z_c[j] = model.A @ z + model.B @ u_c[j]
+        u_c[j] = prev.u_bar[j + 1] + K @ (z_c[j] - prev.z_bar[j + 1])
+        z_c[j + 1] = model.A @ z_c[j] + model.B @ u_c[j]
     u_c[N - 1] = prev.target.u_s
-    z_c[N - 1] = model.A @ z + model.B @ u_c[N - 1]
+    z_c[N] = model.A @ z_c[N - 1] + model.B @ u_c[N - 1]
     z_s[:] = prev.target.z_s
     u_s[:] = prev.target.u_s
 
     blocks = np.minimum.reduceat(problem.qp.b_in - problem.qp.A_in @ x_c, problem.block_starts)
-    min_margin = float(min(m0, blocks.min()))
+    min_margin = float(blocks.min())
     report = FeasibilityReport(
-        state_margins=np.concatenate([[m0], blocks[N : 2 * N - 1]]),
+        state_margins=blocks[N : 2 * N],
         input_margins=blocks[:N],
-        steady_state_margin=float(blocks[2 * N - 1]),
-        steady_input_margin=float(blocks[2 * N]),
-        terminal_gap=float(np.max(np.abs(z_c[N - 1] - prev.target.z_s))),
+        steady_state_margin=float(blocks[2 * N]),
+        steady_input_margin=float(blocks[2 * N + 1]),
+        terminal_gap=float(np.max(np.abs(z_c[N] - prev.target.z_s))),
         min_margin=min_margin,
         feasible=bool(min_margin >= -_MARGIN_TOL),
     )

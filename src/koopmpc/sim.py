@@ -27,7 +27,7 @@ from .controller import (
     solve_steady_offline,
     solve_step,
 )
-from .model import DisturbanceModel, KoopmanModel, TrajectoryData
+from .model import DisturbanceModel, KoopmanModel, TrajectoryData, lift
 from .sets import CONTAINS_TOL, TighteningSchedule, Zonotope, margin, sample
 
 
@@ -257,13 +257,14 @@ def run_closed_loop(
     for k in range(T):
         y_t = cursor.advance(k, position=plant.C @ x)
         y = plant.C @ x
-        cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, x)[1].min_margin
+        z = lift(model, x)
+        cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z)[1].min_margin
         try:
             key = y_t.tobytes()
             if key not in offline_cache:
                 offline_cache[key] = solve_steady_offline(model, schedule, y_t, config.s)
             offline = offline_cache[key]
-            u_k, sol = solve_step(problem, x, y_t)
+            u_k, sol = solve_step(problem, z, y_t)
         except Infeasible:
             rows.append(
                 k=k, x=x, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,

@@ -340,13 +340,14 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
                    "V": {"center": [0.0] * 3, "half_extents": [0.0] * 3}}},
      "injected: the unicycle plant takes no injected disturbance"),
     ({"x0": [0.0, 0.0, 0.0]}, "x0 must list 2 numbers"),
+    ({"x0": [float("nan"), 0.0]}, "x0 must list 2 numbers, all finite, got [nan, 0.0]"),
     ({"constraints": {"state": {"lo": [-5.0, -5.0], "hi": [float("inf"), 5.0]},
                       "input": {"lo": [-3.0], "hi": [3.0]}}},
      "constraints.state: polytope data must be finite"),
 ], ids=["injected.W-two-generator-forms", "constraints.state.hi-length",
         "lifting.params-missing-exponents", "injected.W-half-extents-length",
         "disturbance.declared.W-dim", "disturbance.declared.V-dim", "injected.W-dim",
-        "injected-on-unicycle", "x0-length", "constraints.state-infinite"])
+        "injected-on-unicycle", "x0-length", "x0-nan", "constraints.state-infinite"])
 def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, named):
     scenario = base_scenario(tmp_path, **overrides)
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
@@ -382,6 +383,49 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
     scenario = scenario_with_value(tmp_path, dotted, value)
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
     assert f"{dotted} must be an integer >= {minimum}, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"references": {"timed": [[0, [1.0]], [2.5, [2.0]]]}},
+     "references.timed[1] start step must be an integer >= 0, got 2.5"),
+    ({"references": {"timed": [[True, [1.0]]]}},
+     "references.timed[0] start step must be an integer >= 0, got True"),
+    ({"references": {"timed": [[-1, [1.0]]]}},
+     "references.timed[0] start step must be an integer >= 0, got -1"),
+    ({"references": {"timed": [[0]]}}, "references.timed[0] must be [start_step, target]"),
+    ({"references": {"timed": []}}, "references.timed must be a non-empty list"),
+    ({"references": {"timed": [[0, [1.0, 2.0]]]}},
+     "references.timed[0] target must list 1 numbers, all finite, got [1.0, 2.0]"),
+    ({"references": {"timed": [[0, 1.0]]}},
+     "references.timed[0] target must list 1 numbers, all finite"),
+    ({"references": {"timed": [[0, [float("nan")]]]}},
+     "references.timed[0] target must list 1 numbers, all finite"),
+    ({"references": {"timed": [[0, [True]]]}},
+     "references.timed[0] target must list 1 numbers, all finite"),
+    ({"output_matrix": None}, "references.timed[0] target must list 2 numbers, all finite"),
+    ({"references": {"waypoints": {"points": [[1.0, 1.0]], "switch_radius": 0.3}}},
+     "references.waypoints.points[0] must list 1 numbers, all finite"),
+    ({"references": {"waypoints": {"points": [], "switch_radius": 0.3}}},
+     "references.waypoints.points must be a non-empty list"),
+    ({"references": {"waypoints": {"points": [[1.0]], "switch_radius": True}}},
+     "references.waypoints.switch_radius must be a finite positive number, got True"),
+    ({"references": {"waypoints": {"points": [[1.0]], "switch_radius": "0.3"}}},
+     "references.waypoints.switch_radius must be a finite positive number, got '0.3'"),
+    ({"references": {"waypoints": {"points": [[1.0]], "switch_radius": 0}}},
+     "references.waypoints.switch_radius must be a finite positive number, got 0"),
+], ids=["start-fraction", "start-bool", "start-negative", "entry-not-a-pair", "timed-empty",
+        "target-too-long", "target-scalar", "target-nan", "target-bool",
+        "target-per-state-without-output-matrix", "waypoint-too-long", "waypoints-empty",
+        "radius-bool", "radius-string", "radius-zero"])
+def test_malformed_references_exit_2_before_fitting(tmp_path, capsys, monkeypatch, overrides,
+                                                    named):
+    # A timed start of 2.5 used to run as step 2, and a target of the wrong
+    # length to fail only after fitting and tightening.
+    for name in ("generate_training_data", "fit_edmd"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
+    scenario = base_scenario(tmp_path, **overrides)
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid, named", [

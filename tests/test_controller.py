@@ -208,16 +208,17 @@ def test_steady_nonlinear_zero_input_family():
 
 def test_build_qp_dimensions_horizon_one():
     model, config, schedule = make_setup(N=1)
-    qp = build_qp(model, config, schedule, x_k=[0.5, 0.5], y_t=[1.0])
-    assert qp.dim == 1 + 3 + 3 + 1
-    assert qp.A_eq.shape[0] == 9  # dynamics 3 + steady 3 + terminal 3
-    # Inequalities: u(0) box 2, steady state box 4, steady input box 2.
-    assert qp.A_in.shape[0] == 8
+    qp = build_qp(model, config, schedule, z_k=lift(model, [0.5, 0.5]), y_t=[1.0])
+    assert qp.dim == 1 + 3 + 3 + 3 + 1  # u(0), z(0), z(1), z_s, u_s
+    assert qp.A_eq.shape[0] == 12  # initial state 3 + dynamics 3 + steady 3 + terminal 3
+    assert np.array_equal(qp.b_eq[:3], lift(model, [0.5, 0.5]))
+    # Inequalities: u(0) box 2, X~(0) box 4, steady state box 4, steady input box 2.
+    assert qp.A_in.shape[0] == 12
 
 
 def test_build_qp_zero_disturbance_keeps_raw_offsets():
     model, config, schedule = make_setup(N=3)
-    qp = build_qp(model, config, schedule, x_k=[0.0, 0.0], y_t=[0.0])
+    qp = build_qp(model, config, schedule, z_k=np.zeros(3), y_t=[0.0])
     assert set(np.round(qp.b_in, 12)) == {3.0, 5.0}
 
 
@@ -226,7 +227,7 @@ def test_build_qp_hessian_psd(rng):
     M = rng.standard_normal((3, 3))
     Q = M @ M.T + 0.1 * np.eye(3)
     config = KtmpcConfig(N=4, Q=Q, R=2.0 * np.eye(1), s=float(rng.uniform(0.5, 5)), K=config.K)
-    qp = build_qp(model, config, schedule, x_k=[0.1, -0.2], y_t=[0.7])
+    qp = build_qp(model, config, schedule, z_k=lift(model, [0.1, -0.2]), y_t=[0.7])
     assert np.min(np.linalg.eigvalsh(qp.P)) >= -1e-10
 
 
@@ -234,14 +235,25 @@ def test_build_qp_horizon_mismatch():
     model, config, schedule = make_setup(N=3)
     bad = KtmpcConfig(N=4, Q=config.Q, R=config.R, s=config.s, K=config.K)
     with pytest.raises(ValueError):
-        build_qp(model, bad, schedule, x_k=[0.0, 0.0], y_t=[0.0])
+        build_qp(model, bad, schedule, z_k=np.zeros(3), y_t=[0.0])
+
+
+def test_build_qp_rejects_a_tube_gain_of_the_wrong_shape():
+    # A gain on the state (1 x 2) in place of the lifted state (1 x 3) used to
+    # pass, and the first shifted candidate then failed inside a matmul.
+    model, config, schedule = make_setup(N=3)
+    bad = KtmpcConfig(N=3, Q=config.Q, R=config.R, s=config.s, K=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match=r"tube gain K must be 1x3, got shape \(1, 2\)"):
+        build_qp(model, bad, schedule, z_k=np.zeros(3), y_t=[0.0])
+    with pytest.raises(ValueError, match="tube gain K"):
+        TrackingProblem(model, bad, schedule)
 
 
 # --- solve_step ------------------------------------------------------------------------
 
 def test_solve_step_at_steady_state():
     model, config, schedule = make_setup(N=3)
-    u_k, sol = solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, 1.0], y_t=[1.0])
+    u_k, sol = solve_step(TrackingProblem(model, config, schedule), lift(model, [0.0, 1.0]), [1.0])
     assert np.allclose(u_k, [-1.0], atol=1e-6)
     assert np.allclose(sol.u_bar, -1.0, atol=1e-6)
     assert sol.total_cost <= 1e-9
@@ -251,7 +263,7 @@ def test_solve_step_at_steady_state():
 
 def test_solve_step_origin():
     model, config, schedule = make_setup(N=3)
-    u_k, sol = solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, 0.0], y_t=[0.0])
+    u_k, sol = solve_step(TrackingProblem(model, config, schedule), np.zeros(3), y_t=[0.0])
     assert np.allclose(u_k, 0.0, atol=1e-8)
     assert sol.total_cost <= 1e-12
 
@@ -259,12 +271,12 @@ def test_solve_step_origin():
 def test_solve_step_outside_tightened_initial_set():
     model, config, schedule = make_setup(N=3)
     with pytest.raises(Infeasible):
-        solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, 10.0], y_t=[0.0])
+        solve_step(TrackingProblem(model, config, schedule), lift(model, [0.0, 10.0]), [0.0])
 
 
 def test_solve_step_solution_invariants():
     model, config, schedule = make_setup(N=5)
-    _, sol = solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, -1.0], y_t=[1.0])
+    _, sol = solve_step(TrackingProblem(model, config, schedule), lift(model, [0.0, -1.0]), [1.0])
     for j in range(config.N):
         assert np.allclose(
             model.A @ sol.z_bar[j] + model.B @ sol.u_bar[j], sol.z_bar[j + 1], atol=1e-7
@@ -281,8 +293,8 @@ def test_solve_step_solution_invariants():
 def test_solve_step_deterministic():
     model, config, schedule = make_setup(N=4)
     problem = TrackingProblem(model, config, schedule)
-    u1, s1 = solve_step(problem, x_k=[0.0, 0.7], y_t=[1.5])
-    u2, s2 = solve_step(problem, x_k=[0.0, 0.7], y_t=[1.5])
+    u1, s1 = solve_step(problem, lift(model, [0.0, 0.7]), y_t=[1.5])
+    u2, s2 = solve_step(problem, lift(model, [0.0, 0.7]), y_t=[1.5])
     assert np.array_equal(u1, u2)
     assert s1.total_cost == s2.total_cost
 
@@ -292,7 +304,7 @@ def test_total_cost_is_the_per_step_sum(rng):
     M = rng.normal(size=(3, 3))
     config = KtmpcConfig(N=5, Q=M @ M.T + 0.1 * np.eye(3), R=np.array([[0.7]]),
                          s=config.s, K=config.K)
-    _, sol = solve_step(TrackingProblem(model, config, schedule), x_k=[0.0, -1.0], y_t=[1.0])
+    _, sol = solve_step(TrackingProblem(model, config, schedule), lift(model, [0.0, -1.0]), [1.0])
     z_s, u_s = sol.target.z_s, sol.target.u_s
     expected = sol.target.offset_cost
     for j in range(config.N):
@@ -308,8 +320,8 @@ def test_terminal_equality_needs_decayed_uncontrollable_mode():
     model, config, schedule = make_setup(N=4)
     problem = TrackingProblem(model, config, schedule)
     with pytest.raises(Infeasible):
-        solve_step(problem, x_k=[0.5, 0.0], y_t=[0.0])
-    _, sol = solve_step(problem, x_k=[0.0, 0.0], y_t=[0.0])  # raises unless Optimal
+        solve_step(problem, lift(model, [0.5, 0.0]), y_t=[0.0])
+    _, sol = solve_step(problem, np.zeros(3), y_t=[0.0])  # raises unless Optimal
     assert sol.total_cost <= 1e-12
 
 
@@ -321,7 +333,7 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
     offline = solve_steady_offline(model, schedule, y_t, config.s)
     problem = TrackingProblem(model, config, schedule)
     for _ in range(40):
-        u_k, sol = solve_step(problem, x, y_t)
+        u_k, sol = solve_step(problem, lift(model, x), y_t)
         d = diagnostics(sol, offline)
         costs.append(sol.total_cost)
         v1s.append(d.V1)
@@ -343,10 +355,10 @@ def test_warm_start_matches_cold_start():
     model, config, schedule = make_setup(N=6)
     x = np.array([0.0, 0.8])
     problem = TrackingProblem(model, config, schedule)
-    u_k, _ = solve_step(problem, x, y_t=[2.0])
-    x_next = nominal_step(model, x, u_k)
-    _, warm = solve_step(problem, x_next, y_t=[2.0])
-    _, cold = solve_step(TrackingProblem(model, config, schedule), x_next, y_t=[2.0])
+    u_k, _ = solve_step(problem, lift(model, x), y_t=[2.0])
+    z_next = lift(model, nominal_step(model, x, u_k))
+    _, warm = solve_step(problem, z_next, y_t=[2.0])
+    _, cold = solve_step(TrackingProblem(model, config, schedule), z_next, y_t=[2.0])
     assert warm.total_cost == cold.total_cost
     assert np.array_equal(warm.u_bar, cold.u_bar)
 
@@ -357,11 +369,11 @@ def test_shifted_candidate_nominal_margins():
     model, config, schedule = make_setup(N=5)
     x = np.array([0.0, -1.0])
     problem = TrackingProblem(model, config, schedule)
-    u_k, sol = solve_step(problem, x, y_t=[1.0])
-    x_next = nominal_step(model, x, u_k)
-    x_c, report = shifted_candidate(problem, sol, x_next)
-    u_c, z_tail, _, _ = problem.layout.split(x_c)
-    z_c = np.vstack([lift(model, x_next), z_tail])
+    u_k, sol = solve_step(problem, lift(model, x), y_t=[1.0])
+    z_next = lift(model, nominal_step(model, x, u_k))
+    x_c, report = shifted_candidate(problem, sol, z_next)
+    u_c, z_c, _, _ = problem.layout.split(x_c)
+    assert np.array_equal(z_c[0], z_next)
     assert isinstance(report, FeasibilityReport)
     assert report.min_margin >= -1e-9
     assert report.feasible
@@ -382,11 +394,11 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
     y_t = [0.8]
     problem = TrackingProblem(model, config, schedule)
     for _ in range(20):
-        u_k, sol = solve_step(problem, x, y_t)
         z = lift(model, x)
+        u_k, sol = solve_step(problem, z, y_t)
         w = np.array([0.0, rng.uniform(-0.1, 0.1), 0.0])
         x = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + w)
-        _, report = shifted_candidate(problem, sol, x)
+        _, report = shifted_candidate(problem, sol, lift(model, x))
         assert report.min_margin >= -1e-9, report
     # The applied disturbance moves the candidate off the terminal equality.
     assert report.terminal_gap > 0.0
@@ -396,12 +408,12 @@ def test_shifted_candidate_detects_excess_disturbance():
     model, config, schedule = make_setup(N=4)
     x = np.array([0.0, 2.8])
     problem = TrackingProblem(model, config, schedule)
-    u_k, sol = solve_step(problem, x, y_t=[2.8])
+    z = lift(model, x)
+    u_k, sol = solve_step(problem, z, y_t=[2.8])
     # A process disturbance far beyond the declared (zero) set pushes the
     # successor state outside the tightened initial set.
-    z = lift(model, x)
     x_bad = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + np.array([0.0, 3.0, 0.0]))
-    _, report = shifted_candidate(problem, sol, x_bad)
+    _, report = shifted_candidate(problem, sol, lift(model, x_bad))
     assert report.min_margin < 0
     assert not report.feasible
 
@@ -411,7 +423,7 @@ def test_shifted_candidate_detects_excess_disturbance():
 def test_diagnostics_steady_start_zero():
     model, config, schedule = make_setup(N=3)
     offline = solve_steady_offline(model, schedule, [1.0], config.s)
-    _, sol = solve_step(TrackingProblem(model, config, schedule), [0.0, 1.0], [1.0])
+    _, sol = solve_step(TrackingProblem(model, config, schedule), lift(model, [0.0, 1.0]), [1.0])
     d = diagnostics(sol, offline)
     assert d.V1 == pytest.approx(0.0, abs=1e-9)
     assert d.V2 == pytest.approx(0.0, abs=1e-9)
@@ -449,7 +461,7 @@ def test_segment_inequality_on_live_controller_data():
     x = np.array([0.0, -2.0])
     problem = TrackingProblem(model, config, schedule)
     for _ in range(5):
-        u_k, sol = solve_step(problem, x, y_t)
+        u_k, sol = solve_step(problem, lift(model, x), y_t)
         assert segment_inequality_check(
             sol.target.y_s, offline.y_s, y_t, config.s, np.linspace(0, 1, 21)
         )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmpc import cli, controller, qp as qp_module
+from koopmpc import cli, controller, qp as qp_module, sim
 from koopmpc.controller import (
     FeasibilityReport,
     Infeasible,
@@ -68,8 +68,9 @@ def test_tracking_problem_matches_build_qp(stacks, problems, logs, name, near, w
     else:
         x_k = lo + u * (hi - lo)
     y_t = stack.plant.C @ (lo + np.array(uy[:n]) * (hi - lo))
-    ref = solve(build_qp(stack.model, stack.config, stack.schedule, x_k, y_t))
-    got = solve(problems[name].at(lift(stack.model, x_k), y_t))
+    z_k = lift(stack.model, x_k)
+    ref = solve(build_qp(stack.model, stack.config, stack.schedule, z_k, y_t))
+    got = solve(problems[name].at(z_k, y_t))
     assert got.status == ref.status
     if ref.status == OPTIMAL:
         assert np.allclose(got.x_star, ref.x_star, rtol=0.0, atol=1e-8)
@@ -84,8 +85,9 @@ def test_unicycle_warm_and_cold_solves_agree_along_the_course(course):
     model, config, schedule = stack.model, stack.config, stack.schedule
     problem = TrackingProblem(model, config, schedule)
     for k in range(log.halted_at):
-        u_k, warm = solve_step(problem, log.x[k], log.y_t[k])
-        _, cold = solve_step(TrackingProblem(model, config, schedule), log.x[k], log.y_t[k])
+        z_k = lift(model, log.x[k])
+        u_k, warm = solve_step(problem, z_k, log.y_t[k])
+        _, cold = solve_step(TrackingProblem(model, config, schedule), z_k, log.y_t[k])
         for a, b in [(warm.u_bar, cold.u_bar), (warm.z_bar, cold.z_bar),
                      (warm.target.z_s, cold.target.z_s), (warm.target.u_s, cold.target.u_s)]:
             assert np.allclose(a, b, rtol=0.0, atol=1e-8), k
@@ -93,7 +95,7 @@ def test_unicycle_warm_and_cold_solves_agree_along_the_course(course):
     k = log.halted_at
     for fresh in (problem, TrackingProblem(model, config, schedule)):
         with pytest.raises(Infeasible):
-            solve_step(fresh, log.x[k], log.y_t[k])
+            solve_step(fresh, lift(model, log.x[k]), log.y_t[k])
 
 
 def test_unicycle_course_halt_is_certified_without_highs(course, problems, monkeypatch):
@@ -144,31 +146,80 @@ def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
     assert len(calls) == 1
 
 
-def test_solve_step_lifts_the_state_once(stacks, problems, monkeypatch):
-    model = stacks["a2"].model
-    x, y_t = np.array([0.0, 0.5]), np.array([1.0])
-    u_k, _ = solve_step(problems["a2"], x, y_t)
-    x_next = model.C_x @ (model.A @ lift(model, x) + model.B @ u_k)
-    lifts = []
-    lift_once = controller.lift
+@pytest.mark.parametrize("name", NAMES)
+def test_closed_loop_lifts_once_and_takes_two_margins_per_step(stacks, monkeypatch, name):
+    # The loop lifts each measured state once, for the candidate and the QP
+    # alike; the log's state and input margins are one sets.margin call each,
+    # and the halted step logs only the state margin. The controller itself
+    # neither lifts nor calls sets.margin.
+    assert not any(v is f for v in vars(controller).values() for f in (lift, margin))
+    counts = {"lift": 0, "margin": 0}
+    for attr in counts:
+        def counted(*args, _attr=attr, _original=getattr(sim, attr)):
+            counts[_attr] += 1
+            return _original(*args)
 
-    def counted(*args):
-        lifts.append(1)
-        return lift_once(*args)
+        monkeypatch.setattr(sim, attr, counted)
+    stack = stacks[name]
+    log = stack.run(stack.seed)
+    halted = log.halted_at is not None
+    assert log.halted_at == (None if name == "a2" else 29)
+    assert counts["lift"] == log.k.size
+    assert counts["margin"] == 2 * (log.k.size - halted) + halted
 
-    monkeypatch.setattr(controller, "lift", counted)
-    _, sol = solve_step(problems["a2"], x_next, y_t)
-    assert len(lifts) == 1
-    assert np.array_equal(sol.z_bar[0], lift_once(model, x_next))
+
+def pushed_out_of_initial_set(stack, log, face, by):
+    """A state of the closed loop moved across ``face`` of X~(0) by ``by``."""
+    X0 = stack.schedule.state_sets[0]
+    a, b = X0.normals[face], X0.offsets[face]
+    x = log.x[0] + (b + by - a @ log.x[0]) / (a @ a) * a
+    assert a @ x - b == pytest.approx(by, rel=1e-6)
+    return x
+
+
+@pytest.mark.parametrize("by", [1e-6, 1.0])
+@pytest.mark.parametrize("name", NAMES)
+def test_a_state_outside_the_initial_set_is_certified_by_the_qp(
+        stacks, problems, logs, monkeypatch, name, by):
+    # x(0) in X~(0) is a block of the QP's rows, so a state across any face
+    # makes the QP infeasible, certified by a Farkas vector that is checked
+    # here from scratch; the solver never fails on it.
+    stack, log = stacks[name], logs[name]
+    solve_qp, nnls = qp_module.solve, qp_module.nnls
+    solves, farkas = [], []
+
+    def recorded_solve(qp):
+        solves.append((qp, solve_qp(qp)))
+        return solves[-1][1]
+
+    def recorded_nnls(E, e):
+        farkas.append(nnls(E, e)[0])
+        return farkas[-1], 0.0
+
+    monkeypatch.setattr(qp_module, "solve", recorded_solve)
+    monkeypatch.setattr(qp_module, "nnls", recorded_nnls)
+    for face in range(stack.schedule.state_sets[0].offsets.size):
+        solves.clear()
+        z = lift(stack.model, pushed_out_of_initial_set(stack, log, face, by))
+        with pytest.raises(Infeasible):
+            solve_step(problems[name], z, log.y_t[0])
+        # The reference assembly agrees: build_qp + qp.solve.
+        qp_module.solve(build_qp(stack.model, stack.config, stack.schedule, z, log.y_t[0]))
+        assert [sol.status for _, sol in solves] == [PRIMAL_INFEASIBLE] * 2
+        for (qp, _), u in zip(solves, farkas[-2:]):
+            mu = -np.linalg.pinv(qp.A_eq).T @ (qp.A_in.T @ u)
+            scale = max(1.0, float(np.max(np.abs(qp.A_in).T @ u)))
+            assert np.min(u) >= 0.0
+            assert np.max(np.abs(qp.A_in.T @ u + qp.A_eq.T @ mu)) <= 1e-9 * scale
+            assert qp.b_in @ u + qp.b_eq @ mu < -0.5
 
 
 # --- the shifted candidate's margins, read off the QP's rows -------------------------------
 
-def per_set_report(problem, prev, x_next, x_c) -> FeasibilityReport:
+def per_set_report(problem, prev, x_c) -> FeasibilityReport:
     """The reference: one ``sets.margin`` call per schedule set, through C_x."""
     model, schedule, N = problem.model, problem.schedule, problem.config.N
-    u_c, z_tail, _, _ = problem.layout.split(x_c)
-    z_c = np.vstack([lift(model, x_next), z_tail])
+    u_c, z_c, _, _ = problem.layout.split(x_c)
     z_s, u_s = prev.target.z_s, prev.target.u_s
     state = np.array([margin(schedule.state_sets[j], model.C_x @ z_c[j]) for j in range(N)])
     inputs = np.array([margin(schedule.input_sets[j], u_c[j]) for j in range(N)])
@@ -187,9 +238,12 @@ def per_set_report(problem, prev, x_next, x_c) -> FeasibilityReport:
 
 
 def checked_candidate(problem, prev, x_next):
-    """Check that ``shifted_candidate``'s report equals the reference's."""
-    x_c, report = shifted_candidate(problem, prev, x_next)
-    ref = per_set_report(problem, prev, x_next, x_c)
+    """Check that ``shifted_candidate``'s report equals the reference's, and
+    that the candidate starts at the lifted state."""
+    z_next = lift(problem.model, x_next)
+    x_c, report = shifted_candidate(problem, prev, z_next)
+    assert np.array_equal(problem.layout.split(x_c)[1][0], z_next)
+    ref = per_set_report(problem, prev, x_c)
     for f in dataclasses.fields(FeasibilityReport):
         assert np.array_equal(getattr(report, f.name), getattr(ref, f.name)), f.name
 
@@ -201,35 +255,35 @@ def test_row_margins_equal_the_per_set_margins_along_the_closed_loop(stacks, log
     stack, log = stacks[name], logs[name]
     problem = TrackingProblem(stack.model, stack.config, stack.schedule)
     last = log.k.size - 1 if log.halted_at is None else log.halted_at
-    _, prev = solve_step(problem, log.x[0], log.y_t[0])
+    _, prev = solve_step(problem, lift(stack.model, log.x[0]), log.y_t[0])
     for k in range(1, last + 1):
         checked_candidate(problem, prev, log.x[k])
         if k == log.halted_at:
             with pytest.raises(Infeasible):
-                solve_step(problem, log.x[k], log.y_t[k])
+                solve_step(problem, lift(stack.model, log.x[k]), log.y_t[k])
         else:
-            u_k, prev = solve_step(problem, log.x[k], log.y_t[k])
+            u_k, prev = solve_step(problem, lift(stack.model, log.x[k]), log.y_t[k])
             assert np.array_equal(u_k, log.u[k])
     assert last == (299 if name == "a2" else 29)
 
 
 def test_row_margins_equal_the_per_set_margins_at_horizon_one(stacks):
-    # N = 1 has no X~(1..N-1) block. Tightening is a forward recursion, so the
+    # N = 1 has no X~(1..N-1) block, only X~(0). Tightening is a forward recursion, so the
     # first two sets of a longer schedule are the N = 1 schedule.
     stack = stacks["a2"]
     model, full = stack.model, stack.schedule
     schedule = TighteningSchedule(full.state_sets[:2], full.input_sets[:2], full.error_sets[:1])
     problem = TrackingProblem(model, dataclasses.replace(stack.config, N=1), schedule)
-    assert problem.block_starts.size == 3
+    assert problem.block_starts.size == 4
     rng = np.random.default_rng(0)
     x, y_t = np.array([0.0, 0.5]), np.array([1.0])
-    u_k, prev = solve_step(problem, x, y_t)
+    u_k, prev = solve_step(problem, lift(model, x), y_t)
     for _ in range(10):
         # Disturb only x_2: the uncontrollable x_1 must be 0 for N = 1 to be feasible.
         w = np.array([0.0, rng.uniform(-0.05, 0.05), 0.0])
         x = model.C_x @ (model.A @ lift(model, x) + model.B @ u_k + w)
         checked_candidate(problem, prev, x)
-        u_k, prev = solve_step(problem, x, y_t)
+        u_k, prev = solve_step(problem, lift(model, x), y_t)
 
 
 def test_tracking_problem_rejects_a_set_with_no_rows(stacks):
