@@ -201,9 +201,10 @@ def _numbers(values, n: int, what: str) -> list:
 
 
 def _references(doc, n_y: int) -> ReferenceSchedule:
-    """The reference schedule, checked before any data is made: each timed
-    start step is an integer >= 0, and each target and waypoint lists ``n_y``
-    finite numbers."""
+    """The reference schedule, checked before any data is made: each target
+    and waypoint lists ``n_y`` finite numbers here, and the
+    :class:`ReferenceSchedule` classmethods check the start steps and the
+    switch radius, their messages prefixed with ``references.``."""
     def entries(value, what):
         if not (isinstance(value, list) and value):
             raise ValueError(f"{what} must be a non-empty list, got {value!r}")
@@ -216,18 +217,21 @@ def _references(doc, n_y: int) -> ReferenceSchedule:
             what = f"references.timed[{i}]"
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ValueError(f"{what} must be [start_step, target], got {entry!r}")
-            timed.append((_count(entry, 0, f"{what} start step", minimum=0),
-                          _numbers(entry[1], n_y, f"{what} target")))
-        return ReferenceSchedule.timed(timed)
-    if not (isinstance(doc, dict) and "waypoints" in doc):
-        raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
-    _check_keys(doc, {"waypoints"}, "references")
-    wp = doc["waypoints"]
-    _check_keys(wp, {"points", "switch_radius"}, "references.waypoints")
-    points = [_numbers(p, n_y, f"references.waypoints.points[{i}]")
-              for i, p in entries(wp["points"], "references.waypoints.points")]
-    return ReferenceSchedule.waypoints(
-        points, _positive(wp["switch_radius"], "references.waypoints.switch_radius"))
+            timed.append((entry[0], _numbers(entry[1], n_y, f"{what} target")))
+        make, args = ReferenceSchedule.timed, (timed,)
+    else:
+        if not (isinstance(doc, dict) and "waypoints" in doc):
+            raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
+        _check_keys(doc, {"waypoints"}, "references")
+        wp = doc["waypoints"]
+        _check_keys(wp, {"points", "switch_radius"}, "references.waypoints")
+        points = [_numbers(p, n_y, f"references.waypoints.points[{i}]")
+                  for i, p in entries(wp["points"], "references.waypoints.points")]
+        make, args = ReferenceSchedule.waypoints, (points, wp["switch_radius"])
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"references.{exc}") from None
 
 
 def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
@@ -301,10 +305,12 @@ class Stack:
         )
 
 
-def build_stack(scenario_path) -> Stack:
+def build_stack(scenario_path, y_t=None) -> Stack:
     """Validate a whole scenario, then fit, gain and tighten it into a :class:`Stack`.
 
-    Training data ``path``s resolve relative to the scenario file.
+    Training data ``path``s resolve relative to the scenario file. ``y_t``, the
+    target given to ``koopmpc steady``, is checked against the output
+    dimension with the scenario, before any data is generated.
     """
     sc = _load_json(scenario_path)
     _check_keys(sc, _SCENARIO_KEYS, "scenario")
@@ -345,7 +351,11 @@ def build_stack(scenario_path) -> Stack:
     else:
         disturbance = noise(dist_doc["declared"], "disturbance.declared", lifting.n_z)
     om = sc.get("output_matrix")  # y = output_matrix x, or y = x without one
-    refs = _references(sc.get("references"), len(om) if isinstance(om, list) else plant.n_x)
+    n_y = len(om) if isinstance(om, list) else plant.n_x
+    refs = _references(sc.get("references"), n_y)
+    if y_t is not None and len(y_t) != n_y:
+        raise ValueError(f"y_t: the target needs {n_y} comma-separated value(s), one per "
+                         f"output of the scenario, got {len(y_t)}")
     con = sc["constraints"]
     _check_keys(con, {"state", "input"}, "constraints")
     X = _box_from_doc(con["state"], plant.n_x, "constraints.state")
@@ -486,9 +496,9 @@ def cmd_simulate(scenario_json, seed=None, seeds=None, out=None, deterministic=F
 
 def cmd_steady(scenario_json, y_t) -> int:
     """Print the lifted-model steady target next to a grid search over true plant fixed points."""
-    stack = build_stack(scenario_json)
-    plant, model, s = stack.plant, stack.model, stack.config.s
     y_target = np.atleast_1d(np.asarray(y_t, dtype=float))
+    stack = build_stack(scenario_json, y_target)
+    plant, model, s = stack.plant, stack.model, stack.config.s
 
     target = solve_steady_offline(model, stack.schedule, y_target, s)
     x_s = model.C_x @ target.z_s

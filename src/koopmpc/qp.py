@@ -25,17 +25,29 @@ full space before a status is returned. The optimum must have KKT residuals
 within 1e-8 of the data's scale. The Farkas vector, with
 mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0 to a scaled tolerance
 and b_in'u + b_eq'mu < 0, which no feasible x allows. Inconsistent equalities
-are certified by the least-squares residual of x_p. Anything else raises
-SolverFailed. Pure linear programs (P = 0) are dispatched to HiGHS.
+(possible only for a rank-deficient A_eq) are certified by the least-squares
+residual of x_p. Anything else raises SolverFailed. Pure linear programs
+(P = 0) are dispatched to HiGHS.
+
+Each QuadraticProgram keeps the support of its last Optimal solve, the rows
+with positive NNLS weight (no row before the first), and the next solve
+tries it before NNLS: the least squares on those columns of E alone, one
+|S| x |S| Cholesky solve, is taken only where its weights are positive and
+its result passes the same full-space check, which is Lawson and Hanson's
+optimality test on the other columns. So the stored support can make a solve
+faster but never changes which results are accepted. A miss costs that
+failed attempt on top of the NNLS solve, whose own support then goes through
+the same support solve, so that a warm and a cold solve agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dposv
 from scipy.optimize import linprog, nnls
 
 OPTIMAL = "Optimal"
@@ -59,7 +71,8 @@ class QuadraticProgram:
     """Convex QP data. P is symmetrized on construction; empty constraint
     blocks are normalized to 0-row matrices so downstream code never branches
     on None. P, A_eq and A_in are private read-only copies, since the solver's
-    factors of them are kept; q, b_eq and b_in may be rewritten in place."""
+    factors of them are kept; q, b_eq and b_in may be rewritten in place.
+    The solver also keeps here the support of the last Optimal solve."""
 
     P: np.ndarray
     q: np.ndarray
@@ -67,6 +80,8 @@ class QuadraticProgram:
     b_eq: np.ndarray | None = None
     A_in: np.ndarray | None = None
     b_in: np.ndarray | None = None
+    _support: "_Support | None" = field(default=None, init=False, repr=False, compare=False)
+    _linear: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).ravel()
@@ -92,6 +107,7 @@ class QuadraticProgram:
         self.A_in, self.b_in = _block(self.A_in, self.b_in, "A_in")
         for M in (self.P, self.A_eq, self.A_in):
             M.flags.writeable = False
+        self._linear = not np.any(self.P)
 
     @property
     def dim(self) -> int:
@@ -117,12 +133,9 @@ class QpSolution:
     active_set: tuple[int, ...] = ()
 
 
-def _objective(qp: QuadraticProgram, x: np.ndarray) -> float:
-    return float(0.5 * x @ qp.P @ x + qp.q @ x)
-
-
-def _kkt_residuals(qp, x, nu, lam) -> dict[str, float]:
-    stat = qp.P @ x + qp.q + qp.A_eq.T @ nu + qp.A_in.T @ lam
+def _kkt_residuals(qp, x, grad, nu, lam) -> dict[str, float]:
+    """The KKT residuals of (x, nu, lam), given grad = Px + q + A_in'lam."""
+    stat = grad + qp.A_eq.T @ nu
     r_in, r_eq = qp.A_in @ x - qp.b_in, qp.A_eq @ x - qp.b_eq
     return {
         "stationarity": float(np.max(np.abs(stat), initial=0.0)),
@@ -171,11 +184,11 @@ def _solve_lp(qp: QuadraticProgram) -> QpSolution:
     active = tuple(
         int(i) for i in np.flatnonzero(qp.b_in - qp.A_in @ x <= _FEAS_TOL)
     )
-    return QpSolution(
+    return QpSolution(  # P = 0
         x_star=x,
-        objective=_objective(qp, x),
+        objective=float(qp.q @ x),
         status=OPTIMAL,
-        kkt_residuals=_kkt_residuals(qp, x, nu, lam),
+        kkt_residuals=_kkt_residuals(qp, x, qp.q + qp.A_in.T @ lam, nu, lam),
         eq_multipliers=nu,
         in_multipliers=lam,
         active_set=active,
@@ -190,11 +203,13 @@ class _Factors:
     minimum-norm solution of A_eq x = r (and whose transpose solves
     A_eq' nu = r the same way). Y = Z L^-T, where Z is an orthonormal basis of
     the null space of A_eq and Z'PZ = LL' the Cholesky factorization of the
-    reduced Hessian, spans the same null space with Y'PY = I; AY = A_in Y."""
+    reduced Hessian, spans the same null space with Y'PY = I; AY = A_in Y.
+    Only a rank-deficient A_eq admits inconsistent right-hand sides."""
 
     A_eq_pinv: np.ndarray
     Y: np.ndarray
     AY: np.ndarray
+    rank_deficient: bool
 
 
 def _factor(qp: QuadraticProgram) -> _Factors:
@@ -221,78 +236,129 @@ def _factor(qp: QuadraticProgram) -> _Factors:
             "null space of A_eq"
         )
     Y = solve_triangular(L, Z.T, lower=True).T
-    return _Factors(A_eq_pinv=A_eq_pinv, Y=Y, AY=qp.A_in @ Y)
+    return _Factors(A_eq_pinv=A_eq_pinv, Y=Y, AY=qp.A_in @ Y,
+                    rank_deficient=Z.shape[1] + A_eq.shape[0] > d)
 
 
-def _certify_infeasible(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> QpSolution:
-    """The PrimalInfeasible solution once u >= 0 and mu = -(A_eq^+)'A_in'u pass
-    the Farkas check, else SolverFailed. A_in'u + A_eq'mu = 0 and
-    b_in'u + b_eq'mu < 0 would give 0 = (A_in'u + A_eq'mu)'x <= b_in'u + b_eq'mu < 0
-    for any feasible x. Both hold to 1e-9 of the size of the terms summed."""
+def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> bool:
+    """Whether u >= 0 and mu = -(A_eq^+)'A_in'u pass the Farkas check.
+    A_in'u + A_eq'mu = 0 and b_in'u + b_eq'mu < 0 would give
+    0 = (A_in'u + A_eq'mu)'x <= b_in'u + b_eq'mu < 0 for any feasible x. Both
+    hold to 1e-9 of the size of the terms summed."""
     a = qp.A_in.T @ u
     mu = -f.A_eq_pinv.T @ a
     residual = np.max(np.abs(a + qp.A_eq.T @ mu))
     gap = qp.b_in @ u + qp.b_eq @ mu
     a_scale = max(1.0, float(np.max(np.abs(qp.A_in).T @ u)))
     b_scale = max(1.0, float(np.abs(qp.b_in) @ u + np.abs(qp.b_eq) @ np.abs(mu)))
-    if np.min(u) >= 0.0 and residual <= 1e-9 * a_scale and gap < -1e-9 * b_scale:
-        return _infeasible(qp)
-    raise SolverFailed(
-        f"NNLS gave neither a checked optimum nor a Farkas vector "
-        f"(residual {residual:.3g}, gap {gap:.3g})"
-    )
+    return bool(np.min(u) >= 0.0 and residual <= 1e-9 * a_scale and gap < -1e-9 * b_scale)
+
+
+@dataclass(frozen=True)
+class _Support:
+    """Rows S of E's columns with what their support solve needs of A_in Y
+    alone: AY_S = (A_in Y)[S] and its Gram matrix AY_S AY_S'."""
+
+    rows: np.ndarray
+    AY: np.ndarray
+    gram: np.ndarray
+
+
+def _support(f: _Factors, rows: np.ndarray) -> _Support:
+    AY = f.AY[rows]
+    return _Support(rows=rows, AY=AY, gram=AY @ AY.T)
+
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
+def _checked(qp, f, x_p, g, tol, S: _Support, u, h_S) -> QpSolution | None:
+    """The checked solution of the NNLS weights u on the columns S of E, or
+    None. The residual r = Eu - e is (-AY_S'u, h_S'u - 1). r[n] < 0 gives the
+    optimum v = -r[:n]/r[n] with multipliers u/|r|^2 (at the NNLS optimum
+    |r|^2 = -r[n], and dividing by -r[n] keeps v = G'lam exact); it is
+    returned if its KKT residuals pass. Column j's NNLS gradient is
+    |r|^2 (A_in x - b_in)_j, so the primal check is also Lawson and Hanson's
+    optimality test on the columns outside S. Otherwise u is returned as
+    PrimalInfeasible if it passes the Farkas check."""
+    m = qp.A_in.shape[0]
+    lam = np.zeros(m)
+    r_n = h_S @ u - 1.0
+    if r_n < 0.0:
+        lam[S.rows] = -u / r_n
+        x = x_p + f.Y @ (S.AY.T @ u / r_n - g)
+        Px = qp.P @ x
+        grad = Px + qp.q + qp.A_in.T @ lam
+        nu = -f.A_eq_pinv.T @ grad
+        kkt = _kkt_residuals(qp, x, grad, nu, lam)
+        if all(value <= tol for value in kkt.values()):
+            return QpSolution(
+                x_star=x,
+                objective=float(0.5 * x @ Px + qp.q @ x),
+                status=OPTIMAL,
+                kkt_residuals=kkt,
+                eq_multipliers=nu,
+                in_multipliers=lam,
+                active_set=tuple(S.rows.tolist()),
+            )
+    lam[S.rows] = u
+    return _infeasible(qp) if m and _farkas(qp, f, lam) else None
+
+
+def _on_support(qp, f, x_p, g, h, tol, S: _Support) -> QpSolution | None:
+    """The support solve: least squares on E's columns S only, that is
+    (AY_S AY_S' + h_S h_S') u_S = h_S by one Cholesky factorization, taken
+    only where u_S > 0 and its result passes its check."""
+    h_S = u = h[S.rows]  # with no row, u is empty
+    if S.rows.size:
+        _, u, info = dposv(S.gram + h_S[:, None] * h_S, h_S)
+        if info or not np.min(u) > 0.0:
+            return None
+    return _checked(qp, f, x_p, g, tol, S, u, h_S)
 
 
 def solve(qp: QuadraticProgram) -> QpSolution:
     """Solve a convex QP, with P positive definite on the null space of A_eq,
-    by one NNLS solve of its least-distance form; LPs (P = 0) go to HiGHS.
+    by its least-distance form; LPs (P = 0) go to HiGHS.
 
-    Returns an Optimal solution whose KKT residuals passed their check, or a
+    The support of the QP's last Optimal solve (at first, no row) is tried
+    first; NNLS runs only when that support's solution fails its check, and
+    its own support then goes through the same support solve. Returns an
+    Optimal solution whose KKT residuals passed their check, or a
     PrimalInfeasible one certified by a checked Farkas vector (or by the
     residual of inconsistent equalities). Raises NonConvex when P fails the
     PSD validation (eigenvalues below -1e-10 relative to scale), and
     SolverFailed when Z'PZ is singular, NNLS reaches its iteration limit, or
     neither result passes its check.
     """
-    if not np.any(qp.P):
+    if qp._linear:
         return _solve_lp(qp)
 
     f = qp.factors
     x_p = f.A_eq_pinv @ qp.b_eq
-    tol = _KKT_TOL * max(1.0, *(float(np.max(np.abs(b), initial=0.0))
-                                for b in (qp.q, qp.b_eq, qp.b_in)))
-    if np.max(np.abs(qp.A_eq @ x_p - qp.b_eq), initial=0.0) > tol:
+    tol = _KKT_TOL * float(np.max(np.abs(np.concatenate((qp.q, qp.b_eq, qp.b_in))), initial=1.0))
+    if f.rank_deficient and np.max(np.abs(qp.A_eq @ x_p - qp.b_eq)) > tol:
         return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
     g = f.Y.T @ (qp.P @ x_p + qp.q)
-    n, m = g.size, qp.A_in.shape[0]
-    v, lam = np.zeros(n), np.zeros(m)
-    if m:  # nnls on a matrix with no columns aborts the process
-        E = np.vstack([-f.AY.T, qp.A_in @ x_p - qp.b_in - f.AY @ g])
+    h = qp.A_in @ x_p - qp.b_in - f.AY @ g
+    S = qp._support or _support(f, _NO_ROWS)
+    sol = _on_support(qp, f, x_p, g, h, tol, S)
+    if sol is None:
+        if not h.size:  # nnls on a matrix with no columns aborts the process
+            raise SolverFailed("QP solution failed its KKT check")
+        n = g.size
         e = np.zeros(n + 1)
         e[n] = 1.0
         try:
-            u = nnls(E, e)[0]
+            u = nnls(np.vstack([-f.AY.T, h]), e)[0]
         except RuntimeError as exc:
             raise SolverFailed(f"NNLS solve of the least-distance program failed: {exc}") from exc
-        r = E @ u - e
-        if r[n] >= 0.0:  # r = 0 to rounding: u is the only result
-            return _certify_infeasible(qp, f, u)
-        # At the NNLS optimum |r|^2 = -r[n]; dividing by -r[n] keeps v = G'lam exact.
-        v, lam = -r[:n] / r[n], -u / r[n]
-
-    x = x_p + f.Y @ (v - g)
-    nu = -f.A_eq_pinv.T @ (qp.P @ x + qp.q + qp.A_in.T @ lam)
-    kkt = _kkt_residuals(qp, x, nu, lam)
-    if not all(value <= tol for value in kkt.values()):
-        if m:
-            return _certify_infeasible(qp, f, u)
-        raise SolverFailed(f"QP solution failed its KKT check: {kkt}")
-    return QpSolution(
-        x_star=x,
-        objective=_objective(qp, x),
-        status=OPTIMAL,
-        kkt_residuals=kkt,
-        eq_multipliers=nu,
-        in_multipliers=lam,
-        active_set=tuple(int(i) for i in np.flatnonzero(lam)),
-    )
+        S = _support(f, np.flatnonzero(u))
+        sol = _on_support(qp, f, x_p, g, h, tol, S)
+        if sol is None:  # the support solve failed: NNLS's own weights
+            sol = _checked(qp, f, x_p, g, tol, S, u[S.rows], h[S.rows])
+        if sol is None:
+            raise SolverFailed("NNLS gave neither a checked optimum nor a Farkas vector")
+    if sol.status == OPTIMAL:
+        qp._support = S
+    return sol

@@ -127,22 +127,42 @@ class ReferenceSchedule:
 
     @classmethod
     def timed(cls, entries) -> "ReferenceSchedule":
-        norm = tuple((int(k), np.atleast_1d(np.asarray(y, dtype=float))) for k, y in entries)
+        """Targets ``y`` from each ``(start_step, y)`` on. Start steps are
+        integers (a bool is not one), strictly increasing from 0, and the
+        targets all have one length."""
+        norm = []
+        for i, (k, y) in enumerate(entries):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+                raise ValueError(f"timed[{i}] start step must be an integer >= 0, got {k!r}")
+            norm.append((int(k), np.atleast_1d(np.asarray(y, dtype=float))))
         if not norm or norm[0][0] != 0:
             raise ValueError("timed schedule must start at step 0")
         starts = [k for k, _ in norm]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("timed entries must be strictly increasing in start_step")
-        return cls(mode="timed", entries=norm)
+        _one_length([y for _, y in norm], "timed targets")
+        return cls(mode="timed", entries=tuple(norm))
 
     @classmethod
     def waypoints(cls, points, switch_radius: float) -> "ReferenceSchedule":
+        """Waypoints of one length, each passed once the output comes within
+        ``switch_radius``, a finite positive number (a bool is not one)."""
         pts = tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in points)
         if not pts:
             raise ValueError("waypoint schedule needs at least one point")
-        if not (switch_radius > 0):
-            raise ValueError("switch_radius must be positive")
-        return cls(mode="waypoint", points=pts, switch_radius=float(switch_radius))
+        _one_length(pts, "waypoints")
+        r = switch_radius
+        if (isinstance(r, bool) or not isinstance(r, (int, float, np.integer, np.floating))
+                or not (np.isfinite(r) and r > 0)):
+            raise ValueError(f"waypoints.switch_radius must be a finite positive number, "
+                             f"got {r!r}")
+        return cls(mode="waypoint", points=pts, switch_radius=float(r))
+
+
+def _one_length(vectors, what: str) -> None:
+    lengths = [v.size for v in vectors]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{what} must all have one length, got lengths {lengths}")
 
 
 class _RefCursor:

@@ -504,8 +504,8 @@ def test_simulate_infeasible_start_exit_5(tmp_path):
     assert metrics["halted_at"] == 0
 
 
-def _simulate_exit_code(tmp_path, capsys):
-    scenario = base_scenario(tmp_path)
+def _simulate_exit_code(tmp_path, capsys, **overrides):
+    scenario = base_scenario(tmp_path, **overrides)
     code = main(["simulate", str(scenario), "--out", str(tmp_path / "r"), "--deterministic"])
     return code, capsys.readouterr().err
 
@@ -520,11 +520,14 @@ def test_simulate_nonconvex_qp_exit_6(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_qp_iteration_limit_exit_6(tmp_path, capsys, monkeypatch):
+    # Every QP of the base scenario is solved on its stored support without
+    # nnls. A reference beyond the state bound y <= 5 puts the offline steady
+    # target on that bound, so its first solve misses and nnls runs.
     def capped(E, e):
         raise RuntimeError("Maximum number of iterations reached.")  # as scipy's nnls does
 
     monkeypatch.setattr(qp_module, "nnls", capped)
-    code, err = _simulate_exit_code(tmp_path, capsys)
+    code, err = _simulate_exit_code(tmp_path, capsys, references={"timed": [[0, [10.0]]]})
     assert code == 6 and "Maximum number of iterations reached" in err
 
 
@@ -591,3 +594,18 @@ def test_steady_unreachable_reports_clipped_target(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "y_s = [3." in out  # steady outputs cap at u-bound 3
+
+
+@pytest.mark.parametrize("y_t", ["1.0,2.0", "1.0,2.0,3.0"])
+def test_steady_checks_the_target_length_before_fitting_exit_2(tmp_path, capsys, monkeypatch,
+                                                               y_t):
+    # The base scenario has one output; a longer target is refused with the
+    # scenario's checks, before any data is generated or fitted.
+    def refused(*args, **kwargs):
+        raise AssertionError("the scenario was fitted for a target of the wrong length")
+
+    monkeypatch.setattr(cli_module, "generate_training_data", refused)
+    monkeypatch.setattr(cli_module, "fit_edmd", refused)
+    assert main(["steady", str(base_scenario(tmp_path)), y_t]) == 2
+    err = capsys.readouterr().err
+    assert "y_t" in err and "1 comma-separated value" in err

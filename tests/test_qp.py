@@ -220,9 +220,9 @@ def test_bitwise_determinism(rng):
 
 
 def test_warm_start_agrees_with_cold_start(rng):
-    # No iteration state is carried between solves: a problem whose factors
-    # are warm from solves at other right-hand sides gives, bit for bit, the
-    # solution of a cold problem built from the same data.
+    # A problem whose factors and stored support are warm from solves at other
+    # right-hand sides gives, bit for bit, the solution of a cold problem
+    # built from the same data.
     M = rng.standard_normal((4, 4))
     qp = QuadraticProgram(
         P=M.T @ M + 0.5 * np.eye(4),
@@ -543,22 +543,15 @@ def _infeasible_qps():
     ]
 
 
-def test_infeasible_qp_is_certified_by_a_checked_farkas_vector(monkeypatch):
-    # The certificate is the NNLS solution u itself: with
-    # mu = -(A_eq^+)'A_in'u it satisfies A_in'u + A_eq'mu = 0 and
-    # b_in'u + b_eq'mu < 0, checked here from scratch. HiGHS never runs.
+def test_infeasible_qp_is_certified_by_a_checked_farkas_vector(monkeypatch, farkas_vectors):
+    # The certificate is the one vector u that passes the solver's Farkas
+    # check: with mu = -(A_eq^+)'A_in'u it satisfies A_in'u + A_eq'mu = 0 and
+    # b_in'u + b_eq'mu < 0, checked here again from scratch. HiGHS never runs.
     _no_highs(monkeypatch)
-    results = []
-
-    def spied(E, e):
-        results.append(nnls(E, e))
-        return results[-1]
-
-    monkeypatch.setattr(qp_module, "nnls", spied)
     for qp in _infeasible_qps():
-        results.clear()
+        farkas_vectors.clear()
         assert solve(qp).status == PRIMAL_INFEASIBLE
-        (u, _), = results
+        (u,) = farkas_vectors
         mu = -np.linalg.pinv(qp.A_eq).T @ (qp.A_in.T @ u)
         assert np.min(u) >= 0.0
         assert np.max(np.abs(qp.A_in.T @ u + qp.A_eq.T @ mu)) <= 1e-12
@@ -591,6 +584,68 @@ def test_factors_are_computed_once_per_problem(monkeypatch):
                              b_in=qp.b_in)
     assert np.allclose(second.x_star, solve(fresh).x_star, atol=1e-10)
     _check_kkt(second)
+
+
+# --- the support of the last Optimal solve, tried before nnls ----------------------------
+
+def _box_qp(q):
+    """A strictly convex QP over the box [0, 1]^3 with one equality."""
+    M = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    return QuadraticProgram(P=M, q=q, A_eq=[[1.0, -1.0, 0.5]], b_eq=[0.1],
+                            A_in=np.vstack([np.eye(3), -np.eye(3)]),
+                            b_in=[1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+
+
+def test_a_repeated_solve_takes_the_stored_support_without_nnls(monkeypatch):
+    qp = _box_qp([-4.0, -4.0, 1.0])
+    first = solve(qp)
+    assert first.status == OPTIMAL and first.active_set
+
+    def refused(E, e):
+        raise AssertionError("nnls was called although the stored support is optimal")
+
+    monkeypatch.setattr(qp_module, "nnls", refused)
+    again = solve(qp)
+    assert np.array_equal(again.x_star, first.x_star)
+    assert again.active_set == first.active_set
+    _check_kkt(again)
+
+
+def test_any_stored_support_gives_the_cold_result(rng):
+    # No row, every row, random rows and the support at another right-hand
+    # side: a support is taken only at an optimum that passes its check, so
+    # each gives the cold solve's status and x, bit for bit. An infeasible
+    # problem stays certified whatever support it holds.
+    qp = _box_qp(np.zeros(3))
+    f = qp.factors
+    for _ in range(40):
+        qp.q[:], qp.b_eq[:] = 4.0 * rng.standard_normal(3), rng.uniform(-0.5, 0.5, 1)
+        cold = solve(QuadraticProgram(P=qp.P, q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq, A_in=qp.A_in,
+                                      b_in=qp.b_in))
+        other = solve(QuadraticProgram(P=qp.P, q=-qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq, A_in=qp.A_in,
+                                       b_in=qp.b_in))
+        for rows in ((), range(6), np.flatnonzero(rng.uniform(size=6) < 0.5), other.active_set):
+            qp._support = qp_module._support(f, np.array(rows, dtype=np.intp))
+            got = solve(qp)
+            assert got.status == cold.status
+            assert np.array_equal(got.x_star, cold.x_star, equal_nan=True), rows
+            assert got.active_set == cold.active_set
+    for bad in _infeasible_qps():
+        for rows in ((), range(bad.A_in.shape[0])):
+            bad._support = qp_module._support(bad.factors, np.array(rows, dtype=np.intp))
+            assert solve(bad).status == PRIMAL_INFEASIBLE
+
+
+def test_only_an_optimal_solve_replaces_the_stored_support():
+    # min (x - 2)^2 over x <= 1 and x >= c: the support {x <= 1} outlives the
+    # infeasible c = 2.
+    qp = QuadraticProgram(P=[[2.0]], q=[-4.0], A_in=[[1.0], [-1.0]], b_in=[1.0, 0.0])
+    assert solve(qp).active_set == (0,)
+    qp.b_in[1] = -2.0
+    assert solve(qp).status == PRIMAL_INFEASIBLE
+    assert qp._support.rows.tolist() == [0]
+    qp.b_in[1] = 0.0
+    assert solve(qp).active_set == (0,)
 
 
 def test_factored_matrices_are_read_only():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,47 @@ def test_reference_schedule_validation():
         ReferenceSchedule.timed([(0, [1.0]), (0, [2.0])])  # strictly increasing
     with pytest.raises(ValueError):
         ReferenceSchedule.waypoints([[1.0, 1.0]], switch_radius=0.0)
+
+
+@pytest.mark.parametrize("entries, named", [
+    ([(0, [1.0]), (2.5, [2.0])], "timed[1] start step must be an integer >= 0, got 2.5"),
+    ([(0, [1.0]), (True + 3, [2.0])], None),  # an int, from a bool sum, is a start step
+    ([(True, [1.0])], "timed[0] start step must be an integer >= 0, got True"),
+    ([(np.bool_(False), [1.0])], "timed[0] start step must be an integer >= 0"),
+    ([(0, [1.0]), (-2, [2.0])], "timed[1] start step must be an integer >= 0, got -2"),
+    ([(0, [1.0]), ("3", [2.0])], "timed[1] start step must be an integer >= 0, got '3'"),
+    ([(np.int64(0), [1.0]), (np.int32(4), [2.0])], None),
+    ([(0, [1.0]), (2, [2.0]), (4, [1.0, 2.0, 3.0])],
+     "timed targets must all have one length, got lengths [1, 1, 3]"),
+])
+def test_timed_schedule_rejects_what_it_would_truncate(entries, named):
+    # int(k) used to run a start of 2.5 as step 2 and True as step 1.
+    if named is None:
+        refs = ReferenceSchedule.timed(entries)
+        assert [k for k, _ in refs.entries] == [int(k) for k, _ in entries]
+        assert all(type(k) is int for k, _ in refs.entries)
+    else:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ReferenceSchedule.timed(entries)
+
+
+@pytest.mark.parametrize("points, radius, named", [
+    ([[1.0, 1.0]], True, "switch_radius must be a finite positive number, got True"),
+    ([[1.0, 1.0]], np.bool_(True), "switch_radius must be a finite positive number"),
+    ([[1.0, 1.0]], float("inf"), "switch_radius must be a finite positive number, got inf"),
+    ([[1.0, 1.0]], float("nan"), "switch_radius must be a finite positive number, got nan"),
+    ([[1.0, 1.0]], -0.3, "switch_radius must be a finite positive number, got -0.3"),
+    ([[1.0, 1.0]], "0.3", "switch_radius must be a finite positive number, got '0.3'"),
+    ([[1.0, 1.0], [2.0]], 0.3, "waypoints must all have one length, got lengths [2, 1]"),
+])
+def test_waypoint_schedule_rejects_a_bad_radius_or_ragged_points(points, radius, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ReferenceSchedule.waypoints(points, switch_radius=radius)
+
+
+def test_waypoint_schedule_takes_a_numpy_radius():
+    refs = ReferenceSchedule.waypoints([[1.0, 1.0]], switch_radius=np.float32(0.25))
+    assert refs.switch_radius == 0.25 and type(refs.switch_radius) is float
 
 
 def test_timed_cursor_lookup():

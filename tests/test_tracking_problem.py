@@ -98,13 +98,15 @@ def test_unicycle_warm_and_cold_solves_agree_along_the_course(course):
             solve_step(fresh, lift(model, log.x[k]), log.y_t[k])
 
 
-def test_unicycle_course_halt_is_certified_without_highs(course, problems, monkeypatch):
+def test_unicycle_course_halt_is_certified_without_highs(course, problems, monkeypatch,
+                                                         farkas_vectors):
     # No HiGHS call anywhere in the loop: every QP, the offline steady target
-    # included, is one NNLS solve. The step-29 halt is certified by the NNLS
-    # Farkas vector u, which passes the full-space check here from scratch.
+    # included, is solved in its least-distance form. The step-29 halt is
+    # certified by the one vector that passes the solver's Farkas check, and
+    # that vector passes the full-space check here from scratch.
     stack, _ = course
-    solves, farkas = [], []
-    solve_qp, nnls = qp_module.solve, qp_module.nnls
+    solves = []
+    solve_qp = qp_module.solve
 
     def refused(*args, **kwargs):
         raise AssertionError("HiGHS was called in the closed loop")
@@ -113,23 +115,95 @@ def test_unicycle_course_halt_is_certified_without_highs(course, problems, monke
         solves.append((qp, solve_qp(qp)))
         return solves[-1][1]
 
-    def recorded_nnls(E, e):
-        farkas.append(nnls(E, e)[0])
-        return farkas[-1], 0.0
-
     monkeypatch.setattr(qp_module, "linprog", refused)
     monkeypatch.setattr(qp_module, "solve", recorded_solve)
-    monkeypatch.setattr(qp_module, "nnls", recorded_nnls)
     log = stack.run(stack.seed)
     assert log.halted_at == 29
     statuses = [sol.status for _, sol in solves]
     assert statuses == [OPTIMAL] * (len(solves) - 1) + [PRIMAL_INFEASIBLE]
-    qp, u = solves[-1][0], farkas[-1]
+    qp, (u,) = solves[-1][0], farkas_vectors
     assert qp.dim == problems["unicycle_square"].qp.dim
     mu = -np.linalg.pinv(qp.A_eq).T @ (qp.A_in.T @ u)
     assert np.min(u) >= 0.0
     assert np.max(np.abs(qp.A_in.T @ u + qp.A_eq.T @ mu)) <= 1e-9
     assert qp.b_in @ u + qp.b_eq @ mu < -0.5
+
+
+# --- the stored support: each solve tries the support of the QP's last Optimal one ---
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stored_support_solves_equal_cold_solves_bit_for_bit(stacks, logs, name):
+    # The loop's problem tries the support of its last Optimal solve first; a
+    # QP built cold for each step starts from no row and reaches the same
+    # support through nnls. Both end in the same support solve, so every step
+    # agrees bit for bit, the unicycle's halt included.
+    stack, log = stacks[name], logs[name]
+    model, config, schedule = stack.model, stack.config, stack.schedule
+    problem = TrackingProblem(model, config, schedule)
+    for k in range(log.k.size):
+        z_k = lift(model, log.x[k])
+        warm = solve(problem.at(z_k, log.y_t[k]))
+        cold = solve(build_qp(model, config, schedule, z_k, log.y_t[k]))
+        assert warm.status == cold.status == (
+            PRIMAL_INFEASIBLE if k == log.halted_at else OPTIMAL)
+        assert np.array_equal(warm.x_star, cold.x_star, equal_nan=True), k
+        assert warm.active_set == cold.active_set
+        if warm.status == OPTIMAL:
+            assert np.array_equal(warm.in_multipliers, cold.in_multipliers)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_stale_or_foreign_support_gives_the_cold_result(stacks, logs, name):
+    # Whatever support the QP holds, it is taken only where its solution
+    # passes the check of an optimum; otherwise nnls runs. So every row, the
+    # support at another reference, and the support held when the loop stops
+    # (the unicycle's step-29 halt keeps that of step 28) each give the cold
+    # solve's status and x.
+    stack, log = stacks[name], logs[name]
+    model, config, schedule = stack.model, stack.config, stack.schedule
+    problem = TrackingProblem(model, config, schedule)
+    qp = problem.qp
+    for k in range(log.k.size):
+        last = solve(problem.at(lift(model, log.x[k]), log.y_t[k]))
+        if last.status == OPTIMAL:
+            held = last.active_set
+    assert (last.status == PRIMAL_INFEASIBLE) == (name == "unicycle_square")
+    corner = np.array(stack.sc["constraints"]["state"]["lo"])
+    elsewhere = solve(problem.at(lift(model, log.x[0]), stack.plant.C @ corner))
+    assert elsewhere.status == OPTIMAL and elsewhere.active_set != held
+    supports = {"every row": range(qp.A_in.shape[0]), "another y_t": elsewhere.active_set,
+                "held at the end": held}
+    steps = sorted({*range(0, log.k.size, max(1, log.k.size // 30)), log.k.size - 1})
+    for k in steps:
+        z_k = lift(model, log.x[k])
+        cold = solve(build_qp(model, config, schedule, z_k, log.y_t[k]))
+        for label, rows in supports.items():
+            problem.at(z_k, log.y_t[k])
+            qp._support = qp_module._support(qp.factors, np.array(rows, dtype=np.intp))
+            got = solve(qp)
+            assert got.status == cold.status, (label, k)
+            assert np.array_equal(got.x_star, cold.x_star, equal_nan=True), (label, k)
+
+
+def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch):
+    # The offline steady target is taken at its unconstrained optimum; nnls
+    # runs for the cold first step, at steps 3 and 23, whose supports change,
+    # and for the certified halt. The count repeats exactly from course to course.
+    stack, _ = course
+    counts = {}
+
+    def counted(key, call):
+        def wrapper(*args):
+            counts[key] += 1
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(qp_module, "solve", counted("solve", qp_module.solve))
+    monkeypatch.setattr(qp_module, "nnls", counted("nnls", qp_module.nnls))
+    for _ in range(2):
+        counts.update(solve=0, nnls=0)
+        assert stack.run(stack.seed).halted_at == 29
+        assert counts == {"solve": 31, "nnls": 4}
 
 
 def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
@@ -180,33 +254,31 @@ def pushed_out_of_initial_set(stack, log, face, by):
 @pytest.mark.parametrize("by", [1e-6, 1.0])
 @pytest.mark.parametrize("name", NAMES)
 def test_a_state_outside_the_initial_set_is_certified_by_the_qp(
-        stacks, problems, logs, monkeypatch, name, by):
+        stacks, problems, logs, monkeypatch, farkas_vectors, name, by):
     # x(0) in X~(0) is a block of the QP's rows, so a state across any face
-    # makes the QP infeasible, certified by a Farkas vector that is checked
-    # here from scratch; the solver never fails on it.
+    # makes the QP infeasible, certified by the vector that passes the
+    # solver's Farkas check, checked here again from scratch; the solver
+    # never fails on it.
     stack, log = stacks[name], logs[name]
-    solve_qp, nnls = qp_module.solve, qp_module.nnls
-    solves, farkas = [], []
+    solve_qp = qp_module.solve
+    solves = []
 
     def recorded_solve(qp):
         solves.append((qp, solve_qp(qp)))
         return solves[-1][1]
 
-    def recorded_nnls(E, e):
-        farkas.append(nnls(E, e)[0])
-        return farkas[-1], 0.0
-
     monkeypatch.setattr(qp_module, "solve", recorded_solve)
-    monkeypatch.setattr(qp_module, "nnls", recorded_nnls)
     for face in range(stack.schedule.state_sets[0].offsets.size):
         solves.clear()
+        farkas_vectors.clear()
         z = lift(stack.model, pushed_out_of_initial_set(stack, log, face, by))
         with pytest.raises(Infeasible):
             solve_step(problems[name], z, log.y_t[0])
         # The reference assembly agrees: build_qp + qp.solve.
         qp_module.solve(build_qp(stack.model, stack.config, stack.schedule, z, log.y_t[0]))
         assert [sol.status for _, sol in solves] == [PRIMAL_INFEASIBLE] * 2
-        for (qp, _), u in zip(solves, farkas[-2:]):
+        assert len(farkas_vectors) == 2
+        for (qp, _), u in zip(solves, farkas_vectors):
             mu = -np.linalg.pinv(qp.A_eq).T @ (qp.A_in.T @ u)
             scale = max(1.0, float(np.max(np.abs(qp.A_in).T @ u)))
             assert np.min(u) >= 0.0
