@@ -532,7 +532,17 @@ def _parse_seed_range(text: str) -> list[int]:
 
 
 def _parse_targets(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")]
+    """The comma-separated target of ``koopmpc steady``, as finite numbers."""
+    values = []
+    for tok in text.split(","):
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"y_t: {tok!r} is not a finite number")
+        values.append(value)
+    return values
 
 
 def main(argv=None) -> int:

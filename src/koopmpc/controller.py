@@ -104,7 +104,10 @@ class KtmpcSolution:
 
 @dataclass(frozen=True)
 class LyapunovDiag:
-    """Tracking cost V1, optimality gap V2 = J_N* - J_eq~*, and J_eq~* itself."""
+    """Tracking cost V1, optimality gap V2 = J_N* - J_eq~*, and J_eq~* itself.
+
+    V2 >= 0 up to the rounding of the two costs it subtracts, so its floor
+    is -1e-7 relative to J_eq~* (absolute when J_eq~* <= 1)."""
 
     V1: float
     V2: float
@@ -113,8 +116,9 @@ class LyapunovDiag:
     def __post_init__(self):
         if not (self.V1 >= 0.0):
             raise ValueError("V1 must be non-negative")
-        if not (self.V2 >= -1e-7):
-            raise ValueError(f"V2 = {self.V2} violates its -1e-7 lower bound")
+        floor = -1e-7 * max(1.0, self.J_eq_tilde)
+        if not (self.V2 >= floor):
+            raise ValueError(f"V2 = {self.V2} violates its {floor:.3g} lower bound")
 
 
 @dataclass(frozen=True)
@@ -165,10 +169,12 @@ class _Layout:
         return slice(self._z0 + j * self.n_z, self._z0 + (j + 1) * self.n_z)
 
     def split(self, x: np.ndarray):
-        """Views (u(0..N-1), z(0..N), z_s, u_s) of ``x``; writing to one writes to ``x``."""
+        """Views (u(0..N-1), z(0..N), z_s, u_s) of ``x`` along its first axis,
+        which may carry trailing dimensions; writing to one writes to ``x``."""
+        rest = x.shape[1:]
         return (
-            x[: self._z0].reshape(self.N, self.n_u),
-            x[self._z0 : self.z_s.start].reshape(self.N + 1, self.n_z),
+            x[: self._z0].reshape(self.N, self.n_u, *rest),
+            x[self._z0 : self.z_s.start].reshape(self.N + 1, self.n_z, *rest),
             x[self.z_s],
             x[self.u_s],
         )
@@ -337,6 +343,26 @@ def _step_terms(model: KoopmanModel, config: KtmpcConfig, z0, y_t):
     return z0, -2.0 * config.s * model.C_y.T @ y_t
 
 
+def _candidate_map(model: KoopmanModel, K: np.ndarray, lay: _Layout) -> np.ndarray:
+    """The shifted candidate of :func:`shifted_candidate` as one linear map:
+    ``x_c = L @ [x*; z_next]``, with ``x*`` the previous optimum as a decision
+    vector. Every step of the candidate's rollout is linear, so rolling it out
+    once on the identity gives ``L``, of shape dim x (dim + n_z)."""
+    eye = np.eye(lay.dim + model.n_z)
+    u, z, z_s, u_s = lay.split(eye[: lay.dim])
+    L = np.empty((lay.dim, eye.shape[1]))
+    u_c, z_c, z_sc, u_sc = lay.split(L)
+    z_c[0] = eye[lay.dim :]
+    for j in range(lay.N - 1):
+        u_c[j] = u[j + 1] + K @ (z_c[j] - z[j + 1])
+        z_c[j + 1] = model.A @ z_c[j] + model.B @ u_c[j]
+    u_c[lay.N - 1] = u_s
+    z_c[lay.N] = model.A @ z_c[lay.N - 1] + model.B @ u_c[lay.N - 1]
+    z_sc[:] = z_s
+    u_sc[:] = u_s
+    return L
+
+
 class TrackingProblem:
     """The tracking QP of one (model, config, schedule), built and factored once.
 
@@ -344,7 +370,8 @@ class TrackingProblem:
     matrices on the first solve and keeps the factors on the QP. Each step
     then rewrites only ``b_eq[:n_z] = psi(x_k)`` and ``q[z_s] = -2 s C_y' y_t``.
     ``block_starts`` holds the first ``A_in`` row of each inequality block, in
-    :func:`build_qp`'s order.
+    :func:`build_qp`'s order, and ``candidate_map`` the map of
+    :func:`_candidate_map`.
     """
 
     def __init__(self, model: KoopmanModel, config: KtmpcConfig, schedule: TighteningSchedule):
@@ -355,6 +382,7 @@ class TrackingProblem:
         self.qp = build_qp(model, config, schedule, np.zeros(model.n_z), np.zeros(model.n_y))
         rows = [S.offsets.size for S, _, _ in _inequality_blocks(model, schedule, self.layout)]
         self.block_starts = np.cumsum([0] + rows[:-1])
+        self.candidate_map = _candidate_map(model, config.K, self.layout)
 
     def at(self, z0, y_t) -> qps.QuadraticProgram:
         """The QP at lifted state ``z0`` and reference ``y_t``, updated in place."""
@@ -398,23 +426,18 @@ def shifted_candidate(
     and tracks the shifted previous trajectory under the tube gain
     ``K = config.K``, ``u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1))``, finishing
     with the previous steady input; the previous steady pair is reused as the
-    candidate target.
+    candidate target. That rollout is linear in the previous optimum and
+    ``z_next``, so it is one product with ``problem.candidate_map``.
     The report gives the worst margin of every constraint against the tightened
     schedule, read off the QP's own rows block by block, and the terminal
     defect ``||z_c(N) - z_s||_inf``, which is zero only in the disturbance-free
     case.
     """
-    model, K, N = problem.model, problem.config.K, problem.config.N
-    x_c = np.empty(problem.layout.dim)
-    u_c, z_c, z_s, u_s = problem.layout.split(x_c)
-    z_c[0] = _as_vector(z_next, model.n_z, "z_next")
-    for j in range(N - 1):
-        u_c[j] = prev.u_bar[j + 1] + K @ (z_c[j] - prev.z_bar[j + 1])
-        z_c[j + 1] = model.A @ z_c[j] + model.B @ u_c[j]
-    u_c[N - 1] = prev.target.u_s
-    z_c[N] = model.A @ z_c[N - 1] + model.B @ u_c[N - 1]
-    z_s[:] = prev.target.z_s
-    u_s[:] = prev.target.u_s
+    N = problem.config.N
+    z_next = _as_vector(z_next, problem.model.n_z, "z_next")
+    x_c = problem.candidate_map @ np.concatenate(
+        [prev.u_bar.ravel(), prev.z_bar.ravel(), prev.target.z_s, prev.target.u_s, z_next]
+    )
 
     blocks = np.minimum.reduceat(problem.qp.b_in - problem.qp.A_in @ x_c, problem.block_starts)
     min_margin = float(blocks.min())
@@ -423,7 +446,7 @@ def shifted_candidate(
         input_margins=blocks[:N],
         steady_state_margin=float(blocks[2 * N]),
         steady_input_margin=float(blocks[2 * N + 1]),
-        terminal_gap=float(np.max(np.abs(z_c[N] - prev.target.z_s))),
+        terminal_gap=float(np.max(np.abs(x_c[problem.layout.z(N)] - prev.target.z_s))),
         min_margin=min_margin,
         feasible=bool(min_margin >= -_MARGIN_TOL),
     )

@@ -29,6 +29,14 @@ and b_in'u + b_eq'mu < 0, which no feasible x allows. Inconsistent equalities
 residual of x_p. Anything else raises SolverFailed. Pure linear programs
 (P = 0) are dispatched to HiGHS.
 
+A row of A_in whose row of A_in Y is zero to rounding is one that no step in
+the null space of A_eq moves, such as a bound on a variable the equalities
+pin: x_p alone decides it. Its column of E would be zero too, and NNLS could
+put any weight on it, so NNLS runs on the other columns only. The most
+violated such row, when it exceeds its offset by more than 1e-9 of
+max(1, |b_in|), is certified by its own Farkas vector; a smaller excess is
+rounding, left to the full-space check.
+
 Each QuadraticProgram keeps the support of its last Optimal solve, the rows
 with positive NNLS weight (no row before the first), and the next solve
 tries it before NNLS: the least squares on those columns of E alone, one
@@ -204,12 +212,16 @@ class _Factors:
     A_eq' nu = r the same way). Y = Z L^-T, where Z is an orthonormal basis of
     the null space of A_eq and Z'PZ = LL' the Cholesky factorization of the
     reduced Hessian, spans the same null space with Y'PY = I; AY = A_in Y.
-    Only a rank-deficient A_eq admits inconsistent right-hand sides."""
+    Only a rank-deficient A_eq admits inconsistent right-hand sides. ``fixed``
+    lists the rows of A_in whose row of AY is zero to rounding (1e-12 of the
+    largest), and ``free`` the others."""
 
     A_eq_pinv: np.ndarray
     Y: np.ndarray
     AY: np.ndarray
     rank_deficient: bool
+    free: np.ndarray
+    fixed: np.ndarray
 
 
 def _factor(qp: QuadraticProgram) -> _Factors:
@@ -236,8 +248,12 @@ def _factor(qp: QuadraticProgram) -> _Factors:
             "null space of A_eq"
         )
     Y = solve_triangular(L, Z.T, lower=True).T
-    return _Factors(A_eq_pinv=A_eq_pinv, Y=Y, AY=qp.A_in @ Y,
-                    rank_deficient=Z.shape[1] + A_eq.shape[0] > d)
+    AY = qp.A_in @ Y
+    reach = np.max(np.abs(AY), axis=1, initial=0.0)
+    moves = reach > 1e-12 * np.max(reach, initial=1.0)
+    return _Factors(A_eq_pinv=A_eq_pinv, Y=Y, AY=AY,
+                    rank_deficient=Z.shape[1] + A_eq.shape[0] > d,
+                    free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves))
 
 
 def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> bool:
@@ -344,19 +360,28 @@ def solve(qp: QuadraticProgram) -> QpSolution:
     S = qp._support or _support(f, _NO_ROWS)
     sol = _on_support(qp, f, x_p, g, h, tol, S)
     if sol is None:
-        if not h.size:  # nnls on a matrix with no columns aborts the process
+        # x_p alone decides the fixed rows; one violated beyond rounding is
+        # certified by its own Farkas vector, normalized as NNLS's are.
+        excess = h[f.fixed] / np.maximum(1.0, np.abs(qp.b_in[f.fixed]))
+        if excess.size and np.max(excess) > _FEAS_TOL:
+            u = np.zeros(h.size)
+            row = f.fixed[np.argmax(excess)]
+            u[row] = 1.0 / h[row]
+            if _farkas(qp, f, u):
+                return _infeasible(qp)
+        if not f.free.size:  # nnls on a matrix with no columns aborts the process
             raise SolverFailed("QP solution failed its KKT check")
         n = g.size
         e = np.zeros(n + 1)
         e[n] = 1.0
         try:
-            u = nnls(np.vstack([-f.AY.T, h]), e)[0]
+            u = nnls(np.vstack([-f.AY[f.free].T, h[f.free]]), e)[0]
         except RuntimeError as exc:
             raise SolverFailed(f"NNLS solve of the least-distance program failed: {exc}") from exc
-        S = _support(f, np.flatnonzero(u))
+        S = _support(f, f.free[u > 0])
         sol = _on_support(qp, f, x_p, g, h, tol, S)
         if sol is None:  # the support solve failed: NNLS's own weights
-            sol = _checked(qp, f, x_p, g, tol, S, u[S.rows], h[S.rows])
+            sol = _checked(qp, f, x_p, g, tol, S, u[u > 0], h[S.rows])
         if sol is None:
             raise SolverFailed("NNLS gave neither a checked optimum nor a Farkas vector")
     if sol.status == OPTIMAL:

@@ -275,8 +275,8 @@ def run_closed_loop(
     prev: KtmpcSolution | None = None
 
     for k in range(T):
-        y_t = cursor.advance(k, position=plant.C @ x)
         y = plant.C @ x
+        y_t = cursor.advance(k, position=y)
         z = lift(model, x)
         cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z)[1].min_margin
         try:

@@ -162,3 +162,18 @@ def qp_by_active_set_enumeration(P, q, A_eq, b_eq, A_in, b_in, tol=1e-9):
             if obj < best[0]:
                 best = (obj, x)
     return best
+
+
+def shifted_rollout(A, B, K, N, u_bar, z_bar, z_s, u_s, z_next):
+    """The shifted candidate rolled out step by step: from z_c(0) = z_next,
+    u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1)) and z_c(j+1) = A z_c(j) + B u_c(j)
+    for j < N-1, then u_c(N-1) = u_s. Returns (u_c, z_c) of shapes (N, n_u)
+    and (N+1, n_z)."""
+    z_c = [np.asarray(z_next, dtype=float)]
+    u_c = []
+    for j in range(N - 1):
+        u_c.append(u_bar[j + 1] + K @ (z_c[j] - z_bar[j + 1]))
+        z_c.append(A @ z_c[j] + B @ u_c[j])
+    u_c.append(np.asarray(u_s, dtype=float))
+    z_c.append(A @ z_c[N - 1] + B @ u_c[N - 1])
+    return np.array(u_c), np.array(z_c)

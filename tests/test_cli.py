@@ -531,6 +531,15 @@ def test_simulate_qp_iteration_limit_exit_6(tmp_path, capsys, monkeypatch):
     assert code == 6 and "Maximum number of iterations reached" in err
 
 
+def test_simulate_reference_beyond_the_state_bound_exit_0(tmp_path, capsys):
+    # The offset cost J_eq~ is about 2.5e4 here, so V2 = J_N - J_eq~ rounds
+    # to a few -1e-7; its floor scales with J_eq~ and the run completes.
+    code, err = _simulate_exit_code(tmp_path, capsys, references={"timed": [[0, [10.0]]]})
+    assert code == 0, err
+    metrics = json.loads((tmp_path / "r" / "metrics_seed0.json").read_text())
+    assert metrics["halted_at"] is None
+
+
 def test_simulate_singular_reduced_hessian_exit_6(tmp_path, capsys, monkeypatch):
     build = controller_module.build_qp
 
@@ -609,3 +618,18 @@ def test_steady_checks_the_target_length_before_fitting_exit_2(tmp_path, capsys,
     assert main(["steady", str(base_scenario(tmp_path)), y_t]) == 2
     err = capsys.readouterr().err
     assert "y_t" in err and "1 comma-separated value" in err
+
+
+@pytest.mark.parametrize("y_t, token", [
+    ("nan", "'nan'"), ("inf", "'inf'"), ("abc", "'abc'"), ("1.0,", "''"), ("1.0,-inf", "'-inf'"),
+])
+def test_steady_rejects_a_non_finite_target_before_fitting_exit_2(tmp_path, capsys, monkeypatch,
+                                                                  y_t, token):
+    def refused(*args, **kwargs):
+        raise AssertionError("the scenario was fitted for a malformed target")
+
+    monkeypatch.setattr(cli_module, "generate_training_data", refused)
+    monkeypatch.setattr(cli_module, "fit_edmd", refused)
+    assert main(["steady", str(base_scenario(tmp_path)), y_t]) == 2
+    err = capsys.readouterr().err
+    assert "y_t" in err and token in err and "not a finite number" in err

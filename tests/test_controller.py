@@ -430,6 +430,21 @@ def test_diagnostics_steady_start_zero():
     assert isinstance(d, LyapunovDiag)
 
 
+@pytest.mark.parametrize("V2, J_eq_tilde, holds", [
+    (-1e-3, 1.0, False),
+    (-2e-7, 0.0, False),  # the floor stays -1e-7 when J_eq~ <= 1
+    (-0.9e-7, 0.5, True),
+    (-3.6e-7, 2.5e4, True),  # rounding of two costs near 2.5e4
+    (-3e-3, 2.5e4, False),
+])
+def test_lyapunov_v2_floor_scales_with_the_offset_cost(V2, J_eq_tilde, holds):
+    if holds:
+        assert LyapunovDiag(V1=0.0, V2=V2, J_eq_tilde=J_eq_tilde).V2 == V2
+    else:
+        with pytest.raises(ValueError, match="V2 .* violates its .* lower bound"):
+            LyapunovDiag(V1=0.0, V2=V2, J_eq_tilde=J_eq_tilde)
+
+
 def test_segment_inequality_trivial_endpoints():
     sigmas = np.linspace(0.0, 1.0, 11)
     # y_sr is the constrained-optimal output, y_s* some feasible output that is

@@ -558,6 +558,39 @@ def test_infeasible_qp_is_certified_by_a_checked_farkas_vector(monkeypatch, fark
         assert qp.b_in @ u + qp.b_eq @ mu < -0.5
 
 
+def _pinned_row_qp(excess):
+    """0.6 x0 + 0.8 x1 = 0 pins the row 0.6 x0 + 0.8 x1 <= -excess: no step
+    in the null space of A_eq moves it, so x_p alone decides it, and its row of
+    A_in Y is rounding."""
+    return QuadraticProgram(P=np.diag([1.0, 2.0, 1.0]), q=[-3.0, 1.0, -4.0],
+                            A_eq=[[0.6, 0.8, 0.0]], b_eq=[0.0],
+                            A_in=[[0.6, 0.8, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]],
+                            b_in=[-excess, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("excess", [0.0, 1e-13, -1e-13])
+def test_a_pinned_row_met_to_rounding_is_solved(excess):
+    # NNLS runs without the pinned row's column, on which it could put any
+    # weight; an excess of rounding size is left to the full-space check.
+    qp = _pinned_row_qp(excess)
+    assert qp.factors.fixed.tolist() == [0]
+    sol = solve(qp)
+    assert sol.status == OPTIMAL
+    _check_kkt(sol)
+    _, x = qp_by_active_set_enumeration(qp.P, qp.q, qp.A_eq, qp.b_eq, qp.A_in, qp.b_in + 1e-12)
+    assert np.allclose(sol.x_star, x, atol=1e-9)
+
+
+def test_a_violated_pinned_row_is_certified_by_its_own_farkas_vector(farkas_vectors):
+    qp = _pinned_row_qp(1e-6)
+    assert solve(qp).status == PRIMAL_INFEASIBLE
+    (u,) = farkas_vectors
+    assert np.flatnonzero(u).tolist() == [0]
+    mu = -np.linalg.pinv(qp.A_eq).T @ (qp.A_in.T @ u)
+    assert np.max(np.abs(qp.A_in.T @ u + qp.A_eq.T @ mu)) <= 1e-9 * np.max(np.abs(qp.A_in).T @ u)
+    assert qp.b_in @ u + qp.b_eq @ mu == pytest.approx(-1.0)
+
+
 @pytest.mark.parametrize("u", [[1.0, 0.0], [0.0, 10.0]])
 def test_a_result_that_fails_its_check_raises(monkeypatch, u):
     # x <= 0 and x >= 1: u = (1, 0) gives an "optimum" that violates x >= 1,

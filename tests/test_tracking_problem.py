@@ -1,6 +1,7 @@
 """The parametric tracking QP (`TrackingProblem`) against its reference
 assembly (`build_qp` + `qp.solve`), the certified halt of the unicycle course,
-and the shifted candidate's row-read margins against the per-set formula."""
+and the shifted candidate, one product with a precomputed map, against its
+step-by-step rollout and its row-read margins against the per-set formula."""
 
 import dataclasses
 from pathlib import Path
@@ -22,6 +23,7 @@ from koopmpc.controller import (
 from koopmpc.model import lift
 from koopmpc.qp import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from koopmpc.sets import TighteningSchedule, margin
+from oracles import shifted_rollout
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 NAMES = ("a2", "unicycle_square")
@@ -242,11 +244,39 @@ def test_closed_loop_lifts_once_and_takes_two_margins_per_step(stacks, monkeypat
     assert counts["margin"] == 2 * (log.k.size - halted) + halted
 
 
-def pushed_out_of_initial_set(stack, log, face, by):
-    """A state of the closed loop moved across ``face`` of X~(0) by ``by``."""
+@pytest.mark.parametrize("name", NAMES)
+def test_closed_loop_builds_the_candidate_map_once(stacks, monkeypatch, name):
+    # The candidate map is built with the TrackingProblem, once per run, and
+    # never by shifted_candidate, which only multiplies by it.
+    builds, in_candidate = [], [False]
+    build, candidate = controller._candidate_map, sim.shifted_candidate
+
+    def counted_build(*args):
+        builds.append(in_candidate[0])
+        return build(*args)
+
+    def watched_candidate(*args):
+        in_candidate[0] = True
+        try:
+            return candidate(*args)
+        finally:
+            in_candidate[0] = False
+
+    monkeypatch.setattr(controller, "_candidate_map", counted_build)
+    monkeypatch.setattr(sim, "shifted_candidate", watched_candidate)
+    stack = stacks[name]
+    for _ in range(2):
+        builds.clear()
+        log = stack.run(stack.seed)
+        assert log.halted_at == (None if name == "a2" else 29)
+        assert builds == [False]
+
+
+def pushed_out_of_initial_set(stack, log, face, by, k=0):
+    """State k of the closed loop moved across ``face`` of X~(0) by ``by``."""
     X0 = stack.schedule.state_sets[0]
     a, b = X0.normals[face], X0.offsets[face]
-    x = log.x[0] + (b + by - a @ log.x[0]) / (a @ a) * a
+    x = log.x[k] + (b + by - a @ log.x[k]) / (a @ a) * a
     assert a @ x - b == pytest.approx(by, rel=1e-6)
     return x
 
@@ -286,7 +316,20 @@ def test_a_state_outside_the_initial_set_is_certified_by_the_qp(
             assert qp.b_in @ u + qp.b_eq @ mu < -0.5
 
 
-# --- the shifted candidate's margins, read off the QP's rows -------------------------------
+@pytest.mark.parametrize("k, face", [(10, 0), (10, 4), (20, 0)])
+def test_a_state_on_a_face_of_the_initial_set_is_solved(stacks, problems, logs, k, face):
+    # On a face, the X~(0) row that z(0) = psi(x) pins is met to rounding. The
+    # solver keeps the pinned rows out of NNLS, so these steps are solved and
+    # checked like any other, warm and cold alike.
+    stack, log = stacks["unicycle_square"], logs["unicycle_square"]
+    z = lift(stack.model, pushed_out_of_initial_set(stack, log, face, 0.0, k))
+    warm = solve(problems["unicycle_square"].at(z, log.y_t[k]))
+    cold = solve(build_qp(stack.model, stack.config, stack.schedule, z, log.y_t[k]))
+    assert warm.status == cold.status == OPTIMAL
+    assert np.allclose(warm.x_star, cold.x_star, rtol=0.0, atol=1e-8)
+
+
+# --- the shifted candidate against its rollout, and its margins read off the QP's rows -----
 
 def per_set_report(problem, prev, x_c) -> FeasibilityReport:
     """The reference: one ``sets.margin`` call per schedule set, through C_x."""
@@ -310,14 +353,25 @@ def per_set_report(problem, prev, x_c) -> FeasibilityReport:
 
 
 def checked_candidate(problem, prev, x_next):
-    """Check that ``shifted_candidate``'s report equals the reference's, and
-    that the candidate starts at the lifted state."""
-    z_next = lift(problem.model, x_next)
+    """Check that ``shifted_candidate``'s report equals the per-set reference's,
+    that the candidate starts at the lifted state, and that it matches the
+    step-by-step rollout (1e-12 relative) with the same report (1e-12 absolute)."""
+    model, N = problem.model, problem.config.N
+    z_next = lift(model, x_next)
     x_c, report = shifted_candidate(problem, prev, z_next)
     assert np.array_equal(problem.layout.split(x_c)[1][0], z_next)
     ref = per_set_report(problem, prev, x_c)
     for f in dataclasses.fields(FeasibilityReport):
         assert np.array_equal(getattr(report, f.name), getattr(ref, f.name)), f.name
+
+    u_r, z_r = shifted_rollout(model.A, model.B, problem.config.K, N, prev.u_bar, prev.z_bar,
+                               prev.target.z_s, prev.target.u_s, z_next)
+    x_r = np.concatenate([u_r.ravel(), z_r.ravel(), prev.target.z_s, prev.target.u_s])
+    assert np.max(np.abs(x_c - x_r)) <= 1e-12 * max(1.0, np.max(np.abs(x_r)))
+    rolled = per_set_report(problem, prev, x_r)
+    for f in dataclasses.fields(FeasibilityReport):
+        np.testing.assert_allclose(getattr(report, f.name), getattr(rolled, f.name),
+                                   rtol=0, atol=1e-12, err_msg=f.name)
 
 
 @pytest.mark.parametrize("name", NAMES)
