@@ -12,9 +12,8 @@ scenario command.
 
 Exit codes: 0 success, 2 missing/malformed input, 3 underdetermined fit,
 4 the tube could not be built: no converged stabilizing LQR gain, or an empty
-tightened set, 5 closed-loop infeasibility, 6 the QP solver failed (a
-nonconvex objective, an LP failure, an NNLS failure or a singular reduced
-Hessian).
+tightened set, 5 closed-loop infeasibility, 6 the QP solver failed (an NNLS
+failure, or a reduced Hessian that is not positive definite).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .model import (
     load_trajectories,
     save_model,
 )
-from .qp import NonConvex, SolverFailed
+from .qp import SolverFailed
 from .sets import EmptyTightenedSet, TighteningSchedule, Zonotope, box_polytope, tighten_constraints
 from .sim import (
     Plant,
@@ -106,8 +105,8 @@ def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
 
 
 def _weight(value, n: int, what: str) -> np.ndarray:
-    """Scalar shorthand c -> c * I_n; otherwise an explicit matrix."""
-    if isinstance(value, (int, float)):
+    """Scalar shorthand c -> c * I_n (a bool is not one); otherwise an explicit matrix."""
+    if type(value) in (int, float):
         return float(value) * np.eye(n)
     M = np.asarray(value, dtype=float)
     if M.shape != (n, n):
@@ -185,10 +184,13 @@ def _count(doc, key, what: str, minimum: int = 1, default: int | None = None) ->
     return value
 
 
-def _positive(value, what: str):
-    """``value`` as a finite positive number; a bool or a string is rejected."""
-    if not (type(value) in (int, float) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be a finite positive number, got {value!r}")
+def _positive(value, what: str, minimum: float | None = None):
+    """``value`` as a finite number, positive or, given ``minimum``, at least
+    ``minimum``; a bool or a string is rejected."""
+    if not (type(value) in (int, float) and math.isfinite(value)
+            and (value > 0 if minimum is None else value >= minimum)):
+        bound = "positive number" if minimum is None else f"number >= {minimum}"
+        raise ValueError(f"{what} must be a finite {bound}, got {value!r}")
     return value
 
 
@@ -273,7 +275,7 @@ def _grid_from_scenario(sc: dict, plant) -> GridSpec:
     return GridSpec(
         x_values=axes("x_points", x_default, con["state"], plant.n_x, "state"),
         u_values=axes("u_points", u_default, con["input"], plant.n_u, "input"),
-        fp_tol=float(doc.get("fp_tol", 1e-6)),
+        fp_tol=float(_positive(doc.get("fp_tol", 1e-6), "steady_grid.fp_tol")),
     )
 
 
@@ -348,6 +350,8 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     _check_keys(dist_doc, {"declared", "estimate"}, "disturbance")
     if "estimate" in dist_doc:
         _check_keys(dist_doc["estimate"], {"inflation"}, "disturbance.estimate")
+        inflation = float(_positive(dist_doc["estimate"].get("inflation", 1.0),
+                                    "disturbance.estimate.inflation", minimum=1))
     else:
         disturbance = noise(dist_doc["declared"], "disturbance.declared", lifting.n_z)
     om = sc.get("output_matrix")  # y = output_matrix x, or y = x without one
@@ -365,28 +369,20 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     T, N = _count(sc, "T", "T"), _count(cfg_doc, "N", "controller.N")
     seed = _count(sc, "seed", "seed", minimum=0, default=0)
     settle_window = _count(sc, "settle_window", "settle_window", default=20)
+    ridge = float(_positive(sc.get("ridge", 1e-8), "ridge", minimum=0))
+    s = float(_positive(cfg_doc["s"], "controller.s"))
+    n_z, n_u = lifting.n_z, plant.n_u
+    Q, R = _weight(cfg_doc["Q"], n_z, "controller.Q"), _weight(cfg_doc["R"], n_u, "controller.R")
+    Qk = _weight(lqr_doc.get("Qk", 1.0), n_z, "controller.lqr.Qk")
+    Rk = _weight(lqr_doc.get("Rk", 1.0), n_u, "controller.lqr.Rk")
 
     data = _training_data(sc, plant, Path(scenario_path).parent)
-    model = fit_edmd(data, lifting, ridge=float(sc.get("ridge", 1e-8)),
-                     output_matrix=sc.get("output_matrix"))
+    model = fit_edmd(data, lifting, ridge=ridge, output_matrix=sc.get("output_matrix"))
     if "estimate" in dist_doc:
-        inflation = float(dist_doc["estimate"].get("inflation", 1.0))
         disturbance = estimate_disturbance_sets(model, data, inflation=inflation)
-    gain = dlqr(
-        model.A,
-        model.B,
-        _weight(lqr_doc.get("Qk", 1.0), model.n_z, "controller.lqr.Qk"),
-        _weight(lqr_doc.get("Rk", 1.0), model.n_u, "controller.lqr.Rk"),
-        **lqr_opts,
-    )
+    gain = dlqr(model.A, model.B, Qk, Rk, **lqr_opts)
     schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)
-    config = KtmpcConfig(
-        N=N,
-        Q=_weight(cfg_doc["Q"], model.n_z, "controller.Q"),
-        R=_weight(cfg_doc["R"], model.n_u, "controller.R"),
-        s=float(cfg_doc["s"]),
-        K=gain.K,
-    )
+    config = KtmpcConfig(N=N, Q=Q, R=R, s=s, K=gain.K)
     return Stack(
         sc=sc, plant=plant, model=model, config=config, schedule=schedule, refs=refs, grid=grid,
         injected=injected, x0=x0, T=T, seed=seed, settle_window=settle_window,
@@ -406,6 +402,7 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     if "n_x" not in lift_doc:
         raise ValueError(f"{lifting_json} is missing required field 'n_x'")
     lifting = _lifting(lift_doc, int(lift_doc["n_x"]), _FIT_LIFTING_KEYS)
+    ridge = float(_positive(lift_doc.get("ridge", 1e-8), "ridge", minimum=0))
 
     data = load_trajectories(data_csv)
     n_hold = max(1, len(data.trajectories) // 10)
@@ -413,7 +410,7 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     model = fit_edmd(
         TrajectoryData(train_trajs),
         lifting,
-        ridge=float(lift_doc.get("ridge", 1e-8)),
+        ridge=ridge,
         output_matrix=lift_doc.get("output_matrix"),
     )
 
@@ -595,7 +592,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 5
-    except (NonConvex, SolverFailed) as exc:
+    except SolverFailed as exc:
         print(f"the QP solver failed: {exc}", file=sys.stderr)
         return 6
     except (OSError, ValueError, KeyError) as exc:

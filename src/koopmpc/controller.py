@@ -56,9 +56,10 @@ class KtmpcConfig:
             raise ValueError("horizon N must be a positive integer")
         object.__setattr__(self, "Q", _as_spd("Q", self.Q))
         object.__setattr__(self, "R", _as_spd("R", self.R))
-        if not (float(self.s) > 0):
-            raise ValueError("offset weight s must be positive")
-        object.__setattr__(self, "s", float(self.s))
+        s = float(self.s)
+        if not 0 < s < np.inf:
+            raise ValueError(f"offset weight s must be finite and positive, got {self.s!r}")
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
 
 

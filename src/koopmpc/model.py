@@ -29,9 +29,9 @@ class UnderdeterminedData(Exception):
     """Raised when the regression data cannot pin down the lifted dynamics."""
 
 
-def _as_matrix(M, name: str) -> np.ndarray:
+def _as_matrix(M, name: str, finite: bool = True) -> np.ndarray:
     out = np.asarray(M, dtype=float)
-    if out.ndim != 2 or not np.all(np.isfinite(out)):
+    if out.ndim != 2 or (finite and not np.all(np.isfinite(out))):
         raise ValueError(f"{name} must be a finite 2-D array, got shape {out.shape}")
     return out
 
@@ -234,8 +234,8 @@ class TrajectoryData:
     def __post_init__(self):
         checked = []
         for i, (states, inputs) in enumerate(self.trajectories):
-            states = _as_matrix(states, f"trajectory {i} states")
-            inputs = _as_matrix(inputs, f"trajectory {i} inputs")
+            states = _as_matrix(states, f"trajectory {i} states", finite=False)
+            inputs = _as_matrix(inputs, f"trajectory {i} inputs", finite=False)
             if states.shape[0] != inputs.shape[0] + 1:
                 raise ValueError(
                     f"trajectory {i}: expected one more state than input, got "
@@ -247,6 +247,13 @@ class TrajectoryData:
             ):
                 raise ValueError("all trajectories must share state/input dimensions")
             checked.append((states, inputs))
+        # Finiteness is one test over all the data; only a failure goes back
+        # through the trajectories to name the first offending one.
+        flat = [M.ravel() for pair in checked for M in pair]
+        if flat and not np.isfinite(np.concatenate(flat)).all():
+            for i, (states, inputs) in enumerate(checked):
+                _as_matrix(states, f"trajectory {i} states")
+                _as_matrix(inputs, f"trajectory {i} inputs")
         object.__setattr__(self, "trajectories", checked)
 
     @property

@@ -6,12 +6,13 @@ Problems have the form
     subject to  A_eq x  = b_eq
                 A_in x <= b_in
 
-with P positive definite on the null space of A_eq. Everything the solver
-derives from P, A_eq and A_in (the PSD check, one SVD of A_eq giving an
-orthonormal null basis Z and the pseudo-inverse, the Cholesky factorization
-Z'PZ = LL' and the reduced rows) is computed once per problem, on first use,
-and stays valid while q, b_eq and b_in change. A singular Z'PZ raises
-SolverFailed when it is factored.
+with P positive definite on the null space of A_eq (P itself may be
+indefinite). Everything the solver derives from P, A_eq and A_in (one SVD of
+A_eq giving an orthonormal null basis Z and the pseudo-inverse, the Cholesky
+factorization Z'PZ = LL' and the reduced rows) is computed once per problem,
+on first use, and stays valid while q, b_eq and b_in change. That Cholesky
+factorization is the one check of the contract: a Z'PZ that is not positive
+definite, as for P = 0, raises SolverFailed.
 
 In the basis Y = Z L^-T, where the reduced Hessian is the identity, the QP is
 a least-distance program: with x_p = A_eq^+ b_eq, g = Y'(P x_p + q) and
@@ -26,8 +27,7 @@ within 1e-8 of the data's scale. The Farkas vector, with
 mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0 to a scaled tolerance
 and b_in'u + b_eq'mu < 0, which no feasible x allows. Inconsistent equalities
 (possible only for a rank-deficient A_eq) are certified by the least-squares
-residual of x_p. Anything else raises SolverFailed. Pure linear programs
-(P = 0) are dispatched to HiGHS.
+residual of x_p. Anything else raises SolverFailed.
 
 A row of A_in whose row of A_in Y is zero to rounding is one that no step in
 the null space of A_eq moves, such as a bound on a variable the equalities
@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dposv
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasible"
@@ -65,13 +65,9 @@ _FEAS_TOL = 1e-9
 _KKT_TOL = 1e-8
 
 
-class NonConvex(Exception):
-    """The quadratic term has a negative eigenvalue beyond tolerance."""
-
-
 class SolverFailed(RuntimeError):
-    """A QP could not be solved: an LP failed or is unbounded, the reduced
-    Hessian is singular, or NNLS gave no result that passes its check."""
+    """A QP could not be solved: the reduced Hessian Z'PZ is not positive
+    definite, or NNLS gave no result that passes its check."""
 
 
 @dataclass
@@ -89,7 +85,6 @@ class QuadraticProgram:
     A_in: np.ndarray | None = None
     b_in: np.ndarray | None = None
     _support: "_Support | None" = field(default=None, init=False, repr=False, compare=False)
-    _linear: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).ravel()
@@ -115,7 +110,6 @@ class QuadraticProgram:
         self.A_in, self.b_in = _block(self.A_in, self.b_in, "A_in")
         for M in (self.P, self.A_eq, self.A_in):
             M.flags.writeable = False
-        self._linear = not np.any(self.P)
 
     @property
     def dim(self) -> int:
@@ -153,53 +147,12 @@ def _kkt_residuals(qp, x, grad, nu, lam) -> dict[str, float]:
     }
 
 
-def _validate_psd(P: np.ndarray) -> None:
-    if P.size == 0:
-        return
-    scale = max(1.0, float(np.max(np.abs(P))))
-    if np.linalg.eigvalsh(P).min() < -1e-10 * scale:
-        raise NonConvex("quadratic term is not positive semidefinite")
-
-
 def _infeasible(qp: QuadraticProgram) -> QpSolution:
     return QpSolution(
         x_star=np.full(qp.dim, np.nan),
         objective=np.nan,
         status=PRIMAL_INFEASIBLE,
         kkt_residuals={},
-    )
-
-
-def _solve_lp(qp: QuadraticProgram) -> QpSolution:
-    res = linprog(
-        qp.q,
-        A_ub=qp.A_in if qp.A_in.shape[0] else None,
-        b_ub=qp.b_in if qp.A_in.shape[0] else None,
-        A_eq=qp.A_eq if qp.A_eq.shape[0] else None,
-        b_eq=qp.b_eq if qp.A_eq.shape[0] else None,
-        bounds=[(None, None)] * qp.dim,
-        method="highs",
-    )
-    if res.status == 2:
-        return _infeasible(qp)
-    if res.status == 3:
-        raise SolverFailed("linear objective is unbounded below on the feasible set")
-    if not res.success:
-        raise SolverFailed(f"LP solve failed: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    lam = -np.asarray(res.ineqlin.marginals) if qp.A_in.shape[0] else np.zeros(0)
-    nu = -np.asarray(res.eqlin.marginals) if qp.A_eq.shape[0] else np.zeros(0)
-    active = tuple(
-        int(i) for i in np.flatnonzero(qp.b_in - qp.A_in @ x <= _FEAS_TOL)
-    )
-    return QpSolution(  # P = 0
-        x_star=x,
-        objective=float(qp.q @ x),
-        status=OPTIMAL,
-        kkt_residuals=_kkt_residuals(qp, x, qp.q + qp.A_in.T @ lam, nu, lam),
-        eq_multipliers=nu,
-        in_multipliers=lam,
-        active_set=active,
     )
 
 
@@ -225,11 +178,11 @@ class _Factors:
 
 
 def _factor(qp: QuadraticProgram) -> _Factors:
-    """Validate P, take one SVD of A_eq and one Cholesky factorization of Z'PZ.
+    """Take one SVD of A_eq and one Cholesky factorization of Z'PZ.
 
-    Raises SolverFailed when Z'PZ is singular: its factorization fails, or a
-    pivot falls below 1e-11 of its largest diagonal entry."""
-    _validate_psd(qp.P)
+    Raises SolverFailed when Z'PZ is not positive definite: its factorization
+    fails (an indefinite or zero Z'PZ), or a pivot falls below 1e-11 of its
+    largest diagonal entry (a singular one)."""
     A_eq, d = qp.A_eq, qp.dim
     if A_eq.shape[0] == 0:
         Z, A_eq_pinv = np.eye(d), np.zeros((d, 0))
@@ -244,8 +197,8 @@ def _factor(qp: QuadraticProgram) -> _Factors:
         L = None
     if L is None or (L.size and np.min(np.diag(L)) ** 2 <= 1e-11 * np.max(np.diag(H))):
         raise SolverFailed(
-            "reduced Hessian Z'PZ is singular: P must be positive definite on the "
-            "null space of A_eq"
+            "reduced Hessian Z'PZ is singular or indefinite: P must be positive "
+            "definite on the null space of A_eq"
         )
     Y = solve_triangular(L, Z.T, lower=True).T
     AY = qp.A_in @ Y
@@ -334,22 +287,18 @@ def _on_support(qp, f, x_p, g, h, tol, S: _Support) -> QpSolution | None:
 
 
 def solve(qp: QuadraticProgram) -> QpSolution:
-    """Solve a convex QP, with P positive definite on the null space of A_eq,
-    by its least-distance form; LPs (P = 0) go to HiGHS.
+    """Solve a QP with P positive definite on the null space of A_eq by its
+    least-distance form.
 
     The support of the QP's last Optimal solve (at first, no row) is tried
     first; NNLS runs only when that support's solution fails its check, and
     its own support then goes through the same support solve. Returns an
     Optimal solution whose KKT residuals passed their check, or a
     PrimalInfeasible one certified by a checked Farkas vector (or by the
-    residual of inconsistent equalities). Raises NonConvex when P fails the
-    PSD validation (eigenvalues below -1e-10 relative to scale), and
-    SolverFailed when Z'PZ is singular, NNLS reaches its iteration limit, or
-    neither result passes its check.
+    residual of inconsistent equalities). Raises SolverFailed when Z'PZ is
+    not positive definite, NNLS reaches its iteration limit, or neither
+    result passes its check.
     """
-    if qp._linear:
-        return _solve_lp(qp)
-
     f = qp.factors
     x_p = f.A_eq_pinv @ qp.b_eq
     tol = _KKT_TOL * float(np.max(np.abs(np.concatenate((qp.q, qp.b_eq, qp.b_in))), initial=1.0))

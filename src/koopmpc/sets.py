@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-from . import qp as qpmod
 from .gains import spectral_radius
+from .qp import SolverFailed
 
 CONTAINS_TOL = 1e-9
 
@@ -157,12 +158,12 @@ def pontryagin_diff(P: HPolytope, Z: Zonotope) -> HPolytope:
 
 
 def is_empty(P: HPolytope, tol: float = CONTAINS_TOL) -> bool:
-    """Emptiness via the slack program min s s.t. a_i'x <= b_i + s, s >= 0.
+    """Emptiness via the slack program min s s.t. a_i'x - s <= b_i, s >= 0.
 
     Empty iff the minimal slack exceeds the feasibility tolerance. When every
     row is a signed unit vector (a box, as every set the CLI builds), the
-    minimal slack has a closed form; otherwise the program goes through the
-    QP solver, which dispatches the pure LP to HiGHS.
+    minimal slack has a closed form; otherwise HiGHS solves the LP, and
+    SolverFailed is raised when it does not report success.
     """
     m, n = P.normals.shape
     rows, axis = np.nonzero(P.normals)
@@ -174,21 +175,16 @@ def is_empty(P: HPolytope, tol: float = CONTAINS_TOL) -> bool:
         np.minimum.at(hi, axis[sign > 0], P.offsets[sign > 0])
         np.maximum.at(lo, axis[sign < 0], -P.offsets[sign < 0])
         return bool(np.max(lo - hi, initial=0.0) / 2 > tol)
-    A_in = np.zeros((m + 1, n + 1))
-    A_in[:m, :n] = P.normals
-    A_in[:m, n] = -1.0
-    A_in[m, n] = -1.0
-    b_in = np.concatenate([P.offsets, [0.0]])
-    prog = qpmod.QuadraticProgram(
-        P=np.zeros((n + 1, n + 1)),
-        q=np.concatenate([np.zeros(n), [1.0]]),
-        A_in=A_in,
-        b_in=b_in,
+    res = linprog(
+        c=np.eye(n + 1)[n],
+        A_ub=np.hstack([P.normals, -np.ones((m, 1))]),
+        b_ub=P.offsets,
+        bounds=[(None, None)] * n + [(0.0, None)],
+        method="highs",
     )
-    sol = qpmod.solve(prog)
-    if sol.status != qpmod.OPTIMAL:
-        raise qpmod.SolverFailed(f"slack program did not solve: {sol.status}")
-    return bool(sol.x_star[n] > tol)
+    if not res.success:
+        raise SolverFailed(f"slack program did not solve: {res.message}")
+    return bool(res.x[n] > tol)
 
 
 def contains(P: HPolytope, x, tol: float = CONTAINS_TOL) -> bool:

@@ -145,6 +145,17 @@ def test_fit_rejects_an_unknown_lifting_key_exit_2(tmp_path, capsys, key, where,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("ridge", [True, "0.5", -1.0])
+def test_fit_rejects_a_malformed_ridge_exit_2(tmp_path, capsys, ridge):
+    # A ridge of true used to fit with ridge 1.0, and "0.5" with 0.5.
+    csv_path, lift_path, out_path = tmp_path / "train.csv", tmp_path / "l.json", tmp_path / "m.json"
+    write_training_csv(csv_path)
+    write_lifting_json(lift_path, ridge=ridge)
+    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
+    assert f"ridge must be a finite number >= 0, got {ridge!r}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # --- tighten ----------------------------------------------------------------------
 
 def test_tighten_reads_training_data_from_a_path(tmp_path):
@@ -354,9 +365,9 @@ def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, nam
     assert named in capsys.readouterr().err
 
 
-def scenario_with_value(tmp_path, dotted, value):
-    """The base scenario with the dotted key set to ``value``."""
-    scenario = base_scenario(tmp_path)
+def scenario_with_value(tmp_path, dotted, value, **overrides):
+    """The base scenario, with ``overrides``, and the dotted key set to ``value``."""
+    scenario = base_scenario(tmp_path, **overrides)
     doc = json.loads(scenario.read_text())
     *blocks, key = dotted.split(".")
     node = doc
@@ -383,6 +394,40 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
     scenario = scenario_with_value(tmp_path, dotted, value)
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
     assert f"{dotted} must be an integer >= {minimum}, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dotted, text, named", [
+    ("controller.s", '"1000"', "controller.s must be a finite positive number, got '1000'"),
+    ("controller.s", "true", "controller.s must be a finite positive number, got True"),
+    ("controller.s", "1e400", "controller.s must be a finite positive number, got inf"),
+    ("ridge", '"0.0"', "ridge must be a finite number >= 0, got '0.0'"),
+    ("ridge", "true", "ridge must be a finite number >= 0, got True"),
+    ("ridge", "-1e-3", "ridge must be a finite number >= 0, got -0.001"),
+    ("steady_grid.fp_tol", "true", "steady_grid.fp_tol must be a finite positive number"),
+    ("steady_grid.fp_tol", '"1e-9"', "steady_grid.fp_tol must be a finite positive number"),
+    ("disturbance.estimate.inflation", '"2"',
+     "disturbance.estimate.inflation must be a finite number >= 1, got '2'"),
+    ("disturbance.estimate.inflation", "0.5",
+     "disturbance.estimate.inflation must be a finite number >= 1, got 0.5"),
+    ("controller.Q", "true", "controller.Q must be a scalar or an 3x3 matrix"),
+    ("controller.R", "true", "controller.R must be a scalar or an 1x1 matrix"),
+    ("controller.lqr.Qk", "true", "controller.lqr.Qk must be a scalar or an 3x3 matrix"),
+    ("controller.lqr.Rk", "true", "controller.lqr.Rk must be a scalar or an 1x1 matrix"),
+], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
+        "fp_tol-bool", "fp_tol-string", "inflation-string", "inflation-below-1", "Q-bool",
+        "R-bool", "Qk-bool", "Rk-bool"])
+def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, dotted, text,
+                                                named):
+    # Rejected with the key named before any data is generated or fitted:
+    # "s": "1000" and "ridge": true used to run, a weight of true ran as 1*I,
+    # and "s": 1e400 failed only after fitting, with no key named.
+    for name in ("generate_training_data", "fit_edmd"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
+    scenario = scenario_with_value(tmp_path, dotted, "@value@", steady_grid={},
+                                   disturbance={"estimate": {}})
+    scenario.write_text(scenario.read_text().replace('"@value@"', text))
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, named", [
@@ -510,15 +555,6 @@ def _simulate_exit_code(tmp_path, capsys, **overrides):
     return code, capsys.readouterr().err
 
 
-def test_simulate_nonconvex_qp_exit_6(tmp_path, capsys, monkeypatch):
-    def nonconvex(P):
-        raise qp_module.NonConvex("quadratic term is not positive semidefinite")
-
-    monkeypatch.setattr(qp_module, "_validate_psd", nonconvex)
-    code, err = _simulate_exit_code(tmp_path, capsys)
-    assert code == 6 and "not positive semidefinite" in err
-
-
 def test_simulate_qp_iteration_limit_exit_6(tmp_path, capsys, monkeypatch):
     # Every QP of the base scenario is solved on its stored support without
     # nnls. A reference beyond the state bound y <= 5 puts the offline steady
@@ -541,18 +577,30 @@ def test_simulate_reference_beyond_the_state_bound_exit_0(tmp_path, capsys):
 
 
 def test_simulate_singular_reduced_hessian_exit_6(tmp_path, capsys, monkeypatch):
+    # Z'PZ must be positive definite. Variable 0 is u(0), which null(A_eq)
+    # moves: P = e0 e0' leaves Z'PZ of rank 1, singular; the tracking P with
+    # P[0, 0] = -1e6 leaves it with one negative eigenvalue, indefinite.
     build = controller_module.build_qp
 
-    def flat(*args):
-        qp = build(*args)
+    def flat(qp):
         P = np.zeros_like(qp.P)
-        P[0, 0] = 1.0  # PSD and nonzero: an LP no longer, but flat on most of null(A_eq)
-        return qp_module.QuadraticProgram(P=P, q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq,
-                                          A_in=qp.A_in, b_in=qp.b_in)
+        P[0, 0] = 1.0
+        return P
 
-    monkeypatch.setattr(controller_module, "build_qp", flat)
-    code, err = _simulate_exit_code(tmp_path, capsys)
-    assert code == 6 and "reduced Hessian Z'PZ is singular" in err
+    def indefinite(qp):
+        P = qp.P.copy()
+        P[0, 0] = -1e6
+        return P
+
+    for make_P in (flat, indefinite):
+        def patched(*args):
+            qp = build(*args)
+            return qp_module.QuadraticProgram(P=make_P(qp), q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq,
+                                              A_in=qp.A_in, b_in=qp.b_in)
+
+        monkeypatch.setattr(controller_module, "build_qp", patched)
+        code, err = _simulate_exit_code(tmp_path, capsys)
+        assert code == 6 and "reduced Hessian Z'PZ is singular or indefinite" in err, make_P
 
 
 def test_simulate_bad_json_exit_2(tmp_path, capsys):

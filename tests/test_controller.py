@@ -74,6 +74,9 @@ def test_config_rejects_bad_weights():
         KtmpcConfig(N=2, Q=-np.eye(3), R=np.eye(1), s=1.0, K=K)
     with pytest.raises(ValueError):
         KtmpcConfig(N=2, Q=np.eye(3), R=np.eye(1), s=0.0, K=K)
+    for s in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="offset weight s must be finite and positive"):
+            KtmpcConfig(N=2, Q=np.eye(3), R=np.eye(1), s=s, K=K)
     with pytest.raises(ValueError):
         KtmpcConfig(N=2, Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(1), s=1.0, K=np.zeros((1, 2)))
 

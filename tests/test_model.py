@@ -352,3 +352,18 @@ def test_trajectory_csv_rejects_malformed(tmp_path):
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         TrajectoryData([(np.zeros((3, 2)), np.zeros((3, 1)))])  # lengths mismatch
+
+
+def test_trajectory_finiteness_names_the_first_offending_trajectory():
+    trajs = [(np.zeros((4, 2)), np.zeros((3, 1))) for _ in range(6)]
+    trajs[2][1][1, 0] = np.inf
+    trajs[4][0][0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^trajectory 2 inputs must be a finite 2-D array"):
+        TrajectoryData(trajs)
+    trajs[2][1][1, 0] = 0.0
+    with pytest.raises(ValueError, match=r"^trajectory 4 states must be a finite 2-D array"):
+        TrajectoryData(trajs)
+    trajs[4][0][0, 1] = 0.0
+    assert len(TrajectoryData(trajs).trajectories) == 6
+    with pytest.raises(ValueError, match=r"^trajectory 0 states must be a finite 2-D array"):
+        TrajectoryData([(np.zeros(4), np.zeros((3, 1)))])  # 1-D: a shape failure

@@ -3,11 +3,12 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import nnls
 
+from koopmpc import model as model_module
 from koopmpc import qp as qp_module
+from koopmpc import sets as sets_module
 from koopmpc.qp import (
     OPTIMAL,
     PRIMAL_INFEASIBLE,
-    NonConvex,
     QuadraticProgram,
     SolverFailed,
     solve,
@@ -71,8 +72,18 @@ def test_inconsistent_equalities_are_certified_infeasible():
 
 
 def test_indefinite_objective_rejected():
-    with pytest.raises(NonConvex):
+    # With no equalities Z'PZ is P itself, and an indefinite one is outside
+    # the contract.
+    with pytest.raises(SolverFailed, match="reduced Hessian Z'PZ is singular or indefinite"):
         solve(QuadraticProgram(P=[[-1.0]], q=[0.0]))
+
+
+def test_zero_objective_raises_solver_failed():
+    # P = 0 is singular on any nonzero null space of A_eq: a linear program
+    # is outside the contract, not dispatched to another solver.
+    qp = QuadraticProgram(P=[[0.0]], q=[1.0], A_in=[[-1.0]], b_in=[-2.0])
+    with pytest.raises(SolverFailed, match="reduced Hessian Z'PZ is singular"):
+        solve(qp)
 
 
 def test_unconstrained_quadratic():
@@ -80,16 +91,6 @@ def test_unconstrained_quadratic():
     sol = solve(qp)
     assert sol.status == OPTIMAL
     assert np.allclose(sol.x_star, [1.0, 0.0, -2.0], atol=1e-10)
-    _check_kkt(sol)
-
-
-def test_linear_program_dispatch_with_duals():
-    # Pure LP (P = 0): minimize x subject to x >= 2.
-    qp = QuadraticProgram(P=[[0.0]], q=[1.0], A_in=[[-1.0]], b_in=[-2.0])
-    sol = solve(qp)
-    assert sol.status == OPTIMAL
-    assert sol.x_star[0] == pytest.approx(2.0, abs=1e-9)
-    assert sol.in_multipliers[0] == pytest.approx(1.0, abs=1e-8)
     _check_kkt(sol)
 
 
@@ -423,6 +424,37 @@ def test_random_pd_qps_match_the_oracle():
         _check_against_oracle(qp, solve(qp))
 
 
+def _indefinite_pd_on_null_space(rng):
+    """A QP over the unit box whose P is indefinite but positive definite on
+    null(A_eq): a random symmetric S, raised by k on null(A_eq) and lowered
+    by k on its orthogonal complement range(A_eq'), so that Z'PZ > 0 and
+    R'PR < 0."""
+    d = int(rng.integers(2, 5))
+    e = int(rng.integers(1, d))
+    A_eq = rng.standard_normal((e, d))
+    Z, R = null_space(A_eq), np.linalg.qr(A_eq.T)[0]
+    S = rng.standard_normal((d, d))
+    S = S + S.T
+    k = 1.0 + np.max(np.abs(np.linalg.eigvalsh(S)))
+    P = S + k * Z @ Z.T - k * R @ R.T
+    x_in = rng.uniform(-0.5, 0.5, d)
+    A_box, b_box = _box(d)
+    return QuadraticProgram(P=P, q=3.0 * rng.standard_normal(d), A_eq=A_eq, b_eq=A_eq @ x_in,
+                            A_in=A_box, b_in=b_box)
+
+
+def test_indefinite_p_positive_definite_on_the_null_space_is_solved():
+    # The feasible set lies in x_p + range(Z), where the objective is strictly
+    # convex: such a P is inside the contract although it has a negative
+    # eigenvalue.
+    for seed in range(12):
+        qp = _indefinite_pd_on_null_space(np.random.default_rng(seed))
+        assert np.min(np.linalg.eigvalsh(qp.P)) < 0.0
+        Z = null_space(qp.A_eq)
+        assert np.min(np.linalg.eigvalsh(Z.T @ qp.P @ Z)) > 0.0
+        _check_against_oracle(qp, solve(qp))
+
+
 def test_singular_reduced_hessian_raises_solver_failed():
     # P of rank 1 or 2 leaves Z'PZ singular: the problem is outside the
     # contract (P positive definite on null(A_eq)) and raises as it is
@@ -438,9 +470,10 @@ def test_singular_reduced_hessian_raises_solver_failed():
 
 def _no_highs(monkeypatch):
     def refused(*args, **kwargs):
-        raise AssertionError("HiGHS was called for a QP with P != 0")
+        raise AssertionError("HiGHS was called for a QP")
 
-    monkeypatch.setattr(qp_module, "linprog", refused)
+    for module in (sets_module, model_module):  # the package's only linprog bindings
+        monkeypatch.setattr(module, "linprog", refused)
 
 
 def _overshooting_warm_start(rng):

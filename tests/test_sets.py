@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koopmpc import sets as sets_module
+from koopmpc.qp import SolverFailed
 from koopmpc.sets import (
     EmptyTightenedSet,
     HPolytope,
@@ -190,6 +194,32 @@ def test_is_empty_box_closed_form_agrees_with_the_slack_program():
         assert empty == is_empty(HPolytope(normals=2 * normals, offsets=2 * offsets))
         outcomes.add(empty)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("normals, offsets, slack", [
+    ([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [-1.0, 0.0, 0.0], 1 / 3),  # x1 + x2 <= -1, x >= 0
+    ([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0], 0.0),  # a triangle
+    ([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [2.0, 0.0, -1.0], 0.0),  # the point (1, 1)
+], ids=["empty", "triangle", "point"])
+def test_is_empty_oblique_normals_take_the_slack_program(normals, offsets, slack):
+    """The minimal slack s of a_i'x - s <= b_i decides emptiness against tol:
+    1/3 for the empty set (x1, x2 >= -s and x1 + x2 <= s - 1), 0 otherwise."""
+    P = HPolytope(normals=normals, offsets=offsets)
+    assert is_empty(P) == (slack > 0.0)
+    assert not is_empty(P, tol=slack + 1e-6)
+    if slack:
+        assert is_empty(P, tol=slack - 1e-6)
+
+
+def test_is_empty_slack_program_failure_raises_solver_failed(monkeypatch):
+    def failed(*args, **kwargs):
+        return SimpleNamespace(success=False, status=4, message="Numerical difficulties.")
+
+    monkeypatch.setattr(sets_module, "linprog", failed)
+    P = HPolytope(normals=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], offsets=[1.0, 0.0, 0.0])
+    with pytest.raises(SolverFailed, match="slack program did not solve: Numerical difficulties"):
+        is_empty(P)
+    assert not is_empty(box_polytope([0.0, 0.0], [1.0, 1.0]))  # a box needs no LP
 
 
 def test_contains_tolerance():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmpc import cli, controller, qp as qp_module, sim
+from koopmpc import cli, controller, model as model_module, qp as qp_module, sets, sim
 from koopmpc.controller import (
     FeasibilityReport,
     Infeasible,
@@ -117,7 +117,8 @@ def test_unicycle_course_halt_is_certified_without_highs(course, problems, monke
         solves.append((qp, solve_qp(qp)))
         return solves[-1][1]
 
-    monkeypatch.setattr(qp_module, "linprog", refused)
+    for module in (sets, model_module):  # the package's only linprog bindings
+        monkeypatch.setattr(module, "linprog", refused)
     monkeypatch.setattr(qp_module, "solve", recorded_solve)
     log = stack.run(stack.seed)
     assert log.halted_at == 29
