@@ -401,7 +401,7 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     lift_doc = _load_json(lifting_json)
     if "n_x" not in lift_doc:
         raise ValueError(f"{lifting_json} is missing required field 'n_x'")
-    lifting = _lifting(lift_doc, int(lift_doc["n_x"]), _FIT_LIFTING_KEYS)
+    lifting = _lifting(lift_doc, _count(lift_doc, "n_x", "lifting n_x"), _FIT_LIFTING_KEYS)
     ridge = float(_positive(lift_doc.get("ridge", 1e-8), "ridge", minimum=0))
 
     data = load_trajectories(data_csv)

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import qp as qps
 from .gains import _as_spd
@@ -202,6 +203,29 @@ def _tracking_cost(config: KtmpcConfig, u_bar, z_bar, z_s, u_s) -> float:
 
 # --- steady-target optimizers ---------------------------------------------------
 
+def _steady_qp(model: KoopmanModel, schedule: TighteningSchedule, s: float) -> qps.QuadraticProgram:
+    """The steady-pair QP over ``[z_s; u_s]`` at ``y_t = 0``: the offset
+    ``s*||C_y z_s||^2``, steady pairs ``(I - A) z_s - B u_s = 0``, ``C_x z_s``
+    in X~(N) and ``u_s`` in U~(N). A reference only rewrites ``q[:n_z]``."""
+    X_N, U_N = schedule.state_sets[-1], schedule.input_sets[-1]
+    return qps.QuadraticProgram(
+        P=block_diag(2.0 * s * model.C_y.T @ model.C_y, np.zeros((model.n_u, model.n_u))),
+        q=np.zeros(model.n_z + model.n_u),
+        A_eq=np.hstack([np.eye(model.n_z) - model.A, -model.B]), b_eq=np.zeros(model.n_z),
+        A_in=block_diag(X_N.normals @ model.C_x, U_N.normals),
+        b_in=np.concatenate([X_N.offsets, U_N.offsets]),
+    )
+
+
+def _solve_steady(qp: qps.QuadraticProgram, model: KoopmanModel, s: float, y_t) -> SteadyTarget:
+    y_t = _as_vector(y_t, model.n_y, "y_t")
+    qp.q[: model.n_z] = _offset_q(model, s, y_t)
+    sol = qps.solve(qp)
+    if sol.status == qps.PRIMAL_INFEASIBLE:
+        raise Infeasible("no steady pair exists inside the terminal tightened sets")
+    return _steady_target(model, s, sol.x_star[: model.n_z], sol.x_star[model.n_z :], y_t)
+
+
 def solve_steady_offline(
     model: KoopmanModel, schedule: TighteningSchedule, y_t, s: float
 ) -> SteadyTarget:
@@ -209,29 +233,16 @@ def solve_steady_offline(
 
     Solves ``min s*||C_y z_s - y_t||^2`` over steady pairs ``z_s = A z_s + B
     u_s`` with ``C_x z_s`` in the terminal tightened state set and ``u_s`` in
-    the terminal tightened input set.
+    the terminal tightened input set: one :func:`_steady_qp`, built, factored
+    and solved for one reference (a loop calls :func:`solve_steady`).
     """
-    y_t = _as_vector(y_t, model.n_y, "y_t")
-    n_z, n_u = model.n_z, model.n_u
-    X_N = schedule.state_sets[-1]
-    U_N = schedule.input_sets[-1]
-    d = n_z + n_u
-    P = np.zeros((d, d))
-    P[:n_z, :n_z] = 2.0 * s * model.C_y.T @ model.C_y
-    q = np.concatenate([-2.0 * s * model.C_y.T @ y_t, np.zeros(n_u)])
-    A_eq = np.hstack([np.eye(n_z) - model.A, -model.B])
-    b_eq = np.zeros(n_z)
-    A_in = np.block(
-        [
-            [X_N.normals @ model.C_x, np.zeros((X_N.normals.shape[0], n_u))],
-            [np.zeros((U_N.normals.shape[0], n_z)), U_N.normals],
-        ]
-    )
-    b_in = np.concatenate([X_N.offsets, U_N.offsets])
-    sol = qps.solve(qps.QuadraticProgram(P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in))
-    if sol.status == qps.PRIMAL_INFEASIBLE:
-        raise Infeasible("no steady pair exists inside the terminal tightened sets")
-    return _steady_target(model, s, sol.x_star[:n_z], sol.x_star[n_z:], y_t)
+    return _solve_steady(_steady_qp(model, schedule, s), model, s, y_t)
+
+
+def solve_steady(problem: TrackingProblem, y_t) -> SteadyTarget:
+    """:func:`solve_steady_offline` on ``problem``'s model, schedule and
+    offset weight, from the steady QP the problem built once."""
+    return _solve_steady(problem.steady_qp, problem.model, problem.config.s, y_t)
 
 
 def _steady_target(model: KoopmanModel, s: float, z_s, u_s, y_t) -> SteadyTarget:
@@ -332,16 +343,16 @@ def build_qp(
         rows_A.append(block)
         rows_b.append(S.offsets)
 
-    b_eq[0:n_z], q[lay.z_s] = _step_terms(model, config, z_k, y_t)
+    b_eq[0:n_z], q[lay.z_s] = z_k, _offset_q(model, config.s, y_t)
     return qps.QuadraticProgram(
         P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=np.vstack(rows_A), b_in=np.concatenate(rows_b)
     )
 
 
-def _step_terms(model: KoopmanModel, config: KtmpcConfig, z0, y_t):
-    """The only parts of the tracking QP that change from step to step: the
-    pinned initial state ``z(0) = z0`` and the linear cost of ``z_s``."""
-    return z0, -2.0 * config.s * model.C_y.T @ y_t
+def _offset_q(model: KoopmanModel, s: float, y_t) -> np.ndarray:
+    """The linear cost of ``z_s`` in the tracking and steady QPs, the only
+    part of either that depends on the reference."""
+    return -2.0 * s * model.C_y.T @ y_t
 
 
 def _candidate_map(model: KoopmanModel, K: np.ndarray, lay: _Layout) -> np.ndarray:
@@ -365,11 +376,11 @@ def _candidate_map(model: KoopmanModel, K: np.ndarray, lay: _Layout) -> np.ndarr
 
 
 class TrackingProblem:
-    """The tracking QP of one (model, config, schedule), built and factored once.
-
-    :func:`build_qp` assembles it once; the solver factors its constant
-    matrices on the first solve and keeps the factors on the QP. Each step
-    then rewrites only ``b_eq[:n_z] = psi(x_k)`` and ``q[z_s] = -2 s C_y' y_t``.
+    """The tracking QP of one (model, config, schedule) and its steady-target
+    QP, each built once by :func:`build_qp` and :func:`_steady_qp` and factored
+    on its first solve. Each step then rewrites only ``b_eq[:n_z] = psi(x_k)``
+    and ``q[z_s] = -2 s C_y' y_t`` of ``qp``, and each new reference only
+    ``q[:n_z]`` of ``steady_qp``, the same term (:func:`solve_steady`).
     ``block_starts`` holds the first ``A_in`` row of each inequality block, in
     :func:`build_qp`'s order, and ``candidate_map`` the map of
     :func:`_candidate_map`.
@@ -384,12 +395,12 @@ class TrackingProblem:
         rows = [S.offsets.size for S, _, _ in _inequality_blocks(model, schedule, self.layout)]
         self.block_starts = np.cumsum([0] + rows[:-1])
         self.candidate_map = _candidate_map(model, config.K, self.layout)
+        self.steady_qp = _steady_qp(model, schedule, config.s)
 
     def at(self, z0, y_t) -> qps.QuadraticProgram:
         """The QP at lifted state ``z0`` and reference ``y_t``, updated in place."""
-        self.qp.b_eq[: self.model.n_z], self.qp.q[self.layout.z_s] = _step_terms(
-            self.model, self.config, z0, y_t
-        )
+        self.qp.b_eq[: self.model.n_z] = z0
+        self.qp.q[self.layout.z_s] = _offset_q(self.model, self.config.s, y_t)
         return self.qp
 
 

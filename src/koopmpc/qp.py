@@ -25,9 +25,10 @@ r = 0, a Farkas vector u >= 0 with G'u = 0 and f'u = 1. Each is checked in the
 full space before a status is returned. The optimum must have KKT residuals
 within 1e-8 of the data's scale. The Farkas vector, with
 mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0 to a scaled tolerance
-and b_in'u + b_eq'mu < 0, which no feasible x allows. Inconsistent equalities
+and b_in'u + b_eq'mu < 0, which no feasible x allows; the result carries u
+and mu as its in_multipliers and eq_multipliers. Inconsistent equalities
 (possible only for a rank-deficient A_eq) are certified by the least-squares
-residual of x_p. Anything else raises SolverFailed.
+residual of x_p, with no multipliers. Anything else raises SolverFailed.
 
 A row of A_in whose row of A_in Y is zero to rounding is one that no step in
 the null space of A_eq moves, such as a bound on a variable the equalities
@@ -147,13 +148,10 @@ def _kkt_residuals(qp, x, grad, nu, lam) -> dict[str, float]:
     }
 
 
-def _infeasible(qp: QuadraticProgram) -> QpSolution:
-    return QpSolution(
-        x_star=np.full(qp.dim, np.nan),
-        objective=np.nan,
-        status=PRIMAL_INFEASIBLE,
-        kkt_residuals={},
-    )
+def _infeasible(qp: QuadraticProgram, u=None, mu=None) -> QpSolution:
+    """A PrimalInfeasible result, with its checked Farkas pair (u, mu) if any."""
+    return QpSolution(x_star=np.full(qp.dim, np.nan), objective=np.nan, status=PRIMAL_INFEASIBLE,
+                      kkt_residuals={}, eq_multipliers=mu, in_multipliers=u)
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,8 @@ def _factor(qp: QuadraticProgram) -> _Factors:
                     free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves))
 
 
-def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> bool:
-    """Whether u >= 0 and mu = -(A_eq^+)'A_in'u pass the Farkas check.
+def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> np.ndarray | None:
+    """mu = -(A_eq^+)'A_in'u if u >= 0 and mu pass the Farkas check, else None.
     A_in'u + A_eq'mu = 0 and b_in'u + b_eq'mu < 0 would give
     0 = (A_in'u + A_eq'mu)'x <= b_in'u + b_eq'mu < 0 for any feasible x. Both
     hold to 1e-9 of the size of the terms summed."""
@@ -220,7 +218,7 @@ def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> bool:
     gap = qp.b_in @ u + qp.b_eq @ mu
     a_scale = max(1.0, float(np.max(np.abs(qp.A_in).T @ u)))
     b_scale = max(1.0, float(np.abs(qp.b_in) @ u + np.abs(qp.b_eq) @ np.abs(mu)))
-    return bool(np.min(u) >= 0.0 and residual <= 1e-9 * a_scale and gap < -1e-9 * b_scale)
+    return mu if np.min(u) >= 0.0 and residual <= 1e-9 * a_scale and gap < -1e-9 * b_scale else None
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,8 @@ def _checked(qp, f, x_p, g, tol, S: _Support, u, h_S) -> QpSolution | None:
                 active_set=tuple(S.rows.tolist()),
             )
     lam[S.rows] = u
-    return _infeasible(qp) if m and _farkas(qp, f, lam) else None
+    mu = _farkas(qp, f, lam) if m else None
+    return None if mu is None else _infeasible(qp, lam, mu)
 
 
 def _on_support(qp, f, x_p, g, h, tol, S: _Support) -> QpSolution | None:
@@ -316,8 +315,8 @@ def solve(qp: QuadraticProgram) -> QpSolution:
             u = np.zeros(h.size)
             row = f.fixed[np.argmax(excess)]
             u[row] = 1.0 / h[row]
-            if _farkas(qp, f, u):
-                return _infeasible(qp)
+            if (mu := _farkas(qp, f, u)) is not None:
+                return _infeasible(qp, u, mu)
         if not f.free.size:  # nnls on a matrix with no columns aborts the process
             raise SolverFailed("QP solution failed its KKT check")
         n = g.size

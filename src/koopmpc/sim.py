@@ -4,9 +4,10 @@ The simulator owns disturbance injection (seeded, in lifted coordinates for
 the polynomial benchmark), reference scheduling (timed steps or position-based
 waypoint switching), training-data generation, and step-by-step logging of
 everything the analysis needs: costs, Lyapunov values, shifted-candidate
-margins, and the injected noise realizations.  A run that loses feasibility
-ends there: its log stops at the infeasible step and records it in
-``halted_at``.
+margins, and the injected noise realizations.  A run builds one
+``TrackingProblem``: each step solves its tracking QP, and each new reference
+value its steady-target QP.  A run that loses feasibility ends there: its log
+stops at the infeasible step and records it in ``halted_at``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .controller import (
     TrackingProblem,
     diagnostics,
     shifted_candidate,
-    solve_steady_offline,
+    solve_steady,
     solve_step,
 )
 from .model import DisturbanceModel, KoopmanModel, TrajectoryData, lift
@@ -282,7 +283,7 @@ def run_closed_loop(
         try:
             key = y_t.tobytes()
             if key not in offline_cache:
-                offline_cache[key] = solve_steady_offline(model, schedule, y_t, config.s)
+                offline_cache[key] = solve_steady(problem, y_t)
             offline = offline_cache[key]
             u_k, sol = solve_step(problem, z, y_t)
         except Infeasible:

@@ -16,10 +16,10 @@ def farkas_vectors(monkeypatch):
     certified, check = [], qp_module._farkas
 
     def recorded(qp, f, u):
-        passed = check(qp, f, u)
-        if passed:
+        mu = check(qp, f, u)
+        if mu is not None:
             certified.append(u.copy())
-        return passed
+        return mu
 
     monkeypatch.setattr(qp_module, "_farkas", recorded)
     return certified

@@ -145,6 +145,25 @@ def test_fit_rejects_an_unknown_lifting_key_exit_2(tmp_path, capsys, key, where,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("n_x", [2.5, "2", True, 0, None])
+def test_fit_rejects_a_non_integer_n_x_exit_2(tmp_path, capsys, n_x):
+    # "n_x": 2.5 used to fit as 2 and exit 0; None drops the key.
+    csv_path = tmp_path / "train.csv"
+    lift_path = tmp_path / "lifting.json"
+    write_training_csv(csv_path)
+    write_lifting_json(lift_path)
+    doc = json.loads(lift_path.read_text())
+    doc["n_x"] = n_x
+    if n_x is None:
+        del doc["n_x"]
+    lift_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "model.json"
+    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("missing required field 'n_x'" if n_x is None else "lifting n_x must be") in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("ridge", [True, "0.5", -1.0])
 def test_fit_rejects_a_malformed_ridge_exit_2(tmp_path, capsys, ridge):
     # A ridge of true used to fit with ridge 1.0, and "0.5" with 0.5.

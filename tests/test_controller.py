@@ -15,6 +15,7 @@ from koopmpc.controller import (
     diagnostics,
     segment_inequality_check,
     shifted_candidate,
+    solve_steady,
     solve_steady_nonlinear,
     solve_steady_offline,
     solve_step,
@@ -144,6 +145,25 @@ def test_steady_offline_infeasible_manifold():
     # Sanity: the first schedule is feasible and picks the closest output.
     t = solve_steady_offline(model, schedule, y_t=[0.0], s=1.0)
     assert t.y_s[0] == pytest.approx(-2.0, abs=1e-7)
+
+
+def test_solve_steady_raises_infeasible_on_every_call_and_stores_no_support():
+    # The schedule of the test above whose terminal sets hold no steady pair:
+    # the problem's steady QP is certified infeasible at every reference, as
+    # the one-shot solve is, and no support is stored.
+    model = benchmark_model()
+    K = np.array([[0.0, -2.0, 1.99]])
+    X2 = box_polytope([-5.0, -1.0], [5.0, 1.0])
+    schedule = tighten_constraints(X2, box_polytope([2.0], [3.0]), zero_disturbance(),
+                                   model.A, model.B, K, model.C_x, N=1)
+    config = KtmpcConfig(N=1, Q=np.eye(3), R=np.eye(1), s=1.0, K=K)
+    problem = TrackingProblem(model, config, schedule)
+    for y in (0.0, 1.0, 0.0):
+        with pytest.raises(Infeasible):
+            solve_steady(problem, [y])
+        with pytest.raises(Infeasible):
+            solve_steady_offline(model, schedule, [y], config.s)
+        assert problem.steady_qp._support is None
 
 
 class _DuckPlant:

@@ -591,6 +591,26 @@ def test_infeasible_qp_is_certified_by_a_checked_farkas_vector(monkeypatch, fark
         assert qp.b_in @ u + qp.b_eq @ mu < -0.5
 
 
+def test_an_infeasible_result_carries_its_checked_farkas_pair():
+    # u = in_multipliers and mu = eq_multipliers are the pair the solver
+    # checked: u >= 0, A_in'u + A_eq'mu = 0 and b_in'u + b_eq'mu < 0. The
+    # first QP is a box with an equality, the second has no equality rows and
+    # the third certifies a pinned point by the fixed-row path.
+    for qp in _infeasible_qps():
+        sol = solve(qp)
+        assert sol.status == PRIMAL_INFEASIBLE
+        u, mu = sol.in_multipliers, sol.eq_multipliers
+        assert u.shape == (qp.A_in.shape[0],) and mu.shape == (qp.A_eq.shape[0],)
+        assert np.min(u) >= 0.0
+        scale = max(1.0, float(np.max(np.abs(qp.A_in).T @ u)))
+        assert np.max(np.abs(qp.A_in.T @ u + qp.A_eq.T @ mu)) <= 1e-9 * scale
+        assert qp.b_in @ u + qp.b_eq @ mu < 0.0
+    # Inconsistent equalities are certified by a residual, with no pair.
+    sol = solve(QuadraticProgram(P=np.eye(1), q=[0.0], A_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0]))
+    assert sol.status == PRIMAL_INFEASIBLE
+    assert sol.in_multipliers is None and sol.eq_multipliers is None
+
+
 def _pinned_row_qp(excess):
     """0.6 x0 + 0.8 x1 = 0 pins the row 0.6 x0 + 0.8 x1 <= -excess: no step
     in the null space of A_eq moves it, so x_p alone decides it, and its row of

@@ -18,6 +18,8 @@ from koopmpc.controller import (
     TrackingProblem,
     build_qp,
     shifted_candidate,
+    solve_steady,
+    solve_steady_offline,
     solve_step,
 )
 from koopmpc.model import lift
@@ -421,3 +423,48 @@ def test_tracking_problem_rejects_a_set_with_no_rows(stacks):
     schedule = TighteningSchedule(full.state_sets, inputs, full.error_sets)
     with pytest.raises(ValueError, match="at least one row"):
         TrackingProblem(stack.model, stack.config, schedule)
+
+
+# --- the steady-target QP, built and factored once per problem -------------------------
+
+def _factored(monkeypatch):
+    """The list of every QP that ``qp._factor`` is called on from now on."""
+    programs, factor = [], qp_module._factor
+
+    def recorded(program):
+        programs.append(program)
+        return factor(program)
+
+    monkeypatch.setattr(qp_module, "_factor", recorded)
+    return programs
+
+
+def test_steady_program_equals_the_one_shot_solve_and_is_factored_once(stacks, monkeypatch):
+    # A revisited value, steps that move the support and an unreachable
+    # reference: each reuse of the stored factors and support gives the
+    # one-shot solve's target bit for bit.
+    stack = stacks["a2"]
+    problem = TrackingProblem(stack.model, stack.config, stack.schedule)
+    factored = _factored(monkeypatch)
+    supports = []
+    for y in (1.0, -1.0, 2.0, 1.0, 10.0):
+        got = solve_steady(problem, [y])
+        want = solve_steady_offline(stack.model, stack.schedule, [y], stack.config.s)
+        for field in ("z_s", "u_s", "y_s"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (y, field)
+        assert got.offset_cost == want.offset_cost
+        supports.append(tuple(problem.steady_qp._support.rows.tolist()))
+    assert len(set(supports)) > 1, supports
+    assert sum(program is problem.steady_qp for program in factored) == 1
+
+
+def test_closed_loop_factors_each_program_once(stacks, monkeypatch):
+    # a2 switches its reference twice; the run factors its tracking QP and its
+    # steady QP once each. A one-shot steady solve would factor one more.
+    factored = _factored(monkeypatch)
+    stack = stacks["a2"]
+    log = stack.run(stack.seed)
+    assert len(np.unique(log.y_t, axis=0)) == 3
+    N, n_z, n_u = stack.config.N, stack.model.n_z, stack.model.n_u
+    dims = sorted(program.dim for program in factored)
+    assert dims == [n_z + n_u, controller._Layout(N, n_z, n_u).dim]
