@@ -202,6 +202,15 @@ def _numbers(values, n: int, what: str) -> list:
     return values
 
 
+def _output_matrix(value, n_x: int):
+    """``value`` (y = value x): None, or a non-empty list of rows of ``n_x`` finite numbers."""
+    if value is not None and not (isinstance(value, list) and value):
+        raise ValueError(f"output_matrix must be a non-empty list of rows, got {value!r}")
+    for i, row in enumerate(value or []):
+        _numbers(row, n_x, f"output_matrix[{i}]")
+    return value
+
+
 def _references(doc, n_y: int) -> ReferenceSchedule:
     """The reference schedule, checked before any data is made: each target
     and waypoint lists ``n_y`` finite numbers here, and the
@@ -354,8 +363,8 @@ def build_stack(scenario_path, y_t=None) -> Stack:
                                     "disturbance.estimate.inflation", minimum=1))
     else:
         disturbance = noise(dist_doc["declared"], "disturbance.declared", lifting.n_z)
-    om = sc.get("output_matrix")  # y = output_matrix x, or y = x without one
-    n_y = len(om) if isinstance(om, list) else plant.n_x
+    om = _output_matrix(sc.get("output_matrix"), plant.n_x)
+    n_y = plant.n_x if om is None else len(om)
     refs = _references(sc.get("references"), n_y)
     if y_t is not None and len(y_t) != n_y:
         raise ValueError(f"y_t: the target needs {n_y} comma-separated value(s), one per "
@@ -377,7 +386,7 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     Rk = _weight(lqr_doc.get("Rk", 1.0), n_u, "controller.lqr.Rk")
 
     data = _training_data(sc, plant, Path(scenario_path).parent)
-    model = fit_edmd(data, lifting, ridge=ridge, output_matrix=sc.get("output_matrix"))
+    model = fit_edmd(data, lifting, ridge=ridge, output_matrix=om)
     if "estimate" in dist_doc:
         disturbance = estimate_disturbance_sets(model, data, inflation=inflation)
     gain = dlqr(model.A, model.B, Qk, Rk, **lqr_opts)
@@ -403,6 +412,7 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
         raise ValueError(f"{lifting_json} is missing required field 'n_x'")
     lifting = _lifting(lift_doc, _count(lift_doc, "n_x", "lifting n_x"), _FIT_LIFTING_KEYS)
     ridge = float(_positive(lift_doc.get("ridge", 1e-8), "ridge", minimum=0))
+    om = _output_matrix(lift_doc.get("output_matrix"), lifting.n_x)
 
     data = load_trajectories(data_csv)
     n_hold = max(1, len(data.trajectories) // 10)
@@ -411,7 +421,7 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
         TrajectoryData(train_trajs),
         lifting,
         ridge=ridge,
-        output_matrix=lift_doc.get("output_matrix"),
+        output_matrix=om,
     )
 
     one_step, multi_step = [], []

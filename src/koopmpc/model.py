@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -227,9 +227,12 @@ def lift_many(model: KoopmanModel, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrajectoryData:
-    """A list of (states, inputs) pairs with states one step longer than inputs."""
+    """A list of (states, inputs) pairs with states one step longer than inputs,
+    also stacked once, read-only, for :meth:`transitions` and :meth:`all_states`."""
 
     trajectories: list[tuple[np.ndarray, np.ndarray]]
+    # All states, all inputs and each trajectory's state count.
+    _stacked: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checked = []
@@ -247,14 +250,18 @@ class TrajectoryData:
             ):
                 raise ValueError("all trajectories must share state/input dimensions")
             checked.append((states, inputs))
+        states = np.concatenate([s for s, _ in checked] or [np.empty((0, 0))])
+        inputs = np.concatenate([u for _, u in checked] or [np.empty((0, 0))])
         # Finiteness is one test over all the data; only a failure goes back
         # through the trajectories to name the first offending one.
-        flat = [M.ravel() for pair in checked for M in pair]
-        if flat and not np.isfinite(np.concatenate(flat)).all():
-            for i, (states, inputs) in enumerate(checked):
-                _as_matrix(states, f"trajectory {i} states")
-                _as_matrix(inputs, f"trajectory {i} inputs")
+        if not (np.isfinite(states).all() and np.isfinite(inputs).all()):
+            for i, (s, u) in enumerate(checked):
+                _as_matrix(s, f"trajectory {i} states")
+                _as_matrix(u, f"trajectory {i} inputs")
+        states.flags.writeable = inputs.flags.writeable = False
+        lengths = np.array([len(s) for s, _ in checked], dtype=int)
         object.__setattr__(self, "trajectories", checked)
+        object.__setattr__(self, "_stacked", (states, inputs, lengths))
 
     @property
     def n_x(self) -> int:
@@ -266,13 +273,12 @@ class TrajectoryData:
 
     def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked (x, u, x+) triples across all trajectories."""
-        X = np.vstack([s[:-1] for s, _ in self.trajectories])
-        U = np.vstack([u for _, u in self.trajectories])
-        Xp = np.vstack([s[1:] for s, _ in self.trajectories])
-        return X, U, Xp
+        states, inputs, lengths = self._stacked
+        ends = np.cumsum(lengths)
+        return np.delete(states, ends - 1, 0), inputs, np.delete(states, ends - lengths, 0)
 
     def all_states(self) -> np.ndarray:
-        return np.vstack([s for s, _ in self.trajectories])
+        return self._stacked[0]
 
 
 # --- fitting ------------------------------------------------------------------------

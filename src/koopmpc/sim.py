@@ -78,6 +78,16 @@ def unicycle_plant(dt: float = 0.1) -> Plant:
     return Plant(kind="unicycle", n_x=3, n_u=2, C=C, f=f, h=lambda X: X @ C.T)
 
 
+def _lifted_step(plant: Plant, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``A_lift z + B_lift u`` for each row x of X, z = (x1, x2, x1^2), and u of U;
+    X and U may also be one state and one input.
+
+    The numerical example steps through its lifted model because its noise
+    lives in lifted coordinates. The training-data batch and step_plant's
+    single row share this kernel, so their bits agree (plant.f's differ)."""
+    return np.concatenate([X, X[..., :1] ** 2], axis=-1) @ plant.A_lift.T + U @ plant.B_lift.T
+
+
 def step_plant(
     plant: Plant,
     x,
@@ -100,13 +110,11 @@ def step_plant(
     if plant.kind == "numerical_example":
         if (W is not None or V is not None) and rng is None:
             raise ValueError("disturbance injection requires an rng")
-        z = np.array([x[0], x[1], x[0] ** 2])
         w = sample(W, rng) if W is not None else np.zeros(3)
         v = sample(V, rng) if V is not None else np.zeros(2)
         if w.shape != (3,) or v.shape != (2,):
             raise ValueError("W must be 3-dimensional and V 2-dimensional")
-        z_next = plant.A_lift @ z + plant.B_lift @ u + w
-        x_next = z_next[:2] + v
+        x_next = (_lifted_step(plant, x, u) + w)[:2] + v
     else:
         if W is not None or V is not None:
             raise ValueError("the unicycle plant takes no injected disturbance")
@@ -331,17 +339,10 @@ def generate_training_data(
     xi = rng.uniform(-1.0, 1.0, size=(n_traj, g_x + traj_len * g_u))
     inputs = input_box.center + xi[:, g_x:].reshape(n_traj, traj_len, g_u) @ input_box.generators.T
     states = [state_box.center + xi[:, :g_x] @ state_box.generators.T]
+    step = plant.f if plant.A_lift is None else (lambda X, U: _lifted_step(plant, X, U)[:, :2])
     for t in range(traj_len):
-        states.append(_step_rows(plant, states[-1], inputs[:, t]))
+        states.append(step(states[-1], inputs[:, t]))
     return TrajectoryData(list(zip(np.stack(states, axis=1), inputs)))
-
-
-def _step_rows(plant: Plant, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Undisturbed :func:`step_plant` of each row of X under the same row of U."""
-    if plant.kind == "numerical_example":
-        # Through the lifted model, as step_plant does: plant.f rounds differently.
-        return np.array([step_plant(plant, x, u)[0] for x, u in zip(X, U)])
-    return plant.f(X, U)
 
 
 # --- metrics and persistence ------------------------------------------------------------

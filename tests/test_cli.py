@@ -504,6 +504,45 @@ def test_steady_rejects_a_malformed_grid_exit_2(tmp_path, capsys, grid, named):
     assert named in capsys.readouterr().err
 
 
+MALFORMED_OUTPUT_MATRICES = pytest.mark.parametrize("value, named", [
+    ([[True, 1.0]], "output_matrix[0] must list 2 numbers, all finite, got [True, 1.0]"),
+    ("abc", "output_matrix must be a non-empty list of rows, got 'abc'"),
+    ([], "output_matrix must be a non-empty list of rows, got []"),
+    ([0.0, 1.0], "output_matrix[0] must list 2 numbers, all finite, got 0.0"),
+    ([[0.0, 1.0, 0.0]], "output_matrix[0] must list 2 numbers, all finite, got [0.0, 1.0, 0.0]"),
+    ([[0.0, 1.0], [1.0]], "output_matrix[1] must list 2 numbers, all finite, got [1.0]"),
+    ([[0.0, "1"]], "output_matrix[0] must list 2 numbers, all finite, got [0.0, '1']"),
+    ([[0.0, float("nan")]], "output_matrix[0] must list 2 numbers, all finite, got [0.0, nan]"),
+], ids=["bool", "string", "empty", "flat", "row-too-long", "ragged", "string-entry", "nan"])
+
+
+@MALFORMED_OUTPUT_MATRICES
+def test_scenario_output_matrix_is_checked_before_any_data_exit_2(tmp_path, capsys, monkeypatch,
+                                                                  value, named):
+    # [[true, 1.0]] used to run as [[1.0, 1.0]], and "abc" to exit 2 naming no key.
+    for name in ("generate_training_data", "fit_edmd"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
+    scenario = base_scenario(tmp_path, output_matrix=value)
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    assert named in capsys.readouterr().err
+
+
+@MALFORMED_OUTPUT_MATRICES
+def test_fit_output_matrix_is_checked_before_the_data_is_read_exit_2(tmp_path, capsys,
+                                                                     monkeypatch, value, named):
+    csv_path, lift_path, out_path = tmp_path / "train.csv", tmp_path / "l.json", tmp_path / "m.json"
+    write_training_csv(csv_path)
+    write_lifting_json(lift_path)
+    doc = json.loads(lift_path.read_text())
+    doc["output_matrix"] = value
+    lift_path.write_text(json.dumps(doc))
+    for name in ("load_trajectories", "fit_edmd"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
+    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_writes_log_and_metrics(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -349,9 +350,72 @@ def test_trajectory_csv_rejects_malformed(tmp_path):
         load_trajectories(bad2)
 
 
+def ragged_trajectories(rng):
+    """Trajectories of 1, 4 and 2 states: one with no transition at all."""
+    return [(rng.standard_normal((n, 2)), rng.standard_normal((n - 1, 1))) for n in (1, 4, 2)]
+
+
+@pytest.mark.parametrize("source", ["list", "csv"])
+def test_stacked_trajectories_equal_the_per_trajectory_vstack(tmp_path, rng, source):
+    trajs = ragged_trajectories(rng)
+    data = TrajectoryData(trajs)
+    if source == "csv":
+        save_trajectories(data, tmp_path / "ragged.csv")
+        data = load_trajectories(tmp_path / "ragged.csv")
+    X, U, Xp = data.transitions()
+    assert np.array_equal(X, np.vstack([s[:-1] for s, _ in trajs]))
+    assert np.array_equal(U, np.vstack([u for _, u in trajs]))
+    assert np.array_equal(Xp, np.vstack([s[1:] for s, _ in trajs]))
+    assert np.array_equal(data.all_states(), np.vstack([s for s, _ in trajs]))
+    assert X.shape == Xp.shape == (4, 2) and U.shape == (4, 1)
+    assert [len(s) for s, _ in data.trajectories] == [1, 4, 2]
+
+
+def test_stacked_trajectories_are_read_only(rng):
+    data = TrajectoryData(ragged_trajectories(rng))
+    _, U, _ = data.transitions()
+    with pytest.raises(ValueError, match="read-only"):
+        U[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.all_states()[0, 0] = 1.0
+
+
+def test_empty_trajectory_data_constructs_and_cannot_be_fitted():
+    data = TrajectoryData([])
+    assert data.trajectories == []
+    with pytest.raises(UnderdeterminedData, match="no trajectories provided"):
+        fit_edmd(data, benchmark_lifting(), ridge=0.0)
+    model = make_model(np.eye(3), np.zeros((3, 1)), benchmark_lifting())
+    with pytest.raises(ValueError, match="cannot estimate disturbance sets from empty data"):
+        estimate_disturbance_sets(model, data)
+
+
+def test_ragged_trajectory_finiteness_names_the_first_offending_trajectory(rng):
+    trajs = ragged_trajectories(rng)
+    trajs[2][0][1, 1] = np.nan
+    trajs[1][0][3, 0] = -np.inf
+    with pytest.raises(ValueError, match=r"^trajectory 1 states must be a finite 2-D array"):
+        TrajectoryData(trajs)
+    trajs[0] = (np.full((1, 2), np.inf), np.zeros((0, 1)))
+    with pytest.raises(ValueError, match=r"^trajectory 0 states must be a finite 2-D array"):
+        TrajectoryData(trajs)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         TrajectoryData([(np.zeros((3, 2)), np.zeros((3, 1)))])  # lengths mismatch
+
+
+@pytest.mark.parametrize("second, named", [
+    ((np.zeros((3, 2)), np.zeros((3, 1))),
+     "trajectory 1: expected one more state than input, got 3 states and 3 inputs"),
+    ((np.zeros((3, 3)), np.zeros((2, 1))), "all trajectories must share state/input dimensions"),
+    ((np.zeros((3, 2)), np.zeros((2, 2))), "all trajectories must share state/input dimensions"),
+    ((np.zeros((3, 2)), np.zeros(2)), "trajectory 1 inputs must be a finite 2-D array"),
+], ids=["one-state-too-few", "state-dimension", "input-dimension", "one-dimensional-inputs"])
+def test_trajectory_shape_checks_name_the_fault(second, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+        TrajectoryData([(np.zeros((2, 2)), np.zeros((1, 1))), second])
 
 
 def test_trajectory_finiteness_names_the_first_offending_trajectory():

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from koopmpc import sim as sim_module
 from koopmpc.controller import KtmpcConfig
 from koopmpc.gains import dlqr
 from koopmpc.model import DisturbanceModel, LiftingSpec, make_model
@@ -127,16 +128,27 @@ def test_generate_training_data_deterministic():
     assert not np.array_equal(a.trajectories[0][0], c.trajectories[0][0])
 
 
-@pytest.mark.parametrize("plant", [numerical_example_plant(), unicycle_plant(dt=0.1)],
-                         ids=["numerical_example", "unicycle"])
-def test_generate_training_data_matches_one_rollout_at_a_time(plant):
+def spread_boxes(n_x, n_u):
+    """State and input boxes with a different center and half-extent per axis."""
+    return (box_zonotope(np.linspace(1.0, 2.0, n_x), center=np.linspace(-0.5, 0.5, n_x)),
+            box_zonotope(np.linspace(0.5, 3.0, n_u), center=np.linspace(0.2, 0.4, n_u)))
+
+
+@pytest.mark.parametrize("plant, boxes, n_traj, seed", [
+    (numerical_example_plant(), spread_boxes(2, 1), 5, 3),
+    (unicycle_plant(dt=0.1), spread_boxes(3, 2), 5, 3),
+    # scenarios/a1.json's own generation, 800 steps: enough for a step that
+    # squared x1 one way in the batch and another in step_plant to show.
+    (numerical_example_plant(), (box_zonotope([2.0, 2.0]), box_zonotope([3.0])), 200, 0),
+], ids=["numerical_example", "unicycle", "a1_scenario"])
+def test_generate_training_data_matches_one_rollout_at_a_time(plant, boxes, n_traj, seed):
     """Stepping all trajectories together gives the bits of a per-trajectory
     rollout through sample() and step_plant(), draw for draw."""
-    state_box = box_zonotope(np.linspace(1.0, 2.0, plant.n_x), center=np.linspace(-0.5, 0.5, plant.n_x))
-    input_box = box_zonotope(np.linspace(0.5, 3.0, plant.n_u), center=np.linspace(0.2, 0.4, plant.n_u))
-    data = generate_training_data(plant, n_traj=5, traj_len=4, input_box=input_box,
-                                  state_box=state_box, seed=3)
-    rng = np.random.default_rng(3)
+    state_box, input_box = boxes
+    data = generate_training_data(plant, n_traj=n_traj, traj_len=4, input_box=input_box,
+                                  state_box=state_box, seed=seed)
+    rng = np.random.default_rng(seed)
+    assert len(data.trajectories) == n_traj
     for states, inputs in data.trajectories:
         x = sample(state_box, rng)
         assert np.array_equal(states[0], x)
@@ -144,6 +156,23 @@ def test_generate_training_data_matches_one_rollout_at_a_time(plant):
             u = sample(input_box, rng)
             x = step_plant(plant, x, u)[0]
             assert np.array_equal(inputs[t], u) and np.array_equal(states[t + 1], x)
+
+
+def test_generate_training_data_steps_the_lifted_model_in_one_batch(monkeypatch):
+    """a1's generation makes no step_plant call: each time index is one
+    batched lifted step of all 200 trajectories."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step_plant(*args, **kwargs)
+
+    monkeypatch.setattr(sim_module, "step_plant", counted)
+    data = generate_training_data(numerical_example_plant(), n_traj=200, traj_len=4,
+                                  input_box=box_zonotope([3.0]),
+                                  state_box=box_zonotope([2.0, 2.0]), seed=0)
+    assert calls == []
+    assert data.transitions()[0].shape == (800, 2)
 
 
 # --- reference schedules --------------------------------------------------------------
