@@ -19,6 +19,7 @@ failure, or a reduced Hessian that is not positive definite).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -405,7 +406,8 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
 
     The last ~10% of trajectories are held out; the multi-step error rolls the
     fitted model forward up to 10 steps (capped at trajectory length) under the
-    recorded inputs.
+    recorded inputs. A single trajectory is not held out: the model is fitted
+    to it and its errors are reported as in-sample.
     """
     lift_doc = _load_json(lifting_json)
     if "n_x" not in lift_doc:
@@ -415,8 +417,10 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     om = _output_matrix(lift_doc.get("output_matrix"), lifting.n_x)
 
     data = load_trajectories(data_csv)
-    n_hold = max(1, len(data.trajectories) // 10)
-    train_trajs = data.trajectories[:-n_hold] or data.trajectories
+    n_traj = len(data.trajectories)
+    n_hold = max(1, n_traj // 10) if n_traj > 1 else 0
+    train_trajs = data.trajectories[: n_traj - n_hold]
+    scored = data.trajectories[n_traj - n_hold :] or train_trajs
     model = fit_edmd(
         TrajectoryData(train_trajs),
         lifting,
@@ -425,7 +429,7 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     )
 
     one_step, multi_step = [], []
-    for states, inputs in data.trajectories[-n_hold:]:
+    for states, inputs in scored:
         z = lift(model, states[0])
         for t, u in enumerate(inputs[: min(10, len(inputs))]):
             z_next = model.A @ lift(model, states[t]) + model.B @ u
@@ -434,12 +438,47 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
             multi_step.append(np.linalg.norm(model.C_x @ z - states[t + 1]))
     save_model(model, out_model_json)
     n_train = sum(len(inputs) for _, inputs in train_trajs)
-    print(f"fitted lifted model: n_z={model.n_z}, {n_train} training transitions, "
-          f"{n_hold} held-out trajectories")
+    held = (f"{n_hold} held-out trajectories" if n_hold else
+            "no trajectory held out: the errors below are in-sample")
+    print(f"fitted lifted model: n_z={model.n_z}, {n_train} training transitions, {held}")
     print(f"one-step mean prediction error: {float(np.mean(one_step)):.6e}")
     print(f"10-step mean prediction error:  {float(np.mean(multi_step)):.6e}")
     print(f"wrote {out_model_json}")
     return 0
+
+
+# The exact types that the C encoder writes as json.dumps does at any depth.
+_SCALARS = frozenset({float, int, bool, str, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder for the items of a list at ``depth``: its item separator
+    carries the newline and indentation that ``indent=2`` puts between them."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _dumps_indented(o, depth: int = 0) -> str:
+    """``json.dumps(o, indent=2)``, byte for byte, for dicts with str keys, lists,
+    tuples and scalars: the layout of dicts and nested lists is built here, and
+    each innermost list of scalars goes whole to the C encoder."""
+    close = "\n" + "  " * depth
+    pad = close + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = (f"{json.encoder.encode_basestring_ascii(k)}: {_dumps_indented(v, depth + 1)}"
+                 for k, v in o.items())
+        return "{" + pad + ("," + pad).join(items) + close + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(map(_SCALARS.__contains__, map(type, o))):
+            body = _flat_encoder(depth + 1).encode(o)[1:-1]
+        else:
+            body = ("," + pad).join(_dumps_indented(v, depth + 1) for v in o)
+        return "[" + pad + body + close + "]"
+    return _flat_encoder(depth).encode(o)
 
 
 def _polytope_doc(P) -> dict:
@@ -458,7 +497,7 @@ def cmd_tighten(scenario_json, out_json) -> int:
             for Z in schedule.error_sets
         ],
     }
-    Path(out_json).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(out_json).write_text(_dumps_indented(doc) + "\n")
     print(f"wrote tightening schedule (N={schedule.horizon}) to {out_json}")
     return 0
 

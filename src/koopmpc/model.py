@@ -228,7 +228,10 @@ def lift_many(model: KoopmanModel, X) -> np.ndarray:
 @dataclass(frozen=True)
 class TrajectoryData:
     """A list of (states, inputs) pairs with states one step longer than inputs,
-    also stacked once, read-only, for :meth:`transitions` and :meth:`all_states`."""
+    also stacked once, read-only, for :meth:`transitions` and :meth:`all_states`.
+
+    Trajectories of one length can be handed over whole through :meth:`batch`;
+    the list form also takes trajectories of different lengths."""
 
     trajectories: list[tuple[np.ndarray, np.ndarray]]
     # All states, all inputs and each trajectory's state count.
@@ -258,10 +261,35 @@ class TrajectoryData:
             for i, (s, u) in enumerate(checked):
                 _as_matrix(s, f"trajectory {i} states")
                 _as_matrix(u, f"trajectory {i} inputs")
+        self._store(checked, states, inputs, [len(s) for s, _ in checked])
+
+    @classmethod
+    def batch(cls, states, inputs) -> "TrajectoryData":
+        """The trajectories ``zip(states, inputs)`` of (n_traj, T+1, n_x) states
+        and (n_traj, T, n_u) inputs, with the list form's data, checked once."""
+        states = np.asarray(states, dtype=float)
+        inputs = np.asarray(inputs, dtype=float)
+        if not (states.ndim == inputs.ndim == 3 and len(states) == len(inputs)
+                and states.shape[1] == inputs.shape[1] + 1):
+            raise ValueError(
+                "a batch needs (n_traj, T+1, n_x) states and (n_traj, T, n_u) inputs, "
+                f"got shapes {states.shape} and {inputs.shape}"
+            )
+        if not (np.isfinite(states).all() and np.isfinite(inputs).all()):
+            cls(list(zip(states, inputs)))  # raises, naming the first offending trajectory
+        data = object.__new__(cls)
+        data._store(
+            list(zip(states, inputs)),
+            states.reshape(-1, states.shape[2]).copy(),
+            inputs.reshape(-1, inputs.shape[2]).copy(),
+            [states.shape[1]] * len(states),
+        )
+        return data
+
+    def _store(self, trajectories, states, inputs, lengths) -> None:
         states.flags.writeable = inputs.flags.writeable = False
-        lengths = np.array([len(s) for s, _ in checked], dtype=int)
-        object.__setattr__(self, "trajectories", checked)
-        object.__setattr__(self, "_stacked", (states, inputs, lengths))
+        object.__setattr__(self, "trajectories", trajectories)
+        object.__setattr__(self, "_stacked", (states, inputs, np.array(lengths, dtype=int)))
 
     @property
     def n_x(self) -> int:
@@ -271,11 +299,17 @@ class TrajectoryData:
     def n_u(self) -> int:
         return self.trajectories[0][1].shape[1]
 
+    def _transition_rows(self) -> np.ndarray:
+        """The rows of :meth:`all_states` that are a transition's x; the row
+        after each is its x+."""
+        lengths = self._stacked[2]
+        return np.delete(np.arange(lengths.sum()), np.cumsum(lengths) - 1)
+
     def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked (x, u, x+) triples across all trajectories."""
-        states, inputs, lengths = self._stacked
-        ends = np.cumsum(lengths)
-        return np.delete(states, ends - 1, 0), inputs, np.delete(states, ends - lengths, 0)
+        states, inputs, _ = self._stacked
+        rows = self._transition_rows()
+        return states[rows], inputs, states[rows + 1]
 
     def all_states(self) -> np.ndarray:
         return self._stacked[0]
@@ -301,11 +335,13 @@ def fit_edmd(
         raise UnderdeterminedData("no trajectories provided")
     if data.n_x != lifting.n_x:
         raise ValueError(f"data has n_x={data.n_x} but lifting expects {lifting.n_x}")
-    X, U, Xp = data.transitions()
+    states, U, _ = data._stacked
     n_z, n_u = lifting.n_z, U.shape[1]
     probe = make_model(np.zeros((n_z, n_z)), np.zeros((n_z, n_u)), lifting, output_matrix)
-    Phi = np.hstack([lift_many(probe, X), U])
-    Psi_next = lift_many(probe, Xp)
+    # Each state is lifted once; the regression picks its x and x+ rows.
+    Z, rows = lift_many(probe, states), data._transition_rows()
+    Phi = np.hstack([Z[rows], U])
+    Psi_next = Z[rows + 1]
     n_cols = n_z + n_u
     if Phi.shape[0] < n_cols:
         raise UnderdeterminedData(
@@ -371,10 +407,10 @@ def estimate_disturbance_sets(
         raise ValueError("inflation must be >= 1")
     if not data.trajectories:
         raise ValueError("cannot estimate disturbance sets from empty data")
-    X, U, Xp = data.transitions()
-    W_res = lift_many(model, Xp) - lift_many(model, X) @ model.A.T - U @ model.B.T
-    states = data.all_states()
-    V_res = states - lift_many(model, states) @ model.C_x.T
+    states, U, _ = data._stacked
+    Z, rows = lift_many(model, states), data._transition_rows()
+    W_res = Z[rows + 1] - Z[rows] @ model.A.T - U @ model.B.T
+    V_res = states - Z @ model.C_x.T
 
     def symmetric_box(res: np.ndarray) -> Zonotope:
         lo, hi = res.min(axis=0), res.max(axis=0)
@@ -469,6 +505,9 @@ def save_trajectories(data: TrajectoryData, path) -> None:
 
 
 def load_trajectories(path) -> TrajectoryData:
+    """The trajectories of a CSV laid out as :func:`save_trajectories` writes it:
+    each trajectory's rows are contiguous and its ``t`` reads 0, 1, 2, ... in
+    file order. A row that breaks this raises ValueError naming ``path:line``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -482,8 +521,9 @@ def load_trajectories(path) -> TrajectoryData:
             raise ValueError(f"{path}: unexpected header {header}")
         rows = [(row, line_no) for line_no, row in enumerate(reader, start=2) if row]
 
+    # Each trajectory's steps, in file order; its rows are contiguous.
     by_traj: dict[str, list[tuple[list[float], list[float] | None]]] = {}
-    order: list[str] = []
+    traj_id = None
     for row, line_no in rows:
         if len(row) != len(expected):
             raise ValueError(f"{path}:{line_no}: expected {len(expected)} cells, got {len(row)}")
@@ -495,12 +535,16 @@ def load_trajectories(path) -> TrajectoryData:
             raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
         if row[0] not in by_traj:
             by_traj[row[0]] = []
-            order.append(row[0])
-        by_traj[row[0]].append((x, u))
+        elif row[0] != traj_id:
+            raise ValueError(f"{path}:{line_no}: the rows of trajectory {row[0]} are not contiguous")
+        traj_id, steps = row[0], by_traj[row[0]]
+        if row[1] != str(len(steps)):
+            raise ValueError(f"{path}:{line_no}: trajectory {traj_id} needs t = {len(steps)} "
+                             f"here, got {row[1]!r}")
+        steps.append((x, u))
 
     trajectories = []
-    for traj_id in order:
-        steps = by_traj[traj_id]
+    for traj_id, steps in by_traj.items():
         states = np.array([x for x, _ in steps])
         for i, (_, u) in enumerate(steps):
             if (u is None) != (i == len(steps) - 1):

@@ -342,7 +342,7 @@ def generate_training_data(
     step = plant.f if plant.A_lift is None else (lambda X, U: _lifted_step(plant, X, U)[:, :2])
     for t in range(traj_len):
         states.append(step(states[-1], inputs[:, t]))
-    return TrajectoryData(list(zip(np.stack(states, axis=1), inputs)))
+    return TrajectoryData.batch(np.stack(states, axis=1), inputs)
 
 
 # --- metrics and persistence ------------------------------------------------------------

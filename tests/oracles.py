@@ -177,3 +177,40 @@ def shifted_rollout(A, B, K, N, u_bar, z_bar, z_s, u_s, z_next):
     u_c.append(np.asarray(u_s, dtype=float))
     z_c.append(A @ z_c[N - 1] + B @ u_c[N - 1])
     return np.array(u_c), np.array(z_c)
+
+
+def fit_edmd_two_lifts(data, lifting, ridge=1e-8, output_matrix=None):
+    """EDMD as it was written before each state was lifted once: the x rows and
+    the x+ rows of ``data.transitions()`` lifted by two ``lift_many`` calls,
+    then the same regression (least squares for ``ridge=0``). Returns (A, B)."""
+    from koopmpc.model import lift_many, make_model
+
+    X, U, Xp = data.transitions()
+    n_z, n_u = lifting.n_z, U.shape[1]
+    probe = make_model(np.zeros((n_z, n_z)), np.zeros((n_z, n_u)), lifting, output_matrix)
+    Phi = np.hstack([lift_many(probe, X), U])
+    Psi_next = lift_many(probe, Xp)
+    if ridge == 0.0:
+        Theta = np.linalg.lstsq(Phi, Psi_next, rcond=None)[0].T
+    else:
+        G = Phi.T @ Phi + ridge * np.eye(n_z + n_u)
+        Theta = np.linalg.solve(G, Phi.T @ Psi_next).T
+    return Theta[:, :n_z], Theta[:, n_z:]
+
+
+def disturbance_boxes_three_lifts(model, data, inflation=1.0):
+    """``estimate_disturbance_sets`` as it was written with three lifts (x, x+
+    and every state): the residuals psi(x+) - A psi(x) - B u and
+    x - C_x psi(x), each bounded by the box mid +- inflation * (hi - lo) / 2.
+    Returns the (center, generators) of W and of V."""
+    from koopmpc.model import lift_many
+
+    X, U, Xp = data.transitions()
+    W_res = lift_many(model, Xp) - lift_many(model, X) @ model.A.T - U @ model.B.T
+    states = data.all_states()
+    V_res = states - lift_many(model, states) @ model.C_x.T
+    boxes = []
+    for res in (W_res, V_res):
+        lo, hi = res.min(axis=0), res.max(axis=0)
+        boxes.append(((lo + hi) / 2.0, np.diag((hi - lo) / 2.0 * inflation)))
+    return boxes

@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmpc import cli as cli_module
 from koopmpc import controller as controller_module
@@ -103,6 +106,39 @@ def test_fit_recovers_ground_truth(tmp_path, capsys):
     assert "one-step" in out and "10-step" in out
 
 
+def test_fit_reports_how_many_trajectories_it_held_out(tmp_path, capsys):
+    csv_path, lift_path = tmp_path / "train.csv", tmp_path / "lifting.json"
+    write_training_csv(csv_path, n_traj=25, traj_len=4)
+    write_lifting_json(lift_path)
+    assert main(["fit", str(csv_path), str(lift_path), str(tmp_path / "model.json")]) == 0
+    assert "92 training transitions, 2 held-out trajectories" in capsys.readouterr().out
+
+
+def test_fit_of_one_trajectory_reports_in_sample_errors(tmp_path, capsys):
+    csv_path, lift_path = tmp_path / "one.csv", tmp_path / "lifting.json"
+    write_training_csv(csv_path, n_traj=1, traj_len=8)
+    write_lifting_json(lift_path, ridge=1e-8)
+    assert main(["fit", str(csv_path), str(lift_path), str(tmp_path / "model.json")]) == 0
+    out = capsys.readouterr().out
+    assert ("8 training transitions, no trajectory held out: the errors below are in-sample"
+            in out)
+    assert "held-out" not in out
+    assert "one-step mean prediction error" in out and "10-step mean prediction error" in out
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("0,0,0.0,0.0,1.0\n0,5,1.0,1.0,1.0\n1,0,2.0,2.0,\n0,1,3.0,3.0,\n", 3),
+    ("0,0,0.0,0.0,1.0\n1,0,5.0,5.0,1.0\n0,1,1.0,1.0,\n1,1,6.0,6.0,\n", 4),
+], ids=["t-skips", "interleaved"])
+def test_fit_csv_out_of_order_exit_2(tmp_path, capsys, rows, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("traj_id,t,x_0,x_1,u_0\n" + rows)
+    lift_path = tmp_path / "lifting.json"
+    write_lifting_json(lift_path)
+    assert main(["fit", str(bad), str(lift_path), str(tmp_path / "m.json")]) == 2
+    assert f"{bad}:{line}: " in capsys.readouterr().err
+
+
 def test_fit_missing_file_exit_2(tmp_path, capsys):
     lift_path = tmp_path / "lifting.json"
     write_lifting_json(lift_path)
@@ -189,6 +225,43 @@ def test_tighten_reads_training_data_from_a_path(tmp_path):
     assert main(["tighten", str(SCENARIOS / "a2.json"), str(tmp_path / "generated.json")]) == 0
     assert main(["tighten", str(scenario), str(tmp_path / "from_path.json")]) == 0
     assert (tmp_path / "from_path.json").read_bytes() == (tmp_path / "generated.json").read_bytes()
+
+
+def test_tighten_writes_the_indent_2_layout(tmp_path):
+    out = tmp_path / "schedule.json"
+    assert main(["tighten", str(SCENARIOS / "unicycle_square.json"), str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# Floats include -0.0, subnormals, 1e+-300, NaN and the infinities.
+json_scalars = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300, math.nan]),
+    st.integers(min_value=-(2**70), max_value=2**70), st.booleans(), st.none(), st.text(),
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=6),
+    ),
+    max_leaves=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_docs)
+def test_schedule_writer_equals_json_dumps_indent_2(doc):
+    assert cli_module._dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+def test_schedule_writer_writes_non_finite_floats_as_json_does():
+    doc = {"a": [math.nan, math.inf, -math.inf], "b": -math.inf, "c": [[math.nan], [], {}]}
+    text = cli_module._dumps_indented(doc)
+    assert text == json.dumps(doc, indent=2)
+    assert text.count("NaN") == 2 and text.count("-Infinity") == 2
 
 
 def test_tighten_estimated_disturbance_matches_the_library(tmp_path):

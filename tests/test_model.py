@@ -1,11 +1,13 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koopmpc import cli
 from koopmpc.model import (
     DisturbanceModel,
     KoopmanModel,
@@ -23,9 +25,14 @@ from koopmpc.model import (
     save_trajectories,
 )
 from koopmpc.sets import Zonotope, box_zonotope
-from oracles import numerical_example_matrices
+from oracles import (
+    disturbance_boxes_three_lifts,
+    fit_edmd_two_lifts,
+    numerical_example_matrices,
+)
 
 LAM, MU = -0.1, 2.0
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def benchmark_lifting():
@@ -431,3 +438,123 @@ def test_trajectory_finiteness_names_the_first_offending_trajectory():
     assert len(TrajectoryData(trajs).trajectories) == 6
     with pytest.raises(ValueError, match=r"^trajectory 0 states must be a finite 2-D array"):
         TrajectoryData([(np.zeros(4), np.zeros((3, 1)))])  # 1-D: a shape failure
+
+
+# --- trajectory batches ----------------------------------------------------------------
+
+def batch_arrays(rng, n_traj=5, traj_len=3):
+    return rng.standard_normal((n_traj, traj_len + 1, 2)), rng.standard_normal((n_traj, traj_len, 1))
+
+
+def test_batch_equals_the_list_form(rng):
+    S, U = batch_arrays(rng)
+    batch, listed = TrajectoryData.batch(S, U), TrajectoryData(list(zip(S, U)))
+    assert (batch.n_x, batch.n_u, len(batch.trajectories)) == (2, 1, 5)
+    assert len(listed.trajectories) == 5
+    for (s0, u0), (s1, u1) in zip(batch.trajectories, listed.trajectories):
+        for a, b in ((s0, s1), (u0, u1)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.writeable == b.flags.writeable
+    arrays = (*batch.transitions(), batch.all_states())
+    for a, b in zip(arrays, (*listed.transitions(), listed.all_states())):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.flags.writeable == b.flags.writeable
+    assert not batch.all_states().flags.writeable and not batch.transitions()[1].flags.writeable
+    # Both forms stack a copy: an edit of the caller's arrays does not reach it.
+    S[0, 0, 0] = U[0, 0, 0] = 99.0
+    assert batch.all_states()[0, 0] != 99.0 and batch.transitions()[1][0, 0] != 99.0
+
+
+@pytest.mark.parametrize("bad, named", [
+    ("states", "trajectory 3 states must be a finite 2-D array"),
+    ("inputs", "trajectory 1 inputs must be a finite 2-D array"),
+    ("both", "trajectory 1 inputs must be a finite 2-D array"),
+], ids=["states", "inputs", "both"])
+def test_a_non_finite_batch_fails_with_the_list_forms_message(rng, bad, named):
+    S, U = batch_arrays(rng)
+    if bad in ("states", "both"):
+        S[3, 2, 1] = np.nan
+    if bad in ("inputs", "both"):
+        U[1, 0, 0] = -np.inf
+    with pytest.raises(ValueError) as listed:
+        TrajectoryData(list(zip(S, U)))
+    assert str(listed.value).startswith(named)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(listed.value))}$"):
+        TrajectoryData.batch(S, U)
+
+
+@pytest.mark.parametrize("states, inputs", [
+    (np.zeros((4, 2)), np.zeros((3, 1))),
+    (np.zeros((2, 4, 2)), np.zeros((2, 4, 1))),
+    (np.zeros((2, 4, 2)), np.zeros((3, 3, 1))),
+], ids=["one-trajectory", "one-state-too-few", "trajectory-count"])
+def test_batch_shape_checks_name_both_shapes(states, inputs):
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {states.shape} and {inputs.shape}")):
+        TrajectoryData.batch(states, inputs)
+
+
+# --- one lift per state ------------------------------------------------------------------
+
+def scenario_fit_inputs(name):
+    """The training data, lifting and fit options of a shipped scenario."""
+    sc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    plant = cli._build_plant(sc["plant"])
+    data = cli._training_data(sc, plant, SCENARIOS)
+    options = {"ridge": sc.get("ridge", 1e-8), "output_matrix": sc.get("output_matrix")}
+    return data, cli._lifting(sc["lifting"], plant.n_x), options
+
+
+def ragged_rbf_fit_inputs():
+    rng = np.random.default_rng(7)
+    trajs = [(rng.standard_normal((n, 2)), rng.standard_normal((n - 1, 1))) for n in (1, 9, 2, 6)]
+    lifting = LiftingSpec(kind="rbf", n_x=2, centers=rng.standard_normal((3, 2)), width=0.8)
+    return TrajectoryData(trajs), lifting, {"ridge": 1e-6, "output_matrix": None}
+
+
+FIT_INPUTS = {"a1": lambda: scenario_fit_inputs("a1"),
+              "unicycle_square": lambda: scenario_fit_inputs("unicycle_square"),
+              "ragged-rbf": ragged_rbf_fit_inputs}
+
+
+@pytest.mark.parametrize("source", sorted(FIT_INPUTS))
+def test_one_lift_fit_matches_the_two_lift_oracle_bit_for_bit(source):
+    data, lifting, options = FIT_INPUTS[source]()
+    model = fit_edmd(data, lifting, **options)
+    A, B = fit_edmd_two_lifts(data, lifting, **options)
+    assert model.A.tobytes() == A.tobytes() and model.B.tobytes() == B.tobytes()
+
+
+@pytest.mark.parametrize("source", sorted(FIT_INPUTS))
+def test_one_lift_disturbance_sets_match_the_three_lift_oracle_bit_for_bit(source):
+    data, lifting, options = FIT_INPUTS[source]()
+    model = fit_edmd(data, lifting, **options)
+    dist = estimate_disturbance_sets(model, data, inflation=1.5)
+    (W_c, W_G), (V_c, V_G) = disturbance_boxes_three_lifts(model, data, inflation=1.5)
+    assert dist.W.center.tobytes() == W_c.tobytes() and dist.W.generators.tobytes() == W_G.tobytes()
+    assert dist.V.center.tobytes() == V_c.tobytes() and dist.V.generators.tobytes() == V_G.tobytes()
+
+
+# --- the trajectory CSV's t column ----------------------------------------------------------
+
+HEADER = "traj_id,t,x_0,x_1,u_0\n"
+
+
+def test_trajectory_csv_needs_t_counting_from_zero(tmp_path):
+    path = tmp_path / "skips.csv"
+    path.write_text(HEADER + "0,0,0.0,0.0,1.0\n0,5,1.0,1.0,1.0\n1,0,2.0,2.0,\n0,1,3.0,3.0,\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: trajectory 0 needs t = 1 "
+                                         "here, got '5'$"):
+        load_trajectories(path)
+    path.write_text(HEADER + "0,1,0.0,0.0,1.0\n0,2,1.0,1.0,\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: trajectory 0 needs t = 0"):
+        load_trajectories(path)
+
+
+def test_trajectory_csv_needs_each_trajectorys_rows_together(tmp_path):
+    path = tmp_path / "interleaved.csv"
+    path.write_text(HEADER + "0,0,0.0,0.0,1.0\n1,0,5.0,5.0,1.0\n0,1,1.0,1.0,\n1,1,6.0,6.0,\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: the rows of trajectory 0 "
+                                         "are not contiguous$"):
+        load_trajectories(path)
+    path.write_text(HEADER + "0,0,0.0,0.0,1.0\n0,1,1.0,1.0,\n1,0,5.0,5.0,1.0\n1,1,6.0,6.0,\n")
+    assert [len(s) for s, _ in load_trajectories(path).trajectories] == [2, 2]
