@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -458,12 +459,30 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
 
 
+class _Prefix(NamedTuple):
+    """The first ``count`` items of an innermost list of numbers, or all of any document, as
+    `_dumps_indented` writes them: cut from the text of ``whole``, kept in ``texts`` per depth."""
+
+    whole: list
+    texts: dict
+    count: int
+
+
 def _dumps_indented(o, depth: int = 0) -> str:
     """``json.dumps(o, indent=2)``, byte for byte, for dicts with str keys, lists,
     tuples and scalars: the layout of dicts and nested lists is built here, and
     each innermost list of scalars goes whole to the C encoder."""
     close = "\n" + "  " * depth
     pad = close + "  "
+    if isinstance(o, _Prefix):
+        if depth not in o.texts:  # the text of o.whole, and the end of each of its items
+            text = _dumps_indented(o.whole, depth)
+            sizes = [len(item) + len(pad) + 1 for item in text.split("," + pad)]
+            o.texts[depth] = text, np.cumsum(sizes) - len(pad) - 1
+        text, ends = o.texts[depth]
+        if o.count == len(o.whole):
+            return text
+        return text[: ends[o.count - 1]] + close + "]" if o.count else "[]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -481,22 +500,26 @@ def _dumps_indented(o, depth: int = 0) -> str:
     return _flat_encoder(depth).encode(o)
 
 
-def _polytope_doc(P) -> dict:
-    return {"normals": P.normals.tolist(), "offsets": P.offsets.tolist()}
+def _polytope_docs(sets) -> list:
+    """The sets' documents; normals shared with the first set are encoded once."""
+    shared = _Prefix(sets[0].normals.tolist(), {}, len(sets[0].normals))
+    return [{"normals": shared if P.normals is sets[0].normals else P.normals.tolist(),
+             "offsets": P.offsets.tolist()} for P in sets]
 
 
 def cmd_tighten(scenario_json, out_json) -> int:
     """Compute the tightened constraint schedule for a scenario and save it as JSON."""
     schedule = build_stack(scenario_json).schedule
-    doc = {
-        "horizon": schedule.horizon,
-        "state_sets": [_polytope_doc(P) for P in schedule.state_sets],
-        "input_sets": [_polytope_doc(P) for P in schedule.input_sets],
-        "error_sets": [
-            {"center": Z.center.tolist(), "generators": Z.generators.tolist()}
-            for Z in schedule.error_sets
-        ],
-    }
+    last = schedule.error_sets[-1].generators
+    rows = [(row, {}) for row in last.tolist()]  # R(j)'s rows are cut from their text
+    errors = []
+    for j, Z in enumerate(schedule.error_sets, start=1):
+        k = Z.generators.shape[1]
+        if not np.array_equal(Z.generators.view(np.uint64), last[:, :k].view(np.uint64)):
+            raise ValueError(f"error set R({j}) is not a prefix of R(N)'s generators")
+        errors.append({"center": Z.center.tolist(), "generators": [_Prefix(*r, k) for r in rows]})
+    doc = {"horizon": schedule.horizon, "state_sets": _polytope_docs(schedule.state_sets),
+           "input_sets": _polytope_docs(schedule.input_sets), "error_sets": errors}
     Path(out_json).write_text(_dumps_indented(doc) + "\n")
     print(f"wrote tightening schedule (N={schedule.horizon}) to {out_json}")
     return 0

@@ -3,8 +3,8 @@
 Constraint sets are halfspace polytopes {x : normals @ x <= offsets}; error and
 disturbance sets are zonotopes {center + generators @ xi : |xi| <= 1}. The
 Pontryagin difference of a polytope and a zonotope is exact per halfspace via
-the zonotope support function, which is what the constraint-tightening
-recursion needs — no vertex enumeration in lifted dimensions.
+the zonotope support function, which is what the constraint tightening needs —
+no vertex enumeration in lifted dimensions. It builds the tube once.
 """
 
 from __future__ import annotations
@@ -79,9 +79,17 @@ class HPolytope:
         return self.normals.shape[1]
 
 
+def _built(cls, **fields):
+    """A set from arrays that are checked already; they are not checked again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class TighteningSchedule:
-    """Tightened state/input sets X~(0..N), U~(0..N) and error sets R(1..N)."""
+    """Tightened state/input sets X~(0..N), U~(0..N) and error sets R(1..N); from
+    `tighten_constraints`, R(j).generators is the read-only prefix R(N).generators[:, :j·g]."""
 
     state_sets: list
     input_sets: list
@@ -128,22 +136,9 @@ def support(Z: Zonotope, a: np.ndarray) -> float:
     return float(a @ Z.center + np.sum(np.abs(a @ Z.generators)))
 
 
-def minkowski_sum(Z1: Zonotope, Z2: Zonotope) -> Zonotope:
-    """Centers add, generator lists concatenate."""
-    if Z1.dim != Z2.dim:
-        raise ValueError("dimension mismatch in Minkowski sum")
-    return Zonotope(
-        center=Z1.center + Z2.center,
-        generators=np.hstack([Z1.generators, Z2.generators]),
-    )
-
-
-def linear_map(M: np.ndarray, Z: Zonotope) -> Zonotope:
-    """Image of a zonotope under x -> Mx."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[1] != Z.dim:
-        raise ValueError("matrix column count must match zonotope dimension")
-    return Zonotope(center=M @ Z.center, generators=M @ Z.generators)
+def _support_rows(normals, center, generators):
+    """The support of the zonotope (center, generators) along each row of normals."""
+    return normals @ center + np.abs(normals @ generators).sum(axis=1)
 
 
 def pontryagin_diff(P: HPolytope, Z: Zonotope) -> HPolytope:
@@ -153,38 +148,40 @@ def pontryagin_diff(P: HPolytope, Z: Zonotope) -> HPolytope:
     """
     if P.dim != Z.dim:
         raise ValueError("dimension mismatch in Pontryagin difference")
-    drop = P.normals @ Z.center + np.sum(np.abs(P.normals @ Z.generators), axis=1)
+    drop = _support_rows(P.normals, Z.center, Z.generators)
     return HPolytope(normals=P.normals, offsets=P.offsets - drop)
 
 
-def is_empty(P: HPolytope, tol: float = CONTAINS_TOL) -> bool:
-    """Emptiness via the slack program min s s.t. a_i'x - s <= b_i, s >= 0.
+def _empty_rows(normals, offsets, tol):
+    """Is {x : normals @ x <= b} empty, for each row b of `offsets`, in row order?
 
-    Empty iff the minimal slack exceeds the feasibility tolerance. When every
-    row is a signed unit vector (a box, as every set the CLI builds), the
-    minimal slack has a closed form; otherwise HiGHS solves the LP, and
-    SolverFailed is raised when it does not report success.
+    Empty iff the minimal slack of min s s.t. a_i'x - s <= b_i, s >= 0 exceeds
+    tol. A box (signed unit rows, as in every set the CLI builds) has a closed
+    form, taken for all rows at once; otherwise HiGHS solves one LP per row as
+    it is read, and SolverFailed is raised when it does not report success.
     """
-    m, n = P.normals.shape
-    rows, axis = np.nonzero(P.normals)
-    sign = P.normals[rows, axis]
+    m, n = normals.shape
+    rows, axis = np.nonzero(normals)
+    sign = normals[rows, axis]
     if np.array_equal(rows, np.arange(m)) and np.all(np.abs(sign) == 1.0):
         # Each row bounds one coordinate: the minimal slack is half the
         # widest gap between a lower and an upper bound.
-        hi, lo = np.full(n, np.inf), np.full(n, -np.inf)
-        np.minimum.at(hi, axis[sign > 0], P.offsets[sign > 0])
-        np.maximum.at(lo, axis[sign < 0], -P.offsets[sign < 0])
-        return bool(np.max(lo - hi, initial=0.0) / 2 > tol)
-    res = linprog(
-        c=np.eye(n + 1)[n],
-        A_ub=np.hstack([P.normals, -np.ones((m, 1))]),
-        b_ub=P.offsets,
-        bounds=[(None, None)] * n + [(0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise SolverFailed(f"slack program did not solve: {res.message}")
-    return bool(res.x[n] > tol)
+        hi, lo = np.full((len(offsets), n), np.inf), np.full((len(offsets), n), -np.inf)
+        np.minimum.at(hi.T, axis[sign > 0], offsets[:, sign > 0].T)
+        np.maximum.at(lo.T, axis[sign < 0], -offsets[:, sign < 0].T)
+        yield from np.max(lo - hi, axis=1, initial=0.0) / 2 > tol
+        return
+    for b in offsets:
+        res = linprog(c=np.eye(n + 1)[n], A_ub=np.hstack([normals, -np.ones((m, 1))]), b_ub=b,
+                      bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+        if not res.success:
+            raise SolverFailed(f"slack program did not solve: {res.message}")
+        yield bool(res.x[n] > tol)
+
+
+def is_empty(P: HPolytope, tol: float = CONTAINS_TOL) -> bool:
+    """Whether P is empty, decided as `_empty_rows` decides it."""
+    return bool(next(_empty_rows(P.normals, P.offsets[None], tol)))
 
 
 def contains(P: HPolytope, x, tol: float = CONTAINS_TOL) -> bool:
@@ -208,11 +205,13 @@ def sample(Z: Zonotope, rng: np.random.Generator) -> np.ndarray:
 
 
 def tighten_constraints(X, U, disturbance, A, B, K, C_x, N: int) -> TighteningSchedule:
-    """Constraint-tightening recursion against the reachable error sets.
+    """Constraint tightening against the reachable error sets, with the tube built once.
 
-    X~(0) = X - V, U~(0) = U; for j = 1..N the error set R(j) accumulates
-    (A+BK)^{j-1} W onto R(j-1), and X~(j) = X - (C_x R(j) + V),
-    U~(j) = U - K R(j) (all differences Pontryagin, sums Minkowski).
+    X~(0) = X - V, U~(0) = U; for j = 1..N, R(j) = R(j-1) + (A+BK)^{j-1} W,
+    X~(j) = X - (C_x R(j) + V) and U~(j) = U - K R(j) (differences Pontryagin,
+    sums Minkowski). R(j) is the first j·g columns of one read-only matrix of the
+    terms (A+BK)^i W; each offset keeps the recursion's products and sum order,
+    bit for bit, and one check and one emptiness test cover all stacked offsets.
 
     Parameters
     ----------
@@ -222,48 +221,56 @@ def tighten_constraints(X, U, disturbance, A, B, K, C_x, N: int) -> TighteningSc
     Raises
     ------
     EmptyTightenedSet
-        As soon as any tightened set along the horizon is empty.
+        At the first empty set along the horizon, the state set first.
     ValueError
-        If A + BK is not Schur stable or N < 1.
+        If N < 1, if A + BK is not Schur stable, or naming a mismatched argument.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(A.shape[0], -1)
+    B = np.asarray(B, dtype=float).reshape(len(B), -1)
     K = np.atleast_2d(np.asarray(K, dtype=float))
     C_x = np.atleast_2d(np.asarray(C_x, dtype=float))
+    W, V = disturbance.W, disturbance.V
+    n_z, n_u, n_x = A.shape[0], B.shape[1], C_x.shape[0]
+    for name, what, got, need in (
+            ("A", "shape", A.shape, (n_z, n_z)), ("B", "rows", len(B), n_z),
+            ("K", "shape", K.shape, (n_u, n_z)), ("C_x", "columns", C_x.shape[1], n_z),
+            ("X", "dimension", X.dim, n_x), ("disturbance.V", "dimension", V.dim, n_x),
+            ("disturbance.W", "dimension", W.dim, n_z), ("U", "dimension", U.dim, n_u)):
+        if got != need:
+            raise ValueError(f"tighten_constraints: {name} has {what} {got}, need {need} "
+                             f"(n_z = {n_z} from A, n_u = {n_u} from B, n_x = {n_x} from C_x)")
     A_K = A + B @ K
     rho = spectral_radius(A_K)
     if rho >= 1.0:
         raise ValueError(f"A + BK must be Schur stable (spectral radius {rho:.6g})")
-    W, V = disturbance.W, disturbance.V
 
-    state_sets = [pontryagin_diff(X, V)]
-    input_sets = [HPolytope(normals=U.normals, offsets=U.offsets)]
-    error_sets = []
-    if is_empty(state_sets[0]):
-        raise EmptyTightenedSet(0, "state")
-    if is_empty(input_sets[0]):
-        raise EmptyTightenedSet(0, "input")
-
-    M = np.eye(A.shape[0])  # running power (A+BK)^{j-1}
-    R = None
+    g = W.generators.shape[1]
+    G, centers = np.empty((n_z, N * g)), np.empty((N, n_z))
+    x_off, u_off = np.empty((N + 1, X.offsets.size)), np.tile(U.offsets, (N + 1, 1))
+    x_off[0] = X.offsets - _support_rows(X.normals, V.center, V.generators)
+    M, c = np.eye(n_z), None  # running power (A+BK)^{j-1} and center of R(j)
     for j in range(1, N + 1):
-        term = linear_map(M, W)
-        R = term if R is None else minkowski_sum(R, term)
+        G[:, (j - 1) * g : j * g] = M @ W.generators
+        c = M @ W.center if c is None else c + M @ W.center
         M = M @ A_K
-        Xj = pontryagin_diff(X, minkowski_sum(linear_map(C_x, R), V))
-        Uj = pontryagin_diff(U, linear_map(K, R))
-        if is_empty(Xj):
-            raise EmptyTightenedSet(j, "state")
-        if is_empty(Uj):
-            raise EmptyTightenedSet(j, "input")
-        error_sets.append(R)
-        state_sets.append(Xj)
-        input_sets.append(Uj)
-
-    return TighteningSchedule(
-        state_sets=state_sets, input_sets=input_sets, error_sets=error_sets
+        # A contiguous R(j), as in the recursion: BLAS rounds a strided view differently.
+        R = G[:, : j * g].copy()
+        CR = np.concatenate((C_x @ R, V.generators), axis=1)
+        x_off[j] = X.offsets - _support_rows(X.normals, C_x @ c + V.center, CR)
+        u_off[j] = U.offsets - _support_rows(U.normals, K @ c, K @ R)
+        centers[j - 1] = c
+    for a in (G, centers, x_off, u_off):
+        a.flags.writeable = False
+    for P, offsets in ((X, x_off), (U, u_off)):  # all N+1 sets' halfspaces, checked as one polytope
+        HPolytope(normals=np.tile(P.normals, (N + 1, 1)), offsets=offsets)
+    inputs_empty = _empty_rows(U.normals, u_off, CONTAINS_TOL)
+    for j, state_empty in enumerate(_empty_rows(X.normals, x_off, CONTAINS_TOL)):
+        if state_empty or next(inputs_empty):
+            raise EmptyTightenedSet(j, "state" if state_empty else "input")
+    return TighteningSchedule(  # state, input and error sets
+        [_built(HPolytope, normals=X.normals, offsets=b) for b in x_off],
+        [_built(HPolytope, normals=U.normals, offsets=b) for b in u_off],
+        [_built(Zonotope, center=c, generators=G[:, : j * g]) for j, c in enumerate(centers, 1)],
     )

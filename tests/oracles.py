@@ -214,3 +214,70 @@ def disturbance_boxes_three_lifts(model, data, inflation=1.0):
         lo, hi = res.min(axis=0), res.max(axis=0)
         boxes.append(((lo + hi) / 2.0, np.diag((hi - lo) / 2.0 * inflation)))
     return boxes
+
+
+def minkowski_sum(Z1, Z2):
+    """Zonotope Minkowski sum: centers add, generator lists concatenate."""
+    from koopmpc.sets import Zonotope
+
+    if Z1.dim != Z2.dim:
+        raise ValueError("dimension mismatch in Minkowski sum")
+    return Zonotope(
+        center=Z1.center + Z2.center,
+        generators=np.hstack([Z1.generators, Z2.generators]),
+    )
+
+
+def linear_map(M, Z):
+    """Image of a zonotope under x -> Mx."""
+    from koopmpc.sets import Zonotope
+
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape[1] != Z.dim:
+        raise ValueError("matrix column count must match zonotope dimension")
+    return Zonotope(center=M @ Z.center, generators=M @ Z.generators)
+
+
+def tighten_recursive(X, U, disturbance, A, B, K, C_x, N):
+    """``tighten_constraints`` as it was written step by step: for j = 1..N a
+    new R(j) = R(j-1) + (A+BK)^{j-1} W, two fresh Pontryagin differences
+    X - (C_x R(j) + V) and U - K R(j), each a validated set, and two
+    ``is_empty`` calls, state before input. Returns a TighteningSchedule or
+    raises EmptyTightenedSet at the first empty set."""
+    from koopmpc.gains import spectral_radius
+    from koopmpc.sets import EmptyTightenedSet, HPolytope, TighteningSchedule, is_empty, pontryagin_diff
+
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        B = B.reshape(A.shape[0], -1)
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    C_x = np.atleast_2d(np.asarray(C_x, dtype=float))
+    A_K = A + B @ K
+    if spectral_radius(A_K) >= 1.0:
+        raise ValueError("A + BK must be Schur stable")
+    W, V = disturbance.W, disturbance.V
+
+    state_sets = [pontryagin_diff(X, V)]
+    input_sets = [HPolytope(normals=U.normals, offsets=U.offsets)]
+    error_sets = []
+    if is_empty(state_sets[0]):
+        raise EmptyTightenedSet(0, "state")
+    if is_empty(input_sets[0]):
+        raise EmptyTightenedSet(0, "input")
+    M = np.eye(A.shape[0])  # running power (A+BK)^{j-1}
+    R = None
+    for j in range(1, N + 1):
+        term = linear_map(M, W)
+        R = term if R is None else minkowski_sum(R, term)
+        M = M @ A_K
+        Xj = pontryagin_diff(X, minkowski_sum(linear_map(C_x, R), V))
+        Uj = pontryagin_diff(U, linear_map(K, R))
+        if is_empty(Xj):
+            raise EmptyTightenedSet(j, "state")
+        if is_empty(Uj):
+            raise EmptyTightenedSet(j, "input")
+        error_sets.append(R)
+        state_sets.append(Xj)
+        input_sets.append(Uj)
+    return TighteningSchedule(state_sets=state_sets, input_sets=input_sets, error_sets=error_sets)

@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from koopmpc.model import (
     load_model,
     save_trajectories,
 )
-from koopmpc.sets import box_polytope, box_zonotope, tighten_constraints
+from koopmpc.sets import TighteningSchedule, Zonotope, box_polytope, box_zonotope, tighten_constraints
 from koopmpc.sim import generate_training_data, numerical_example_plant
 from oracles import numerical_example_matrices
 
@@ -262,6 +263,85 @@ def test_schedule_writer_writes_non_finite_floats_as_json_does():
     text = cli_module._dumps_indented(doc)
     assert text == json.dumps(doc, indent=2)
     assert text.count("NaN") == 2 and text.count("-Infinity") == 2
+
+
+def _list_form(schedule) -> dict:
+    """The tighten document written the plain way, every array through tolist()."""
+    return {
+        "horizon": schedule.horizon,
+        "state_sets": [{"normals": P.normals.tolist(), "offsets": P.offsets.tolist()}
+                       for P in schedule.state_sets],
+        "input_sets": [{"normals": P.normals.tolist(), "offsets": P.offsets.tolist()}
+                       for P in schedule.input_sets],
+        "error_sets": [{"center": Z.center.tolist(), "generators": Z.generators.tolist()}
+                       for Z in schedule.error_sets],
+    }
+
+
+def _zero_generator_scenario(tmp_path):
+    W = {"center": [0.0, 0.0, 0.0], "generators": [[], [], []]}
+    V = {"center": [0.0, 0.0], "half_extents": [0.05, 0.05]}
+    return base_scenario(tmp_path, disturbance={"declared": {"W": W, "V": V}})
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda tmp_path: SCENARIOS / "a1.json",
+    lambda tmp_path: SCENARIOS / "a2.json",
+    lambda tmp_path: SCENARIOS / "unicycle_square.json",
+    _zero_generator_scenario,
+    lambda tmp_path: base_scenario(tmp_path, controller=CONTROLLER | {"N": 1}),
+], ids=["a1", "a2", "unicycle_square", "g0", "N1"])
+def test_tighten_writes_what_json_dumps_writes(tmp_path, scenario):
+    """Each R(j) cut from R(N)'s text reads as json.dumps(indent=2) writes it."""
+    path = scenario(tmp_path)
+    out = tmp_path / "schedule.json"
+    assert main(["tighten", str(path), str(out)]) == 0
+    schedule = cli_module.build_stack(path).schedule
+    assert out.read_text() == json.dumps(_list_form(schedule), indent=2) + "\n"
+
+
+def test_tighten_refuses_error_sets_that_are_not_prefixes(tmp_path, capsys, monkeypatch):
+    """A schedule whose R(1) is not the first column of R(2), or differs from
+    it only in the sign of a zero, is refused (exit 2), and nothing is written."""
+    X = box_polytope([-1.0], [1.0])
+    for first in ([[0.5]], [[-0.0]]):
+        schedule = TighteningSchedule(
+            state_sets=[X] * 3, input_sets=[X] * 3,
+            error_sets=[Zonotope(center=[0.0], generators=first),
+                        Zonotope(center=[0.0], generators=[[0.0, 0.25]])],
+        )
+        monkeypatch.setattr(cli_module, "build_stack", lambda path: SimpleNamespace(schedule=schedule))
+        out = tmp_path / "schedule.json"
+        assert main(["tighten", "scenario.json", str(out)]) == 2
+        assert "error set R(1) is not a prefix of R(N)'s generators" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_tighten_writes_an_error_set_without_generators_under_a_longer_one(tmp_path, monkeypatch):
+    """R(1) with no generator column is a prefix of any R(2): its rows are []."""
+    X = box_polytope([-1.0], [1.0])
+    schedule = TighteningSchedule(
+        state_sets=[X] * 3, input_sets=[X] * 3,
+        error_sets=[Zonotope(center=[0.0], generators=np.zeros((1, 0))),
+                    Zonotope(center=[0.0], generators=[[0.5, -0.0]])],
+    )
+    monkeypatch.setattr(cli_module, "build_stack", lambda path: SimpleNamespace(schedule=schedule))
+    out = tmp_path / "schedule.json"
+    assert main(["tighten", "scenario.json", str(out)]) == 0
+    assert out.read_text() == json.dumps(_list_form(schedule), indent=2) + "\n"
+    assert '"generators": [\n        []\n      ]' in out.read_text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.floats(), max_size=8), min_size=1, max_size=3), st.data())
+def test_prefix_is_written_as_the_list_it_stands_for(rows, data):
+    """A _Prefix of each row, at any depth, writes as the row's first items."""
+    counts = [data.draw(st.integers(min_value=0, max_value=len(r))) for r in rows]
+    texts = [{} for _ in rows]
+    doc = {"a": [[cli_module._Prefix(r, t, k) for r, k, t in zip(rows, counts, texts)]],
+           "b": cli_module._Prefix(rows, {}, len(rows))}
+    want = {"a": [[r[:k] for r, k in zip(rows, counts)]], "b": rows}
+    assert cli_module._dumps_indented(doc) == json.dumps(want, indent=2)
 
 
 def test_tighten_estimated_disturbance_matches_the_library(tmp_path):

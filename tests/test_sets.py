@@ -1,3 +1,4 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,14 +17,20 @@ from koopmpc.sets import (
     box_zonotope,
     contains,
     is_empty,
-    linear_map,
-    minkowski_sum,
     pontryagin_diff,
     sample,
     support,
     tighten_constraints,
 )
-from oracles import box_vertices, grid_membership_diff, numerical_example_matrices, zonotope_vertices
+from oracles import (
+    box_vertices,
+    grid_membership_diff,
+    linear_map,
+    minkowski_sum,
+    numerical_example_matrices,
+    tighten_recursive,
+    zonotope_vertices,
+)
 
 
 # --- support ---------------------------------------------------------------
@@ -372,3 +379,165 @@ def test_schedule_length_validation():
     X = box_polytope([-1.0], [1.0])
     with pytest.raises(ValueError):
         TighteningSchedule(state_sets=[X, X], input_sets=[X], error_sets=[])
+
+
+# --- the tube built once, against the per-step recursion -----------------------
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _outcome(tighten, args):
+    """The schedule's every array as bits, or the (index, which) of its empty set."""
+    try:
+        sched = tighten(*args)
+    except EmptyTightenedSet as exc:
+        return ("empty", exc.index, exc.which)
+    return (
+        [(_bits(P.normals), _bits(P.offsets)) for P in sched.state_sets],
+        [(_bits(P.normals), _bits(P.offsets)) for P in sched.input_sets],
+        [(_bits(Z.center), _bits(Z.generators)) for Z in sched.error_sets],
+    )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _shipped_tightening_arguments():
+    from koopmpc import cli as cli_module
+
+    caught = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_module, "tighten_constraints",
+                   lambda *args: caught.append(args) or tighten_constraints(*args))
+        for name in ("a1", "a2", "unicycle_square"):
+            cli_module.build_stack(SCENARIOS / f"{name}.json")
+    return caught
+
+
+def test_tightening_matches_the_recursion_on_the_shipped_scenarios():
+    shipped = _shipped_tightening_arguments()
+    assert len(shipped) == 3
+    for args in shipped:
+        got = _outcome(tighten_constraints, args)
+        assert got[0] != "empty"
+        assert got == _outcome(tighten_recursive, args)
+
+
+@st.composite
+def tightening_instances(draw):
+    """A Schur-stable A + BK and small disturbance sets: W never holds the
+    origin (|center| >= 0.2 > 0.15 >= its half-width per coordinate), g and N
+    reach 0 and 1, V has generators, and the constraint normals are a box or
+    random rows (which take the slack LP)."""
+    n_z, n_u, n_x = (draw(st.integers(1, 5)) for _ in range(3))
+    g, g_v, N = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A_K = rng.standard_normal((n_z, n_z))
+    A_K *= draw(st.floats(0.05, 0.9)) / max(np.max(np.abs(np.linalg.eigvals(A_K))), 1e-3)
+    B, K = rng.standard_normal((n_z, n_u)), rng.standard_normal((n_u, n_z))
+    W = Zonotope(center=rng.uniform(0.2, 0.5, n_z) * rng.choice([-1.0, 1.0], n_z),
+                 generators=rng.uniform(-0.05, 0.05, (n_z, g)))
+    V = Zonotope(center=rng.uniform(-0.05, 0.05, n_x), generators=rng.uniform(-0.05, 0.05, (n_x, g_v)))
+
+    def constraint_set(n):
+        if draw(st.booleans()):
+            half = rng.uniform(0.5, 3.0, n)
+            return box_polytope(-half, half)
+        return HPolytope(normals=rng.standard_normal((n + 2, n)), offsets=rng.uniform(0.5, 3.0, n + 2))
+
+    X, U = constraint_set(n_x), constraint_set(n_u)
+    return X, U, SimpleNamespace(W=W, V=V), A_K - B @ K, B, K, rng.standard_normal((n_x, n_z)), N
+
+
+@settings(max_examples=80, deadline=None)
+@given(tightening_instances())
+def test_tightening_matches_the_recursion_bit_for_bit(args):
+    assert _outcome(tighten_constraints, args) == _outcome(tighten_recursive, args)
+
+
+def _scalar_instance(x_hi, u_hi):
+    """n_z = n_x = n_u = 1, A + BK = 0.5 and W = [-1, 1], so R(j) has radius
+    1, 1.5, 1.75, ...: X~(j) empties once that radius passes x_hi, and U~(j)
+    once half of it (|K| = 0.5) passes u_hi."""
+    W, V = box_zonotope([1.0]), box_zonotope([0.0])
+    return (box_polytope([-x_hi], [x_hi]), box_polytope([-u_hi], [u_hi]), SimpleNamespace(W=W, V=V),
+            np.array([[1.0]]), np.array([[1.0]]), np.array([[-0.5]]), np.array([[1.0]]), 5)
+
+
+@pytest.mark.parametrize("x_hi, u_hi, index, which", [
+    (1.6, 0.6, 2, "input"),  # the input set empties at j = 2, the state set at j = 3
+    (1.6, 0.8, 3, "state"),  # both empty at j = 3: the state set is reported
+    (0.5, 0.1, 1, "state"),
+], ids=["input-first", "both-at-once", "both-at-1"])
+def test_tightening_reports_the_first_empty_set_as_the_recursion_does(x_hi, u_hi, index, which):
+    args = _scalar_instance(x_hi, u_hi)
+    assert _outcome(tighten_constraints, args) == ("empty", index, which)
+    assert _outcome(tighten_recursive, args) == ("empty", index, which)
+
+
+def test_error_sets_are_read_only_prefixes_of_the_last():
+    X, U, d, A, B, K, C_x = _benchmark_instance()
+    sched = tighten_constraints(X, U, d, A, B, K, C_x, N=5)
+    last, g = sched.error_sets[-1].generators, d.W.generators.shape[1]
+    for j, Z in enumerate(sched.error_sets, start=1):
+        assert Z.generators.shape == (3, j * g)
+        assert np.array_equal(Z.generators, last[:, : j * g])
+        assert np.shares_memory(Z.generators, last)
+        for array in (Z.generators, Z.center):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+    for P in (*sched.state_sets, *sched.input_sets):
+        with pytest.raises(ValueError, match="read-only"):
+            P.offsets[0] = 1.0
+
+
+def test_tightened_offsets_are_checked_once_per_stack(monkeypatch):
+    """The (N+1) x m offsets of all state sets, then of all input sets, go
+    through HPolytope's checks once each, not once per set; a non-finite one
+    raises HPolytope's message, as the recursion's first such set did."""
+    X, U, d, A, B, K, C_x = _benchmark_instance()
+    checked, check = [], HPolytope.__post_init__
+
+    def spy(P):
+        check(P)
+        checked.append(P.offsets.shape)
+
+    monkeypatch.setattr(HPolytope, "__post_init__", spy)
+    sched = tighten_constraints(X, U, d, A, B, K, C_x, N=6)
+    assert checked == [(28,), (14,)]
+    assert [P.offsets.shape for P in sched.state_sets] == [(4,)] * 7
+    huge = SimpleNamespace(W=d.W, V=Zonotope(center=[0.0, 0.0], generators=[[1e308, 1e308], [0.0, 0.0]]))
+    for tighten in (tighten_constraints, tighten_recursive):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="polytope data must be finite"):
+            tighten(X, U, huge, A, B, K, C_x, 6)
+
+
+def test_tightening_calls_no_per_set_emptiness_test(monkeypatch):
+    monkeypatch.setattr(sets_module, "is_empty", lambda *a, **k: pytest.fail("is_empty per set"))
+    X, U, d, A, B, K, C_x = _benchmark_instance()
+    tighten_constraints(X, U, d, A, B, K, C_x, N=4)
+
+
+@pytest.mark.parametrize("message, replace", [
+    (r"A has shape \(3, 2\), need \(3, 3\)", {"A": np.zeros((3, 2))}),
+    (r"B has rows 2, need 3", {"B": np.zeros((2, 1))}),
+    (r"K has shape \(2, 3\), need \(1, 3\)", {"K": np.zeros((2, 3))}),
+    (r"C_x has columns 4, need 3", {"C_x": np.zeros((2, 4))}),
+    (r"X has dimension 3, need 2", {"X": box_polytope([-1.0] * 3, [1.0] * 3)}),
+    # C_x of shape (3, 3) against a 2-dimensional X and V: X disagrees with C_x's rows.
+    (r"X has dimension 2, need 3 .* n_x = 3 from C_x", {"C_x": np.eye(3)}),
+    (r"disturbance.V has dimension 3, need 2",
+     {"d": SimpleNamespace(W=box_zonotope([0.2] * 3), V=box_zonotope([0.1] * 3))}),
+    (r"disturbance.W has dimension 2, need 3",
+     {"d": SimpleNamespace(W=box_zonotope([0.2] * 2), V=box_zonotope([0.1] * 2))}),
+    (r"U has dimension 2, need 1", {"U": box_polytope([-1.0] * 2, [1.0] * 2)}),
+], ids=["A", "B", "K", "C_x", "X", "C_x-rows", "V", "W", "U"])
+def test_tightening_names_the_argument_of_a_mismatched_shape(message, replace, monkeypatch):
+    X, U, d, A, B, K, C_x = _benchmark_instance()
+    args = {"X": X, "U": U, "d": d, "A": A, "B": B, "K": K, "C_x": C_x} | replace
+    monkeypatch.setattr(sets_module, "spectral_radius", lambda M: pytest.fail("work before the checks"))
+    with pytest.raises(ValueError, match=rf"^tighten_constraints: {message}"):
+        tighten_constraints(args["X"], args["U"], args["d"], args["A"], args["B"], args["K"],
+                            args["C_x"], 3)
