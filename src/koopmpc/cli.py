@@ -19,14 +19,12 @@ failure, or a reduced Hessian that is not positive definite).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -327,6 +325,9 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     """
     sc = _load_json(scenario_path)
     _check_keys(sc, _SCENARIO_KEYS, "scenario")
+    for doc, key, what in ((sc, "out_dir", "out_dir"), (sc.get("data"), "path", "data.path")):
+        if isinstance(doc, dict) and key in doc and not isinstance(doc[key], str):
+            raise ValueError(f"{what} must be a string (a path), got {doc[key]!r}")
     cfg_doc = sc["controller"]
     _check_keys(cfg_doc, _CONTROLLER_KEYS, "controller")
     lqr_doc = cfg_doc.get("lqr", {})
@@ -448,79 +449,32 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     return 0
 
 
-# The exact types that the C encoder writes as json.dumps does at any depth.
-_SCALARS = frozenset({float, int, bool, str, type(None)})
-
-
-@functools.cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """The C encoder for the items of a list at ``depth``: its item separator
-    carries the newline and indentation that ``indent=2`` puts between them."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
-
-
-class _Prefix(NamedTuple):
-    """The first ``count`` items of an innermost list of numbers, or all of any document, as
-    `_dumps_indented` writes them: cut from the text of ``whole``, kept in ``texts`` per depth."""
-
-    whole: list
-    texts: dict
-    count: int
-
-
-def _dumps_indented(o, depth: int = 0) -> str:
-    """``json.dumps(o, indent=2)``, byte for byte, for dicts with str keys, lists,
-    tuples and scalars: the layout of dicts and nested lists is built here, and
-    each innermost list of scalars goes whole to the C encoder."""
-    close = "\n" + "  " * depth
-    pad = close + "  "
-    if isinstance(o, _Prefix):
-        if depth not in o.texts:  # the text of o.whole, and the end of each of its items
-            text = _dumps_indented(o.whole, depth)
-            sizes = [len(item) + len(pad) + 1 for item in text.split("," + pad)]
-            o.texts[depth] = text, np.cumsum(sizes) - len(pad) - 1
-        text, ends = o.texts[depth]
-        if o.count == len(o.whole):
-            return text
-        return text[: ends[o.count - 1]] + close + "]" if o.count else "[]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = (f"{json.encoder.encode_basestring_ascii(k)}: {_dumps_indented(v, depth + 1)}"
-                 for k, v in o.items())
-        return "{" + pad + ("," + pad).join(items) + close + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        if all(map(_SCALARS.__contains__, map(type, o))):
-            body = _flat_encoder(depth + 1).encode(o)[1:-1]
-        else:
-            body = ("," + pad).join(_dumps_indented(v, depth + 1) for v in o)
-        return "[" + pad + body + close + "]"
-    return _flat_encoder(depth).encode(o)
-
-
-def _polytope_docs(sets) -> list:
-    """The sets' documents; normals shared with the first set are encoded once."""
-    shared = _Prefix(sets[0].normals.tolist(), {}, len(sets[0].normals))
-    return [{"normals": shared if P.normals is sets[0].normals else P.normals.tolist(),
-             "offsets": P.offsets.tolist()} for P in sets]
-
-
 def cmd_tighten(scenario_json, out_json) -> int:
-    """Compute the tightened constraint schedule for a scenario and save it as JSON."""
+    """Compute the tightened constraint schedule for a scenario and save it as JSON.
+
+    The file is one line of JSON (``python -m json.tool`` pretty-prints it):
+    ``horizon`` N; ``state_sets`` and ``input_sets``, one ``{"normals",
+    "offsets"}`` per step 0..N; ``error_generators``, R(N)'s generator matrix
+    as a list of rows; and ``error_sets``, one ``{"center", "columns"}`` per
+    R(1..N), where R(j)'s generators are ``error_generators[:, :columns]``. A
+    schedule whose R(j) is not that prefix of R(N), bit for bit, is refused
+    (exit 2) and nothing is written.
+    """
     schedule = build_stack(scenario_json).schedule
     last = schedule.error_sets[-1].generators
-    rows = [(row, {}) for row in last.tolist()]  # R(j)'s rows are cut from their text
     errors = []
     for j, Z in enumerate(schedule.error_sets, start=1):
         k = Z.generators.shape[1]
         if not np.array_equal(Z.generators.view(np.uint64), last[:, :k].view(np.uint64)):
             raise ValueError(f"error set R({j}) is not a prefix of R(N)'s generators")
-        errors.append({"center": Z.center.tolist(), "generators": [_Prefix(*r, k) for r in rows]})
-    doc = {"horizon": schedule.horizon, "state_sets": _polytope_docs(schedule.state_sets),
-           "input_sets": _polytope_docs(schedule.input_sets), "error_sets": errors}
-    Path(out_json).write_text(_dumps_indented(doc) + "\n")
+        errors.append({"center": Z.center.tolist(), "columns": k})
+    def polytopes(sets):
+        return [{"normals": P.normals.tolist(), "offsets": P.offsets.tolist()} for P in sets]
+
+    doc = {"horizon": schedule.horizon, "state_sets": polytopes(schedule.state_sets),
+           "input_sets": polytopes(schedule.input_sets), "error_generators": last.tolist(),
+           "error_sets": errors}
+    Path(out_json).write_text(json.dumps(doc) + "\n")
     print(f"wrote tightening schedule (N={schedule.horizon}) to {out_json}")
     return 0
 
@@ -589,15 +543,24 @@ def cmd_steady(scenario_json, y_t) -> int:
 
 # --- argument parsing ------------------------------------------------------------------
 
-def _parse_seed_range(text: str) -> list[int]:
-    """'a..b' -> [a, ..., b] inclusive; a bare integer -> [a]."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"--seeds range {text!r} is empty")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as a scenario's ``seed`` is."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
+def _seed_range(text: str) -> list[int]:
+    """A ``--seeds`` value: 'a..b' -> [a, ..., b] inclusive; a bare integer -> [a]."""
+    lo, dots, hi = text.partition("..")
+    try:
+        seeds = range(_seed(lo), _seed(hi if dots else lo) + 1)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a..b or one seed, each an integer >= 0") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"range {text!r} is empty")
+    return list(seeds)
 
 
 def _parse_targets(text: str) -> list[float]:
@@ -632,9 +595,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="run the closed loop described by a scenario")
     p.add_argument("scenario_json")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--seeds", type=str, default=None,
-                   help="inclusive range a..b; runs one simulation per seed")
+    seed_flags = p.add_mutually_exclusive_group()
+    seed_flags.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
+    seed_flags.add_argument("--seeds", type=_seed_range, default=None,
+                            help="inclusive range a..b; runs one simulation per seed")
     p.add_argument("--out", type=str, default=None, help="output directory override")
     p.add_argument("--deterministic", action="store_true",
                    help="omit timestamps so outputs are byte-for-byte reproducible")
@@ -650,8 +614,7 @@ def main(argv=None) -> int:
         if args.command == "tighten":
             return cmd_tighten(args.scenario_json, args.out_json)
         if args.command == "simulate":
-            seeds = None if args.seeds is None else _parse_seed_range(args.seeds)
-            return cmd_simulate(args.scenario_json, seed=args.seed, seeds=seeds,
+            return cmd_simulate(args.scenario_json, seed=args.seed, seeds=args.seeds,
                                 out=args.out, deterministic=args.deterministic)
         if args.command == "steady":
             return cmd_steady(args.scenario_json, _parse_targets(args.y_t))

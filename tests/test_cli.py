@@ -1,12 +1,9 @@
 import json
-import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from koopmpc import cli as cli_module
 from koopmpc import controller as controller_module
@@ -20,7 +17,14 @@ from koopmpc.model import (
     load_model,
     save_trajectories,
 )
-from koopmpc.sets import TighteningSchedule, Zonotope, box_polytope, box_zonotope, tighten_constraints
+from koopmpc.sets import (
+    HPolytope,
+    TighteningSchedule,
+    Zonotope,
+    box_polytope,
+    box_zonotope,
+    tighten_constraints,
+)
 from koopmpc.sim import generate_training_data, numerical_example_plant
 from oracles import numerical_example_matrices
 
@@ -228,54 +232,24 @@ def test_tighten_reads_training_data_from_a_path(tmp_path):
     assert (tmp_path / "from_path.json").read_bytes() == (tmp_path / "generated.json").read_bytes()
 
 
-def test_tighten_writes_the_indent_2_layout(tmp_path):
-    out = tmp_path / "schedule.json"
-    assert main(["tighten", str(SCENARIOS / "unicycle_square.json"), str(out)]) == 0
-    text = out.read_text()
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+def read_schedule(path) -> TighteningSchedule:
+    """The schedule a tighten file holds, each R(j) rebuilt as Zonotope(center, G[:, :columns])."""
+    doc = json.loads(Path(path).read_text())
+    G = np.array(doc["error_generators"], dtype=float)
+    sets = {key: [HPolytope(P["normals"], P["offsets"]) for P in doc[key]]
+            for key in ("state_sets", "input_sets")}
+    return TighteningSchedule(**sets, error_sets=[Zonotope(Z["center"], G[:, : Z["columns"]])
+                                                  for Z in doc["error_sets"]])
 
 
-# Floats include -0.0, subnormals, 1e+-300, NaN and the infinities.
-json_scalars = st.one_of(
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300, math.nan]),
-    st.integers(min_value=-(2**70), max_value=2**70), st.booleans(), st.none(), st.text(),
-)
-json_docs = st.recursive(
-    json_scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=6),
-        st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(st.text(), inner, max_size=6),
-    ),
-    max_leaves=60,
-)
+def schedule_bits(schedule) -> tuple:
+    """Every array of ``schedule`` as its shape and bytes, so -0.0 differs from 0.0."""
+    def bits(a):
+        return a.shape, a.tobytes()
 
-
-@settings(max_examples=200, deadline=None)
-@given(json_docs)
-def test_schedule_writer_equals_json_dumps_indent_2(doc):
-    assert cli_module._dumps_indented(doc) == json.dumps(doc, indent=2)
-
-
-def test_schedule_writer_writes_non_finite_floats_as_json_does():
-    doc = {"a": [math.nan, math.inf, -math.inf], "b": -math.inf, "c": [[math.nan], [], {}]}
-    text = cli_module._dumps_indented(doc)
-    assert text == json.dumps(doc, indent=2)
-    assert text.count("NaN") == 2 and text.count("-Infinity") == 2
-
-
-def _list_form(schedule) -> dict:
-    """The tighten document written the plain way, every array through tolist()."""
-    return {
-        "horizon": schedule.horizon,
-        "state_sets": [{"normals": P.normals.tolist(), "offsets": P.offsets.tolist()}
-                       for P in schedule.state_sets],
-        "input_sets": [{"normals": P.normals.tolist(), "offsets": P.offsets.tolist()}
-                       for P in schedule.input_sets],
-        "error_sets": [{"center": Z.center.tolist(), "generators": Z.generators.tolist()}
-                       for Z in schedule.error_sets],
-    }
+    return ([(bits(P.normals), bits(P.offsets)) for P in schedule.state_sets],
+            [(bits(P.normals), bits(P.offsets)) for P in schedule.input_sets],
+            [(bits(Z.center), bits(Z.generators)) for Z in schedule.error_sets])
 
 
 def _zero_generator_scenario(tmp_path):
@@ -292,12 +266,15 @@ def _zero_generator_scenario(tmp_path):
     lambda tmp_path: base_scenario(tmp_path, controller=CONTROLLER | {"N": 1}),
 ], ids=["a1", "a2", "unicycle_square", "g0", "N1"])
 def test_tighten_writes_what_json_dumps_writes(tmp_path, scenario):
-    """Each R(j) cut from R(N)'s text reads as json.dumps(indent=2) writes it."""
+    """The file is one line from the stock encoder, and each R(j) rebuilt from
+    R(N)'s generators, like every state and input set, is the library's, bit for bit."""
     path = scenario(tmp_path)
     out = tmp_path / "schedule.json"
     assert main(["tighten", str(path), str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
     schedule = cli_module.build_stack(path).schedule
-    assert out.read_text() == json.dumps(_list_form(schedule), indent=2) + "\n"
+    assert schedule_bits(read_schedule(out)) == schedule_bits(schedule)
 
 
 def test_tighten_refuses_error_sets_that_are_not_prefixes(tmp_path, capsys, monkeypatch):
@@ -318,7 +295,7 @@ def test_tighten_refuses_error_sets_that_are_not_prefixes(tmp_path, capsys, monk
 
 
 def test_tighten_writes_an_error_set_without_generators_under_a_longer_one(tmp_path, monkeypatch):
-    """R(1) with no generator column is a prefix of any R(2): its rows are []."""
+    """R(1) with no generator column is a prefix of any R(2): it reads back with 0 columns."""
     X = box_polytope([-1.0], [1.0])
     schedule = TighteningSchedule(
         state_sets=[X] * 3, input_sets=[X] * 3,
@@ -328,20 +305,8 @@ def test_tighten_writes_an_error_set_without_generators_under_a_longer_one(tmp_p
     monkeypatch.setattr(cli_module, "build_stack", lambda path: SimpleNamespace(schedule=schedule))
     out = tmp_path / "schedule.json"
     assert main(["tighten", "scenario.json", str(out)]) == 0
-    assert out.read_text() == json.dumps(_list_form(schedule), indent=2) + "\n"
-    assert '"generators": [\n        []\n      ]' in out.read_text()
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.lists(st.floats(), max_size=8), min_size=1, max_size=3), st.data())
-def test_prefix_is_written_as_the_list_it_stands_for(rows, data):
-    """A _Prefix of each row, at any depth, writes as the row's first items."""
-    counts = [data.draw(st.integers(min_value=0, max_value=len(r))) for r in rows]
-    texts = [{} for _ in rows]
-    doc = {"a": [[cli_module._Prefix(r, t, k) for r, k, t in zip(rows, counts, texts)]],
-           "b": cli_module._Prefix(rows, {}, len(rows))}
-    want = {"a": [[r[:k] for r, k in zip(rows, counts)]], "b": rows}
-    assert cli_module._dumps_indented(doc) == json.dumps(want, indent=2)
+    assert [Z["columns"] for Z in json.loads(out.read_text())["error_sets"]] == [0, 2]
+    assert schedule_bits(read_schedule(out)) == schedule_bits(schedule)
 
 
 def test_tighten_estimated_disturbance_matches_the_library(tmp_path):
@@ -364,9 +329,9 @@ def test_tighten_estimated_disturbance_matches_the_library(tmp_path):
         for got, want in zip(doc[key], getattr(schedule, key), strict=True):
             assert np.array_equal(got["normals"], want.normals)
             assert np.array_equal(got["offsets"], want.offsets)
-    for got, want in zip(doc["error_sets"], schedule.error_sets, strict=True):
-        assert np.array_equal(got["center"], want.center)
-        assert np.array_equal(got["generators"], want.generators)
+    for got, want in zip(read_schedule(out).error_sets, schedule.error_sets, strict=True):
+        assert np.array_equal(got.center, want.center)
+        assert np.array_equal(got.generators, want.generators)
 
 
 def test_tighten_zero_disturbance_keeps_raw_sets(tmp_path):
@@ -460,6 +425,22 @@ def test_tighten_validates_the_whole_scenario(tmp_path, capsys):
     scenario = base_scenario(tmp_path, references={"timed": [[5, [1.0]]]})
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
     assert "step 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, dotted, overrides", [
+    ("simulate", "out_dir", {"out_dir": 5}),
+    ("tighten", "data.path", {"data": {"path": 5}}),
+], ids=["out_dir", "data.path"])
+def test_path_scenario_keys_must_be_strings_exit_2(tmp_path, capsys, monkeypatch, command, dotted,
+                                                   overrides):
+    # Rejected with the key named before any data is read or made: "out_dir": 5
+    # used to exit 1 with a TypeError from Path, and "data": {"path": 5} from "/".
+    for name in ("generate_training_data", "load_trajectories", "fit_edmd"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
+    scenario = str(base_scenario(tmp_path, **overrides))
+    args = {"simulate": [scenario], "tighten": [scenario, str(tmp_path / "schedule.json")]}
+    assert main([command, *args[command]]) == 2
+    assert f"{dotted} must be a string (a path), got 5" in capsys.readouterr().err
 
 
 def scenario_with_key(tmp_path, block, key):
@@ -749,6 +730,36 @@ def test_simulate_seed_fanout(tmp_path):
     a = (out_dir / "log_seed0.csv").read_text()
     b = (out_dir / "log_seed1.csv").read_text()
     assert a != b  # different seeds, different noise
+
+
+@pytest.mark.parametrize("flags, seed, seeds", [
+    ([], None, None), (["--seed", "3"], 3, None), (["--seeds", "4"], None, [4]),
+    (["--seeds", "0..2"], None, [0, 1, 2]),
+])
+def test_simulate_seed_flags_reach_cmd_simulate(monkeypatch, flags, seed, seeds):
+    calls = []
+    monkeypatch.setattr(cli_module, "cmd_simulate", lambda path, **kw: calls.append(kw) or 0)
+    assert main(["simulate", "scenario.json", *flags]) == 0
+    assert [(kw["seed"], kw["seeds"]) for kw in calls] == [(seed, seeds)]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "3", "--seeds", "0..4"], "argument --seeds: not allowed with argument --seed"),
+    (["--seed", "-1"], "argument --seed: '-1' is not an integer >= 0"),
+    (["--seed", "2.0"], "argument --seed: '2.0' is not an integer >= 0"),
+    (["--seeds", "x..2"], "argument --seeds: 'x..2' is not a..b or one seed, each an integer >= 0"),
+    (["--seeds", "0..-2"], "argument --seeds: '0..-2' is not a..b or one seed"),
+    (["--seeds", "3..1"], "argument --seeds: range '3..1' is empty"),
+], ids=["both", "seed-negative", "seed-float", "seeds-not-a-number", "seeds-negative",
+        "seeds-empty"])
+def test_simulate_rejects_malformed_seed_flags_exit_2(capsys, monkeypatch, flags, named):
+    # Rejected with the flag named before the stack is built: --seed 3 --seeds 0..4
+    # used to drop --seed, and --seed -1 failed in numpy after fitting and tightening.
+    monkeypatch.setattr(cli_module, "build_stack", lambda *a, **k: pytest.fail("validated too late"))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "scenario.json", *flags])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_simulate_infeasible_start_exit_5(tmp_path):
