@@ -486,6 +486,8 @@ def _json_float(v):
 
 def cmd_simulate(scenario_json, seed=None, seeds=None, out=None, deterministic=False) -> int:
     """Run the closed loop for one or more seeds, writing a log CSV and metrics JSON each."""
+    if seed is not None and seeds is not None:
+        raise ValueError(f"give seed or seeds, not both (seed={seed!r}, seeds={seeds!r})")
     stack = build_stack(scenario_json)
     seed_list = seeds if seeds is not None else [seed if seed is not None else stack.seed]
     out_dir = Path(out) if out is not None else Path(stack.sc.get("out_dir", "."))

@@ -17,7 +17,7 @@ prev, z)``, a decision vector of the same QP whose margins are read off its rows
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -66,14 +66,15 @@ class KtmpcConfig:
 
 @dataclass(frozen=True)
 class _SteadyRecord:
-    """A steady input with its output and offset cost; subclasses add the state."""
+    """A steady input with its output and offset cost; subclasses add the state to ``_arrays``."""
 
     u_s: np.ndarray
     y_s: np.ndarray
     offset_cost: float
+    _arrays = ("u_s", "y_s")
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.name != "offset_cost"):
+        for name in self._arrays:
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
         if not (self.offset_cost >= 0.0):
             raise ValueError("offset_cost must be non-negative")
@@ -85,6 +86,7 @@ class SteadyTarget(_SteadyRecord):
     """A steady pair of the lifted model with its output and offset cost."""
 
     z_s: np.ndarray
+    _arrays = _SteadyRecord._arrays + ("z_s",)
 
 
 @dataclass(frozen=True)
@@ -92,11 +94,13 @@ class NonlinearSteadyTarget(_SteadyRecord):
     """Best steady pair of the true plant found by grid search."""
 
     x_s: np.ndarray
+    _arrays = _SteadyRecord._arrays + ("x_s",)
 
 
 @dataclass(frozen=True)
 class KtmpcSolution:
-    """Optimal trajectory, artificial target, and total cost of one step's QP."""
+    """Optimal trajectory, artificial target, and total cost J_N of one step's
+    QP: its objective plus ``s * ||y_t||^2``, the constant the QP leaves out."""
 
     u_bar: np.ndarray
     z_bar: np.ndarray
@@ -194,13 +198,6 @@ def _inequality_blocks(model: KoopmanModel, schedule: TighteningSchedule, lay: _
     yield schedule.input_sets[N], lay.u_s, None
 
 
-def _tracking_cost(config: KtmpcConfig, u_bar, z_bar, z_s, u_s) -> float:
-    """Sum over j < N of ||z(j) - z_s||_Q^2 + ||u(j) - u_s||_R^2."""
-    dz = z_bar[: config.N] - z_s
-    du = u_bar[: config.N] - u_s
-    return float(np.sum((dz @ config.Q) * dz) + np.sum((du @ config.R) * du))
-
-
 # --- steady-target optimizers ---------------------------------------------------
 
 def _steady_qp(model: KoopmanModel, schedule: TighteningSchedule, s: float) -> qps.QuadraticProgram:
@@ -246,13 +243,10 @@ def solve_steady(problem: TrackingProblem, y_t) -> SteadyTarget:
 
 
 def _steady_target(model: KoopmanModel, s: float, z_s, u_s, y_t) -> SteadyTarget:
-    """The pair (z_s, u_s) with its output ``C_y z_s`` and offset ``s ||C_y z_s - y_t||^2``."""
-    return SteadyTarget(
-        z_s=z_s,
-        u_s=u_s,
-        y_s=model.C_y @ z_s,
-        offset_cost=s * float(np.sum((model.C_y @ z_s - y_t) ** 2)),
-    )
+    """The pair (z_s, u_s) with its output ``y_s = C_y z_s`` and offset ``s ||y_s - y_t||^2``."""
+    y_s = model.C_y @ z_s
+    e = y_s - y_t
+    return SteadyTarget(z_s=z_s, u_s=u_s, y_s=y_s, offset_cost=s * float(e @ e))
 
 
 def solve_steady_nonlinear(plant, y_t, s: float, grid_spec: GridSpec) -> NonlinearSteadyTarget:
@@ -417,12 +411,12 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
 
     u_bar, z_bar, z_s, u_s = problem.layout.split(sol.x_star)
     target = _steady_target(model, config.s, z_s, u_s, y_t)
-    total = _tracking_cost(config, u_bar, z_bar, z_s, u_s) + target.offset_cost
-    return u_bar[0].copy(), KtmpcSolution(u_bar=u_bar, z_bar=z_bar, target=target, total_cost=total)
+    J_N = sol.objective + config.s * float(y_t @ y_t)
+    return u_bar[0].copy(), KtmpcSolution(u_bar=u_bar, z_bar=z_bar, target=target, total_cost=J_N)
 
 
 def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:
-    """Lyapunov-style quantities: V1 (tracking part) and V2 = J_N* - J_eq~*."""
+    """Lyapunov-style quantities: V1 (tracking part) and V2 = J_N* - J_eq~*; J_N* is total_cost."""
     V1 = max(solution.total_cost - solution.target.offset_cost, 0.0)
     V2 = solution.total_cost - offline.offset_cost
     return LyapunovDiag(V1=V1, V2=V2, J_eq_tilde=offline.offset_cost)

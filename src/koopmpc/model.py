@@ -61,6 +61,7 @@ class LiftingSpec:
     centers: np.ndarray | None = None
     width: float | None = None
     exponents: np.ndarray | None = None
+    _linear: bool = field(default=False, init=False, repr=False, compare=False)  # no exponent > 1
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -95,6 +96,7 @@ class LiftingSpec:
                 raise ValueError("rbf lifting requires width > 0")
             object.__setattr__(self, "centers", centers)
             object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "_linear", self.kind != "rbf" and np.all(self.exponents < 2))
 
     def _n_features_in(self) -> int:
         return 4 if self.pre == "planar_heading" else self.n_x
@@ -137,14 +139,15 @@ def _pre_map(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
 
 
 def _features(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
-    """Dictionary features (beyond the identity block) for a batch of states."""
+    """Dictionary features (beyond the identity block) for a batch of states.
+    Exponents all 0 or 1 skip ``pow``; others keep one ``pow`` call, bit for bit."""
     F = _pre_map(spec, X)
     if spec.kind == "rbf":
         d2 = ((F[:, None, :] - spec.centers[None, :, :]) ** 2).sum(axis=2)
         return np.exp(-d2 / (2.0 * spec.width**2))
-    if spec.exponents.shape[0] == 0:
-        return np.zeros((X.shape[0], 0))
-    return np.prod(F[:, None, :] ** spec.exponents[None, :, :], axis=2)
+    E = spec.exponents
+    T = np.where(E == 1, F[:, None, :], 1.0) if spec._linear else F[:, None, :] ** E
+    return np.prod(T, axis=2)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,14 @@ Squares Problems, 1974, ch. 23) solve it by one nonnegative least-squares
 give either the optimum v = -r[:n]/r[n] with multipliers u/|r|^2, or, when
 r = 0, a Farkas vector u >= 0 with G'u = 0 and f'u = 1. Each is checked in the
 full space before a status is returned. The optimum must have KKT residuals
-within 1e-8 of the data's scale. The Farkas vector, with
-mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0 to a scaled tolerance
-and b_in'u + b_eq'mu < 0, which no feasible x allows; the result carries u
-and mu as its in_multipliers and eq_multipliers. Inconsistent equalities
-(possible only for a rank-deficient A_eq) are certified by the least-squares
-residual of x_p, with no multipliers. Anything else raises SolverFailed.
+within 1e-8 of the data's scale, none NaN; one product with [P; A_in; A_eq]
+gives Px, A_in x and A_eq x, and the multipliers act on the support rows only.
+The Farkas vector, with mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0
+to a scaled tolerance and b_in'u + b_eq'mu < 0, which no feasible x allows;
+the result carries u and mu as its in_multipliers and eq_multipliers.
+Inconsistent equalities (possible only for a rank-deficient A_eq) are
+certified by the least-squares residual of x_p, with no multipliers.
+Anything else raises SolverFailed.
 
 A row of A_in whose row of A_in Y is zero to rounding is one that no step in
 the null space of A_eq moves, such as a bound on a variable the equalities
@@ -136,16 +138,19 @@ class QpSolution:
     active_set: tuple[int, ...] = ()
 
 
-def _kkt_residuals(qp, x, grad, nu, lam) -> dict[str, float]:
-    """The KKT residuals of (x, nu, lam), given grad = Px + q + A_in'lam."""
-    stat = grad + qp.A_eq.T @ nu
-    r_in, r_eq = qp.A_in @ x - qp.b_in, qp.A_eq @ x - qp.b_eq
+def _kkt_residuals(qp, f: "_Factors", S: "_Support", x, lam_S):
+    """KKT residuals of x, lam_S on the rows S and nu = -(A_eq^+)'(Px + q + A_in'lam), Px, nu."""
+    d, m, amax = qp.dim, qp.b_in.size, np.maximum.reduce
+    PAx = f.PA @ x  # Px, A_in x, A_eq x
+    Px, r_in, r_eq = PAx[:d], PAx[d : d + m] - qp.b_in, PAx[d + m :] - qp.b_eq
+    grad = Px + qp.q + S.A_in.T @ lam_S
+    nu = f.neg_pinv_T @ grad
     return {
-        "stationarity": float(np.max(np.abs(stat), initial=0.0)),
-        "primal_eq": float(np.max(np.abs(r_eq), initial=0.0)),
-        "primal_in": float(np.max(r_in, initial=0.0)),
-        "complementarity": float(np.max(np.abs(lam * r_in), initial=0.0)),
-    }
+        "stationarity": float(amax(np.abs(grad + qp.A_eq.T @ nu), initial=0.0)),
+        "primal_eq": float(amax(np.abs(r_eq), initial=0.0)),
+        "primal_in": float(amax(r_in, initial=0.0)),
+        "complementarity": float(amax(np.abs(lam_S * r_in[S.rows]), initial=0.0)),
+    }, Px, nu
 
 
 def _infeasible(qp: QuadraticProgram, u=None, mu=None) -> QpSolution:
@@ -160,14 +165,17 @@ class _Factors:
 
     A_eq_pinv is the pseudo-inverse of A_eq, whose product with r is the
     minimum-norm solution of A_eq x = r (and whose transpose solves
-    A_eq' nu = r the same way). Y = Z L^-T, where Z is an orthonormal basis of
-    the null space of A_eq and Z'PZ = LL' the Cholesky factorization of the
-    reduced Hessian, spans the same null space with Y'PY = I; AY = A_in Y.
+    A_eq' nu = r the same way); neg_pinv_T = -A_eq_pinv' and PA = [P; A_in;
+    A_eq]. Y = Z L^-T, where Z is an orthonormal basis of the null space of
+    A_eq and Z'PZ = LL' the Cholesky factorization of the reduced Hessian,
+    spans the same null space with Y'PY = I; AY = A_in Y.
     Only a rank-deficient A_eq admits inconsistent right-hand sides. ``fixed``
     lists the rows of A_in whose row of AY is zero to rounding (1e-12 of the
     largest), and ``free`` the others."""
 
     A_eq_pinv: np.ndarray
+    neg_pinv_T: np.ndarray
+    PA: np.ndarray
     Y: np.ndarray
     AY: np.ndarray
     rank_deficient: bool
@@ -202,7 +210,8 @@ def _factor(qp: QuadraticProgram) -> _Factors:
     AY = qp.A_in @ Y
     reach = np.max(np.abs(AY), axis=1, initial=0.0)
     moves = reach > 1e-12 * np.max(reach, initial=1.0)
-    return _Factors(A_eq_pinv=A_eq_pinv, Y=Y, AY=AY,
+    return _Factors(A_eq_pinv=A_eq_pinv, neg_pinv_T=np.ascontiguousarray(-A_eq_pinv.T),
+                    PA=np.vstack((qp.P, qp.A_in, A_eq)), Y=Y, AY=AY,
                     rank_deficient=Z.shape[1] + A_eq.shape[0] > d,
                     free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves))
 
@@ -213,7 +222,7 @@ def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> np.ndarray | No
     0 = (A_in'u + A_eq'mu)'x <= b_in'u + b_eq'mu < 0 for any feasible x. Both
     hold to 1e-9 of the size of the terms summed."""
     a = qp.A_in.T @ u
-    mu = -f.A_eq_pinv.T @ a
+    mu = f.neg_pinv_T @ a
     residual = np.max(np.abs(a + qp.A_eq.T @ mu))
     gap = qp.b_in @ u + qp.b_eq @ mu
     a_scale = max(1.0, float(np.max(np.abs(qp.A_in).T @ u)))
@@ -223,17 +232,18 @@ def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> np.ndarray | No
 
 @dataclass(frozen=True)
 class _Support:
-    """Rows S of E's columns with what their support solve needs of A_in Y
-    alone: AY_S = (A_in Y)[S] and its Gram matrix AY_S AY_S'."""
+    """Rows S of E's columns with what their support solve and its check
+    need: AY_S = (A_in Y)[S], its Gram matrix AY_S AY_S' and A_in[S]."""
 
     rows: np.ndarray
     AY: np.ndarray
     gram: np.ndarray
+    A_in: np.ndarray
 
 
 def _support(f: _Factors, rows: np.ndarray) -> _Support:
-    AY = f.AY[rows]
-    return _Support(rows=rows, AY=AY, gram=AY @ AY.T)
+    AY = f.AY[rows]  # A_in's rows of PA start at row d = len(Y)
+    return _Support(rows=rows, AY=AY, gram=AY @ AY.T, A_in=f.PA[len(f.Y) + rows])
 
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
@@ -248,28 +258,19 @@ def _checked(qp, f, x_p, g, tol, S: _Support, u, h_S) -> QpSolution | None:
     |r|^2 (A_in x - b_in)_j, so the primal check is also Lawson and Hanson's
     optimality test on the columns outside S. Otherwise u is returned as
     PrimalInfeasible if it passes the Farkas check."""
-    m = qp.A_in.shape[0]
-    lam = np.zeros(m)
+    lam = np.zeros(qp.A_in.shape[0])
     r_n = h_S @ u - 1.0
     if r_n < 0.0:
-        lam[S.rows] = -u / r_n
+        lam_S = -u / r_n
         x = x_p + f.Y @ (S.AY.T @ u / r_n - g)
-        Px = qp.P @ x
-        grad = Px + qp.q + qp.A_in.T @ lam
-        nu = -f.A_eq_pinv.T @ grad
-        kkt = _kkt_residuals(qp, x, grad, nu, lam)
-        if all(value <= tol for value in kkt.values()):
-            return QpSolution(
-                x_star=x,
-                objective=float(0.5 * x @ Px + qp.q @ x),
-                status=OPTIMAL,
-                kkt_residuals=kkt,
-                eq_multipliers=nu,
-                in_multipliers=lam,
-                active_set=tuple(S.rows.tolist()),
-            )
+        kkt, Px, nu = _kkt_residuals(qp, f, S, x, lam_S)
+        if all(value <= tol for value in kkt.values()):  # a NaN residual fails
+            lam[S.rows] = lam_S
+            return QpSolution(x_star=x, objective=float(0.5 * x @ Px + qp.q @ x), status=OPTIMAL,
+                              kkt_residuals=kkt, eq_multipliers=nu, in_multipliers=lam,
+                              active_set=tuple(S.rows.tolist()))
     lam[S.rows] = u
-    mu = _farkas(qp, f, lam) if m else None
+    mu = _farkas(qp, f, lam) if lam.size else None
     return None if mu is None else _infeasible(qp, lam, mu)
 
 
@@ -280,7 +281,7 @@ def _on_support(qp, f, x_p, g, h, tol, S: _Support) -> QpSolution | None:
     h_S = u = h[S.rows]  # with no row, u is empty
     if S.rows.size:
         _, u, info = dposv(S.gram + h_S[:, None] * h_S, h_S)
-        if info or not np.min(u) > 0.0:
+        if info or not u.min() > 0.0:
             return None
     return _checked(qp, f, x_p, g, tol, S, u, h_S)
 
@@ -300,7 +301,7 @@ def solve(qp: QuadraticProgram) -> QpSolution:
     """
     f = qp.factors
     x_p = f.A_eq_pinv @ qp.b_eq
-    tol = _KKT_TOL * float(np.max(np.abs(np.concatenate((qp.q, qp.b_eq, qp.b_in))), initial=1.0))
+    tol = _KKT_TOL * float(np.abs(np.concatenate((qp.q, qp.b_eq, qp.b_in))).max(initial=1.0))
     if f.rank_deficient and np.max(np.abs(qp.A_eq @ x_p - qp.b_eq)) > tol:
         return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
     g = f.Y.T @ (qp.P @ x_p + qp.q)

@@ -164,6 +164,47 @@ def qp_by_active_set_enumeration(P, q, A_eq, b_eq, A_in, b_in, tol=1e-9):
     return best
 
 
+def kkt_check_dense(qp, f, x_p, g, tol, rows, u, h_S):
+    """The optimality branch of ``qp._checked`` as it was written with dense
+    products: for the NNLS weights u on the rows ``rows`` with r_n = h_S'u - 1
+    < 0, the point x = x_p + Y(AY_S'u/r_n - g), the full-length multipliers
+    lam (-u/r_n on ``rows``, zero elsewhere), grad = Px + q + A_in'lam,
+    nu = -(A_eq^+)'grad and the four KKT residuals from the three separate
+    products Px, A_in x and A_eq x. Returns (x, lam, nu, kkt, accepted), with
+    accepted = every residual <= tol; None when r_n >= 0."""
+    r_n = h_S @ u - 1.0
+    if not r_n < 0.0:
+        return None
+    lam = np.zeros(qp.A_in.shape[0])
+    lam[rows] = -u / r_n
+    x = x_p + f.Y @ (f.AY[rows].T @ u / r_n - g)
+    grad = qp.P @ x + qp.q + qp.A_in.T @ lam
+    nu = -f.A_eq_pinv.T @ grad
+    stat = grad + qp.A_eq.T @ nu
+    r_in, r_eq = qp.A_in @ x - qp.b_in, qp.A_eq @ x - qp.b_eq
+    kkt = {
+        "stationarity": float(np.max(np.abs(stat), initial=0.0)),
+        "primal_eq": float(np.max(np.abs(r_eq), initial=0.0)),
+        "primal_in": float(np.max(r_in, initial=0.0)),
+        "complementarity": float(np.max(np.abs(lam * r_in), initial=0.0)),
+    }
+    return x, lam, nu, kkt, all(value <= tol for value in kkt.values())
+
+
+def tracking_cost(config, u_bar, z_bar, z_s, u_s):
+    """J_N's tracking part, summed term by term as the controller once did:
+    the sum over j < N of ||z(j) - z_s||_Q^2 + ||u(j) - u_s||_R^2."""
+    dz = z_bar[: config.N] - z_s
+    du = u_bar[: config.N] - u_s
+    return float(np.sum((dz @ config.Q) * dz) + np.sum((du @ config.R) * du))
+
+
+def monomials_by_pow(F, exponents):
+    """Every monomial of the coordinates F (one state a row) by float pow:
+    each coordinate raised to each exponent, then multiplied along the row."""
+    return np.prod(F[:, None, :] ** exponents[None, :, :], axis=2)
+
+
 def shifted_rollout(A, B, K, N, u_bar, z_bar, z_s, u_s, z_next):
     """The shifted candidate rolled out step by step: from z_c(0) = z_next,
     u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1)) and z_c(j+1) = A z_c(j) + B u_c(j)

@@ -762,6 +762,13 @@ def test_simulate_rejects_malformed_seed_flags_exit_2(capsys, monkeypatch, flags
     assert named in capsys.readouterr().err
 
 
+def test_cmd_simulate_with_seed_and_seeds_raises_before_the_stack_is_built(monkeypatch):
+    # The CLI cannot pass both, but a library call with both used to run `seeds` alone.
+    monkeypatch.setattr(cli_module, "build_stack", lambda *a, **k: pytest.fail("validated too late"))
+    with pytest.raises(ValueError, match=r"seed or seeds, not both \(seed=3, seeds=\[0\]\)"):
+        cli_module.cmd_simulate(str(SCENARIOS / "a1.json"), seed=3, seeds=[0])
+
+
 def test_simulate_infeasible_start_exit_5(tmp_path):
     scenario = base_scenario(tmp_path, x0=[0.0, 10.0])
     out_dir = tmp_path / "bad"

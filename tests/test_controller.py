@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -513,3 +515,10 @@ def test_steady_target_and_report_types():
     assert n.x_s.shape == (2,)
     with pytest.raises(ValueError):
         SteadyTarget(z_s=[0.0], u_s=[0.0], y_s=[0.0], offset_cost=-1.0)
+
+
+@pytest.mark.parametrize("cls", [SteadyTarget, NonlinearSteadyTarget])
+def test_steady_records_name_every_array_field(cls):
+    # __post_init__ converts the fields named in _arrays: every field but the cost.
+    assert sorted(cls._arrays) == sorted(f.name for f in dataclasses.fields(cls)
+                                         if f.name != "offset_cost")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopmpc import cli
+from koopmpc import model as model_module
 from koopmpc.model import (
     DisturbanceModel,
     KoopmanModel,
@@ -28,6 +29,7 @@ from koopmpc.sets import Zonotope, box_zonotope
 from oracles import (
     disturbance_boxes_three_lifts,
     fit_edmd_two_lifts,
+    monomials_by_pow,
     numerical_example_matrices,
 )
 
@@ -532,6 +534,39 @@ def test_one_lift_disturbance_sets_match_the_three_lift_oracle_bit_for_bit(sourc
     (W_c, W_G), (V_c, V_G) = disturbance_boxes_three_lifts(model, data, inflation=1.5)
     assert dist.W.center.tobytes() == W_c.tobytes() and dist.W.generators.tobytes() == W_G.tobytes()
     assert dist.V.center.tobytes() == V_c.tobytes() and dist.V.generators.tobytes() == V_G.tobytes()
+
+
+# --- monomials: exponents 0 and 1 without pow ------------------------------------------------
+
+def scenario_lifting(name):
+    sc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    return cli._lifting(sc["lifting"], cli._build_plant(sc["plant"]).n_x)
+
+
+LIFTINGS = {name: (lambda name=name: scenario_lifting(name))
+            for name in ("a1", "a2", "unicycle_square")}
+LIFTINGS["mixed"] = lambda: LiftingSpec(kind="explicit", n_x=4, exponents=[
+    [2, 1, 0, 3], [0, 0, 0, 0], [1, 0, 1, 1], [1, 1, 1, 1], [0, 5, 2, 0], [0, 1, 0, 0]])
+LIFTINGS["linear"] = lambda: LiftingSpec(kind="explicit", n_x=4, exponents=[
+    [1, 1, 1, 1], [1, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
+LIFTINGS["none"] = lambda: LiftingSpec(kind="explicit", n_x=2, exponents=np.zeros((0, 2), int))
+
+
+@pytest.mark.parametrize("name", sorted(LIFTINGS))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
+def test_monomials_match_pow_bit_for_bit(name, seed, n):
+    # Exponents 0 and 1 select a column or give 1.0; the others keep pow. States
+    # hold 0, -0, negatives, +-inf and NaN of either sign.
+    spec = LIFTINGS[name]()
+    rng = np.random.default_rng(seed)
+    X = 3.0 * rng.standard_normal((n, spec.n_x))
+    special = rng.uniform(size=X.shape) < 0.3
+    X[special] = rng.choice([0.0, -0.0, -2.5, np.inf, -np.inf, np.nan, -np.nan], size=special.sum())
+    with np.errstate(all="ignore"):
+        expected = monomials_by_pow(model_module._pre_map(spec, X), spec.exponents)
+        got = model_module._features(spec, X)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 # --- the trajectory CSV's t column ----------------------------------------------------------

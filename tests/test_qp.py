@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import nnls
 
@@ -13,7 +15,7 @@ from koopmpc.qp import (
     SolverFailed,
     solve,
 )
-from oracles import qp_by_active_set_enumeration
+from oracles import kkt_check_dense, qp_by_active_set_enumeration
 
 
 def _check_kkt(sol, tol=1e-8):
@@ -797,3 +799,118 @@ def test_near_parallel_blocking_row_gives_the_true_minimizer():
     for x in (sol.x_star, x_oracle):
         assert x[0] == pytest.approx(-4e-11, rel=0.0, abs=1e-13)
         assert x[1] == pytest.approx(5.0 - 5e-11, rel=0.0, abs=1e-13)
+
+
+# --- the full-space check against its dense formulation ---------------------------------
+
+def _checks_of(qp):
+    """Solve qp and return every call of the full-space check with its result."""
+    calls, check = [], qp_module._checked
+
+    def recorded(*args):
+        sol = check(*args)
+        calls.append((args, sol))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp_module, "_checked", recorded)
+        try:
+            solve(qp)
+        except SolverFailed:
+            pass
+    assert calls
+    return calls
+
+
+def _term_scales(qp, x, lam, nu) -> dict[str, float]:
+    """For each KKT residual, the largest sum of the magnitudes of the terms
+    it adds up: what its rounding error is relative to."""
+    P, A_in, A_eq = np.abs(qp.P), np.abs(qp.A_in), np.abs(qp.A_eq)
+    r_in = A_in @ np.abs(x) + np.abs(qp.b_in)
+    grad = P @ np.abs(x) + np.abs(qp.q) + A_in.T @ np.abs(lam) + A_eq.T @ np.abs(nu)
+    return {"stationarity": grad.max(initial=0.0),
+            "primal_eq": (A_eq @ np.abs(x) + np.abs(qp.b_eq)).max(initial=0.0),
+            "primal_in": r_in.max(initial=0.0),
+            "complementarity": (np.abs(lam) * r_in).max(initial=0.0)}
+
+
+def _assert_checks_match_the_dense_check(calls):
+    """The check's residuals are the dense formulation's to 1e-12 of the size
+    of the terms they sum (at least 1), and the two accept the same results:
+    the same point, multipliers and residuals."""
+    for (qp, f, x_p, g, tol, S, u, h_S), sol in calls:
+        accepted = sol is not None and sol.status == OPTIMAL
+        dense = kkt_check_dense(qp, f, x_p, g, tol, S.rows, u, h_S)
+        if dense is None:
+            assert not accepted
+            continue
+        x, lam, nu, kkt, dense_accepted = dense
+        residuals, _, _ = qp_module._kkt_residuals(qp, f, S, x, lam[S.rows])
+        scales = _term_scales(qp, x, lam, nu)
+        for key, value in kkt.items():
+            assert abs(residuals[key] - value) <= 1e-12 * max(1.0, scales[key]), (key, residuals, kkt)
+        assert accepted == dense_accepted
+        if accepted:
+            assert np.array_equal(sol.x_star, x) and np.array_equal(sol.in_multipliers, lam)
+            assert sol.kkt_residuals == residuals
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), n_eq=st.integers(0, 8),
+       n_in=st.integers(0, 14), feasible=st.booleans())
+def test_the_check_matches_its_dense_form_on_random_qps(seed, d, n_eq, n_in, feasible):
+    # Offsets with a negative slack at the point x0 often make the QP infeasible,
+    # so rejected checks and Farkas vectors are drawn as well as optima.
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((d, d))
+    A_eq, A_in = rng.standard_normal((min(n_eq, d), d)), rng.standard_normal((n_in, d))
+    x0 = rng.uniform(-1.0, 1.0, d)
+    slack = rng.uniform(0.0 if feasible else -1.0, 1.0, n_in)
+    qp = QuadraticProgram(P=M.T @ M + 0.1 * np.eye(d), q=3.0 * rng.standard_normal(d),
+                          A_eq=A_eq, b_eq=A_eq @ x0, A_in=A_in, b_in=A_in @ x0 + slack)
+    _assert_checks_match_the_dense_check(_checks_of(qp))
+
+
+def _interior_optimum():
+    """The unconstrained minimizer (0.5, -0.2) lies inside the unit box, so the
+    first check, on the empty support, accepts it."""
+    A_in, b_in = _box(2)
+    return QuadraticProgram(P=np.eye(2), q=[-0.5, 0.2], A_in=A_in, b_in=b_in)
+
+
+def _no_inequalities():
+    return QuadraticProgram(P=np.diag([1.0, 2.0, 3.0]), q=[1.0, -1.0, 0.5],
+                            A_eq=[[1.0, 1.0, 1.0]], b_eq=[2.0])
+
+
+@pytest.mark.parametrize("make", [
+    _interior_optimum,
+    lambda: _pinned_row_qp(0.0),
+    lambda: _pinned_row_qp(1e-6),
+    lambda: _duplicate_equalities(np.random.default_rng(3)),
+    _no_inequalities,
+    lambda: _infeasible_qps()[1],
+], ids=["empty-support", "fixed-row", "fixed-row-violated", "rank-deficient-A_eq",
+        "0-row-A_in", "infeasible"])
+def test_the_check_matches_its_dense_form_on_degenerate_qps(make):
+    calls = _checks_of(make())
+    _assert_checks_match_the_dense_check(calls)
+    (*_, S, _, _), _ = calls[0]
+    assert S.rows.size == 0  # the first solve tries the empty support
+
+
+@pytest.mark.parametrize("key", ["stationarity", "primal_eq", "primal_in", "complementarity"])
+def test_a_nan_residual_fails_the_check(monkeypatch, key):
+    # Each residual is compared with the tolerance: Python's max() of the four
+    # would pass a NaN anywhere but first.
+    residuals = qp_module._kkt_residuals
+
+    def with_nan(*args):
+        kkt, Px, nu = residuals(*args)
+        return {**kkt, key: float("nan")}, Px, nu
+
+    qp = QuadraticProgram(P=[[2.0]], q=[0.0], A_in=[[-1.0]], b_in=[-1.0])
+    assert solve(qp).status == OPTIMAL
+    monkeypatch.setattr(qp_module, "_kkt_residuals", with_nan)
+    with pytest.raises(SolverFailed):
+        solve(QuadraticProgram(P=[[2.0]], q=[0.0], A_in=[[-1.0]], b_in=[-1.0]))

@@ -25,7 +25,7 @@ from koopmpc.controller import (
 from koopmpc.model import lift
 from koopmpc.qp import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from koopmpc.sets import TighteningSchedule, margin
-from oracles import shifted_rollout
+from oracles import shifted_rollout, tracking_cost
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 NAMES = ("a2", "unicycle_square")
@@ -209,6 +209,28 @@ def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch
         counts.update(solve=0, nnls=0)
         assert stack.run(stack.seed).halted_at == 29
         assert counts == {"solve": 31, "nnls": 4}
+
+
+@pytest.mark.parametrize("name, seeds", [("a2", range(5)), ("unicycle_square", [None])])
+def test_logged_cost_is_the_summed_tracking_cost_plus_the_offset(stacks, monkeypatch, name, seeds):
+    # J_N is the QP's objective plus s |y_t|^2. Summed term by term it agrees
+    # to rounding: within 1e-12 of max(1, |J_N|) (at most 6.5e-13 on a1 and a2's
+    # runs). The unicycle's course halts, so its last row has no cost.
+    stack, step, sums = stacks[name], sim.solve_step, []
+
+    def summed(problem, z, y_t):
+        u, sol = step(problem, z, y_t)
+        t = sol.target
+        sums.append(tracking_cost(problem.config, sol.u_bar, sol.z_bar, t.z_s, t.u_s) + t.offset_cost)
+        return u, sol
+
+    monkeypatch.setattr(sim, "solve_step", summed)
+    for seed in seeds:
+        sums.clear()
+        log = stack.run(stack.seed if seed is None else seed)
+        J_N, expected = log.J_N[log.feasible], np.array(sums)
+        assert J_N.size == expected.size > 0
+        assert np.all(np.abs(J_N - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
