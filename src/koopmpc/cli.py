@@ -12,8 +12,9 @@ scenario command.
 
 Exit codes: 0 success, 2 missing/malformed input, 3 underdetermined fit,
 4 the tube could not be built: no converged stabilizing LQR gain, or an empty
-tightened set, 5 closed-loop infeasibility, 6 the QP solver failed (an NNLS
-failure, or a reduced Hessian that is not positive definite).
+tightened set, 5 infeasibility (a closed loop halted, or no steady pair lies in
+the terminal sets), 6 the QP solver failed (an NNLS failure, or a reduced
+Hessian that is not positive definite).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +34,9 @@ from .controller import (
     GridSpec,
     Infeasible,
     KtmpcConfig,
+    TrackingProblem,
+    solve_steady,
     solve_steady_nonlinear,
-    solve_steady_offline,
 )
 from .gains import NoConvergence, NotStabilizing, dlqr
 from .model import (
@@ -143,24 +146,26 @@ def _lifting(doc, n_x: int, keys=frozenset({"kind", "params"})):
     """The lifting of ``doc``; a key outside ``keys``, or a ``params`` key its
     kind does not take, is rejected by name."""
     _check_keys(doc, keys, "lifting")
-    kind_params = _LIFTING_PARAMS.get(doc.get("kind"))  # LiftingSpec rejects the rest
-    if kind_params is not None:
-        _check_keys(doc.get("params"), kind_params, "lifting.params")
+    kind = doc.get("kind")
+    if isinstance(kind, str) and kind in _LIFTING_PARAMS:  # LiftingSpec rejects the rest
+        _check_keys(doc.get("params"), _LIFTING_PARAMS[kind], "lifting.params")
     return _lifting_from_doc(doc, n_x=n_x)
 
 
 def _build_plant(doc: dict):
+    """The plant of ``doc``: ``lambda`` and ``mu`` are finite numbers and ``dt``
+    a finite positive one, each named ``plant.params.<key>`` when it is not."""
     _check_keys(doc, {"kind", "params"}, "plant")
     kind = doc.get("kind")
     params = doc.get("params", {})
-    if kind not in _PLANT_PARAMS:
+    if not isinstance(kind, str) or kind not in _PLANT_PARAMS:
         raise ValueError(f"unknown plant kind {kind!r}")
     _check_keys(params, _PLANT_PARAMS[kind], "plant.params")
     if kind == "numerical_example":
-        return numerical_example_plant(
-            lam=float(params.get("lambda", -0.1)), mu=float(params.get("mu", 2.0))
-        )
-    return unicycle_plant(dt=float(params.get("dt", 0.1)))
+        lam, mu = (_finite(params.get(key, default), f"plant.params.{key}")
+                   for key, default in (("lambda", -0.1), ("mu", 2.0)))
+        return numerical_example_plant(lam=lam, mu=mu)
+    return unicycle_plant(dt=float(_positive(params.get("dt", 0.1), "plant.params.dt")))
 
 
 def _box_from_doc(doc, n: int, what: str):
@@ -192,6 +197,13 @@ def _positive(value, what: str, minimum: float | None = None):
         bound = "positive number" if minimum is None else f"number >= {minimum}"
         raise ValueError(f"{what} must be a finite {bound}, got {value!r}")
     return value
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a finite number (a bool or a string is not one)."""
+    if not (type(value) in (int, float) and math.isfinite(value)):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _numbers(values, n: int, what: str) -> list:
@@ -293,7 +305,7 @@ def _grid_from_scenario(sc: dict, plant) -> GridSpec:
 @dataclass(frozen=True)
 class Stack:
     """A scenario assembled: plant, fitted model, tube controller, steady-pair
-    search grid and run settings."""
+    search grid and run settings. Its ``problem`` is built on first use, once."""
 
     sc: dict
     plant: Plant
@@ -308,12 +320,14 @@ class Stack:
     seed: int
     settle_window: int
 
+    @cached_property
+    def problem(self) -> TrackingProblem:
+        return TrackingProblem(self.model, self.config, self.schedule)
+
     def run(self, seed: int) -> SimLog:
         """Closed loop under ``seed``; a run that halts infeasible returns its partial log."""
-        return run_closed_loop(
-            self.plant, self.model, self.config, self.schedule, self.refs,
-            disturbances=self.injected, T=self.T, seed=int(seed), x0=self.x0,
-        )
+        return run_closed_loop(self.plant, self.problem, self.refs, disturbances=self.injected,
+                               T=self.T, seed=int(seed), x0=self.x0)
 
 
 def build_stack(scenario_path, y_t=None) -> Stack:
@@ -525,7 +539,7 @@ def cmd_steady(scenario_json, y_t) -> int:
     stack = build_stack(scenario_json, y_target)
     plant, model, s = stack.plant, stack.model, stack.config.s
 
-    target = solve_steady_offline(model, stack.schedule, y_target, s)
+    target = solve_steady(stack.problem, y_target)
     x_s = model.C_x @ target.z_s
     print(f"lifted-model steady target: y_s = {np.array2string(target.y_s)}, "
           f"x_s = {np.array2string(x_s)}, u_s = {np.array2string(target.u_s)}, "

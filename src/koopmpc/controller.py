@@ -376,8 +376,8 @@ class TrackingProblem:
     and ``q[z_s] = -2 s C_y' y_t`` of ``qp``, and each new reference only
     ``q[:n_z]`` of ``steady_qp``, the same term (:func:`solve_steady`).
     ``block_starts`` holds the first ``A_in`` row of each inequality block, in
-    :func:`build_qp`'s order, and ``candidate_map`` the map of
-    :func:`_candidate_map`.
+    :func:`build_qp`'s order, ``candidate_map`` the map of :func:`_candidate_map`,
+    and ``steady_targets`` every closed loop's steady target per ``y_t.tobytes()``.
     """
 
     def __init__(self, model: KoopmanModel, config: KtmpcConfig, schedule: TighteningSchedule):
@@ -390,6 +390,7 @@ class TrackingProblem:
         self.block_starts = np.cumsum([0] + rows[:-1])
         self.candidate_map = _candidate_map(model, config.K, self.layout)
         self.steady_qp = _steady_qp(model, schedule, config.s)
+        self.steady_targets: dict[bytes, SteadyTarget] = {}
 
     def at(self, z0, y_t) -> qps.QuadraticProgram:
         """The QP at lifted state ``z0`` and reference ``y_t``, updated in place."""

@@ -29,6 +29,13 @@ class UnderdeterminedData(Exception):
     """Raised when the regression data cannot pin down the lifted dynamics."""
 
 
+def _is_number(v, integer: bool = False) -> bool:
+    """Whether ``v`` is a real number, or with ``integer`` an integer; a bool
+    or a string is neither, and an integral float is not an integer."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 def _as_matrix(M, name: str, finite: bool = True) -> np.ndarray:
     out = np.asarray(M, dtype=float)
     if out.ndim != 2 or (finite and not np.all(np.isfinite(out))):
@@ -68,34 +75,37 @@ class LiftingSpec:
             raise ValueError(f"unknown lifting kind {self.kind!r}")
         if self.pre not in _PRES:
             raise ValueError(f"unknown pre-map {self.pre!r}")
-        if not (isinstance(self.n_x, (int, np.integer)) and self.n_x >= 1):
-            raise ValueError("n_x must be a positive integer")
+        if not (_is_number(self.n_x, integer=True) and self.n_x >= 1):
+            raise ValueError(f"n_x must be a positive integer, got {self.n_x!r}")
         if self.pre == "planar_heading" and self.n_x != 3:
             raise ValueError("planar_heading pre-map requires n_x == 3")
         n_f = self._n_features_in()
         if self.kind == "polynomial":
-            if not (isinstance(self.max_degree, (int, np.integer)) and self.max_degree >= 1):
-                raise ValueError("polynomial lifting requires max_degree >= 1")
+            if not (_is_number(self.max_degree, integer=True) and self.max_degree >= 1):
+                raise ValueError(f"polynomial lifting max_degree must be an integer >= 1, "
+                                 f"got {self.max_degree!r}")
             exps = _monomial_exponents(n_f, int(self.max_degree), self._extra_degree_one())
             object.__setattr__(self, "exponents", exps)
         elif self.kind == "explicit":
-            exps = np.asarray(self.exponents)
+            exps = np.asarray(self.exponents, dtype=object)
             if exps.ndim != 2 or exps.shape[1] != n_f:
                 raise ValueError(f"exponents must have shape (k, {n_f})")
-            if not np.issubdtype(exps.dtype, np.integer) and not np.all(exps == exps.astype(int)):
-                raise ValueError("exponents must be non-negative integers")
-            exps = exps.astype(int)
-            if np.any(exps < 0):
-                raise ValueError("exponents must be non-negative integers")
-            object.__setattr__(self, "exponents", exps)
+            bad = [e for e in exps.flat if not (_is_number(e, integer=True) and e >= 0)]
+            if bad:
+                raise ValueError(f"exponents must be non-negative integers, got {bad[0]!r}")
+            object.__setattr__(self, "exponents", exps.astype(int))
         else:  # rbf
+            bad = [c for c in np.asarray(self.centers, dtype=object).flat if not _is_number(c)]
+            if bad:
+                raise ValueError(f"centers must be numbers, got {bad[0]!r}")
             centers = _as_matrix(self.centers, "centers")
             if centers.shape[1] != n_f:
                 raise ValueError(f"centers must have {n_f} columns")
-            if self.width is None or not (float(self.width) > 0):
-                raise ValueError("rbf lifting requires width > 0")
+            w = self.width
+            if not (_is_number(w) and np.isfinite(w) and w > 0):
+                raise ValueError(f"rbf lifting width must be a finite positive number, got {w!r}")
             object.__setattr__(self, "centers", centers)
-            object.__setattr__(self, "width", float(self.width))
+            object.__setattr__(self, "width", float(w))
         object.__setattr__(self, "_linear", self.kind != "rbf" and np.all(self.exponents < 2))
 
     def _n_features_in(self) -> int:
@@ -446,7 +456,7 @@ def _lifting_from_doc(doc: dict, n_x: int) -> LiftingSpec:
         if kind == "polynomial":
             return LiftingSpec(**common, max_degree=params["max_degree"])
         if kind == "explicit":
-            return LiftingSpec(**common, exponents=np.array(params["exponents"], dtype=int))
+            return LiftingSpec(**common, exponents=params["exponents"])
         if kind == "rbf":
             return LiftingSpec(**common, centers=params["centers"], width=params["width"])
     except KeyError as exc:

@@ -4,10 +4,10 @@ The simulator owns disturbance injection (seeded, in lifted coordinates for
 the polynomial benchmark), reference scheduling (timed steps or position-based
 waypoint switching), training-data generation, and step-by-step logging of
 everything the analysis needs: costs, Lyapunov values, shifted-candidate
-margins, and the injected noise realizations.  A run builds one
-``TrackingProblem``: each step solves its tracking QP, and each new reference
-value its steady-target QP.  A run that loses feasibility ends there: its log
-stops at the infeasible step and records it in ``halted_at``.
+margins, and the injected noise realizations.  Runs share one
+``TrackingProblem``: each step solves its tracking QP, and each reference new
+to the problem its steady-target QP.  A run that loses feasibility ends there:
+its log stops at the infeasible step and records it in ``halted_at``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .controller import (
     Infeasible,
-    KtmpcConfig,
     KtmpcSolution,
     TrackingProblem,
     diagnostics,
@@ -28,8 +27,8 @@ from .controller import (
     solve_steady,
     solve_step,
 )
-from .model import DisturbanceModel, KoopmanModel, TrajectoryData, lift
-from .sets import CONTAINS_TOL, TighteningSchedule, Zonotope, margin, sample
+from .model import DisturbanceModel, TrajectoryData, lift
+from .sets import CONTAINS_TOL, Zonotope, margin, sample
 
 
 # --- plants -----------------------------------------------------------------------
@@ -256,16 +255,14 @@ class _LogRows:
 
 def run_closed_loop(
     plant: Plant,
-    model: KoopmanModel,
-    config: KtmpcConfig,
-    schedule: TighteningSchedule,
+    problem: TrackingProblem,
     refs: ReferenceSchedule,
     disturbances: DisturbanceModel | None = None,
     T: int = 100,
     seed: int = 0,
     x0=None,
 ) -> SimLog:
-    """Run T controller steps from x0 (origin by default); seeded, deterministic.
+    """Run T steps of ``problem`` from x0 (origin by default); seeded, deterministic.
 
     An infeasible step ends the run: the returned log stops at that
     step, with ``feasible`` false in its last row and ``halted_at`` set to it.
@@ -277,9 +274,8 @@ def run_closed_loop(
     n_w = 3 if plant.kind == "numerical_example" else 0
     n_v = 2 if plant.kind == "numerical_example" else 0
 
+    model, schedule = problem.model, problem.schedule
     cursor = _RefCursor(refs)
-    problem = TrackingProblem(model, config, schedule)
-    offline_cache: dict[bytes, object] = {}
     rows = _LogRows()
     prev: KtmpcSolution | None = None
 
@@ -290,9 +286,8 @@ def run_closed_loop(
         cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z)[1].min_margin
         try:
             key = y_t.tobytes()
-            if key not in offline_cache:
-                offline_cache[key] = solve_steady(problem, y_t)
-            offline = offline_cache[key]
+            if (offline := problem.steady_targets.get(key)) is None:
+                offline = problem.steady_targets[key] = solve_steady(problem, y_t)
             u_k, sol = solve_step(problem, z, y_t)
         except Infeasible:
             rows.append(

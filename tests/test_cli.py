@@ -508,12 +508,35 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
     ({"constraints": {"state": {"lo": [-5.0, -5.0], "hi": [float("inf"), 5.0]},
                       "input": {"lo": [-3.0], "hi": [3.0]}}},
      "constraints.state: polytope data must be finite"),
+    ({"data": {}}, "scenario 'data' must give exactly one of 'path' or 'generate'"),
+    ({"disturbance": {}}, "scenario 'disturbance' must give exactly one of 'declared' or 'estimate'"),
+    ({"references": {}}, "scenario 'references' must give 'timed' or 'waypoints'"),
+    ({"plant": {"kind": "pendulum"}}, "unknown plant kind 'pendulum'"),
+    ({"plant": {"kind": ["unicycle"]}}, "unknown plant kind ['unicycle']"),
+    ({"lifting": {"kind": ["explicit"], "params": {}}}, "unknown lifting kind ['explicit']"),
+    ({"controller": 5}, "controller must be an object"),
+    ({"injected": {"W": {"half_extents": [0.1, 0.1, 0.1]},
+                   "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}},
+     "injected.W needs 'center' and 'half_extents' or 'generators'"),
+    ({"lifting": {"kind": "explicit", "params": {"exponents": [[2.5, 0]]}}},
+     "exponents must be non-negative integers, got 2.5"),
+    ({"lifting": {"kind": "polynomial", "params": {"max_degree": 2.0}}},
+     "polynomial lifting max_degree must be an integer >= 1, got 2.0"),
+    (["not", "an", "object"], "must contain a JSON object"),
 ], ids=["injected.W-two-generator-forms", "constraints.state.hi-length",
         "lifting.params-missing-exponents", "injected.W-half-extents-length",
         "disturbance.declared.W-dim", "disturbance.declared.V-dim", "injected.W-dim",
-        "injected-on-unicycle", "x0-length", "x0-nan", "constraints.state-infinite"])
+        "injected-on-unicycle", "x0-length", "x0-nan", "constraints.state-infinite",
+        "data-neither", "disturbance-neither", "references-neither", "plant.kind-unknown",
+        "plant.kind-list", "lifting.kind-list",
+        "controller-not-an-object", "injected.W-no-center", "lifting.exponents-fraction",
+        "lifting.max_degree-float", "scenario-not-an-object"])
 def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, named):
-    scenario = base_scenario(tmp_path, **overrides)
+    if isinstance(overrides, dict):
+        scenario = base_scenario(tmp_path, **overrides)
+    else:  # the whole document is not an object
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(overrides))
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
     assert named in capsys.readouterr().err
 
@@ -566,14 +589,31 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
     ("controller.R", "true", "controller.R must be a scalar or an 1x1 matrix"),
     ("controller.lqr.Qk", "true", "controller.lqr.Qk must be a scalar or an 3x3 matrix"),
     ("controller.lqr.Rk", "true", "controller.lqr.Rk must be a scalar or an 1x1 matrix"),
+    ("plant", '{"kind": "unicycle", "params": {"dt": "0.1"}}',
+     "plant.params.dt must be a finite positive number, got '0.1'"),
+    ("plant", '{"kind": "unicycle", "params": {"dt": true}}',
+     "plant.params.dt must be a finite positive number, got True"),
+    ("plant", '{"kind": "unicycle", "params": {"dt": 0}}',
+     "plant.params.dt must be a finite positive number, got 0"),
+    ("plant", '{"kind": "numerical_example", "params": {"lambda": "-0.1"}}',
+     "plant.params.lambda must be a finite number, got '-0.1'"),
+    ("plant", '{"kind": "numerical_example", "params": {"lambda": true}}',
+     "plant.params.lambda must be a finite number, got True"),
+    ("plant", '{"kind": "numerical_example", "params": {"lambda": "nan"}}',
+     "plant.params.lambda must be a finite number, got 'nan'"),
+    ("plant", '{"kind": "numerical_example", "params": {"mu": 1e400}}',
+     "plant.params.mu must be a finite number, got inf"),
 ], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
         "fp_tol-bool", "fp_tol-string", "inflation-string", "inflation-below-1", "Q-bool",
-        "R-bool", "Qk-bool", "Rk-bool"])
+        "R-bool", "Qk-bool", "Rk-bool", "dt-string", "dt-bool", "dt-zero", "lambda-string",
+        "lambda-bool", "lambda-nan-string", "mu-overflow"])
 def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, dotted, text,
                                                 named):
     # Rejected with the key named before any data is generated or fitted:
-    # "s": "1000" and "ridge": true used to run, a weight of true ran as 1*I,
-    # and "s": 1e400 failed only after fitting, with no key named.
+    # "s": "1000", "ridge": true, "dt": "0.1" and "lambda": "-0.1" used to run,
+    # a weight of true ran as 1*I and "lambda": true as 1, "s": 1e400 failed
+    # only after fitting, with no key named, and "lambda": "nan" named a
+    # training trajectory.
     for name in ("generate_training_data", "fit_edmd"):
         monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
     scenario = scenario_with_value(tmp_path, dotted, "@value@", steady_grid={},
@@ -880,6 +920,17 @@ def test_steady_unreachable_reports_clipped_target(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "y_s = [3." in out  # steady outputs cap at u-bound 3
+
+
+def test_steady_with_no_steady_pair_in_the_terminal_sets_exit_5(tmp_path, capsys):
+    # Every steady state of a1 has x1 = 0, which a state box with x1 >= 0.5 leaves out.
+    a1 = json.loads((SCENARIOS / "a1.json").read_text())
+    a1["constraints"]["state"]["lo"] = [0.5, -5.0]
+    scenario = tmp_path / "a1.json"
+    scenario.write_text(json.dumps(a1))
+    assert main(["steady", str(scenario), "1.0"]) == 5
+    err = capsys.readouterr().err
+    assert "infeasible: no steady pair exists inside the terminal tightened sets" in err
 
 
 @pytest.mark.parametrize("y_t", ["1.0,2.0", "1.0,2.0,3.0"])

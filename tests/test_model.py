@@ -127,6 +127,67 @@ def test_planar_heading_polynomial_degree_two():
     assert np.allclose(lift(m, [px, py, th]), expected, rtol=1e-15, atol=0.0)
 
 
+# Each of LiftingSpec's refusals, with the key it names. A bool, a string or a
+# float where an integer belongs used to be cast: [[2.5, 0]] fitted as [[2, 0]],
+# [[true, 0]] and "max_degree": true as 1, and "width": "0.5" as 0.5.
+LIFTING_REFUSALS = {
+    "kind": ({"kind": "chebyshev"}, "unknown lifting kind 'chebyshev'"),
+    "pre": ({"kind": "explicit", "pre": "polar", "exponents": [[2, 0]]}, "unknown pre-map 'polar'"),
+    "n_x-bool": ({"kind": "polynomial", "n_x": True, "max_degree": 2},
+                 "n_x must be a positive integer, got True"),
+    "n_x-zero": ({"kind": "polynomial", "n_x": 0, "max_degree": 2},
+                 "n_x must be a positive integer, got 0"),
+    "planar-n_x": ({"kind": "polynomial", "pre": "planar_heading", "max_degree": 2},
+                   "planar_heading pre-map requires n_x == 3"),
+    "max_degree-float": ({"kind": "polynomial", "max_degree": 2.0},
+                         "max_degree must be an integer >= 1, got 2.0"),
+    "max_degree-bool": ({"kind": "polynomial", "max_degree": True},
+                        "max_degree must be an integer >= 1, got True"),
+    "max_degree-zero": ({"kind": "polynomial", "max_degree": 0},
+                        "max_degree must be an integer >= 1, got 0"),
+    "exponents-shape": ({"kind": "explicit", "exponents": [[2, 0, 0]]},
+                        "exponents must have shape (k, 2)"),
+    "exponents-fraction": ({"kind": "explicit", "exponents": [[2.5, 0]]},
+                           "exponents must be non-negative integers, got 2.5"),
+    "exponents-float": ({"kind": "explicit", "exponents": [[2.0, 0]]},
+                        "exponents must be non-negative integers, got 2.0"),
+    "exponents-bool": ({"kind": "explicit", "exponents": [[True, 0]]},
+                       "exponents must be non-negative integers, got True"),
+    "exponents-string": ({"kind": "explicit", "exponents": [["2", 0]]},
+                         "exponents must be non-negative integers, got '2'"),
+    "exponents-negative": ({"kind": "explicit", "exponents": [[0, -1]]},
+                           "exponents must be non-negative integers, got -1"),
+    "centers-string": ({"kind": "rbf", "centers": [[0.0, "1"]], "width": 0.5},
+                       "centers must be numbers, got '1'"),
+    "centers-columns": ({"kind": "rbf", "centers": [[0.0, 0.0, 0.0]], "width": 0.5},
+                        "centers must have 2 columns"),
+    "width-string": ({"kind": "rbf", "centers": [[0.0, 0.0]], "width": "0.5"},
+                     "width must be a finite positive number, got '0.5'"),
+    "width-bool": ({"kind": "rbf", "centers": [[0.0, 0.0]], "width": True},
+                   "width must be a finite positive number, got True"),
+    "width-nan": ({"kind": "rbf", "centers": [[0.0, 0.0]], "width": float("nan")},
+                  "width must be a finite positive number, got nan"),
+    "width-zero": ({"kind": "rbf", "centers": [[0.0, 0.0]], "width": 0},
+                   "width must be a finite positive number, got 0"),
+}
+
+
+@pytest.mark.parametrize("spec, named", LIFTING_REFUSALS.values(), ids=LIFTING_REFUSALS)
+def test_lifting_spec_refuses_a_malformed_parameter_by_name(tmp_path, spec, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        LiftingSpec(**{"n_x": 2} | spec)
+    if "n_x" in spec:  # a model file's n_x is its own field
+        return
+    # A model file's lifting goes through the same checks.
+    path = tmp_path / "model.json"
+    save_model(benchmark_model(), path)
+    doc = json.loads(path.read_text())
+    kind, params = spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
+    path.write_text(json.dumps(doc | {"lifting": {"kind": kind, "params": params}}))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_model(path)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31))
 def test_decode_inverts_lift(seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopmpc import sim as sim_module
-from koopmpc.controller import KtmpcConfig
+from koopmpc.controller import KtmpcConfig, TrackingProblem
 from koopmpc.gains import dlqr
 from koopmpc.model import DisturbanceModel, LiftingSpec, make_model
 from koopmpc.sets import Zonotope, box_polytope, box_zonotope, sample, tighten_constraints
@@ -40,7 +40,7 @@ def make_loop_setup(W=None, V=None, N=10, s=1000.0):
     )
     schedule = tighten_constraints(X, U, dist, model.A, model.B, gains.K, model.C_x, N)
     config = KtmpcConfig(N=N, Q=np.eye(3), R=np.eye(1), s=s, K=gains.K)
-    return model, config, schedule
+    return TrackingProblem(model, config, schedule)
 
 
 # --- plants ---------------------------------------------------------------------
@@ -256,10 +256,10 @@ def test_waypoint_cursor_switching():
 # --- closed loop -----------------------------------------------------------------------
 
 def test_nominal_closed_loop_converges():
-    model, config, schedule = make_loop_setup()
+    problem = make_loop_setup()
     plant = numerical_example_plant()
     refs = ReferenceSchedule.timed([(0, [1.0])])
-    log = run_closed_loop(plant, model, config, schedule, refs, T=101, seed=0)
+    log = run_closed_loop(plant, problem, refs, T=101, seed=0)
     assert log.k.size == 101
     assert abs(log.y[-1, 0] - 1.0) <= 1e-4
     assert abs(log.u[-1, 0] + 1.0) <= 1e-4
@@ -273,12 +273,13 @@ def test_nominal_closed_loop_converges():
 
 def test_closed_loop_deterministic():
     W = box_zonotope([0.31, 0.31, 0.125])
-    model, config, schedule = make_loop_setup(W=W)
+    problem = make_loop_setup(W=W)
     plant = numerical_example_plant()
     inject = DisturbanceModel(W=box_zonotope([0.2, 0.2, 0.2]), V=box_zonotope([0.1, 0.1]))
     refs = ReferenceSchedule.timed([(0, [1.0])])
-    a = run_closed_loop(plant, model, config, schedule, refs, disturbances=inject, T=40, seed=3)
-    b = run_closed_loop(plant, model, config, schedule, refs, disturbances=inject, T=40, seed=3)
+    a = run_closed_loop(plant, problem, refs, disturbances=inject, T=40, seed=3)
+    # The second run starts from the first one's stored support and steady targets.
+    b = run_closed_loop(plant, problem, refs, disturbances=inject, T=40, seed=3)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
     assert np.array_equal(a.w_inj, b.w_inj) and np.array_equal(a.v_inj, b.v_inj)
 
@@ -287,11 +288,11 @@ def test_disturbed_closed_loop_stays_feasible():
     # Controller declares the effective lifted disturbance bounds; the plant is
     # driven with the raw injected boxes those bounds were derived from.
     W_ctl = box_zonotope([0.31, 0.31, 0.125])
-    model, config, schedule = make_loop_setup(W=W_ctl)
+    problem = make_loop_setup(W=W_ctl)
     plant = numerical_example_plant()
     inject = DisturbanceModel(W=box_zonotope([0.2, 0.2, 0.2]), V=box_zonotope([0.1, 0.1]))
     refs = ReferenceSchedule.timed([(0, [1.0]), (30, [-1.0])])
-    log = run_closed_loop(plant, model, config, schedule, refs, disturbances=inject, T=60, seed=1)
+    log = run_closed_loop(plant, problem, refs, disturbances=inject, T=60, seed=1)
     assert np.all(log.feasible)
     assert np.nanmin(log.margin_min) >= -1e-9
     assert np.all(np.abs(log.x) <= 5.0 + 1e-9)
@@ -300,10 +301,10 @@ def test_disturbed_closed_loop_stays_feasible():
 
 
 def test_infeasible_initial_state():
-    model, config, schedule = make_loop_setup()
+    problem = make_loop_setup()
     plant = numerical_example_plant()
     refs = ReferenceSchedule.timed([(0, [1.0])])
-    log = run_closed_loop(plant, model, config, schedule, refs, T=10, seed=0, x0=[0.0, 10.0])
+    log = run_closed_loop(plant, problem, refs, T=10, seed=0, x0=[0.0, 10.0])
     assert log.halted_at == 0
     assert log.k.tolist() == [0]
     assert log.feasible[-1] == False  # noqa: E712
@@ -312,11 +313,11 @@ def test_infeasible_initial_state():
 def test_undeclared_disturbance_can_halt_run():
     # Declare zero disturbance but inject the full boxes: the run either halts
     # with a retained log or survives with some negative candidate margin.
-    model, config, schedule = make_loop_setup()
+    problem = make_loop_setup()
     plant = numerical_example_plant()
     inject = DisturbanceModel(W=box_zonotope([0.2, 0.2, 0.2]), V=box_zonotope([0.1, 0.1]))
     refs = ReferenceSchedule.timed([(0, [4.0])])
-    log = run_closed_loop(plant, model, config, schedule, refs, disturbances=inject, T=80, seed=2)
+    log = run_closed_loop(plant, problem, refs, disturbances=inject, T=80, seed=2)
     if log.halted_at is None:
         assert log.k.size == 80
         assert np.nanmin(log.margin_min) < 0
@@ -330,10 +331,10 @@ def test_undeclared_disturbance_can_halt_run():
 # --- metrics and persistence -------------------------------------------------------------
 
 def test_tracking_metrics_nominal():
-    model, config, schedule = make_loop_setup()
+    problem = make_loop_setup()
     plant = numerical_example_plant()
     refs = ReferenceSchedule.timed([(0, [1.0]), (60, [-1.0])])
-    log = run_closed_loop(plant, model, config, schedule, refs, T=120, seed=0)
+    log = run_closed_loop(plant, problem, refs, T=120, seed=0)
     m = tracking_metrics(log, settle_window=10)
     assert m["final_error"] <= 1e-4
     assert m["mean_settled_error"] <= 1e-4
@@ -342,10 +343,10 @@ def test_tracking_metrics_nominal():
 
 
 def test_tracking_metrics_empty_log():
-    model, config, schedule = make_loop_setup()
+    problem = make_loop_setup()
     plant = numerical_example_plant()
     refs = ReferenceSchedule.timed([(0, [1.0])])
-    log = run_closed_loop(plant, model, config, schedule, refs, T=0, seed=0)
+    log = run_closed_loop(plant, problem, refs, T=0, seed=0)
     assert log.k.size == 0 and log.halted_at is None
     with pytest.raises(ValueError):
         tracking_metrics(log, 10)
@@ -373,10 +374,10 @@ def test_tracking_metrics_violation_respects_membership_tolerance():
 
 
 def test_save_log_csv(tmp_path):
-    model, config, schedule = make_loop_setup()
+    problem = make_loop_setup()
     plant = numerical_example_plant()
     refs = ReferenceSchedule.timed([(0, [1.0])])
-    log = run_closed_loop(plant, model, config, schedule, refs, T=5, seed=0)
+    log = run_closed_loop(plant, problem, refs, T=5, seed=0)
     path = tmp_path / "log.csv"
     save_log_csv(log, path)
     lines = path.read_text().splitlines()

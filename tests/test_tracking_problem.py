@@ -36,6 +36,12 @@ def stacks():
     return {name: cli.build_stack(SCENARIOS / f"{name}.json") for name in NAMES}
 
 
+def fresh(stack, **changes):
+    """A copy of ``stack`` (with ``changes``) whose problem is not built yet;
+    the shared ``stacks`` have built theirs in an earlier test."""
+    return dataclasses.replace(stack, **changes)
+
+
 @pytest.fixture(scope="module")
 def problems(stacks):
     """One problem per model, reused across examples as the closed loop reuses it."""
@@ -193,9 +199,11 @@ def test_a_stale_or_foreign_support_gives_the_cold_result(stacks, logs, name):
 def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch):
     # The offline steady target is taken at its unconstrained optimum; nnls
     # runs for the cold first step, at steps 3 and 23, whose supports change,
-    # and for the certified halt. The count repeats exactly from course to course.
-    stack, _ = course
-    counts = {}
+    # and for the certified halt. A later course on the same stack reuses the
+    # steady target, and its step 0 takes the support that steps 23-28 stored
+    # (steps 0-2 have the same one), so it makes 30 solves and 3 nnls calls,
+    # exactly, every time.
+    stack, counts = fresh(course[0]), {}
 
     def counted(key, call):
         def wrapper(*args):
@@ -205,10 +213,10 @@ def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch
 
     monkeypatch.setattr(qp_module, "solve", counted("solve", qp_module.solve))
     monkeypatch.setattr(qp_module, "nnls", counted("nnls", qp_module.nnls))
-    for _ in range(2):
+    for expected in ({"solve": 31, "nnls": 4}, {"solve": 30, "nnls": 3}, {"solve": 30, "nnls": 3}):
         counts.update(solve=0, nnls=0)
         assert stack.run(stack.seed).halted_at == 29
-        assert counts == {"solve": 31, "nnls": 4}
+        assert counts == expected
 
 
 @pytest.mark.parametrize("name, seeds", [("a2", range(5)), ("unicycle_square", [None])])
@@ -242,9 +250,10 @@ def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(controller, "build_qp", counted)
-    log = dataclasses.replace(stacks["a2"], T=20).run(0)
-    assert log.k.size == 20
-    assert len(calls) == 1
+    stack = fresh(stacks["a2"], T=20)
+    for seed in range(3):
+        assert stack.run(seed).k.size == 20
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -271,8 +280,8 @@ def test_closed_loop_lifts_once_and_takes_two_margins_per_step(stacks, monkeypat
 
 @pytest.mark.parametrize("name", NAMES)
 def test_closed_loop_builds_the_candidate_map_once(stacks, monkeypatch, name):
-    # The candidate map is built with the TrackingProblem, once per run, and
-    # never by shifted_candidate, which only multiplies by it.
+    # The candidate map is built with the stack's TrackingProblem, by its
+    # first run, and never by shifted_candidate, which only multiplies by it.
     builds, in_candidate = [], [False]
     build, candidate = controller._candidate_map, sim.shifted_candidate
 
@@ -289,9 +298,8 @@ def test_closed_loop_builds_the_candidate_map_once(stacks, monkeypatch, name):
 
     monkeypatch.setattr(controller, "_candidate_map", counted_build)
     monkeypatch.setattr(sim, "shifted_candidate", watched_candidate)
-    stack = stacks[name]
+    stack = fresh(stacks[name])
     for _ in range(2):
-        builds.clear()
         log = stack.run(stack.seed)
         assert log.halted_at == (None if name == "a2" else 29)
         assert builds == [False]
@@ -481,12 +489,36 @@ def test_steady_program_equals_the_one_shot_solve_and_is_factored_once(stacks, m
 
 
 def test_closed_loop_factors_each_program_once(stacks, monkeypatch):
-    # a2 switches its reference twice; the run factors its tracking QP and its
-    # steady QP once each. A one-shot steady solve would factor one more.
+    # a2 switches its reference twice; its first run factors its tracking QP
+    # and its steady QP once each, and a later run factors neither. A one-shot
+    # steady solve would factor one more.
     factored = _factored(monkeypatch)
-    stack = stacks["a2"]
-    log = stack.run(stack.seed)
+    stack = fresh(stacks["a2"])
+    for seed in (stack.seed, stack.seed + 1):
+        log = stack.run(seed)
     assert len(np.unique(log.y_t, axis=0)) == 3
     N, n_z, n_u = stack.config.N, stack.model.n_z, stack.model.n_u
     dims = sorted(program.dim for program in factored)
     assert dims == [n_z + n_u, controller._Layout(N, n_z, n_u).dim]
+
+
+def test_one_simulate_call_builds_factors_and_solves_each_target_once(stacks, monkeypatch,
+                                                                      tmp_path):
+    # Seeds 0..4 of a2 share their stack's problem: one build_qp, one factoring
+    # of the tracking QP and of the steady QP, and one steady solve for each of
+    # a2's three references. tighten never builds the problem.
+    built, steady = [], []
+    build, solve_target = controller.build_qp, sim.solve_steady
+    monkeypatch.setattr(controller, "build_qp", lambda *args: built.append(1) or build(*args))
+    monkeypatch.setattr(sim, "solve_steady",
+                        lambda problem, y_t: steady.append(y_t.tolist()) or solve_target(problem, y_t))
+    factored = _factored(monkeypatch)
+    assert cli.cmd_tighten(SCENARIOS / "a2.json", tmp_path / "schedule.json") == 0
+    assert built == factored == steady == []
+    assert cli.cmd_simulate(SCENARIOS / "a2.json", seeds=list(range(5)), out=tmp_path) == 0
+    assert len(built) == 1
+    stack = stacks["a2"]
+    N, n_z, n_u = stack.config.N, stack.model.n_z, stack.model.n_u
+    assert sorted(program.dim for program in factored) == [n_z + n_u,
+                                                           controller._Layout(N, n_z, n_u).dim]
+    assert steady == [[1.0], [-1.0], [2.0]]
