@@ -44,6 +44,7 @@ from .model import (
     KoopmanModel,
     TrajectoryData,
     UnderdeterminedData,
+    _is_finite,
     _lifting_from_doc,
     estimate_disturbance_sets,
     fit_edmd,
@@ -91,11 +92,11 @@ def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
     if ("half_extents" in doc) == ("generators" in doc):
         raise ValueError(f"{what} must give exactly one of 'half_extents' or 'generators'")
     try:
-        center = np.asarray(doc["center"], dtype=float)
+        center = _floats(doc["center"], f"{what}.center")
         if "half_extents" in doc:
-            gens = np.diag(np.asarray(doc["half_extents"], dtype=float))
+            gens = np.diag(_floats(doc["half_extents"], f"{what}.half_extents"))
         else:
-            gens = np.asarray(doc["generators"], dtype=float)
+            gens = _floats(doc["generators"], f"{what}.generators")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{what} needs 'center' and 'half_extents' or 'generators'") from exc
     try:
@@ -107,11 +108,19 @@ def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
     return Z
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array; an integer too large for a float is named by ``what``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for a float") from None
+
+
 def _weight(value, n: int, what: str) -> np.ndarray:
-    """Scalar shorthand c -> c * I_n (a bool is not one); otherwise an explicit matrix."""
+    """Scalar shorthand c -> c * I_n (a finite number, not a bool); otherwise an explicit matrix."""
     if type(value) in (int, float):
-        return float(value) * np.eye(n)
-    M = np.asarray(value, dtype=float)
+        return _finite(value, what) * np.eye(n)
+    M = _floats(value, what)
     if M.shape != (n, n):
         raise ValueError(f"{what} must be a scalar or an {n}x{n} matrix, got shape {M.shape}")
     return M
@@ -173,8 +182,9 @@ def _box_from_doc(doc, n: int, what: str):
     for key in ("lo", "hi"):
         if not (isinstance(doc.get(key), list) and len(doc[key]) == n):
             raise ValueError(f"{what}.{key} must list {n} numbers, got {doc.get(key)!r}")
+    lo, hi = (_floats(doc[key], f"{what}.{key}") for key in ("lo", "hi"))
     try:
-        return box_polytope(doc["lo"], doc["hi"])
+        return box_polytope(lo, hi)
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from None
 
@@ -192,8 +202,7 @@ def _count(doc, key, what: str, minimum: int = 1, default: int | None = None) ->
 def _positive(value, what: str, minimum: float | None = None):
     """``value`` as a finite number, positive or, given ``minimum``, at least
     ``minimum``; a bool or a string is rejected."""
-    if not (type(value) in (int, float) and math.isfinite(value)
-            and (value > 0 if minimum is None else value >= minimum)):
+    if not (_is_finite(value) and (value > 0 if minimum is None else value >= minimum)):
         bound = "positive number" if minimum is None else f"number >= {minimum}"
         raise ValueError(f"{what} must be a finite {bound}, got {value!r}")
     return value
@@ -201,15 +210,14 @@ def _positive(value, what: str, minimum: float | None = None):
 
 def _finite(value, what: str) -> float:
     """``value`` as a finite number (a bool or a string is not one)."""
-    if not (type(value) in (int, float) and math.isfinite(value)):
+    if not _is_finite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _numbers(values, n: int, what: str) -> list:
     """``values`` as a list of ``n`` finite numbers (a bool is not one)."""
-    if not (isinstance(values, list) and len(values) == n and all(
-            type(v) in (int, float) and math.isfinite(v) for v in values)):
+    if not (isinstance(values, list) and len(values) == n and all(map(_is_finite, values))):
         raise ValueError(f"{what} must list {n} numbers, all finite, got {values!r}")
     return values
 

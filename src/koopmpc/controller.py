@@ -214,32 +214,27 @@ def _steady_qp(model: KoopmanModel, schedule: TighteningSchedule, s: float) -> q
     )
 
 
-def _solve_steady(qp: qps.QuadraticProgram, model: KoopmanModel, s: float, y_t) -> SteadyTarget:
-    y_t = _as_vector(y_t, model.n_y, "y_t")
-    qp.q[: model.n_z] = _offset_q(model, s, y_t)
-    sol = qps.solve(qp)
-    if sol.status == qps.PRIMAL_INFEASIBLE:
-        raise Infeasible("no steady pair exists inside the terminal tightened sets")
-    return _steady_target(model, s, sol.x_star[: model.n_z], sol.x_star[model.n_z :], y_t)
-
-
-def solve_steady_offline(
-    model: KoopmanModel, schedule: TighteningSchedule, y_t, s: float
-) -> SteadyTarget:
+def solve_steady(problem: TrackingProblem, y_t) -> SteadyTarget:
     """Most-tightened steady pair minimizing the offset to the reference.
 
     Solves ``min s*||C_y z_s - y_t||^2`` over steady pairs ``z_s = A z_s + B
     u_s`` with ``C_x z_s`` in the terminal tightened state set and ``u_s`` in
-    the terminal tightened input set: one :func:`_steady_qp`, built, factored
-    and solved for one reference (a loop calls :func:`solve_steady`).
+    the terminal tightened input set: ``problem.steady_qp`` with its cost
+    rewritten for ``y_t``. The target is kept in ``problem.steady_targets``,
+    and a later call for the same ``y_t`` returns it without a solve; an
+    infeasible reference raises :class:`Infeasible` and keeps nothing.
     """
-    return _solve_steady(_steady_qp(model, schedule, s), model, s, y_t)
-
-
-def solve_steady(problem: TrackingProblem, y_t) -> SteadyTarget:
-    """:func:`solve_steady_offline` on ``problem``'s model, schedule and
-    offset weight, from the steady QP the problem built once."""
-    return _solve_steady(problem.steady_qp, problem.model, problem.config.s, y_t)
+    key = np.asarray(y_t, dtype=float).tobytes()
+    if (target := problem.steady_targets.get(key)) is None:
+        model, s, qp = problem.model, problem.config.s, problem.steady_qp
+        y_t = _as_vector(y_t, model.n_y, "y_t")
+        qp.q[: model.n_z] = _offset_q(model, s, y_t)
+        sol = qps.solve(qp)
+        if sol.status == qps.PRIMAL_INFEASIBLE:
+            raise Infeasible("no steady pair exists inside the terminal tightened sets")
+        target = _steady_target(model, s, sol.x_star[: model.n_z], sol.x_star[model.n_z :], y_t)
+        problem.steady_targets[key] = target
+    return target
 
 
 def _steady_target(model: KoopmanModel, s: float, z_s, u_s, y_t) -> SteadyTarget:
@@ -377,7 +372,8 @@ class TrackingProblem:
     ``q[:n_z]`` of ``steady_qp``, the same term (:func:`solve_steady`).
     ``block_starts`` holds the first ``A_in`` row of each inequality block, in
     :func:`build_qp`'s order, ``candidate_map`` the map of :func:`_candidate_map`,
-    and ``steady_targets`` every closed loop's steady target per ``y_t.tobytes()``.
+    and ``steady_targets`` the target :func:`solve_steady` found for each
+    reference, keyed by the bytes of ``y_t`` as a float array.
     """
 
     def __init__(self, model: KoopmanModel, config: KtmpcConfig, schedule: TighteningSchedule):

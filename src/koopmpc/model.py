@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +35,15 @@ def _is_number(v, integer: bool = False) -> bool:
     or a string is neither, and an integral float is not an integer."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     return isinstance(v, kinds) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """Whether ``v`` is a real number (see :func:`_is_number`) whose float is
+    finite; an integer too large for a float is not."""
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _as_matrix(M, name: str, finite: bool = True) -> np.ndarray:
@@ -102,7 +112,7 @@ class LiftingSpec:
             if centers.shape[1] != n_f:
                 raise ValueError(f"centers must have {n_f} columns")
             w = self.width
-            if not (_is_number(w) and np.isfinite(w) and w > 0):
+            if not (_is_finite(w) and w > 0):
                 raise ValueError(f"rbf lifting width must be a finite positive number, got {w!r}")
             object.__setattr__(self, "centers", centers)
             object.__setattr__(self, "width", float(w))
@@ -485,7 +495,11 @@ def load_model(path) -> KoopmanModel:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        lifting = _lifting_from_doc(doc["lifting"], int(doc["n_x"]))
+        sizes = {key: doc[key] for key in ("n_x", "n_u", "n_y", "n_z")}
+        for key, size in sizes.items():
+            if not _is_number(size, integer=True):
+                raise ValueError(f"{path}: {key} must be an integer, got {size!r}")
+        lifting = _lifting_from_doc(doc["lifting"], sizes["n_x"])
         model = KoopmanModel(
             A=np.array(doc["A"], dtype=float),
             B=np.array(doc["B"], dtype=float),
@@ -496,8 +510,8 @@ def load_model(path) -> KoopmanModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} is missing required model fields: {exc}") from exc
     for key in ("n_u", "n_y", "n_z"):
-        if int(doc[key]) != getattr(model, key):
-            raise ValueError(f"{path}: declared {key}={doc[key]} does not match matrices")
+        if sizes[key] != getattr(model, key):
+            raise ValueError(f"{path}: declared {key}={sizes[key]} does not match matrices")
     return model
 
 

@@ -22,9 +22,11 @@ Squares Problems, 1974, ch. 23) solve it by one nonnegative least-squares
 (NNLS) problem on E = [G'; f']: its solution u and residual r = Eu - e_{n+1}
 give either the optimum v = -r[:n]/r[n] with multipliers u/|r|^2, or, when
 r = 0, a Farkas vector u >= 0 with G'u = 0 and f'u = 1. Each is checked in the
-full space before a status is returned. The optimum must have KKT residuals
-within 1e-8 of the data's scale, none NaN; one product with [P; A_in; A_eq]
-gives Px, A_in x and A_eq x, and the multipliers act on the support rows only.
+full space before a status is returned. The optimum must have its
+stationarity, equality and complementarity residuals within 1e-8 of the
+data's scale and break no inequality row by more than 1e-9 of max(1, |b_in|)
+of that row, none NaN; one product with [P; A_in; A_eq] gives Px, A_in x and
+A_eq x, and the multipliers act on the support rows only.
 The Farkas vector, with mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0
 to a scaled tolerance and b_in'u + b_eq'mu < 0, which no feasible x allows;
 the result carries u and mu as its in_multipliers and eq_multipliers.
@@ -139,7 +141,9 @@ class QpSolution:
 
 
 def _kkt_residuals(qp, f: "_Factors", S: "_Support", x, lam_S):
-    """KKT residuals of x, lam_S on the rows S and nu = -(A_eq^+)'(Px + q + A_in'lam), Px, nu."""
+    """KKT residuals of x, lam_S on the rows S and nu = -(A_eq^+)'(Px + q + A_in'lam), Px, nu.
+    ``primal_in`` is the largest excess of a row of A_in x over b_in in units of
+    max(1, |b_in|) of that row; the other three are absolute."""
     d, m, amax = qp.dim, qp.b_in.size, np.maximum.reduce
     PAx = f.PA @ x  # Px, A_in x, A_eq x
     Px, r_in, r_eq = PAx[:d], PAx[d : d + m] - qp.b_in, PAx[d + m :] - qp.b_eq
@@ -148,7 +152,7 @@ def _kkt_residuals(qp, f: "_Factors", S: "_Support", x, lam_S):
     return {
         "stationarity": float(amax(np.abs(grad + qp.A_eq.T @ nu), initial=0.0)),
         "primal_eq": float(amax(np.abs(r_eq), initial=0.0)),
-        "primal_in": float(amax(r_in, initial=0.0)),
+        "primal_in": float(amax(r_in / np.maximum(1.0, np.abs(qp.b_in)), initial=0.0)),
         "complementarity": float(amax(np.abs(lam_S * r_in[S.rows]), initial=0.0)),
     }, Px, nu
 
@@ -264,7 +268,8 @@ def _checked(qp, f, x_p, g, tol, S: _Support, u, h_S) -> QpSolution | None:
         lam_S = -u / r_n
         x = x_p + f.Y @ (S.AY.T @ u / r_n - g)
         kkt, Px, nu = _kkt_residuals(qp, f, S, x, lam_S)
-        if all(value <= tol for value in kkt.values()):  # a NaN residual fails
+        # primal_in takes the fixed rows' per-row rule; a NaN residual fails.
+        if all(value <= (_FEAS_TOL if key == "primal_in" else tol) for key, value in kkt.items()):
             lam[S.rows] = lam_S
             return QpSolution(x_star=x, objective=float(0.5 * x @ Px + qp.q @ x), status=OPTIMAL,
                               kkt_residuals=kkt, eq_multipliers=nu, in_multipliers=lam,

@@ -4,10 +4,11 @@ The simulator owns disturbance injection (seeded, in lifted coordinates for
 the polynomial benchmark), reference scheduling (timed steps or position-based
 waypoint switching), training-data generation, and step-by-step logging of
 everything the analysis needs: costs, Lyapunov values, shifted-candidate
-margins, and the injected noise realizations.  Runs share one
-``TrackingProblem``: each step solves its tracking QP, and each reference new
-to the problem its steady-target QP.  A run that loses feasibility ends there:
-its log stops at the infeasible step and records it in ``halted_at``.
+margins, and the injected noise realizations.  Data and runs step each plant
+through its one map ``f``.  Runs share one ``TrackingProblem``: each step
+solves its tracking QP, and each reference new to the problem its
+steady-target QP.  A run that loses feasibility ends there: its log stops at
+the infeasible step and records it in ``halted_at``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .controller import (
     solve_steady,
     solve_step,
 )
-from .model import DisturbanceModel, TrajectoryData, lift
+from .model import DisturbanceModel, TrajectoryData, _is_finite, lift
 from .sets import CONTAINS_TOL, Zonotope, margin, sample
 
 
@@ -46,16 +47,22 @@ class Plant:
     A_lift: np.ndarray | None = None
     B_lift: np.ndarray | None = None
 
+    @property
+    def noise_dims(self) -> tuple[int, int]:
+        """Sizes of the injected noise: w on the exact lifted state and v on
+        the state, or (0, 0) for a plant without an exact lifting."""
+        return (0, 0) if self.A_lift is None else (self.A_lift.shape[0], self.n_x)
+
 
 def numerical_example_plant(lam: float = -0.1, mu: float = 2.0) -> Plant:
-    """Two-state polynomial benchmark; its degree-2 lifting is exactly linear."""
+    """Two-state polynomial benchmark; ``f`` is its exact lifted step, x+ the
+    first two coordinates of ``A_lift (x1, x2, x1^2) + B_lift u``."""
     C = np.array([[0.0, 1.0]])
     A_lift = np.array([[lam, 0.0, 0.0], [0.0, mu, lam**2 - mu], [0.0, 0.0, lam**2]])
     B_lift = np.array([[0.0], [1.0], [0.0]])
 
     def f(X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        x1, x2 = X[:, 0], X[:, 1]
-        return np.column_stack([lam * x1, mu * x2 + (lam**2 - mu) * x1**2 + U[:, 0]])
+        return (np.concatenate([X, X[..., :1] ** 2], axis=-1) @ A_lift.T + U @ B_lift.T)[..., :2]
 
     return Plant(
         kind="numerical_example", n_x=2, n_u=1, C=C, f=f, h=lambda X: X @ C.T,
@@ -77,16 +84,6 @@ def unicycle_plant(dt: float = 0.1) -> Plant:
     return Plant(kind="unicycle", n_x=3, n_u=2, C=C, f=f, h=lambda X: X @ C.T)
 
 
-def _lifted_step(plant: Plant, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``A_lift z + B_lift u`` for each row x of X, z = (x1, x2, x1^2), and u of U;
-    X and U may also be one state and one input.
-
-    The numerical example steps through its lifted model because its noise
-    lives in lifted coordinates. The training-data batch and step_plant's
-    single row share this kernel, so their bits agree (plant.f's differ)."""
-    return np.concatenate([X, X[..., :1] ** 2], axis=-1) @ plant.A_lift.T + U @ plant.B_lift.T
-
-
 def step_plant(
     plant: Plant,
     x,
@@ -95,30 +92,29 @@ def step_plant(
     W: Zonotope | None = None,
     V: Zonotope | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One plant step; returns (x_next, y, w_injected, v_injected).
+    """One plant step ``x+ = f(x, u)``; returns (x_next, y, w_injected, v_injected).
 
-    For the polynomial benchmark the step is propagated through the exact
-    lifted model ``z+ = A z + B u + w`` with ``x+ = C_x z+ + v``, so process
-    noise lives in lifted coordinates.  The unicycle takes no injected
-    disturbance: its model error plays that role.
+    A plant with an exact lifting (the polynomial benchmark) takes injected
+    noise: ``x+ = C_x (A z + B u + w) + v``, so process noise lives in lifted
+    coordinates. A plant without one (the unicycle) takes none: its model
+    error plays that role.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if x.shape != (plant.n_x,) or u.shape != (plant.n_u,):
         raise ValueError(f"expected shapes ({plant.n_x},) and ({plant.n_u},)")
-    if plant.kind == "numerical_example":
-        if (W is not None or V is not None) and rng is None:
-            raise ValueError("disturbance injection requires an rng")
-        w = sample(W, rng) if W is not None else np.zeros(3)
-        v = sample(V, rng) if V is not None else np.zeros(2)
-        if w.shape != (3,) or v.shape != (2,):
-            raise ValueError("W must be 3-dimensional and V 2-dimensional")
-        x_next = (_lifted_step(plant, x, u) + w)[:2] + v
-    else:
-        if W is not None or V is not None:
-            raise ValueError("the unicycle plant takes no injected disturbance")
-        x_next = plant.f(x[None, :], u[None, :])[0]
-        w = v = np.zeros(0)
+    n_w, n_v = plant.noise_dims
+    if (W is not None or V is not None) and not n_w:
+        raise ValueError(f"the {plant.kind} plant takes no injected disturbance")
+    if (W is not None or V is not None) and rng is None:
+        raise ValueError("disturbance injection requires an rng")
+    w = sample(W, rng) if W is not None else np.zeros(n_w)
+    v = sample(V, rng) if V is not None else np.zeros(n_v)
+    if w.shape != (n_w,) or v.shape != (n_v,):
+        raise ValueError(f"W must be {n_w}-dimensional and V {n_v}-dimensional")
+    x_next = plant.f(x[None], u[None])[0]
+    if n_w:
+        x_next = x_next + w[:n_v] + v
     return x_next, plant.C @ x_next, w, v
 
 
@@ -160,8 +156,7 @@ class ReferenceSchedule:
             raise ValueError("waypoint schedule needs at least one point")
         _one_length(pts, "waypoints")
         r = switch_radius
-        if (isinstance(r, bool) or not isinstance(r, (int, float, np.integer, np.floating))
-                or not (np.isfinite(r) and r > 0)):
+        if not (_is_finite(r) and r > 0):
             raise ValueError(f"waypoints.switch_radius must be a finite positive number, "
                              f"got {r!r}")
         return cls(mode="waypoint", points=pts, switch_radius=float(r))
@@ -271,8 +266,7 @@ def run_closed_loop(
     x = np.zeros(plant.n_x) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     W = disturbances.W if disturbances is not None else None
     V = disturbances.V if disturbances is not None else None
-    n_w = 3 if plant.kind == "numerical_example" else 0
-    n_v = 2 if plant.kind == "numerical_example" else 0
+    n_w, n_v = plant.noise_dims
 
     model, schedule = problem.model, problem.schedule
     cursor = _RefCursor(refs)
@@ -285,9 +279,7 @@ def run_closed_loop(
         z = lift(model, x)
         cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z)[1].min_margin
         try:
-            key = y_t.tobytes()
-            if (offline := problem.steady_targets.get(key)) is None:
-                offline = problem.steady_targets[key] = solve_steady(problem, y_t)
+            offline = solve_steady(problem, y_t)
             u_k, sol = solve_step(problem, z, y_t)
         except Infeasible:
             rows.append(
@@ -334,9 +326,8 @@ def generate_training_data(
     xi = rng.uniform(-1.0, 1.0, size=(n_traj, g_x + traj_len * g_u))
     inputs = input_box.center + xi[:, g_x:].reshape(n_traj, traj_len, g_u) @ input_box.generators.T
     states = [state_box.center + xi[:, :g_x] @ state_box.generators.T]
-    step = plant.f if plant.A_lift is None else (lambda X, U: _lifted_step(plant, X, U)[:, :2])
     for t in range(traj_len):
-        states.append(step(states[-1], inputs[:, t]))
+        states.append(plant.f(states[-1], inputs[:, t]))
     return TrajectoryData.batch(np.stack(states, axis=1), inputs)
 
 

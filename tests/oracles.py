@@ -171,7 +171,8 @@ def kkt_check_dense(qp, f, x_p, g, tol, rows, u, h_S):
     lam (-u/r_n on ``rows``, zero elsewhere), grad = Px + q + A_in'lam,
     nu = -(A_eq^+)'grad and the four KKT residuals from the three separate
     products Px, A_in x and A_eq x. Returns (x, lam, nu, kkt, accepted), with
-    accepted = every residual <= tol; None when r_n >= 0."""
+    accepted = every residual <= tol, but ``primal_in``, each row's excess in
+    units of max(1, |b_in|) of that row, <= 1e-9; None when r_n >= 0."""
     r_n = h_S @ u - 1.0
     if not r_n < 0.0:
         return None
@@ -185,10 +186,11 @@ def kkt_check_dense(qp, f, x_p, g, tol, rows, u, h_S):
     kkt = {
         "stationarity": float(np.max(np.abs(stat), initial=0.0)),
         "primal_eq": float(np.max(np.abs(r_eq), initial=0.0)),
-        "primal_in": float(np.max(r_in, initial=0.0)),
+        "primal_in": float(np.max(r_in / np.maximum(1.0, np.abs(qp.b_in)), initial=0.0)),
         "complementarity": float(np.max(np.abs(lam * r_in), initial=0.0)),
     }
-    return x, lam, nu, kkt, all(value <= tol for value in kkt.values())
+    limits = {key: tol for key in kkt} | {"primal_in": 1e-9}
+    return x, lam, nu, kkt, all(kkt[key] <= limits[key] for key in kkt)
 
 
 def tracking_cost(config, u_bar, z_bar, z_s, u_s):

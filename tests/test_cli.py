@@ -603,21 +603,48 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
      "plant.params.lambda must be a finite number, got 'nan'"),
     ("plant", '{"kind": "numerical_example", "params": {"mu": 1e400}}',
      "plant.params.mu must be a finite number, got inf"),
+    # @big@ is an integer too large for a float, which json reads as an int.
+    ("plant", '{"kind": "numerical_example", "params": {"lambda": @big@}}',
+     "plant.params.lambda must be a finite number, got 1000"),
+    ("x0", "[@big@, 0.0]", "x0 must list 2 numbers, all finite, got [1000"),
+    ("controller.s", "@big@", "controller.s must be a finite positive number, got 1000"),
+    ("controller.Q", "@big@", "controller.Q must be a finite number, got 1000"),
+    ("controller.Q", "[[@big@, 0, 0], [0, 1, 0], [0, 0, 1]]",
+     "controller.Q holds an integer too large for a float"),
+    ("controller.lqr", '{"Qk": @big@}', "controller.lqr.Qk must be a finite number, got 1000"),
+    ("ridge", "@big@", "ridge must be a finite number >= 0, got 1000"),
+    ("references", '{"timed": [[0, [@big@]]]}',
+     "references.timed[0] target must list 1 numbers, all finite, got [1000"),
+    ("steady_grid", '{"fp_tol": @big@}',
+     "steady_grid.fp_tol must be a finite positive number, got 1000"),
+    ("constraints.state", '{"lo": [-5.0, -5.0], "hi": [@big@, 5.0]}',
+     "constraints.state.hi holds an integer too large for a float"),
+    ("data.generate.state_box", '{"center": [0.0, 0.0], "half_extents": [@big@, 2.0]}',
+     "data.generate.state_box.half_extents holds an integer too large for a float"),
+    ("references", '{"waypoints": {"points": [[1.0]], "switch_radius": @big@}}',
+     "references.waypoints.switch_radius must be a finite positive number, got 1000"),
+    ("lifting", '{"kind": "rbf", "params": {"centers": [[0.0, 0.0]], "width": @big@}}',
+     "rbf lifting width must be a finite positive number, got 1000"),
 ], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
         "fp_tol-bool", "fp_tol-string", "inflation-string", "inflation-below-1", "Q-bool",
         "R-bool", "Qk-bool", "Rk-bool", "dt-string", "dt-bool", "dt-zero", "lambda-string",
-        "lambda-bool", "lambda-nan-string", "mu-overflow"])
+        "lambda-bool", "lambda-nan-string", "mu-overflow", "lambda-big-int", "x0-big-int",
+        "s-big-int", "Q-big-int", "Q-entry-big-int", "Qk-big-int", "ridge-big-int",
+        "timed-target-big-int", "fp_tol-big-int", "constraints.state.hi-big-int",
+        "half_extents-big-int", "switch_radius-big-int", "rbf-width-big-int"])
 def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, dotted, text,
                                                 named):
     # Rejected with the key named before any data is generated or fitted:
     # "s": "1000", "ridge": true, "dt": "0.1" and "lambda": "-0.1" used to run,
     # a weight of true ran as 1*I and "lambda": true as 1, "s": 1e400 failed
-    # only after fitting, with no key named, and "lambda": "nan" named a
-    # training trajectory.
+    # only after fitting, with no key named, "lambda": "nan" named a
+    # training trajectory, and an integer too large for a float exited 1
+    # with a traceback.
     for name in ("generate_training_data", "fit_edmd"):
         monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
     scenario = scenario_with_value(tmp_path, dotted, "@value@", steady_grid={},
                                    disturbance={"estimate": {}})
+    text = text.replace("@big@", str(10**400))
     scenario.write_text(scenario.read_text().replace('"@value@"', text))
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
     assert named in capsys.readouterr().err
@@ -920,6 +947,17 @@ def test_steady_unreachable_reports_clipped_target(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "y_s = [3." in out  # steady outputs cap at u-bound 3
+
+
+def test_steady_reports_a_grid_with_no_fixed_point(tmp_path, capsys):
+    # Every fixed point of the plant has x1 = 0, which two x1 points on
+    # [-5, 5] miss: the lifted target is still printed, and the run exits 0.
+    scenario = base_scenario(tmp_path, steady_grid={"x_points": [2, 101], "u_points": [121]})
+    assert main(["steady", str(scenario), "1.0"]) == 0
+    out = capsys.readouterr().out
+    assert "lifted-model steady target: y_s = [1.]" in out
+    assert "grid search found no steady pair: no fixed point of the plant found" in out
+    assert "plant fixed-point target" not in out
 
 
 def test_steady_with_no_steady_pair_in_the_terminal_sets_exit_5(tmp_path, capsys):

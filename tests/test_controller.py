@@ -19,7 +19,6 @@ from koopmpc.controller import (
     shifted_candidate,
     solve_steady,
     solve_steady_nonlinear,
-    solve_steady_offline,
     solve_step,
 )
 from koopmpc.gains import dlqr
@@ -62,6 +61,13 @@ def make_setup(N=6, s=1000.0, W=None, V=None, u_hi=3.0):
     return model, config, schedule
 
 
+def one_shot_steady(model, schedule, y_t, s):
+    """The steady target of ``y_t`` from a problem built for this one solve."""
+    K = np.zeros((model.n_u, model.n_z))
+    config = KtmpcConfig(N=schedule.horizon, Q=np.eye(model.n_z), R=np.eye(model.n_u), s=s, K=K)
+    return solve_steady(TrackingProblem(model, config, schedule), y_t)
+
+
 def nominal_step(model, x, u):
     z = lift(model, x)
     return model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u))
@@ -88,7 +94,7 @@ def test_config_rejects_bad_weights():
 
 def test_steady_offline_reachable_reference():
     model, config, schedule = make_setup(N=2)
-    target = solve_steady_offline(model, schedule, y_t=[1.0], s=config.s)
+    target = solve_steady(TrackingProblem(model, config, schedule), [1.0])
     assert np.allclose(target.z_s, [0.0, 1.0, 0.0], atol=1e-6)
     assert np.allclose(target.u_s, [-1.0], atol=1e-6)
     assert np.allclose(target.y_s, [1.0], atol=1e-6)
@@ -104,14 +110,14 @@ def test_steady_offline_capped_by_state_bounds():
     dist = _Bounds(W=box_zonotope([0.2, 0.2, 0.2]), V=box_zonotope([0.1, 0.1]))
     schedule = tighten_constraints(X, U, dist, model.A, model.B, K, model.C_x, N=1)
     s = 7.0
-    target = solve_steady_offline(model, schedule, y_t=[10.0], s=s)
+    target = one_shot_steady(model, schedule, [10.0], s)
     assert target.y_s[0] == pytest.approx(4.7, abs=1e-7)
     assert target.offset_cost == pytest.approx(s * (10.0 - 4.7) ** 2, rel=1e-7)
 
 
 def test_steady_offline_zero_target():
     model, config, schedule = make_setup(N=2)
-    target = solve_steady_offline(model, schedule, y_t=[0.0], s=config.s)
+    target = solve_steady(TrackingProblem(model, config, schedule), [0.0])
     assert np.allclose(target.z_s, 0.0, atol=1e-8)
     assert np.allclose(target.u_s, 0.0, atol=1e-8)
     assert target.offset_cost == pytest.approx(0.0, abs=1e-10)
@@ -119,7 +125,7 @@ def test_steady_offline_zero_target():
 
 def test_steady_offline_optimality_over_manifold(rng):
     model, config, schedule = make_setup(N=3)
-    target = solve_steady_offline(model, schedule, y_t=[2.3], s=config.s)
+    target = solve_steady(TrackingProblem(model, config, schedule), [2.3])
     # The steady manifold of this model is z = (0, -u, 0); sample it directly.
     for _ in range(100):
         u = rng.uniform(-3.0, 3.0)
@@ -143,16 +149,16 @@ def test_steady_offline_infeasible_manifold():
     X2 = box_polytope([-5.0, -1.0], [5.0, 1.0])
     schedule2 = tighten_constraints(X2, U, dist, model.A, model.B, K, model.C_x, N=1)
     with pytest.raises(Infeasible):
-        solve_steady_offline(model, schedule2, y_t=[0.0], s=1.0)
+        one_shot_steady(model, schedule2, [0.0], 1.0)
     # Sanity: the first schedule is feasible and picks the closest output.
-    t = solve_steady_offline(model, schedule, y_t=[0.0], s=1.0)
+    t = one_shot_steady(model, schedule, [0.0], 1.0)
     assert t.y_s[0] == pytest.approx(-2.0, abs=1e-7)
 
 
 def test_solve_steady_raises_infeasible_on_every_call_and_stores_no_support():
     # The schedule of the test above whose terminal sets hold no steady pair:
-    # the problem's steady QP is certified infeasible at every reference, as
-    # the one-shot solve is, and no support is stored.
+    # the problem's steady QP is certified infeasible at every reference, a
+    # revisited one included, and neither a support nor a target is stored.
     model = benchmark_model()
     K = np.array([[0.0, -2.0, 1.99]])
     X2 = box_polytope([-5.0, -1.0], [5.0, 1.0])
@@ -163,9 +169,7 @@ def test_solve_steady_raises_infeasible_on_every_call_and_stores_no_support():
     for y in (0.0, 1.0, 0.0):
         with pytest.raises(Infeasible):
             solve_steady(problem, [y])
-        with pytest.raises(Infeasible):
-            solve_steady_offline(model, schedule, [y], config.s)
-        assert problem.steady_qp._support is None
+        assert problem.steady_qp._support is None and problem.steady_targets == {}
 
 
 class _DuckPlant:
@@ -355,8 +359,8 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
     x = np.array([0.0, -1.0])
     y_t = [1.0]
     costs, v1s, v2s = [], [], []
-    offline = solve_steady_offline(model, schedule, y_t, config.s)
     problem = TrackingProblem(model, config, schedule)
+    offline = solve_steady(problem, y_t)
     for _ in range(40):
         u_k, sol = solve_step(problem, lift(model, x), y_t)
         d = diagnostics(sol, offline)
@@ -447,8 +451,9 @@ def test_shifted_candidate_detects_excess_disturbance():
 
 def test_diagnostics_steady_start_zero():
     model, config, schedule = make_setup(N=3)
-    offline = solve_steady_offline(model, schedule, [1.0], config.s)
-    _, sol = solve_step(TrackingProblem(model, config, schedule), lift(model, [0.0, 1.0]), [1.0])
+    problem = TrackingProblem(model, config, schedule)
+    offline = solve_steady(problem, [1.0])
+    _, sol = solve_step(problem, lift(model, [0.0, 1.0]), [1.0])
     d = diagnostics(sol, offline)
     assert d.V1 == pytest.approx(0.0, abs=1e-9)
     assert d.V2 == pytest.approx(0.0, abs=1e-9)
@@ -497,9 +502,9 @@ def test_segment_inequality_on_live_controller_data():
     schedule = tighten_constraints(X, U, dist, model.A, model.B, K, model.C_x, N=4)
     config = KtmpcConfig(N=4, Q=np.eye(3), R=np.eye(1), s=50.0, K=K)
     y_t = [10.0]  # unreachable: optimal steady output is capped by the state box
-    offline = solve_steady_offline(model, schedule, y_t, config.s)
-    x = np.array([0.0, -2.0])
     problem = TrackingProblem(model, config, schedule)
+    offline = solve_steady(problem, y_t)
+    x = np.array([0.0, -2.0])
     for _ in range(5):
         u_k, sol = solve_step(problem, lift(model, x), y_t)
         assert segment_inequality_check(

@@ -369,6 +369,28 @@ def test_model_json_roundtrip_is_bit_faithful(tmp_path, rng):
     assert set(doc) == {"n_x", "n_u", "n_y", "n_z", "lifting", "A", "B", "C_x", "C_y"}
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: "{not json", "is not valid JSON"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "B"}, "is missing required model fields"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "n_y"}, "is missing required model fields"),
+    (lambda doc: doc | {"n_u": 2}, "declared n_u=2 does not match matrices"),
+    (lambda doc: doc | {"n_z": 4}, "declared n_z=4 does not match matrices"),
+    (lambda doc: doc | {"n_x": 2.5}, "n_x must be an integer, got 2.5"),
+    (lambda doc: doc | {"n_x": "2"}, "n_x must be an integer, got '2'"),
+    (lambda doc: doc | {"n_u": 1.9}, "n_u must be an integer, got 1.9"),
+    (lambda doc: doc | {"n_z": "3"}, "n_z must be an integer, got '3'"),
+], ids=["invalid-json", "missing-B", "missing-n_y", "n_u-mismatch", "n_z-mismatch",
+        "n_x-fraction", "n_x-string", "n_u-fraction", "n_z-string"])
+def test_load_model_refuses_a_malformed_file_by_name(tmp_path, edit, named):
+    # A declared size used to be cast with int(): "n_x": 2.5 or "2" loaded as 2.
+    path = tmp_path / "model.json"
+    save_model(benchmark_model(), path)
+    doc = edit(json.loads(path.read_text()))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_model(path)
+
+
 def test_rbf_model_json_roundtrip(tmp_path):
     spec = LiftingSpec(kind="rbf", n_x=2, centers=[[0.1, -0.2], [0.3, 0.4]], width=0.7)
     m = make_model(np.eye(4) * 0.5, np.ones((4, 1)), spec)

@@ -82,6 +82,21 @@ def test_step_plant_unicycle():
                    W=box_zonotope([0.1, 0.1, 0.1]))
 
 
+@pytest.mark.parametrize("x, u, kwargs, named", [
+    ([1.0, 0.0, 0.0], [0.0], {}, "expected shapes (2,) and (1,)"),
+    ([1.0, 0.0], [0.0, 0.0], {}, "expected shapes (2,) and (1,)"),
+    ([1.0, 0.0], [0.0], {"W": box_zonotope([0.1] * 3)}, "disturbance injection requires an rng"),
+    ([1.0, 0.0], [0.0], {"V": box_zonotope([0.1] * 2)}, "disturbance injection requires an rng"),
+    ([1.0, 0.0], [0.0], {"W": box_zonotope([0.1] * 2)}, "W must be 3-dimensional and V 2-dimensional"),
+    ([1.0, 0.0], [0.0], {"V": box_zonotope([0.1] * 3)}, "W must be 3-dimensional and V 2-dimensional"),
+], ids=["x-length", "u-length", "W-without-rng", "V-without-rng", "W-size", "V-size"])
+def test_step_plant_rejects_bad_shapes_and_injections(x, u, kwargs, named):
+    if "rng" not in named:
+        kwargs = kwargs | {"rng": np.random.default_rng(0)}
+    with pytest.raises(ValueError, match=re.escape(named)):
+        step_plant(numerical_example_plant(), x, u, **kwargs)
+
+
 def test_plant_invariants():
     p = numerical_example_plant()
     assert (p.n_x, p.n_u) == (2, 1)
@@ -93,6 +108,19 @@ def test_plant_invariants():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
     U = np.array([[0.0], [0.0]])
     assert np.allclose(p.f(X, U), [[-0.1, -1.99], [0.0, 0.0]])
+
+
+def test_numerical_example_f_is_its_exact_lifted_step(rng):
+    # One map for batches and single rows: x+ = first two coordinates of
+    # A_lift (x1, x2, x1^2) + B_lift u, bit for bit, which is the closed form.
+    p = numerical_example_plant(lam=-0.3, mu=1.5)
+    X, U = rng.uniform(-5.0, 5.0, (200, 2)), rng.uniform(-3.0, 3.0, (200, 1))
+    lifted = np.column_stack([X, X[:, 0] ** 2]) @ p.A_lift.T + U @ p.B_lift.T
+    assert np.array_equal(p.f(X, U), lifted[:, :2])
+    for x, u, row in zip(X, U, p.f(X, U)):
+        assert np.array_equal(p.f(x, u), row)
+    closed = np.column_stack([-0.3 * X[:, 0], 1.5 * X[:, 1] + (0.09 - 1.5) * X[:, 0] ** 2 + U[:, 0]])
+    assert np.allclose(p.f(X, U), closed, rtol=1e-14, atol=1e-14)
 
 
 # --- training data ----------------------------------------------------------------

@@ -19,7 +19,6 @@ from koopmpc.controller import (
     build_qp,
     shifted_candidate,
     solve_steady,
-    solve_steady_offline,
     solve_step,
 )
 from koopmpc.model import lift
@@ -85,6 +84,25 @@ def test_tracking_problem_matches_build_qp(stacks, problems, logs, name, near, w
     if ref.status == OPTIMAL:
         assert np.allclose(got.x_star, ref.x_star, rtol=0.0, atol=1e-8)
         assert got.objective == pytest.approx(ref.objective, rel=1e-8, abs=1e-8)
+
+
+def test_a_stored_support_that_breaks_a_row_is_refused(stacks):
+    # At y_t = 3.75 the cost term -2 s y_t sets the a2 QP's scale, so a primal
+    # bound of 1e-8 of that scale would take the stored support {65} alone,
+    # with u(9) below its U~(9) bound (row 19) by 1.5e-5. Each row is checked
+    # against max(1, |b_in|) of its own instead: the warm solve refuses that
+    # support and gives the cold solve's result, bit for bit.
+    stack = stacks["a2"]
+    problem = TrackingProblem(stack.model, stack.config, stack.schedule)
+    z_k, y_t = lift(stack.model, [1.19127926, 3.75]), np.array([3.75])
+    qp = problem.at(z_k, y_t)
+    qp._support = qp_module._support(qp.factors, np.array([65]))
+    warm = solve(qp)
+    cold = solve(build_qp(stack.model, stack.config, stack.schedule, z_k, y_t))
+    assert warm.active_set == cold.active_set == (19, 65)
+    assert np.array_equal(warm.x_star, cold.x_star)
+    assert warm.kkt_residuals == cold.kkt_residuals
+    assert np.max(qp.A_in @ warm.x_star - qp.b_in) <= 1e-9
 
 
 def test_unicycle_warm_and_cold_solves_agree_along_the_course(course):
@@ -470,22 +488,26 @@ def _factored(monkeypatch):
 
 
 def test_steady_program_equals_the_one_shot_solve_and_is_factored_once(stacks, monkeypatch):
-    # A revisited value, steps that move the support and an unreachable
-    # reference: each reuse of the stored factors and support gives the
-    # one-shot solve's target bit for bit.
+    # Steps that move the support, an unreachable reference and a revisited
+    # one: each reuse of the stored factors and support gives the target of a
+    # problem built for that reference alone, bit for bit, and a revisited
+    # reference gets its stored target back without a solve.
     stack = stacks["a2"]
     problem = TrackingProblem(stack.model, stack.config, stack.schedule)
     factored = _factored(monkeypatch)
-    supports = []
-    for y in (1.0, -1.0, 2.0, 1.0, 10.0):
-        got = solve_steady(problem, [y])
-        want = solve_steady_offline(stack.model, stack.schedule, [y], stack.config.s)
+    supports, targets = [], {}
+    for y in (1.0, -1.0, 2.0, 10.0):
+        got = targets[y] = solve_steady(problem, [y])
+        want = solve_steady(TrackingProblem(stack.model, stack.config, stack.schedule), [y])
         for field in ("z_s", "u_s", "y_s"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (y, field)
         assert got.offset_cost == want.offset_cost
         supports.append(tuple(problem.steady_qp._support.rows.tolist()))
     assert len(set(supports)) > 1, supports
     assert sum(program is problem.steady_qp for program in factored) == 1
+    monkeypatch.setattr(qp_module, "solve", None)  # a solve would raise
+    for y in (1.0, 10.0):
+        assert solve_steady(problem, np.array([y])) is targets[y]
 
 
 def test_closed_loop_factors_each_program_once(stacks, monkeypatch):
@@ -507,18 +529,26 @@ def test_one_simulate_call_builds_factors_and_solves_each_target_once(stacks, mo
     # Seeds 0..4 of a2 share their stack's problem: one build_qp, one factoring
     # of the tracking QP and of the steady QP, and one steady solve for each of
     # a2's three references. tighten never builds the problem.
+    stack = stacks["a2"]
+    model, N, s = stack.model, stack.config.N, stack.config.s
+    n_z, n_u = model.n_z, model.n_u
     built, steady = [], []
-    build, solve_target = controller.build_qp, sim.solve_steady
+    build, solve_qp = controller.build_qp, qp_module.solve
     monkeypatch.setattr(controller, "build_qp", lambda *args: built.append(1) or build(*args))
-    monkeypatch.setattr(sim, "solve_steady",
-                        lambda problem, y_t: steady.append(y_t.tolist()) or solve_target(problem, y_t))
+
+    def recorded(program):
+        if program.dim == n_z + n_u:  # the steady QP; its cost holds the reference
+            steady.append(program.q[:n_z].copy())
+        return solve_qp(program)
+
+    monkeypatch.setattr(qp_module, "solve", recorded)
     factored = _factored(monkeypatch)
     assert cli.cmd_tighten(SCENARIOS / "a2.json", tmp_path / "schedule.json") == 0
     assert built == factored == steady == []
     assert cli.cmd_simulate(SCENARIOS / "a2.json", seeds=list(range(5)), out=tmp_path) == 0
     assert len(built) == 1
-    stack = stacks["a2"]
-    N, n_z, n_u = stack.config.N, stack.model.n_z, stack.model.n_u
     assert sorted(program.dim for program in factored) == [n_z + n_u,
                                                            controller._Layout(N, n_z, n_u).dim]
-    assert steady == [[1.0], [-1.0], [2.0]]
+    want = [controller._offset_q(model, s, np.array([y])) for y in (1.0, -1.0, 2.0)]
+    assert len(steady) == len(want)
+    assert all(np.array_equal(got, q) for got, q in zip(steady, want))
