@@ -8,10 +8,12 @@ the tracking terms pull the trajectory toward the artificial target, which
 keeps the problem feasible even for unreachable or stepping references.
 
 The QP takes the lifted state z = psi(x_k) through the equality z(0) = z, and
-x(0) in X~(0) is one more block of its rows. A loop lifts each measured state
-once, solves one :class:`TrackingProblem` with ``solve_step(problem, z, y_t)``
-and checks the recursive-feasibility candidate ``shifted_candidate(problem,
-prev, z)``, a decision vector of the same QP whose margins are read off its rows.
+x(0) in X~(0) is one more block of its rows; it is built once, as a family of
+QPs in theta = (z, y_t), and solved at each step's theta. A loop lifts each
+measured state once, solves one :class:`TrackingProblem` with
+``solve_step(problem, z, y_t)`` and checks the recursive-feasibility candidate
+``shifted_candidate(problem, prev, z)``, a decision vector of the same QP
+whose margins are read off its rows.
 """
 
 from __future__ import annotations
@@ -201,9 +203,9 @@ def _inequality_blocks(model: KoopmanModel, schedule: TighteningSchedule, lay: _
 # --- steady-target optimizers ---------------------------------------------------
 
 def _steady_qp(model: KoopmanModel, schedule: TighteningSchedule, s: float) -> qps.QuadraticProgram:
-    """The steady-pair QP over ``[z_s; u_s]`` at ``y_t = 0``: the offset
-    ``s*||C_y z_s||^2``, steady pairs ``(I - A) z_s - B u_s = 0``, ``C_x z_s``
-    in X~(N) and ``u_s`` in U~(N). A reference only rewrites ``q[:n_z]``."""
+    """The steady-pair QP over ``[z_s; u_s]``, a family in ``theta = y_t``: the
+    offset ``s*||C_y z_s - y_t||^2`` less its constant, steady pairs
+    ``(I - A) z_s - B u_s = 0``, ``C_x z_s`` in X~(N) and ``u_s`` in U~(N)."""
     X_N, U_N = schedule.state_sets[-1], schedule.input_sets[-1]
     return qps.QuadraticProgram(
         P=block_diag(2.0 * s * model.C_y.T @ model.C_y, np.zeros((model.n_u, model.n_u))),
@@ -211,6 +213,7 @@ def _steady_qp(model: KoopmanModel, schedule: TighteningSchedule, s: float) -> q
         A_eq=np.hstack([np.eye(model.n_z) - model.A, -model.B]), b_eq=np.zeros(model.n_z),
         A_in=block_diag(X_N.normals @ model.C_x, U_N.normals),
         b_in=np.concatenate([X_N.offsets, U_N.offsets]),
+        F_q=np.vstack([-2.0 * s * model.C_y.T, np.zeros((model.n_u, model.n_y))]),
     )
 
 
@@ -219,17 +222,16 @@ def solve_steady(problem: TrackingProblem, y_t) -> SteadyTarget:
 
     Solves ``min s*||C_y z_s - y_t||^2`` over steady pairs ``z_s = A z_s + B
     u_s`` with ``C_x z_s`` in the terminal tightened state set and ``u_s`` in
-    the terminal tightened input set: ``problem.steady_qp`` with its cost
-    rewritten for ``y_t``. The target is kept in ``problem.steady_targets``,
-    and a later call for the same ``y_t`` returns it without a solve; an
-    infeasible reference raises :class:`Infeasible` and keeps nothing.
+    the terminal tightened input set: ``problem.steady_qp`` at ``theta = y_t``.
+    The target is kept in ``problem.steady_targets``, and a later call for the
+    same ``y_t`` returns it without a solve; an infeasible reference raises
+    :class:`Infeasible` and keeps nothing.
     """
     key = np.asarray(y_t, dtype=float).tobytes()
     if (target := problem.steady_targets.get(key)) is None:
-        model, s, qp = problem.model, problem.config.s, problem.steady_qp
+        model, s = problem.model, problem.config.s
         y_t = _as_vector(y_t, model.n_y, "y_t")
-        qp.q[: model.n_z] = _offset_q(model, s, y_t)
-        sol = qps.solve(qp)
+        sol = qps.solve(problem.steady_qp, y_t)
         if sol.status == qps.PRIMAL_INFEASIBLE:
             raise Infeasible("no steady pair exists inside the terminal tightened sets")
         target = _steady_target(model, s, sol.x_star[: model.n_z], sol.x_star[model.n_z :], y_t)
@@ -281,16 +283,17 @@ def build_qp(
     model: KoopmanModel,
     config: KtmpcConfig,
     schedule: TighteningSchedule,
-    z_k,
-    y_t,
 ) -> qps.QuadraticProgram:
-    """Assemble the sparse tracking QP for the lifted state ``z_k = psi(x_k)``.
+    """Assemble the sparse tracking QP, a family in ``theta = (z_k, y_t)``
+    with ``z_k = psi(x_k)`` the lifted state and ``y_t`` the reference.
 
     Decision vector: ``[u(0..N-1); z(0..N); z_s; u_s]``. The first ``n_z``
     equality rows pin ``z(0) = z_k``; then come the dynamics
     ``z(j+1) = A z(j) + B u(j)`` for j = 0..N-1, the steady pair and the
     terminal equality ``z(N) = z_s``. The inequality rows are the blocks of
-    :func:`_inequality_blocks`, ``x(0) in X~(0)`` among them.
+    :func:`_inequality_blocks`, ``x(0) in X~(0)`` among them. Only the
+    pinned right-hand side and the offset's linear cost of ``z_s``,
+    ``-2 s C_y' y_t``, depend on theta.
     """
     N, n_z, n_u = config.N, model.n_z, model.n_u
     if schedule.horizon != N:
@@ -299,8 +302,6 @@ def build_qp(
         raise ValueError("Q/R dimensions do not match the model")
     if config.K.shape != (n_u, n_z):
         raise ValueError(f"tube gain K must be {n_u}x{n_z}, got shape {config.K.shape}")
-    z_k = _as_vector(z_k, n_z, "z_k")
-    y_t = _as_vector(y_t, model.n_y, "y_t")
     lay = _Layout(N, n_z, n_u)
     Q2, R2 = 2.0 * config.Q, 2.0 * config.R
 
@@ -332,16 +333,13 @@ def build_qp(
         rows_A.append(block)
         rows_b.append(S.offsets)
 
-    b_eq[0:n_z], q[lay.z_s] = z_k, _offset_q(model, config.s, y_t)
+    F_eq = np.zeros((A_eq.shape[0], n_z + model.n_y))
+    F_q = np.zeros((lay.dim, n_z + model.n_y))
+    F_eq[:n_z, :n_z], F_q[lay.z_s, n_z:] = eye, -2.0 * config.s * model.C_y.T
     return qps.QuadraticProgram(
-        P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=np.vstack(rows_A), b_in=np.concatenate(rows_b)
+        P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=np.vstack(rows_A), b_in=np.concatenate(rows_b),
+        F_q=F_q, F_eq=F_eq,
     )
-
-
-def _offset_q(model: KoopmanModel, s: float, y_t) -> np.ndarray:
-    """The linear cost of ``z_s`` in the tracking and steady QPs, the only
-    part of either that depends on the reference."""
-    return -2.0 * s * model.C_y.T @ y_t
 
 
 def _candidate_map(model: KoopmanModel, K: np.ndarray, lay: _Layout) -> np.ndarray:
@@ -367,12 +365,14 @@ def _candidate_map(model: KoopmanModel, K: np.ndarray, lay: _Layout) -> np.ndarr
 class TrackingProblem:
     """The tracking QP of one (model, config, schedule) and its steady-target
     QP, each built once by :func:`build_qp` and :func:`_steady_qp` and factored
-    on its first solve. Each step then rewrites only ``b_eq[:n_z] = psi(x_k)``
-    and ``q[z_s] = -2 s C_y' y_t`` of ``qp``, and each new reference only
-    ``q[:n_z]`` of ``steady_qp``, the same term (:func:`solve_steady`).
-    ``block_starts`` holds the first ``A_in`` row of each inequality block, in
-    :func:`build_qp`'s order, ``candidate_map`` the map of :func:`_candidate_map`,
-    and ``steady_targets`` the target :func:`solve_steady` found for each
+    on its first solve. Both are affine families of QPs: each step solves
+    ``qp`` at ``theta = (psi(x_k), y_t)``, which enters only as ``b_eq[:n_z]``
+    and the linear cost of ``z_s``, and each new reference ``steady_qp`` at
+    ``theta = y_t`` (:func:`solve_steady`); the solver keeps each one's
+    theta-columns and the map of its stored support. ``block_starts`` holds
+    the first ``A_in`` row of each inequality block, in :func:`build_qp`'s
+    order, ``candidate_map`` the map of :func:`_candidate_map`, and
+    ``steady_targets`` the target :func:`solve_steady` found for each
     reference, keyed by the bytes of ``y_t`` as a float array.
     """
 
@@ -381,18 +381,12 @@ class TrackingProblem:
             raise ValueError("every set of the tightening schedule needs at least one row")
         self.model, self.config, self.schedule = model, config, schedule
         self.layout = _Layout(config.N, model.n_z, model.n_u)
-        self.qp = build_qp(model, config, schedule, np.zeros(model.n_z), np.zeros(model.n_y))
+        self.qp = build_qp(model, config, schedule)
         rows = [S.offsets.size for S, _, _ in _inequality_blocks(model, schedule, self.layout)]
         self.block_starts = np.cumsum([0] + rows[:-1])
         self.candidate_map = _candidate_map(model, config.K, self.layout)
         self.steady_qp = _steady_qp(model, schedule, config.s)
         self.steady_targets: dict[bytes, SteadyTarget] = {}
-
-    def at(self, z0, y_t) -> qps.QuadraticProgram:
-        """The QP at lifted state ``z0`` and reference ``y_t``, updated in place."""
-        self.qp.b_eq[: self.model.n_z] = z0
-        self.qp.q[self.layout.z_s] = _offset_q(self.model, self.config.s, y_t)
-        return self.qp
 
 
 def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSolution]:
@@ -402,7 +396,7 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
     model, config = problem.model, problem.config
     z_k = _as_vector(z_k, model.n_z, "z_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
-    sol = qps.solve(problem.at(z_k, y_t))
+    sol = qps.solve(problem.qp, np.concatenate((z_k, y_t)))
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("tracking QP is primal infeasible")
 

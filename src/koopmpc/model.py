@@ -47,7 +47,10 @@ def _is_finite(v) -> bool:
 
 
 def _as_matrix(M, name: str, finite: bool = True) -> np.ndarray:
-    out = np.asarray(M, dtype=float)
+    try:
+        out = np.asarray(M, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a float") from None
     if out.ndim != 2 or (finite and not np.all(np.isfinite(out))):
         raise ValueError(f"{name} must be a finite 2-D array, got shape {out.shape}")
     return out
@@ -500,13 +503,8 @@ def load_model(path) -> KoopmanModel:
             if not _is_number(size, integer=True):
                 raise ValueError(f"{path}: {key} must be an integer, got {size!r}")
         lifting = _lifting_from_doc(doc["lifting"], sizes["n_x"])
-        model = KoopmanModel(
-            A=np.array(doc["A"], dtype=float),
-            B=np.array(doc["B"], dtype=float),
-            C_x=np.array(doc["C_x"], dtype=float),
-            C_y=np.array(doc["C_y"], dtype=float),
-            lifting=lifting,
-        )
+        model = KoopmanModel(A=doc["A"], B=doc["B"], C_x=doc["C_x"], C_y=doc["C_y"],
+                             lifting=lifting)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} is missing required model fields: {exc}") from exc
     for key in ("n_u", "n_y", "n_z"):

@@ -1,29 +1,41 @@
 """Dense convex quadratic programming with certified results.
 
-Problems have the form
+Problems are affine families in a parameter theta of p entries:
 
-    minimize    0.5 x'Px + q'x
-    subject to  A_eq x  = b_eq
+    minimize    0.5 x'Px + q(theta)'x
+    subject to  A_eq x  = b_eq(theta)
                 A_in x <= b_in
 
-with P positive definite on the null space of A_eq (P itself may be
-indefinite). Everything the solver derives from P, A_eq and A_in (one SVD of
-A_eq giving an orthonormal null basis Z and the pseudo-inverse, the Cholesky
-factorization Z'PZ = LL' and the reduced rows) is computed once per problem,
-on first use, and stays valid while q, b_eq and b_in change. That Cholesky
-factorization is the one check of the contract: a Z'PZ that is not positive
-definite, as for P = 0, raises SolverFailed.
+with q(theta) = q + F_q theta and b_eq(theta) = b_eq + F_eq theta, and P
+positive definite on the null space of A_eq (P itself may be indefinite). A
+QP with p = 0 is a plain QP, solved by ``solve(qp)``. All the data are private
+read-only copies. Everything the solver derives from them is computed once per
+problem, on first use: one SVD of A_eq giving an orthonormal null basis Z and
+the pseudo-inverse, the Cholesky factorization Z'PZ = LL', the reduced rows,
+and the p + 1 theta-columns below. That Cholesky factorization is the one
+check of the contract: a Z'PZ that is not positive definite, as for P = 0,
+raises SolverFailed.
 
 In the basis Y = Z L^-T, where the reduced Hessian is the identity, the QP is
-a least-distance program: with x_p = A_eq^+ b_eq, g = Y'(P x_p + q) and
-x = x_p + Y(v - g), it reads  minimize |v|  subject to  G v >= f, where
-G = -A_in Y and f = A_in x_p - b_in - A_in Y g. Lawson & Hanson (Solving Least
-Squares Problems, 1974, ch. 23) solve it by one nonnegative least-squares
-(NNLS) problem on E = [G'; f']: its solution u and residual r = Eu - e_{n+1}
-give either the optimum v = -r[:n]/r[n] with multipliers u/|r|^2, or, when
-r = 0, a Farkas vector u >= 0 with G'u = 0 and f'u = 1. Each is checked in the
-full space before a status is returned. The optimum must have its
-stationarity, equality and complementarity residuals within 1e-8 of the
+a least-distance program: with x_p = A_eq^+ b_eq, g = Y'(P x_p + q) and the
+unconstrained minimizer x_0 = x_p - Y g, x = x_0 + Y v reads  minimize |v|
+subject to  G v >= h, where G = -A_in Y and h = A_in x_0 - b_in. Both x_0 and
+h are affine in theta; their columns X_0 and H, which multiply [theta; 1], are
+formed once. Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23)
+solve the program by one nonnegative least-squares (NNLS) problem on
+E = [G'; h']: its solution u and residual r = Eu - e_{n+1} give either the
+optimum v = -r[:n]/r[n] with multipliers u/|r|^2, or, when r = 0, a Farkas
+vector u >= 0 with G'u = 0 and h'u = 1.
+
+The rows S with positive NNLS weight are a support. Held as equalities, they
+give the multipliers lam_S = (G_S G_S')^-1 h_S and x = x_0 - Y (A_in Y)_S'
+lam_S, again affine in theta: the support's map M_S = [X_S; Lam_S] comes from
+one Cholesky solve of S's Gram matrix with the p + 1 columns of H_S as
+right-hand sides, and [x; lam_S] = M_S [theta; 1].
+
+Each result is checked in the full space, from P, A_in, A_eq and the
+right-hand sides at theta, before a status is returned. The optimum must have
+its stationarity, equality and complementarity residuals within 1e-8 of the
 data's scale and break no inequality row by more than 1e-9 of max(1, |b_in|)
 of that row, none NaN; one product with [P; A_in; A_eq] gives Px, A_in x and
 A_eq x, and the multipliers act on the support rows only.
@@ -36,21 +48,20 @@ Anything else raises SolverFailed.
 
 A row of A_in whose row of A_in Y is zero to rounding is one that no step in
 the null space of A_eq moves, such as a bound on a variable the equalities
-pin: x_p alone decides it. Its column of E would be zero too, and NNLS could
+pin: x_0 alone decides it. Its column of E would be zero too, and NNLS could
 put any weight on it, so NNLS runs on the other columns only. The most
 violated such row, when it exceeds its offset by more than 1e-9 of
 max(1, |b_in|), is certified by its own Farkas vector; a smaller excess is
 rounding, left to the full-space check.
 
-Each QuadraticProgram keeps the support of its last Optimal solve, the rows
-with positive NNLS weight (no row before the first), and the next solve
-tries it before NNLS: the least squares on those columns of E alone, one
-|S| x |S| Cholesky solve, is taken only where its weights are positive and
-its result passes the same full-space check, which is Lawson and Hanson's
-optimality test on the other columns. So the stored support can make a solve
-faster but never changes which results are accepted. A miss costs that
-failed attempt on top of the NNLS solve, whose own support then goes through
-the same support solve, so that a warm and a cold solve agree bit for bit.
+Each QuadraticProgram keeps the support of its last Optimal solve with its map
+(before the first, no row, whose map is X_0), and the next solve tries it
+before NNLS: [x; lam_S] = M_S [theta; 1] is taken only where lam_S > 0 and it
+passes the full-space check, which is Lawson and Hanson's optimality test on
+the other columns. So the stored support can make a solve faster but never
+changes which results are accepted. A miss builds the map of NNLS's support
+and evaluates it, so that a warm and a cold solve agree bit for bit; where
+that fails, NNLS's own weights are checked.
 """
 
 from __future__ import annotations
@@ -77,11 +88,13 @@ class SolverFailed(RuntimeError):
 
 @dataclass
 class QuadraticProgram:
-    """Convex QP data. P is symmetrized on construction; empty constraint
+    """Convex QP data, affine in a parameter theta through the columns of F_q
+    (d x p) and F_eq (m_eq x p); either may be omitted as zero, and both
+    omitted make p = 0. P is symmetrized on construction; empty constraint
     blocks are normalized to 0-row matrices so downstream code never branches
-    on None. P, A_eq and A_in are private read-only copies, since the solver's
-    factors of them are kept; q, b_eq and b_in may be rewritten in place.
-    The solver also keeps here the support of the last Optimal solve."""
+    on None. Every array is a private read-only copy, since the solver keeps
+    what it derives from them. The solver also keeps here the support of the
+    last Optimal solve."""
 
     P: np.ndarray
     q: np.ndarray
@@ -89,10 +102,12 @@ class QuadraticProgram:
     b_eq: np.ndarray | None = None
     A_in: np.ndarray | None = None
     b_in: np.ndarray | None = None
+    F_q: np.ndarray | None = None
+    F_eq: np.ndarray | None = None
     _support: "_Support | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).ravel()
+        self.q = np.array(self.q, dtype=float).ravel()
         d = self.q.size
         self.P = np.atleast_2d(np.asarray(self.P, dtype=float))
         if self.P.shape != (d, d):
@@ -103,7 +118,7 @@ class QuadraticProgram:
             if A is None:
                 return np.zeros((0, d)), np.zeros(0)
             A = np.atleast_2d(np.array(A, dtype=float))
-            b = np.asarray(b, dtype=float).ravel()
+            b = np.array(b, dtype=float).ravel()
             if A.shape != (b.size, d):
                 raise ValueError(
                     f"{name} shape {A.shape} inconsistent with rhs size {b.size} "
@@ -113,7 +128,14 @@ class QuadraticProgram:
 
         self.A_eq, self.b_eq = _block(self.A_eq, self.b_eq, "A_eq")
         self.A_in, self.b_in = _block(self.A_in, self.b_in, "A_in")
-        for M in (self.P, self.A_eq, self.A_in):
+        p = next((np.shape(F)[-1] for F in (self.F_q, self.F_eq) if F is not None), 0)
+        for name, rows in (("F_q", d), ("F_eq", self.b_eq.size)):
+            F = getattr(self, name)
+            F = np.zeros((rows, p)) if F is None else np.array(F, dtype=float)
+            if F.shape != (rows, p):
+                raise ValueError(f"{name} shape {F.shape} is not ({rows}, {p})")
+            setattr(self, name, F)
+        for M in (self.P, self.q, self.A_eq, self.b_eq, self.A_in, self.b_in, self.F_q, self.F_eq):
             M.flags.writeable = False
 
     @property
@@ -122,10 +144,7 @@ class QuadraticProgram:
 
     @cached_property
     def factors(self) -> "_Factors":
-        """The solver's factors of P, A_eq and A_in, computed on first use.
-
-        They stay valid while q, b_eq and b_in change; P, A_eq and A_in are
-        read-only."""
+        """The solver's factors of the data, computed on first use."""
         return _factor(self)
 
 
@@ -140,19 +159,19 @@ class QpSolution:
     active_set: tuple[int, ...] = ()
 
 
-def _kkt_residuals(qp, f: "_Factors", S: "_Support", x, lam_S):
+def _kkt_residuals(qp, f: "_Factors", S: "_Support", x, lam_S, q, b_eq):
     """KKT residuals of x, lam_S on the rows S and nu = -(A_eq^+)'(Px + q + A_in'lam), Px, nu.
     ``primal_in`` is the largest excess of a row of A_in x over b_in in units of
     max(1, |b_in|) of that row; the other three are absolute."""
     d, m, amax = qp.dim, qp.b_in.size, np.maximum.reduce
     PAx = f.PA @ x  # Px, A_in x, A_eq x
-    Px, r_in, r_eq = PAx[:d], PAx[d : d + m] - qp.b_in, PAx[d + m :] - qp.b_eq
-    grad = Px + qp.q + S.A_in.T @ lam_S
+    Px, r_in, r_eq = PAx[:d], PAx[d : d + m] - qp.b_in, PAx[d + m :] - b_eq
+    grad = Px + q + S.A_in.T @ lam_S
     nu = f.neg_pinv_T @ grad
     return {
         "stationarity": float(amax(np.abs(grad + qp.A_eq.T @ nu), initial=0.0)),
         "primal_eq": float(amax(np.abs(r_eq), initial=0.0)),
-        "primal_in": float(amax(r_in / np.maximum(1.0, np.abs(qp.b_in)), initial=0.0)),
+        "primal_in": float(amax(r_in / f.row_scale, initial=0.0)),
         "complementarity": float(amax(np.abs(lam_S * r_in[S.rows]), initial=0.0)),
     }, Px, nu
 
@@ -164,36 +183,56 @@ def _infeasible(qp: QuadraticProgram, u=None, mu=None) -> QpSolution:
 
 
 @dataclass(frozen=True)
+class _Support:
+    """Rows S of E's columns with A_in[S], which the check needs, and their
+    map M (None where S's Gram matrix (A_in Y)_S (A_in Y)_S' is not positive
+    definite)."""
+
+    rows: np.ndarray
+    A_in: np.ndarray
+    M: np.ndarray | None
+
+
+@dataclass(frozen=True)
 class _Factors:
-    """What the solver derives from P, A_eq and A_in alone.
+    """What the solver derives from the data, once.
 
-    A_eq_pinv is the pseudo-inverse of A_eq, whose product with r is the
-    minimum-norm solution of A_eq x = r (and whose transpose solves
-    A_eq' nu = r the same way); neg_pinv_T = -A_eq_pinv' and PA = [P; A_in;
-    A_eq]. Y = Z L^-T, where Z is an orthonormal basis of the null space of
-    A_eq and Z'PZ = LL' the Cholesky factorization of the reduced Hessian,
-    spans the same null space with Y'PY = I; AY = A_in Y.
-    Only a rank-deficient A_eq admits inconsistent right-hand sides. ``fixed``
-    lists the rows of A_in whose row of AY is zero to rounding (1e-12 of the
-    largest), and ``free`` the others."""
+    neg_pinv_T = -(A_eq^+)', whose product with r is minus the minimum-norm
+    solution of A_eq' nu = r, and PA = [P; A_in; A_eq]. Y = Z L^-T, where Z
+    is an orthonormal basis of the null space of A_eq and Z'PZ = LL' the
+    Cholesky factorization of the reduced Hessian, spans the same null space
+    with Y'PY = I; AY = A_in Y. The theta-columns multiply [theta; 1]: QB
+    gives [q(theta); b_eq(theta)], X0 the unconstrained minimizer x_0, H the
+    offsets h and, for a rank-deficient A_eq (the only kind that admits
+    inconsistent right-hand sides), R_eq the residual A_eq x_p - b_eq.
+    ``fixed`` lists the rows of A_in whose row of AY is zero to rounding
+    (1e-12 of the largest), and ``free`` the others. row_scale is
+    max(1, |b_in|) and rhs_floor max(1, max |b_in|). ``empty`` is the support
+    of no row, whose map is X0."""
 
-    A_eq_pinv: np.ndarray
     neg_pinv_T: np.ndarray
     PA: np.ndarray
     Y: np.ndarray
     AY: np.ndarray
-    rank_deficient: bool
+    QB: np.ndarray
+    X0: np.ndarray
+    H: np.ndarray
+    R_eq: np.ndarray | None
     free: np.ndarray
     fixed: np.ndarray
+    row_scale: np.ndarray
+    rhs_floor: float
+    empty: _Support
 
 
 def _factor(qp: QuadraticProgram) -> _Factors:
-    """Take one SVD of A_eq and one Cholesky factorization of Z'PZ.
+    """Take one SVD of A_eq and one Cholesky factorization of Z'PZ, and form
+    the theta-columns.
 
     Raises SolverFailed when Z'PZ is not positive definite: its factorization
     fails (an indefinite or zero Z'PZ), or a pivot falls below 1e-11 of its
     largest diagonal entry (a singular one)."""
-    A_eq, d = qp.A_eq, qp.dim
+    A_eq, A_in, d = qp.A_eq, qp.A_in, qp.dim
     if A_eq.shape[0] == 0:
         Z, A_eq_pinv = np.eye(d), np.zeros((d, 0))
     else:
@@ -211,16 +250,40 @@ def _factor(qp: QuadraticProgram) -> _Factors:
             "definite on the null space of A_eq"
         )
     Y = solve_triangular(L, Z.T, lower=True).T
-    AY = qp.A_in @ Y
+    AY = A_in @ Y
     reach = np.max(np.abs(AY), axis=1, initial=0.0)
     moves = reach > 1e-12 * np.max(reach, initial=1.0)
-    return _Factors(A_eq_pinv=A_eq_pinv, neg_pinv_T=np.ascontiguousarray(-A_eq_pinv.T),
-                    PA=np.vstack((qp.P, qp.A_in, A_eq)), Y=Y, AY=AY,
-                    rank_deficient=Z.shape[1] + A_eq.shape[0] > d,
-                    free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves))
+    QB = np.vstack((np.column_stack((qp.F_q, qp.q)), np.column_stack((qp.F_eq, qp.b_eq))))
+    X_p = A_eq_pinv @ QB[d:]
+    X0 = X_p - Y @ (Y.T @ (qp.P @ X_p + QB[:d]))
+    H = A_in @ X0
+    H[:, -1] -= qp.b_in
+    rank_deficient = Z.shape[1] + A_eq.shape[0] > d
+    return _Factors(neg_pinv_T=np.ascontiguousarray(-A_eq_pinv.T),
+                    PA=np.vstack((qp.P, A_in, A_eq)), Y=Y, AY=AY, QB=QB, X0=X0, H=H,
+                    R_eq=A_eq @ X_p - QB[d:] if rank_deficient else None,
+                    free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves),
+                    row_scale=np.maximum(1.0, np.abs(qp.b_in)),
+                    rhs_floor=float(np.abs(qp.b_in).max(initial=1.0)),
+                    empty=_Support(rows=_NO_ROWS, A_in=A_in[:0], M=X0))
 
 
-def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> np.ndarray | None:
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_ONE = np.ones(1)
+
+
+def _support(f: _Factors, rows: np.ndarray) -> _Support:
+    """The support S = ``rows`` with its map M_S = [X0 - Y AY_S' Lam_S; Lam_S],
+    Lam_S = (AY_S AY_S')^-1 H_S, from one Cholesky solve with p + 1 right-hand sides."""
+    if not rows.size:
+        return f.empty
+    AY = f.AY[rows]
+    _, Lam, info = dposv(AY @ AY.T, f.H[rows])
+    M = None if info else np.vstack((f.X0 - f.Y @ (AY.T @ Lam), Lam))
+    return _Support(rows=rows, A_in=f.PA[len(f.Y) + rows], M=M)  # A_in's rows of PA start at d
+
+
+def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray, b_eq) -> np.ndarray | None:
     """mu = -(A_eq^+)'A_in'u if u >= 0 and mu pass the Farkas check, else None.
     A_in'u + A_eq'mu = 0 and b_in'u + b_eq'mu < 0 would give
     0 = (A_in'u + A_eq'mu)'x <= b_in'u + b_eq'mu < 0 for any feasible x. Both
@@ -228,114 +291,105 @@ def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray) -> np.ndarray | No
     a = qp.A_in.T @ u
     mu = f.neg_pinv_T @ a
     residual = np.max(np.abs(a + qp.A_eq.T @ mu))
-    gap = qp.b_in @ u + qp.b_eq @ mu
+    gap = qp.b_in @ u + b_eq @ mu
     a_scale = max(1.0, float(np.max(np.abs(qp.A_in).T @ u)))
-    b_scale = max(1.0, float(np.abs(qp.b_in) @ u + np.abs(qp.b_eq) @ np.abs(mu)))
+    b_scale = max(1.0, float(np.abs(qp.b_in) @ u + np.abs(b_eq) @ np.abs(mu)))
     return mu if np.min(u) >= 0.0 and residual <= 1e-9 * a_scale and gap < -1e-9 * b_scale else None
 
 
-@dataclass(frozen=True)
-class _Support:
-    """Rows S of E's columns with what their support solve and its check
-    need: AY_S = (A_in Y)[S], its Gram matrix AY_S AY_S' and A_in[S]."""
-
-    rows: np.ndarray
-    AY: np.ndarray
-    gram: np.ndarray
-    A_in: np.ndarray
-
-
-def _support(f: _Factors, rows: np.ndarray) -> _Support:
-    AY = f.AY[rows]  # A_in's rows of PA start at row d = len(Y)
-    return _Support(rows=rows, AY=AY, gram=AY @ AY.T, A_in=f.PA[len(f.Y) + rows])
-
-
-_NO_ROWS = np.zeros(0, dtype=np.intp)
+def _checked(qp, f, S: _Support, x, lam_S, q, b_eq, tol) -> QpSolution | None:
+    """The Optimal solution x with multipliers lam_S on the rows S if its KKT
+    residuals pass, else None. Column j's NNLS gradient is a positive multiple
+    of (A_in x - b_in)_j, so the primal check is also Lawson and Hanson's
+    optimality test on the columns outside S."""
+    kkt, Px, nu = _kkt_residuals(qp, f, S, x, lam_S, q, b_eq)
+    # primal_in takes the fixed rows' per-row rule; a NaN residual fails.
+    if not all(value <= (_FEAS_TOL if key == "primal_in" else tol) for key, value in kkt.items()):
+        return None
+    lam = np.zeros(qp.b_in.size)
+    lam[S.rows] = lam_S
+    return QpSolution(x_star=x, objective=float(0.5 * x @ Px + q @ x), status=OPTIMAL,
+                      kkt_residuals=kkt, eq_multipliers=nu, in_multipliers=lam,
+                      active_set=tuple(S.rows.tolist()))
 
 
-def _checked(qp, f, x_p, g, tol, S: _Support, u, h_S) -> QpSolution | None:
-    """The checked solution of the NNLS weights u on the columns S of E, or
-    None. The residual r = Eu - e is (-AY_S'u, h_S'u - 1). r[n] < 0 gives the
-    optimum v = -r[:n]/r[n] with multipliers u/|r|^2 (at the NNLS optimum
-    |r|^2 = -r[n], and dividing by -r[n] keeps v = G'lam exact); it is
-    returned if its KKT residuals pass. Column j's NNLS gradient is
-    |r|^2 (A_in x - b_in)_j, so the primal check is also Lawson and Hanson's
-    optimality test on the columns outside S. Otherwise u is returned as
-    PrimalInfeasible if it passes the Farkas check."""
-    lam = np.zeros(qp.A_in.shape[0])
+def _on_support(qp, f, S: _Support, tb, q, b_eq, tol) -> QpSolution | None:
+    """[x; lam_S] = M_S [theta; 1], taken only where lam_S > 0 and it passes its check."""
+    if S.M is None:
+        return None
+    xl = S.M @ tb
+    x, lam_S = xl[: qp.dim], xl[qp.dim :]
+    if lam_S.size and not lam_S.min() > 0.0:
+        return None
+    return _checked(qp, f, S, x, lam_S, q, b_eq, tol)
+
+
+def _from_weights(qp, f, S: _Support, u, h_S, tb, q, b_eq, tol) -> QpSolution | None:
+    """The checked solution of NNLS's own weights u on the columns S of E,
+    or None. The residual r = Eu - e is (-AY_S'u, h_S'u - 1). r[n] < 0 gives
+    the optimum v = -r[:n]/r[n] with multipliers u/|r|^2 (at the NNLS optimum
+    |r|^2 = -r[n], and dividing by -r[n] keeps v = G'lam exact). Otherwise u
+    is returned as PrimalInfeasible if it passes the Farkas check."""
     r_n = h_S @ u - 1.0
     if r_n < 0.0:
-        lam_S = -u / r_n
-        x = x_p + f.Y @ (S.AY.T @ u / r_n - g)
-        kkt, Px, nu = _kkt_residuals(qp, f, S, x, lam_S)
-        # primal_in takes the fixed rows' per-row rule; a NaN residual fails.
-        if all(value <= (_FEAS_TOL if key == "primal_in" else tol) for key, value in kkt.items()):
-            lam[S.rows] = lam_S
-            return QpSolution(x_star=x, objective=float(0.5 * x @ Px + qp.q @ x), status=OPTIMAL,
-                              kkt_residuals=kkt, eq_multipliers=nu, in_multipliers=lam,
-                              active_set=tuple(S.rows.tolist()))
+        x = f.X0 @ tb + f.Y @ (f.AY[S.rows].T @ u / r_n)
+        if (sol := _checked(qp, f, S, x, -u / r_n, q, b_eq, tol)) is not None:
+            return sol
+    lam = np.zeros(qp.b_in.size)
     lam[S.rows] = u
-    mu = _farkas(qp, f, lam) if lam.size else None
+    mu = _farkas(qp, f, lam, b_eq)
     return None if mu is None else _infeasible(qp, lam, mu)
 
 
-def _on_support(qp, f, x_p, g, h, tol, S: _Support) -> QpSolution | None:
-    """The support solve: least squares on E's columns S only, that is
-    (AY_S AY_S' + h_S h_S') u_S = h_S by one Cholesky factorization, taken
-    only where u_S > 0 and its result passes its check."""
-    h_S = u = h[S.rows]  # with no row, u is empty
-    if S.rows.size:
-        _, u, info = dposv(S.gram + h_S[:, None] * h_S, h_S)
-        if info or not u.min() > 0.0:
-            return None
-    return _checked(qp, f, x_p, g, tol, S, u, h_S)
-
-
-def solve(qp: QuadraticProgram) -> QpSolution:
-    """Solve a QP with P positive definite on the null space of A_eq by its
+def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
+    """Solve the QP of ``qp`` at ``theta`` (p entries; none for a plain QP),
+    with P positive definite on the null space of A_eq, by its
     least-distance form.
 
     The support of the QP's last Optimal solve (at first, no row) is tried
-    first; NNLS runs only when that support's solution fails its check, and
-    its own support then goes through the same support solve. Returns an
-    Optimal solution whose KKT residuals passed their check, or a
-    PrimalInfeasible one certified by a checked Farkas vector (or by the
-    residual of inconsistent equalities). Raises SolverFailed when Z'PZ is
-    not positive definite, NNLS reaches its iteration limit, or neither
-    result passes its check.
+    first through its map; NNLS runs only when that fails its check, and the
+    map of its own support is then built and tried. Returns an Optimal
+    solution whose KKT residuals passed their check, or a PrimalInfeasible
+    one certified by a checked Farkas vector (or by the residual of
+    inconsistent equalities). Raises SolverFailed when Z'PZ is not positive
+    definite, NNLS reaches its iteration limit, or neither result passes its
+    check, and ValueError when theta does not have p entries.
     """
     f = qp.factors
-    x_p = f.A_eq_pinv @ qp.b_eq
-    tol = _KKT_TOL * float(np.abs(np.concatenate((qp.q, qp.b_eq, qp.b_in))).max(initial=1.0))
-    if f.rank_deficient and np.max(np.abs(qp.A_eq @ x_p - qp.b_eq)) > tol:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (qp.F_q.shape[1],):
+        raise ValueError(f"theta must have shape ({qp.F_q.shape[1]},), got {theta.shape}")
+    tb = np.concatenate((theta, _ONE))
+    qb = f.QB @ tb  # [q; b_eq] at theta
+    q, b_eq = qb[: qp.dim], qb[qp.dim :]
+    tol = _KKT_TOL * max(f.rhs_floor, float(np.abs(qb).max(initial=0.0)))
+    if f.R_eq is not None and np.max(np.abs(f.R_eq @ tb)) > tol:
         return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
-    g = f.Y.T @ (qp.P @ x_p + qp.q)
-    h = qp.A_in @ x_p - qp.b_in - f.AY @ g
-    S = qp._support or _support(f, _NO_ROWS)
-    sol = _on_support(qp, f, x_p, g, h, tol, S)
+    S = qp._support or f.empty
+    sol = _on_support(qp, f, S, tb, q, b_eq, tol)
     if sol is None:
-        # x_p alone decides the fixed rows; one violated beyond rounding is
+        h = f.H @ tb
+        # x_0 alone decides the fixed rows; one violated beyond rounding is
         # certified by its own Farkas vector, normalized as NNLS's are.
-        excess = h[f.fixed] / np.maximum(1.0, np.abs(qp.b_in[f.fixed]))
+        excess = h[f.fixed] / f.row_scale[f.fixed]
         if excess.size and np.max(excess) > _FEAS_TOL:
             u = np.zeros(h.size)
             row = f.fixed[np.argmax(excess)]
             u[row] = 1.0 / h[row]
-            if (mu := _farkas(qp, f, u)) is not None:
+            if (mu := _farkas(qp, f, u, b_eq)) is not None:
                 return _infeasible(qp, u, mu)
         if not f.free.size:  # nnls on a matrix with no columns aborts the process
             raise SolverFailed("QP solution failed its KKT check")
-        n = g.size
-        e = np.zeros(n + 1)
-        e[n] = 1.0
+        e = np.zeros(f.Y.shape[1] + 1)
+        e[-1] = 1.0
         try:
             u = nnls(np.vstack([-f.AY[f.free].T, h[f.free]]), e)[0]
         except RuntimeError as exc:
             raise SolverFailed(f"NNLS solve of the least-distance program failed: {exc}") from exc
         S = _support(f, f.free[u > 0])
-        sol = _on_support(qp, f, x_p, g, h, tol, S)
-        if sol is None:  # the support solve failed: NNLS's own weights
-            sol = _checked(qp, f, x_p, g, tol, S, u[u > 0], h[S.rows])
+        sol = _on_support(qp, f, S, tb, q, b_eq, tol)
+        if sol is None:  # the map failed: NNLS's own weights
+            sol = _from_weights(qp, f, S, u[u > 0], h[S.rows], tb, q, b_eq, tol)
         if sol is None:
             raise SolverFailed("NNLS gave neither a checked optimum nor a Farkas vector")
     if sol.status == OPTIMAL:

@@ -15,8 +15,8 @@ def farkas_vectors(monkeypatch):
 
     certified, check = [], qp_module._farkas
 
-    def recorded(qp, f, u):
-        mu = check(qp, f, u)
+    def recorded(qp, f, u, b_eq):
+        mu = check(qp, f, u, b_eq)
         if mu is not None:
             certified.append(u.copy())
         return mu

@@ -164,25 +164,21 @@ def qp_by_active_set_enumeration(P, q, A_eq, b_eq, A_in, b_in, tol=1e-9):
     return best
 
 
-def kkt_check_dense(qp, f, x_p, g, tol, rows, u, h_S):
-    """The optimality branch of ``qp._checked`` as it was written with dense
-    products: for the NNLS weights u on the rows ``rows`` with r_n = h_S'u - 1
-    < 0, the point x = x_p + Y(AY_S'u/r_n - g), the full-length multipliers
-    lam (-u/r_n on ``rows``, zero elsewhere), grad = Px + q + A_in'lam,
+def kkt_check_dense(qp, f, S, x, lam_S, q, b_eq, tol):
+    """The full-space check of ``qp._checked`` as it was written with dense
+    products: for the point x and the multipliers lam_S on the support S,
+    with q and b_eq the right-hand sides at theta, the full-length
+    multipliers lam (lam_S on S.rows, zero elsewhere), grad = Px + q + A_in'lam,
     nu = -(A_eq^+)'grad and the four KKT residuals from the three separate
-    products Px, A_in x and A_eq x. Returns (x, lam, nu, kkt, accepted), with
+    products Px, A_in x and A_eq x. Returns (lam, nu, kkt, accepted), with
     accepted = every residual <= tol, but ``primal_in``, each row's excess in
-    units of max(1, |b_in|) of that row, <= 1e-9; None when r_n >= 0."""
-    r_n = h_S @ u - 1.0
-    if not r_n < 0.0:
-        return None
+    units of max(1, |b_in|) of that row, <= 1e-9."""
     lam = np.zeros(qp.A_in.shape[0])
-    lam[rows] = -u / r_n
-    x = x_p + f.Y @ (f.AY[rows].T @ u / r_n - g)
-    grad = qp.P @ x + qp.q + qp.A_in.T @ lam
-    nu = -f.A_eq_pinv.T @ grad
+    lam[S.rows] = lam_S
+    grad = qp.P @ x + q + qp.A_in.T @ lam
+    nu = f.neg_pinv_T @ grad
     stat = grad + qp.A_eq.T @ nu
-    r_in, r_eq = qp.A_in @ x - qp.b_in, qp.A_eq @ x - qp.b_eq
+    r_in, r_eq = qp.A_in @ x - qp.b_in, qp.A_eq @ x - b_eq
     kkt = {
         "stationarity": float(np.max(np.abs(stat), initial=0.0)),
         "primal_eq": float(np.max(np.abs(r_eq), initial=0.0)),
@@ -190,7 +186,18 @@ def kkt_check_dense(qp, f, x_p, g, tol, rows, u, h_S):
         "complementarity": float(np.max(np.abs(lam * r_in), initial=0.0)),
     }
     limits = {key: tol for key in kkt} | {"primal_in": 1e-9}
-    return x, lam, nu, kkt, all(kkt[key] <= limits[key] for key in kkt)
+    return lam, nu, kkt, all(kkt[key] <= limits[key] for key in kkt)
+
+
+def plain_qp(family, theta):
+    """The p = 0 QP of the affine family ``family`` at ``theta``: the same P,
+    A_eq, A_in and b_in, with q = q0 + F_q theta and b_eq = b0 + F_eq theta."""
+    from koopmpc.qp import QuadraticProgram
+
+    theta = np.asarray(theta, dtype=float)
+    return QuadraticProgram(P=family.P, q=family.q + family.F_q @ theta, A_eq=family.A_eq,
+                            b_eq=family.b_eq + family.F_eq @ theta, A_in=family.A_in,
+                            b_in=family.b_in)
 
 
 def tracking_cost(config, u_bar, z_bar, z_s, u_s):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -202,6 +203,18 @@ def test_fit_rejects_a_non_integer_n_x_exit_2(tmp_path, capsys, n_x):
     assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
     err = capsys.readouterr().err
     assert ("missing required field 'n_x'" if n_x is None else "lifting n_x must be") in err
+    assert not out_path.exists()
+
+
+def test_fit_rejects_an_rbf_center_too_large_for_a_float_exit_2(tmp_path, capsys):
+    # An integer too large for a float among the centers used to exit 1 with
+    # an OverflowError traceback.
+    csv_path, lift_path, out_path = tmp_path / "train.csv", tmp_path / "l.json", tmp_path / "m.json"
+    write_training_csv(csv_path)
+    lift_path.write_text(json.dumps({"kind": "rbf", "n_x": 2, "ridge": 0.0,
+                                     "params": {"centers": [[10**400, 0.0]], "width": 1.0}}))
+    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
+    assert "centers holds an integer too large for a float" in capsys.readouterr().err
     assert not out_path.exists()
 
 
@@ -625,13 +638,16 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
      "references.waypoints.switch_radius must be a finite positive number, got 1000"),
     ("lifting", '{"kind": "rbf", "params": {"centers": [[0.0, 0.0]], "width": @big@}}',
      "rbf lifting width must be a finite positive number, got 1000"),
+    ("lifting", '{"kind": "rbf", "params": {"centers": [[@big@, 0.0]], "width": 1.0}}',
+     "centers holds an integer too large for a float"),
 ], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
         "fp_tol-bool", "fp_tol-string", "inflation-string", "inflation-below-1", "Q-bool",
         "R-bool", "Qk-bool", "Rk-bool", "dt-string", "dt-bool", "dt-zero", "lambda-string",
         "lambda-bool", "lambda-nan-string", "mu-overflow", "lambda-big-int", "x0-big-int",
         "s-big-int", "Q-big-int", "Q-entry-big-int", "Qk-big-int", "ridge-big-int",
         "timed-target-big-int", "fp_tol-big-int", "constraints.state.hi-big-int",
-        "half_extents-big-int", "switch_radius-big-int", "rbf-width-big-int"])
+        "half_extents-big-int", "switch_radius-big-int", "rbf-width-big-int",
+        "rbf-centers-big-int"])
 def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, dotted, text,
                                                 named):
     # Rejected with the key named before any data is generated or fitted:
@@ -891,8 +907,7 @@ def test_simulate_singular_reduced_hessian_exit_6(tmp_path, capsys, monkeypatch)
     for make_P in (flat, indefinite):
         def patched(*args):
             qp = build(*args)
-            return qp_module.QuadraticProgram(P=make_P(qp), q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq,
-                                              A_in=qp.A_in, b_in=qp.b_in)
+            return dataclasses.replace(qp, P=make_P(qp))
 
         monkeypatch.setattr(controller_module, "build_qp", patched)
         code, err = _simulate_exit_code(tmp_path, capsys)

@@ -237,17 +237,23 @@ def test_steady_nonlinear_zero_input_family():
 
 def test_build_qp_dimensions_horizon_one():
     model, config, schedule = make_setup(N=1)
-    qp = build_qp(model, config, schedule, z_k=lift(model, [0.5, 0.5]), y_t=[1.0])
+    qp = build_qp(model, config, schedule)
     assert qp.dim == 1 + 3 + 3 + 3 + 1  # u(0), z(0), z(1), z_s, u_s
     assert qp.A_eq.shape[0] == 12  # initial state 3 + dynamics 3 + steady 3 + terminal 3
-    assert np.array_equal(qp.b_eq[:3], lift(model, [0.5, 0.5]))
+    # theta = (psi(x_k), y_t): the first 3 equality rows pin z(0), and y_t sets
+    # the linear cost of z_s (variables 7..9) alone.
+    z_k = lift(model, [0.5, 0.5])
+    b_eq = qp.b_eq + qp.F_eq @ np.concatenate([z_k, [1.0]])
+    assert np.array_equal(b_eq[:3], z_k) and not b_eq[3:].any()
+    assert not np.delete(qp.F_q, [7, 8, 9], axis=0).any() and not qp.F_q[:, :3].any()
+    assert np.array_equal(qp.F_q[7:10, 3:], -2.0 * config.s * model.C_y.T)
     # Inequalities: u(0) box 2, X~(0) box 4, steady state box 4, steady input box 2.
     assert qp.A_in.shape[0] == 12
 
 
 def test_build_qp_zero_disturbance_keeps_raw_offsets():
     model, config, schedule = make_setup(N=3)
-    qp = build_qp(model, config, schedule, z_k=np.zeros(3), y_t=[0.0])
+    qp = build_qp(model, config, schedule)
     assert set(np.round(qp.b_in, 12)) == {3.0, 5.0}
 
 
@@ -256,7 +262,7 @@ def test_build_qp_hessian_psd(rng):
     M = rng.standard_normal((3, 3))
     Q = M @ M.T + 0.1 * np.eye(3)
     config = KtmpcConfig(N=4, Q=Q, R=2.0 * np.eye(1), s=float(rng.uniform(0.5, 5)), K=config.K)
-    qp = build_qp(model, config, schedule, z_k=lift(model, [0.1, -0.2]), y_t=[0.7])
+    qp = build_qp(model, config, schedule)
     assert np.min(np.linalg.eigvalsh(qp.P)) >= -1e-10
 
 
@@ -264,7 +270,7 @@ def test_build_qp_horizon_mismatch():
     model, config, schedule = make_setup(N=3)
     bad = KtmpcConfig(N=4, Q=config.Q, R=config.R, s=config.s, K=config.K)
     with pytest.raises(ValueError):
-        build_qp(model, bad, schedule, z_k=np.zeros(3), y_t=[0.0])
+        build_qp(model, bad, schedule)
 
 
 def test_build_qp_rejects_a_tube_gain_of_the_wrong_shape():
@@ -273,7 +279,7 @@ def test_build_qp_rejects_a_tube_gain_of_the_wrong_shape():
     model, config, schedule = make_setup(N=3)
     bad = KtmpcConfig(N=3, Q=config.Q, R=config.R, s=config.s, K=np.zeros((1, 2)))
     with pytest.raises(ValueError, match=r"tube gain K must be 1x3, got shape \(1, 2\)"):
-        build_qp(model, bad, schedule, z_k=np.zeros(3), y_t=[0.0])
+        build_qp(model, bad, schedule)
     with pytest.raises(ValueError, match="tube gain K"):
         TrackingProblem(model, bad, schedule)
 

@@ -379,10 +379,18 @@ def test_model_json_roundtrip_is_bit_faithful(tmp_path, rng):
     (lambda doc: doc | {"n_x": "2"}, "n_x must be an integer, got '2'"),
     (lambda doc: doc | {"n_u": 1.9}, "n_u must be an integer, got 1.9"),
     (lambda doc: doc | {"n_z": "3"}, "n_z must be an integer, got '3'"),
+    (lambda doc: doc | {"A": [[10**400] + doc["A"][0][1:]] + doc["A"][1:]},
+     "A holds an integer too large for a float"),
+    (lambda doc: doc | {"C_y": [[0.0, 10**400, 0.0]]}, "C_y holds an integer too large for a float"),
+    (lambda doc: doc | {"lifting": {"kind": "rbf", "params": {"centers": [[10**400, 0.0]],
+                                                              "width": 1.0}}},
+     "centers holds an integer too large for a float"),
 ], ids=["invalid-json", "missing-B", "missing-n_y", "n_u-mismatch", "n_z-mismatch",
-        "n_x-fraction", "n_x-string", "n_u-fraction", "n_z-string"])
+        "n_x-fraction", "n_x-string", "n_u-fraction", "n_z-string", "A-big-int", "C_y-big-int",
+        "rbf-centers-big-int"])
 def test_load_model_refuses_a_malformed_file_by_name(tmp_path, edit, named):
-    # A declared size used to be cast with int(): "n_x": 2.5 or "2" loaded as 2.
+    # A declared size used to be cast with int(): "n_x": 2.5 or "2" loaded as 2,
+    # and an integer too large for a float raised OverflowError.
     path = tmp_path / "model.json"
     save_model(benchmark_model(), path)
     doc = edit(json.loads(path.read_text()))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from koopmpc.qp import (
     SolverFailed,
     solve,
 )
-from oracles import kkt_check_dense, qp_by_active_set_enumeration
+from oracles import kkt_check_dense, plain_qp, qp_by_active_set_enumeration
 
 
 def _check_kkt(sol, tol=1e-8):
@@ -223,23 +225,24 @@ def test_bitwise_determinism(rng):
 
 
 def test_warm_start_agrees_with_cold_start(rng):
-    # A problem whose factors and stored support are warm from solves at other
-    # right-hand sides gives, bit for bit, the solution of a cold problem
-    # built from the same data.
+    # A family whose factors and stored support are warm from solves at other
+    # parameters gives, bit for bit, the solution of a cold family built from
+    # the same data. theta sets all of q and b_eq.
     M = rng.standard_normal((4, 4))
     qp = QuadraticProgram(
         P=M.T @ M + 0.5 * np.eye(4),
-        q=rng.standard_normal(4),
+        q=np.zeros(4),
         A_eq=rng.standard_normal((1, 4)),
-        b_eq=[0.3],
+        b_eq=[0.0],
         A_in=np.vstack([np.eye(4), -np.eye(4)]),
         b_in=np.full(8, 0.5),
+        F_q=np.eye(4, 5),
+        F_eq=np.eye(1, 5, 4),
     )
     for _ in range(3):
-        qp.q[:], qp.b_eq[:] = 5.0 * rng.standard_normal(4), rng.uniform(-0.5, 0.5, 1)
-        warm = solve(qp)
-        cold = solve(QuadraticProgram(P=qp.P, q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq, A_in=qp.A_in,
-                                      b_in=qp.b_in))
+        theta = np.concatenate([5.0 * rng.standard_normal(4), rng.uniform(-0.5, 0.5, 1)])
+        warm = solve(qp, theta)
+        cold = solve(dataclasses.replace(qp), theta)
         assert warm.status == cold.status == OPTIMAL
         assert np.array_equal(warm.x_star, cold.x_star)
         assert warm.active_set == cold.active_set
@@ -506,7 +509,7 @@ def test_violated_rows_are_held_without_phase1(monkeypatch, make):
     for seed in range(12):
         qp, x0 = make(np.random.default_rng(seed))
         x0 = np.zeros(qp.dim) if x0 is None else x0
-        qp.q[:] = -qp.P @ x0
+        qp = dataclasses.replace(qp, q=-qp.P @ x0)
         assert np.max(qp.A_in @ x0 - qp.b_in) > 1e-3
         if qp.A_eq.shape[0]:
             assert np.allclose(qp.A_eq @ x0, qp.b_eq)
@@ -547,7 +550,7 @@ def test_projection_takes_the_least_norm_correction(make):
     # rank-1 P makes Z'PZ singular, which is outside the contract and raises.
     for seed in range(12):
         qp, x0 = make(np.random.default_rng(seed))
-        qp.q[:] = -qp.P @ x0
+        qp = dataclasses.replace(qp, q=-qp.P @ x0)
         if make is _flat_overshooting_warm_start:
             with pytest.raises(SolverFailed, match="singular"):
                 solve(qp)
@@ -661,16 +664,14 @@ def test_factors_are_computed_once_per_problem(monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
     qp = QuadraticProgram(P=2.0 * np.eye(3), q=[-2.0, 0.0, 4.0], A_eq=[[1.0, 1.0, 1.0]],
-                          b_eq=[0.0], A_in=np.vstack([np.eye(3), -np.eye(3)]), b_in=np.ones(6))
-    solve(qp)
-    # The right-hand sides may change between solves; the factors stay.
-    qp.q[:] = [1.0, -1.0, 0.5]
-    qp.b_eq[:] = [0.5]
-    second = solve(qp)
+                          b_eq=[0.0], A_in=np.vstack([np.eye(3), -np.eye(3)]), b_in=np.ones(6),
+                          F_q=np.eye(3, 4), F_eq=np.eye(1, 4, 3))
+    solve(qp, np.zeros(4))
+    # The right-hand sides change with theta between solves; the factors stay.
+    theta = np.array([3.0, -1.0, -3.5, 0.5])  # q = (1, -1, 0.5), b_eq = 0.5
+    second = solve(qp, theta)
     assert len(svds) == 1
-    fresh = QuadraticProgram(P=qp.P, q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq, A_in=qp.A_in,
-                             b_in=qp.b_in)
-    assert np.allclose(second.x_star, solve(fresh).x_star, atol=1e-10)
+    assert np.allclose(second.x_star, solve(plain_qp(qp, theta)).x_star, atol=1e-10)
     _check_kkt(second)
 
 
@@ -699,22 +700,26 @@ def test_a_repeated_solve_takes_the_stored_support_without_nnls(monkeypatch):
     _check_kkt(again)
 
 
+def _box_family():
+    """``_box_qp`` as a family in theta = (q, b_eq)."""
+    return dataclasses.replace(_box_qp(np.zeros(3)), b_eq=[0.0], F_q=np.eye(3, 4),
+                               F_eq=np.eye(1, 4, 3))
+
+
 def test_any_stored_support_gives_the_cold_result(rng):
-    # No row, every row, random rows and the support at another right-hand
-    # side: a support is taken only at an optimum that passes its check, so
-    # each gives the cold solve's status and x, bit for bit. An infeasible
-    # problem stays certified whatever support it holds.
-    qp = _box_qp(np.zeros(3))
+    # No row, every row, random rows and the support at another parameter: a
+    # support is taken only at an optimum that passes its check, so each
+    # gives the cold solve's status and x, bit for bit. An infeasible problem
+    # stays certified whatever support it holds.
+    qp = _box_family()
     f = qp.factors
     for _ in range(40):
-        qp.q[:], qp.b_eq[:] = 4.0 * rng.standard_normal(3), rng.uniform(-0.5, 0.5, 1)
-        cold = solve(QuadraticProgram(P=qp.P, q=qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq, A_in=qp.A_in,
-                                      b_in=qp.b_in))
-        other = solve(QuadraticProgram(P=qp.P, q=-qp.q, A_eq=qp.A_eq, b_eq=qp.b_eq, A_in=qp.A_in,
-                                       b_in=qp.b_in))
+        theta = np.concatenate([4.0 * rng.standard_normal(3), rng.uniform(-0.5, 0.5, 1)])
+        cold = solve(dataclasses.replace(qp), theta)
+        other = solve(dataclasses.replace(qp), theta * [-1.0, -1.0, -1.0, 1.0])
         for rows in ((), range(6), np.flatnonzero(rng.uniform(size=6) < 0.5), other.active_set):
             qp._support = qp_module._support(f, np.array(rows, dtype=np.intp))
-            got = solve(qp)
+            got = solve(qp, theta)
             assert got.status == cold.status
             assert np.array_equal(got.x_star, cold.x_star, equal_nan=True), rows
             assert got.active_set == cold.active_set
@@ -724,29 +729,64 @@ def test_any_stored_support_gives_the_cold_result(rng):
             assert solve(bad).status == PRIMAL_INFEASIBLE
 
 
+def test_a_hit_calls_neither_nnls_nor_dposv():
+    # A parameter near the last one keeps its support: the stored map gives
+    # [x; lam_S] by one product, with no NNLS and no Cholesky solve, and the
+    # result is the cold family's, bit for bit.
+    qp = _box_family()
+    theta = np.array([-4.0, -4.0, 1.0, 0.1])
+    first = solve(qp, theta)
+    assert first.status == OPTIMAL and first.active_set
+    near = theta + [0.01, -0.01, 0.02, 0.01]
+
+    def refused(*args):
+        raise AssertionError("a stored-support hit called nnls or dposv")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp_module, "nnls", refused)
+        mp.setattr(qp_module, "dposv", refused)
+        hit = solve(qp, near)
+    assert hit.active_set == first.active_set
+    _check_kkt(hit)
+    cold = solve(dataclasses.replace(qp), near)
+    assert np.array_equal(hit.x_star, cold.x_star) and hit.active_set == cold.active_set
+
+
+def test_theta_must_have_one_entry_per_parameter():
+    qp = _box_family()
+    for theta in ((), np.zeros(3), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match=r"theta must have shape \(4,\)"):
+            solve(qp, theta)
+    with pytest.raises(ValueError, match=r"F_eq shape \(1, 2\) is not \(1, 3\)"):
+        QuadraticProgram(P=np.eye(2), q=np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[0.0],
+                         F_q=np.zeros((2, 3)), F_eq=np.zeros((1, 2)))
+
+
 def test_only_an_optimal_solve_replaces_the_stored_support():
-    # min (x - 2)^2 over x <= 1 and x >= c: the support {x <= 1} outlives the
-    # infeasible c = 2.
-    qp = QuadraticProgram(P=[[2.0]], q=[-4.0], A_in=[[1.0], [-1.0]], b_in=[1.0, 0.0])
-    assert solve(qp).active_set == (0,)
-    qp.b_in[1] = -2.0
-    assert solve(qp).status == PRIMAL_INFEASIBLE
+    # min (x - 2)^2 over x <= 1 and x >= c, with c = theta pinned by an
+    # equality: the support {x <= 1} outlives the infeasible c = 2.
+    qp = QuadraticProgram(P=np.diag([2.0, 0.0]), q=[-4.0, 0.0], A_eq=[[0.0, 1.0]], b_eq=[0.0],
+                          A_in=[[1.0, 0.0], [-1.0, 1.0]], b_in=[1.0, 0.0], F_eq=[[1.0]])
+    assert solve(qp, [0.0]).active_set == (0,)
+    assert solve(qp, [2.0]).status == PRIMAL_INFEASIBLE
     assert qp._support.rows.tolist() == [0]
-    qp.b_in[1] = 0.0
-    assert solve(qp).active_set == (0,)
+    assert solve(qp, [0.0]).active_set == (0,)
 
 
 def test_factored_matrices_are_read_only():
-    A_in = np.vstack([np.eye(2), -np.eye(2)])
-    qp = QuadraticProgram(P=np.eye(2), q=[1.0, -1.0], A_eq=[[1.0, 1.0]], b_eq=[0.0], A_in=A_in,
-                          b_in=np.ones(4))
-    solve(qp)
-    for M in (qp.P, qp.A_eq, qp.A_in):
+    # Every array the solver derives its factors and theta-columns from is a
+    # private read-only copy: q0, b0 and b_in as well as the matrices.
+    data = dict(P=np.eye(2), q=np.array([1.0, -1.0]), A_eq=np.array([[1.0, 1.0]]),
+                b_eq=np.array([0.0]), A_in=np.vstack([np.eye(2), -np.eye(2)]), b_in=np.ones(4),
+                F_q=np.ones((2, 1)), F_eq=np.ones((1, 1)))
+    qp = QuadraticProgram(**data)
+    solve(qp, [0.5])
+    for name, given in data.items():
+        stored = getattr(qp, name)
         with pytest.raises(ValueError):
-            M[0, 0] = 5.0
-    A_in[0, 0] = 5.0  # the caller's array stays writable and is not the one factored
-    assert qp.A_in[0, 0] == 1.0
-    qp.q[0], qp.b_eq[0], qp.b_in[0] = 2.0, 0.5, 2.0  # the right-hand sides stay writable
+            stored[(0,) * stored.ndim] = 5.0
+        given[(0,) * given.ndim] = 5.0  # the caller's array stays writable and is not stored
+        assert stored[(0,) * stored.ndim] != 5.0, name
 
 
 # --- a vertex with more active rows than null-space dimensions ----------------------------
@@ -803,8 +843,8 @@ def test_near_parallel_blocking_row_gives_the_true_minimizer():
 
 # --- the full-space check against its dense formulation ---------------------------------
 
-def _checks_of(qp):
-    """Solve qp and return every call of the full-space check with its result."""
+def _checks_of(qp, theta=()):
+    """Solve qp at theta and return every call of the full-space check with its result."""
     calls, check = [], qp_module._checked
 
     def recorded(*args):
@@ -815,7 +855,7 @@ def _checks_of(qp):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qp_module, "_checked", recorded)
         try:
-            solve(qp)
+            solve(qp, theta)
         except SolverFailed:
             pass
     assert calls
@@ -838,15 +878,12 @@ def _assert_checks_match_the_dense_check(calls):
     """The check's residuals are the dense formulation's to 1e-12 of the size
     of the terms they sum (at least 1), and the two accept the same results:
     the same point, multipliers and residuals."""
-    for (qp, f, x_p, g, tol, S, u, h_S), sol in calls:
-        accepted = sol is not None and sol.status == OPTIMAL
-        dense = kkt_check_dense(qp, f, x_p, g, tol, S.rows, u, h_S)
-        if dense is None:
-            assert not accepted
-            continue
-        x, lam, nu, kkt, dense_accepted = dense
-        residuals, _, _ = qp_module._kkt_residuals(qp, f, S, x, lam[S.rows])
-        scales = _term_scales(qp, x, lam, nu)
+    for (qp, f, S, x, lam_S, q, b_eq, tol), sol in calls:
+        accepted = sol is not None
+        lam, nu, kkt, dense_accepted = kkt_check_dense(qp, f, S, x, lam_S, q, b_eq, tol)
+        residuals, _, _ = qp_module._kkt_residuals(qp, f, S, x, lam_S, q, b_eq)
+        scales = _term_scales(dataclasses.replace(qp, q=q, b_eq=b_eq, F_q=None, F_eq=None),
+                              x, lam, nu)
         for key, value in kkt.items():
             assert abs(residuals[key] - value) <= 1e-12 * max(1.0, scales[key]), (key, residuals, kkt)
         assert accepted == dense_accepted
@@ -860,15 +897,18 @@ def _assert_checks_match_the_dense_check(calls):
        n_in=st.integers(0, 14), feasible=st.booleans())
 def test_the_check_matches_its_dense_form_on_random_qps(seed, d, n_eq, n_in, feasible):
     # Offsets with a negative slack at the point x0 often make the QP infeasible,
-    # so rejected checks and Farkas vectors are drawn as well as optima.
+    # so rejected checks and Farkas vectors are drawn as well as optima. The QP
+    # is a family in two parameters, solved where A_eq x0 = b_eq(theta).
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((d, d))
     A_eq, A_in = rng.standard_normal((min(n_eq, d), d)), rng.standard_normal((n_in, d))
     x0 = rng.uniform(-1.0, 1.0, d)
     slack = rng.uniform(0.0 if feasible else -1.0, 1.0, n_in)
+    theta, F_eq = rng.standard_normal(2), rng.standard_normal((A_eq.shape[0], 2))
     qp = QuadraticProgram(P=M.T @ M + 0.1 * np.eye(d), q=3.0 * rng.standard_normal(d),
-                          A_eq=A_eq, b_eq=A_eq @ x0, A_in=A_in, b_in=A_in @ x0 + slack)
-    _assert_checks_match_the_dense_check(_checks_of(qp))
+                          A_eq=A_eq, b_eq=A_eq @ x0 - F_eq @ theta, A_in=A_in,
+                          b_in=A_in @ x0 + slack, F_q=rng.standard_normal((d, 2)), F_eq=F_eq)
+    _assert_checks_match_the_dense_check(_checks_of(qp, theta))
 
 
 def _interior_optimum():
@@ -895,7 +935,7 @@ def _no_inequalities():
 def test_the_check_matches_its_dense_form_on_degenerate_qps(make):
     calls = _checks_of(make())
     _assert_checks_match_the_dense_check(calls)
-    (*_, S, _, _), _ = calls[0]
+    (_, _, S, *_), _ = calls[0]
     assert S.rows.size == 0  # the first solve tries the empty support
 
 

@@ -1,5 +1,6 @@
-"""The parametric tracking QP (`TrackingProblem`) against its reference
-assembly (`build_qp` + `qp.solve`), the certified halt of the unicycle course,
+"""The parametric tracking QP (`TrackingProblem`, a family in theta =
+(psi(x_k), y_t)) against its reference assembly (the p = 0 QP of `build_qp`
+at theta + `qp.solve`), the certified halt of the unicycle course,
 and the shifted candidate, one product with a precomputed map, against its
 step-by-step rollout and its row-read margins against the per-set formula."""
 
@@ -24,7 +25,7 @@ from koopmpc.controller import (
 from koopmpc.model import lift
 from koopmpc.qp import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from koopmpc.sets import TighteningSchedule, margin
-from oracles import shifted_rollout, tracking_cost
+from oracles import plain_qp, shifted_rollout, tracking_cost
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 NAMES = ("a2", "unicycle_square")
@@ -77,9 +78,9 @@ def test_tracking_problem_matches_build_qp(stacks, problems, logs, name, near, w
     else:
         x_k = lo + u * (hi - lo)
     y_t = stack.plant.C @ (lo + np.array(uy[:n]) * (hi - lo))
-    z_k = lift(stack.model, x_k)
-    ref = solve(build_qp(stack.model, stack.config, stack.schedule, z_k, y_t))
-    got = solve(problems[name].at(z_k, y_t))
+    theta = np.concatenate([lift(stack.model, x_k), y_t])
+    ref = solve(plain_qp(build_qp(stack.model, stack.config, stack.schedule), theta))
+    got = solve(problems[name].qp, theta)
     assert got.status == ref.status
     if ref.status == OPTIMAL:
         assert np.allclose(got.x_star, ref.x_star, rtol=0.0, atol=1e-8)
@@ -94,11 +95,11 @@ def test_a_stored_support_that_breaks_a_row_is_refused(stacks):
     # support and gives the cold solve's result, bit for bit.
     stack = stacks["a2"]
     problem = TrackingProblem(stack.model, stack.config, stack.schedule)
-    z_k, y_t = lift(stack.model, [1.19127926, 3.75]), np.array([3.75])
-    qp = problem.at(z_k, y_t)
+    theta = np.concatenate([lift(stack.model, [1.19127926, 3.75]), [3.75]])
+    qp = problem.qp
     qp._support = qp_module._support(qp.factors, np.array([65]))
-    warm = solve(qp)
-    cold = solve(build_qp(stack.model, stack.config, stack.schedule, z_k, y_t))
+    warm = solve(qp, theta)
+    cold = solve(build_qp(stack.model, stack.config, stack.schedule), theta)
     assert warm.active_set == cold.active_set == (19, 65)
     assert np.array_equal(warm.x_star, cold.x_star)
     assert warm.kkt_residuals == cold.kkt_residuals
@@ -139,18 +140,18 @@ def test_unicycle_course_halt_is_certified_without_highs(course, problems, monke
     def refused(*args, **kwargs):
         raise AssertionError("HiGHS was called in the closed loop")
 
-    def recorded_solve(qp):
-        solves.append((qp, solve_qp(qp)))
-        return solves[-1][1]
+    def recorded_solve(qp, theta=()):
+        solves.append((qp, theta, solve_qp(qp, theta)))
+        return solves[-1][2]
 
     for module in (sets, model_module):  # the package's only linprog bindings
         monkeypatch.setattr(module, "linprog", refused)
     monkeypatch.setattr(qp_module, "solve", recorded_solve)
     log = stack.run(stack.seed)
     assert log.halted_at == 29
-    statuses = [sol.status for _, sol in solves]
+    statuses = [sol.status for _, _, sol in solves]
     assert statuses == [OPTIMAL] * (len(solves) - 1) + [PRIMAL_INFEASIBLE]
-    qp, (u,) = solves[-1][0], farkas_vectors
+    qp, (u,) = plain_qp(*solves[-1][:2]), farkas_vectors
     assert qp.dim == problems["unicycle_square"].qp.dim
     mu = -np.linalg.pinv(qp.A_eq).T @ (qp.A_in.T @ u)
     assert np.min(u) >= 0.0
@@ -170,15 +171,96 @@ def test_stored_support_solves_equal_cold_solves_bit_for_bit(stacks, logs, name)
     model, config, schedule = stack.model, stack.config, stack.schedule
     problem = TrackingProblem(model, config, schedule)
     for k in range(log.k.size):
-        z_k = lift(model, log.x[k])
-        warm = solve(problem.at(z_k, log.y_t[k]))
-        cold = solve(build_qp(model, config, schedule, z_k, log.y_t[k]))
+        theta = np.concatenate([lift(model, log.x[k]), log.y_t[k]])
+        warm = solve(problem.qp, theta)
+        cold = solve(build_qp(model, config, schedule), theta)
         assert warm.status == cold.status == (
             PRIMAL_INFEASIBLE if k == log.halted_at else OPTIMAL)
         assert np.array_equal(warm.x_star, cold.x_star, equal_nan=True), k
         assert warm.active_set == cold.active_set
         if warm.status == OPTIMAL:
             assert np.array_equal(warm.in_multipliers, cold.in_multipliers)
+
+
+@pytest.mark.parametrize("name, seeds", [("a1", range(5)), ("a2", range(5)),
+                                         ("unicycle_square", [None])])
+def test_theta_solves_match_the_p0_qp_along_the_closed_loop(stacks, monkeypatch, name, seeds):
+    # Every solve the loop makes on its problem's families, warm from the
+    # earlier steps and seeds, against a plain (p = 0) QP assembled at the
+    # same theta = (psi(x_k), y_t) (or y_t for the steady QP) and solved cold:
+    # the same status and active set, x within 1e-9 of max(1, |x|), and at
+    # the unicycle's step-29 halt a Farkas pair that passes the check from
+    # scratch on both sides.
+    stack = fresh(stacks[name]) if name in stacks else cli.build_stack(SCENARIOS / f"{name}.json")
+    solve_qp, halts = qp_module.solve, []
+
+    def compared(program, theta=()):
+        got = solve_qp(program, theta)
+        plain = plain_qp(program, theta)
+        ref = solve_qp(plain)
+        assert got.status == ref.status and got.active_set == ref.active_set
+        if got.status == OPTIMAL:
+            scale = max(1.0, float(np.max(np.abs(ref.x_star))))
+            assert np.max(np.abs(got.x_star - ref.x_star)) <= 1e-9 * scale
+        else:
+            for sol in (got, ref):
+                u, mu = sol.in_multipliers, sol.eq_multipliers
+                a = plain.A_in.T @ u + plain.A_eq.T @ mu
+                assert np.min(u) >= 0.0
+                assert np.max(np.abs(a)) <= 1e-9 * max(1.0, float(np.max(np.abs(plain.A_in).T @ u)))
+                assert plain.b_in @ u + plain.b_eq @ mu < 0.0
+            halts.append(program.dim)
+        return got
+
+    monkeypatch.setattr(qp_module, "solve", compared)
+    for seed in seeds:
+        log = stack.run(stack.seed if seed is None else seed)
+        assert log.halted_at == (29 if name == "unicycle_square" else None)
+    assert halts == ([stack.problem.qp.dim] if name == "unicycle_square" else [])
+
+
+def test_each_stored_support_map_is_built_once(course, monkeypatch):
+    # A map is built (one dposv) only for the support of a solve that ran
+    # NNLS; every other solve of the course takes a stored map. So a fresh
+    # course builds as many maps as it runs NNLS, 4 on the first course and 3
+    # on each later one (see the test below).
+    stack, counts = fresh(course[0]), {}
+
+    def counted(key, call):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qp_module, "dposv", counted("dposv", qp_module.dposv))
+    monkeypatch.setattr(qp_module, "nnls", counted("nnls", qp_module.nnls))
+    for expected in (4, 3):
+        counts.update(dposv=0, nnls=0)
+        assert stack.run(stack.seed).halted_at == 29
+        assert counts == {"dposv": expected, "nnls": expected}
+
+
+def test_a2_inconsistent_equalities_are_certified_by_the_least_squares_residual(stacks, logs):
+    # a2's A_eq has rank 37 of its 39 rows. One more parameter, along a left
+    # null vector of A_eq, makes the equalities inconsistent at 1 and leaves
+    # them alone at 0: the first is certified by the residual of x_p, with no
+    # multipliers, and the second solves as the loop's family does.
+    stack, log = stacks["a2"], logs["a2"]
+    family = build_qp(stack.model, stack.config, stack.schedule)
+    assert family.A_eq.shape[0] == 39 and np.linalg.matrix_rank(family.A_eq) == 37
+    left = np.linalg.svd(family.A_eq)[0][:, -1:]
+    qp = dataclasses.replace(family, F_q=np.hstack([family.F_q, np.zeros((family.dim, 1))]),
+                             F_eq=np.hstack([family.F_eq, left]))
+    theta = np.concatenate([lift(stack.model, log.x[0]), log.y_t[0]])
+    consistent = solve(qp, np.append(theta, 0.0))
+    assert consistent.status == OPTIMAL
+    assert np.allclose(consistent.x_star, solve(family, theta).x_star, rtol=0.0, atol=1e-12)
+    inconsistent = solve(qp, np.append(theta, 1.0))
+    assert inconsistent.status == PRIMAL_INFEASIBLE
+    assert inconsistent.in_multipliers is None and inconsistent.eq_multipliers is None
+    b_eq = plain_qp(qp, np.append(theta, 1.0)).b_eq
+    x_p = np.linalg.lstsq(family.A_eq, b_eq, rcond=None)[0]
+    assert np.max(np.abs(family.A_eq @ x_p - b_eq)) > 0.5
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -192,24 +274,23 @@ def test_a_stale_or_foreign_support_gives_the_cold_result(stacks, logs, name):
     model, config, schedule = stack.model, stack.config, stack.schedule
     problem = TrackingProblem(model, config, schedule)
     qp = problem.qp
-    for k in range(log.k.size):
-        last = solve(problem.at(lift(model, log.x[k]), log.y_t[k]))
+    thetas = [np.concatenate([lift(model, log.x[k]), log.y_t[k]]) for k in range(log.k.size)]
+    for theta in thetas:
+        last = solve(qp, theta)
         if last.status == OPTIMAL:
             held = last.active_set
     assert (last.status == PRIMAL_INFEASIBLE) == (name == "unicycle_square")
     corner = np.array(stack.sc["constraints"]["state"]["lo"])
-    elsewhere = solve(problem.at(lift(model, log.x[0]), stack.plant.C @ corner))
+    elsewhere = solve(qp, np.concatenate([lift(model, log.x[0]), stack.plant.C @ corner]))
     assert elsewhere.status == OPTIMAL and elsewhere.active_set != held
     supports = {"every row": range(qp.A_in.shape[0]), "another y_t": elsewhere.active_set,
                 "held at the end": held}
     steps = sorted({*range(0, log.k.size, max(1, log.k.size // 30)), log.k.size - 1})
     for k in steps:
-        z_k = lift(model, log.x[k])
-        cold = solve(build_qp(model, config, schedule, z_k, log.y_t[k]))
+        cold = solve(build_qp(model, config, schedule), thetas[k])
         for label, rows in supports.items():
-            problem.at(z_k, log.y_t[k])
             qp._support = qp_module._support(qp.factors, np.array(rows, dtype=np.intp))
-            got = solve(qp)
+            got = solve(qp, thetas[k])
             assert got.status == cold.status, (label, k)
             assert np.array_equal(got.x_star, cold.x_star, equal_nan=True), (label, k)
 
@@ -344,19 +425,20 @@ def test_a_state_outside_the_initial_set_is_certified_by_the_qp(
     solve_qp = qp_module.solve
     solves = []
 
-    def recorded_solve(qp):
-        solves.append((qp, solve_qp(qp)))
+    def recorded_solve(qp, theta=()):
+        solves.append((plain_qp(qp, theta), solve_qp(qp, theta)))
         return solves[-1][1]
 
     monkeypatch.setattr(qp_module, "solve", recorded_solve)
+    family = build_qp(stack.model, stack.config, stack.schedule)
     for face in range(stack.schedule.state_sets[0].offsets.size):
         solves.clear()
         farkas_vectors.clear()
         z = lift(stack.model, pushed_out_of_initial_set(stack, log, face, by))
         with pytest.raises(Infeasible):
             solve_step(problems[name], z, log.y_t[0])
-        # The reference assembly agrees: build_qp + qp.solve.
-        qp_module.solve(build_qp(stack.model, stack.config, stack.schedule, z, log.y_t[0]))
+        # The reference assembly agrees: build_qp at theta + qp.solve.
+        qp_module.solve(plain_qp(family, np.concatenate([z, log.y_t[0]])))
         assert [sol.status for _, sol in solves] == [PRIMAL_INFEASIBLE] * 2
         assert len(farkas_vectors) == 2
         for (qp, _), u in zip(solves, farkas_vectors):
@@ -373,9 +455,10 @@ def test_a_state_on_a_face_of_the_initial_set_is_solved(stacks, problems, logs, 
     # solver keeps the pinned rows out of NNLS, so these steps are solved and
     # checked like any other, warm and cold alike.
     stack, log = stacks["unicycle_square"], logs["unicycle_square"]
-    z = lift(stack.model, pushed_out_of_initial_set(stack, log, face, 0.0, k))
-    warm = solve(problems["unicycle_square"].at(z, log.y_t[k]))
-    cold = solve(build_qp(stack.model, stack.config, stack.schedule, z, log.y_t[k]))
+    theta = np.concatenate([lift(stack.model, pushed_out_of_initial_set(stack, log, face, 0.0, k)),
+                            log.y_t[k]])
+    warm = solve(problems["unicycle_square"].qp, theta)
+    cold = solve(plain_qp(build_qp(stack.model, stack.config, stack.schedule), theta))
     assert warm.status == cold.status == OPTIMAL
     assert np.allclose(warm.x_star, cold.x_star, rtol=0.0, atol=1e-8)
 
@@ -536,10 +619,10 @@ def test_one_simulate_call_builds_factors_and_solves_each_target_once(stacks, mo
     build, solve_qp = controller.build_qp, qp_module.solve
     monkeypatch.setattr(controller, "build_qp", lambda *args: built.append(1) or build(*args))
 
-    def recorded(program):
-        if program.dim == n_z + n_u:  # the steady QP; its cost holds the reference
-            steady.append(program.q[:n_z].copy())
-        return solve_qp(program)
+    def recorded(program, theta=()):
+        if program.dim == n_z + n_u:  # the steady QP, at theta = y_t
+            steady.append(np.array(theta))
+        return solve_qp(program, theta)
 
     monkeypatch.setattr(qp_module, "solve", recorded)
     factored = _factored(monkeypatch)
@@ -549,6 +632,6 @@ def test_one_simulate_call_builds_factors_and_solves_each_target_once(stacks, mo
     assert len(built) == 1
     assert sorted(program.dim for program in factored) == [n_z + n_u,
                                                            controller._Layout(N, n_z, n_u).dim]
-    want = [controller._offset_q(model, s, np.array([y])) for y in (1.0, -1.0, 2.0)]
+    want = [np.array([y]) for y in (1.0, -1.0, 2.0)]
     assert len(steady) == len(want)
     assert all(np.array_equal(got, q) for got, q in zip(steady, want))
