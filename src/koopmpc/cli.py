@@ -45,6 +45,7 @@ from .model import (
     TrajectoryData,
     UnderdeterminedData,
     _is_finite,
+    _is_number,
     _lifting_from_doc,
     estimate_disturbance_sets,
     fit_edmd,
@@ -91,14 +92,13 @@ def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
     _check_keys(doc, {"center", "half_extents", "generators"}, what)
     if ("half_extents" in doc) == ("generators" in doc):
         raise ValueError(f"{what} must give exactly one of 'half_extents' or 'generators'")
-    try:
-        center = _floats(doc["center"], f"{what}.center")
-        if "half_extents" in doc:
-            gens = np.diag(_floats(doc["half_extents"], f"{what}.half_extents"))
-        else:
-            gens = _floats(doc["generators"], f"{what}.generators")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{what} needs 'center' and 'half_extents' or 'generators'") from exc
+    if "center" not in doc:
+        raise ValueError(f"{what} needs 'center' and 'half_extents' or 'generators'")
+    center = _floats(doc["center"], f"{what}.center")
+    if "half_extents" in doc:
+        gens = np.diag(_floats(doc["half_extents"], f"{what}.half_extents"))
+    else:
+        gens = _floats(doc["generators"], f"{what}.generators")
     try:
         Z = Zonotope(center=center, generators=gens)
     except ValueError as exc:
@@ -109,20 +109,27 @@ def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
 
 
 def _floats(value, what: str) -> np.ndarray:
-    """``value`` as a float array; an integer too large for a float is named by ``what``."""
+    """``value``, a (nested) list of real numbers, as a float array; anything else
+    (a bool, a string, an object, null, a ragged list) is rejected naming ``what``."""
+    def numbers(v):
+        return all(map(numbers, v)) if isinstance(v, list) else _is_number(v)
+
+    if not (isinstance(value, list) and numbers(value)):
+        raise ValueError(f"{what} must be a (nested) list of real numbers, got {value!r}")
     try:
         return np.asarray(value, dtype=float)
     except OverflowError:
         raise ValueError(f"{what} holds an integer too large for a float") from None
+    except ValueError:
+        raise ValueError(f"{what} must be a rectangular list, got {value!r}") from None
 
 
 def _weight(value, n: int, what: str) -> np.ndarray:
     """Scalar shorthand c -> c * I_n (a finite number, not a bool); otherwise an explicit matrix."""
     if type(value) in (int, float):
         return _finite(value, what) * np.eye(n)
-    M = _floats(value, what)
-    if M.shape != (n, n):
-        raise ValueError(f"{what} must be a scalar or an {n}x{n} matrix, got shape {M.shape}")
+    if not (isinstance(value, list) and (M := _floats(value, what)).shape == (n, n)):
+        raise ValueError(f"{what} must be a scalar or an {n}x{n} matrix, got {value!r}")
     return M
 
 
@@ -173,6 +180,8 @@ def _build_plant(doc: dict):
     if kind == "numerical_example":
         lam, mu = (_finite(params.get(key, default), f"plant.params.{key}")
                    for key, default in (("lambda", -0.1), ("mu", 2.0)))
+        if not math.isfinite(lam * lam):  # the plant's lifted matrix holds lambda^2
+            raise ValueError(f"plant.params.lambda must have a finite square, got {lam!r}")
         return numerical_example_plant(lam=lam, mu=mu)
     return unicycle_plant(dt=float(_positive(params.get("dt", 0.1), "plant.params.dt")))
 
@@ -284,12 +293,12 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
     )
 
 
-def _grid_from_scenario(sc: dict, plant) -> GridSpec:
+def _grid_from_scenario(sc: dict, plant, X, U) -> GridSpec:
     """The steady-pair search grid: ``x_points``/``u_points`` give one positive
-    point count per state/input dimension, spread over the constraint box."""
+    point count per state/input dimension, spread over the checked constraint
+    boxes ``X`` and ``U``, whose rows are ordered [I; -I]."""
     doc = sc.get("steady_grid", {})
     _check_keys(doc, _GRID_KEYS, "steady_grid")
-    con = sc["constraints"]
     x_default, u_default = _DEFAULT_GRIDS[plant.kind]
 
     def axes(key, default, box, n, what):
@@ -298,12 +307,12 @@ def _grid_from_scenario(sc: dict, plant) -> GridSpec:
                 and all(type(p) is int and p >= 1 for p in points)):
             raise ValueError(f"steady_grid.{key} must list one positive integer per {what} "
                              f"dimension ({n}), got {points!r}")
-        return tuple(np.linspace(lo, hi, p)
-                     for lo, hi, p in zip(box["lo"], box["hi"], points, strict=True))
+        lo, hi = -box.offsets[n:], box.offsets[:n]
+        return tuple(np.linspace(*bounds) for bounds in zip(lo, hi, points, strict=True))
 
     return GridSpec(
-        x_values=axes("x_points", x_default, con["state"], plant.n_x, "state"),
-        u_values=axes("u_points", u_default, con["input"], plant.n_u, "input"),
+        x_values=axes("x_points", x_default, X, plant.n_x, "state"),
+        u_values=axes("u_points", u_default, U, plant.n_u, "input"),
         fp_tol=float(_positive(doc.get("fp_tol", 1e-6), "steady_grid.fp_tol")),
     )
 
@@ -398,7 +407,7 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     _check_keys(con, {"state", "input"}, "constraints")
     X = _box_from_doc(con["state"], plant.n_x, "constraints.state")
     U = _box_from_doc(con["input"], plant.n_u, "constraints.input")
-    grid = _grid_from_scenario(sc, plant)
+    grid = _grid_from_scenario(sc, plant, X, U)
     x0 = None if sc.get("x0") is None else np.array(_numbers(sc["x0"], plant.n_x, "x0"), float)
     T, N = _count(sc, "T", "T"), _count(cfg_doc, "N", "controller.N")
     seed = _count(sc, "seed", "seed", minimum=0, default=0)
@@ -440,17 +449,11 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     ridge = float(_positive(lift_doc.get("ridge", 1e-8), "ridge", minimum=0))
     om = _output_matrix(lift_doc.get("output_matrix"), lifting.n_x)
 
-    data = load_trajectories(data_csv)
-    n_traj = len(data.trajectories)
-    n_hold = max(1, n_traj // 10) if n_traj > 1 else 0
-    train_trajs = data.trajectories[: n_traj - n_hold]
-    scored = data.trajectories[n_traj - n_hold :] or train_trajs
-    model = fit_edmd(
-        TrajectoryData(train_trajs),
-        lifting,
-        ridge=ridge,
-        output_matrix=om,
-    )
+    trajs = load_trajectories(data_csv).trajectories
+    n_hold = max(1, len(trajs) // 10) if len(trajs) > 1 else 0
+    train_trajs = trajs[: len(trajs) - n_hold]
+    scored = trajs[len(trajs) - n_hold :] or train_trajs
+    model = fit_edmd(TrajectoryData.from_pairs(train_trajs), lifting, ridge=ridge, output_matrix=om)
 
     one_step, multi_step = [], []
     for states, inputs in scored:

@@ -29,8 +29,6 @@ from .gains import _as_spd
 from .model import KoopmanModel
 from .sets import TighteningSchedule
 
-_MARGIN_TOL = 1e-9
-
 
 class Infeasible(Exception):
     """A controller QP is certified primal infeasible."""
@@ -67,36 +65,23 @@ class KtmpcConfig:
 
 
 @dataclass(frozen=True)
-class _SteadyRecord:
-    """A steady input with its output and offset cost; subclasses add the state to ``_arrays``."""
-
-    u_s: np.ndarray
-    y_s: np.ndarray
-    offset_cost: float
-    _arrays = ("u_s", "y_s")
-
-    def __post_init__(self):
-        for name in self._arrays:
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
-        if not (self.offset_cost >= 0.0):
-            raise ValueError("offset_cost must be non-negative")
-        object.__setattr__(self, "offset_cost", float(self.offset_cost))
-
-
-@dataclass(frozen=True)
-class SteadyTarget(_SteadyRecord):
+class SteadyTarget:
     """A steady pair of the lifted model with its output and offset cost."""
 
     z_s: np.ndarray
-    _arrays = _SteadyRecord._arrays + ("z_s",)
+    u_s: np.ndarray
+    y_s: np.ndarray
+    offset_cost: float
 
 
 @dataclass(frozen=True)
-class NonlinearSteadyTarget(_SteadyRecord):
+class NonlinearSteadyTarget:
     """Best steady pair of the true plant found by grid search."""
 
     x_s: np.ndarray
-    _arrays = _SteadyRecord._arrays + ("x_s",)
+    u_s: np.ndarray
+    y_s: np.ndarray
+    offset_cost: float
 
 
 @dataclass(frozen=True)
@@ -127,19 +112,6 @@ class LyapunovDiag:
         floor = -1e-7 * max(1.0, self.J_eq_tilde)
         if not (self.V2 >= floor):
             raise ValueError(f"V2 = {self.V2} violates its {floor:.3g} lower bound")
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Per-constraint margins of a candidate trajectory (negative = violated)."""
-
-    state_margins: np.ndarray
-    input_margins: np.ndarray
-    steady_state_margin: float
-    steady_input_margin: float
-    terminal_gap: float
-    min_margin: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -415,9 +387,9 @@ def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:
 
 def shifted_candidate(
     problem: TrackingProblem, prev: KtmpcSolution, z_next
-) -> tuple[np.ndarray, FeasibilityReport]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One-step-shifted candidate built from the previous optimum, as a
-    decision vector ``x_c`` of ``problem``'s QP; returns ``(x_c, report)``.
+    decision vector ``x_c`` of ``problem``'s QP; returns ``(x_c, margins)``.
 
     The candidate starts at the lifted successor state, ``z_c(0) = z_next``,
     and tracks the shifted previous trajectory under the tube gain
@@ -425,54 +397,12 @@ def shifted_candidate(
     with the previous steady input; the previous steady pair is reused as the
     candidate target. That rollout is linear in the previous optimum and
     ``z_next``, so it is one product with ``problem.candidate_map``.
-    The report gives the worst margin of every constraint against the tightened
-    schedule, read off the QP's own rows block by block, and the terminal
-    defect ``||z_c(N) - z_s||_inf``, which is zero only in the disturbance-free
-    case.
+    ``margins`` holds the worst margin (negative = violated) of each block of
+    the QP's inequality rows against the tightened schedule, in the order of
+    :func:`_inequality_blocks`: U~(0..N-1), X~(0..N-1), X~(N) on z_s, U~(N) on u_s.
     """
-    N = problem.config.N
     z_next = _as_vector(z_next, problem.model.n_z, "z_next")
     x_c = problem.candidate_map @ np.concatenate(
         [prev.u_bar.ravel(), prev.z_bar.ravel(), prev.target.z_s, prev.target.u_s, z_next]
     )
-
-    blocks = np.minimum.reduceat(problem.qp.b_in - problem.qp.A_in @ x_c, problem.block_starts)
-    min_margin = float(blocks.min())
-    report = FeasibilityReport(
-        state_margins=blocks[N : 2 * N],
-        input_margins=blocks[:N],
-        steady_state_margin=float(blocks[2 * N]),
-        steady_input_margin=float(blocks[2 * N + 1]),
-        terminal_gap=float(np.max(np.abs(x_c[problem.layout.z(N)] - prev.target.z_s))),
-        min_margin=min_margin,
-        feasible=bool(min_margin >= -_MARGIN_TOL),
-    )
-    return x_c, report
-
-
-def segment_inequality_check(y_s_star, y_sr_tilde, y_t, s: float, sigma_samples) -> bool:
-    """Offset-cost decrease along the segment from y_s* toward the best output.
-
-    For each sigma, the blend ``y_s = (1-sigma) y_s* + sigma y_sr~`` must cut
-    the offset cost by at least ``s (2 sigma - sigma^2) ||y_s* - y_sr~||^2``.
-    This holds whenever ``y_sr~`` optimizes the offset over a convex set
-    containing ``y_s*``; violations mean the two points came from different
-    constraint sets (or a non-optimal y_sr~).
-
-    Both endpoints come out of finite-tolerance solvers, so the slack scales
-    with ``s`` and the offset magnitude; the verdict is invariant to ``s``,
-    which multiplies both sides of the inequality.
-    """
-    y_star = np.atleast_1d(np.asarray(y_s_star, dtype=float))
-    y_sr = np.atleast_1d(np.asarray(y_sr_tilde, dtype=float))
-    y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
-    gap = float(np.sum((y_star - y_sr) ** 2))
-    base = float(np.sum((y_star - y_t) ** 2))
-    tol = 1e-8 * s * (1.0 + base)
-    for sigma in np.atleast_1d(np.asarray(sigma_samples, dtype=float)):
-        y_s = (1.0 - sigma) * y_star + sigma * y_sr
-        lhs = s * (float(np.sum((y_s - y_t) ** 2)) - base)
-        rhs = -s * (2.0 * sigma - sigma**2) * gap
-        if lhs > rhs + tol:
-            return False
-    return True
+    return x_c, np.minimum.reduceat(problem.qp.b_in - problem.qp.A_in @ x_c, problem.block_starts)

@@ -103,9 +103,10 @@ class LiftingSpec:
             exps = np.asarray(self.exponents, dtype=object)
             if exps.ndim != 2 or exps.shape[1] != n_f:
                 raise ValueError(f"exponents must have shape (k, {n_f})")
-            bad = [e for e in exps.flat if not (_is_number(e, integer=True) and e >= 0)]
+            # Exponents are stored as 64-bit integers, hence the bound.
+            bad = [e for e in exps.flat if not (_is_number(e, integer=True) and 0 <= e < 2**63)]
             if bad:
-                raise ValueError(f"exponents must be non-negative integers, got {bad[0]!r}")
+                raise ValueError(f"exponents must be integers in [0, 2**63), got {bad[0]!r}")
             object.__setattr__(self, "exponents", exps.astype(int))
         else:  # rbf
             bad = [c for c in np.asarray(self.centers, dtype=object).flat if not _is_number(c)]
@@ -253,19 +254,38 @@ def lift_many(model: KoopmanModel, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrajectoryData:
-    """A list of (states, inputs) pairs with states one step longer than inputs,
-    also stacked once, read-only, for :meth:`transitions` and :meth:`all_states`.
+    """Trajectories stacked once, read-only: every trajectory's ``states`` in
+    order, their ``inputs``, and each one's state count in ``lengths``; a
+    trajectory has one more state than inputs. :meth:`from_pairs` takes
+    (states, inputs) pairs of any lengths, :meth:`batch` trajectories of one
+    length, and :attr:`trajectories` gives the pairs back as views."""
 
-    Trajectories of one length can be handed over whole through :meth:`batch`;
-    the list form also takes trajectories of different lengths."""
-
-    trajectories: list[tuple[np.ndarray, np.ndarray]]
-    # All states, all inputs and each trajectory's state count.
-    _stacked: tuple = field(init=False, repr=False, compare=False)
+    states: np.ndarray
+    inputs: np.ndarray
+    lengths: np.ndarray
 
     def __post_init__(self):
-        checked = []
-        for i, (states, inputs) in enumerate(self.trajectories):
+        states, inputs = np.array(self.states, dtype=float), np.array(self.inputs, dtype=float)
+        lengths = np.array(self.lengths, dtype=int)
+        if not (states.ndim == inputs.ndim == 2 and lengths.ndim == 1 and np.all(lengths >= 1)
+                and lengths.sum() == len(states) == len(inputs) + len(lengths)):
+            raise ValueError(f"lengths {lengths.tolist()} do not split {states.shape} states "
+                             f"and {inputs.shape} inputs into trajectories")
+        for name, value in (("states", states), ("inputs", inputs), ("lengths", lengths)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        # Finiteness is one test over the stack; only a failure goes through
+        # the trajectories to name the first offending one.
+        if not (np.isfinite(states).all() and np.isfinite(inputs).all()):
+            for i, (s, u) in enumerate(self.trajectories):
+                _as_matrix(s, f"trajectory {i} states")
+                _as_matrix(u, f"trajectory {i} inputs")
+
+    @classmethod
+    def from_pairs(cls, trajectories) -> "TrajectoryData":
+        """The (states, inputs) pairs of ``trajectories``, each shape-checked, stacked."""
+        pairs = []
+        for i, (states, inputs) in enumerate(trajectories):
             states = _as_matrix(states, f"trajectory {i} states", finite=False)
             inputs = _as_matrix(inputs, f"trajectory {i} inputs", finite=False)
             if states.shape[0] != inputs.shape[0] + 1:
@@ -273,72 +293,44 @@ class TrajectoryData:
                     f"trajectory {i}: expected one more state than input, got "
                     f"{states.shape[0]} states and {inputs.shape[0]} inputs"
                 )
-            if checked and (
-                states.shape[1] != checked[0][0].shape[1]
-                or inputs.shape[1] != checked[0][1].shape[1]
-            ):
+            if pairs and (states.shape[1], inputs.shape[1]) != tuple(a.shape[1] for a in pairs[0]):
                 raise ValueError("all trajectories must share state/input dimensions")
-            checked.append((states, inputs))
-        states = np.concatenate([s for s, _ in checked] or [np.empty((0, 0))])
-        inputs = np.concatenate([u for _, u in checked] or [np.empty((0, 0))])
-        # Finiteness is one test over all the data; only a failure goes back
-        # through the trajectories to name the first offending one.
-        if not (np.isfinite(states).all() and np.isfinite(inputs).all()):
-            for i, (s, u) in enumerate(checked):
-                _as_matrix(s, f"trajectory {i} states")
-                _as_matrix(u, f"trajectory {i} inputs")
-        self._store(checked, states, inputs, [len(s) for s, _ in checked])
+            pairs.append((states, inputs))
+        states, inputs = zip(*pairs) if pairs else ([np.empty((0, 0))],) * 2
+        return cls(np.concatenate(states), np.concatenate(inputs), [len(s) for s, _ in pairs])
 
     @classmethod
     def batch(cls, states, inputs) -> "TrajectoryData":
         """The trajectories ``zip(states, inputs)`` of (n_traj, T+1, n_x) states
-        and (n_traj, T, n_u) inputs, with the list form's data, checked once."""
-        states = np.asarray(states, dtype=float)
-        inputs = np.asarray(inputs, dtype=float)
+        and (n_traj, T, n_u) inputs."""
+        states, inputs = np.asarray(states, dtype=float), np.asarray(inputs, dtype=float)
         if not (states.ndim == inputs.ndim == 3 and len(states) == len(inputs)
                 and states.shape[1] == inputs.shape[1] + 1):
             raise ValueError(
                 "a batch needs (n_traj, T+1, n_x) states and (n_traj, T, n_u) inputs, "
                 f"got shapes {states.shape} and {inputs.shape}"
             )
-        if not (np.isfinite(states).all() and np.isfinite(inputs).all()):
-            cls(list(zip(states, inputs)))  # raises, naming the first offending trajectory
-        data = object.__new__(cls)
-        data._store(
-            list(zip(states, inputs)),
-            states.reshape(-1, states.shape[2]).copy(),
-            inputs.reshape(-1, inputs.shape[2]).copy(),
-            [states.shape[1]] * len(states),
-        )
-        return data
+        return cls(states.reshape(-1, states.shape[2]), inputs.reshape(-1, inputs.shape[2]),
+                   [states.shape[1]] * len(states))
 
-    def _store(self, trajectories, states, inputs, lengths) -> None:
-        states.flags.writeable = inputs.flags.writeable = False
-        object.__setattr__(self, "trajectories", trajectories)
-        object.__setattr__(self, "_stacked", (states, inputs, np.array(lengths, dtype=int)))
+    @property
+    def trajectories(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each trajectory's (states, inputs), as read-only views of the stack."""
+        starts = np.cumsum(self.lengths) - self.lengths
+        return [(self.states[a : a + n], self.inputs[a - i : a - i + n - 1])
+                for i, (a, n) in enumerate(zip(starts, self.lengths))]
 
     @property
     def n_x(self) -> int:
-        return self.trajectories[0][0].shape[1]
+        return self.states.shape[1]
 
     @property
     def n_u(self) -> int:
-        return self.trajectories[0][1].shape[1]
+        return self.inputs.shape[1]
 
     def _transition_rows(self) -> np.ndarray:
-        """The rows of :meth:`all_states` that are a transition's x; the row
-        after each is its x+."""
-        lengths = self._stacked[2]
-        return np.delete(np.arange(lengths.sum()), np.cumsum(lengths) - 1)
-
-    def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked (x, u, x+) triples across all trajectories."""
-        states, inputs, _ = self._stacked
-        rows = self._transition_rows()
-        return states[rows], inputs, states[rows + 1]
-
-    def all_states(self) -> np.ndarray:
-        return self._stacked[0]
+        """The rows of ``states`` that are a transition's x; the row after each is its x+."""
+        return np.delete(np.arange(len(self.states)), np.cumsum(self.lengths) - 1)
 
 
 # --- fitting ------------------------------------------------------------------------
@@ -357,16 +349,15 @@ def fit_edmd(
     """
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    if not data.trajectories:
+    if not data.lengths.size:
         raise UnderdeterminedData("no trajectories provided")
     if data.n_x != lifting.n_x:
         raise ValueError(f"data has n_x={data.n_x} but lifting expects {lifting.n_x}")
-    states, U, _ = data._stacked
-    n_z, n_u = lifting.n_z, U.shape[1]
+    n_z, n_u = lifting.n_z, data.n_u
     probe = make_model(np.zeros((n_z, n_z)), np.zeros((n_z, n_u)), lifting, output_matrix)
     # Each state is lifted once; the regression picks its x and x+ rows.
-    Z, rows = lift_many(probe, states), data._transition_rows()
-    Phi = np.hstack([Z[rows], U])
+    Z, rows = lift_many(probe, data.states), data._transition_rows()
+    Phi = np.hstack([Z[rows], data.inputs])
     Psi_next = Z[rows + 1]
     n_cols = n_z + n_u
     if Phi.shape[0] < n_cols:
@@ -431,12 +422,11 @@ def estimate_disturbance_sets(
     """
     if inflation < 1.0:
         raise ValueError("inflation must be >= 1")
-    if not data.trajectories:
+    if not data.lengths.size:
         raise ValueError("cannot estimate disturbance sets from empty data")
-    states, U, _ = data._stacked
-    Z, rows = lift_many(model, states), data._transition_rows()
-    W_res = Z[rows + 1] - Z[rows] @ model.A.T - U @ model.B.T
-    V_res = states - Z @ model.C_x.T
+    Z, rows = lift_many(model, data.states), data._transition_rows()
+    W_res = Z[rows + 1] - Z[rows] @ model.A.T - data.inputs @ model.B.T
+    V_res = data.states - Z @ model.C_x.T
 
     def symmetric_box(res: np.ndarray) -> Zonotope:
         lo, hi = res.min(axis=0), res.max(axis=0)
@@ -568,14 +558,10 @@ def load_trajectories(path) -> TrajectoryData:
                              f"here, got {row[1]!r}")
         steps.append((x, u))
 
-    trajectories = []
     for traj_id, steps in by_traj.items():
-        states = np.array([x for x, _ in steps])
-        for i, (_, u) in enumerate(steps):
-            if (u is None) != (i == len(steps) - 1):
-                raise ValueError(
-                    f"{path}: trajectory {traj_id} must leave exactly the last input empty"
-                )
-        inputs = np.array([u for _, u in steps[:-1]], dtype=float).reshape(len(steps) - 1, n_u)
-        trajectories.append((states, inputs))
-    return TrajectoryData(trajectories)
+        if [u is None for _, u in steps] != [False] * (len(steps) - 1) + [True]:
+            raise ValueError(f"{path}: trajectory {traj_id} must leave exactly the last input empty")
+    flat = [step for steps in by_traj.values() for step in steps]
+    return TrajectoryData(np.array([x for x, _ in flat]).reshape(-1, n_x),
+                          np.array([u for _, u in flat if u is not None]).reshape(-1, n_u),
+                          [len(steps) for steps in by_traj.values()])

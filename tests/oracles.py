@@ -229,13 +229,21 @@ def shifted_rollout(A, B, K, N, u_bar, z_bar, z_s, u_s, z_next):
     return np.array(u_c), np.array(z_c)
 
 
+def transitions(data):
+    """The (x, u, x+) triples of every trajectory of a ``TrajectoryData``,
+    stacked one trajectory at a time from its (states, inputs) pairs."""
+    trajs = data.trajectories
+    return (np.vstack([s[:-1] for s, _ in trajs]), np.vstack([u for _, u in trajs]),
+            np.vstack([s[1:] for s, _ in trajs]))
+
+
 def fit_edmd_two_lifts(data, lifting, ridge=1e-8, output_matrix=None):
     """EDMD as it was written before each state was lifted once: the x rows and
-    the x+ rows of ``data.transitions()`` lifted by two ``lift_many`` calls,
+    the x+ rows of ``transitions(data)`` lifted by two ``lift_many`` calls,
     then the same regression (least squares for ``ridge=0``). Returns (A, B)."""
     from koopmpc.model import lift_many, make_model
 
-    X, U, Xp = data.transitions()
+    X, U, Xp = transitions(data)
     n_z, n_u = lifting.n_z, U.shape[1]
     probe = make_model(np.zeros((n_z, n_z)), np.zeros((n_z, n_u)), lifting, output_matrix)
     Phi = np.hstack([lift_many(probe, X), U])
@@ -255,9 +263,9 @@ def disturbance_boxes_three_lifts(model, data, inflation=1.0):
     Returns the (center, generators) of W and of V."""
     from koopmpc.model import lift_many
 
-    X, U, Xp = data.transitions()
+    X, U, Xp = transitions(data)
     W_res = lift_many(model, Xp) - lift_many(model, X) @ model.A.T - U @ model.B.T
-    states = data.all_states()
+    states = np.vstack([s for s, _ in data.trajectories])
     V_res = states - lift_many(model, states) @ model.C_x.T
     boxes = []
     for res in (W_res, V_res):
@@ -331,3 +339,31 @@ def tighten_recursive(X, U, disturbance, A, B, K, C_x, N):
         state_sets.append(Xj)
         input_sets.append(Uj)
     return TighteningSchedule(state_sets=state_sets, input_sets=input_sets, error_sets=error_sets)
+
+
+def segment_inequality_check(y_s_star, y_sr_tilde, y_t, s: float, sigma_samples) -> bool:
+    """Offset-cost decrease along the segment from y_s* toward the best output.
+
+    For each sigma, the blend ``y_s = (1-sigma) y_s* + sigma y_sr~`` must cut
+    the offset cost by at least ``s (2 sigma - sigma^2) ||y_s* - y_sr~||^2``.
+    This holds whenever ``y_sr~`` optimizes the offset over a convex set
+    containing ``y_s*``; violations mean the two points came from different
+    constraint sets (or a non-optimal y_sr~).
+
+    Both endpoints come out of finite-tolerance solvers, so the slack scales
+    with ``s`` and the offset magnitude; the verdict is invariant to ``s``,
+    which multiplies both sides of the inequality.
+    """
+    y_star = np.atleast_1d(np.asarray(y_s_star, dtype=float))
+    y_sr = np.atleast_1d(np.asarray(y_sr_tilde, dtype=float))
+    y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
+    gap = float(np.sum((y_star - y_sr) ** 2))
+    base = float(np.sum((y_star - y_t) ** 2))
+    tol = 1e-8 * s * (1.0 + base)
+    for sigma in np.atleast_1d(np.asarray(sigma_samples, dtype=float)):
+        y_s = (1.0 - sigma) * y_star + sigma * y_sr
+        lhs = s * (float(np.sum((y_s - y_t) ** 2)) - base)
+        rhs = -s * (2.0 * sigma - sigma**2) * gap
+        if lhs > rhs + tol:
+            return False
+    return True

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from koopmpc import cli
-from koopmpc.controller import segment_inequality_check
 from koopmpc.model import DisturbanceModel, _lifting_from_doc, fit_edmd
 from koopmpc.qp import OPTIMAL, PRIMAL_INFEASIBLE, QuadraticProgram, solve
 from koopmpc.sets import (
@@ -30,7 +29,7 @@ from koopmpc.sets import (
     tighten_constraints,
 )
 from koopmpc.sim import generate_training_data, tracking_metrics
-from oracles import grid_membership_diff, numerical_example_matrices
+from oracles import grid_membership_diff, numerical_example_matrices, segment_inequality_check
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 A2_SEEDS = range(20)
@@ -101,7 +100,7 @@ def test_exact_model_recovery():
         "exact model recovery",
         err <= 1e-8 and elapsed < 1.0,
         f"max-abs error {err:.2e} (<=1e-8), fit {elapsed:.3f}s (<1s) on "
-        f"{len(data.transitions()[0])} transitions",
+        f"{len(data.inputs)} transitions",
     )
 
 

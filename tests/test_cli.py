@@ -532,7 +532,7 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
                    "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}},
      "injected.W needs 'center' and 'half_extents' or 'generators'"),
     ({"lifting": {"kind": "explicit", "params": {"exponents": [[2.5, 0]]}}},
-     "exponents must be non-negative integers, got 2.5"),
+     "exponents must be integers in [0, 2**63), got 2.5"),
     ({"lifting": {"kind": "polynomial", "params": {"max_degree": 2.0}}},
      "polynomial lifting max_degree must be an integer >= 1, got 2.0"),
     (["not", "an", "object"], "must contain a JSON object"),
@@ -640,6 +640,21 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
      "rbf lifting width must be a finite positive number, got 1000"),
     ("lifting", '{"kind": "rbf", "params": {"centers": [[@big@, 0.0]], "width": 1.0}}',
      "centers holds an integer too large for a float"),
+    ("controller.Q", "[[{}, 0, 0], [0, 1, 0], [0, 0, 1]]",
+     "controller.Q must be a (nested) list of real numbers, got [[{}, 0, 0]"),
+    ("constraints.input", '{"lo": [{}], "hi": [3.0]}',
+     "constraints.input.lo must be a (nested) list of real numbers, got [{}]"),
+    ("controller.Q", '[["1", 0, 0], [0, 1, 0], [0, 0, 1]]',
+     "controller.Q must be a (nested) list of real numbers, got [['1', 0, 0]"),
+    ("disturbance", '{"declared": {"W": {"center": [0, 0, 0], "half_extents": ["0.1", 0, 0]}, '
+     '"V": {"center": [0, 0], "half_extents": [0, 0]}}}',
+     "disturbance.declared.W.half_extents must be a (nested) list of real numbers, got ['0.1'"),
+    ("constraints.state", '{"lo": [-5.0, -5.0], "hi": ["5", 5.0]}',
+     "constraints.state.hi must be a (nested) list of real numbers, got ['5', 5.0]"),
+    ("lifting", '{"kind": "explicit", "params": {"exponents": [[@huge@, 0]]}}',
+     f"exponents must be integers in [0, 2**63), got {10**29}"),
+    ("controller.Q", "[[1, 0, 0], [0, 1], [0, 0, 1]]",
+     "controller.Q must be a rectangular list, got [[1, 0, 0], [0, 1], [0, 0, 1]]"),
 ], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
         "fp_tol-bool", "fp_tol-string", "inflation-string", "inflation-below-1", "Q-bool",
         "R-bool", "Qk-bool", "Rk-bool", "dt-string", "dt-bool", "dt-zero", "lambda-string",
@@ -647,7 +662,9 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
         "s-big-int", "Q-big-int", "Q-entry-big-int", "Qk-big-int", "ridge-big-int",
         "timed-target-big-int", "fp_tol-big-int", "constraints.state.hi-big-int",
         "half_extents-big-int", "switch_radius-big-int", "rbf-width-big-int",
-        "rbf-centers-big-int"])
+        "rbf-centers-big-int", "Q-entry-object", "input.lo-object", "Q-entry-string",
+        "W.half_extents-string", "constraints.state.hi-string", "exponents-huge-int",
+        "Q-ragged"])
 def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, dotted, text,
                                                 named):
     # Rejected with the key named before any data is generated or fitted:
@@ -655,12 +672,15 @@ def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, d
     # a weight of true ran as 1*I and "lambda": true as 1, "s": 1e400 failed
     # only after fitting, with no key named, "lambda": "nan" named a
     # training trajectory, and an integer too large for a float exited 1
-    # with a traceback.
+    # with a traceback. So did a non-number in an array-valued key, an
+    # exponent too large for a 64-bit integer, and a string box bound, which
+    # failed when the steady-pair grid was built; a numeric string in an
+    # array-valued key ran.
     for name in ("generate_training_data", "fit_edmd"):
         monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
     scenario = scenario_with_value(tmp_path, dotted, "@value@", steady_grid={},
                                    disturbance={"estimate": {}})
-    text = text.replace("@big@", str(10**400))
+    text = text.replace("@big@", str(10**400)).replace("@huge@", str(10**29))
     scenario.write_text(scenario.read_text().replace('"@value@"', text))
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
     assert named in capsys.readouterr().err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from koopmpc.controller import (
-    FeasibilityReport,
     GridSpec,
     Infeasible,
     KtmpcConfig,
@@ -15,7 +14,6 @@ from koopmpc.controller import (
     TrackingProblem,
     build_qp,
     diagnostics,
-    segment_inequality_check,
     shifted_candidate,
     solve_steady,
     solve_steady_nonlinear,
@@ -29,7 +27,7 @@ from koopmpc.sets import (
     box_zonotope,
     tighten_constraints,
 )
-from oracles import numerical_example_matrices
+from oracles import numerical_example_matrices, segment_inequality_check
 
 LAM, MU = -0.1, 2.0
 
@@ -406,13 +404,12 @@ def test_shifted_candidate_nominal_margins():
     problem = TrackingProblem(model, config, schedule)
     u_k, sol = solve_step(problem, lift(model, x), y_t=[1.0])
     z_next = lift(model, nominal_step(model, x, u_k))
-    x_c, report = shifted_candidate(problem, sol, z_next)
+    x_c, margins = shifted_candidate(problem, sol, z_next)
     u_c, z_c, _, _ = problem.layout.split(x_c)
     assert np.array_equal(z_c[0], z_next)
-    assert isinstance(report, FeasibilityReport)
-    assert report.min_margin >= -1e-9
-    assert report.feasible
-    assert report.terminal_gap <= 1e-9
+    assert margins.shape == (2 * 5 + 2,)  # one worst margin per inequality block
+    assert margins.min() >= -1e-9
+    assert np.max(np.abs(z_c[-1] - sol.target.z_s)) <= 1e-9  # the terminal gap
     # With zero disturbance the candidate is exactly the shifted optimum.
     assert np.allclose(u_c[:-1], sol.u_bar[1:], atol=1e-9)
     assert np.allclose(u_c[-1], sol.target.u_s, atol=1e-9)
@@ -433,10 +430,10 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
         u_k, sol = solve_step(problem, z, y_t)
         w = np.array([0.0, rng.uniform(-0.1, 0.1), 0.0])
         x = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + w)
-        _, report = shifted_candidate(problem, sol, lift(model, x))
-        assert report.min_margin >= -1e-9, report
+        x_c, margins = shifted_candidate(problem, sol, lift(model, x))
+        assert margins.min() >= -1e-9, margins
     # The applied disturbance moves the candidate off the terminal equality.
-    assert report.terminal_gap > 0.0
+    assert np.max(np.abs(problem.layout.split(x_c)[1][-1] - sol.target.z_s)) > 0.0
 
 
 def test_shifted_candidate_detects_excess_disturbance():
@@ -448,9 +445,8 @@ def test_shifted_candidate_detects_excess_disturbance():
     # A process disturbance far beyond the declared (zero) set pushes the
     # successor state outside the tightened initial set.
     x_bad = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + np.array([0.0, 3.0, 0.0]))
-    _, report = shifted_candidate(problem, sol, lift(model, x_bad))
-    assert report.min_margin < 0
-    assert not report.feasible
+    _, margins = shifted_candidate(problem, sol, lift(model, x_bad))
+    assert margins.min() < -1e-9
 
 
 # --- diagnostics and the segment inequality ------------------------------------------------
@@ -520,16 +516,34 @@ def test_segment_inequality_on_live_controller_data():
 
 
 def test_steady_target_and_report_types():
-    t = SteadyTarget(z_s=[0.0, 1.0, 0.0], u_s=[-1.0], y_s=[1.0], offset_cost=0.0)
-    assert t.z_s.shape == (3,)
-    n = NonlinearSteadyTarget(x_s=[0.0, 1.0], u_s=[-1.0], y_s=[1.0], offset_cost=0.0)
-    assert n.x_s.shape == (2,)
-    with pytest.raises(ValueError):
-        SteadyTarget(z_s=[0.0], u_s=[0.0], y_s=[0.0], offset_cost=-1.0)
+    model, config, schedule = make_setup(N=3)
+    problem = TrackingProblem(model, config, schedule)
+    t = solve_steady(problem, [1.0])
+    assert (t.z_s.shape, t.u_s.shape, t.y_s.shape) == ((3,), (1,), (1,))
+    _, sol = solve_step(problem, lift(model, [0.0, 1.0]), [1.0])
+    x_c, margins = shifted_candidate(problem, sol, lift(model, [0.0, 1.0]))
+    assert x_c.shape == (problem.layout.dim,)
+    assert margins.shape == (problem.block_starts.size,) and margins.dtype == float
+
+
+def steady_record(cls):
+    """A record of ``cls`` as its solver builds it, at an unreachable output."""
+    model, config, schedule = make_setup(N=3)
+    if cls is SteadyTarget:
+        return solve_steady(TrackingProblem(model, config, schedule), [10.0])
+    grid = GridSpec(x_values=(np.linspace(-5, 5, 11), np.linspace(-5, 5, 101)),
+                    u_values=(np.linspace(-3, 3, 121),), fp_tol=1e-9)
+    return solve_steady_nonlinear(_benchmark_plant(), [10.0], config.s, grid)
 
 
 @pytest.mark.parametrize("cls", [SteadyTarget, NonlinearSteadyTarget])
 def test_steady_records_name_every_array_field(cls):
-    # __post_init__ converts the fields named in _arrays: every field but the cost.
-    assert sorted(cls._arrays) == sorted(f.name for f in dataclasses.fields(cls)
-                                         if f.name != "offset_cost")
+    # The records are plain: each solver hands over arrays and a cost >= 0.
+    record = steady_record(cls)
+    assert type(record) is cls and not hasattr(cls, "__post_init__")
+    for f in dataclasses.fields(cls):
+        value = getattr(record, f.name)
+        if f.name == "offset_cost":
+            assert type(value) is float and value > 0.0
+        else:
+            assert isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == float

@@ -31,6 +31,7 @@ from oracles import (
     fit_edmd_two_lifts,
     monomials_by_pow,
     numerical_example_matrices,
+    transitions,
 )
 
 LAM, MU = -0.1, 2.0
@@ -64,7 +65,7 @@ def make_benchmark_data(rng, n_traj=100, traj_len=4):
             x = step_benchmark(x, u[0])
             states.append(x)
         trajs.append((np.array(states), inputs))
-    return TrajectoryData(trajs)
+    return TrajectoryData.from_pairs(trajs)
 
 
 # --- lifting -----------------------------------------------------------------
@@ -148,15 +149,17 @@ LIFTING_REFUSALS = {
     "exponents-shape": ({"kind": "explicit", "exponents": [[2, 0, 0]]},
                         "exponents must have shape (k, 2)"),
     "exponents-fraction": ({"kind": "explicit", "exponents": [[2.5, 0]]},
-                           "exponents must be non-negative integers, got 2.5"),
+                           "exponents must be integers in [0, 2**63), got 2.5"),
     "exponents-float": ({"kind": "explicit", "exponents": [[2.0, 0]]},
-                        "exponents must be non-negative integers, got 2.0"),
+                        "exponents must be integers in [0, 2**63), got 2.0"),
     "exponents-bool": ({"kind": "explicit", "exponents": [[True, 0]]},
-                       "exponents must be non-negative integers, got True"),
+                       "exponents must be integers in [0, 2**63), got True"),
     "exponents-string": ({"kind": "explicit", "exponents": [["2", 0]]},
-                         "exponents must be non-negative integers, got '2'"),
+                         "exponents must be integers in [0, 2**63), got '2'"),
     "exponents-negative": ({"kind": "explicit", "exponents": [[0, -1]]},
-                           "exponents must be non-negative integers, got -1"),
+                           "exponents must be integers in [0, 2**63), got -1"),
+    "exponents-huge": ({"kind": "explicit", "exponents": [[10**29, 0]]},
+                       f"exponents must be integers in [0, 2**63), got {10**29}"),
     "centers-string": ({"kind": "rbf", "centers": [[0.0, "1"]], "width": 0.5},
                        "centers must be numbers, got '1'"),
     "centers-columns": ({"kind": "rbf", "centers": [[0.0, 0.0, 0.0]], "width": 0.5},
@@ -234,7 +237,7 @@ def test_fit_recovers_exact_benchmark(rng):
 def test_fit_zero_data_with_ridge():
     states = np.zeros((20, 2))
     inputs = np.zeros((19, 1))
-    data = TrajectoryData([(states, inputs)])
+    data = TrajectoryData.from_pairs([(states, inputs)])
     model = fit_edmd(data, benchmark_lifting(), ridge=1e-6)
     assert np.allclose(model.A, 0.0)
     assert np.allclose(model.B, 0.0)
@@ -251,7 +254,7 @@ def test_fit_rank_deficient_raises():
     states = np.zeros((40, 2))
     states[:, 1] = np.linspace(-1, 1, 40)
     inputs = np.zeros((39, 1))
-    data = TrajectoryData([(states, inputs)])
+    data = TrajectoryData.from_pairs([(states, inputs)])
     with pytest.raises(UnderdeterminedData):
         fit_edmd(data, benchmark_lifting(), ridge=0.0)
 
@@ -259,12 +262,12 @@ def test_fit_rank_deficient_raises():
 def test_fit_residual_is_locally_optimal(rng):
     data = make_benchmark_data(rng, n_traj=30, traj_len=2)
     # Perturb the states so the fit has a nonzero residual to defend.
-    data = TrajectoryData(
+    data = TrajectoryData.from_pairs(
         [(s + 0.01 * rng.standard_normal(s.shape), u) for s, u in data.trajectories]
     )
     model = fit_edmd(data, benchmark_lifting(), ridge=1e-10)
 
-    X, U, Xp = data.transitions()
+    X, U, Xp = transitions(data)
     Phi = np.hstack([lift_many(model, X), U])
     Zp = lift_many(model, Xp)
     Theta = np.hstack([model.A, model.B])
@@ -303,7 +306,7 @@ def _linear3_data(rng, n_steps, half=0.2):
         noises.append(w)
     spec = LiftingSpec(kind="explicit", n_x=3, exponents=np.zeros((0, 3), dtype=int))
     model = make_model(A, B, spec)
-    return model, TrajectoryData([(np.array(states), np.array(inputs))]), np.array(noises)
+    return model, TrajectoryData.from_pairs([(np.array(states), np.array(inputs))]), np.array(noises)
 
 
 def test_estimate_monte_carlo_converges(rng):
@@ -340,7 +343,7 @@ def test_estimate_soundness_and_inflation(rng):
     with pytest.raises(ValueError):
         estimate_disturbance_sets(model, data, inflation=0.5)
     with pytest.raises(ValueError):
-        estimate_disturbance_sets(model, TrajectoryData([]), inflation=1.0)
+        estimate_disturbance_sets(model, TrajectoryData.from_pairs([]), inflation=1.0)
 
 
 def test_disturbance_model_must_contain_origin():
@@ -458,30 +461,30 @@ def ragged_trajectories(rng):
 @pytest.mark.parametrize("source", ["list", "csv"])
 def test_stacked_trajectories_equal_the_per_trajectory_vstack(tmp_path, rng, source):
     trajs = ragged_trajectories(rng)
-    data = TrajectoryData(trajs)
+    data = TrajectoryData.from_pairs(trajs)
     if source == "csv":
         save_trajectories(data, tmp_path / "ragged.csv")
         data = load_trajectories(tmp_path / "ragged.csv")
-    X, U, Xp = data.transitions()
-    assert np.array_equal(X, np.vstack([s[:-1] for s, _ in trajs]))
-    assert np.array_equal(U, np.vstack([u for _, u in trajs]))
-    assert np.array_equal(Xp, np.vstack([s[1:] for s, _ in trajs]))
-    assert np.array_equal(data.all_states(), np.vstack([s for s, _ in trajs]))
-    assert X.shape == Xp.shape == (4, 2) and U.shape == (4, 1)
-    assert [len(s) for s, _ in data.trajectories] == [1, 4, 2]
+    assert np.array_equal(data.states, np.vstack([s for s, _ in trajs]))
+    assert np.array_equal(data.inputs, np.vstack([u for _, u in trajs]))
+    assert data.lengths.tolist() == [len(s) for s, _ in data.trajectories] == [1, 4, 2]
+    rows = data._transition_rows()  # the x rows of the fit; x+ is the row after each
+    assert np.array_equal(data.states[rows], np.vstack([s[:-1] for s, _ in trajs]))
+    assert np.array_equal(data.states[rows + 1], np.vstack([s[1:] for s, _ in trajs]))
+    for (s0, u0), (s1, u1) in zip(data.trajectories, trajs):
+        assert np.array_equal(s0, s1) and np.array_equal(u0, u1)
 
 
 def test_stacked_trajectories_are_read_only(rng):
-    data = TrajectoryData(ragged_trajectories(rng))
-    _, U, _ = data.transitions()
-    with pytest.raises(ValueError, match="read-only"):
-        U[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        data.all_states()[0, 0] = 1.0
+    data = TrajectoryData.from_pairs(ragged_trajectories(rng))
+    states, inputs = data.trajectories[1]
+    for array in (data.states, data.inputs, data.lengths, states, inputs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 def test_empty_trajectory_data_constructs_and_cannot_be_fitted():
-    data = TrajectoryData([])
+    data = TrajectoryData.from_pairs([])
     assert data.trajectories == []
     with pytest.raises(UnderdeterminedData, match="no trajectories provided"):
         fit_edmd(data, benchmark_lifting(), ridge=0.0)
@@ -495,15 +498,15 @@ def test_ragged_trajectory_finiteness_names_the_first_offending_trajectory(rng):
     trajs[2][0][1, 1] = np.nan
     trajs[1][0][3, 0] = -np.inf
     with pytest.raises(ValueError, match=r"^trajectory 1 states must be a finite 2-D array"):
-        TrajectoryData(trajs)
+        TrajectoryData.from_pairs(trajs)
     trajs[0] = (np.full((1, 2), np.inf), np.zeros((0, 1)))
     with pytest.raises(ValueError, match=r"^trajectory 0 states must be a finite 2-D array"):
-        TrajectoryData(trajs)
+        TrajectoryData.from_pairs(trajs)
 
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        TrajectoryData([(np.zeros((3, 2)), np.zeros((3, 1)))])  # lengths mismatch
+        TrajectoryData.from_pairs([(np.zeros((3, 2)), np.zeros((3, 1)))])  # lengths mismatch
 
 
 @pytest.mark.parametrize("second, named", [
@@ -515,7 +518,7 @@ def test_trajectory_validation():
 ], ids=["one-state-too-few", "state-dimension", "input-dimension", "one-dimensional-inputs"])
 def test_trajectory_shape_checks_name_the_fault(second, named):
     with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
-        TrajectoryData([(np.zeros((2, 2)), np.zeros((1, 1))), second])
+        TrajectoryData.from_pairs([(np.zeros((2, 2)), np.zeros((1, 1))), second])
 
 
 def test_trajectory_finiteness_names_the_first_offending_trajectory():
@@ -523,14 +526,28 @@ def test_trajectory_finiteness_names_the_first_offending_trajectory():
     trajs[2][1][1, 0] = np.inf
     trajs[4][0][0, 1] = np.nan
     with pytest.raises(ValueError, match=r"^trajectory 2 inputs must be a finite 2-D array"):
-        TrajectoryData(trajs)
+        TrajectoryData.from_pairs(trajs)
     trajs[2][1][1, 0] = 0.0
     with pytest.raises(ValueError, match=r"^trajectory 4 states must be a finite 2-D array"):
-        TrajectoryData(trajs)
+        TrajectoryData.from_pairs(trajs)
     trajs[4][0][0, 1] = 0.0
-    assert len(TrajectoryData(trajs).trajectories) == 6
+    assert len(TrajectoryData.from_pairs(trajs).trajectories) == 6
     with pytest.raises(ValueError, match=r"^trajectory 0 states must be a finite 2-D array"):
-        TrajectoryData([(np.zeros(4), np.zeros((3, 1)))])  # 1-D: a shape failure
+        TrajectoryData.from_pairs([(np.zeros(4), np.zeros((3, 1)))])  # 1-D: a shape failure
+
+
+@pytest.mark.parametrize("states, inputs, lengths", [
+    (np.zeros((4, 2)), np.zeros((3, 1)), [2, 2]),
+    (np.zeros((4, 2)), np.zeros((4, 1)), [0, 4]),
+    (np.zeros((4, 2)), np.zeros((3, 1)), [5]),
+    (np.zeros(4), np.zeros((3, 1)), [4]),
+    (np.zeros((4, 2)), np.zeros((3, 1)), [[4]]),
+], ids=["inputs-count", "empty-trajectory", "lengths-sum", "one-dimensional-states",
+        "two-dimensional-lengths"])
+def test_the_stacked_form_checks_that_its_lengths_split_the_stack(states, inputs, lengths):
+    with pytest.raises(ValueError, match=r"^lengths .* do not split .* into trajectories$"):
+        TrajectoryData(states, inputs, lengths)
+    assert TrajectoryData(np.zeros((4, 2)), np.zeros((3, 1)), [4]).lengths.tolist() == [4]
 
 
 # --- trajectory batches ----------------------------------------------------------------
@@ -541,21 +558,20 @@ def batch_arrays(rng, n_traj=5, traj_len=3):
 
 def test_batch_equals_the_list_form(rng):
     S, U = batch_arrays(rng)
-    batch, listed = TrajectoryData.batch(S, U), TrajectoryData(list(zip(S, U)))
+    batch, listed = TrajectoryData.batch(S, U), TrajectoryData.from_pairs(list(zip(S, U)))
     assert (batch.n_x, batch.n_u, len(batch.trajectories)) == (2, 1, 5)
     assert len(listed.trajectories) == 5
     for (s0, u0), (s1, u1) in zip(batch.trajectories, listed.trajectories):
         for a, b in ((s0, s1), (u0, u1)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert a.flags.writeable == b.flags.writeable
-    arrays = (*batch.transitions(), batch.all_states())
-    for a, b in zip(arrays, (*listed.transitions(), listed.all_states())):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert a.flags.writeable == b.flags.writeable
-    assert not batch.all_states().flags.writeable and not batch.transitions()[1].flags.writeable
+            assert not a.flags.writeable and not b.flags.writeable
+    for a, b in ((batch.states, listed.states), (batch.inputs, listed.inputs),
+                 (batch.lengths, listed.lengths)):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable and not b.flags.writeable
     # Both forms stack a copy: an edit of the caller's arrays does not reach it.
     S[0, 0, 0] = U[0, 0, 0] = 99.0
-    assert batch.all_states()[0, 0] != 99.0 and batch.transitions()[1][0, 0] != 99.0
+    assert batch.states[0, 0] != 99.0 and batch.inputs[0, 0] != 99.0
 
 
 @pytest.mark.parametrize("bad, named", [
@@ -570,7 +586,7 @@ def test_a_non_finite_batch_fails_with_the_list_forms_message(rng, bad, named):
     if bad in ("inputs", "both"):
         U[1, 0, 0] = -np.inf
     with pytest.raises(ValueError) as listed:
-        TrajectoryData(list(zip(S, U)))
+        TrajectoryData.from_pairs(list(zip(S, U)))
     assert str(listed.value).startswith(named)
     with pytest.raises(ValueError, match=f"^{re.escape(str(listed.value))}$"):
         TrajectoryData.batch(S, U)
@@ -601,7 +617,7 @@ def ragged_rbf_fit_inputs():
     rng = np.random.default_rng(7)
     trajs = [(rng.standard_normal((n, 2)), rng.standard_normal((n - 1, 1))) for n in (1, 9, 2, 6)]
     lifting = LiftingSpec(kind="rbf", n_x=2, centers=rng.standard_normal((3, 2)), width=0.8)
-    return TrajectoryData(trajs), lifting, {"ridge": 1e-6, "output_matrix": None}
+    return TrajectoryData.from_pairs(trajs), lifting, {"ridge": 1e-6, "output_matrix": None}
 
 
 FIT_INPUTS = {"a1": lambda: scenario_fit_inputs("a1"),

@@ -200,7 +200,7 @@ def test_generate_training_data_steps_the_lifted_model_in_one_batch(monkeypatch)
                                   input_box=box_zonotope([3.0]),
                                   state_box=box_zonotope([2.0, 2.0]), seed=0)
     assert calls == []
-    assert data.transitions()[0].shape == (800, 2)
+    assert data.states.shape == (1000, 2) and data.inputs.shape == (800, 1)
 
 
 # --- reference schedules --------------------------------------------------------------

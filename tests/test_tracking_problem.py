@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from koopmpc import cli, controller, model as model_module, qp as qp_module, sets, sim
 from koopmpc.controller import (
-    FeasibilityReport,
     Infeasible,
     TrackingProblem,
     build_qp,
@@ -465,47 +464,32 @@ def test_a_state_on_a_face_of_the_initial_set_is_solved(stacks, problems, logs, 
 
 # --- the shifted candidate against its rollout, and its margins read off the QP's rows -----
 
-def per_set_report(problem, prev, x_c) -> FeasibilityReport:
-    """The reference: one ``sets.margin`` call per schedule set, through C_x."""
+def per_set_margins(problem, prev, x_c) -> np.ndarray:
+    """The reference: one ``sets.margin`` call per schedule set, through C_x, in the
+    block order of ``shifted_candidate``'s margins: U~(0..N-1), X~(0..N-1), X~(N), U~(N)."""
     model, schedule, N = problem.model, problem.schedule, problem.config.N
     u_c, z_c, _, _ = problem.layout.split(x_c)
-    z_s, u_s = prev.target.z_s, prev.target.u_s
-    state = np.array([margin(schedule.state_sets[j], model.C_x @ z_c[j]) for j in range(N)])
-    inputs = np.array([margin(schedule.input_sets[j], u_c[j]) for j in range(N)])
-    steady_state = margin(schedule.state_sets[N], model.C_x @ z_s)
-    steady_input = margin(schedule.input_sets[N], u_s)
-    min_margin = float(min(state.min(), inputs.min(), steady_state, steady_input))
-    return FeasibilityReport(
-        state_margins=state,
-        input_margins=inputs,
-        steady_state_margin=steady_state,
-        steady_input_margin=steady_input,
-        terminal_gap=float(np.max(np.abs(z_c[N] - z_s))),
-        min_margin=min_margin,
-        feasible=bool(min_margin >= -1e-9),
-    )
+    return np.array([margin(schedule.input_sets[j], u_c[j]) for j in range(N)]
+                    + [margin(schedule.state_sets[j], model.C_x @ z_c[j]) for j in range(N)]
+                    + [margin(schedule.state_sets[N], model.C_x @ prev.target.z_s),
+                       margin(schedule.input_sets[N], prev.target.u_s)])
 
 
 def checked_candidate(problem, prev, x_next):
-    """Check that ``shifted_candidate``'s report equals the per-set reference's,
+    """Check that ``shifted_candidate``'s margins equal the per-set reference's,
     that the candidate starts at the lifted state, and that it matches the
-    step-by-step rollout (1e-12 relative) with the same report (1e-12 absolute)."""
+    step-by-step rollout (1e-12 relative) with the same margins (1e-12 absolute)."""
     model, N = problem.model, problem.config.N
     z_next = lift(model, x_next)
-    x_c, report = shifted_candidate(problem, prev, z_next)
+    x_c, margins = shifted_candidate(problem, prev, z_next)
     assert np.array_equal(problem.layout.split(x_c)[1][0], z_next)
-    ref = per_set_report(problem, prev, x_c)
-    for f in dataclasses.fields(FeasibilityReport):
-        assert np.array_equal(getattr(report, f.name), getattr(ref, f.name)), f.name
+    assert np.array_equal(margins, per_set_margins(problem, prev, x_c))
 
     u_r, z_r = shifted_rollout(model.A, model.B, problem.config.K, N, prev.u_bar, prev.z_bar,
                                prev.target.z_s, prev.target.u_s, z_next)
     x_r = np.concatenate([u_r.ravel(), z_r.ravel(), prev.target.z_s, prev.target.u_s])
     assert np.max(np.abs(x_c - x_r)) <= 1e-12 * max(1.0, np.max(np.abs(x_r)))
-    rolled = per_set_report(problem, prev, x_r)
-    for f in dataclasses.fields(FeasibilityReport):
-        np.testing.assert_allclose(getattr(report, f.name), getattr(rolled, f.name),
-                                   rtol=0, atol=1e-12, err_msg=f.name)
+    np.testing.assert_allclose(margins, per_set_margins(problem, prev, x_r), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", NAMES)
