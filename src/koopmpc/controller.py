@@ -13,7 +13,7 @@ QPs in theta = (z, y_t), and solved at each step's theta. A loop lifts each
 measured state once, solves one :class:`TrackingProblem` with
 ``solve_step(problem, z, y_t)`` and checks the recursive-feasibility candidate
 ``shifted_candidate(problem, prev, z)``, a decision vector of the same QP
-whose margins are read off its rows.
+whose margins are read off its rows through one precomputed map.
 """
 
 from __future__ import annotations
@@ -87,12 +87,14 @@ class NonlinearSteadyTarget:
 @dataclass(frozen=True)
 class KtmpcSolution:
     """Optimal trajectory, artificial target, and total cost J_N of one step's
-    QP: its objective plus ``s * ||y_t||^2``, the constant the QP leaves out."""
+    QP: its objective plus ``s * ||y_t||^2``, the constant the QP leaves out.
+    ``x_star`` is the QP's optimum, of which the other arrays are views."""
 
     u_bar: np.ndarray
     z_bar: np.ndarray
     target: SteadyTarget
     total_cost: float
+    x_star: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -343,7 +345,8 @@ class TrackingProblem:
     ``theta = y_t`` (:func:`solve_steady`); the solver keeps each one's
     theta-columns and the map of its stored support. ``block_starts`` holds
     the first ``A_in`` row of each inequality block, in :func:`build_qp`'s
-    order, ``candidate_map`` the map of :func:`_candidate_map`, and
+    order, ``candidate_map`` the map of :func:`_candidate_map` and
+    ``candidate_rows`` the QP's inequality rows through it, ``A_in @ candidate_map``, and
     ``steady_targets`` the target :func:`solve_steady` found for each
     reference, keyed by the bytes of ``y_t`` as a float array.
     """
@@ -357,6 +360,7 @@ class TrackingProblem:
         rows = [S.offsets.size for S, _, _ in _inequality_blocks(model, schedule, self.layout)]
         self.block_starts = np.cumsum([0] + rows[:-1])
         self.candidate_map = _candidate_map(model, config.K, self.layout)
+        self.candidate_rows = self.qp.A_in @ self.candidate_map
         self.steady_qp = _steady_qp(model, schedule, config.s)
         self.steady_targets: dict[bytes, SteadyTarget] = {}
 
@@ -375,7 +379,8 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
     u_bar, z_bar, z_s, u_s = problem.layout.split(sol.x_star)
     target = _steady_target(model, config.s, z_s, u_s, y_t)
     J_N = sol.objective + config.s * float(y_t @ y_t)
-    return u_bar[0].copy(), KtmpcSolution(u_bar=u_bar, z_bar=z_bar, target=target, total_cost=J_N)
+    return u_bar[0].copy(), KtmpcSolution(u_bar=u_bar, z_bar=z_bar, target=target, total_cost=J_N,
+                                          x_star=sol.x_star)
 
 
 def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:
@@ -385,24 +390,21 @@ def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:
     return LyapunovDiag(V1=V1, V2=V2, J_eq_tilde=offline.offset_cost)
 
 
-def shifted_candidate(
-    problem: TrackingProblem, prev: KtmpcSolution, z_next
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-shifted candidate built from the previous optimum, as a
-    decision vector ``x_c`` of ``problem``'s QP; returns ``(x_c, margins)``.
+def shifted_candidate(problem: TrackingProblem, prev: KtmpcSolution, z_next) -> np.ndarray:
+    """The worst margin (negative = violated) of each block of ``problem``'s
+    QP inequality rows at the one-step-shifted candidate built from the
+    previous optimum, in the order of :func:`_inequality_blocks`: U~(0..N-1),
+    X~(0..N-1), X~(N) on z_s, U~(N) on u_s.
 
     The candidate starts at the lifted successor state, ``z_c(0) = z_next``,
     and tracks the shifted previous trajectory under the tube gain
     ``K = config.K``, ``u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1))``, finishing
     with the previous steady input; the previous steady pair is reused as the
     candidate target. That rollout is linear in the previous optimum and
-    ``z_next``, so it is one product with ``problem.candidate_map``.
-    ``margins`` holds the worst margin (negative = violated) of each block of
-    the QP's inequality rows against the tightened schedule, in the order of
-    :func:`_inequality_blocks`: U~(0..N-1), X~(0..N-1), X~(N) on z_s, U~(N) on u_s.
+    ``z_next``, a decision vector ``x_c = candidate_map @ [x*; z_next]``, so
+    its row values are one product with ``problem.candidate_rows`` and x_c
+    itself is never formed.
     """
     z_next = _as_vector(z_next, problem.model.n_z, "z_next")
-    x_c = problem.candidate_map @ np.concatenate(
-        [prev.u_bar.ravel(), prev.z_bar.ravel(), prev.target.z_s, prev.target.u_s, z_next]
-    )
-    return x_c, np.minimum.reduceat(problem.qp.b_in - problem.qp.A_in @ x_c, problem.block_starts)
+    rows = problem.candidate_rows @ np.concatenate((prev.x_star, z_next))
+    return np.minimum.reduceat(problem.qp.b_in - rows, problem.block_starts)

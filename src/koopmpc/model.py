@@ -355,8 +355,13 @@ def fit_edmd(
         raise ValueError(f"data has n_x={data.n_x} but lifting expects {lifting.n_x}")
     n_z, n_u = lifting.n_z, data.n_u
     probe = make_model(np.zeros((n_z, n_z)), np.zeros((n_z, n_u)), lifting, output_matrix)
-    # Each state is lifted once; the regression picks its x and x+ rows.
-    Z, rows = lift_many(probe, data.states), data._transition_rows()
+    # Each state is lifted once; the regression picks its x and x+ rows. A
+    # feature that overflows is named below, before least squares runs on it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z, rows = lift_many(probe, data.states), data._transition_rows()
+    if not (finite := np.isfinite(Z)).all():
+        raise ValueError(f"lifting of kind {lifting.kind!r} maps {np.sum(~finite.all(axis=1))} "
+                         "training states to non-finite features")
     Phi = np.hstack([Z[rows], data.inputs])
     Psi_next = Z[rows + 1]
     n_cols = n_z + n_u

@@ -33,12 +33,16 @@ lam_S, again affine in theta: the support's map M_S = [X_S; Lam_S] comes from
 one Cholesky solve of S's Gram matrix with the p + 1 columns of H_S as
 right-hand sides, and [x; lam_S] = M_S [theta; 1].
 
-Each result is checked in the full space, from P, A_in, A_eq and the
-right-hand sides at theta, before a status is returned. The optimum must have
-its stationarity, equality and complementarity residuals within 1e-8 of the
-data's scale and break no inequality row by more than 1e-9 of max(1, |b_in|)
-of that row, none NaN; one product with [P; A_in; A_eq] gives Px, A_in x and
-A_eq x, and the multipliers act on the support rows only.
+Each result is checked in the full space before a status is returned. The
+optimum must have its stationarity, equality and complementarity residuals
+within 1e-8 of the data's scale and break no inequality row by more than 1e-9
+of max(1, |b_in|) of that row, none NaN. For a fixed support each residual is
+affine in theta too, so it is formed once per support, with its map: one
+product of [A_eq; A_in; P] with X_S and the right-hand-side columns give the
+residual map R_S = [stationarity; A_eq x - b_eq; A_in x - b_in; Px; nu], and
+the residuals at theta are R_S [theta; 1]. The two maps are kept stacked, so
+a stored support gives x, lam_S and its residuals by one product. NNLS's own
+weights are checked by the same residual map of one column.
 The Farkas vector, with mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0
 to a scaled tolerance and b_in'u + b_eq'mu < 0, which no feasible x allows;
 the result carries u and mu as its in_multipliers and eq_multipliers.
@@ -54,19 +58,19 @@ violated such row, when it exceeds its offset by more than 1e-9 of
 max(1, |b_in|), is certified by its own Farkas vector; a smaller excess is
 rounding, left to the full-space check.
 
-Each QuadraticProgram keeps the support of its last Optimal solve with its map
+Each QuadraticProgram keeps the support of its last Optimal solve with its maps
 (before the first, no row, whose map is X_0), and the next solve tries it
-before NNLS: [x; lam_S] = M_S [theta; 1] is taken only where lam_S > 0 and it
-passes the full-space check, which is Lawson and Hanson's optimality test on
-the other columns. So the stored support can make a solve faster but never
-changes which results are accepted. A miss builds the map of NNLS's support
-and evaluates it, so that a warm and a cold solve agree bit for bit; where
-that fails, NNLS's own weights are checked.
+before NNLS: [x; lam_S] = M_S [theta; 1] is taken only where lam_S > 0 and
+R_S [theta; 1] passes the full-space check, which is Lawson and Hanson's
+optimality test on the other columns. So the stored support can make a solve
+faster but never changes which results are accepted. A miss builds the maps
+of NNLS's support and evaluates them, so that a warm and a cold solve agree
+bit for bit; where that fails, NNLS's own weights are checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -159,23 +163,6 @@ class QpSolution:
     active_set: tuple[int, ...] = ()
 
 
-def _kkt_residuals(qp, f: "_Factors", S: "_Support", x, lam_S, q, b_eq):
-    """KKT residuals of x, lam_S on the rows S and nu = -(A_eq^+)'(Px + q + A_in'lam), Px, nu.
-    ``primal_in`` is the largest excess of a row of A_in x over b_in in units of
-    max(1, |b_in|) of that row; the other three are absolute."""
-    d, m, amax = qp.dim, qp.b_in.size, np.maximum.reduce
-    PAx = f.PA @ x  # Px, A_in x, A_eq x
-    Px, r_in, r_eq = PAx[:d], PAx[d : d + m] - qp.b_in, PAx[d + m :] - b_eq
-    grad = Px + q + S.A_in.T @ lam_S
-    nu = f.neg_pinv_T @ grad
-    return {
-        "stationarity": float(amax(np.abs(grad + qp.A_eq.T @ nu), initial=0.0)),
-        "primal_eq": float(amax(np.abs(r_eq), initial=0.0)),
-        "primal_in": float(amax(r_in / f.row_scale, initial=0.0)),
-        "complementarity": float(amax(np.abs(lam_S * r_in[S.rows]), initial=0.0)),
-    }, Px, nu
-
-
 def _infeasible(qp: QuadraticProgram, u=None, mu=None) -> QpSolution:
     """A PrimalInfeasible result, with its checked Farkas pair (u, mu) if any."""
     return QpSolution(x_star=np.full(qp.dim, np.nan), objective=np.nan, status=PRIMAL_INFEASIBLE,
@@ -184,13 +171,13 @@ def _infeasible(qp: QuadraticProgram, u=None, mu=None) -> QpSolution:
 
 @dataclass(frozen=True)
 class _Support:
-    """Rows S of E's columns with A_in[S], which the check needs, and their
-    map M (None where S's Gram matrix (A_in Y)_S (A_in Y)_S' is not positive
-    definite)."""
+    """Rows S of E's columns with their map and residual map stacked as
+    M = [X_S; Lam_S; R_S] (None where S's Gram matrix (A_in Y)_S (A_in Y)_S'
+    is not positive definite), and S as the active set of a result."""
 
     rows: np.ndarray
-    A_in: np.ndarray
     M: np.ndarray | None
+    active_set: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -198,7 +185,7 @@ class _Factors:
     """What the solver derives from the data, once.
 
     neg_pinv_T = -(A_eq^+)', whose product with r is minus the minimum-norm
-    solution of A_eq' nu = r, and PA = [P; A_in; A_eq]. Y = Z L^-T, where Z
+    solution of A_eq' nu = r, and PA = [A_eq; A_in; P]. Y = Z L^-T, where Z
     is an orthonormal basis of the null space of A_eq and Z'PZ = LL' the
     Cholesky factorization of the reduced Hessian, spans the same null space
     with Y'PY = I; AY = A_in Y. The theta-columns multiply [theta; 1]: QB
@@ -208,7 +195,7 @@ class _Factors:
     ``fixed`` lists the rows of A_in whose row of AY is zero to rounding
     (1e-12 of the largest), and ``free`` the others. row_scale is
     max(1, |b_in|) and rhs_floor max(1, max |b_in|). ``empty`` is the support
-    of no row, whose map is X0."""
+    of no row, whose map is X0, stacked with its residual map."""
 
     neg_pinv_T: np.ndarray
     PA: np.ndarray
@@ -259,28 +246,52 @@ def _factor(qp: QuadraticProgram) -> _Factors:
     H = A_in @ X0
     H[:, -1] -= qp.b_in
     rank_deficient = Z.shape[1] + A_eq.shape[0] > d
-    return _Factors(neg_pinv_T=np.ascontiguousarray(-A_eq_pinv.T),
-                    PA=np.vstack((qp.P, A_in, A_eq)), Y=Y, AY=AY, QB=QB, X0=X0, H=H,
-                    R_eq=A_eq @ X_p - QB[d:] if rank_deficient else None,
-                    free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves),
-                    row_scale=np.maximum(1.0, np.abs(qp.b_in)),
-                    rhs_floor=float(np.abs(qp.b_in).max(initial=1.0)),
-                    empty=_Support(rows=_NO_ROWS, A_in=A_in[:0], M=X0))
+    f = _Factors(neg_pinv_T=np.ascontiguousarray(-A_eq_pinv.T),
+                 PA=np.vstack((A_eq, A_in, qp.P)), Y=Y, AY=AY, QB=QB, X0=X0, H=H,
+                 R_eq=A_eq @ X_p - QB[d:] if rank_deficient else None,
+                 free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves),
+                 row_scale=np.maximum(1.0, np.abs(qp.b_in)),
+                 rhs_floor=float(np.abs(qp.b_in).max(initial=1.0)), empty=None)
+    R = _residual_map(qp, f, _NO_ROWS, X0, X0[:0], QB)
+    return replace(f, empty=_Support(_NO_ROWS, np.vstack((X0, R))))
 
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 _ONE = np.ones(1)
 
 
-def _support(f: _Factors, rows: np.ndarray) -> _Support:
-    """The support S = ``rows`` with its map M_S = [X0 - Y AY_S' Lam_S; Lam_S],
-    Lam_S = (AY_S AY_S')^-1 H_S, from one Cholesky solve with p + 1 right-hand sides."""
+def _support(qp: QuadraticProgram, f: _Factors, rows: np.ndarray) -> _Support:
+    """The support S = ``rows`` with its map M_S = [X_S; Lam_S], X_S = X0 - Y AY_S' Lam_S
+    and Lam_S = (AY_S AY_S')^-1 H_S, from one Cholesky solve with p + 1
+    right-hand sides, stacked with its residual map R_S."""
     if not rows.size:
         return f.empty
     AY = f.AY[rows]
     _, Lam, info = dposv(AY @ AY.T, f.H[rows])
-    M = None if info else np.vstack((f.X0 - f.Y @ (AY.T @ Lam), Lam))
-    return _Support(rows=rows, A_in=f.PA[len(f.Y) + rows], M=M)  # A_in's rows of PA start at d
+    if info:
+        return _Support(rows, None, tuple(rows.tolist()))
+    X = f.X0 - f.Y @ (AY.T @ Lam)
+    return _Support(rows, np.vstack((X, Lam, _residual_map(qp, f, rows, X, Lam, f.QB))),
+                    tuple(rows.tolist()))
+
+
+def _residual_map(qp: QuadraticProgram, f: _Factors, rows, X, Lam, QB) -> np.ndarray:
+    """R = [stationarity; A_eq x - b_eq; A_in x - b_in; Px; nu] of the points X
+    with multipliers Lam on the rows S = ``rows`` and right-hand sides
+    QB = [q; b_eq], as columns; b_in is taken off the last column. On a
+    support's map, R [theta; 1] holds the residuals at theta of the point
+    x = X [theta; 1]. grad = Px + q + A_in,S' lam_S and nu = -(A_eq^+)' grad."""
+    d, m, n_eq = qp.dim, qp.b_in.size, qp.b_eq.size
+    R = np.empty((2 * (d + n_eq) + m, X.shape[1]))
+    np.matmul(f.PA, X, out=R[d : 2 * d + n_eq + m])  # A_eq X, A_in X, PX
+    grad, nu = R[:d], R[2 * d + n_eq + m :]
+    np.add(R[d + n_eq + m : 2 * d + n_eq + m], QB[:d], out=grad)
+    grad += f.PA[n_eq + rows].T @ Lam  # A_in's rows of PA start at n_eq
+    np.matmul(f.neg_pinv_T, grad, out=nu)
+    grad += qp.A_eq.T @ nu  # the stationarity
+    R[d : d + n_eq] -= QB[d:]
+    R[d + n_eq : d + n_eq + m, -1] -= qp.b_in
+    return R
 
 
 def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray, b_eq) -> np.ndarray | None:
@@ -297,47 +308,58 @@ def _farkas(qp: QuadraticProgram, f: _Factors, u: np.ndarray, b_eq) -> np.ndarra
     return mu if np.min(u) >= 0.0 and residual <= 1e-9 * a_scale and gap < -1e-9 * b_scale else None
 
 
-def _checked(qp, f, S: _Support, x, lam_S, q, b_eq, tol) -> QpSolution | None:
+def _checked(qp, f, S: _Support, r, x, lam_S, qb, tol) -> QpSolution | None:
     """The Optimal solution x with multipliers lam_S on the rows S if its KKT
-    residuals pass, else None. Column j's NNLS gradient is a positive multiple
-    of (A_in x - b_in)_j, so the primal check is also Lawson and Hanson's
-    optimality test on the columns outside S."""
-    kkt, Px, nu = _kkt_residuals(qp, f, S, x, lam_S, q, b_eq)
+    residuals r (a column of :func:`_residual_map`) pass, else None; qb = [q; b_eq].
+    Column j's NNLS gradient is a positive multiple of (A_in x - b_in)_j, so
+    the primal check is also Lawson and Hanson's optimality test on the
+    columns outside S."""
+    d, n_eq, amax = qp.dim, qp.b_eq.size, np.maximum.reduce
+    r_in = r[d + n_eq : r.size - d - n_eq]
+    kkt = {
+        "stationarity": float(amax(np.abs(r[:d]), initial=0.0)),
+        "primal_eq": float(amax(np.abs(r[d : d + n_eq]), initial=0.0)),
+        "primal_in": float(amax(r_in / f.row_scale, initial=0.0)),
+        "complementarity": float(amax(np.abs(lam_S * r_in[S.rows]), initial=0.0)),
+    }
     # primal_in takes the fixed rows' per-row rule; a NaN residual fails.
     if not all(value <= (_FEAS_TOL if key == "primal_in" else tol) for key, value in kkt.items()):
         return None
     lam = np.zeros(qp.b_in.size)
     lam[S.rows] = lam_S
-    return QpSolution(x_star=x, objective=float(0.5 * x @ Px + q @ x), status=OPTIMAL,
-                      kkt_residuals=kkt, eq_multipliers=nu, in_multipliers=lam,
-                      active_set=tuple(S.rows.tolist()))
+    Px = r[r.size - d - n_eq : r.size - n_eq]
+    return QpSolution(x_star=x, objective=float(0.5 * x @ Px + qb[:d] @ x), status=OPTIMAL,
+                      kkt_residuals=kkt, eq_multipliers=r[r.size - n_eq :], in_multipliers=lam,
+                      active_set=S.active_set)
 
 
-def _on_support(qp, f, S: _Support, tb, q, b_eq, tol) -> QpSolution | None:
-    """[x; lam_S] = M_S [theta; 1], taken only where lam_S > 0 and it passes its check."""
+def _on_support(qp, f, S: _Support, tb, qb, tol) -> QpSolution | None:
+    """[x; lam_S; r] = [M_S; R_S] [theta; 1], taken only where lam_S > 0 and
+    its residuals r pass."""
     if S.M is None:
         return None
-    xl = S.M @ tb
-    x, lam_S = xl[: qp.dim], xl[qp.dim :]
-    if lam_S.size and not lam_S.min() > 0.0:
+    v, d, k = S.M @ tb, qp.dim, S.rows.size
+    if k and not v[d : d + k].min() > 0.0:
         return None
-    return _checked(qp, f, S, x, lam_S, q, b_eq, tol)
+    return _checked(qp, f, S, v[d + k :], v[:d], v[d : d + k], qb, tol)
 
 
-def _from_weights(qp, f, S: _Support, u, h_S, tb, q, b_eq, tol) -> QpSolution | None:
+def _from_weights(qp, f, S: _Support, u, h_S, tb, qb, tol) -> QpSolution | None:
     """The checked solution of NNLS's own weights u on the columns S of E,
     or None. The residual r = Eu - e is (-AY_S'u, h_S'u - 1). r[n] < 0 gives
     the optimum v = -r[:n]/r[n] with multipliers u/|r|^2 (at the NNLS optimum
-    |r|^2 = -r[n], and dividing by -r[n] keeps v = G'lam exact). Otherwise u
-    is returned as PrimalInfeasible if it passes the Farkas check."""
+    |r|^2 = -r[n], and dividing by -r[n] keeps v = G'lam exact), checked from
+    its one-column residual map. Otherwise u is returned as PrimalInfeasible
+    if it passes the Farkas check."""
     r_n = h_S @ u - 1.0
     if r_n < 0.0:
-        x = f.X0 @ tb + f.Y @ (f.AY[S.rows].T @ u / r_n)
-        if (sol := _checked(qp, f, S, x, -u / r_n, q, b_eq, tol)) is not None:
+        x, lam_S = f.X0 @ tb + f.Y @ (f.AY[S.rows].T @ u / r_n), -u / r_n
+        r = _residual_map(qp, f, S.rows, x[:, None], lam_S[:, None], qb[:, None])[:, 0]
+        if (sol := _checked(qp, f, S, r, x, lam_S, qb, tol)) is not None:
             return sol
     lam = np.zeros(qp.b_in.size)
     lam[S.rows] = u
-    mu = _farkas(qp, f, lam, b_eq)
+    mu = _farkas(qp, f, lam, qb[qp.dim :])
     return None if mu is None else _infeasible(qp, lam, mu)
 
 
@@ -361,12 +383,11 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
         raise ValueError(f"theta must have shape ({qp.F_q.shape[1]},), got {theta.shape}")
     tb = np.concatenate((theta, _ONE))
     qb = f.QB @ tb  # [q; b_eq] at theta
-    q, b_eq = qb[: qp.dim], qb[qp.dim :]
     tol = _KKT_TOL * max(f.rhs_floor, float(np.abs(qb).max(initial=0.0)))
     if f.R_eq is not None and np.max(np.abs(f.R_eq @ tb)) > tol:
         return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
     S = qp._support or f.empty
-    sol = _on_support(qp, f, S, tb, q, b_eq, tol)
+    sol = _on_support(qp, f, S, tb, qb, tol)
     if sol is None:
         h = f.H @ tb
         # x_0 alone decides the fixed rows; one violated beyond rounding is
@@ -376,7 +397,7 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
             u = np.zeros(h.size)
             row = f.fixed[np.argmax(excess)]
             u[row] = 1.0 / h[row]
-            if (mu := _farkas(qp, f, u, b_eq)) is not None:
+            if (mu := _farkas(qp, f, u, qb[qp.dim :])) is not None:
                 return _infeasible(qp, u, mu)
         if not f.free.size:  # nnls on a matrix with no columns aborts the process
             raise SolverFailed("QP solution failed its KKT check")
@@ -386,10 +407,10 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
             u = nnls(np.vstack([-f.AY[f.free].T, h[f.free]]), e)[0]
         except RuntimeError as exc:
             raise SolverFailed(f"NNLS solve of the least-distance program failed: {exc}") from exc
-        S = _support(f, f.free[u > 0])
-        sol = _on_support(qp, f, S, tb, q, b_eq, tol)
+        S = _support(qp, f, f.free[u > 0])
+        sol = _on_support(qp, f, S, tb, qb, tol)
         if sol is None:  # the map failed: NNLS's own weights
-            sol = _from_weights(qp, f, S, u[u > 0], h[S.rows], tb, q, b_eq, tol)
+            sol = _from_weights(qp, f, S, u[u > 0], h[S.rows], tb, qb, tol)
         if sol is None:
             raise SolverFailed("NNLS gave neither a checked optimum nor a Farkas vector")
     if sol.status == OPTIMAL:

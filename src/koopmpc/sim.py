@@ -277,7 +277,7 @@ def run_closed_loop(
         y = plant.C @ x
         y_t = cursor.advance(k, position=y)
         z = lift(model, x)
-        cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z)[1].min()
+        cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z).min()
         try:
             offline = solve_steady(problem, y_t)
             u_k, sol = solve_step(problem, z, y_t)

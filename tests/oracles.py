@@ -5,6 +5,7 @@ arithmetic, exhaustive vertex enumeration, closed-form roots) so that the
 library under test is checked against a second, independent computation.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -170,12 +171,14 @@ def kkt_check_dense(qp, f, S, x, lam_S, q, b_eq, tol):
     with q and b_eq the right-hand sides at theta, the full-length
     multipliers lam (lam_S on S.rows, zero elsewhere), grad = Px + q + A_in'lam,
     nu = -(A_eq^+)'grad and the four KKT residuals from the three separate
-    products Px, A_in x and A_eq x. Returns (lam, nu, kkt, accepted), with
-    accepted = every residual <= tol, but ``primal_in``, each row's excess in
-    units of max(1, |b_in|) of that row, <= 1e-9."""
+    products Px, A_in x and A_eq x. Returns (lam, nu, kkt, accepted, blocks),
+    with accepted = every residual <= tol, but ``primal_in``, each row's excess
+    in units of max(1, |b_in|) of that row, <= 1e-9, and blocks the residual
+    vectors (stationarity, A_eq x - b_eq, A_in x - b_in, Px, nu)."""
     lam = np.zeros(qp.A_in.shape[0])
     lam[S.rows] = lam_S
-    grad = qp.P @ x + q + qp.A_in.T @ lam
+    Px = qp.P @ x
+    grad = Px + q + qp.A_in.T @ lam
     nu = f.neg_pinv_T @ grad
     stat = grad + qp.A_eq.T @ nu
     r_in, r_eq = qp.A_in @ x - qp.b_in, qp.A_eq @ x - b_eq
@@ -186,7 +189,47 @@ def kkt_check_dense(qp, f, S, x, lam_S, q, b_eq, tol):
         "complementarity": float(np.max(np.abs(lam * r_in), initial=0.0)),
     }
     limits = {key: tol for key in kkt} | {"primal_in": 1e-9}
-    return lam, nu, kkt, all(kkt[key] <= limits[key] for key in kkt)
+    return lam, nu, kkt, all(kkt[key] <= limits[key] for key in kkt), (stat, r_eq, r_in, Px, nu)
+
+
+def kkt_term_scales(qp, x, lam, nu) -> dict[str, float]:
+    """For each KKT residual, the largest sum of the magnitudes of the terms
+    it adds up: what its rounding error is relative to."""
+    P, A_in, A_eq = np.abs(qp.P), np.abs(qp.A_in), np.abs(qp.A_eq)
+    r_in = A_in @ np.abs(x) + np.abs(qp.b_in)
+    grad = P @ np.abs(x) + np.abs(qp.q) + A_in.T @ np.abs(lam) + A_eq.T @ np.abs(nu)
+    return {"stationarity": grad.max(initial=0.0),
+            "primal_eq": (A_eq @ np.abs(x) + np.abs(qp.b_eq)).max(initial=0.0),
+            "primal_in": r_in.max(initial=0.0),
+            "complementarity": (np.abs(lam) * r_in).max(initial=0.0)}
+
+
+def assert_checks_match_the_dense_check(calls):
+    """For each recorded call (args, result) of ``qp._checked``, its residuals
+    r are those of :func:`kkt_check_dense`, block by block, to 1e-12 of the
+    size of the terms they sum (at least 1): Px to the stationarity's scale,
+    nu to the scale of -(A_eq^+)'grad. The two accept the same results, and an
+    accepted one carries the point, the multipliers and the dense check's four
+    residuals."""
+    for (qp, f, S, r, x, lam_S, qb, tol), sol in calls:
+        q, b_eq = qb[: qp.dim], qb[qp.dim :]
+        lam, nu, kkt, dense_accepted, dense = kkt_check_dense(qp, f, S, x, lam_S, q, b_eq, tol)
+        scales = kkt_term_scales(dataclasses.replace(qp, q=q, b_eq=b_eq, F_q=None, F_eq=None),
+                                 x, lam, nu)
+        grad = np.abs(qp.P) @ np.abs(x) + np.abs(q) + np.abs(qp.A_in).T @ np.abs(lam)
+        nu_scale = (np.abs(f.neg_pinv_T) @ grad).max(initial=0.0)
+        blocks = np.split(r, np.cumsum([qp.dim, b_eq.size, qp.b_in.size, qp.dim]))
+        for got, want, scale in zip(blocks, dense, (scales["stationarity"], scales["primal_eq"],
+                                                    scales["primal_in"], scales["stationarity"],
+                                                    nu_scale)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, scale)
+        assert (sol is not None) == dense_accepted
+        if sol is not None:
+            assert np.array_equal(sol.x_star, x) and np.array_equal(sol.in_multipliers, lam)
+            assert sol.active_set == tuple(S.rows.tolist())
+            for key, value in kkt.items():
+                assert abs(sol.kkt_residuals[key] - value) <= 1e-12 * max(1.0, scales[key]), key
 
 
 def plain_qp(family, theta):

@@ -554,6 +554,22 @@ def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, nam
     assert named in capsys.readouterr().err
 
 
+def test_non_finite_lifted_features_are_named_before_the_fit_exit_2(tmp_path, capfd):
+    # An exponent of 2**62 passes the lifting's check but lifts every
+    # training state with |x_1| > 1 to inf: the fit names the lifting before
+    # least squares runs, so LAPACK prints nothing and no schedule is written.
+    doc = json.loads((SCENARIOS / "a1.json").read_text())
+    doc["lifting"]["params"]["exponents"] = [[4611686018427387904, 0]]
+    scenario = tmp_path / "a1.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    err = capfd.readouterr().err
+    assert "error: lifting of kind 'explicit' maps" in err
+    assert "training states to non-finite features" in err
+    assert "DLASCL" not in err and "SVD did not converge" not in err
+    assert not (tmp_path / "schedule.json").exists()
+
+
 def scenario_with_value(tmp_path, dotted, value, **overrides):
     """The base scenario, with ``overrides``, and the dotted key set to ``value``."""
     scenario = base_scenario(tmp_path, **overrides)

@@ -398,14 +398,20 @@ def test_warm_start_matches_cold_start():
 
 # --- shifted candidate -------------------------------------------------------------------
 
+def candidate(problem, prev, z_next):
+    """The shifted candidate as a decision vector, from the map whose rows
+    ``shifted_candidate`` reads."""
+    return problem.candidate_map @ np.concatenate((prev.x_star, z_next))
+
+
 def test_shifted_candidate_nominal_margins():
     model, config, schedule = make_setup(N=5)
     x = np.array([0.0, -1.0])
     problem = TrackingProblem(model, config, schedule)
     u_k, sol = solve_step(problem, lift(model, x), y_t=[1.0])
     z_next = lift(model, nominal_step(model, x, u_k))
-    x_c, margins = shifted_candidate(problem, sol, z_next)
-    u_c, z_c, _, _ = problem.layout.split(x_c)
+    margins = shifted_candidate(problem, sol, z_next)
+    u_c, z_c, _, _ = problem.layout.split(candidate(problem, sol, z_next))
     assert np.array_equal(z_c[0], z_next)
     assert margins.shape == (2 * 5 + 2,)  # one worst margin per inequality block
     assert margins.min() >= -1e-9
@@ -430,8 +436,9 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
         u_k, sol = solve_step(problem, z, y_t)
         w = np.array([0.0, rng.uniform(-0.1, 0.1), 0.0])
         x = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + w)
-        x_c, margins = shifted_candidate(problem, sol, lift(model, x))
+        margins = shifted_candidate(problem, sol, lift(model, x))
         assert margins.min() >= -1e-9, margins
+        x_c = candidate(problem, sol, lift(model, x))
     # The applied disturbance moves the candidate off the terminal equality.
     assert np.max(np.abs(problem.layout.split(x_c)[1][-1] - sol.target.z_s)) > 0.0
 
@@ -445,7 +452,7 @@ def test_shifted_candidate_detects_excess_disturbance():
     # A process disturbance far beyond the declared (zero) set pushes the
     # successor state outside the tightened initial set.
     x_bad = model.C_x @ (model.A @ z + model.B @ np.atleast_1d(u_k) + np.array([0.0, 3.0, 0.0]))
-    _, margins = shifted_candidate(problem, sol, lift(model, x_bad))
+    margins = shifted_candidate(problem, sol, lift(model, x_bad))
     assert margins.min() < -1e-9
 
 
@@ -521,8 +528,9 @@ def test_steady_target_and_report_types():
     t = solve_steady(problem, [1.0])
     assert (t.z_s.shape, t.u_s.shape, t.y_s.shape) == ((3,), (1,), (1,))
     _, sol = solve_step(problem, lift(model, [0.0, 1.0]), [1.0])
-    x_c, margins = shifted_candidate(problem, sol, lift(model, [0.0, 1.0]))
-    assert x_c.shape == (problem.layout.dim,)
+    margins = shifted_candidate(problem, sol, lift(model, [0.0, 1.0]))
+    assert sol.x_star.shape == (problem.layout.dim,)
+    assert candidate(problem, sol, lift(model, [0.0, 1.0])).shape == (problem.layout.dim,)
     assert margins.shape == (problem.block_starts.size,) and margins.dtype == float
 
 

@@ -17,7 +17,7 @@ from koopmpc.qp import (
     SolverFailed,
     solve,
 )
-from oracles import kkt_check_dense, plain_qp, qp_by_active_set_enumeration
+from oracles import assert_checks_match_the_dense_check, plain_qp, qp_by_active_set_enumeration
 
 
 def _check_kkt(sol, tol=1e-8):
@@ -718,21 +718,22 @@ def test_any_stored_support_gives_the_cold_result(rng):
         cold = solve(dataclasses.replace(qp), theta)
         other = solve(dataclasses.replace(qp), theta * [-1.0, -1.0, -1.0, 1.0])
         for rows in ((), range(6), np.flatnonzero(rng.uniform(size=6) < 0.5), other.active_set):
-            qp._support = qp_module._support(f, np.array(rows, dtype=np.intp))
+            qp._support = qp_module._support(qp, f, np.array(rows, dtype=np.intp))
             got = solve(qp, theta)
             assert got.status == cold.status
             assert np.array_equal(got.x_star, cold.x_star, equal_nan=True), rows
             assert got.active_set == cold.active_set
     for bad in _infeasible_qps():
         for rows in ((), range(bad.A_in.shape[0])):
-            bad._support = qp_module._support(bad.factors, np.array(rows, dtype=np.intp))
+            bad._support = qp_module._support(bad, bad.factors, np.array(rows, dtype=np.intp))
             assert solve(bad).status == PRIMAL_INFEASIBLE
 
 
 def test_a_hit_calls_neither_nnls_nor_dposv():
-    # A parameter near the last one keeps its support: the stored map gives
-    # [x; lam_S] by one product, with no NNLS and no Cholesky solve, and the
-    # result is the cold family's, bit for bit.
+    # A parameter near the last one keeps its support: the stored maps give
+    # [x; lam_S] and the residuals by one product each, with no NNLS, no
+    # Cholesky solve and no residual build, and the result is the cold
+    # family's, bit for bit.
     qp = _box_family()
     theta = np.array([-4.0, -4.0, 1.0, 0.1])
     first = solve(qp, theta)
@@ -740,11 +741,11 @@ def test_a_hit_calls_neither_nnls_nor_dposv():
     near = theta + [0.01, -0.01, 0.02, 0.01]
 
     def refused(*args):
-        raise AssertionError("a stored-support hit called nnls or dposv")
+        raise AssertionError("a stored-support hit called nnls, dposv or _residual_map")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qp_module, "nnls", refused)
-        mp.setattr(qp_module, "dposv", refused)
+        for name in ("nnls", "dposv", "_residual_map"):
+            mp.setattr(qp_module, name, refused)
         hit = solve(qp, near)
     assert hit.active_set == first.active_set
     _check_kkt(hit)
@@ -844,7 +845,9 @@ def test_near_parallel_blocking_row_gives_the_true_minimizer():
 # --- the full-space check against its dense formulation ---------------------------------
 
 def _checks_of(qp, theta=()):
-    """Solve qp at theta and return every call of the full-space check with its result."""
+    """Solve qp at theta and return every call of the full-space check with its
+    result: the stored support's, each NNLS support's map and NNLS's own weights
+    are all judged by ``qp._checked``."""
     calls, check = [], qp_module._checked
 
     def recorded(*args):
@@ -862,43 +865,14 @@ def _checks_of(qp, theta=()):
     return calls
 
 
-def _term_scales(qp, x, lam, nu) -> dict[str, float]:
-    """For each KKT residual, the largest sum of the magnitudes of the terms
-    it adds up: what its rounding error is relative to."""
-    P, A_in, A_eq = np.abs(qp.P), np.abs(qp.A_in), np.abs(qp.A_eq)
-    r_in = A_in @ np.abs(x) + np.abs(qp.b_in)
-    grad = P @ np.abs(x) + np.abs(qp.q) + A_in.T @ np.abs(lam) + A_eq.T @ np.abs(nu)
-    return {"stationarity": grad.max(initial=0.0),
-            "primal_eq": (A_eq @ np.abs(x) + np.abs(qp.b_eq)).max(initial=0.0),
-            "primal_in": r_in.max(initial=0.0),
-            "complementarity": (np.abs(lam) * r_in).max(initial=0.0)}
-
-
-def _assert_checks_match_the_dense_check(calls):
-    """The check's residuals are the dense formulation's to 1e-12 of the size
-    of the terms they sum (at least 1), and the two accept the same results:
-    the same point, multipliers and residuals."""
-    for (qp, f, S, x, lam_S, q, b_eq, tol), sol in calls:
-        accepted = sol is not None
-        lam, nu, kkt, dense_accepted = kkt_check_dense(qp, f, S, x, lam_S, q, b_eq, tol)
-        residuals, _, _ = qp_module._kkt_residuals(qp, f, S, x, lam_S, q, b_eq)
-        scales = _term_scales(dataclasses.replace(qp, q=q, b_eq=b_eq, F_q=None, F_eq=None),
-                              x, lam, nu)
-        for key, value in kkt.items():
-            assert abs(residuals[key] - value) <= 1e-12 * max(1.0, scales[key]), (key, residuals, kkt)
-        assert accepted == dense_accepted
-        if accepted:
-            assert np.array_equal(sol.x_star, x) and np.array_equal(sol.in_multipliers, lam)
-            assert sol.kkt_residuals == residuals
-
-
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), n_eq=st.integers(0, 8),
        n_in=st.integers(0, 14), feasible=st.booleans())
 def test_the_check_matches_its_dense_form_on_random_qps(seed, d, n_eq, n_in, feasible):
     # Offsets with a negative slack at the point x0 often make the QP infeasible,
     # so rejected checks and Farkas vectors are drawn as well as optima. The QP
-    # is a family in two parameters, solved where A_eq x0 = b_eq(theta).
+    # is a family in two parameters, solved where A_eq x0 = b_eq(theta), then
+    # near theta, where the stored support is tried first.
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((d, d))
     A_eq, A_in = rng.standard_normal((min(n_eq, d), d)), rng.standard_normal((n_in, d))
@@ -908,7 +882,8 @@ def test_the_check_matches_its_dense_form_on_random_qps(seed, d, n_eq, n_in, fea
     qp = QuadraticProgram(P=M.T @ M + 0.1 * np.eye(d), q=3.0 * rng.standard_normal(d),
                           A_eq=A_eq, b_eq=A_eq @ x0 - F_eq @ theta, A_in=A_in,
                           b_in=A_in @ x0 + slack, F_q=rng.standard_normal((d, 2)), F_eq=F_eq)
-    _assert_checks_match_the_dense_check(_checks_of(qp, theta))
+    near = theta + 0.01 * rng.standard_normal(2)
+    assert_checks_match_the_dense_check(_checks_of(qp, theta) + _checks_of(qp, near))
 
 
 def _interior_optimum():
@@ -934,7 +909,7 @@ def _no_inequalities():
         "0-row-A_in", "infeasible"])
 def test_the_check_matches_its_dense_form_on_degenerate_qps(make):
     calls = _checks_of(make())
-    _assert_checks_match_the_dense_check(calls)
+    assert_checks_match_the_dense_check(calls)
     (_, _, S, *_), _ = calls[0]
     assert S.rows.size == 0  # the first solve tries the empty support
 
@@ -942,15 +917,29 @@ def test_the_check_matches_its_dense_form_on_degenerate_qps(make):
 @pytest.mark.parametrize("key", ["stationarity", "primal_eq", "primal_in", "complementarity"])
 def test_a_nan_residual_fails_the_check(monkeypatch, key):
     # Each residual is compared with the tolerance: Python's max() of the four
-    # would pass a NaN anywhere but first.
-    residuals = qp_module._kkt_residuals
+    # would pass a NaN anywhere but first. The NaN goes into the residual
+    # rows that feed only ``key`` (the rows of A_in outside S for primal_in),
+    # or into lam_S for the complementarity.
+    check = qp_module._checked
 
-    def with_nan(*args):
-        kkt, Px, nu = residuals(*args)
-        return {**kkt, key: float("nan")}, Px, nu
+    def with_nan(qp, f, S, r, x, lam_S, qb, tol):
+        d, n_eq = qp.dim, qp.b_eq.size
+        r, lam_S = r.copy(), lam_S.copy()
+        outside = np.setdiff1d(np.arange(qp.b_in.size), S.rows)
+        rows = {"stationarity": np.arange(d), "primal_eq": d + np.arange(n_eq),
+                "primal_in": d + n_eq + outside, "complementarity": []}[key]
+        r[rows] = np.nan
+        if key == "complementarity":
+            lam_S[:] = np.nan
+        return check(qp, f, S, r, x, lam_S, qb, tol)
 
-    qp = QuadraticProgram(P=[[2.0]], q=[0.0], A_in=[[-1.0]], b_in=[-1.0])
-    assert solve(qp).status == OPTIMAL
-    monkeypatch.setattr(qp_module, "_kkt_residuals", with_nan)
+    # min |x|^2 over x1 = x2, 1 <= x1 <= 5: the optimum (1, 1) has one row
+    # of A_in in S and one outside, and an equality.
+    def make():
+        return QuadraticProgram(P=2.0 * np.eye(2), q=[0.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
+                                A_in=[[-1.0, 0.0], [1.0, 0.0]], b_in=[-1.0, 5.0])
+
+    assert solve(make()).active_set == (0,)
+    monkeypatch.setattr(qp_module, "_checked", with_nan)
     with pytest.raises(SolverFailed):
-        solve(QuadraticProgram(P=[[2.0]], q=[0.0], A_in=[[-1.0]], b_in=[-1.0]))
+        solve(make())

@@ -24,7 +24,7 @@ from koopmpc.controller import (
 from koopmpc.model import lift
 from koopmpc.qp import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from koopmpc.sets import TighteningSchedule, margin
-from oracles import plain_qp, shifted_rollout, tracking_cost
+from oracles import assert_checks_match_the_dense_check, plain_qp, shifted_rollout, tracking_cost
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 NAMES = ("a2", "unicycle_square")
@@ -96,7 +96,7 @@ def test_a_stored_support_that_breaks_a_row_is_refused(stacks):
     problem = TrackingProblem(stack.model, stack.config, stack.schedule)
     theta = np.concatenate([lift(stack.model, [1.19127926, 3.75]), [3.75]])
     qp = problem.qp
-    qp._support = qp_module._support(qp.factors, np.array([65]))
+    qp._support = qp_module._support(qp, qp.factors, np.array([65]))
     warm = solve(qp, theta)
     cold = solve(build_qp(stack.model, stack.config, stack.schedule), theta)
     assert warm.active_set == cold.active_set == (19, 65)
@@ -218,6 +218,32 @@ def test_theta_solves_match_the_p0_qp_along_the_closed_loop(stacks, monkeypatch,
     assert halts == ([stack.problem.qp.dim] if name == "unicycle_square" else [])
 
 
+@pytest.mark.parametrize("name, seeds", [("a1", range(5)), ("a2", range(5)),
+                                         ("unicycle_square", [None])])
+def test_stored_support_checks_match_the_dense_check_along_the_closed_loop(stacks, monkeypatch,
+                                                                           name, seeds):
+    # Each solve first tries the support its QP stored (no row at first) and
+    # judges it from that support's residual map R_S at [theta; 1]. Along the
+    # closed loop, every such check reaches the dense check's verdict at the
+    # same theta, with residuals within 1e-12 of the size of their terms.
+    stack = fresh(stacks[name]) if name in stacks else cli.build_stack(SCENARIOS / f"{name}.json")
+    check, calls = qp_module._checked, []
+
+    def recorded(qp, f, S, *args):
+        sol = check(qp, f, S, *args)
+        if S is (qp._support or f.empty):
+            calls.append(((qp, f, S, *args), sol))
+        return sol
+
+    monkeypatch.setattr(qp_module, "_checked", recorded)
+    for seed in seeds:
+        stack.run(stack.seed if seed is None else seed)
+    assert_checks_match_the_dense_check(calls)
+    # Most steps are hits: 1503 of 1503 checks on a1 (all on no row), 1492
+    # of 1498 on a2 and 27 of 31 on the unicycle course.
+    assert sum(sol is not None for _, sol in calls) > 0.8 * len(calls)
+
+
 def test_each_stored_support_map_is_built_once(course, monkeypatch):
     # A map is built (one dposv) only for the support of a solve that ran
     # NNLS; every other solve of the course takes a stored map. So a fresh
@@ -288,7 +314,7 @@ def test_a_stale_or_foreign_support_gives_the_cold_result(stacks, logs, name):
     for k in steps:
         cold = solve(build_qp(model, config, schedule), thetas[k])
         for label, rows in supports.items():
-            qp._support = qp_module._support(qp.factors, np.array(rows, dtype=np.intp))
+            qp._support = qp_module._support(qp, qp.factors, np.array(rows, dtype=np.intp))
             got = solve(qp, thetas[k])
             assert got.status == cold.status, (label, k)
             assert np.array_equal(got.x_star, cold.x_star, equal_nan=True), (label, k)
@@ -481,7 +507,8 @@ def checked_candidate(problem, prev, x_next):
     step-by-step rollout (1e-12 relative) with the same margins (1e-12 absolute)."""
     model, N = problem.model, problem.config.N
     z_next = lift(model, x_next)
-    x_c, margins = shifted_candidate(problem, prev, z_next)
+    margins = shifted_candidate(problem, prev, z_next)
+    x_c = problem.candidate_map @ np.concatenate((prev.x_star, z_next))
     assert np.array_equal(problem.layout.split(x_c)[1][0], z_next)
     assert np.array_equal(margins, per_set_margins(problem, prev, x_c))
 
