@@ -195,13 +195,21 @@ def margin(P: HPolytope, x) -> float:
     return float(np.min(P.offsets - P.normals @ x))
 
 
-def sample(Z: Zonotope, rng: np.random.Generator) -> np.ndarray:
-    """Point c + G xi with xi uniform on [-1, 1]^g; deterministic given rng."""
-    g = Z.generators.shape[1]
-    if g == 0:
+def point(Z: Zonotope, xi) -> np.ndarray:
+    """The point c + G xi of Z, one matrix-vector product; the center (a copy)
+    when g = 0, so a center of -0.0 stays -0.0."""
+    if Z.generators.shape[1] == 0:
         return Z.center.copy()
-    xi = rng.uniform(-1.0, 1.0, size=g)
     return Z.center + Z.generators @ xi
+
+
+def sample(Z: Zonotope, rng: np.random.Generator) -> np.ndarray:
+    """Point c + G xi with xi uniform on [-1, 1]^g; deterministic given rng.
+
+    A closed-loop run draws every step's xi at once and calls :func:`point`.
+    """
+    g = Z.generators.shape[1]
+    return point(Z, rng.uniform(-1.0, 1.0, size=g) if g else None)
 
 
 def tighten_constraints(X, U, disturbance, A, B, K, C_x, N: int) -> TighteningSchedule:

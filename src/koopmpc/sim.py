@@ -7,14 +7,14 @@ everything the analysis needs: costs, Lyapunov values, shifted-candidate
 margins, and the injected noise realizations.  Data and runs step each plant
 through its one map ``f``.  Runs share one ``TrackingProblem``: each step
 solves its tracking QP, and each reference new to the problem its
-steady-target QP.  A run that loses feasibility ends there: its log stops at
-the infeasible step and records it in ``halted_at``.
+steady-target QP.  A run draws its noise and allocates its log before step 0,
+and each step fills its own row.  A run that loses feasibility ends there: its
+log stops at the infeasible step and records it in ``halted_at``.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,7 @@ from .controller import (
     solve_step,
 )
 from .model import DisturbanceModel, TrajectoryData, _is_finite, lift
-from .sets import CONTAINS_TOL, Zonotope, margin, sample
+from .sets import CONTAINS_TOL, Zonotope, margin, point
 
 
 # --- plants -----------------------------------------------------------------------
@@ -85,33 +85,27 @@ def unicycle_plant(dt: float = 0.1) -> Plant:
 
 
 def step_plant(
-    plant: Plant,
-    x,
-    u,
-    rng: np.random.Generator | None = None,
-    W: Zonotope | None = None,
-    V: Zonotope | None = None,
+    plant: Plant, x, u, w=None, v=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One plant step ``x+ = f(x, u)``; returns (x_next, y, w_injected, v_injected).
+    """One plant step ``x+ = f(x, u)``; returns (x_next, y, w, v) with ``y = C x+``.
 
     A plant with an exact lifting (the polynomial benchmark) takes injected
     noise: ``x+ = C_x (A z + B u + w) + v``, so process noise lives in lifted
-    coordinates. A plant without one (the unicycle) takes none: its model
-    error plays that role.
+    coordinates. The caller draws w and v (a closed-loop run draws its noise
+    once per run); either one left out is zero. A plant without an exact
+    lifting (the unicycle) takes none: its model error plays that role.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if x.shape != (plant.n_x,) or u.shape != (plant.n_u,):
         raise ValueError(f"expected shapes ({plant.n_x},) and ({plant.n_u},)")
     n_w, n_v = plant.noise_dims
-    if (W is not None or V is not None) and not n_w:
+    if (w is not None or v is not None) and not n_w:
         raise ValueError(f"the {plant.kind} plant takes no injected disturbance")
-    if (W is not None or V is not None) and rng is None:
-        raise ValueError("disturbance injection requires an rng")
-    w = sample(W, rng) if W is not None else np.zeros(n_w)
-    v = sample(V, rng) if V is not None else np.zeros(n_v)
+    w = np.zeros(n_w) if w is None else np.asarray(w, dtype=float)
+    v = np.zeros(n_v) if v is None else np.asarray(v, dtype=float)
     if w.shape != (n_w,) or v.shape != (n_v,):
-        raise ValueError(f"W must be {n_w}-dimensional and V {n_v}-dimensional")
+        raise ValueError(f"w must be {n_w}-dimensional and v {n_v}-dimensional")
     x_next = plant.f(x[None], u[None])[0]
     if n_w:
         x_next = x_next + w[:n_v] + v
@@ -197,9 +191,11 @@ class _RefCursor:
 
 # --- logging ---------------------------------------------------------------------------
 
-def _column(dtype=float):
-    """A per-step SimLog column: one row per step."""
-    return field(metadata={"dtype": dtype})
+def _column(width: str | None = None, dtype=float):
+    """A per-step SimLog column: one row per step, of ``width`` entries (a
+    dimension of the run: n_x, n_u, the plant's n_y_plant, the model's n_y,
+    n_w or n_v) or one scalar."""
+    return field(metadata={"width": width, "dtype": dtype})
 
 
 @dataclass(frozen=True)
@@ -211,13 +207,13 @@ class SimLog:
     """
 
     k: np.ndarray = _column(dtype=int)
-    x: np.ndarray = _column()
-    u: np.ndarray = _column()
-    y: np.ndarray = _column()
-    y_t: np.ndarray = _column()
-    y_s: np.ndarray = _column()
-    u_s: np.ndarray = _column()
-    y_sr: np.ndarray = _column()
+    x: np.ndarray = _column("n_x")
+    u: np.ndarray = _column("n_u")
+    y: np.ndarray = _column("n_y_plant")
+    y_t: np.ndarray = _column("n_y")
+    y_s: np.ndarray = _column("n_y")
+    u_s: np.ndarray = _column("n_u")
+    y_sr: np.ndarray = _column("n_y")
     J_N: np.ndarray = _column()
     V1: np.ndarray = _column()
     V2: np.ndarray = _column()
@@ -225,8 +221,8 @@ class SimLog:
     margin_min: np.ndarray = _column()
     state_margin: np.ndarray = _column()
     input_margin: np.ndarray = _column()
-    w_inj: np.ndarray = _column()
-    v_inj: np.ndarray = _column()
+    w_inj: np.ndarray = _column("n_w")
+    v_inj: np.ndarray = _column("n_v")
     reached_steps: tuple = ()
     halted_at: int | None = None
 
@@ -235,17 +231,18 @@ class SimLog:
 _COLUMNS = tuple(f for f in fields(SimLog) if "dtype" in f.metadata)
 
 
-class _LogRows:
-    def __init__(self):
-        self.rows: dict[str, list] = {f.name: [] for f in _COLUMNS}
+def _allocate(T: int, dims: dict) -> SimLog:
+    """A log of T rows to fill in place: k counts the steps, and every step
+    is feasible and injects no noise until written otherwise."""
+    def column(f):
+        width = f.metadata["width"]
+        return np.empty((T,) if width is None else (T, dims[width]), dtype=f.metadata["dtype"])
 
-    def append(self, **kw):
-        for name, value in kw.items():
-            self.rows[name].append(value)
-
-    def build(self, reached_steps, halted_at) -> SimLog:
-        out = {f.name: np.array(self.rows[f.name], dtype=f.metadata["dtype"]) for f in _COLUMNS}
-        return SimLog(reached_steps=tuple(reached_steps), halted_at=halted_at, **out)
+    log = SimLog(**{f.name: column(f) for f in _COLUMNS})
+    log.k[:] = np.arange(T)
+    log.feasible[:] = True
+    log.w_inj[:] = log.v_inj[:] = 0.0
+    return log
 
 
 def run_closed_loop(
@@ -259,22 +256,35 @@ def run_closed_loop(
 ) -> SimLog:
     """Run T steps of ``problem`` from x0 (origin by default); seeded, deterministic.
 
-    An infeasible step ends the run: the returned log stops at that
-    step, with ``feasible`` false in its last row and ``halted_at`` set to it.
+    T must be an integer >= 0 (a bool is not one) and x0 a finite (n_x,)
+    vector. Before step 0 the run draws every step's xi with one
+    ``rng.uniform`` call (row k holds W's draws, then V's: the stream of a
+    ``sets.sample`` call per set and step) and allocates T log rows, so its
+    memory grows linearly in T. An infeasible step ends the run: the returned
+    log stops at that step, with ``feasible`` false in its last row and
+    ``halted_at`` set to it.
     """
-    rng = np.random.default_rng(seed)
-    x = np.zeros(plant.n_x) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    W = disturbances.W if disturbances is not None else None
-    V = disturbances.V if disturbances is not None else None
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 0:
+        raise ValueError(f"T must be an integer >= 0, got {T!r}")
+    x = np.zeros(plant.n_x) if x0 is None else np.atleast_1d(np.asarray(x0))
+    if x.dtype.kind not in "iuf" or x.shape != (plant.n_x,) or not np.isfinite(x).all():
+        raise ValueError(f"x0 must be a vector of {plant.n_x} finite numbers, got {x0!r}")
+    x = x.astype(float)
+    W, V = (None, None) if disturbances is None else (disturbances.W, disturbances.V)
+    g_w = 0 if W is None else W.generators.shape[1]
+    g_v = 0 if V is None else V.generators.shape[1]
+    xi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(T, g_w + g_v))
+    xi_w, xi_v = xi[:, :g_w], xi[:, g_w:]
     n_w, n_v = plant.noise_dims
 
     model, schedule = problem.model, problem.schedule
+    log = _allocate(T, {"n_x": plant.n_x, "n_u": plant.n_u, "n_y_plant": plant.C.shape[0],
+                        "n_y": model.n_y, "n_w": n_w, "n_v": n_v})
     cursor = _RefCursor(refs)
-    rows = _LogRows()
     prev: KtmpcSolution | None = None
+    y = plant.C @ x
 
     for k in range(T):
-        y = plant.C @ x
         y_t = cursor.advance(k, position=y)
         z = lift(model, x)
         cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z).min()
@@ -282,26 +292,30 @@ def run_closed_loop(
             offline = solve_steady(problem, y_t)
             u_k, sol = solve_step(problem, z, y_t)
         except Infeasible:
-            rows.append(
-                k=k, x=x, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,
-                y_s=np.full(model.n_y, np.nan), u_s=np.full(plant.n_u, np.nan),
-                y_sr=np.full(model.n_y, np.nan), J_N=np.nan, V1=np.nan, V2=np.nan,
-                feasible=False, margin_min=cand_margin,
-                state_margin=margin(schedule.state_sets[0], x), input_margin=np.nan,
-                w_inj=np.zeros(n_w), v_inj=np.zeros(n_v),
-            )
-            return rows.build(cursor.reached_steps, halted_at=k)
+            sol = None
+        log.x[k], log.y[k], log.y_t[k], log.margin_min[k] = x, y, y_t, cand_margin
+        log.state_margin[k] = margin(schedule.state_sets[0], x)
+        if sol is None:
+            for name in ("u", "y_s", "u_s", "y_sr", "J_N", "V1", "V2", "input_margin"):
+                getattr(log, name)[k] = np.nan
+            log.feasible[k] = False
+            return _first_rows(log, k + 1, cursor.reached_steps, halted_at=k)
         diag = diagnostics(sol, offline)
-        x_next, _, w, v = step_plant(plant, x, u_k, rng=rng, W=W, V=V)
-        rows.append(
-            k=k, x=x, u=u_k, y=y, y_t=y_t, y_s=sol.target.y_s, u_s=sol.target.u_s,
-            y_sr=offline.y_s, J_N=sol.total_cost, V1=diag.V1, V2=diag.V2, feasible=True,
-            margin_min=cand_margin, state_margin=margin(schedule.state_sets[0], x),
-            input_margin=margin(schedule.input_sets[0], u_k), w_inj=w, v_inj=v,
-        )
+        w = None if W is None else point(W, xi_w[k])
+        v = None if V is None else point(V, xi_v[k])
+        x_next, y, log.w_inj[k], log.v_inj[k] = step_plant(plant, x, u_k, w, v)
+        log.u[k], log.y_s[k], log.u_s[k] = u_k, sol.target.y_s, sol.target.u_s
+        log.y_sr[k], log.J_N[k], log.V1[k], log.V2[k] = offline.y_s, sol.total_cost, diag.V1, diag.V2
+        log.input_margin[k] = margin(schedule.input_sets[0], u_k)
         x = x_next
         prev = sol
-    return rows.build(cursor.reached_steps, halted_at=None)
+    return _first_rows(log, T, cursor.reached_steps, halted_at=None)
+
+
+def _first_rows(log: SimLog, n: int, reached_steps, halted_at) -> SimLog:
+    """The first n rows of ``log``, with the run's waypoint arrivals and halt."""
+    return replace(log, reached_steps=tuple(reached_steps), halted_at=halted_at,
+                   **{f.name: getattr(log, f.name)[:n] for f in _COLUMNS})
 
 
 # --- training data ----------------------------------------------------------------------
@@ -367,28 +381,18 @@ def tracking_metrics(log: SimLog, settle_window: int) -> dict:
 
 
 def save_log_csv(log: SimLog, path) -> None:
-    """Fixed-schema CSV: k,x_*,u_*,y_*,yt_*,ys_*,us_*,JN,V1,V2,feasible,margin_min."""
-    def expand(tag, n):
-        return [f"{tag}_{i}" for i in range(n)]
+    """Fixed-schema CSV: k,x_*,u_*,y_*,yt_*,ys_*,us_*,JN,V1,V2,feasible,margin_min.
 
-    header = (
-        ["k"]
-        + expand("x", log.x.shape[1])
-        + expand("u", log.u.shape[1])
-        + expand("y", log.y.shape[1])
-        + expand("yt", log.y_t.shape[1])
-        + expand("ys", log.y_s.shape[1])
-        + expand("us", log.u_s.shape[1])
-        + ["JN", "V1", "V2", "feasible", "margin_min"]
-    )
+    Each float is its ``repr`` (the shortest string that reads back to the
+    same double), and each row ends in CRLF. An empty log writes the header.
+    """
+    vectors = {"x": log.x, "u": log.u, "y": log.y, "yt": log.y_t, "ys": log.y_s, "us": log.u_s}
+    header = (["k"] + [f"{tag}_{i}" for tag, col in vectors.items() for i in range(col.shape[1])]
+              + ["JN", "V1", "V2", "feasible", "margin_min"])
+    floats = np.column_stack([*vectors.values(), log.J_N, log.V1, log.V2]).astype(float)
+    rows = zip(log.k.astype(int).tolist(), floats.tolist(), log.feasible.astype(int).tolist(),
+               log.margin_min.astype(float).tolist())
+    lines = [",".join(header)]
+    lines += [f"{k},{','.join(map(repr, row))},{feasible},{m!r}" for k, row, feasible, m in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(log.k.size):
-            row = [int(log.k[i])]
-            for arr in (log.x, log.u, log.y, log.y_t, log.y_s, log.u_s):
-                row.extend(repr(float(v)) for v in arr[i])
-            row.extend(repr(float(v[i])) for v in (log.J_N, log.V1, log.V2))
-            row.append(int(log.feasible[i]))
-            row.append(repr(float(log.margin_min[i])))
-            writer.writerow(row)
+        fh.write("\r\n".join(lines) + "\r\n")

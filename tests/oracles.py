@@ -410,3 +410,98 @@ def segment_inequality_check(y_s_star, y_sr_tilde, y_t, s: float, sigma_samples)
         if lhs > rhs + tol:
             return False
     return True
+
+
+def reference_closed_loop(plant, problem, refs, disturbances=None, T=100, seed=0, x0=None):
+    """The closed loop one step at a time, rows kept in lists: each step draws
+    its noise with a ``sets.sample`` call per set (W, then V), steps the plant
+    inline and recomputes ``y = C x``. Columns get the widths of the run's
+    dimensions, so an empty run's columns are (0, n)."""
+    from koopmpc.controller import (
+        Infeasible, diagnostics, shifted_candidate, solve_steady, solve_step,
+    )
+    from koopmpc.model import lift
+    from koopmpc.sets import margin, sample
+    from koopmpc.sim import SimLog, _RefCursor
+
+    rng = np.random.default_rng(seed)
+    x = np.zeros(plant.n_x) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+    W = disturbances.W if disturbances is not None else None
+    V = disturbances.V if disturbances is not None else None
+    n_w, n_v = plant.noise_dims
+    model, schedule = problem.model, problem.schedule
+    n_y = model.n_y
+    widths = {"k": None, "x": plant.n_x, "u": plant.n_u, "y": plant.C.shape[0], "y_t": n_y,
+              "y_s": n_y, "u_s": plant.n_u, "y_sr": n_y, "J_N": None, "V1": None, "V2": None,
+              "feasible": None, "margin_min": None, "state_margin": None,
+              "input_margin": None, "w_inj": n_w, "v_inj": n_v}
+    dtypes = {"k": int, "feasible": bool}
+    rows = {name: [] for name in widths}
+    cursor = _RefCursor(refs)
+    prev = None
+
+    def build(halted_at):
+        out = {}
+        for name, width in widths.items():
+            col = np.array(rows[name], dtype=dtypes.get(name, float))
+            out[name] = col.reshape((len(rows[name]),) + (() if width is None else (width,)))
+        return SimLog(reached_steps=tuple(cursor.reached_steps), halted_at=halted_at, **out)
+
+    def append(**kw):
+        for name, value in kw.items():
+            rows[name].append(value)
+
+    for k in range(T):
+        y = plant.C @ x
+        y_t = cursor.advance(k, position=y)
+        z = lift(model, x)
+        cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z).min()
+        try:
+            offline = solve_steady(problem, y_t)
+            u_k, sol = solve_step(problem, z, y_t)
+        except Infeasible:
+            append(k=k, x=x, u=np.full(plant.n_u, np.nan), y=y, y_t=y_t,
+                   y_s=np.full(n_y, np.nan), u_s=np.full(plant.n_u, np.nan),
+                   y_sr=np.full(n_y, np.nan), J_N=np.nan, V1=np.nan, V2=np.nan,
+                   feasible=False, margin_min=cand_margin,
+                   state_margin=margin(schedule.state_sets[0], x), input_margin=np.nan,
+                   w_inj=np.zeros(n_w), v_inj=np.zeros(n_v))
+            return build(halted_at=k)
+        diag = diagnostics(sol, offline)
+        w = sample(W, rng) if W is not None else np.zeros(n_w)
+        v = sample(V, rng) if V is not None else np.zeros(n_v)
+        x_next = plant.f(x[None], np.atleast_1d(u_k)[None])[0]
+        if n_w:
+            x_next = x_next + w[:n_v] + v
+        append(k=k, x=x, u=u_k, y=y, y_t=y_t, y_s=sol.target.y_s, u_s=sol.target.u_s,
+               y_sr=offline.y_s, J_N=sol.total_cost, V1=diag.V1, V2=diag.V2, feasible=True,
+               margin_min=cand_margin, state_margin=margin(schedule.state_sets[0], x),
+               input_margin=margin(schedule.input_sets[0], u_k), w_inj=w, v_inj=v)
+        x = x_next
+        prev = sol
+    return build(halted_at=None)
+
+
+def save_log_csv_with_csv_writer(log, path):
+    """The log CSV written through ``csv.writer``, one numpy scalar at a time:
+    k, x, u, y, y_t, y_s, u_s, J_N, V1, V2, feasible, margin_min."""
+    import csv
+
+    def expand(tag, n):
+        return [f"{tag}_{i}" for i in range(n)]
+
+    header = (["k"] + expand("x", log.x.shape[1]) + expand("u", log.u.shape[1])
+              + expand("y", log.y.shape[1]) + expand("yt", log.y_t.shape[1])
+              + expand("ys", log.y_s.shape[1]) + expand("us", log.u_s.shape[1])
+              + ["JN", "V1", "V2", "feasible", "margin_min"])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(log.k.size):
+            row = [int(log.k[i])]
+            for arr in (log.x, log.u, log.y, log.y_t, log.y_s, log.u_s):
+                row.extend(repr(float(v)) for v in arr[i])
+            row.extend(repr(float(v[i])) for v in (log.J_N, log.V1, log.V2))
+            row.append(int(log.feasible[i]))
+            row.append(repr(float(log.margin_min[i])))
+            writer.writerow(row)

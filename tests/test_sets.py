@@ -17,6 +17,7 @@ from koopmpc.sets import (
     box_zonotope,
     contains,
     is_empty,
+    point,
     pontryagin_diff,
     sample,
     support,
@@ -254,6 +255,21 @@ def test_sample_deterministic_for_fixed_seed():
     a = sample(Z, np.random.default_rng(42))
     b = sample(Z, np.random.default_rng(42))
     assert np.array_equal(a, b)
+
+
+def test_sample_is_the_point_of_its_draws(rng):
+    # sample draws g numbers and returns point(Z, xi), bit for bit; a
+    # zonotope without generators draws nothing and returns its center,
+    # -0.0 included, as a copy.
+    Z = Zonotope(center=rng.standard_normal(3), generators=rng.standard_normal((3, 4)))
+    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(20):
+        assert sample(Z, r1).tobytes() == point(Z, r2.uniform(-1.0, 1.0, size=4)).tobytes()
+    singleton = Zonotope(center=[-0.0, 1.5], generators=np.zeros((2, 0)))
+    before = r1.bit_generator.state
+    for pt in (sample(singleton, r1), point(singleton, np.zeros(0))):
+        assert pt.tobytes() == singleton.center.tobytes() and pt is not singleton.center
+    assert r1.bit_generator.state == before
 
 
 # --- construction validation --------------------------------------------------

@@ -1,8 +1,11 @@
+import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from koopmpc import cli
 from koopmpc import sim as sim_module
 from koopmpc.controller import KtmpcConfig, TrackingProblem
 from koopmpc.gains import dlqr
@@ -20,7 +23,13 @@ from koopmpc.sim import (
     tracking_metrics,
     unicycle_plant,
 )
-from oracles import numerical_example_matrices
+from oracles import (
+    numerical_example_matrices,
+    reference_closed_loop,
+    save_log_csv_with_csv_writer,
+)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def exact_model():
@@ -56,17 +65,24 @@ def test_step_plant_numerical_example():
 
 
 def test_step_plant_injects_in_lifted_coordinates():
+    # The caller draws the noise; step_plant adds w's first two lifted
+    # coordinates and v to the nominal step and returns the noise it added.
     plant = numerical_example_plant()
-    W = box_zonotope([0.2, 0.2, 0.2])
-    V = box_zonotope([0.1, 0.1])
-    r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-    xa, ya, wa, va = step_plant(plant, [1.0, 0.5], [0.3], rng=r1, W=W, V=V)
-    xb, yb, wb, vb = step_plant(plant, [1.0, 0.5], [0.3], rng=r2, W=W, V=V)
-    assert np.array_equal(xa, xb) and np.array_equal(wa, wb) and np.array_equal(va, vb)
+    rng = np.random.default_rng(7)
+    w, v = sample(box_zonotope([0.2, 0.2, 0.2]), rng), sample(box_zonotope([0.1, 0.1]), rng)
+    xa, ya, wa, va = step_plant(plant, [1.0, 0.5], [0.3], w, v)
+    xb, yb, wb, vb = step_plant(plant, [1.0, 0.5], [0.3], w=w.copy(), v=v.copy())
+    assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
+    assert np.array_equal(wa, w) and np.array_equal(va, v) and np.array_equal(wb, w)
     assert np.all(np.abs(wa) <= 0.2) and np.all(np.abs(va) <= 0.1)
-    nominal = np.array([-0.1, 2.0 * 0.5 - 1.99 * 1.0 + 0.3])
-    assert np.allclose(xa, nominal + wa[:2] + va)
-    assert ya[0] == pytest.approx(xa[1])
+    nominal = step_plant(plant, [1.0, 0.5], [0.3])[0]
+    assert np.allclose(nominal, [-0.1, 2.0 * 0.5 - 1.99 * 1.0 + 0.3])
+    assert np.array_equal(xa, nominal + w[:2] + v)
+    assert np.array_equal(ya, plant.C @ xa)
+    # Either noise left out is zero.
+    assert np.array_equal(step_plant(plant, [1.0, 0.5], [0.3], w=w)[0], nominal + w[:2] + 0.0)
+    x_v, _, w_v, _ = step_plant(plant, [1.0, 0.5], [0.3], v=v)
+    assert np.array_equal(x_v, nominal + 0.0 + v) and np.array_equal(w_v, np.zeros(3))
 
 
 def test_step_plant_unicycle():
@@ -77,22 +93,20 @@ def test_step_plant_unicycle():
     assert w.size == 0 and v.size == 0
     x_next, _, _, _ = step_plant(plant, [0.0, 0.0, 0.0], [0.0, 1.0])
     assert np.allclose(x_next, [0.0, 0.0, 0.1])
-    with pytest.raises(ValueError):
-        step_plant(plant, [0.0, 0.0, 0.0], [1.0, 0.0], rng=np.random.default_rng(0),
-                   W=box_zonotope([0.1, 0.1, 0.1]))
+    for noise in ({"w": np.zeros(3)}, {"v": np.zeros(3)}):
+        with pytest.raises(ValueError, match="the unicycle plant takes no injected disturbance"):
+            step_plant(plant, [0.0, 0.0, 0.0], [1.0, 0.0], **noise)
 
 
 @pytest.mark.parametrize("x, u, kwargs, named", [
     ([1.0, 0.0, 0.0], [0.0], {}, "expected shapes (2,) and (1,)"),
     ([1.0, 0.0], [0.0, 0.0], {}, "expected shapes (2,) and (1,)"),
-    ([1.0, 0.0], [0.0], {"W": box_zonotope([0.1] * 3)}, "disturbance injection requires an rng"),
-    ([1.0, 0.0], [0.0], {"V": box_zonotope([0.1] * 2)}, "disturbance injection requires an rng"),
-    ([1.0, 0.0], [0.0], {"W": box_zonotope([0.1] * 2)}, "W must be 3-dimensional and V 2-dimensional"),
-    ([1.0, 0.0], [0.0], {"V": box_zonotope([0.1] * 3)}, "W must be 3-dimensional and V 2-dimensional"),
-], ids=["x-length", "u-length", "W-without-rng", "V-without-rng", "W-size", "V-size"])
+    ([1.0, 0.0], [0.0], {"w": [0.1] * 2}, "w must be 3-dimensional and v 2-dimensional"),
+    ([1.0, 0.0], [0.0], {"v": [0.1] * 3}, "w must be 3-dimensional and v 2-dimensional"),
+    ([1.0, 0.0], [0.0], {"w": [[0.1] * 3]}, "w must be 3-dimensional and v 2-dimensional"),
+    ([1.0, 0.0], [0.0], {"w": [0.1] * 3, "v": 0.1}, "w must be 3-dimensional and v 2-dimensional"),
+], ids=["x-length", "u-length", "W-size", "V-size", "w-row", "v-scalar"])
 def test_step_plant_rejects_bad_shapes_and_injections(x, u, kwargs, named):
-    if "rng" not in named:
-        kwargs = kwargs | {"rng": np.random.default_rng(0)}
     with pytest.raises(ValueError, match=re.escape(named)):
         step_plant(numerical_example_plant(), x, u, **kwargs)
 
@@ -356,6 +370,123 @@ def test_undeclared_disturbance_can_halt_run():
         assert np.sum(~log.feasible) == 1
 
 
+def assert_same_log(a: SimLog, b: SimLog) -> None:
+    """Every SimLog field equal, each column to the bit (dtype, shape, NaNs and -0.0)."""
+    for f in dataclasses.fields(SimLog):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and va.shape == vb.shape, f.name
+            assert np.array_equal(va, vb, equal_nan=True), f.name
+            assert va.tobytes() == vb.tobytes(), f.name
+        else:
+            assert va == vb, f.name
+
+
+@pytest.fixture(scope="module")
+def scenario_stacks():
+    return {name: cli.build_stack(SCENARIOS / f"{name}.json") for name in ("a2", "unicycle_square")}
+
+
+def random_zonotope(rng, n, g, row_sum):
+    """A zonotope with g random (non-box) generators whose rows have |G| sums of
+    ``row_sum``, around a center near the origin (so it holds the origin)."""
+    G = rng.uniform(-1.0, 1.0, (n, g))
+    G *= row_sum / np.abs(G).sum(axis=1, keepdims=True)
+    return Zonotope(center=G @ rng.uniform(-0.1, 0.1, g), generators=G)
+
+
+def loop_case(name, stacks):
+    """(plant, a fresh-problem factory, refs, injected, T, x0, seeds, halted_at)."""
+    if name in stacks:
+        st = stacks[name]
+        return (st.plant, lambda: dataclasses.replace(st).problem, st.refs, st.injected, st.T,
+                st.x0, (0, 1, 2) if name == "a2" else (st.seed,),
+                None if name == "a2" else 29)
+    declared = box_zonotope([0.31, 0.31, 0.125])
+    rng = np.random.default_rng(2028)
+    injected = {
+        "random_generators": DisturbanceModel(W=random_zonotope(rng, 3, 5, 0.15),
+                                              V=random_zonotope(rng, 2, 3, 0.08)),
+        "W_without_generators": DisturbanceModel(
+            W=Zonotope(center=[0.0, -0.0, 0.0], generators=np.zeros((3, 0))),
+            V=box_zonotope([0.1, 0.1])),
+        "V_without_generators": DisturbanceModel(
+            W=box_zonotope([0.2, 0.2, 0.2]),
+            V=Zonotope(center=[-0.0, -0.0], generators=np.zeros((2, 0)))),
+    }.get(name)
+    T, x0, halted_at = {"halt_at_step_0": (10, [0.0, 10.0], 0), "T_0": (0, None, None)}.get(
+        name, (60, None, None))
+    refs = ReferenceSchedule.timed([(0, [1.0]), (30, [-1.0])])
+    return (numerical_example_plant(), lambda: make_loop_setup(W=declared), refs, injected, T,
+            x0, (0, 1), halted_at)
+
+
+@pytest.mark.parametrize("name", ["a2", "random_generators", "W_without_generators",
+                                  "V_without_generators", "halt_at_step_0", "unicycle_square",
+                                  "T_0"])
+def test_run_closed_loop_matches_the_step_by_step_loop(scenario_stacks, name):
+    """The run with its noise drawn once and its log preallocated gives every
+    SimLog field of the loop that samples each step and keeps rows in lists,
+    bit for bit. Each side runs its seeds in turn on a problem of its own, so
+    both see the same stored supports and steady targets."""
+    plant, make_problem, refs, injected, T, x0, seeds, halted_at = loop_case(name, scenario_stacks)
+    reference_problem, problem = make_problem(), make_problem()
+    for seed in seeds:
+        expected = reference_closed_loop(plant, reference_problem, refs, disturbances=injected,
+                                         T=T, seed=seed, x0=x0)
+        log = run_closed_loop(plant, problem, refs, disturbances=injected, T=T, seed=seed, x0=x0)
+        assert_same_log(log, expected)
+        assert log.halted_at == halted_at
+        assert log.k.size == (T if halted_at is None else halted_at + 1)
+    if name == "unicycle_square":
+        assert log.reached_steps == ()
+    if name == "random_generators":
+        # A batched xi G' would not pass here: it differs in bits from the
+        # per-step G xi on some of this run's rows.
+        W, V = injected.W, injected.V
+        xi = np.random.default_rng(seeds[-1]).uniform(-1.0, 1.0, (T, 8))
+        per_step = np.array([W.center + W.generators @ row for row in xi[:, :5]])
+        assert not np.array_equal(per_step, W.center + xi[:, :5] @ W.generators.T)
+        assert np.any(log.v_inj != 0.0) and V.generators.shape == (2, 3)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"T": -3}, "T must be an integer >= 0, got -3"),
+    ({"T": True}, "T must be an integer >= 0, got True"),
+    ({"T": 2.5}, "T must be an integer >= 0, got 2.5"),
+    ({"T": "3"}, "T must be an integer >= 0, got '3'"),
+    ({"T": np.bool_(False)}, "T must be an integer >= 0"),
+    ({"x0": [0.0, 0.0, 1.0]}, "x0 must be a vector of 2 finite numbers, got [0.0, 0.0, 1.0]"),
+    ({"x0": [0.0, float("nan")]}, "x0 must be a vector of 2 finite numbers, got [0.0, nan]"),
+    ({"x0": np.array([np.inf, 0.0])}, "x0 must be a vector of 2 finite numbers"),
+    ({"x0": [True, False]}, "x0 must be a vector of 2 finite numbers, got [True, False]"),
+    ({"x0": ["0", "1"]}, "x0 must be a vector of 2 finite numbers, got ['0', '1']"),
+    ({"x0": [10**400, 0]}, "x0 must be a vector of 2 finite numbers"),
+    ({"x0": [[0.0, 0.0]]}, "x0 must be a vector of 2 finite numbers"),
+], ids=["T-negative", "T-bool", "T-float", "T-string", "T-numpy-bool", "x0-length", "x0-nan",
+        "x0-inf", "x0-bools", "x0-strings", "x0-huge-int", "x0-row"])
+def test_run_closed_loop_rejects_a_bad_T_or_x0_before_drawing(monkeypatch, kwargs, named):
+    # Seed commit: T=-3 returned an empty log, T=True ran one step, T=2.5
+    # raised TypeError from range, and a 3-entry x0 failed in a matmul.
+    def refused(*args, **kw):
+        raise AssertionError("nothing may be drawn or lifted for a rejected run")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    monkeypatch.setattr(sim_module, "lift", refused)
+    refs = ReferenceSchedule.timed([(0, [1.0])])
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_closed_loop(numerical_example_plant(), make_loop_setup(), refs,
+                        **({"T": 5} | kwargs))
+
+
+def test_run_closed_loop_takes_numpy_integers_and_integer_states():
+    refs = ReferenceSchedule.timed([(0, [1.0])])
+    log = run_closed_loop(numerical_example_plant(), make_loop_setup(), refs, T=np.int64(3),
+                          x0=(1, 0))
+    assert log.k.tolist() == [0, 1, 2] and log.x[0].tolist() == [1.0, 0.0]
+    assert log.x.dtype == float
+
+
 # --- metrics and persistence -------------------------------------------------------------
 
 def test_tracking_metrics_nominal():
@@ -416,3 +547,55 @@ def test_save_log_csv(tmp_path):
     assert float(cells[4]) == log.y[0, 0]
     save_log_csv(log, tmp_path / "log2.csv")
     assert (tmp_path / "log2.csv").read_bytes() == path.read_bytes()
+
+
+def test_save_log_csv_of_an_empty_run_writes_the_header(tmp_path):
+    # Seed commit: an empty run's columns had shape (0,), and saving it
+    # raised IndexError. Its columns are (0, n) now.
+    log = run_closed_loop(numerical_example_plant(), make_loop_setup(),
+                          ReferenceSchedule.timed([(0, [1.0])]), T=0, seed=0)
+    assert log.x.shape == (0, 2) and log.u.shape == (0, 1) and log.w_inj.shape == (0, 3)
+    save_log_csv(log, tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (
+        b"k,x_0,x_1,u_0,y_0,yt_0,ys_0,us_0,JN,V1,V2,feasible,margin_min\r\n")
+    save_log_csv_with_csv_writer(log, tmp_path / "reference.csv")
+    assert (tmp_path / "reference.csv").read_bytes() == (tmp_path / "log.csv").read_bytes()
+
+
+def special_values_log():
+    """Four rows of doubles that a float formatter can get wrong: -0.0, the
+    smallest subnormal, 1e300, infinities and NaN."""
+    special = np.array([-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, -2.5e-17])
+    col = lambda i, n: np.resize(np.roll(special, i), (4, n))
+    return SimLog(
+        k=np.arange(4), x=col(0, 2), u=col(1, 1), y=col(2, 1), y_t=col(3, 1), y_s=col(4, 1),
+        u_s=col(5, 1), y_sr=col(6, 1), J_N=special[:4], V1=special[4:], V2=special[2:6],
+        feasible=np.array([True, False, True, False]), margin_min=special[1:5],
+        state_margin=np.zeros(4), input_margin=np.zeros(4), w_inj=np.zeros((4, 3)),
+        v_inj=np.zeros((4, 2)),
+    )
+
+
+@pytest.mark.parametrize("which", ["halted", "unicycle", "special_values"])
+def test_save_log_csv_matches_the_csv_writer(scenario_stacks, tmp_path, which):
+    """Whole rows formatted from one tolist() give the bytes of csv.writer fed
+    one numpy scalar at a time."""
+    if which == "halted":
+        log = run_closed_loop(numerical_example_plant(), make_loop_setup(),
+                              ReferenceSchedule.timed([(0, [1.0])]), T=10, seed=0,
+                              x0=[0.0, 10.0])
+        assert np.isnan(log.u).all()
+    elif which == "unicycle":
+        stack = dataclasses.replace(scenario_stacks["unicycle_square"])
+        log = stack.run(stack.seed)
+        assert log.u.shape[1] == log.y.shape[1] == 2
+    else:
+        log = special_values_log()
+    save_log_csv(log, tmp_path / "log.csv")
+    save_log_csv_with_csv_writer(log, tmp_path / "reference.csv")
+    written = (tmp_path / "log.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\r\n") == log.k.size + 1
+    if which == "special_values":
+        assert b"-0.0" in written and b"5e-324" in written and b"1e+300" in written
+        assert b"inf" in written and b"nan" in written
