@@ -10,11 +10,11 @@ with q(theta) = q + F_q theta and b_eq(theta) = b_eq + F_eq theta, and P
 positive definite on the null space of A_eq (P itself may be indefinite). A
 QP with p = 0 is a plain QP, solved by ``solve(qp)``. All the data are private
 read-only copies. Everything the solver derives from them is computed once per
-problem, on first use: one SVD of A_eq giving an orthonormal null basis Z and
-the pseudo-inverse, the Cholesky factorization Z'PZ = LL', the reduced rows,
-and the p + 1 theta-columns below. That Cholesky factorization is the one
-check of the contract: a Z'PZ that is not positive definite, as for P = 0,
-raises SolverFailed.
+problem, on first use: one pivoted QR of A_eq' giving its rank, an
+orthonormal null basis Z and the pseudo-inverse, the Cholesky factorization
+Z'PZ = LL', the reduced rows, and the p + 1 theta-columns below. That
+Cholesky factorization is the one check of the contract: a Z'PZ that is not
+positive definite, as for P = 0, raises SolverFailed.
 
 In the basis Y = Z L^-T, where the reduced Hessian is the identity, the QP is
 a least-distance program: with x_p = A_eq^+ b_eq, g = Y'(P x_p + q) and the
@@ -25,7 +25,15 @@ formed once. Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23)
 solve the program by one nonnegative least-squares (NNLS) problem on
 E = [G'; h']: its solution u and residual r = Eu - e_{n+1} give either the
 optimum v = -r[:n]/r[n] with multipliers u/|r|^2, or, when r = 0, a Farkas
-vector u >= 0 with G'u = 0 and h'u = 1.
+vector u >= 0 with G'u = 0 and h'u = 1. NNLS runs on generated columns
+(Bemporad, IEEE TAC 61(4), 2016): on a few columns C of E, then also on the
+rows that its point x_0 - Y (A_in Y)_C' u / r[n] breaks by more than 1e-9 of
+max(1, |b_in|), until it breaks none. Column j's NNLS gradient is -r[n]
+times (A_in x - b_in)_j, so that is Lawson and Hanson's optimality test on
+the columns left out, and u solves the NNLS on all columns (where that
+solution is not unique, as at a vertex with more active rows than null-space
+dimensions, possibly with another support). A result with r[n] >= 0 on C is
+a Farkas vector of the whole program, with zeros elsewhere.
 
 The rows S with positive NNLS weight are a support. Held as equalities, they
 give the multipliers lam_S = (G_S G_S')^-1 h_S and x = x_0 - Y (A_in Y)_S'
@@ -63,9 +71,11 @@ Each QuadraticProgram keeps the support of its last Optimal solve with its maps
 before NNLS: [x; lam_S] = M_S [theta; 1] is taken only where lam_S > 0 and
 R_S [theta; 1] passes the full-space check, which is Lawson and Hanson's
 optimality test on the other columns. So the stored support can make a solve
-faster but never changes which results are accepted. A miss builds the maps
-of NNLS's support and evaluates them, so that a warm and a cold solve agree
-bit for bit; where that fails, NNLS's own weights are checked.
+faster but never changes which results are accepted. A miss starts NNLS from
+the stored support's rows and the rows its map's point breaks (or, with no
+map, those x_0 breaks), then builds the maps of NNLS's final support and
+evaluates them, so that a warm and a cold solve that end on the same support
+agree bit for bit; where that fails, NNLS's own weights are checked.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 from scipy.linalg.lapack import dposv
 from scipy.optimize import nnls
 
@@ -212,20 +222,38 @@ class _Factors:
     empty: _Support
 
 
+def _null_basis(A_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z, an orthonormal basis of null(A_eq), and (A_eq^+)', from one pivoted
+    QR A_eq'[:, piv] = QR. The rank r counts the |R_ii| above |R_00|
+    max(shape) eps, Z = Q[:, r:], and with Q_1 = Q[:, :r] and R_1 = R[:r],
+    A_eq^+[:, piv] = Q_1 R_1^-T, or Q_1 R_2^-1 Q_2' through the QR
+    R_1' = Q_2 R_2 when r is below the row count."""
+    n_eq, d = A_eq.shape
+    pinv_T = np.zeros((n_eq, d))
+    if n_eq == 0:
+        return np.eye(d), pinv_T
+    Q, R, piv = qr(A_eq.T, pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(A_eq.shape) * np.finfo(float).eps))
+    Q1, R1 = Q[:, :rank].T, R[:rank]
+    if rank == n_eq:
+        pinv_T[piv] = solve_triangular(R1, Q1)
+    elif rank:
+        Q2, R2 = qr(R1.T, mode="economic")
+        pinv_T[piv] = Q2 @ solve_triangular(R2, Q1, trans="T")
+    return Q[:, rank:], pinv_T
+
+
 def _factor(qp: QuadraticProgram) -> _Factors:
-    """Take one SVD of A_eq and one Cholesky factorization of Z'PZ, and form
+    """Take the null basis and pseudo-inverse of A_eq from one pivoted QR
+    (:func:`_null_basis`) and one Cholesky factorization of Z'PZ, and form
     the theta-columns.
 
     Raises SolverFailed when Z'PZ is not positive definite: its factorization
     fails (an indefinite or zero Z'PZ), or a pivot falls below 1e-11 of its
     largest diagonal entry (a singular one)."""
     A_eq, A_in, d = qp.A_eq, qp.A_in, qp.dim
-    if A_eq.shape[0] == 0:
-        Z, A_eq_pinv = np.eye(d), np.zeros((d, 0))
-    else:
-        u, s, vt = np.linalg.svd(A_eq)
-        rank = int(np.sum(s > s[0] * max(A_eq.shape) * np.finfo(float).eps))
-        Z, A_eq_pinv = vt[rank:].T, (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    Z, pinv_T = _null_basis(A_eq)
     H = Z.T @ qp.P @ Z
     try:
         L = np.linalg.cholesky(H)
@@ -241,12 +269,12 @@ def _factor(qp: QuadraticProgram) -> _Factors:
     reach = np.max(np.abs(AY), axis=1, initial=0.0)
     moves = reach > 1e-12 * np.max(reach, initial=1.0)
     QB = np.vstack((np.column_stack((qp.F_q, qp.q)), np.column_stack((qp.F_eq, qp.b_eq))))
-    X_p = A_eq_pinv @ QB[d:]
+    X_p = pinv_T.T @ QB[d:]
     X0 = X_p - Y @ (Y.T @ (qp.P @ X_p + QB[:d]))
     H = A_in @ X0
     H[:, -1] -= qp.b_in
     rank_deficient = Z.shape[1] + A_eq.shape[0] > d
-    f = _Factors(neg_pinv_T=np.ascontiguousarray(-A_eq_pinv.T),
+    f = _Factors(neg_pinv_T=-pinv_T,
                  PA=np.vstack((A_eq, A_in, qp.P)), Y=Y, AY=AY, QB=QB, X0=X0, H=H,
                  R_eq=A_eq @ X_p - QB[d:] if rank_deficient else None,
                  free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves),
@@ -257,6 +285,7 @@ def _factor(qp: QuadraticProgram) -> _Factors:
 
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_WEIGHTS = np.zeros(0)
 _ONE = np.ones(1)
 
 
@@ -333,15 +362,50 @@ def _checked(qp, f, S: _Support, r, x, lam_S, qb, tol) -> QpSolution | None:
                       active_set=S.active_set)
 
 
-def _on_support(qp, f, S: _Support, tb, qb, tol) -> QpSolution | None:
+def _on_support(qp, f, S: _Support, tb, qb, tol):
     """[x; lam_S; r] = [M_S; R_S] [theta; 1], taken only where lam_S > 0 and
-    its residuals r pass."""
+    its residuals r pass: the result or None, and r_in = A_in x - b_in at the
+    map's point (None without a map)."""
     if S.M is None:
-        return None
+        return None, None
     v, d, k = S.M @ tb, qp.dim, S.rows.size
+    r = v[d + k :]
+    r_in = r[d + qp.b_eq.size : r.size - d - qp.b_eq.size]
     if k and not v[d : d + k].min() > 0.0:
-        return None
-    return _checked(qp, f, S, v[d + k :], v[:d], v[d : d + k], qb, tol)
+        return None, r_in
+    return _checked(qp, f, S, r, v[:d], v[d : d + k], qb, tol), r_in
+
+
+def _nnls(f: _Factors, h, rows, r_in):
+    """NNLS on generated columns of E: the free columns C, ascending, and
+    NNLS's weights u on them. C starts from ``rows`` and the rows where
+    r_in = A_in x - b_in is positive; each round adds the rows whose
+    A_in x - b_in = h + AY AY_C'u / r_n (r_n = h_C'u - 1) at u's point exceeds
+    1e-9 of max(1, |b_in|). It stops
+    when no row outside C is broken, or at r_n >= 0. Each nnls call has the
+    iteration limit of one call on every free column, 3 per free row."""
+    e = np.zeros(f.Y.shape[1] + 1)
+    e[-1] = 1.0
+    take = r_in > _FEAS_TOL * f.row_scale
+    take[rows] = True
+    take[f.fixed] = False
+    while True:
+        C = np.flatnonzero(take)
+        u = _NO_WEIGHTS
+        if C.size:  # nnls on a matrix with no columns aborts the process
+            try:
+                u = nnls(np.vstack((-f.AY[C].T, h[C])), e, maxiter=3 * f.free.size)[0]
+            except RuntimeError as exc:
+                raise SolverFailed(
+                    f"NNLS solve of the least-distance program failed: {exc}") from exc
+        r_n = h[C] @ u - 1.0
+        if not r_n < 0.0:
+            return C, u
+        broken = h + f.AY @ (f.AY[C].T @ u / r_n) > _FEAS_TOL * f.row_scale
+        broken[f.fixed] = False
+        if not (broken & ~take).any():
+            return C, u
+        take |= broken
 
 
 def _from_weights(qp, f, S: _Support, u, h_S, tb, qb, tol) -> QpSolution | None:
@@ -369,13 +433,14 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
     least-distance form.
 
     The support of the QP's last Optimal solve (at first, no row) is tried
-    first through its map; NNLS runs only when that fails its check, and the
-    map of its own support is then built and tried. Returns an Optimal
-    solution whose KKT residuals passed their check, or a PrimalInfeasible
-    one certified by a checked Farkas vector (or by the residual of
-    inconsistent equalities). Raises SolverFailed when Z'PZ is not positive
-    definite, NNLS reaches its iteration limit, or neither result passes its
-    check, and ValueError when theta does not have p entries.
+    first through its map; NNLS runs, on columns generated from that support,
+    only when that fails its check, and the map of its final support is then
+    built and tried. Returns an Optimal solution whose KKT residuals passed
+    their check, or a PrimalInfeasible one certified by a checked Farkas
+    vector (or by the residual of inconsistent equalities). Raises
+    SolverFailed when Z'PZ is not positive definite, NNLS reaches its
+    iteration limit, or neither result passes its check, and ValueError when
+    theta does not have p entries.
     """
     f = qp.factors
     theta = np.asarray(theta, dtype=float)
@@ -384,10 +449,10 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
     tb = np.concatenate((theta, _ONE))
     qb = f.QB @ tb  # [q; b_eq] at theta
     tol = _KKT_TOL * max(f.rhs_floor, float(np.abs(qb).max(initial=0.0)))
-    if f.R_eq is not None and np.max(np.abs(f.R_eq @ tb)) > tol:
+    if f.R_eq is not None and np.maximum.reduce(np.abs(f.R_eq @ tb), initial=0.0) > tol:
         return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
     S = qp._support or f.empty
-    sol = _on_support(qp, f, S, tb, qb, tol)
+    sol, r_in = _on_support(qp, f, S, tb, qb, tol)
     if sol is None:
         h = f.H @ tb
         # x_0 alone decides the fixed rows; one violated beyond rounding is
@@ -399,16 +464,9 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
             u[row] = 1.0 / h[row]
             if (mu := _farkas(qp, f, u, qb[qp.dim :])) is not None:
                 return _infeasible(qp, u, mu)
-        if not f.free.size:  # nnls on a matrix with no columns aborts the process
-            raise SolverFailed("QP solution failed its KKT check")
-        e = np.zeros(f.Y.shape[1] + 1)
-        e[-1] = 1.0
-        try:
-            u = nnls(np.vstack([-f.AY[f.free].T, h[f.free]]), e)[0]
-        except RuntimeError as exc:
-            raise SolverFailed(f"NNLS solve of the least-distance program failed: {exc}") from exc
-        S = _support(qp, f, f.free[u > 0])
-        sol = _on_support(qp, f, S, tb, qb, tol)
+        C, u = _nnls(f, h, S.rows, h if r_in is None else r_in)
+        S = _support(qp, f, C[u > 0])
+        sol = _on_support(qp, f, S, tb, qb, tol)[0]
         if sol is None:  # the map failed: NNLS's own weights
             sol = _from_weights(qp, f, S, u[u > 0], h[S.rows], tb, qb, tol)
         if sol is None:

@@ -192,7 +192,7 @@ def contains(P: HPolytope, x, tol: float = CONTAINS_TOL) -> bool:
 def margin(P: HPolytope, x) -> float:
     """Worst halfspace slack of x in P; negative means x is outside."""
     x = np.asarray(x, dtype=float).ravel()
-    return float(np.min(P.offsets - P.normals @ x))
+    return float((P.offsets - P.normals @ x).min())
 
 
 def point(Z: Zonotope, xi) -> np.ndarray:

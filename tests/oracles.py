@@ -232,6 +232,86 @@ def assert_checks_match_the_dense_check(calls):
                 assert abs(sol.kkt_residuals[key] - value) <= 1e-12 * max(1.0, scales[key]), key
 
 
+def all_column_nnls(f, h, rows, r_in):
+    """The least-distance program's NNLS as one call on every free column of
+    E, from zero, with scipy's default iteration limit: the miss of
+    ``qp.solve`` before it generated columns, with the signature of
+    ``qp._nnls`` (``rows`` and ``r_in`` are not read)."""
+    from scipy.optimize import nnls
+
+    if not f.free.size:  # nnls on a matrix with no columns aborts the process
+        return f.free, np.zeros(0)
+    e = np.zeros(f.Y.shape[1] + 1)
+    e[-1] = 1.0
+    return f.free, nnls(np.vstack([-f.AY[f.free].T, h[f.free]]), e)[0]
+
+
+def solve_by_both_nnls(solve, qp, theta=()):
+    """Solve ``qp`` at theta with ``solve`` (``qp.solve``) twice from the
+    support it holds: first with :func:`all_column_nnls` in place of the
+    solver's generated columns, then as it is. Returns the two outcomes, each
+    a result or the SolverFailed it raised, and how many NNLS solves the
+    second ran (its misses cost one each, however many rounds). The QP keeps
+    the support that the second solve stored."""
+    from koopmpc import qp as qp_module
+
+    held, generated, outcomes, misses = qp._support, qp_module._nnls, [], []
+
+    def counted(*args):
+        misses.append(1)
+        return generated(*args)
+
+    for miss in (all_column_nnls, counted):
+        qp._support = held
+        qp_module._nnls = miss
+        try:
+            outcomes.append(solve(qp, theta))
+        except qp_module.SolverFailed as exc:
+            outcomes.append(exc)
+        finally:
+            qp_module._nnls = generated
+    return outcomes[0], outcomes[1], len(misses)
+
+
+def assert_generated_columns_match_all_columns(qp, theta, want, got):
+    """``got`` (generated columns) has the status of ``want`` (all columns),
+    or both raised. An Optimal pair has the same active set and the same bits
+    of x. A Farkas vector that ``got`` carries passes ``qp._farkas`` against
+    every row of A_in."""
+    from koopmpc import qp as qp_module
+
+    if isinstance(want, qp_module.SolverFailed) or isinstance(got, qp_module.SolverFailed):
+        assert type(got) is type(want), (want, got)
+        return
+    assert got.status == want.status
+    if got.status == qp_module.OPTIMAL:
+        assert got.active_set == want.active_set
+        assert np.array_equal(got.x_star, want.x_star)
+    elif got.in_multipliers is not None:
+        f = qp.factors
+        b_eq = f.QB[qp.dim :] @ np.append(np.asarray(theta, dtype=float), 1.0)
+        assert got.in_multipliers.shape == qp.b_in.shape
+        assert qp_module._farkas(qp, f, got.in_multipliers, b_eq) is not None
+
+
+def assert_null_basis_and_pinv(A_eq):
+    """``qp._null_basis`` of A_eq: A_eq Z = 0 to 1e-12 of max(1, max |A_eq|),
+    Z'Z = I to 1e-12, a rank d - cols(Z) equal to ``np.linalg.matrix_rank``
+    and a pseudo-inverse within 1e-11 of max |A_eq^+| of ``np.linalg.pinv``
+    taken with matrix_rank's cut (max(shape) eps of the largest singular
+    value)."""
+    from koopmpc import qp as qp_module
+
+    Z, pinv_T = qp_module._null_basis(A_eq)
+    d = A_eq.shape[1]
+    assert Z.shape[0] == d and pinv_T.shape == A_eq.shape
+    assert np.max(np.abs(A_eq @ Z), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(A_eq)))
+    assert np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1])), initial=0.0) <= 1e-12
+    assert d - Z.shape[1] == np.linalg.matrix_rank(A_eq)
+    pinv = np.linalg.pinv(A_eq, rcond=max(A_eq.shape) * np.finfo(float).eps)
+    assert np.max(np.abs(pinv_T.T - pinv)) <= 1e-11 * np.max(np.abs(pinv))
+
+
 def plain_qp(family, theta):
     """The p = 0 QP of the affine family ``family`` at ``theta``: the same P,
     A_eq, A_in and b_in, with q = q0 + F_q theta and b_eq = b0 + F_eq theta."""

@@ -907,7 +907,7 @@ def test_simulate_qp_iteration_limit_exit_6(tmp_path, capsys, monkeypatch):
     # Every QP of the base scenario is solved on its stored support without
     # nnls. A reference beyond the state bound y <= 5 puts the offline steady
     # target on that bound, so its first solve misses and nnls runs.
-    def capped(E, e):
+    def capped(E, e, maxiter):
         raise RuntimeError("Maximum number of iterations reached.")  # as scipy's nnls does
 
     monkeypatch.setattr(qp_module, "nnls", capped)

@@ -17,7 +17,14 @@ from koopmpc.qp import (
     SolverFailed,
     solve,
 )
-from oracles import assert_checks_match_the_dense_check, plain_qp, qp_by_active_set_enumeration
+from oracles import (
+    assert_checks_match_the_dense_check,
+    assert_generated_columns_match_all_columns,
+    assert_null_basis_and_pinv,
+    plain_qp,
+    qp_by_active_set_enumeration,
+    solve_by_both_nnls,
+)
 
 
 def _check_kkt(sol, tol=1e-8):
@@ -173,7 +180,7 @@ def test_singular_objective_with_flat_directions():
 def test_max_iterations_status_reported(monkeypatch):
     # nnls stops at its iteration limit with a RuntimeError, which the solver
     # reports as SolverFailed, never as a status. The box corner needs two.
-    monkeypatch.setattr(qp_module, "nnls", lambda E, e: nnls(E, e, maxiter=1))
+    monkeypatch.setattr(qp_module, "nnls", lambda E, e, maxiter: nnls(E, e, maxiter=1))
     qp = QuadraticProgram(
         P=2.0 * np.eye(2),
         q=[-4.0, -4.0],
@@ -187,7 +194,7 @@ def test_max_iterations_status_reported(monkeypatch):
 def test_no_inequality_rows_are_solved_without_nnls(monkeypatch):
     # With no inequality rows the least-distance optimum is v = 0 in closed
     # form; nnls on a matrix with no columns would abort the process.
-    def refused(E, e):
+    def refused(E, e, maxiter):
         raise AssertionError("nnls was called on a QP with no inequality rows")
 
     monkeypatch.setattr(qp_module, "nnls", refused)
@@ -649,20 +656,28 @@ def test_a_violated_pinned_row_is_certified_by_its_own_farkas_vector(farkas_vect
     assert qp.b_in @ u + qp.b_eq @ mu == pytest.approx(-1.0)
 
 
-@pytest.mark.parametrize("u", [[1.0, 0.0], [0.0, 10.0]])
+@pytest.mark.parametrize("u", [[0.0], [10.0]])
 def test_a_result_that_fails_its_check_raises(monkeypatch, u):
-    # x <= 0 and x >= 1: u = (1, 0) gives an "optimum" that violates x >= 1,
-    # and u = (0, 10) leaves r[n] >= 0 but A_in'u != 0. Neither is reported.
-    monkeypatch.setattr(qp_module, "nnls", lambda E, e: (np.array(u), 0.0))
+    # x <= 0 and x >= 1: x_0 = 0 breaks x >= 1 only, so NNLS is given that
+    # row's one column. u = (0) gives the "optimum" x_0, which violates
+    # x >= 1, and u = (10) leaves r[n] >= 0 but A_in'u != 0. Neither is
+    # reported.
+    def stub(E, e, maxiter):
+        assert E.shape[1] == len(u)
+        return np.array(u), 0.0
+
+    monkeypatch.setattr(qp_module, "nnls", stub)
     qp = _infeasible_qps()[1]
     with pytest.raises(SolverFailed, match="Farkas"):
         solve(qp)
 
 
 def test_factors_are_computed_once_per_problem(monkeypatch):
-    svds = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    # One pivoted QR of A_eq' per problem (A_eq has full row rank here, so no
+    # second QR is taken for its pseudo-inverse).
+    qrs = []
+    qr = qp_module.qr
+    monkeypatch.setattr(qp_module, "qr", lambda *a, **k: qrs.append(k) or qr(*a, **k))
     qp = QuadraticProgram(P=2.0 * np.eye(3), q=[-2.0, 0.0, 4.0], A_eq=[[1.0, 1.0, 1.0]],
                           b_eq=[0.0], A_in=np.vstack([np.eye(3), -np.eye(3)]), b_in=np.ones(6),
                           F_q=np.eye(3, 4), F_eq=np.eye(1, 4, 3))
@@ -670,9 +685,22 @@ def test_factors_are_computed_once_per_problem(monkeypatch):
     # The right-hand sides change with theta between solves; the factors stay.
     theta = np.array([3.0, -1.0, -3.5, 0.5])  # q = (1, -1, 0.5), b_eq = 0.5
     second = solve(qp, theta)
-    assert len(svds) == 1
+    assert qrs == [{"pivoting": True}]
     assert np.allclose(second.x_star, solve(plain_qp(qp, theta)).x_star, atol=1e-10)
     _check_kkt(second)
+
+
+def test_null_basis_and_pinv_of_random_matrices():
+    # Rank-deficient products of rank r < min(m, d), wide and tall, and
+    # matrices of full row or column rank; ``test_tracking_problem`` checks
+    # a2's and the unicycle's A_eq.
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        m, d = (int(k) for k in rng.integers(1, 13, 2))
+        r = int(rng.integers(1, min(m, d) + 1))
+        A = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
+        assert_null_basis_and_pinv(A)
+        assert_null_basis_and_pinv(rng.standard_normal((m, d)))
 
 
 # --- the support of the last Optimal solve, tried before nnls ----------------------------
@@ -690,7 +718,7 @@ def test_a_repeated_solve_takes_the_stored_support_without_nnls(monkeypatch):
     first = solve(qp)
     assert first.status == OPTIMAL and first.active_set
 
-    def refused(E, e):
+    def refused(E, e, maxiter):
         raise AssertionError("nnls was called although the stored support is optimal")
 
     monkeypatch.setattr(qp_module, "nnls", refused)
@@ -740,7 +768,7 @@ def test_a_hit_calls_neither_nnls_nor_dposv():
     assert first.status == OPTIMAL and first.active_set
     near = theta + [0.01, -0.01, 0.02, 0.01]
 
-    def refused(*args):
+    def refused(*args, **kwargs):
         raise AssertionError("a stored-support hit called nnls, dposv or _residual_map")
 
     with pytest.MonkeyPatch.context() as mp:
@@ -823,13 +851,17 @@ def test_overdetermined_vertex_matches_oracle():
         assert np.allclose(sol.x_star, v, atol=1e-8)
 
 
+def _near_parallel_pair():
+    return QuadraticProgram(P=np.eye(2), q=np.array([-5.0, -5.0]),
+                            A_in=np.array([[1.0, 0.0], [1.0, 1e-11]]), b_in=np.array([0.0, 1e-11]))
+
+
 def test_near_parallel_blocking_row_gives_the_true_minimizer():
     """Row 1 sits 1e-11 off parallel to row 0, and both are active at 0. The
     minimizer lies on row 1 alone, just inside row 0. A solver or an oracle
     that merges the two rows returns (0, 5), which violates row 1 by 4e-11;
     the solve is within rounding (1e-13) of the true point."""
-    qp = QuadraticProgram(P=np.eye(2), q=np.array([-5.0, -5.0]),
-                          A_in=np.array([[1.0, 0.0], [1.0, 1e-11]]), b_in=np.array([0.0, 1e-11]))
+    qp = _near_parallel_pair()
     sol = solve(qp)
     _check_against_oracle(qp, sol)
     _check_kkt(sol, tol=1e-12)
@@ -840,6 +872,45 @@ def test_near_parallel_blocking_row_gives_the_true_minimizer():
     for x in (sol.x_star, x_oracle):
         assert x[0] == pytest.approx(-4e-11, rel=0.0, abs=1e-13)
         assert x[1] == pytest.approx(5.0 - 5e-11, rel=0.0, abs=1e-13)
+
+
+# --- generated columns against one all-column NNLS ----------------------------------------
+
+@pytest.mark.parametrize("case", ["near-parallel-pair", "infeasible"])
+def test_generated_columns_give_the_all_column_result(case):
+    # A miss runs NNLS on the columns of the rows x_0 breaks, adding the rows
+    # each round's point breaks; on these degenerate QPs it must end where one
+    # NNLS on every free column ends: the same status, and for an optimum the
+    # same active set and bits of x.
+    qps = {"near-parallel-pair": [_near_parallel_pair()], "infeasible": _infeasible_qps()}[case]
+    misses = 0
+    for qp in qps:
+        want, got, n = solve_by_both_nnls(solve, qp)
+        assert_generated_columns_match_all_columns(qp, (), want, got)
+        misses += n
+    assert misses >= 1
+
+
+def test_generated_columns_give_the_all_column_vertex():
+    # At a vertex with more active rows than null-space dimensions the
+    # multipliers are not unique: any positively spanning subset of the
+    # active rows is a support, and which one NNLS ends on depends on the
+    # order its columns enter. Generated columns offer them in another order,
+    # so on 5 of these 20 seeds they end on another subset. The point is the
+    # same to rounding and both supports are active rows of v; on the other
+    # seeds the active set and the bits of x are the same.
+    same = 0
+    for seed in range(20):
+        qp, v = _overdetermined_vertex(np.random.default_rng(seed))
+        want, got, n = solve_by_both_nnls(solve, qp)
+        assert n == 1 and want.status == got.status == OPTIMAL
+        assert np.max(np.abs(got.x_star - want.x_star)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+        active = np.flatnonzero(qp.b_in - qp.A_in @ v <= 1e-9)
+        assert set(got.active_set) <= set(active.tolist())
+        if got.active_set == want.active_set:
+            assert np.array_equal(got.x_star, want.x_star)
+            same += 1
+    assert same == 15
 
 
 # --- the full-space check against its dense formulation ---------------------------------

@@ -24,7 +24,15 @@ from koopmpc.controller import (
 from koopmpc.model import lift
 from koopmpc.qp import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from koopmpc.sets import TighteningSchedule, margin
-from oracles import assert_checks_match_the_dense_check, plain_qp, shifted_rollout, tracking_cost
+from oracles import (
+    assert_checks_match_the_dense_check,
+    assert_generated_columns_match_all_columns,
+    assert_null_basis_and_pinv,
+    plain_qp,
+    shifted_rollout,
+    solve_by_both_nnls,
+    tracking_cost,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 NAMES = ("a2", "unicycle_square")
@@ -245,10 +253,11 @@ def test_stored_support_checks_match_the_dense_check_along_the_closed_loop(stack
 
 
 def test_each_stored_support_map_is_built_once(course, monkeypatch):
-    # A map is built (one dposv) only for the support of a solve that ran
-    # NNLS; every other solve of the course takes a stored map. So a fresh
-    # course builds as many maps as it runs NNLS, 4 on the first course and 3
-    # on each later one (see the test below).
+    # A map is built (one dposv) only for the final support of a solve that
+    # ran NNLS, however many rounds of generated columns it took; every other
+    # solve of the course takes a stored map. So a fresh course builds as many
+    # maps as it has misses, 4 on the first course and 3 on each later one,
+    # while it runs NNLS 8 and 5 times (see the test below).
     stack, counts = fresh(course[0]), {}
 
     def counted(key, call):
@@ -259,10 +268,45 @@ def test_each_stored_support_map_is_built_once(course, monkeypatch):
 
     monkeypatch.setattr(qp_module, "dposv", counted("dposv", qp_module.dposv))
     monkeypatch.setattr(qp_module, "nnls", counted("nnls", qp_module.nnls))
-    for expected in (4, 3):
+    for expected in ({"dposv": 4, "nnls": 8}, {"dposv": 3, "nnls": 5}):
         counts.update(dposv=0, nnls=0)
         assert stack.run(stack.seed).halted_at == 29
-        assert counts == {"dposv": expected, "nnls": expected}
+        assert counts == expected
+
+
+@pytest.mark.parametrize("name, seeds, expected", [("a2", range(5), 11),
+                                                    ("unicycle_square", [None], 4)])
+def test_generated_columns_give_the_all_column_result_along_the_closed_loop(
+        stacks, monkeypatch, name, seeds, expected):
+    # Every solve of the loop (the steady targets' too) is also made from the
+    # support the QP holds by one NNLS on every free column. The two agree:
+    # the same status, and for an optimum the same active set and bits of x,
+    # so the loop runs on as it would have. ``expected`` counts the misses.
+    stack, solve_, misses = fresh(stacks[name]), qp_module.solve, []
+
+    def both(qp, theta=()):
+        want, got, n = solve_by_both_nnls(solve_, qp, theta)
+        assert_generated_columns_match_all_columns(qp, theta, want, got)
+        misses.append(n)
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    monkeypatch.setattr(qp_module, "solve", both)
+    for seed in seeds:
+        log = stack.run(stack.seed if seed is None else seed)
+        assert log.halted_at == (29 if name == "unicycle_square" else None)
+    assert sum(misses) == expected
+
+
+@pytest.mark.parametrize("name, rank", [("a2", 37), ("unicycle_square", 115)])
+def test_null_basis_and_pinv_of_the_tracking_equalities(stacks, name, rank):
+    # a2's A_eq has rank 37 of its 39 rows, so its pseudo-inverse goes through
+    # the second QR; the unicycle's 115 rows are independent.
+    stack = stacks[name]
+    A_eq = build_qp(stack.model, stack.config, stack.schedule).A_eq
+    assert np.linalg.matrix_rank(A_eq) == rank
+    assert_null_basis_and_pinv(A_eq)
 
 
 def test_a2_inconsistent_equalities_are_certified_by_the_least_squares_residual(stacks, logs):
@@ -321,24 +365,29 @@ def test_a_stale_or_foreign_support_gives_the_cold_result(stacks, logs, name):
 
 
 def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch):
-    # The offline steady target is taken at its unconstrained optimum; nnls
+    # The offline steady target is taken at its unconstrained optimum; NNLS
     # runs for the cold first step, at steps 3 and 23, whose supports change,
-    # and for the certified halt. A later course on the same stack reuses the
-    # steady target, and its step 0 takes the support that steps 23-28 stored
-    # (steps 0-2 have the same one), so it makes 30 solves and 3 nnls calls,
-    # exactly, every time.
+    # and for the certified halt. Each of those misses runs NNLS on generated
+    # columns: three rounds for step 0 and for the halt, one for steps 3 and
+    # 23, which start from the stored support and the rows its point breaks.
+    # A later course on the same stack reuses the steady target, and its step
+    # 0 takes the support that steps 23-28 stored (steps 0-2 have the same
+    # one), so it makes 30 solves, 3 misses and 5 nnls calls, exactly, every
+    # time.
     stack, counts = fresh(course[0]), {}
 
     def counted(key, call):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[key] += 1
-            return call(*args)
+            return call(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(qp_module, "solve", counted("solve", qp_module.solve))
+    monkeypatch.setattr(qp_module, "_nnls", counted("miss", qp_module._nnls))
     monkeypatch.setattr(qp_module, "nnls", counted("nnls", qp_module.nnls))
-    for expected in ({"solve": 31, "nnls": 4}, {"solve": 30, "nnls": 3}, {"solve": 30, "nnls": 3}):
-        counts.update(solve=0, nnls=0)
+    for expected in ({"solve": 31, "miss": 4, "nnls": 8}, {"solve": 30, "miss": 3, "nnls": 5},
+                     {"solve": 30, "miss": 3, "nnls": 5}):
+        counts.update(solve=0, miss=0, nnls=0)
         assert stack.run(stack.seed).halted_at == 29
         assert counts == expected
 
