@@ -35,6 +35,9 @@ class Infeasible(Exception):
 
 
 def _as_vector(v, n: int, name: str) -> np.ndarray:
+    """v as a float (n,) vector; a float64 ndarray of that shape is taken as it is."""
+    if type(v) is np.ndarray and v.dtype == float and v.shape == (n,):
+        return v
     out = np.atleast_1d(np.asarray(v, dtype=float))
     if out.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {out.shape}")
@@ -88,13 +91,15 @@ class NonlinearSteadyTarget:
 class KtmpcSolution:
     """Optimal trajectory, artificial target, and total cost J_N of one step's
     QP: its objective plus ``s * ||y_t||^2``, the constant the QP leaves out.
-    ``x_star`` is the QP's optimum, of which the other arrays are views."""
+    ``x_star`` is the QP's optimum, laid out by ``layout``; ``u_bar`` (N x n_u),
+    ``z_bar`` (N + 1 x n_z) and the target's z_s and u_s are views of it."""
 
-    u_bar: np.ndarray
-    z_bar: np.ndarray
     target: SteadyTarget
     total_cost: float
     x_star: np.ndarray
+    layout: _Layout
+    u_bar = property(lambda self: self.layout.split(self.x_star)[0])
+    z_bar = property(lambda self: self.layout.split(self.x_star)[1])
 
 
 @dataclass(frozen=True)
@@ -201,10 +206,10 @@ def solve_steady(problem: TrackingProblem, y_t) -> SteadyTarget:
     same ``y_t`` returns it without a solve; an infeasible reference raises
     :class:`Infeasible` and keeps nothing.
     """
-    key = np.asarray(y_t, dtype=float).tobytes()
+    y_t = _as_vector(y_t, problem.model.n_y, "y_t")
+    key = y_t.tobytes()
     if (target := problem.steady_targets.get(key)) is None:
         model, s = problem.model, problem.config.s
-        y_t = _as_vector(y_t, model.n_y, "y_t")
         sol = qps.solve(problem.steady_qp, y_t)
         if sol.status == qps.PRIMAL_INFEASIBLE:
             raise Infeasible("no steady pair exists inside the terminal tightened sets")
@@ -369,18 +374,17 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
     """Solve the tracking QP of ``problem`` at the lifted state ``z_k`` and
     return the first input to apply. A state outside X~(0) makes the QP
     infeasible, certified like any other infeasible step."""
-    model, config = problem.model, problem.config
+    model, config, lay = problem.model, problem.config, problem.layout
     z_k = _as_vector(z_k, model.n_z, "z_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
     sol = qps.solve(problem.qp, np.concatenate((z_k, y_t)))
     if sol.status == qps.PRIMAL_INFEASIBLE:
         raise Infeasible("tracking QP is primal infeasible")
 
-    u_bar, z_bar, z_s, u_s = problem.layout.split(sol.x_star)
-    target = _steady_target(model, config.s, z_s, u_s, y_t)
+    x = sol.x_star
+    target = _steady_target(model, config.s, x[lay.z_s], x[lay.u_s], y_t)
     J_N = sol.objective + config.s * float(y_t @ y_t)
-    return u_bar[0].copy(), KtmpcSolution(u_bar=u_bar, z_bar=z_bar, target=target, total_cost=J_N,
-                                          x_star=sol.x_star)
+    return x[: model.n_u].copy(), KtmpcSolution(target=target, total_cost=J_N, x_star=x, layout=lay)
 
 
 def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:

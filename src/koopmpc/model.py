@@ -171,7 +171,7 @@ def _features(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
         return np.exp(-d2 / (2.0 * spec.width**2))
     E = spec.exponents
     T = np.where(E == 1, F[:, None, :], 1.0) if spec._linear else F[:, None, :] ** E
-    return np.prod(T, axis=2)
+    return np.multiply.reduce(T, axis=2)
 
 
 @dataclass(frozen=True)
@@ -237,9 +237,11 @@ def make_model(A, B, lifting: LiftingSpec, output_matrix=None) -> KoopmanModel:
 # --- pointwise operations -----------------------------------------------------
 
 def lift(model: KoopmanModel, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.n_x,):
-        raise ValueError(f"state must have shape ({model.n_x},), got {x.shape}")
+    """[x; features(x)]; a float64 (n_x,) ndarray x is taken as it is."""
+    if not (type(x) is np.ndarray and x.dtype == float and x.shape == (model.n_x,)):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (model.n_x,):
+            raise ValueError(f"state must have shape ({model.n_x},), got {x.shape}")
     return np.concatenate([x, _features(model.lifting, x[None, :])[0]])
 
 

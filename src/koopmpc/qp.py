@@ -48,9 +48,10 @@ of max(1, |b_in|) of that row, none NaN. For a fixed support each residual is
 affine in theta too, so it is formed once per support, with its map: one
 product of [A_eq; A_in; P] with X_S and the right-hand-side columns give the
 residual map R_S = [stationarity; A_eq x - b_eq; A_in x - b_in; Px; nu], and
-the residuals at theta are R_S [theta; 1]. The two maps are kept stacked, so
-a stored support gives x, lam_S and its residuals by one product. NNLS's own
-weights are checked by the same residual map of one column.
+the residuals at theta are R_S [theta; 1]. The two maps are kept stacked
+under the theta-columns of [q; b_eq] and of the least-squares residual below,
+so one product gives a stored support [q; b_eq], that residual, x, lam_S and
+its residuals. NNLS's own weights are checked by the residual map of one column.
 The Farkas vector, with mu = -(A_eq^+)'A_in'u, must give A_in'u + A_eq'mu = 0
 to a scaled tolerance and b_in'u + b_eq'mu < 0, which no feasible x allows;
 the result carries u and mu as its in_multipliers and eq_multipliers.
@@ -181,9 +182,11 @@ def _infeasible(qp: QuadraticProgram, u=None, mu=None) -> QpSolution:
 
 @dataclass(frozen=True)
 class _Support:
-    """Rows S of E's columns with their map and residual map stacked as
-    M = [X_S; Lam_S; R_S] (None where S's Gram matrix (A_in Y)_S (A_in Y)_S'
-    is not positive definite), and S as the active set of a result."""
+    """Rows S of E's columns with their map and residual map stacked under the
+    factors' head as M = [head; X_S; Lam_S; R_S] (None where S's Gram matrix
+    (A_in Y)_S (A_in Y)_S' is not positive definite), and S as the active set
+    of a result. M [theta; 1] is [q; b_eq], the least-squares residual, x,
+    lam_S and the residuals."""
 
     rows: np.ndarray
     M: np.ndarray | None
@@ -199,9 +202,10 @@ class _Factors:
     is an orthonormal basis of the null space of A_eq and Z'PZ = LL' the
     Cholesky factorization of the reduced Hessian, spans the same null space
     with Y'PY = I; AY = A_in Y. The theta-columns multiply [theta; 1]: QB
-    gives [q(theta); b_eq(theta)], X0 the unconstrained minimizer x_0, H the
-    offsets h and, for a rank-deficient A_eq (the only kind that admits
-    inconsistent right-hand sides), R_eq the residual A_eq x_p - b_eq.
+    gives [q(theta); b_eq(theta)], X0 the unconstrained minimizer x_0 and H
+    the offsets h. ``head`` stacks QB and, for a rank-deficient A_eq (the
+    only kind that admits inconsistent right-hand sides), the columns of the
+    residual A_eq x_p - b_eq.
     ``fixed`` lists the rows of A_in whose row of AY is zero to rounding
     (1e-12 of the largest), and ``free`` the others. row_scale is
     max(1, |b_in|) and rhs_floor max(1, max |b_in|). ``empty`` is the support
@@ -212,9 +216,9 @@ class _Factors:
     Y: np.ndarray
     AY: np.ndarray
     QB: np.ndarray
+    head: np.ndarray
     X0: np.ndarray
     H: np.ndarray
-    R_eq: np.ndarray | None
     free: np.ndarray
     fixed: np.ndarray
     row_scale: np.ndarray
@@ -274,14 +278,14 @@ def _factor(qp: QuadraticProgram) -> _Factors:
     H = A_in @ X0
     H[:, -1] -= qp.b_in
     rank_deficient = Z.shape[1] + A_eq.shape[0] > d
+    head = np.vstack((QB, A_eq @ X_p - QB[d:])) if rank_deficient else QB
     f = _Factors(neg_pinv_T=-pinv_T,
-                 PA=np.vstack((A_eq, A_in, qp.P)), Y=Y, AY=AY, QB=QB, X0=X0, H=H,
-                 R_eq=A_eq @ X_p - QB[d:] if rank_deficient else None,
+                 PA=np.vstack((A_eq, A_in, qp.P)), Y=Y, AY=AY, QB=QB, head=head, X0=X0, H=H,
                  free=np.flatnonzero(moves), fixed=np.flatnonzero(~moves),
                  row_scale=np.maximum(1.0, np.abs(qp.b_in)),
                  rhs_floor=float(np.abs(qp.b_in).max(initial=1.0)), empty=None)
     R = _residual_map(qp, f, _NO_ROWS, X0, X0[:0], QB)
-    return replace(f, empty=_Support(_NO_ROWS, np.vstack((X0, R))))
+    return replace(f, empty=_Support(_NO_ROWS, np.vstack((head, X0, R))))
 
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
@@ -292,7 +296,7 @@ _ONE = np.ones(1)
 def _support(qp: QuadraticProgram, f: _Factors, rows: np.ndarray) -> _Support:
     """The support S = ``rows`` with its map M_S = [X_S; Lam_S], X_S = X0 - Y AY_S' Lam_S
     and Lam_S = (AY_S AY_S')^-1 H_S, from one Cholesky solve with p + 1
-    right-hand sides, stacked with its residual map R_S."""
+    right-hand sides, stacked as the M of :class:`_Support`."""
     if not rows.size:
         return f.empty
     AY = f.AY[rows]
@@ -300,7 +304,7 @@ def _support(qp: QuadraticProgram, f: _Factors, rows: np.ndarray) -> _Support:
     if info:
         return _Support(rows, None, tuple(rows.tolist()))
     X = f.X0 - f.Y @ (AY.T @ Lam)
-    return _Support(rows, np.vstack((X, Lam, _residual_map(qp, f, rows, X, Lam, f.QB))),
+    return _Support(rows, np.vstack((f.head, X, Lam, _residual_map(qp, f, rows, X, Lam, f.QB))),
                     tuple(rows.tolist()))
 
 
@@ -343,37 +347,35 @@ def _checked(qp, f, S: _Support, r, x, lam_S, qb, tol) -> QpSolution | None:
     Column j's NNLS gradient is a positive multiple of (A_in x - b_in)_j, so
     the primal check is also Lawson and Hanson's optimality test on the
     columns outside S."""
-    d, n_eq, amax = qp.dim, qp.b_eq.size, np.maximum.reduce
-    r_in = r[d + n_eq : r.size - d - n_eq]
-    kkt = {
-        "stationarity": float(amax(np.abs(r[:d]), initial=0.0)),
-        "primal_eq": float(amax(np.abs(r[d : d + n_eq]), initial=0.0)),
-        "primal_in": float(amax(r_in / f.row_scale, initial=0.0)),
-        "complementarity": float(amax(np.abs(lam_S * r_in[S.rows]), initial=0.0)),
-    }
+    d, n, m, amax = qp.dim, qp.dim + qp.b_eq.size, qp.b_in.size, np.maximum.reduce
+    a, r_in = np.abs(r[:n]), r[n : n + m]
+    stat, eq = amax(a[:d], initial=0.0), amax(a[d:], initial=0.0)
+    p_in = amax(r_in / f.row_scale, initial=0.0)
+    comp = amax(np.abs(lam_S * r_in[S.rows])) if lam_S.size else 0.0
     # primal_in takes the fixed rows' per-row rule; a NaN residual fails.
-    if not all(value <= (_FEAS_TOL if key == "primal_in" else tol) for key, value in kkt.items()):
+    if not (stat <= tol and eq <= tol and p_in <= _FEAS_TOL and comp <= tol):
         return None
-    lam = np.zeros(qp.b_in.size)
+    lam = np.zeros(m)
     lam[S.rows] = lam_S
-    Px = r[r.size - d - n_eq : r.size - n_eq]
+    kkt = {"stationarity": float(stat), "primal_eq": float(eq), "primal_in": float(p_in),
+           "complementarity": float(comp)}
+    Px = r[n + m : n + m + d]
     return QpSolution(x_star=x, objective=float(0.5 * x @ Px + qb[:d] @ x), status=OPTIMAL,
-                      kkt_residuals=kkt, eq_multipliers=r[r.size - n_eq :], in_multipliers=lam,
+                      kkt_residuals=kkt, eq_multipliers=r[n + m + d :], in_multipliers=lam,
                       active_set=S.active_set)
 
 
-def _on_support(qp, f, S: _Support, tb, qb, tol):
-    """[x; lam_S; r] = [M_S; R_S] [theta; 1], taken only where lam_S > 0 and
-    its residuals r pass: the result or None, and r_in = A_in x - b_in at the
-    map's point (None without a map)."""
-    if S.M is None:
-        return None, None
-    v, d, k = S.M @ tb, qp.dim, S.rows.size
-    r = v[d + k :]
-    r_in = r[d + qp.b_eq.size : r.size - d - qp.b_eq.size]
-    if k and not v[d : d + k].min() > 0.0:
+def _on_support(qp, f, S: _Support, v, qb, tol):
+    """The support S's result from v = M_S [theta; 1], whose rows after the
+    head are [x; lam_S; r]: taken only where lam_S > 0 and its residuals r
+    pass. Returns the result or None, and r_in = A_in x - b_in at the map's
+    point."""
+    d, k, n = qp.dim, S.rows.size, len(f.head)
+    r = v[n + d + k :]
+    r_in = r[d + qp.b_eq.size : d + qp.b_eq.size + qp.b_in.size]
+    if k and not v[n + d : n + d + k].min() > 0.0:
         return None, r_in
-    return _checked(qp, f, S, r, v[:d], v[d : d + k], qb, tol), r_in
+    return _checked(qp, f, S, r, v[n : n + d], v[n + d : n + d + k], qb, tol), r_in
 
 
 def _nnls(f: _Factors, h, rows, r_in):
@@ -433,26 +435,30 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
     least-distance form.
 
     The support of the QP's last Optimal solve (at first, no row) is tried
-    first through its map; NNLS runs, on columns generated from that support,
-    only when that fails its check, and the map of its final support is then
-    built and tried. Returns an Optimal solution whose KKT residuals passed
+    first through its map, whose one product M_S [theta; 1] gives [q; b_eq],
+    the least-squares residual of the equalities, x, lam_S and R_S [theta; 1]
+    (a support stored without a map gives the first two from the factors'
+    head); NNLS runs, on columns generated from that support, only when that
+    fails its check, and the map of its final support is then built and
+    tried. Returns an Optimal solution whose KKT residuals passed
     their check, or a PrimalInfeasible one certified by a checked Farkas
     vector (or by the residual of inconsistent equalities). Raises
     SolverFailed when Z'PZ is not positive definite, NNLS reaches its
     iteration limit, or neither result passes its check, and ValueError when
     theta does not have p entries.
     """
-    f = qp.factors
+    f, n = qp.factors, qp.dim + qp.b_eq.size
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (qp.F_q.shape[1],):
         raise ValueError(f"theta must have shape ({qp.F_q.shape[1]},), got {theta.shape}")
     tb = np.concatenate((theta, _ONE))
-    qb = f.QB @ tb  # [q; b_eq] at theta
-    tol = _KKT_TOL * max(f.rhs_floor, float(np.abs(qb).max(initial=0.0)))
-    if f.R_eq is not None and np.maximum.reduce(np.abs(f.R_eq @ tb), initial=0.0) > tol:
-        return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
     S = qp._support or f.empty
-    sol, r_in = _on_support(qp, f, S, tb, qb, tol)
+    v = (f.head if S.M is None else S.M) @ tb
+    qb = v[:n]  # [q; b_eq] at theta
+    tol = _KKT_TOL * max(f.rhs_floor, float(np.maximum.reduce(np.abs(qb), initial=0.0)))
+    if len(f.head) > n and np.maximum.reduce(np.abs(v[n : len(f.head)])) > tol:
+        return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
+    sol, r_in = (None, None) if S.M is None else _on_support(qp, f, S, v, qb, tol)
     if sol is None:
         h = f.H @ tb
         # x_0 alone decides the fixed rows; one violated beyond rounding is
@@ -466,7 +472,7 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
                 return _infeasible(qp, u, mu)
         C, u = _nnls(f, h, S.rows, h if r_in is None else r_in)
         S = _support(qp, f, C[u > 0])
-        sol = _on_support(qp, f, S, tb, qb, tol)[0]
+        sol = None if S.M is None else _on_support(qp, f, S, S.M @ tb, qb, tol)[0]
         if sol is None:  # the map failed: NNLS's own weights
             sol = _from_weights(qp, f, S, u[u > 0], h[S.rows], tb, qb, tol)
         if sol is None:

@@ -190,9 +190,13 @@ def contains(P: HPolytope, x, tol: float = CONTAINS_TOL) -> bool:
 
 
 def margin(P: HPolytope, x) -> float:
-    """Worst halfspace slack of x in P; negative means x is outside."""
-    x = np.asarray(x, dtype=float).ravel()
-    return float((P.offsets - P.normals @ x).min())
+    """Worst halfspace slack of x in P; negative means x is outside, and +inf
+    for a P with no rows. A float64 (P.dim,) ndarray x is taken as it is."""
+    if not (type(x) is np.ndarray and x.dtype == float and x.shape == (P.dim,)):
+        x = np.asarray(x, dtype=float).ravel()
+        if x.size != P.dim:
+            raise ValueError(f"point of dimension {x.size} for a set of dimension {P.dim}")
+    return float(np.minimum.reduce(P.offsets - P.normals @ x, initial=np.inf))
 
 
 def point(Z: Zonotope, xi) -> np.ndarray:

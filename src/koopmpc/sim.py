@@ -95,10 +95,12 @@ def step_plant(
     once per run); either one left out is zero. A plant without an exact
     lifting (the unicycle) takes none: its model error plays that role.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if x.shape != (plant.n_x,) or u.shape != (plant.n_u,):
-        raise ValueError(f"expected shapes ({plant.n_x},) and ({plant.n_u},)")
+    if not (type(x) is type(u) is np.ndarray and x.dtype == u.dtype == float
+            and x.shape == (plant.n_x,) and u.shape == (plant.n_u,)):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if x.shape != (plant.n_x,) or u.shape != (plant.n_u,):
+            raise ValueError(f"expected shapes ({plant.n_x},) and ({plant.n_u},)")
     n_w, n_v = plant.noise_dims
     if (w is not None or v is not None) and not n_w:
         raise ValueError(f"the {plant.kind} plant takes no injected disturbance")

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from koopmpc.sets import (
     box_zonotope,
     contains,
     is_empty,
+    margin,
     point,
     pontryagin_diff,
     sample,
@@ -235,6 +237,20 @@ def test_contains_tolerance():
     assert contains(P, [0.0, 0.0])
     assert contains(P, [1.0 + 0.5e-9, 0.0])
     assert not contains(P, [1.0 + 2e-9, 0.0])
+
+
+def test_margin_of_a_set_with_no_rows_is_infinite():
+    # No halfspace bounds the point: contains() holds, and the worst slack is +inf.
+    P = HPolytope(np.zeros((0, 2)), np.zeros(0))
+    for x in ([1.0, 2.0], np.array([1.0, 2.0])):
+        assert contains(P, x) and margin(P, x) == np.inf
+
+
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0]), 1.0, np.zeros((2, 2))])
+def test_margin_names_both_dimensions_of_a_wrong_size_point(x):
+    n = np.size(x)
+    with pytest.raises(ValueError, match=re.escape(f"point of dimension {n} for a set of dimension 2")):
+        margin(box_polytope([-1.0, -1.0], [1.0, 1.0]), x)
 
 
 def test_sample_singleton_and_membership(rng):

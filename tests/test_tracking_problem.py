@@ -5,6 +5,7 @@ and the shifted candidate, one product with a precomputed map, against its
 step-by-step rollout and its row-read margins against the per-set formula."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,123 @@ def test_a2_inconsistent_equalities_are_certified_by_the_least_squares_residual(
     b_eq = plain_qp(qp, np.append(theta, 1.0)).b_eq
     x_p = np.linalg.lstsq(family.A_eq, b_eq, rcond=None)[0]
     assert np.max(np.abs(family.A_eq @ x_p - b_eq)) > 0.5
+    # Solved before any support is stored, the inconsistent equalities get the
+    # same verdict from the factors' head, and the QP stores nothing.
+    first = dataclasses.replace(qp)
+    inconsistent = solve(first, np.append(theta, 1.0))
+    assert inconsistent.status == PRIMAL_INFEASIBLE and first._support is None
+    assert inconsistent.in_multipliers is None and inconsistent.eq_multipliers is None
+    assert np.array_equal(solve(first, np.append(theta, 0.0)).x_star, consistent.x_star)
+
+
+@pytest.mark.parametrize("later", ["same theta", "next step's theta"])
+def test_a_support_stored_without_a_map_gives_the_cold_result(stacks, logs, monkeypatch, later):
+    # A support whose Gram matrix dposv refuses is stored without a map, with
+    # the result of NNLS's own weights. The next solve takes [q; b_eq] and the
+    # residual of the equalities from the factors' head, runs NNLS from that
+    # support's rows and gives the cold result, bit for bit.
+    stack, log = stacks["a2"], logs["a2"]
+    model, config, schedule = stack.model, stack.config, stack.schedule
+    probe = TrackingProblem(model, config, schedule).qp
+    thetas = [np.concatenate([lift(model, log.x[k]), log.y_t[k]]) for k in range(log.k.size)]
+    k = next(k for k, theta in enumerate(thetas) if solve(probe, theta).active_set)
+    qp = build_qp(model, config, schedule)
+    with monkeypatch.context() as mp:
+        mp.setattr(qp_module, "dposv", lambda a, b: (a, b, 1))
+        first = solve(qp, thetas[k])
+    assert first.status == OPTIMAL and first.active_set
+    assert qp._support.M is None and qp._support.rows.tolist() == list(first.active_set)
+    theta = thetas[k] if later == "same theta" else thetas[k + 1]
+    got, cold = solve(qp, theta), solve(build_qp(model, config, schedule), theta)
+    assert got.status == cold.status == OPTIMAL and got.active_set == cold.active_set
+    assert np.array_equal(got.x_star, cold.x_star) and qp._support.M is not None
+
+
+@pytest.mark.parametrize("valid_first", [False, True])
+def test_solve_steady_checks_y_t_before_its_stored_targets(stacks, valid_first):
+    # A y_t of the wrong shape is refused whether or not the same bytes were
+    # stored for a valid one.
+    stack = stacks["a2"]
+    problem = TrackingProblem(stack.model, stack.config, stack.schedule)
+    if valid_first:
+        solve_steady(problem, [1.0])
+    with pytest.raises(ValueError, match=re.escape("y_t must have shape (1,), got (1, 1)")):
+        solve_steady(problem, [[1.0]])
+    assert len(problem.steady_targets) == valid_first
+
+
+def _old_vector(v, n: int, message: str) -> np.ndarray:
+    """The conversion the entry points made of every vector before they took a
+    float64 (n,) ndarray as it is: a float array, at least 1-D, shape-checked."""
+    out = np.atleast_1d(np.asarray(v, dtype=float))
+    if out.shape != (n,):
+        raise ValueError(message.format(out.shape))
+    return out
+
+
+def _old_point(v, n: int) -> np.ndarray:
+    """sets.margin's conversion, which ravels, with its check of the size."""
+    out = np.asarray(v, dtype=float).ravel()
+    if out.size != n:
+        raise ValueError(f"point of dimension {out.size} for a set of dimension {n}")
+    return out
+
+
+def _vector_cases(base: np.ndarray) -> dict:
+    """Ways to pass the float vector ``base``."""
+    view = np.repeat(base, 2)[::2]
+    view.flags.writeable = False
+    return {"list": base.tolist(), "tuple": tuple(base.tolist()), "int array": base.astype(int),
+            "float32 array": base.astype(np.float32), "0-d array": np.array(base[0]),
+            "2-D array": base[None, :], "wrong length": np.append(base, 1.0),
+            "read-only view": view}
+
+
+@pytest.mark.parametrize("case", list(_vector_cases(np.ones(1))))
+@pytest.mark.parametrize("target", ["lift x", "solve_step z_k", "solve_step y_t",
+                                    "shifted_candidate z_next", "step_plant x", "step_plant u",
+                                    "margin x", "solve_steady y_t"])
+def test_a_vector_argument_is_taken_as_the_old_conversion_took_it(stacks, target, case):
+    # A float64 ndarray of the right shape is taken as it is and anything else
+    # is converted as before: each input gives the bits (and dtypes) of its
+    # old conversion, or that conversion's ValueError. None of the values is
+    # a float32, so an array taken as it is in float32 would round otherwise.
+    stack = stacks["a2"]
+    model, plant, X0 = stack.model, stack.plant, stack.schedule.state_sets[0]
+    x, u, y_t = np.array([1.1, 0.3]), np.array([0.7]), np.array([1.1])
+    z = lift(model, x)
+
+    def problem():
+        return TrackingProblem(model, stack.config, stack.schedule)
+
+    def step(out):
+        return out[0], out[1].x_star, out[1].total_cost
+
+    prev = solve_step(problem(), z, y_t)[1]
+    shape = "{} must have shape ({},), got {{}}"
+    targets = {
+        "lift x": (x, lambda v: (lift(model, v),), "state must have shape (2,), got {}"),
+        "solve_step z_k": (z, lambda v: step(solve_step(problem(), v, y_t)), shape.format("z_k", 3)),
+        "solve_step y_t": (y_t, lambda v: step(solve_step(problem(), z, v)), shape.format("y_t", 1)),
+        "shifted_candidate z_next": (z, lambda v: (shifted_candidate(problem(), prev, v),),
+                                     shape.format("z_next", 3)),
+        "step_plant x": (x, lambda v: sim.step_plant(plant, v, u), "expected shapes (2,) and (1,)"),
+        "step_plant u": (u, lambda v: sim.step_plant(plant, x, v), "expected shapes (2,) and (1,)"),
+        "margin x": (x, lambda v: (margin(X0, v),), None),
+        "solve_steady y_t": (y_t, lambda v: dataclasses.astuple(solve_steady(problem(), v)),
+                             shape.format("y_t", 1)),
+    }
+    base, call, message = targets[target]
+    v = _vector_cases(base)[case]
+    try:
+        want = _old_point(v, 2) if message is None else _old_vector(v, base.size, message)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            call(v)
+        return
+    for got, expected in zip(call(v), call(want), strict=True):
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", NAMES)
