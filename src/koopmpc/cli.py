@@ -1,12 +1,12 @@
 """Command-line front end for fitting, tightening, simulation, and target inspection.
 
 A *scenario* is a single JSON document that describes everything a run needs:
-the plant, the lifting dictionary, where training data comes from (a CSV path,
-resolved relative to the scenario file, or an inline generation recipe), the
-disturbance description used for tightening (``declared`` sets or
-``estimate`` + inflation), the disturbance actually injected into the plant
-(``injected``, optional), box constraints, controller weights, the reference
-schedule, and run length.  See ``scenarios/`` for complete examples.
+the plant, the lifting dictionary (explicit monomial exponents), where training
+data comes from (a CSV path, resolved relative to the scenario file, or an
+inline generation recipe), the ``declared`` disturbance sets used for
+tightening, the disturbance actually injected into the plant (``injected``,
+optional), box constraints, controller weights, the reference schedule, and
+run length.  See ``scenarios/`` for complete examples.
 :func:`build_stack` validates and assembles the whole scenario for every
 scenario command.
 
@@ -47,7 +47,6 @@ from .model import (
     _is_finite,
     _is_number,
     _lifting_from_doc,
-    estimate_disturbance_sets,
     fit_edmd,
     lift,
     load_trajectories,
@@ -134,8 +133,7 @@ def _weight(value, n: int, what: str) -> np.ndarray:
 
 
 _PLANT_PARAMS = {"numerical_example": {"lambda", "mu"}, "unicycle": {"dt"}}
-_LIFTING_PARAMS = {"polynomial": {"pre", "max_degree"}, "explicit": {"pre", "exponents"},
-                   "rbf": {"pre", "centers", "width"}}
+_LIFTING_PARAMS = {"pre", "exponents"}
 _FIT_LIFTING_KEYS = {"kind", "params", "n_x", "ridge", "output_matrix"}
 _SCENARIO_KEYS = {
     "plant", "lifting", "output_matrix", "ridge", "data", "disturbance", "injected", "constraints",
@@ -162,9 +160,8 @@ def _lifting(doc, n_x: int, keys=frozenset({"kind", "params"})):
     """The lifting of ``doc``; a key outside ``keys``, or a ``params`` key its
     kind does not take, is rejected by name."""
     _check_keys(doc, keys, "lifting")
-    kind = doc.get("kind")
-    if isinstance(kind, str) and kind in _LIFTING_PARAMS:  # LiftingSpec rejects the rest
-        _check_keys(doc.get("params"), _LIFTING_PARAMS[kind], "lifting.params")
+    if doc.get("kind") == "explicit":  # LiftingSpec rejects any other kind
+        _check_keys(doc.get("params"), _LIFTING_PARAMS, "lifting.params")
     return _lifting_from_doc(doc, n_x=n_x)
 
 
@@ -388,15 +385,10 @@ def build_stack(scenario_path, y_t=None) -> Stack:
             raise ValueError(f"injected: the {plant.kind} plant takes no injected disturbance")
         injected = noise(sc["injected"], "injected", plant.A_lift.shape[0])
     dist_doc = sc.get("disturbance")
-    if not isinstance(dist_doc, dict) or ("declared" in dist_doc) == ("estimate" in dist_doc):
-        raise ValueError("scenario 'disturbance' must give exactly one of 'declared' or 'estimate'")
-    _check_keys(dist_doc, {"declared", "estimate"}, "disturbance")
-    if "estimate" in dist_doc:
-        _check_keys(dist_doc["estimate"], {"inflation"}, "disturbance.estimate")
-        inflation = float(_positive(dist_doc["estimate"].get("inflation", 1.0),
-                                    "disturbance.estimate.inflation", minimum=1))
-    else:
-        disturbance = noise(dist_doc["declared"], "disturbance.declared", lifting.n_z)
+    _check_keys(dist_doc, {"declared"}, "disturbance")
+    if "declared" not in dist_doc:
+        raise ValueError("scenario 'disturbance' must give 'declared'")
+    disturbance = noise(dist_doc["declared"], "disturbance.declared", lifting.n_z)
     om = _output_matrix(sc.get("output_matrix"), plant.n_x)
     n_y = plant.n_x if om is None else len(om)
     refs = _references(sc.get("references"), n_y)
@@ -421,8 +413,6 @@ def build_stack(scenario_path, y_t=None) -> Stack:
 
     data = _training_data(sc, plant, Path(scenario_path).parent)
     model = fit_edmd(data, lifting, ridge=ridge, output_matrix=om)
-    if "estimate" in dist_doc:
-        disturbance = estimate_disturbance_sets(model, data, inflation=inflation)
     gain = dlqr(model.A, model.B, Qk, Rk, **lqr_opts)
     schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)
     config = KtmpcConfig(N=N, Q=Q, R=R, s=s, K=gain.K)

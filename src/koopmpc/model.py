@@ -10,19 +10,17 @@ decoding is exact by construction.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .sets import Zonotope
 
-_KINDS = ("polynomial", "rbf", "explicit")
+_KINDS = ("explicit",)
 _PRES = ("identity", "planar_heading")
 
 
@@ -66,20 +64,15 @@ class LiftingSpec:
     vector is always the raw state followed by the dictionary features, so
     ``n_z = n_x + <feature count>``.
 
-    For ``kind="polynomial"`` the features are all monomials of total degree
-    2..max_degree over the pre-features, plus the degree-1 pre-features that
-    are not raw state coordinates (e.g. sin/cos of the heading).  For
-    ``kind="explicit"`` the caller supplies the exponent matrix directly,
-    one row per monomial.  For ``kind="rbf"`` the features are Gaussian bumps
-    ``exp(-||f - c_i||^2 / (2 width^2))`` around the given centers.
+    The one ``kind`` is ``"explicit"``: the caller supplies the exponent
+    matrix, one row per monomial over the pre-features.  A polynomial
+    dictionary is written out this way; degree 2 over two states is
+    ``[[2, 0], [1, 1], [0, 2]]``.
     """
 
     kind: str
     n_x: int
     pre: str = "identity"
-    max_degree: int | None = None
-    centers: np.ndarray | None = None
-    width: float | None = None
     exponents: np.ndarray | None = None
     _linear: bool = field(default=False, init=False, repr=False, compare=False)  # no exponent > 1
 
@@ -92,68 +85,20 @@ class LiftingSpec:
             raise ValueError(f"n_x must be a positive integer, got {self.n_x!r}")
         if self.pre == "planar_heading" and self.n_x != 3:
             raise ValueError("planar_heading pre-map requires n_x == 3")
-        n_f = self._n_features_in()
-        if self.kind == "polynomial":
-            if not (_is_number(self.max_degree, integer=True) and self.max_degree >= 1):
-                raise ValueError(f"polynomial lifting max_degree must be an integer >= 1, "
-                                 f"got {self.max_degree!r}")
-            exps = _monomial_exponents(n_f, int(self.max_degree), self._extra_degree_one())
-            object.__setattr__(self, "exponents", exps)
-        elif self.kind == "explicit":
-            exps = np.asarray(self.exponents, dtype=object)
-            if exps.ndim != 2 or exps.shape[1] != n_f:
-                raise ValueError(f"exponents must have shape (k, {n_f})")
-            # Exponents are stored as 64-bit integers, hence the bound.
-            bad = [e for e in exps.flat if not (_is_number(e, integer=True) and 0 <= e < 2**63)]
-            if bad:
-                raise ValueError(f"exponents must be integers in [0, 2**63), got {bad[0]!r}")
-            object.__setattr__(self, "exponents", exps.astype(int))
-        else:  # rbf
-            bad = [c for c in np.asarray(self.centers, dtype=object).flat if not _is_number(c)]
-            if bad:
-                raise ValueError(f"centers must be numbers, got {bad[0]!r}")
-            centers = _as_matrix(self.centers, "centers")
-            if centers.shape[1] != n_f:
-                raise ValueError(f"centers must have {n_f} columns")
-            w = self.width
-            if not (_is_finite(w) and w > 0):
-                raise ValueError(f"rbf lifting width must be a finite positive number, got {w!r}")
-            object.__setattr__(self, "centers", centers)
-            object.__setattr__(self, "width", float(w))
-        object.__setattr__(self, "_linear", self.kind != "rbf" and np.all(self.exponents < 2))
-
-    def _n_features_in(self) -> int:
-        return 4 if self.pre == "planar_heading" else self.n_x
-
-    def _extra_degree_one(self) -> list[int]:
-        # Pre-feature indices that are not raw state coordinates and therefore
-        # deserve a degree-1 observable of their own (sin/cos of the heading).
-        if self.pre == "planar_heading":
-            return [2, 3]
-        return []
+        n_f = 4 if self.pre == "planar_heading" else self.n_x
+        exps = np.asarray(self.exponents, dtype=object)
+        if exps.ndim != 2 or exps.shape[1] != n_f:
+            raise ValueError(f"exponents must have shape (k, {n_f})")
+        # Exponents are stored as 64-bit integers, hence the bound.
+        bad = [e for e in exps.flat if not (_is_number(e, integer=True) and 0 <= e < 2**63)]
+        if bad:
+            raise ValueError(f"exponents must be integers in [0, 2**63), got {bad[0]!r}")
+        object.__setattr__(self, "exponents", exps.astype(int))
+        object.__setattr__(self, "_linear", np.all(self.exponents < 2))
 
     @property
     def n_z(self) -> int:
-        if self.kind == "rbf":
-            return self.n_x + self.centers.shape[0]
         return self.n_x + self.exponents.shape[0]
-
-
-def _monomial_exponents(n_f: int, max_degree: int, extra_degree_one: Sequence[int]) -> np.ndarray:
-    rows = []
-    for idx in extra_degree_one:
-        e = np.zeros(n_f, dtype=int)
-        e[idx] = 1
-        rows.append(e)
-    for degree in range(2, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n_f), degree):
-            e = np.zeros(n_f, dtype=int)
-            for i in combo:
-                e[i] += 1
-            rows.append(e)
-    if not rows:
-        return np.zeros((0, n_f), dtype=int)
-    return np.array(rows, dtype=int)
 
 
 def _pre_map(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
@@ -166,9 +111,6 @@ def _features(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
     """Dictionary features (beyond the identity block) for a batch of states.
     Exponents all 0 or 1 skip ``pow``; others keep one ``pow`` call, bit for bit."""
     F = _pre_map(spec, X)
-    if spec.kind == "rbf":
-        d2 = ((F[:, None, :] - spec.centers[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-d2 / (2.0 * spec.width**2))
     E = spec.exponents
     T = np.where(E == 1, F[:, None, :], 1.0) if spec._linear else F[:, None, :] ** E
     return np.multiply.reduce(T, axis=2)
@@ -385,7 +327,7 @@ def fit_edmd(
     return make_model(Theta[:, :n_z], Theta[:, n_z:], lifting, output_matrix)
 
 
-# --- disturbance estimation ------------------------------------------------------------
+# --- disturbance sets --------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DisturbanceModel:
@@ -417,61 +359,22 @@ def _zonotope_contains_origin(Z: Zonotope, tol: float = 1e-9) -> bool:
     return bool(res.status == 0)
 
 
-def estimate_disturbance_sets(
-    model: KoopmanModel, data: TrajectoryData, inflation: float = 1.0
-) -> DisturbanceModel:
-    """Axis-aligned residual bounds, symmetrized about their midpoint.
-
-    The process residual is ``psi(x+) - A psi(x) - B u`` per transition; the
-    measurement residual is ``x - C_x psi(x)`` per visited state (identically
-    zero for identity-augmented dictionaries).  Each residual range [lo, hi]
-    becomes an interval ``mid +- inflation * (hi - lo) / 2``.
-    """
-    if inflation < 1.0:
-        raise ValueError("inflation must be >= 1")
-    if not data.lengths.size:
-        raise ValueError("cannot estimate disturbance sets from empty data")
-    Z, rows = lift_many(model, data.states), data._transition_rows()
-    W_res = Z[rows + 1] - Z[rows] @ model.A.T - data.inputs @ model.B.T
-    V_res = data.states - Z @ model.C_x.T
-
-    def symmetric_box(res: np.ndarray) -> Zonotope:
-        lo, hi = res.min(axis=0), res.max(axis=0)
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        return Zonotope(center=mid, generators=np.diag(half * inflation))
-
-    return DisturbanceModel(W=symmetric_box(W_res), V=symmetric_box(V_res))
-
-
 # --- persistence -----------------------------------------------------------------------
 
 def _lifting_to_doc(spec: LiftingSpec) -> dict:
-    params: dict = {"pre": spec.pre}
-    if spec.kind == "polynomial":
-        params["max_degree"] = int(spec.max_degree)
-    elif spec.kind == "explicit":
-        params["exponents"] = spec.exponents.tolist()
-    else:
-        params["centers"] = spec.centers.tolist()
-        params["width"] = spec.width
-    return {"kind": spec.kind, "params": params}
+    return {"kind": spec.kind, "params": {"pre": spec.pre, "exponents": spec.exponents.tolist()}}
 
 
 def _lifting_from_doc(doc: dict, n_x: int) -> LiftingSpec:
-    """The lifting of a ``{"kind", "params"}`` document. A missing parameter
-    raises ValueError naming it; LiftingSpec rejects an unknown kind."""
+    """The lifting of a ``{"kind", "params"}`` document. An unknown kind is
+    named before ``params`` is read, and a missing ``exponents`` after it."""
     kind, params = doc.get("kind"), doc.get("params", {})
-    common = {"kind": kind, "n_x": n_x, "pre": params.get("pre", "identity")}
-    try:
-        if kind == "polynomial":
-            return LiftingSpec(**common, max_degree=params["max_degree"])
-        if kind == "explicit":
-            return LiftingSpec(**common, exponents=params["exponents"])
-        if kind == "rbf":
-            return LiftingSpec(**common, centers=params["centers"], width=params["width"])
-    except KeyError as exc:
-        raise ValueError(f"lifting.params of kind {kind!r} needs key {exc}") from None
-    return LiftingSpec(**common)
+    if kind not in _KINDS:
+        raise ValueError(f"unknown lifting kind {kind!r}")
+    if "exponents" not in params:
+        raise ValueError(f"lifting.params of kind {kind!r} needs key 'exponents'")
+    return LiftingSpec(kind=kind, n_x=n_x, pre=params.get("pre", "identity"),
+                       exponents=params.get("exponents"))
 
 
 def save_model(model: KoopmanModel, path) -> None:

@@ -185,8 +185,8 @@ def is_empty(P: HPolytope, tol: float = CONTAINS_TOL) -> bool:
 
 
 def contains(P: HPolytope, x, tol: float = CONTAINS_TOL) -> bool:
-    x = np.asarray(x, dtype=float).ravel()
-    return bool(np.all(P.normals @ x <= P.offsets + tol))
+    """Whether x lies in P up to ``tol``; a wrong-size point raises as in :func:`margin`."""
+    return margin(P, x) >= -tol
 
 
 def margin(P: HPolytope, x) -> float:

@@ -379,24 +379,6 @@ def fit_edmd_two_lifts(data, lifting, ridge=1e-8, output_matrix=None):
     return Theta[:, :n_z], Theta[:, n_z:]
 
 
-def disturbance_boxes_three_lifts(model, data, inflation=1.0):
-    """``estimate_disturbance_sets`` as it was written with three lifts (x, x+
-    and every state): the residuals psi(x+) - A psi(x) - B u and
-    x - C_x psi(x), each bounded by the box mid +- inflation * (hi - lo) / 2.
-    Returns the (center, generators) of W and of V."""
-    from koopmpc.model import lift_many
-
-    X, U, Xp = transitions(data)
-    W_res = lift_many(model, Xp) - lift_many(model, X) @ model.A.T - U @ model.B.T
-    states = np.vstack([s for s, _ in data.trajectories])
-    V_res = states - lift_many(model, states) @ model.C_x.T
-    boxes = []
-    for res in (W_res, V_res):
-        lo, hi = res.min(axis=0), res.max(axis=0)
-        boxes.append(((lo + hi) / 2.0, np.diag((hi - lo) / 2.0 * inflation)))
-    return boxes
-
-
 def minkowski_sum(Z1, Z2):
     """Zonotope Minkowski sum: centers add, generator lists concatenate."""
     from koopmpc.sets import Zonotope

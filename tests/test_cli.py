@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,12 +11,11 @@ from koopmpc import cli as cli_module
 from koopmpc import controller as controller_module
 from koopmpc import qp as qp_module
 from koopmpc.cli import main
-from koopmpc.gains import dlqr
 from koopmpc.model import (
     LiftingSpec,
-    estimate_disturbance_sets,
-    fit_edmd,
     load_model,
+    make_model,
+    save_model,
     save_trajectories,
 )
 from koopmpc.sets import (
@@ -24,7 +24,6 @@ from koopmpc.sets import (
     Zonotope,
     box_polytope,
     box_zonotope,
-    tighten_constraints,
 )
 from koopmpc.sim import generate_training_data, numerical_example_plant
 from oracles import numerical_example_matrices
@@ -206,15 +205,14 @@ def test_fit_rejects_a_non_integer_n_x_exit_2(tmp_path, capsys, n_x):
     assert not out_path.exists()
 
 
-def test_fit_rejects_an_rbf_center_too_large_for_a_float_exit_2(tmp_path, capsys):
-    # An integer too large for a float among the centers used to exit 1 with
-    # an OverflowError traceback.
+def test_fit_rejects_an_exponent_too_large_for_a_float_exit_2(tmp_path, capsys):
+    # A lifting file's integer too large for a float is named, not cast.
     csv_path, lift_path, out_path = tmp_path / "train.csv", tmp_path / "l.json", tmp_path / "m.json"
     write_training_csv(csv_path)
-    lift_path.write_text(json.dumps({"kind": "rbf", "n_x": 2, "ridge": 0.0,
-                                     "params": {"centers": [[10**400, 0.0]], "width": 1.0}}))
+    lift_path.write_text(json.dumps({"kind": "explicit", "n_x": 2, "ridge": 0.0,
+                                     "params": {"exponents": [[10**400, 0]]}}))
     assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
-    assert "centers holds an integer too large for a float" in capsys.readouterr().err
+    assert "exponents must be integers in [0, 2**63), got 1000" in capsys.readouterr().err
     assert not out_path.exists()
 
 
@@ -320,31 +318,6 @@ def test_tighten_writes_an_error_set_without_generators_under_a_longer_one(tmp_p
     assert main(["tighten", "scenario.json", str(out)]) == 0
     assert [Z["columns"] for Z in json.loads(out.read_text())["error_sets"]] == [0, 2]
     assert schedule_bits(read_schedule(out)) == schedule_bits(schedule)
-
-
-def test_tighten_estimated_disturbance_matches_the_library(tmp_path):
-    scenario = base_scenario(tmp_path, disturbance={"estimate": {"inflation": 1.5}})
-    out = tmp_path / "schedule.json"
-    assert main(["tighten", str(scenario), str(out)]) == 0
-    data = generate_training_data(
-        numerical_example_plant(), n_traj=150, traj_len=4, input_box=box_zonotope([3.0]),
-        state_box=box_zonotope([2.0, 2.0]), seed=0,
-    )
-    lifting = LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 0]])
-    model = fit_edmd(data, lifting, ridge=0.0, output_matrix=[[0.0, 1.0]])
-    disturbance = estimate_disturbance_sets(model, data, inflation=1.5)
-    assert np.any(disturbance.W.generators != 0.0)  # the fit is exact only up to roundoff
-    K = dlqr(model.A, model.B, np.eye(3), np.eye(1)).K
-    X, U = box_polytope([-5.0, -5.0], [5.0, 5.0]), box_polytope([-3.0], [3.0])
-    schedule = tighten_constraints(X, U, disturbance, model.A, model.B, K, model.C_x, 10)
-    doc = json.loads(out.read_text())
-    for key in ("state_sets", "input_sets"):
-        for got, want in zip(doc[key], getattr(schedule, key), strict=True):
-            assert np.array_equal(got["normals"], want.normals)
-            assert np.array_equal(got["offsets"], want.offsets)
-    for got, want in zip(read_schedule(out).error_sets, schedule.error_sets, strict=True):
-        assert np.array_equal(got.center, want.center)
-        assert np.array_equal(got.generators, want.generators)
 
 
 def test_tighten_zero_disturbance_keeps_raw_sets(tmp_path):
@@ -479,7 +452,7 @@ def scenario_with_key(tmp_path, block, key):
     ("references", "waypoint"),
     ("steady_grid", "xpoints"),
     ("lifting", "parms"),
-    ("lifting.params", "max_degree"),  # a key of the polynomial kind, on an explicit lifting
+    ("lifting.params", "max_degree"),  # a key of the removed polynomial kind
     ("disturbance.declared.W", "radius"),
     ("constraints.state", "mid"),
 ])
@@ -522,7 +495,8 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
                       "input": {"lo": [-3.0], "hi": [3.0]}}},
      "constraints.state: polytope data must be finite"),
     ({"data": {}}, "scenario 'data' must give exactly one of 'path' or 'generate'"),
-    ({"disturbance": {}}, "scenario 'disturbance' must give exactly one of 'declared' or 'estimate'"),
+    ({"disturbance": {}}, "scenario 'disturbance' must give 'declared'"),
+    ({"disturbance": [0.1, 0.1]}, "disturbance must be an object"),
     ({"references": {}}, "scenario 'references' must give 'timed' or 'waypoints'"),
     ({"plant": {"kind": "pendulum"}}, "unknown plant kind 'pendulum'"),
     ({"plant": {"kind": ["unicycle"]}}, "unknown plant kind ['unicycle']"),
@@ -533,17 +507,15 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
      "injected.W needs 'center' and 'half_extents' or 'generators'"),
     ({"lifting": {"kind": "explicit", "params": {"exponents": [[2.5, 0]]}}},
      "exponents must be integers in [0, 2**63), got 2.5"),
-    ({"lifting": {"kind": "polynomial", "params": {"max_degree": 2.0}}},
-     "polynomial lifting max_degree must be an integer >= 1, got 2.0"),
     (["not", "an", "object"], "must contain a JSON object"),
 ], ids=["injected.W-two-generator-forms", "constraints.state.hi-length",
         "lifting.params-missing-exponents", "injected.W-half-extents-length",
         "disturbance.declared.W-dim", "disturbance.declared.V-dim", "injected.W-dim",
         "injected-on-unicycle", "x0-length", "x0-nan", "constraints.state-infinite",
-        "data-neither", "disturbance-neither", "references-neither", "plant.kind-unknown",
+        "data-neither", "disturbance-neither", "disturbance-not-an-object", "references-neither", "plant.kind-unknown",
         "plant.kind-list", "lifting.kind-list",
         "controller-not-an-object", "injected.W-no-center", "lifting.exponents-fraction",
-        "lifting.max_degree-float", "scenario-not-an-object"])
+        "scenario-not-an-object"])
 def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, named):
     if isinstance(overrides, dict):
         scenario = base_scenario(tmp_path, **overrides)
@@ -552,6 +524,59 @@ def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, nam
         scenario.write_text(json.dumps(overrides))
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
     assert named in capsys.readouterr().err
+
+
+# Forms that no shipped scenario used and that were removed: each is refused by
+# name, before any training data is read, generated or fitted.
+REMOVED_FORMS = {
+    "scenario-polynomial": ("tighten", {"lifting": {"kind": "polynomial",
+                                                    "params": {"max_degree": 2}}},
+                            "unknown lifting kind 'polynomial'"),
+    "scenario-rbf": ("tighten", {"lifting": {"kind": "rbf", "params": {"centers": [[0.0, 0.0]],
+                                                                       "width": 1.0}}},
+                     "unknown lifting kind 'rbf'"),
+    "scenario-rbf-params-list": ("tighten", {"lifting": {"kind": "rbf", "params": [1.0]}},
+                                 "unknown lifting kind 'rbf'"),
+    "scenario-estimate": ("tighten", {"disturbance": {"estimate": {"inflation": 1.5}}},
+                          "unknown disturbance key 'estimate'"),
+    "scenario-estimate-beside-declared": (
+        "tighten", {"disturbance": {"declared": {"W": {"center": [0.0] * 3,
+                                                       "half_extents": [0.0] * 3}},
+                                    "estimate": {}}},
+        "unknown disturbance key 'estimate'"),
+    "fit-rbf": ("fit", {"kind": "rbf", "n_x": 2, "params": {"centers": [[0.0, 0.0]], "width": 1.0}},
+                "unknown lifting kind 'rbf'"),
+    "fit-polynomial": ("fit", {"kind": "polynomial", "n_x": 2, "params": {"max_degree": 2}},
+                       "unknown lifting kind 'polynomial'"),
+    "model-polynomial": ("load_model", {"kind": "polynomial", "params": {"max_degree": 2}},
+                         "unknown lifting kind 'polynomial'"),
+    "model-rbf": ("load_model", {"kind": "rbf", "params": {"centers": [[0.0, 0.0]], "width": 1.0}},
+                  "unknown lifting kind 'rbf'"),
+}
+
+
+@pytest.mark.parametrize("command, doc, named", REMOVED_FORMS.values(), ids=REMOVED_FORMS)
+def test_a_removed_form_is_refused_by_name_exit_2(tmp_path, capsys, monkeypatch, command, doc,
+                                                  named):
+    for name in ("generate_training_data", "load_trajectories", "fit_edmd"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
+    out = tmp_path / "out.json"
+    if command == "load_model":
+        lifting = LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 0]])
+        save_model(make_model(np.eye(3), np.zeros((3, 1)), lifting), out)
+        out.write_text(json.dumps(json.loads(out.read_text()) | {"lifting": doc}))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_model(out)
+        return
+    if command == "fit":
+        lifting_path = tmp_path / "lifting.json"
+        lifting_path.write_text(json.dumps(doc))
+        args = [str(tmp_path / "train.csv"), str(lifting_path), str(out)]
+    else:
+        args = [str(base_scenario(tmp_path, **doc)), str(out)]
+    assert main([command, *args]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_lifted_features_are_named_before_the_fit_exit_2(tmp_path, capfd):
@@ -610,10 +635,6 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
     ("ridge", "-1e-3", "ridge must be a finite number >= 0, got -0.001"),
     ("steady_grid.fp_tol", "true", "steady_grid.fp_tol must be a finite positive number"),
     ("steady_grid.fp_tol", '"1e-9"', "steady_grid.fp_tol must be a finite positive number"),
-    ("disturbance.estimate.inflation", '"2"',
-     "disturbance.estimate.inflation must be a finite number >= 1, got '2'"),
-    ("disturbance.estimate.inflation", "0.5",
-     "disturbance.estimate.inflation must be a finite number >= 1, got 0.5"),
     ("controller.Q", "true", "controller.Q must be a scalar or an 3x3 matrix"),
     ("controller.R", "true", "controller.R must be a scalar or an 1x1 matrix"),
     ("controller.lqr.Qk", "true", "controller.lqr.Qk must be a scalar or an 3x3 matrix"),
@@ -652,10 +673,8 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
      "data.generate.state_box.half_extents holds an integer too large for a float"),
     ("references", '{"waypoints": {"points": [[1.0]], "switch_radius": @big@}}',
      "references.waypoints.switch_radius must be a finite positive number, got 1000"),
-    ("lifting", '{"kind": "rbf", "params": {"centers": [[0.0, 0.0]], "width": @big@}}',
-     "rbf lifting width must be a finite positive number, got 1000"),
-    ("lifting", '{"kind": "rbf", "params": {"centers": [[@big@, 0.0]], "width": 1.0}}',
-     "centers holds an integer too large for a float"),
+    ("lifting", '{"kind": "explicit", "params": {"exponents": [[@big@, 0]]}}',
+     "exponents must be integers in [0, 2**63), got 1000"),
     ("controller.Q", "[[{}, 0, 0], [0, 1, 0], [0, 0, 1]]",
      "controller.Q must be a (nested) list of real numbers, got [[{}, 0, 0]"),
     ("constraints.input", '{"lo": [{}], "hi": [3.0]}',
@@ -672,15 +691,13 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
     ("controller.Q", "[[1, 0, 0], [0, 1], [0, 0, 1]]",
      "controller.Q must be a rectangular list, got [[1, 0, 0], [0, 1], [0, 0, 1]]"),
 ], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
-        "fp_tol-bool", "fp_tol-string", "inflation-string", "inflation-below-1", "Q-bool",
-        "R-bool", "Qk-bool", "Rk-bool", "dt-string", "dt-bool", "dt-zero", "lambda-string",
-        "lambda-bool", "lambda-nan-string", "mu-overflow", "lambda-big-int", "x0-big-int",
-        "s-big-int", "Q-big-int", "Q-entry-big-int", "Qk-big-int", "ridge-big-int",
-        "timed-target-big-int", "fp_tol-big-int", "constraints.state.hi-big-int",
-        "half_extents-big-int", "switch_radius-big-int", "rbf-width-big-int",
-        "rbf-centers-big-int", "Q-entry-object", "input.lo-object", "Q-entry-string",
-        "W.half_extents-string", "constraints.state.hi-string", "exponents-huge-int",
-        "Q-ragged"])
+        "fp_tol-bool", "fp_tol-string", "Q-bool", "R-bool", "Qk-bool", "Rk-bool", "dt-string",
+        "dt-bool", "dt-zero", "lambda-string", "lambda-bool", "lambda-nan-string", "mu-overflow",
+        "lambda-big-int", "x0-big-int", "s-big-int", "Q-big-int", "Q-entry-big-int", "Qk-big-int",
+        "ridge-big-int", "timed-target-big-int", "fp_tol-big-int", "constraints.state.hi-big-int",
+        "half_extents-big-int", "switch_radius-big-int", "exponents-big-int", "Q-entry-object",
+        "input.lo-object", "Q-entry-string", "W.half_extents-string", "constraints.state.hi-string",
+        "exponents-huge-int", "Q-ragged"])
 def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, dotted, text,
                                                 named):
     # Rejected with the key named before any data is generated or fitted:
@@ -694,8 +711,7 @@ def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, d
     # array-valued key ran.
     for name in ("generate_training_data", "fit_edmd"):
         monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
-    scenario = scenario_with_value(tmp_path, dotted, "@value@", steady_grid={},
-                                   disturbance={"estimate": {}})
+    scenario = scenario_with_value(tmp_path, dotted, "@value@", steady_grid={})
     text = text.replace("@big@", str(10**400)).replace("@huge@", str(10**29))
     scenario.write_text(scenario.read_text().replace('"@value@"', text))
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2

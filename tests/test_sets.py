@@ -253,6 +253,14 @@ def test_margin_names_both_dimensions_of_a_wrong_size_point(x):
         margin(box_polytope([-1.0, -1.0], [1.0, 1.0]), x)
 
 
+def test_contains_names_both_dimensions_of_a_wrong_size_point():
+    # This used to raise numpy's raw matmul error, naming neither set nor point.
+    P = box_polytope([-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="point of dimension 3 for a set of dimension 2"):
+        contains(P, [1.0, 2.0, 3.0])
+    assert not contains(P, [np.nan, 0.0])
+
+
 def test_sample_singleton_and_membership(rng):
     c = np.array([0.7, -0.3])
     singleton = Zonotope(center=c, generators=np.zeros((2, 0)))
