@@ -7,9 +7,14 @@ a :class:`~koopmpc.sets.TighteningSchedule`.  The offset term ``s * ||C_y z_s
 the tracking terms pull the trajectory toward the artificial target, which
 keeps the problem feasible even for unreachable or stepping references.
 
-The QP takes the lifted state z = psi(x_k) through the equality z(0) = z, and
-x(0) in X~(0) is one more block of its rows; it is built once, as a family of
-QPs in theta = (z, y_t), and solved at each step's theta. A loop lifts each
+The QP is condensed over the predictions that the tube gain K stabilises:
+its variables are the corrections c(j) of u(j) = K z(j) + c(j), the first
+lifted state z(0) and the steady pair, and the dynamics are maps rolled out
+once rather than rows (Rossiter, Kouvaritakis & Rice, Automatica 34(1), 1998),
+which keeps them well conditioned on an unstable model. The QP takes the
+lifted state z = psi(x_k) through the equality z(0) = z, and x(0) in X~(0)
+is one more block of its rows; it is built once, as a family of QPs in
+theta = (z, y_t), and solved at each step's theta. A loop lifts each
 measured state once, solves one :class:`TrackingProblem` with
 ``solve_step(problem, z, y_t)`` and checks the recursive-feasibility candidate
 ``shifted_candidate(problem, prev, z)``, a decision vector of the same QP
@@ -91,15 +96,16 @@ class NonlinearSteadyTarget:
 class KtmpcSolution:
     """Optimal trajectory, artificial target, and total cost J_N of one step's
     QP: its objective plus ``s * ||y_t||^2``, the constant the QP leaves out.
-    ``x_star`` is the QP's optimum, laid out by ``layout``; ``u_bar`` (N x n_u),
-    ``z_bar`` (N + 1 x n_z) and the target's z_s and u_s are views of it."""
+    ``x_star`` is the QP's optimum, laid out by ``layout``; ``u_bar`` (N x n_u)
+    and ``z_bar`` (N + 1 x n_z) are its predictions through the layout's maps,
+    and the target's z_s and u_s are views of it."""
 
     target: SteadyTarget
     total_cost: float
     x_star: np.ndarray
     layout: _Layout
-    u_bar = property(lambda self: self.layout.split(self.x_star)[0])
-    z_bar = property(lambda self: self.layout.split(self.x_star)[1])
+    u_bar = property(lambda self: self.layout.U @ self.x_star)
+    z_bar = property(lambda self: self.layout.Z @ self.x_star)
 
 
 @dataclass(frozen=True)
@@ -139,44 +145,40 @@ class GridSpec:
             raise ValueError("fp_tol must be positive")
 
 
-# --- layout of the decision vector [u(0..N-1); z(0..N); z_s; u_s] ----------------
+# --- the decision vector [c(0..N-1); z(0); z_s; u_s] and its predictions ----------
 
 class _Layout:
-    def __init__(self, N: int, n_z: int, n_u: int):
+    """Slices of the decision vector x = [c(0..N-1); z(0); z_s; u_s] and the
+    predictions it makes under the tube gain K, u(j) = K z(j) + c(j) and
+    z(j+1) = (A + BK) z(j) + B c(j), rolled out once as maps of x:
+    z(j) = Z[j] x for j = 0..N and u(j) = U[j] x for j = 0..N-1."""
+
+    def __init__(self, model: KoopmanModel, K: np.ndarray, N: int):
+        n_z, n_u = model.n_z, model.n_u
+        if K.shape != (n_u, n_z):
+            raise ValueError(f"tube gain K must be {n_u}x{n_z}, got shape {K.shape}")
         self.N, self.n_z, self.n_u = N, n_z, n_u
-        self._z0 = N * n_u
-        self.z_s = slice(self._z0 + (N + 1) * n_z, self._z0 + (N + 2) * n_z)
+        self.z0 = slice(N * n_u, N * n_u + n_z)
+        self.z_s = slice(self.z0.stop, self.z0.stop + n_z)
         self.u_s = slice(self.z_s.stop, self.z_s.stop + n_u)
         self.dim = self.u_s.stop
+        A_K, eye = model.A + model.B @ K, np.eye(self.dim)
+        self.Z = np.empty((N + 1, n_z, self.dim))
+        self.Z[0] = eye[self.z0]
+        for j in range(N):
+            np.matmul(A_K, self.Z[j], out=self.Z[j + 1])
+            self.Z[j + 1, :, self.c(j)] += model.B
+        self.U = K @ self.Z[:N] + eye[: N * n_u].reshape(N, n_u, self.dim)
 
-    def u(self, j: int) -> slice:
+    def c(self, j: int) -> slice:
         return slice(j * self.n_u, (j + 1) * self.n_u)
 
-    def z(self, j: int) -> slice:  # j = 0..N
-        return slice(self._z0 + j * self.n_z, self._z0 + (j + 1) * self.n_z)
 
-    def split(self, x: np.ndarray):
-        """Views (u(0..N-1), z(0..N), z_s, u_s) of ``x`` along its first axis,
-        which may carry trailing dimensions; writing to one writes to ``x``."""
-        rest = x.shape[1:]
-        return (
-            x[: self._z0].reshape(self.N, self.n_u, *rest),
-            x[self._z0 : self.z_s.start].reshape(self.N + 1, self.n_z, *rest),
-            x[self.z_s],
-            x[self.u_s],
-        )
-
-
-def _inequality_blocks(model: KoopmanModel, schedule: TighteningSchedule, lay: _Layout):
-    """The tracking QP's inequality blocks in row order, as (set, columns, map into the
-    set's space): U~(0..N-1) on u(j), X~(0..N-1) on z(j), X~(N) on z_s, U~(N) on u_s."""
-    N = lay.N
-    for j in range(N):
-        yield schedule.input_sets[j], lay.u(j), None
-    for j in range(N):
-        yield schedule.state_sets[j], lay.z(j), model.C_x
-    yield schedule.state_sets[N], lay.z_s, model.C_x
-    yield schedule.input_sets[N], lay.u_s, None
+def _inequality_blocks(schedule: TighteningSchedule) -> list:
+    """The sets of the tracking QP's inequality blocks, in row order: U~(0..N-1)
+    on u(j), X~(0..N-1) on C_x z(j), X~(N) on C_x z_s and U~(N) on u_s."""
+    N = schedule.horizon
+    return [*schedule.input_sets[:N], *schedule.state_sets, schedule.input_sets[N]]
 
 
 # --- steady-target optimizers ---------------------------------------------------
@@ -262,82 +264,69 @@ def build_qp(
     model: KoopmanModel,
     config: KtmpcConfig,
     schedule: TighteningSchedule,
+    layout: _Layout | None = None,
 ) -> qps.QuadraticProgram:
-    """Assemble the sparse tracking QP, a family in ``theta = (z_k, y_t)``
-    with ``z_k = psi(x_k)`` the lifted state and ``y_t`` the reference.
+    """Assemble the tracking QP, condensed over the predictions of
+    :class:`_Layout`, as a family in ``theta = (z_k, y_t)`` with
+    ``z_k = psi(x_k)`` the lifted state and ``y_t`` the reference.
 
-    Decision vector: ``[u(0..N-1); z(0..N); z_s; u_s]``. The first ``n_z``
-    equality rows pin ``z(0) = z_k``; then come the dynamics
-    ``z(j+1) = A z(j) + B u(j)`` for j = 0..N-1, the steady pair and the
-    terminal equality ``z(N) = z_s``. The inequality rows are the blocks of
-    :func:`_inequality_blocks`, ``x(0) in X~(0)`` among them. Only the
-    pinned right-hand side and the offset's linear cost of ``z_s``,
-    ``-2 s C_y' y_t``, depend on theta.
+    Decision vector: ``[c(0..N-1); z(0); z_s; u_s]``, where
+    ``u(j) = K z(j) + c(j)`` for the tube gain ``K = config.K``, so the
+    dynamics are the layout's maps rather than rows. The first ``n_z``
+    equality rows pin ``z(0) = z_k``; then come the steady pair and the
+    terminal equality ``z(N) = z_s``, 3 n_z rows in all. The inequality rows
+    are the blocks of :func:`_inequality_blocks`, ``x(0) in X~(0)`` among
+    them. Only the pinned right-hand side and the offset's linear cost of
+    ``z_s``, ``-2 s C_y' y_t``, depend on theta. A caller that holds the
+    layout of (model, config) passes it as ``layout`` and saves its rollout.
     """
     N, n_z, n_u = config.N, model.n_z, model.n_u
     if schedule.horizon != N:
         raise ValueError(f"schedule horizon {schedule.horizon} != config horizon {N}")
     if config.Q.shape != (n_z, n_z) or config.R.shape != (n_u, n_u):
         raise ValueError("Q/R dimensions do not match the model")
-    if config.K.shape != (n_u, n_z):
-        raise ValueError(f"tube gain K must be {n_u}x{n_z}, got shape {config.K.shape}")
-    lay = _Layout(N, n_z, n_u)
-    Q2, R2 = 2.0 * config.Q, 2.0 * config.R
+    lay = _Layout(model, config.K, N) if layout is None else layout
+    eye = np.eye(lay.dim)
 
-    # Stage costs ||z(j) - z_s||_Q^2 + ||u(j) - u_s||_R^2, j = 0..N-1, and the offset.
-    P = np.zeros((lay.dim, lay.dim))
-    q = np.zeros(lay.dim)
-    for j in range(N):
-        for v, v_s, W2 in ((lay.u(j), lay.u_s, R2), (lay.z(j), lay.z_s, Q2)):
-            P[v, v] = W2
-            P[v, v_s] = P[v_s, v] = -W2
-    P[lay.u_s, lay.u_s] = N * R2
-    P[lay.z_s, lay.z_s] = N * Q2 + 2.0 * config.s * model.C_y.T @ model.C_y
+    # Stage costs ||z(j) - z_s||_Q^2 + ||u(j) - u_s||_R^2, j = 0..N-1, from one
+    # stacked product of their maps D, and the offset.
+    D_z, D_u = lay.Z[:N] - eye[lay.z_s], lay.U - eye[lay.u_s]
+    D = np.concatenate((D_z, D_u), axis=1).reshape(-1, lay.dim)
+    WD = np.concatenate((config.Q @ D_z, config.R @ D_u), axis=1).reshape(-1, lay.dim)
+    P = 2.0 * D.T @ WD
+    P[lay.z_s, lay.z_s] += 2.0 * config.s * model.C_y.T @ model.C_y
 
-    # Equality row blocks, n_z rows each, as (columns, coefficient) terms.
-    eye, A, B = np.eye(n_z), model.A, model.B
-    eq_blocks = [[(lay.z(0), eye)]]
-    eq_blocks += [[(lay.z(j + 1), eye), (lay.z(j), -A), (lay.u(j), -B)] for j in range(N)]
-    eq_blocks += [[(lay.z_s, eye - A), (lay.u_s, -B)], [(lay.z(N), eye), (lay.z_s, -eye)]]
-    A_eq = np.zeros((len(eq_blocks) * n_z, lay.dim))
-    b_eq = np.zeros(len(eq_blocks) * n_z)
-    for i, terms in enumerate(eq_blocks):
-        for cols, M in terms:
-            A_eq[i * n_z : (i + 1) * n_z, cols] = M
+    # Equality rows: z(0) = z_k, the steady pair (I - A) z_s = B u_s, and z(N) = z_s.
+    A_eq = np.zeros((3 * n_z, lay.dim))
+    A_eq[:n_z, lay.z0] = np.eye(n_z)
+    A_eq[n_z : 2 * n_z, lay.z_s], A_eq[n_z : 2 * n_z, lay.u_s] = np.eye(n_z) - model.A, -model.B
+    A_eq[2 * n_z :] = lay.Z[N] - eye[lay.z_s]
 
-    rows_A, rows_b = [], []
-    for S, cols, through in _inequality_blocks(model, schedule, lay):
-        block = np.zeros((S.normals.shape[0], lay.dim))
-        block[:, cols] = S.normals if through is None else S.normals @ through
-        rows_A.append(block)
-        rows_b.append(S.offsets)
-
-    F_eq = np.zeros((A_eq.shape[0], n_z + model.n_y))
+    blocks = _inequality_blocks(schedule)
+    maps = [*lay.U, *(model.C_x @ lay.Z[:N]), model.C_x @ eye[lay.z_s], eye[lay.u_s]]
+    F_eq = np.zeros((3 * n_z, n_z + model.n_y))
     F_q = np.zeros((lay.dim, n_z + model.n_y))
-    F_eq[:n_z, :n_z], F_q[lay.z_s, n_z:] = eye, -2.0 * config.s * model.C_y.T
+    F_eq[:n_z, :n_z], F_q[lay.z_s, n_z:] = np.eye(n_z), -2.0 * config.s * model.C_y.T
     return qps.QuadraticProgram(
-        P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=np.vstack(rows_A), b_in=np.concatenate(rows_b),
-        F_q=F_q, F_eq=F_eq,
+        P=P, q=np.zeros(lay.dim), A_eq=A_eq, b_eq=np.zeros(3 * n_z),
+        A_in=np.vstack([S.normals @ M for S, M in zip(blocks, maps)]),
+        b_in=np.concatenate([S.offsets for S in blocks]), F_q=F_q, F_eq=F_eq,
     )
 
 
-def _candidate_map(model: KoopmanModel, K: np.ndarray, lay: _Layout) -> np.ndarray:
+def _candidate_map(K: np.ndarray, lay: _Layout) -> np.ndarray:
     """The shifted candidate of :func:`shifted_candidate` as one linear map:
     ``x_c = L @ [x*; z_next]``, with ``x*`` the previous optimum as a decision
-    vector. Every step of the candidate's rollout is linear, so rolling it out
-    once on the identity gives ``L``, of shape dim x (dim + n_z)."""
-    eye = np.eye(lay.dim + model.n_z)
-    u, z, z_s, u_s = lay.split(eye[: lay.dim])
-    L = np.empty((lay.dim, eye.shape[1]))
-    u_c, z_c, z_sc, u_sc = lay.split(L)
-    z_c[0] = eye[lay.dim :]
-    for j in range(lay.N - 1):
-        u_c[j] = u[j + 1] + K @ (z_c[j] - z[j + 1])
-        z_c[j + 1] = model.A @ z_c[j] + model.B @ u_c[j]
-    u_c[lay.N - 1] = u_s
-    z_c[lay.N] = model.A @ z_c[lay.N - 1] + model.B @ u_c[lay.N - 1]
-    z_sc[:] = z_s
-    u_sc[:] = u_s
+    vector, of shape dim x (dim + n_z). The candidate shifts the corrections,
+    ``c_c(j) = c*(j+1)`` for j < N-1, starts at ``z_c(0) = z_next``, keeps the
+    steady pair and closes with ``c_c(N-1) = u_s* - K z_c(N-1)``, so that
+    ``u_c(N-1) = u_s*``; z_c(N-1) = Z[N-1] x_c does not depend on c_c(N-1),
+    so that last block is one product with the rows before it."""
+    N, n_z, n_u, d = lay.N, lay.n_z, lay.n_u, lay.dim
+    L = np.zeros((d, d + n_z))
+    L[: (N - 1) * n_u, n_u : N * n_u] = np.eye((N - 1) * n_u)
+    L[lay.z0, d:], L[lay.z_s, lay.z_s], L[lay.u_s, lay.u_s] = np.eye(n_z), np.eye(n_z), np.eye(n_u)
+    L[lay.c(N - 1)] = L[lay.u_s] - K @ (lay.Z[N - 1] @ L)
     return L
 
 
@@ -348,7 +337,9 @@ class TrackingProblem:
     ``qp`` at ``theta = (psi(x_k), y_t)``, which enters only as ``b_eq[:n_z]``
     and the linear cost of ``z_s``, and each new reference ``steady_qp`` at
     ``theta = y_t`` (:func:`solve_steady`); the solver keeps each one's
-    theta-columns and the map of its stored support. ``block_starts`` holds
+    theta-columns and the map of its stored support. ``layout`` holds the
+    predictions of :class:`_Layout`, rolled out once for the QP, the
+    candidate and each solution's ``u_bar`` and ``z_bar``. ``block_starts`` holds
     the first ``A_in`` row of each inequality block, in :func:`build_qp`'s
     order, ``candidate_map`` the map of :func:`_candidate_map` and
     ``candidate_rows`` the QP's inequality rows through it, ``A_in @ candidate_map``, and
@@ -360,11 +351,11 @@ class TrackingProblem:
         if any(S.offsets.size == 0 for S in (*schedule.state_sets, *schedule.input_sets)):
             raise ValueError("every set of the tightening schedule needs at least one row")
         self.model, self.config, self.schedule = model, config, schedule
-        self.layout = _Layout(config.N, model.n_z, model.n_u)
-        self.qp = build_qp(model, config, schedule)
-        rows = [S.offsets.size for S, _, _ in _inequality_blocks(model, schedule, self.layout)]
+        self.layout = _Layout(model, config.K, config.N)
+        self.qp = build_qp(model, config, schedule, self.layout)
+        rows = [S.offsets.size for S in _inequality_blocks(schedule)]
         self.block_starts = np.cumsum([0] + rows[:-1])
-        self.candidate_map = _candidate_map(model, config.K, self.layout)
+        self.candidate_map = _candidate_map(config.K, self.layout)
         self.candidate_rows = self.qp.A_in @ self.candidate_map
         self.steady_qp = _steady_qp(model, schedule, config.s)
         self.steady_targets: dict[bytes, SteadyTarget] = {}
@@ -372,8 +363,9 @@ class TrackingProblem:
 
 def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSolution]:
     """Solve the tracking QP of ``problem`` at the lifted state ``z_k`` and
-    return the first input to apply. A state outside X~(0) makes the QP
-    infeasible, certified like any other infeasible step."""
+    return the first input to apply, ``u_k = K z*(0) + c*(0)``. A state
+    outside X~(0) makes the QP infeasible, certified like any other
+    infeasible step."""
     model, config, lay = problem.model, problem.config, problem.layout
     z_k = _as_vector(z_k, model.n_z, "z_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
@@ -384,7 +376,8 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
     x = sol.x_star
     target = _steady_target(model, config.s, x[lay.z_s], x[lay.u_s], y_t)
     J_N = sol.objective + config.s * float(y_t @ y_t)
-    return x[: model.n_u].copy(), KtmpcSolution(target=target, total_cost=J_N, x_star=x, layout=lay)
+    u_k = config.K.dot(x[lay.z0]) + x[lay.c(0)]  # .dot skips the ufunc machinery of @
+    return u_k, KtmpcSolution(target=target, total_cost=J_N, x_star=x, layout=lay)
 
 
 def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:
@@ -404,10 +397,11 @@ def shifted_candidate(problem: TrackingProblem, prev: KtmpcSolution, z_next) -> 
     and tracks the shifted previous trajectory under the tube gain
     ``K = config.K``, ``u_c(j) = u*(j+1) + K (z_c(j) - z*(j+1))``, finishing
     with the previous steady input; the previous steady pair is reused as the
-    candidate target. That rollout is linear in the previous optimum and
-    ``z_next``, a decision vector ``x_c = candidate_map @ [x*; z_next]``, so
-    its row values are one product with ``problem.candidate_rows`` and x_c
-    itself is never formed.
+    candidate target. With ``u(j) = K z(j) + c(j)`` that is a plain shift of
+    the corrections, ``c_c(j) = c*(j+1)``, closed by
+    ``c_c(N-1) = u_s* - K z_c(N-1)`` (:func:`_candidate_map`): a decision
+    vector ``x_c = candidate_map @ [x*; z_next]``, so its row values are one
+    product with ``problem.candidate_rows`` and x_c itself is never formed.
     """
     z_next = _as_vector(z_next, problem.model.n_z, "z_next")
     rows = problem.candidate_rows @ np.concatenate((prev.x_star, z_next))

@@ -367,10 +367,16 @@ def _lifting_to_doc(spec: LiftingSpec) -> dict:
 
 def _lifting_from_doc(doc: dict, n_x: int) -> LiftingSpec:
     """The lifting of a ``{"kind", "params"}`` document. An unknown kind is
-    named before ``params`` is read, and a missing ``exponents`` after it."""
+    named before ``params`` is read, and a missing ``exponents`` after it; a
+    ``doc`` or ``params`` that is not an object is named as ``lifting`` or
+    ``lifting.params``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"lifting must be an object, got {doc!r}")
     kind, params = doc.get("kind"), doc.get("params", {})
     if kind not in _KINDS:
         raise ValueError(f"unknown lifting kind {kind!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"lifting.params must be an object, got {params!r}")
     if "exponents" not in params:
         raise ValueError(f"lifting.params of kind {kind!r} needs key 'exponents'")
     return LiftingSpec(kind=kind, n_x=n_x, pre=params.get("pre", "identity"),

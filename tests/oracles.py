@@ -567,3 +567,135 @@ def save_log_csv_with_csv_writer(log, path):
             row.append(int(log.feasible[i]))
             row.append(repr(float(log.margin_min[i])))
             writer.writerow(row)
+
+
+# --- the sparse tracking QP: the controller's assembly before it was condensed -------------
+
+class SparseLayout:
+    """Slices of the sparse decision vector [u(0..N-1); z(0..N); z_s; u_s]."""
+
+    def __init__(self, N: int, n_z: int, n_u: int):
+        self.N, self.n_z, self.n_u = N, n_z, n_u
+        self._z0 = N * n_u
+        self.z_s = slice(self._z0 + (N + 1) * n_z, self._z0 + (N + 2) * n_z)
+        self.u_s = slice(self.z_s.stop, self.z_s.stop + n_u)
+        self.dim = self.u_s.stop
+
+    def u(self, j: int) -> slice:
+        return slice(j * self.n_u, (j + 1) * self.n_u)
+
+    def z(self, j: int) -> slice:  # j = 0..N
+        return slice(self._z0 + j * self.n_z, self._z0 + (j + 1) * self.n_z)
+
+    def split(self, x: np.ndarray):
+        """Views (u(0..N-1), z(0..N), z_s, u_s) of ``x`` along its first axis,
+        which may carry trailing dimensions; writing to one writes to ``x``."""
+        rest = x.shape[1:]
+        return (
+            x[: self._z0].reshape(self.N, self.n_u, *rest),
+            x[self._z0 : self.z_s.start].reshape(self.N + 1, self.n_z, *rest),
+            x[self.z_s],
+            x[self.u_s],
+        )
+
+
+def sparse_inequality_blocks(model, schedule, lay: SparseLayout):
+    """The tracking QP's inequality blocks in row order, as (set, columns, map into the
+    set's space): U~(0..N-1) on u(j), X~(0..N-1) on z(j), X~(N) on z_s, U~(N) on u_s."""
+    N = lay.N
+    for j in range(N):
+        yield schedule.input_sets[j], lay.u(j), None
+    for j in range(N):
+        yield schedule.state_sets[j], lay.z(j), model.C_x
+    yield schedule.state_sets[N], lay.z_s, model.C_x
+    yield schedule.input_sets[N], lay.u_s, None
+
+
+def sparse_tracking_qp(model, config, schedule):
+    """The tracking QP in its sparse form, a family in ``theta = (z_k, y_t)``
+    with ``z_k = psi(x_k)`` the lifted state and ``y_t`` the reference.
+
+    Decision vector: ``[u(0..N-1); z(0..N); z_s; u_s]``. The first ``n_z``
+    equality rows pin ``z(0) = z_k``; then come the dynamics
+    ``z(j+1) = A z(j) + B u(j)`` for j = 0..N-1, the steady pair and the
+    terminal equality ``z(N) = z_s``. The inequality rows are the blocks of
+    :func:`sparse_inequality_blocks`, ``x(0) in X~(0)`` among them, in the
+    order of the condensed QP's. Only the pinned right-hand side and the
+    offset's linear cost of ``z_s``, ``-2 s C_y' y_t``, depend on theta.
+    """
+    from koopmpc import qp as qps
+
+    N, n_z, n_u = config.N, model.n_z, model.n_u
+    if schedule.horizon != N:
+        raise ValueError(f"schedule horizon {schedule.horizon} != config horizon {N}")
+    if config.Q.shape != (n_z, n_z) or config.R.shape != (n_u, n_u):
+        raise ValueError("Q/R dimensions do not match the model")
+    if config.K.shape != (n_u, n_z):
+        raise ValueError(f"tube gain K must be {n_u}x{n_z}, got shape {config.K.shape}")
+    lay = SparseLayout(N, n_z, n_u)
+    Q2, R2 = 2.0 * config.Q, 2.0 * config.R
+
+    # Stage costs ||z(j) - z_s||_Q^2 + ||u(j) - u_s||_R^2, j = 0..N-1, and the offset.
+    P = np.zeros((lay.dim, lay.dim))
+    q = np.zeros(lay.dim)
+    for j in range(N):
+        for v, v_s, W2 in ((lay.u(j), lay.u_s, R2), (lay.z(j), lay.z_s, Q2)):
+            P[v, v] = W2
+            P[v, v_s] = P[v_s, v] = -W2
+    P[lay.u_s, lay.u_s] = N * R2
+    P[lay.z_s, lay.z_s] = N * Q2 + 2.0 * config.s * model.C_y.T @ model.C_y
+
+    # Equality row blocks, n_z rows each, as (columns, coefficient) terms.
+    eye, A, B = np.eye(n_z), model.A, model.B
+    eq_blocks = [[(lay.z(0), eye)]]
+    eq_blocks += [[(lay.z(j + 1), eye), (lay.z(j), -A), (lay.u(j), -B)] for j in range(N)]
+    eq_blocks += [[(lay.z_s, eye - A), (lay.u_s, -B)], [(lay.z(N), eye), (lay.z_s, -eye)]]
+    A_eq = np.zeros((len(eq_blocks) * n_z, lay.dim))
+    b_eq = np.zeros(len(eq_blocks) * n_z)
+    for i, terms in enumerate(eq_blocks):
+        for cols, M in terms:
+            A_eq[i * n_z : (i + 1) * n_z, cols] = M
+
+    rows_A, rows_b = [], []
+    for S, cols, through in sparse_inequality_blocks(model, schedule, lay):
+        block = np.zeros((S.normals.shape[0], lay.dim))
+        block[:, cols] = S.normals if through is None else S.normals @ through
+        rows_A.append(block)
+        rows_b.append(S.offsets)
+
+    F_eq = np.zeros((A_eq.shape[0], n_z + model.n_y))
+    F_q = np.zeros((lay.dim, n_z + model.n_y))
+    F_eq[:n_z, :n_z], F_q[lay.z_s, n_z:] = eye, -2.0 * config.s * model.C_y.T
+    return qps.QuadraticProgram(
+        P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=np.vstack(rows_A), b_in=np.concatenate(rows_b),
+        F_q=F_q, F_eq=F_eq,
+    )
+
+
+def sparse_candidate_map(model, K, lay: SparseLayout) -> np.ndarray:
+    """The shifted candidate on the sparse decision vector as one linear map:
+    ``x_c = L @ [x*; z_next]``, with ``x*`` the previous sparse optimum. Every
+    step of the candidate's rollout is linear, so rolling it out once on the
+    identity gives ``L``, of shape dim x (dim + n_z)."""
+    eye = np.eye(lay.dim + model.n_z)
+    u, z, z_s, u_s = lay.split(eye[: lay.dim])
+    L = np.empty((lay.dim, eye.shape[1]))
+    u_c, z_c, z_sc, u_sc = lay.split(L)
+    z_c[0] = eye[lay.dim :]
+    for j in range(lay.N - 1):
+        u_c[j] = u[j + 1] + K @ (z_c[j] - z[j + 1])
+        z_c[j + 1] = model.A @ z_c[j] + model.B @ u_c[j]
+    u_c[lay.N - 1] = u_s
+    z_c[lay.N] = model.A @ z_c[lay.N - 1] + model.B @ u_c[lay.N - 1]
+    z_sc[:] = z_s
+    u_sc[:] = u_s
+    return L
+
+
+def sparse_from_condensed(layout) -> np.ndarray:
+    """The map T of a condensed decision vector x = [c(0..N-1); z(0); z_s; u_s]
+    (of the controller's ``_Layout``) to the sparse one, T x =
+    [u(0..N-1); z(0..N); z_s; u_s], through the layout's prediction maps."""
+    eye = np.eye(layout.dim)
+    return np.vstack([layout.U.reshape(-1, layout.dim), layout.Z.reshape(-1, layout.dim),
+                      eye[layout.z_s], eye[layout.u_s]])

@@ -941,7 +941,7 @@ def test_simulate_reference_beyond_the_state_bound_exit_0(tmp_path, capsys):
 
 
 def test_simulate_singular_reduced_hessian_exit_6(tmp_path, capsys, monkeypatch):
-    # Z'PZ must be positive definite. Variable 0 is u(0), which null(A_eq)
+    # Z'PZ must be positive definite. Variable 0 is c(0), which null(A_eq)
     # moves: P = e0 e0' leaves Z'PZ of rank 1, singular; the tracking P with
     # P[0, 0] = -1e6 leaves it with one negative eigenvalue, indefinite.
     build = controller_module.build_qp

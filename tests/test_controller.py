@@ -236,15 +236,19 @@ def test_steady_nonlinear_zero_input_family():
 def test_build_qp_dimensions_horizon_one():
     model, config, schedule = make_setup(N=1)
     qp = build_qp(model, config, schedule)
-    assert qp.dim == 1 + 3 + 3 + 3 + 1  # u(0), z(0), z(1), z_s, u_s
-    assert qp.A_eq.shape[0] == 12  # initial state 3 + dynamics 3 + steady 3 + terminal 3
+    assert qp.dim == 1 + 3 + 3 + 1  # c(0), z(0), z_s, u_s
+    assert qp.A_eq.shape[0] == 9  # initial state 3 + steady 3 + terminal 3
     # theta = (psi(x_k), y_t): the first 3 equality rows pin z(0), and y_t sets
-    # the linear cost of z_s (variables 7..9) alone.
+    # the linear cost of z_s (variables 4..6) alone.
     z_k = lift(model, [0.5, 0.5])
     b_eq = qp.b_eq + qp.F_eq @ np.concatenate([z_k, [1.0]])
     assert np.array_equal(b_eq[:3], z_k) and not b_eq[3:].any()
-    assert not np.delete(qp.F_q, [7, 8, 9], axis=0).any() and not qp.F_q[:, :3].any()
-    assert np.array_equal(qp.F_q[7:10, 3:], -2.0 * config.s * model.C_y.T)
+    assert np.array_equal(qp.A_eq[:3], np.eye(8)[1:4])
+    assert not np.delete(qp.F_q, [4, 5, 6], axis=0).any() and not qp.F_q[:, :3].any()
+    assert np.array_equal(qp.F_q[4:7, 3:], -2.0 * config.s * model.C_y.T)
+    # The terminal rows: z(1) = (A + BK) z(0) + B c(0) equals z_s.
+    A_K = model.A + model.B @ config.K
+    assert np.array_equal(qp.A_eq[6:], np.hstack([model.B, A_K, -np.eye(3), np.zeros((3, 1))]))
     # Inequalities: u(0) box 2, X~(0) box 4, steady state box 4, steady input box 2.
     assert qp.A_in.shape[0] == 12
 
@@ -404,6 +408,11 @@ def candidate(problem, prev, z_next):
     return problem.candidate_map @ np.concatenate((prev.x_star, z_next))
 
 
+def predictions(problem, x):
+    """The inputs u(0..N-1) and lifted states z(0..N) that the decision vector x predicts."""
+    return problem.layout.U @ x, problem.layout.Z @ x
+
+
 def test_shifted_candidate_nominal_margins():
     model, config, schedule = make_setup(N=5)
     x = np.array([0.0, -1.0])
@@ -411,7 +420,7 @@ def test_shifted_candidate_nominal_margins():
     u_k, sol = solve_step(problem, lift(model, x), y_t=[1.0])
     z_next = lift(model, nominal_step(model, x, u_k))
     margins = shifted_candidate(problem, sol, z_next)
-    u_c, z_c, _, _ = problem.layout.split(candidate(problem, sol, z_next))
+    u_c, z_c = predictions(problem, candidate(problem, sol, z_next))
     assert np.array_equal(z_c[0], z_next)
     assert margins.shape == (2 * 5 + 2,)  # one worst margin per inequality block
     assert margins.min() >= -1e-9
@@ -440,7 +449,7 @@ def test_shifted_candidate_disturbed_run_stays_feasible(rng):
         assert margins.min() >= -1e-9, margins
         x_c = candidate(problem, sol, lift(model, x))
     # The applied disturbance moves the candidate off the terminal equality.
-    assert np.max(np.abs(problem.layout.split(x_c)[1][-1] - sol.target.z_s)) > 0.0
+    assert np.max(np.abs(predictions(problem, x_c)[1][-1] - sol.target.z_s)) > 0.0
 
 
 def test_shifted_candidate_detects_excess_disturbance():

@@ -319,12 +319,20 @@ def test_model_json_roundtrip_is_bit_faithful(tmp_path, rng):
      "lifting.params of kind 'explicit' needs key 'exponents'"),
     (lambda doc: doc | {"lifting": {"params": {"exponents": [[2, 0]]}}},
      "unknown lifting kind None"),
+    (lambda doc: doc | {"lifting": 5}, "lifting must be an object, got 5"),
+    (lambda doc: doc | {"lifting": [1]}, "lifting must be an object, got [1]"),
+    (lambda doc: doc | {"lifting": "x"}, "lifting must be an object, got 'x'"),
+    (lambda doc: doc | {"lifting": {"kind": "explicit", "params": 5}},
+     "lifting.params must be an object, got 5"),
 ], ids=["invalid-json", "missing-B", "missing-n_y", "n_u-mismatch", "n_z-mismatch",
         "n_x-fraction", "n_x-string", "n_u-fraction", "n_z-string", "A-big-int", "C_y-big-int",
-        "exponents-big-int", "lifting-missing-exponents", "lifting-missing-kind"])
+        "exponents-big-int", "lifting-missing-exponents", "lifting-missing-kind",
+        "lifting-number", "lifting-list", "lifting-string", "lifting-params-number"])
 def test_load_model_refuses_a_malformed_file_by_name(tmp_path, edit, named):
     # A declared size used to be cast with int(): "n_x": 2.5 or "2" loaded as 2,
-    # and an integer too large for a float raised OverflowError.
+    # and an integer too large for a float raised OverflowError. A lifting
+    # that is not an object raised a raw AttributeError, and a params that is
+    # not one read as "missing required model fields".
     path = tmp_path / "model.json"
     save_model(benchmark_model(), path)
     doc = edit(json.loads(path.read_text()))

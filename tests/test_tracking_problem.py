@@ -1,6 +1,7 @@
 """The parametric tracking QP (`TrackingProblem`, a family in theta =
 (psi(x_k), y_t)) against its reference assembly (the p = 0 QP of `build_qp`
-at theta + `qp.solve`), the certified halt of the unicycle course,
+at theta + `qp.solve`) and against the sparse QP it condenses
+(`oracles.sparse_tracking_qp`), the certified halt of the unicycle course,
 and the shifted candidate, one product with a precomputed map, against its
 step-by-step rollout and its row-read margins against the per-set formula."""
 
@@ -300,24 +301,27 @@ def test_generated_columns_give_the_all_column_result_along_the_closed_loop(
     assert sum(misses) == expected
 
 
-@pytest.mark.parametrize("name, rank", [("a2", 37), ("unicycle_square", 115)])
+@pytest.mark.parametrize("name, rank", [("a2", 7), ("unicycle_square", 15)])
 def test_null_basis_and_pinv_of_the_tracking_equalities(stacks, name, rank):
-    # a2's A_eq has rank 37 of its 39 rows, so its pseudo-inverse goes through
-    # the second QR; the unicycle's 115 rows are independent.
+    # The condensed A_eq has 3 n_z rows: z(0), the steady pair and z(N) = z_s.
+    # a2's has rank 7 of its 9 rows (its first lifted coordinate, and its
+    # square, are uncontrollable), so its pseudo-inverse goes through the
+    # second QR; the unicycle's 15 rows are independent.
     stack = stacks[name]
     A_eq = build_qp(stack.model, stack.config, stack.schedule).A_eq
+    assert A_eq.shape[0] == 3 * stack.model.n_z
     assert np.linalg.matrix_rank(A_eq) == rank
     assert_null_basis_and_pinv(A_eq)
 
 
 def test_a2_inconsistent_equalities_are_certified_by_the_least_squares_residual(stacks, logs):
-    # a2's A_eq has rank 37 of its 39 rows. One more parameter, along a left
+    # a2's A_eq has rank 7 of its 9 rows. One more parameter, along a left
     # null vector of A_eq, makes the equalities inconsistent at 1 and leaves
     # them alone at 0: the first is certified by the residual of x_p, with no
     # multipliers, and the second solves as the loop's family does.
     stack, log = stacks["a2"], logs["a2"]
     family = build_qp(stack.model, stack.config, stack.schedule)
-    assert family.A_eq.shape[0] == 39 and np.linalg.matrix_rank(family.A_eq) == 37
+    assert family.A_eq.shape[0] == 9 and np.linalg.matrix_rank(family.A_eq) == 7
     left = np.linalg.svd(family.A_eq)[0][:, -1:]
     qp = dataclasses.replace(family, F_q=np.hstack([family.F_q, np.zeros((family.dim, 1))]),
                              F_eq=np.hstack([family.F_eq, left]))
@@ -657,11 +661,11 @@ def test_a_state_on_a_face_of_the_initial_set_is_solved(stacks, problems, logs, 
 
 # --- the shifted candidate against its rollout, and its margins read off the QP's rows -----
 
-def per_set_margins(problem, prev, x_c) -> np.ndarray:
-    """The reference: one ``sets.margin`` call per schedule set, through C_x, in the
-    block order of ``shifted_candidate``'s margins: U~(0..N-1), X~(0..N-1), X~(N), U~(N)."""
+def per_set_margins(problem, prev, u_c, z_c) -> np.ndarray:
+    """The reference: one ``sets.margin`` call per schedule set, on the inputs
+    u_c and through C_x on the lifted states z_c, in the block order of
+    ``shifted_candidate``'s margins: U~(0..N-1), X~(0..N-1), X~(N), U~(N)."""
     model, schedule, N = problem.model, problem.schedule, problem.config.N
-    u_c, z_c, _, _ = problem.layout.split(x_c)
     return np.array([margin(schedule.input_sets[j], u_c[j]) for j in range(N)]
                     + [margin(schedule.state_sets[j], model.C_x @ z_c[j]) for j in range(N)]
                     + [margin(schedule.state_sets[N], model.C_x @ prev.target.z_s),
@@ -669,21 +673,26 @@ def per_set_margins(problem, prev, x_c) -> np.ndarray:
 
 
 def checked_candidate(problem, prev, x_next):
-    """Check that ``shifted_candidate``'s margins equal the per-set reference's,
-    that the candidate starts at the lifted state, and that it matches the
-    step-by-step rollout (1e-12 relative) with the same margins (1e-12 absolute)."""
-    model, N = problem.model, problem.config.N
+    """Check that the candidate starts at the lifted state, that its
+    predictions match the step-by-step rollout (1e-12 relative), and that
+    ``shifted_candidate``'s margins equal the per-set reference's on both to
+    1e-12. The margins are read off the QP's rows through one product with
+    ``candidate_rows``, whose rounding differs from the predictions' own."""
+    model, N, lay = problem.model, problem.config.N, problem.layout
     z_next = lift(model, x_next)
     margins = shifted_candidate(problem, prev, z_next)
     x_c = problem.candidate_map @ np.concatenate((prev.x_star, z_next))
-    assert np.array_equal(problem.layout.split(x_c)[1][0], z_next)
-    assert np.array_equal(margins, per_set_margins(problem, prev, x_c))
+    u_c, z_c = lay.U @ x_c, lay.Z @ x_c
+    assert np.array_equal(x_c[lay.z0], z_next) and np.array_equal(z_c[0], z_next)
 
     u_r, z_r = shifted_rollout(model.A, model.B, problem.config.K, N, prev.u_bar, prev.z_bar,
                                prev.target.z_s, prev.target.u_s, z_next)
-    x_r = np.concatenate([u_r.ravel(), z_r.ravel(), prev.target.z_s, prev.target.u_s])
-    assert np.max(np.abs(x_c - x_r)) <= 1e-12 * max(1.0, np.max(np.abs(x_r)))
-    np.testing.assert_allclose(margins, per_set_margins(problem, prev, x_r), rtol=0, atol=1e-12)
+    x_r = np.concatenate([u_r.ravel(), z_r.ravel()])
+    x_p = np.concatenate([u_c.ravel(), z_c.ravel()])
+    assert np.max(np.abs(x_p - x_r)) <= 1e-12 * max(1.0, np.max(np.abs(x_r)))
+    for u, z in ((u_c, z_c), (u_r, z_r)):
+        want = per_set_margins(problem, prev, u, z)
+        np.testing.assert_allclose(margins, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -782,7 +791,7 @@ def test_closed_loop_factors_each_program_once(stacks, monkeypatch):
     assert len(np.unique(log.y_t, axis=0)) == 3
     N, n_z, n_u = stack.config.N, stack.model.n_z, stack.model.n_u
     dims = sorted(program.dim for program in factored)
-    assert dims == [n_z + n_u, controller._Layout(N, n_z, n_u).dim]
+    assert dims == [n_z + n_u, N * n_u + 2 * n_z + n_u]
 
 
 def test_one_simulate_call_builds_factors_and_solves_each_target_once(stacks, monkeypatch,
@@ -808,8 +817,7 @@ def test_one_simulate_call_builds_factors_and_solves_each_target_once(stacks, mo
     assert built == factored == steady == []
     assert cli.cmd_simulate(SCENARIOS / "a2.json", seeds=list(range(5)), out=tmp_path) == 0
     assert len(built) == 1
-    assert sorted(program.dim for program in factored) == [n_z + n_u,
-                                                           controller._Layout(N, n_z, n_u).dim]
+    assert sorted(program.dim for program in factored) == [n_z + n_u, N * n_u + 2 * n_z + n_u]
     want = [np.array([y]) for y in (1.0, -1.0, 2.0)]
     assert len(steady) == len(want)
     assert all(np.array_equal(got, q) for got, q in zip(steady, want))
