@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,7 @@ _DEFAULT_GRIDS = {
     "numerical_example": ([11, 101], [121]),
     "unicycle": ([13, 13, 13], [5, 9]),
 }
+MAX_SCENARIO_BYTES = 2 * 2**30  # the memory build_stack lets a scenario's sizes need (README)
 
 
 def _load_json(path) -> dict:
@@ -271,16 +272,18 @@ def _references(doc, n_y: int) -> ReferenceSchedule:
         raise ValueError(f"references.{exc}") from None
 
 
-def _training_data(sc: dict, plant, scenario_dir: Path) -> TrajectoryData:
+def _training_data(sc: dict, plant, scenario_dir: Path) -> partial:
+    """A call that reads or generates the checked training data; its keywords hold the sizes."""
     doc = sc.get("data")
     if not isinstance(doc, dict) or ("path" not in doc) == ("generate" not in doc):
         raise ValueError("scenario 'data' must give exactly one of 'path' or 'generate'")
     _check_keys(doc, {"path", "generate"}, "data")
     if "path" in doc:
-        return load_trajectories(scenario_dir / doc["path"])
+        return partial(load_trajectories, scenario_dir / doc["path"])
     gen = doc["generate"]
     _check_keys(gen, _GENERATE_KEYS, "data.generate")
-    return generate_training_data(
+    return partial(
+        generate_training_data,
         plant,
         n_traj=_count(gen, "n_traj", "data.generate.n_traj"),
         traj_len=_count(gen, "traj_len", "data.generate.traj_len"),
@@ -411,7 +414,17 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     Qk = _weight(lqr_doc.get("Qk", 1.0), n_z, "controller.lqr.Qk")
     Rk = _weight(lqr_doc.get("Rk", 1.0), n_u, "controller.lqr.Rk")
 
-    data = _training_data(sc, plant, Path(scenario_path).parent)
+    make_data = _training_data(sc, plant, Path(scenario_path).parent)
+    n_traj, traj_len = (make_data.keywords.get(key, 0) for key in ("n_traj", "traj_len"))
+    d, rows = N * n_u + 2 * n_z + n_u, (N + 1) * 2 * (plant.n_x + n_u)
+    sizes = {f"controller.N = {N}": (2 * d + 3 * rows + 3 * (N + 1) * (n_z + n_u)) * (d + n_z),
+             f"T = {T}": T * (2 * (plant.n_x + n_u + n_z) + 4 * n_y + 16),
+             f"data.generate.n_traj = {n_traj} with traj_len = {traj_len}":
+                 n_traj * (traj_len + 1) * (plant.n_x + n_u + 3 * n_z)}
+    if 8 * sum(sizes.values()) > MAX_SCENARIO_BYTES:
+        raise ValueError(f"{max(sizes, key=sizes.get)} is too large: the scenario would need "
+                         f"more than the {MAX_SCENARIO_BYTES >> 30} GiB bound on its memory")
+    data = make_data()
     model = fit_edmd(data, lifting, ridge=ridge, output_matrix=om)
     gain = dlqr(model.A, model.B, Qk, Rk, **lqr_opts)
     schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)

@@ -110,21 +110,23 @@ class KtmpcSolution:
 
 @dataclass(frozen=True)
 class LyapunovDiag:
-    """Tracking cost V1, optimality gap V2 = J_N* - J_eq~*, and J_eq~* itself.
+    """Tracking cost V1, optimality gap V2 = J_N* - J_eq~*, and J_eq~* itself,
+    one entry per step of a run (0-d entries for a single step).
 
-    V2 >= 0 up to the rounding of the two costs it subtracts, so its floor
-    is -1e-7 relative to J_eq~* (absolute when J_eq~* <= 1)."""
+    V2 >= 0 up to the rounding of the two costs it subtracts, so its floor is
+    -1e-7 relative to J_eq~* (absolute when J_eq~* <= 1); a failure names its first step."""
 
-    V1: float
-    V2: float
-    J_eq_tilde: float
+    V1: np.ndarray
+    V2: np.ndarray
+    J_eq_tilde: np.ndarray
 
     def __post_init__(self):
-        if not (self.V1 >= 0.0):
-            raise ValueError("V1 must be non-negative")
-        floor = -1e-7 * max(1.0, self.J_eq_tilde)
-        if not (self.V2 >= floor):
-            raise ValueError(f"V2 = {self.V2} violates its {floor:.3g} lower bound")
+        floor = -1e-7 * np.fmax(1.0, self.J_eq_tilde)
+        for name, value, bound in (("V1", self.V1, 0.0), ("V2", self.V2, floor)):
+            if not (holds := np.greater_equal(value, bound)).all():
+                k = np.argmin(holds)  # the first failing step
+                v, b = (np.broadcast_to(a, holds.shape).flat[k] for a in (value, bound))
+                raise ValueError(f"{name} = {v} violates its {b:.3g} lower bound at step {k}")
 
 
 @dataclass(frozen=True)
@@ -380,11 +382,15 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
     return u_k, KtmpcSolution(target=target, total_cost=J_N, x_star=x, layout=lay)
 
 
-def diagnostics(solution: KtmpcSolution, offline: SteadyTarget) -> LyapunovDiag:
-    """Lyapunov-style quantities: V1 (tracking part) and V2 = J_N* - J_eq~*; J_N* is total_cost."""
-    V1 = max(solution.total_cost - solution.target.offset_cost, 0.0)
-    V2 = solution.total_cost - offline.offset_cost
-    return LyapunovDiag(V1=V1, V2=V2, J_eq_tilde=offline.offset_cost)
+def diagnostics(J_N, offset_costs) -> LyapunovDiag:
+    """V1 = max(J_N* - its target's offset cost, 0) and V2 = J_N* - J_eq~* for a
+    run's (k,) costs J_N* and (k, 2) offset costs (targets', then offline J_eq~*),
+    bit for bit per entry; a KtmpcSolution and its offline SteadyTarget give 0-d ones."""
+    if isinstance(J_N, KtmpcSolution):
+        offset_costs = np.array([J_N.target.offset_cost, offset_costs.offset_cost])
+        J_N = J_N.total_cost
+    own, J_eq = offset_costs[..., 0], offset_costs[..., 1]
+    return LyapunovDiag(V1=np.maximum(J_N - own, 0.0), V2=J_N - J_eq, J_eq_tilde=J_eq)
 
 
 def shifted_candidate(problem: TrackingProblem, prev: KtmpcSolution, z_next) -> np.ndarray:

@@ -189,22 +189,28 @@ def contains(P: HPolytope, x, tol: float = CONTAINS_TOL) -> bool:
     return margin(P, x) >= -tol
 
 
-def margin(P: HPolytope, x) -> float:
-    """Worst halfspace slack of x in P; negative means x is outside, and +inf
-    for a P with no rows. A float64 (P.dim,) ndarray x is taken as it is."""
+def margin(P: HPolytope, x):
+    """Worst halfspace slack of x in P (negative: outside; +inf for no rows); a
+    float64 (P.dim,) ndarray x is taken as it is. A (k, P.dim) stack X gives its
+    k slacks, offsets[:, None] - normals @ X.T over axis 0: exact, so bit for bit the
+    one-point calls, on box rows (as the CLI builds); other normals may round otherwise."""
     if not (type(x) is np.ndarray and x.dtype == float and x.shape == (P.dim,)):
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != P.dim:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[1] == P.dim:
+            return np.minimum.reduce(P.offsets[:, None] - P.normals @ x.T, axis=0, initial=np.inf)
+        if (x := x.ravel()).size != P.dim:
             raise ValueError(f"point of dimension {x.size} for a set of dimension {P.dim}")
     return float(np.minimum.reduce(P.offsets - P.normals @ x, initial=np.inf))
 
 
 def point(Z: Zonotope, xi) -> np.ndarray:
-    """The point c + G xi of Z, one matrix-vector product; the center (a copy)
-    when g = 0, so a center of -0.0 stays -0.0."""
+    """The point c + G xi of Z, or the (k, n) points of a (k, g) stack xi, each
+    its own matrix-vector product, so bit for bit ``point(Z, xi[j])`` (xi G'
+    rounds otherwise); copies of the center when g = 0, so -0.0 stays -0.0."""
+    xi = np.asarray(xi, dtype=float)
     if Z.generators.shape[1] == 0:
-        return Z.center.copy()
-    return Z.center + Z.generators @ xi
+        return np.tile(Z.center, xi.shape[:-1] + (1,))
+    return Z.center + (Z.generators @ xi[..., None])[..., 0]
 
 
 def sample(Z: Zonotope, rng: np.random.Generator) -> np.ndarray:
@@ -212,8 +218,7 @@ def sample(Z: Zonotope, rng: np.random.Generator) -> np.ndarray:
 
     A closed-loop run draws every step's xi at once and calls :func:`point`.
     """
-    g = Z.generators.shape[1]
-    return point(Z, rng.uniform(-1.0, 1.0, size=g) if g else None)
+    return point(Z, rng.uniform(-1.0, 1.0, size=Z.generators.shape[1]))
 
 
 def tighten_constraints(X, U, disturbance, A, B, K, C_x, N: int) -> TighteningSchedule:

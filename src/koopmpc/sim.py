@@ -7,21 +7,21 @@ everything the analysis needs: costs, Lyapunov values, shifted-candidate
 margins, and the injected noise realizations.  Data and runs step each plant
 through its one map ``f``.  Runs share one ``TrackingProblem``: each step
 solves its tracking QP, and each reference new to the problem its
-steady-target QP.  A run draws its noise and allocates its log before step 0,
-and each step fills its own row.  A run that loses feasibility ends there: its
-log stops at the infeasible step and records it in ``halted_at``.
+steady-target QP.  A run forms its noise and log before step 0, each step
+fills its own row, and what is only logged is formed once per run.  A run
+that loses feasibility ends there: its log stops at the infeasible step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import itertools
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .controller import (
     Infeasible,
-    KtmpcSolution,
     TrackingProblem,
     diagnostics,
     shifted_candidate,
@@ -261,10 +261,12 @@ def run_closed_loop(
     T must be an integer >= 0 (a bool is not one) and x0 a finite (n_x,)
     vector. Before step 0 the run draws every step's xi with one
     ``rng.uniform`` call (row k holds W's draws, then V's: the stream of a
-    ``sets.sample`` call per set and step) and allocates T log rows, so its
-    memory grows linearly in T. An infeasible step ends the run: the returned
-    log stops at that step, with ``feasible`` false in its last row and
-    ``halted_at`` set to it.
+    ``sets.sample`` call per set and step), forms their points with one
+    :func:`~koopmpc.sets.point` call per set and allocates T log rows, so its
+    memory grows linearly in T. A step runs only the feedback path (the offline
+    target is looked up once per reference); margins, V1 and V2 are formed after
+    the last step, bit for bit the per-step values. An infeasible step ends the
+    run: the log stops there, with ``feasible`` false and ``halted_at`` set.
     """
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 0:
         raise ValueError(f"T must be an integer >= 0, got {T!r}")
@@ -272,52 +274,56 @@ def run_closed_loop(
     if x.dtype.kind not in "iuf" or x.shape != (plant.n_x,) or not np.isfinite(x).all():
         raise ValueError(f"x0 must be a vector of {plant.n_x} finite numbers, got {x0!r}")
     x = x.astype(float)
-    W, V = (None, None) if disturbances is None else (disturbances.W, disturbances.V)
-    g_w = 0 if W is None else W.generators.shape[1]
-    g_v = 0 if V is None else V.generators.shape[1]
-    xi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(T, g_w + g_v))
-    xi_w, xi_v = xi[:, :g_w], xi[:, g_w:]
+    noise_sets = () if disturbances is None else (disturbances.W, disturbances.V)
+    g = [Z.generators.shape[1] for Z in noise_sets]
+    xi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(T, sum(g)))
+    points = map(point, noise_sets, np.split(xi, g[:1], axis=1))  # W's draws, then V's
+    noise = zip(*points) if noise_sets else itertools.repeat((None, None))
     n_w, n_v = plant.noise_dims
 
-    model, schedule = problem.model, problem.schedule
+    model = problem.model
     log = _allocate(T, {"n_x": plant.n_x, "n_u": plant.n_u, "n_y_plant": plant.C.shape[0],
                         "n_y": model.n_y, "n_w": n_w, "n_v": n_v})
+    offset_costs = np.empty((T, 2))  # each step's target's, then its offline target's
     cursor = _RefCursor(refs)
-    prev: KtmpcSolution | None = None
+    prev, y_known = None, None  # the last solution, and the reference of `offline`
     y = plant.C @ x
 
-    for k in range(T):
+    for k, (w, v) in zip(range(T), noise):
         y_t = cursor.advance(k, position=y)
         z = lift(model, x)
         cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z).min()
         try:
-            offline = solve_steady(problem, y_t)
+            if y_t is not y_known:
+                offline, y_known = solve_steady(problem, y_t), y_t
             u_k, sol = solve_step(problem, z, y_t)
         except Infeasible:
             sol = None
         log.x[k], log.y[k], log.y_t[k], log.margin_min[k] = x, y, y_t, cand_margin
-        log.state_margin[k] = margin(schedule.state_sets[0], x)
         if sol is None:
             for name in ("u", "y_s", "u_s", "y_sr", "J_N", "V1", "V2", "input_margin"):
                 getattr(log, name)[k] = np.nan
             log.feasible[k] = False
-            return _first_rows(log, k + 1, cursor.reached_steps, halted_at=k)
-        diag = diagnostics(sol, offline)
-        w = None if W is None else point(W, xi_w[k])
-        v = None if V is None else point(V, xi_v[k])
+            return _finished(log, problem, offset_costs, k, cursor.reached_steps, halted_at=k)
         x_next, y, log.w_inj[k], log.v_inj[k] = step_plant(plant, x, u_k, w, v)
         log.u[k], log.y_s[k], log.u_s[k] = u_k, sol.target.y_s, sol.target.u_s
-        log.y_sr[k], log.J_N[k], log.V1[k], log.V2[k] = offline.y_s, sol.total_cost, diag.V1, diag.V2
-        log.input_margin[k] = margin(schedule.input_sets[0], u_k)
-        x = x_next
-        prev = sol
-    return _first_rows(log, T, cursor.reached_steps, halted_at=None)
+        log.y_sr[k], log.J_N[k] = offline.y_s, sol.total_cost
+        offset_costs[k] = sol.target.offset_cost, offline.offset_cost
+        x, prev = x_next, sol
+    return _finished(log, problem, offset_costs, T, cursor.reached_steps, halted_at=None)
 
 
-def _first_rows(log: SimLog, n: int, reached_steps, halted_at) -> SimLog:
-    """The first n rows of ``log``, with the run's waypoint arrivals and halt."""
-    return replace(log, reached_steps=tuple(reached_steps), halted_at=halted_at,
-                   **{f.name: getattr(log, f.name)[:n] for f in _COLUMNS})
+def _finished(log: SimLog, problem, offset_costs, n: int, reached_steps, halted_at) -> SimLog:
+    """The run's own log, completed in place and cut after a halted step, with what
+    it only logs: every row's state margin, and the n feasible rows' input margin, V1 and V2."""
+    rows = n + (halted_at is not None)
+    log.state_margin[:rows] = margin(problem.schedule.state_sets[0], log.x[:rows])
+    log.input_margin[:n] = margin(problem.schedule.input_sets[0], log.u[:n])
+    diag = diagnostics(log.J_N[:n], offset_costs[:n])
+    log.V1[:n], log.V2[:n] = diag.V1, diag.V2
+    cut = {} if rows == log.k.size else {f.name: getattr(log, f.name)[:rows] for f in _COLUMNS}
+    log.__dict__.update(reached_steps=tuple(reached_steps), halted_at=halted_at, **cut)
+    return log
 
 
 # --- training data ----------------------------------------------------------------------

@@ -208,9 +208,10 @@ def assert_checks_match_the_dense_check(calls):
     """For each recorded call (args, result) of ``qp._checked``, its residuals
     r are those of :func:`kkt_check_dense`, block by block, to 1e-12 of the
     size of the terms they sum (at least 1): Px to the stationarity's scale,
-    nu to the scale of -(A_eq^+)'grad. The two accept the same results, and an
-    accepted one carries the point, the multipliers and the dense check's four
-    residuals."""
+    nu to the scale of -(A_eq^+)'grad, and the stationarity, which adds
+    A_eq' nu, to its own scale plus nu's bound carried through |A_eq|'. The
+    two accept the same results, and an accepted one carries the point, the
+    multipliers and the dense check's four residuals."""
     for (qp, f, S, r, x, lam_S, qb, tol), sol in calls:
         q, b_eq = qb[: qp.dim], qb[qp.dim :]
         lam, nu, kkt, dense_accepted, dense = kkt_check_dense(qp, f, S, x, lam_S, q, b_eq, tol)
@@ -218,12 +219,16 @@ def assert_checks_match_the_dense_check(calls):
                                  x, lam, nu)
         grad = np.abs(qp.P) @ np.abs(x) + np.abs(q) + np.abs(qp.A_in).T @ np.abs(lam)
         nu_scale = (np.abs(f.neg_pinv_T) @ grad).max(initial=0.0)
+        err = {key: 1e-12 * max(1.0, scale) for key, scale in scales.items()}
+        nu_err = 1e-12 * max(1.0, nu_scale)
+        # The stationarity adds A_eq' nu, so each entry also carries the error
+        # that nu's own block allows, through |A_eq|'.
+        stat_err = err["stationarity"] + nu_err * np.abs(qp.A_eq).sum(axis=0)
         blocks = np.split(r, np.cumsum([qp.dim, b_eq.size, qp.b_in.size, qp.dim]))
-        for got, want, scale in zip(blocks, dense, (scales["stationarity"], scales["primal_eq"],
-                                                    scales["primal_in"], scales["stationarity"],
-                                                    nu_scale)):
+        for got, want, bound in zip(blocks, dense, (stat_err, err["primal_eq"], err["primal_in"],
+                                                    err["stationarity"], nu_err)):
             assert got.shape == want.shape
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, scale)
+            assert np.all(np.abs(got - want) <= bound)
         assert (sol is not None) == dense_accepted
         if sol is not None:
             assert np.array_equal(sol.x_star, x) and np.array_equal(sol.in_multipliers, lam)

@@ -234,7 +234,7 @@ def test_tighten_reads_training_data_from_a_path(tmp_path):
     ``data.generate`` recipe makes yields a2's schedule, byte for byte."""
     a2 = json.loads((SCENARIOS / "a2.json").read_text())
     plant = cli_module._build_plant(a2["plant"])
-    save_trajectories(cli_module._training_data(a2, plant, SCENARIOS), tmp_path / "a2_data.csv")
+    save_trajectories(cli_module._training_data(a2, plant, SCENARIOS)(), tmp_path / "a2_data.csv")
     a2["data"] = {"path": "a2_data.csv"}  # resolved against the scenario's directory
     scenario = tmp_path / "a2_from_path.json"
     scenario.write_text(json.dumps(a2))
@@ -1066,3 +1066,54 @@ def test_steady_rejects_a_non_finite_target_before_fitting_exit_2(tmp_path, caps
     assert main(["steady", str(base_scenario(tmp_path)), y_t]) == 2
     err = capsys.readouterr().err
     assert "y_t" in err and token in err and "not a finite number" in err
+
+
+@pytest.mark.parametrize("name, path, value, named", [
+    ("a2", ("T",), 10**12, "T = 1000000000000 is too large"),
+    ("a2", ("T",), 10**7, "T = 10000000 is too large"),
+    ("unicycle_square", ("controller", "N"), 10**7, "controller.N = 10000000 is too large"),
+    ("unicycle_square", ("controller", "N"), 10**400, f"controller.N = {10**400} is too large"),
+    ("a2", ("data", "generate", "n_traj"), 10**9,
+     "data.generate.n_traj = 1000000000 with traj_len = 4 is too large"),
+    ("a2", ("data", "generate", "traj_len"), 10**9,
+     "data.generate.n_traj = 200 with traj_len = 1000000000 is too large"),
+], ids=["T-huge", "T-over", "N-huge", "N-10**400", "n_traj", "traj_len"])
+@pytest.mark.parametrize("command", ["tighten", "simulate"])
+def test_a_size_past_the_memory_bound_exits_2_naming_the_key_before_anything_is_built(
+        tmp_path, capsys, monkeypatch, name, path, value, named, command):
+    # Seed commit: N = 10**7 kept tighten running, T = 10**12 raised numpy's
+    # raw allocation error, and N = 10**400 exited 2 only through numpy's
+    # "maximum allowed dimension". The sizes are checked before any data is
+    # made, so nothing is generated, read, fitted or tightened here.
+    def refused(*args, **kwargs):
+        raise AssertionError("a scenario past the size bound was built")
+
+    for attr in ("generate_training_data", "load_trajectories", "fit_edmd", "tighten_constraints"):
+        monkeypatch.setattr(cli_module, attr, refused)
+    sc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    *parents, key = path
+    node = sc
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    scenario = tmp_path / "big.json"
+    scenario.write_text(json.dumps(sc))
+    out = [str(tmp_path / "schedule.json")] if command == "tighten" else ["--out", str(tmp_path)]
+    assert main([command, str(scenario), *out]) == 2
+    err = capsys.readouterr().err
+    assert named in err and f"{cli_module.MAX_SCENARIO_BYTES >> 30} GiB bound" in err
+
+
+def test_a_size_under_the_memory_bound_goes_on_to_build_the_stack(tmp_path, monkeypatch):
+    # a2 at T = 5*10**6 needs an estimated 1.3 GB of log, under the 2 GiB
+    # bound, so build_stack goes on to generate its data.
+    def reached(*args, **kwargs):
+        raise RuntimeError("data generation reached")
+
+    monkeypatch.setattr(cli_module, "generate_training_data", reached)
+    sc = json.loads((SCENARIOS / "a2.json").read_text())
+    sc["T"] = 5 * 10**6
+    scenario = tmp_path / "long.json"
+    scenario.write_text(json.dumps(sc))
+    with pytest.raises(RuntimeError, match="data generation reached"):
+        cli_module.build_stack(scenario)

@@ -534,7 +534,7 @@ def scenario_fit_inputs(name):
     """The training data, lifting and fit options of a shipped scenario."""
     sc = json.loads((SCENARIOS / f"{name}.json").read_text())
     plant = cli._build_plant(sc["plant"])
-    data = cli._training_data(sc, plant, SCENARIOS)
+    data = cli._training_data(sc, plant, SCENARIOS)()
     options = {"ridge": sc.get("ridge", 1e-8), "output_matrix": sc.get("output_matrix")}
     return data, cli._lifting(sc["lifting"], plant.n_x), options
 

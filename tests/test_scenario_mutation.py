@@ -2,7 +2,7 @@
 
 Each case takes a shipped scenario, made small (T <= 3, and N, n_traj,
 traj_len and each steady-grid point count capped at 50), sets one of its
-leaves to one of 25 fixed values or deletes it, and runs ``tighten`` or
+leaves to one of 26 fixed values or deletes it, and runs ``tighten`` or
 ``simulate`` through ``cli.main`` in-process. Every outcome must be an exit
 code in {0, 2, 3, 4, 5, 6}: no exception may escape ``main``.
 """
@@ -19,9 +19,10 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CASES_PER_SCENARIO = 100
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 DELETE = object()
-# No value is a count that passes and runs long: the largest is 50, the cap.
+# 10**400 as T, N, n_traj or traj_len is refused by the size check of
+# build_stack; no other value is a count that passes and runs long.
 VALUES = [
-    None, True, False, 0, -1, 1, 2, 2.5, -0.5, 50, 1e-12, 1e308, -1e308,
+    None, True, False, 0, -1, 1, 2, 2.5, -0.5, 50, 10**400, 1e-12, 1e308, -1e308,
     float("inf"), float("-inf"), float("nan"), -10**400, "1", "nan", "",
     {}, [], [[]], [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]],
 ]

@@ -246,7 +246,9 @@ def test_margin_of_a_set_with_no_rows_is_infinite():
         assert contains(P, x) and margin(P, x) == np.inf
 
 
-@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0]), 1.0, np.zeros((2, 2))])
+# A (k, 2) array is a stack of k points of a 2-dimensional set, so the 2-D
+# wrong size is a stack of 3-dimensional points.
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0]), 1.0, np.zeros((2, 3))])
 def test_margin_names_both_dimensions_of_a_wrong_size_point(x):
     n = np.size(x)
     with pytest.raises(ValueError, match=re.escape(f"point of dimension {n} for a set of dimension 2")):
@@ -294,6 +296,47 @@ def test_sample_is_the_point_of_its_draws(rng):
     for pt in (sample(singleton, r1), point(singleton, np.zeros(0))):
         assert pt.tobytes() == singleton.center.tobytes() and pt is not singleton.center
     assert r1.bit_generator.state == before
+
+
+@pytest.mark.parametrize("n, g", [(3, 5), (2, 3), (3, 3), (4, 7), (1, 1), (6, 2)])
+def test_point_of_a_stack_is_each_rows_point_bit_for_bit(n, g):
+    # A (k, g) stack of draws gives the k points, each the bits of the
+    # one-draw call, on random generators that are not a box. The draws are a
+    # strided view, as W's columns of a run's draws are; one xi G' product
+    # would round some rows otherwise.
+    rng = np.random.default_rng(100 * n + g)
+    Z = Zonotope(center=rng.standard_normal(n), generators=rng.standard_normal((n, g)))
+    xi = rng.uniform(-1.0, 1.0, size=(40, g + 2))[:, :g]
+    stacked = point(Z, xi)
+    assert stacked.shape == (40, n)
+    assert stacked.tobytes() == np.array([point(Z, row) for row in xi]).tobytes()
+    assert point(Z, xi[:0]).shape == (0, n)
+
+
+def test_point_of_a_stack_without_generators_is_copies_of_the_center():
+    # g = 0 keeps the center, so -0.0 stays -0.0 in every row, as in the
+    # one-draw call; the rows are copies, not views of the center.
+    Z = Zonotope(center=[-0.0, 1.5], generators=np.zeros((2, 0)))
+    stacked = point(Z, np.zeros((4, 0)))
+    assert stacked.shape == (4, 2)
+    assert all(row.tobytes() == point(Z, np.zeros(0)).tobytes() == Z.center.tobytes()
+               for row in stacked)
+    stacked[:, 1] = 7.0
+    assert Z.center.tolist() == [-0.0, 1.5]
+    assert point(Z, np.zeros((0, 0))).shape == (0, 2)
+
+
+def test_margin_of_a_stack_of_points_is_the_worst_slack_of_each():
+    # Oblique normals as well as a box: the stacked slacks agree with the
+    # one-point calls to rounding, and a set with no rows gives +inf for each.
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-2.0, 2.0, size=(25, 2))
+    for P in (box_polytope([-1.0, -1.0], [1.0, 1.0]),
+              HPolytope(rng.standard_normal((5, 2)), rng.uniform(0.5, 1.5, 5))):
+        stacked = margin(P, X)
+        assert stacked.shape == (25,)
+        assert np.allclose(stacked, [margin(P, x) for x in X], rtol=0.0, atol=1e-14)
+    assert margin(HPolytope(np.zeros((0, 2)), np.zeros(0)), X).tolist() == [np.inf] * 25
 
 
 # --- construction validation --------------------------------------------------

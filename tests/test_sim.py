@@ -7,10 +7,12 @@ import pytest
 
 from koopmpc import cli
 from koopmpc import sim as sim_module
-from koopmpc.controller import KtmpcConfig, TrackingProblem
+from koopmpc.controller import KtmpcConfig, TrackingProblem, solve_steady
 from koopmpc.gains import dlqr
 from koopmpc.model import DisturbanceModel, LiftingSpec, make_model
-from koopmpc.sets import Zonotope, box_polytope, box_zonotope, sample, tighten_constraints
+from koopmpc.sets import (
+    Zonotope, box_polytope, box_zonotope, margin, sample, tighten_constraints,
+)
 from koopmpc.sim import (
     ReferenceSchedule,
     SimLog,
@@ -448,6 +450,56 @@ def test_run_closed_loop_matches_the_step_by_step_loop(scenario_stacks, name):
         per_step = np.array([W.center + W.generators @ row for row in xi[:, :5]])
         assert not np.array_equal(per_step, W.center + xi[:, :5] @ W.generators.T)
         assert np.any(log.v_inj != 0.0) and V.generators.shape == (2, 3)
+
+
+@pytest.mark.parametrize("name", ["a2", "unicycle_square", "declared_W", "no_disturbance"])
+def test_margin_of_a_stack_is_the_per_point_margin_bit_for_bit_on_the_loop_sets(
+        scenario_stacks, name):
+    # The run forms its state and input margins with one stacked call each.
+    # Every set the loop tests build is a box, whose slacks are exact, so each
+    # entry has the bits of the per-point call: on every tightened set of the
+    # schedule, at a run's logged rows, at random points and on the planes of
+    # its upper and lower bounds.
+    if name in scenario_stacks:
+        stack = scenario_stacks[name]
+        problem, log = stack.problem, stack.run(stack.seed)
+    else:
+        problem = make_loop_setup(W=box_zonotope([0.31, 0.31, 0.125]) if name == "declared_W"
+                                  else None)
+        log = run_closed_loop(numerical_example_plant(), problem,
+                              ReferenceSchedule.timed([(0, [1.0]), (30, [-1.0])]), T=60)
+    rng = np.random.default_rng(11)
+    for sets, logged in ((problem.schedule.state_sets, log.x), (problem.schedule.input_sets,
+                                                                   log.u[np.isfinite(log.u[:, 0])])):
+        for S in sets:
+            X = np.concatenate([logged, rng.uniform(-8.0, 8.0, (50, S.dim)),
+                                np.diag(S.offsets[: S.dim]), -np.diag(S.offsets[S.dim :])])
+            stacked = margin(S, X)
+            assert stacked.shape == (X.shape[0],)
+            assert stacked.tobytes() == np.array([margin(S, x) for x in X]).tobytes()
+
+
+def test_a_run_whose_cost_falls_below_the_offline_offset_still_raises_naming_v2_and_the_step(
+        monkeypatch):
+    # V2 = J_N - J_eq~ is checked once per run, after the last step; a step
+    # whose J_N falls below the offline offset cost by more than V2's floor
+    # still fails the run, and the error names V2 and that step.
+    problem = make_loop_setup()
+    refs = ReferenceSchedule.timed([(0, [1.0])])
+    J_eq = solve_steady(problem, [1.0]).offset_cost
+    solve, calls = sim_module.solve_step, []
+
+    def low_cost_at_step_4(*args):
+        u_k, sol = solve(*args)
+        calls.append(1)
+        if len(calls) == 5:
+            sol = dataclasses.replace(sol, total_cost=J_eq - 1e-3 * max(1.0, J_eq))
+        return u_k, sol
+
+    monkeypatch.setattr(sim_module, "solve_step", low_cost_at_step_4)
+    with pytest.raises(ValueError, match=r"^V2 = -0\.001 violates its -1e-07 lower bound at step 4$"):
+        run_closed_loop(numerical_example_plant(), problem, refs, T=8)
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("kwargs, named", [

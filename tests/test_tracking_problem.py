@@ -552,25 +552,36 @@ def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_closed_loop_lifts_once_and_takes_two_margins_per_step(stacks, monkeypatch, name):
-    # The loop lifts each measured state once, for the candidate and the QP
-    # alike; the log's state and input margins are one sets.margin call each,
-    # and the halted step logs only the state margin. The controller itself
-    # neither lifts nor calls sets.margin.
+def test_a_closed_loop_step_runs_the_feedback_path_and_the_logged_values_are_formed_once(
+        stacks, monkeypatch, name):
+    # A step lifts its state once, for the candidate and the QP alike, and
+    # takes one shifted candidate (none at step 0); the steady target is
+    # looked up once per reference (a2 steps its reference twice, the course
+    # halts before its first waypoint). The noise points are one stacked call
+    # per set before step 0, and the logged margins and V1/V2 one call each
+    # after the last step. The controller itself neither lifts nor calls
+    # sets.margin.
     assert not any(v is f for v in vars(controller).values() for f in (lift, margin))
-    counts = {"lift": 0, "margin": 0}
-    for attr in counts:
+    names = ("lift", "shifted_candidate", "solve_steady", "point", "margin", "diagnostics")
+    calls = {attr: [] for attr in names}
+    for attr in names:
         def counted(*args, _attr=attr, _original=getattr(sim, attr)):
-            counts[_attr] += 1
+            calls[_attr].append(args)
             return _original(*args)
 
         monkeypatch.setattr(sim, attr, counted)
     stack = stacks[name]
     log = stack.run(stack.seed)
-    halted = log.halted_at is not None
     assert log.halted_at == (None if name == "a2" else 29)
-    assert counts["lift"] == log.k.size
-    assert counts["margin"] == 2 * (log.k.size - halted) + halted
+    steps = log.k.size
+    assert len(calls["lift"]) == steps and len(calls["shifted_candidate"]) == steps - 1
+    assert [args[1].tolist() for args in calls["solve_steady"]] == (
+        [[1.0], [-1.0], [2.0]] if name == "a2" else [log.y_t[0].tolist()])
+    assert [args[1].shape for args in calls["point"]] == (
+        [(steps, 3), (steps, 2)] if name == "a2" else [])
+    assert [args[1].shape for args in calls["margin"]] == [
+        (steps, stack.plant.n_x), (steps - (log.halted_at is not None), stack.plant.n_u)]
+    assert [args[0].shape for args in calls["diagnostics"]] == [(log.feasible.sum(),)]
 
 
 @pytest.mark.parametrize("name", NAMES)
