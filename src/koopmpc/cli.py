@@ -293,28 +293,21 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> partial:
     )
 
 
-def _grid_from_scenario(sc: dict, plant, X, U) -> GridSpec:
-    """The steady-pair search grid: ``x_points``/``u_points`` give one positive
-    point count per state/input dimension, spread over the checked constraint
-    boxes ``X`` and ``U``, whose rows are ordered [I; -I]."""
+def _grid_from_scenario(sc: dict, plant) -> tuple[dict, float]:
+    """The steady-pair search grid's checked point counts and ``fp_tol``:
+    ``x_points``/``u_points`` give one positive point count per state/input
+    dimension."""
     doc = sc.get("steady_grid", {})
     _check_keys(doc, _GRID_KEYS, "steady_grid")
-    x_default, u_default = _DEFAULT_GRIDS[plant.kind]
-
-    def axes(key, default, box, n, what):
-        points = doc.get(key, default)
+    counts = {}
+    for key, default, n, what in zip(("x_points", "u_points"), _DEFAULT_GRIDS[plant.kind],
+                                     (plant.n_x, plant.n_u), ("state", "input")):
+        points = counts[key] = doc.get(key, default)
         if not (isinstance(points, list) and len(points) == n
                 and all(type(p) is int and p >= 1 for p in points)):
             raise ValueError(f"steady_grid.{key} must list one positive integer per {what} "
                              f"dimension ({n}), got {points!r}")
-        lo, hi = -box.offsets[n:], box.offsets[:n]
-        return tuple(np.linspace(*bounds) for bounds in zip(lo, hi, points, strict=True))
-
-    return GridSpec(
-        x_values=axes("x_points", x_default, X, plant.n_x, "state"),
-        u_values=axes("u_points", u_default, U, plant.n_u, "input"),
-        fp_tol=float(_positive(doc.get("fp_tol", 1e-6), "steady_grid.fp_tol")),
-    )
+    return counts, float(_positive(doc.get("fp_tol", 1e-6), "steady_grid.fp_tol"))
 
 
 # --- the scenario stack ----------------------------------------------------------------
@@ -402,7 +395,7 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     _check_keys(con, {"state", "input"}, "constraints")
     X = _box_from_doc(con["state"], plant.n_x, "constraints.state")
     U = _box_from_doc(con["input"], plant.n_u, "constraints.input")
-    grid = _grid_from_scenario(sc, plant, X, U)
+    counts, fp_tol = _grid_from_scenario(sc, plant)
     x0 = None if sc.get("x0") is None else np.array(_numbers(sc["x0"], plant.n_x, "x0"), float)
     T, N = _count(sc, "T", "T"), _count(cfg_doc, "N", "controller.N")
     seed = _count(sc, "seed", "seed", minimum=0, default=0)
@@ -419,11 +412,19 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     d, rows = N * n_u + 2 * n_z + n_u, (N + 1) * 2 * (plant.n_x + n_u)
     sizes = {f"controller.N = {N}": (2 * d + 3 * rows + 3 * (N + 1) * (n_z + n_u)) * (d + n_z),
              f"T = {T}": T * (2 * (plant.n_x + n_u + n_z) + 4 * n_y + 16),
-             f"data.generate.n_traj = {n_traj} with traj_len = {traj_len}":
-                 n_traj * (traj_len + 1) * (plant.n_x + n_u + 3 * n_z)}
+             f"data.generate.n_traj = {n_traj} with traj_len = {traj_len}": n_traj
+                 * (traj_len + 1) * (plant.n_x + 2 * n_u + 3 * n_z + 1 + lifting.exponents.size)}
+    # The grid's axes, and `koopmpc steady` stepping each state under each input.
+    axes, n = sum(map(sum, counts.values())), {key: math.prod(p) for key, p in counts.items()}
+    key = max(n, key=n.get)
+    sizes[f"steady_grid.{key} = {counts[key]} in a search of {n['x_points']} states under "
+          f"{n['u_points']} inputs"] = axes + n["x_points"] * n["u_points"] * plant.n_x
     if 8 * sum(sizes.values()) > MAX_SCENARIO_BYTES:
         raise ValueError(f"{max(sizes, key=sizes.get)} is too large: the scenario would need "
                          f"more than the {MAX_SCENARIO_BYTES >> 30} GiB bound on its memory")
+    # Each count spread over its box, whose rows are ordered [I; -I].
+    grid = GridSpec(*(tuple(map(np.linspace, -box.offsets[len(p):], box.offsets[:len(p)], p))
+                      for box, p in zip((X, U), counts.values())), fp_tol)
     data = make_data()
     model = fit_edmd(data, lifting, ridge=ridge, output_matrix=om)
     gain = dlqr(model.A, model.B, Qk, Rk, **lqr_opts)

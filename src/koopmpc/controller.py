@@ -27,7 +27,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import qp as qps
 from .gains import _as_spd
@@ -190,11 +189,14 @@ def _steady_qp(model: KoopmanModel, schedule: TighteningSchedule, s: float) -> q
     offset ``s*||C_y z_s - y_t||^2`` less its constant, steady pairs
     ``(I - A) z_s - B u_s = 0``, ``C_x z_s`` in X~(N) and ``u_s`` in U~(N)."""
     X_N, U_N = schedule.state_sets[-1], schedule.input_sets[-1]
+    n_z, m_x = model.n_z, len(X_N.offsets)
+    P = np.zeros((n_z + model.n_u,) * 2)
+    P[:n_z, :n_z] = 2.0 * s * model.C_y.T @ model.C_y
+    A_in = np.zeros((m_x + len(U_N.offsets), n_z + model.n_u))
+    A_in[:m_x, :n_z], A_in[m_x:, n_z:] = X_N.normals @ model.C_x, U_N.normals
     return qps.QuadraticProgram(
-        P=block_diag(2.0 * s * model.C_y.T @ model.C_y, np.zeros((model.n_u, model.n_u))),
-        q=np.zeros(model.n_z + model.n_u),
-        A_eq=np.hstack([np.eye(model.n_z) - model.A, -model.B]), b_eq=np.zeros(model.n_z),
-        A_in=block_diag(X_N.normals @ model.C_x, U_N.normals),
+        P=P, q=np.zeros(n_z + model.n_u),
+        A_eq=np.hstack([np.eye(n_z) - model.A, -model.B]), b_eq=np.zeros(n_z), A_in=A_in,
         b_in=np.concatenate([X_N.offsets, U_N.offsets]),
         F_q=np.vstack([-2.0 * s * model.C_y.T, np.zeros((model.n_u, model.n_y))]),
     )

@@ -75,6 +75,8 @@ class LiftingSpec:
     pre: str = "identity"
     exponents: np.ndarray | None = None
     _linear: bool = field(default=False, init=False, repr=False, compare=False)  # no exponent > 1
+    # One column or none per monomial: the column, or n_f (a column of ones).
+    _columns: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -93,27 +95,39 @@ class LiftingSpec:
         bad = [e for e in exps.flat if not (_is_number(e, integer=True) and 0 <= e < 2**63)]
         if bad:
             raise ValueError(f"exponents must be integers in [0, 2**63), got {bad[0]!r}")
-        object.__setattr__(self, "exponents", exps.astype(int))
-        object.__setattr__(self, "_linear", np.all(self.exponents < 2))
+        object.__setattr__(self, "exponents", E := exps.astype(int))
+        object.__setattr__(self, "_linear", np.all(E < 2))
+        if self._linear and np.all(E.sum(axis=1) < 2):
+            object.__setattr__(self, "_columns", np.where(E.any(axis=1), E.argmax(axis=1), n_f))
 
     @property
     def n_z(self) -> int:
         return self.n_x + self.exponents.shape[0]
 
 
-def _pre_map(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
-    if spec.pre == "identity":
-        return X
-    return np.column_stack([X[:, 0], X[:, 1], np.sin(X[:, 2]), np.cos(X[:, 2])])
-
-
-def _features(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
-    """Dictionary features (beyond the identity block) for a batch of states.
-    Exponents all 0 or 1 skip ``pow``; others keep one ``pow`` call, bit for bit."""
-    F = _pre_map(spec, X)
-    E = spec.exponents
-    T = np.where(E == 1, F[:, None, :], 1.0) if spec._linear else F[:, None, :] ** E
-    return np.multiply.reduce(T, axis=2)
+def _lifted(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
+    """[X, features(X)] of a batch of states, one (n, n_z) array, the trig
+    pre-map filled in place. Monomials of one column or none (the unicycle's)
+    gather it, pow's other factors being exact 1.0s; other exponents all 0 or 1
+    skip ``pow`` and the rest keep it, each bit for bit."""
+    n_x, cols = spec.n_x, spec._columns
+    if spec.pre == "identity" and cols is None:
+        F = X
+    else:  # the pre-features, then a column of ones for the gather
+        F = np.ones((len(X), spec.exponents.shape[1] + (cols is not None)))
+        if spec.pre == "identity":
+            F[:, :n_x] = X
+        else:
+            F[:, :2] = X[:, :2]
+            np.sin(X[:, 2], out=F[:, 2])
+            np.cos(X[:, 2], out=F[:, 3])
+    if cols is not None:
+        P = F[:, cols]
+    elif spec._linear:
+        P = np.multiply.reduce(np.where(spec.exponents == 1, F[:, None, :], 1.0), axis=2)
+    else:
+        P = np.multiply.reduce(F[:, None, :] ** spec.exponents, axis=2)
+    return np.concatenate((X, P), axis=1)
 
 
 @dataclass(frozen=True)
@@ -184,14 +198,15 @@ def lift(model: KoopmanModel, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (model.n_x,):
             raise ValueError(f"state must have shape ({model.n_x},), got {x.shape}")
-    return np.concatenate([x, _features(model.lifting, x[None, :])[0]])
+    return _lifted(model.lifting, x[None, :])[0]
 
 
 def lift_many(model: KoopmanModel, X) -> np.ndarray:
+    """The (n, n_z) lifts of the (n, n_x) states X."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_x:
         raise ValueError(f"states must have shape (n, {model.n_x}), got {X.shape}")
-    return np.hstack([X, _features(model.lifting, X)])
+    return _lifted(model.lifting, X)
 
 
 # --- training data ---------------------------------------------------------------
@@ -298,16 +313,15 @@ def fit_edmd(
     if data.n_x != lifting.n_x:
         raise ValueError(f"data has n_x={data.n_x} but lifting expects {lifting.n_x}")
     n_z, n_u = lifting.n_z, data.n_u
-    probe = make_model(np.zeros((n_z, n_z)), np.zeros((n_z, n_u)), lifting, output_matrix)
     # Each state is lifted once; the regression picks its x and x+ rows. A
     # feature that overflows is named below, before least squares runs on it.
     with np.errstate(over="ignore", invalid="ignore"):
-        Z, rows = lift_many(probe, data.states), data._transition_rows()
+        Z, rows = _lifted(lifting, data.states), data._transition_rows()
     if not (finite := np.isfinite(Z)).all():
         raise ValueError(f"lifting of kind {lifting.kind!r} maps {np.sum(~finite.all(axis=1))} "
                          "training states to non-finite features")
     Phi = np.hstack([Z[rows], data.inputs])
-    Psi_next = Z[rows + 1]
+    Psi_next = Z[1:][rows]  # Z[rows + 1], without a second index array
     n_cols = n_z + n_u
     if Phi.shape[0] < n_cols:
         raise UnderdeterminedData(

@@ -339,7 +339,8 @@ def generate_training_data(
     """Random-restart rollouts: uniform initial states, uniform i.i.d. inputs.
 
     The draws come in trajectory order (initial state, then its inputs), and
-    all trajectories are stepped together.
+    all trajectories are stepped together, each step written in place into
+    one (n_traj, traj_len + 1, n_x) array of states.
     """
     if state_box.dim != plant.n_x or input_box.dim != plant.n_u:
         raise ValueError("state_box/input_box dimensions do not match the plant")
@@ -347,10 +348,11 @@ def generate_training_data(
     g_x, g_u = state_box.generators.shape[1], input_box.generators.shape[1]
     xi = rng.uniform(-1.0, 1.0, size=(n_traj, g_x + traj_len * g_u))
     inputs = input_box.center + xi[:, g_x:].reshape(n_traj, traj_len, g_u) @ input_box.generators.T
-    states = [state_box.center + xi[:, :g_x] @ state_box.generators.T]
+    states = np.empty((n_traj, traj_len + 1, plant.n_x))
+    states[:, 0] = state_box.center + xi[:, :g_x] @ state_box.generators.T
     for t in range(traj_len):
-        states.append(plant.f(states[-1], inputs[:, t]))
-    return TrajectoryData.batch(np.stack(states, axis=1), inputs)
+        states[:, t + 1] = plant.f(states[:, t], inputs[:, t])
+    return TrajectoryData.batch(states, inputs)
 
 
 # --- metrics and persistence ------------------------------------------------------------

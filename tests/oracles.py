@@ -357,6 +357,33 @@ def shifted_rollout(A, B, K, N, u_bar, z_bar, z_s, u_s, z_next):
     return np.array(u_c), np.array(z_c)
 
 
+def training_data_by_list(plant, n_traj, traj_len, input_box, state_box, seed):
+    """Random-restart rollouts drawn as ``sim.generate_training_data`` draws
+    them, each step appended to a list of state arrays that is stacked at the
+    end. Returns (states, inputs) of shapes (n_traj, traj_len + 1, n_x) and
+    (n_traj, traj_len, n_u)."""
+    rng = np.random.default_rng(seed)
+    g_x, g_u = state_box.generators.shape[1], input_box.generators.shape[1]
+    xi = rng.uniform(-1.0, 1.0, size=(n_traj, g_x + traj_len * g_u))
+    inputs = input_box.center + xi[:, g_x:].reshape(n_traj, traj_len, g_u) @ input_box.generators.T
+    states = [state_box.center + xi[:, :g_x] @ state_box.generators.T]
+    for t in range(traj_len):
+        states.append(plant.f(states[-1], inputs[:, t]))
+    return np.stack(states, axis=1), inputs
+
+
+def steady_qp_by_block_diag(model, schedule, s):
+    """The steady-pair QP's (P, A_in, b_in, F_q), its blocks placed by
+    ``scipy.linalg.block_diag`` and stacked by ``concatenate``/``vstack``."""
+    from scipy.linalg import block_diag
+
+    X_N, U_N = schedule.state_sets[-1], schedule.input_sets[-1]
+    return (block_diag(2.0 * s * model.C_y.T @ model.C_y, np.zeros((model.n_u, model.n_u))),
+            block_diag(X_N.normals @ model.C_x, U_N.normals),
+            np.concatenate([X_N.offsets, U_N.offsets]),
+            np.vstack([-2.0 * s * model.C_y.T, np.zeros((model.n_u, model.n_y))]))
+
+
 def transitions(data):
     """The (x, u, x+) triples of every trajectory of a ``TrajectoryData``,
     stacked one trajectory at a time from its (states, inputs) pairs."""
@@ -365,17 +392,28 @@ def transitions(data):
             np.vstack([s[1:] for s, _ in trajs]))
 
 
+def pre_map_by_column_stack(lifting, X):
+    """The pre-features of the states X, stacked from their columns: X itself,
+    or (p_x, p_y, sin theta, cos theta) for the ``planar_heading`` map."""
+    if lifting.pre == "identity":
+        return X
+    return np.column_stack([X[:, 0], X[:, 1], np.sin(X[:, 2]), np.cos(X[:, 2])])
+
+
+def lift_by_pow(lifting, X):
+    """[X, every monomial of the pre-features by float pow], stacked by hstack."""
+    return np.hstack([X, monomials_by_pow(pre_map_by_column_stack(lifting, X), lifting.exponents)])
+
+
 def fit_edmd_two_lifts(data, lifting, ridge=1e-8, output_matrix=None):
     """EDMD as it was written before each state was lifted once: the x rows and
-    the x+ rows of ``transitions(data)`` lifted by two ``lift_many`` calls,
-    then the same regression (least squares for ``ridge=0``). Returns (A, B)."""
-    from koopmpc.model import lift_many, make_model
-
+    the x+ rows of ``transitions(data)`` lifted by two :func:`lift_by_pow`
+    calls, then the same regression (least squares for ``ridge=0``). Returns
+    (A, B); ``output_matrix`` enters neither."""
     X, U, Xp = transitions(data)
     n_z, n_u = lifting.n_z, U.shape[1]
-    probe = make_model(np.zeros((n_z, n_z)), np.zeros((n_z, n_u)), lifting, output_matrix)
-    Phi = np.hstack([lift_many(probe, X), U])
-    Psi_next = lift_many(probe, Xp)
+    Phi = np.hstack([lift_by_pow(lifting, X), U])
+    Psi_next = lift_by_pow(lifting, Xp)
     if ridge == 0.0:
         Theta = np.linalg.lstsq(Phi, Psi_next, rcond=None)[0].T
     else:

@@ -1117,3 +1117,57 @@ def test_a_size_under_the_memory_bound_goes_on_to_build_the_stack(tmp_path, monk
     scenario.write_text(json.dumps(sc))
     with pytest.raises(RuntimeError, match="data generation reached"):
         cli_module.build_stack(scenario)
+
+
+def unicycle_with_grid(tmp_path, **grid):
+    sc = json.loads((SCENARIOS / "unicycle_square.json").read_text())
+    sc["steady_grid"] = grid
+    scenario = tmp_path / "grid.json"
+    scenario.write_text(json.dumps(sc))
+    return scenario
+
+
+def grid_argv(command, scenario, tmp_path):
+    return {"tighten": ["tighten", str(scenario), str(tmp_path / "schedule.json")],
+            "simulate": ["simulate", str(scenario), "--out", str(tmp_path), "--deterministic"],
+            "steady": ["steady", str(scenario), "1.0,1.0"]}[command]
+
+
+def refuse(monkeypatch, module, *attrs):
+    """Patch each of ``attrs`` of ``module`` to fail when it is called."""
+    for attr in attrs:
+        def refused(*args, attr=attr, **kwargs):
+            raise AssertionError(f"{attr} was called")
+
+        monkeypatch.setattr(module, attr, refused)
+
+
+@pytest.mark.parametrize("command, grid, named", [
+    *((command, {"x_points": [10**12, 13, 13]}, "steady_grid.x_points = [1000000000000, 13, 13]")
+      for command in ("tighten", "simulate", "steady")),
+    *((command, {"x_points": [10**400, 13, 13]}, f"steady_grid.x_points = [{10**400}, 13, 13]")
+      for command in ("tighten", "simulate", "steady")),
+    *((command, {"u_points": [10**6, 10**6]},
+       "steady_grid.u_points = [1000000, 1000000] in a search of 2197 states under "
+       "1000000000000 inputs is too large") for command in ("tighten", "simulate", "steady")),
+], ids=[f"{command}-{grid}" for grid in ("x-10**12", "x-10**400", "u-10**6")
+        for command in ("tighten", "simulate", "steady")])
+def test_a_steady_grid_past_the_memory_bound_exits_2_naming_the_key_before_it_is_built(
+        tmp_path, capsys, monkeypatch, command, grid, named):
+    # With np.linspace run on the counts before the size check,
+    # x_points = [10**12, 13, 13] raised a raw MemoryError out of main and
+    # [10**400, 13, 13] exited 2 naming no key. Every command counts the grid's
+    # axes and the steady search over it, grid states times input combinations,
+    # and names the key of the larger product.
+    refuse(monkeypatch, np, "linspace")
+    refuse(monkeypatch, cli_module, "generate_training_data", "fit_edmd", "tighten_constraints")
+    scenario = unicycle_with_grid(tmp_path, **grid)
+    assert main(grid_argv(command, scenario, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert named in err and f"{cli_module.MAX_SCENARIO_BYTES >> 30} GiB bound" in err
+
+
+def test_steady_builds_the_declared_grid_under_the_bound(tmp_path, capsys):
+    scenario = unicycle_with_grid(tmp_path, x_points=[3, 3, 5], u_points=[2, 3])
+    assert main(grid_argv("steady", scenario, tmp_path)) == 0
+    assert "lifted-model steady target" in capsys.readouterr().out

@@ -1,8 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from koopmpc import qp as qps
 from koopmpc.controller import (
     GridSpec,
     Infeasible,
@@ -12,6 +14,7 @@ from koopmpc.controller import (
     NonlinearSteadyTarget,
     SteadyTarget,
     TrackingProblem,
+    _steady_qp,
     build_qp,
     diagnostics,
     shifted_candidate,
@@ -19,6 +22,7 @@ from koopmpc.controller import (
     solve_steady_nonlinear,
     solve_step,
 )
+from koopmpc.cli import build_stack
 from koopmpc.gains import dlqr
 from koopmpc.model import LiftingSpec, lift, make_model
 from koopmpc.sets import (
@@ -27,7 +31,7 @@ from koopmpc.sets import (
     box_zonotope,
     tighten_constraints,
 )
-from oracles import numerical_example_matrices, segment_inequality_check
+from oracles import numerical_example_matrices, segment_inequality_check, steady_qp_by_block_diag
 
 LAM, MU = -0.1, 2.0
 
@@ -564,3 +568,44 @@ def test_steady_records_name_every_array_field(cls):
             assert type(value) is float and value > 0.0
         else:
             assert isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == float
+
+
+# --- the steady-pair QP's blocks ------------------------------------------------------
+
+def random_steady_setup(seed):
+    """A random stable lifted model with n_u = 2 and two outputs, its schedule and s."""
+    rng = np.random.default_rng(seed)
+    spec = LiftingSpec(kind="explicit", n_x=3, exponents=[[1, 1, 0], [2, 0, 1]])
+    A = rng.standard_normal((5, 5))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    model = make_model(A, rng.standard_normal((5, 2)), spec,
+                       output_matrix=rng.standard_normal((2, 3)))
+    dist = _Bounds(W=Zonotope(np.zeros(5), 0.01 * rng.standard_normal((5, 3))),
+                   V=box_zonotope([0.01, 0.02, 0.01]))
+    K = np.zeros((2, 5))
+    schedule = tighten_constraints(box_polytope([-5.0] * 3, [5.0, 4.0, 3.0]),
+                                   box_polytope([-1.0, -2.0], [1.0, 2.0]), dist, A, model.B, K,
+                                   model.C_x, 4)
+    return model, schedule, float(rng.uniform(1.0, 100.0))
+
+
+def shipped_steady_setup(name):
+    stack = build_stack(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
+    return stack.model, stack.schedule, stack.config.s
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: shipped_steady_setup("a1"), lambda: shipped_steady_setup("a2"),
+    lambda: shipped_steady_setup("unicycle_square"), lambda: random_steady_setup(3),
+    lambda: random_steady_setup(4)],
+    ids=["a1", "a2", "unicycle_square", "random-n_u-2", "random-n_u-2-other"])
+def test_the_steady_qp_equals_its_block_diag_form_bit_for_bit(setup):
+    model, schedule, s = setup()
+    got = _steady_qp(model, schedule, s)
+    P, A_in, b_in, F_q = steady_qp_by_block_diag(model, schedule, s)
+    want = qps.QuadraticProgram(P=P, q=got.q, A_eq=got.A_eq, b_eq=got.b_eq, A_in=A_in, b_in=b_in,
+                                F_q=F_q)
+    assert got.q.tobytes() == np.zeros(model.n_z + model.n_u).tobytes()
+    for name in ("P", "A_in", "b_in", "F_q"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

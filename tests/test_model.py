@@ -27,8 +27,9 @@ from koopmpc.model import (
 from koopmpc.sets import Zonotope, box_zonotope
 from oracles import (
     fit_edmd_two_lifts,
-    monomials_by_pow,
+    lift_by_pow,
     numerical_example_matrices,
+    training_data_by_list,
     transitions,
 )
 
@@ -582,7 +583,7 @@ def test_one_lift_fit_matches_the_two_lift_oracle_bit_for_bit(source):
     assert model.A.tobytes() == A.tobytes() and model.B.tobytes() == B.tobytes()
 
 
-# --- monomials: exponents 0 and 1 without pow ------------------------------------------------
+# --- lifts: one column per monomial by a gather, the others by products -------------------
 
 def scenario_lifting(name):
     sc = json.loads((SCENARIOS / f"{name}.json").read_text())
@@ -595,24 +596,64 @@ LIFTINGS["mixed"] = lambda: LiftingSpec(kind="explicit", n_x=4, exponents=[
     [2, 1, 0, 3], [0, 0, 0, 0], [1, 0, 1, 1], [1, 1, 1, 1], [0, 5, 2, 0], [0, 1, 0, 0]])
 LIFTINGS["linear"] = lambda: LiftingSpec(kind="explicit", n_x=4, exponents=[
     [1, 1, 1, 1], [1, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
+LIFTINGS["one-column"] = lambda: LiftingSpec(kind="explicit", n_x=3, exponents=[
+    [0, 0, 1], [0, 0, 0], [1, 0, 0], [0, 0, 1]])
 LIFTINGS["none"] = lambda: LiftingSpec(kind="explicit", n_x=2, exponents=np.zeros((0, 2), int))
+LIFTINGS["planar-pow"] = lambda: LiftingSpec(kind="explicit", n_x=3, pre="planar_heading",
+                                             exponents=[[2, 0, 1, 0], [0, 1, 0, 3], [0, 0, 1, 1]])
+
+
+def special_states(seed, n, n_x):
+    """n states that hold 0, -0, negatives, +-inf and NaN of either sign."""
+    rng = np.random.default_rng(seed)
+    X = 3.0 * rng.standard_normal((n, n_x))
+    special = rng.uniform(size=X.shape) < 0.3
+    X[special] = rng.choice([0.0, -0.0, -2.5, np.inf, -np.inf, np.nan, -np.nan], size=special.sum())
+    return X
+
+
+def assert_lifts_match_pow(spec, X):
+    """lift_many and each row's lift equal the column_stack, pow and hstack lift bit for bit."""
+    m = make_model(np.eye(spec.n_z), np.zeros((spec.n_z, 1)), spec)
+    with np.errstate(all="ignore"):
+        expected = lift_by_pow(spec, X)
+        got = lift_many(m, X)
+        rows = [lift(m, x) for x in X]
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert all(z.tobytes() == e.tobytes() for z, e in zip(rows, expected, strict=True))
 
 
 @pytest.mark.parametrize("name", sorted(LIFTINGS))
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
 def test_monomials_match_pow_bit_for_bit(name, seed, n):
-    # Exponents 0 and 1 select a column or give 1.0; the others keep pow. States
-    # hold 0, -0, negatives, +-inf and NaN of either sign.
+    # One column or none per monomial takes a gather; other exponents 0 and 1
+    # skip pow; the others keep it.
     spec = LIFTINGS[name]()
+    assert_lifts_match_pow(spec, special_states(seed, n, spec.n_x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 6),
+       pre=st.sampled_from(sorted(model_module._PRES)))
+def test_a_random_0_1_dictionary_lifts_as_pow_bit_for_bit(seed, k, pre):
     rng = np.random.default_rng(seed)
-    X = 3.0 * rng.standard_normal((n, spec.n_x))
-    special = rng.uniform(size=X.shape) < 0.3
-    X[special] = rng.choice([0.0, -0.0, -2.5, np.inf, -np.inf, np.nan, -np.nan], size=special.sum())
-    with np.errstate(all="ignore"):
-        expected = monomials_by_pow(model_module._pre_map(spec, X), spec.exponents)
-        got = model_module._features(spec, X)
-    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    n_x = 3 if pre == "planar_heading" else int(rng.integers(1, 6))
+    exponents = rng.integers(0, 2, size=(k, 4 if pre == "planar_heading" else n_x))
+    spec = LiftingSpec(kind="explicit", n_x=n_x, pre=pre, exponents=exponents)
+    assert_lifts_match_pow(spec, special_states(seed, 40, n_x))
+
+
+def test_the_shipped_unicycle_fit_matches_the_oracle_data_and_fit_bit_for_bit():
+    # The oracle rolls the data out into a list and lifts it by pow and hstack.
+    data, lifting, options = scenario_fit_inputs("unicycle_square")
+    sc = json.loads((SCENARIOS / "unicycle_square.json").read_text())
+    plant = cli._build_plant(sc["plant"])
+    generate = cli._training_data(sc, plant, SCENARIOS).keywords
+    states, inputs = training_data_by_list(plant, **generate)
+    model = fit_edmd(data, lifting, **options)
+    A, B = fit_edmd_two_lifts(TrajectoryData.batch(states, inputs), lifting, **options)
+    assert model.A.tobytes() == A.tobytes() and model.B.tobytes() == B.tobytes()
 
 
 # --- the trajectory CSV's t column ----------------------------------------------------------

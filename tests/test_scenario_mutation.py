@@ -19,29 +19,28 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CASES_PER_SCENARIO = 100
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 DELETE = object()
-# 10**400 as T, N, n_traj or traj_len is refused by the size check of
-# build_stack; no other value is a count that passes and runs long.
+# 10**400 as T, N, n_traj, traj_len or a steady-grid point count is refused
+# by the size check of build_stack; no other value is a count that passes and
+# runs long.
 VALUES = [
     None, True, False, 0, -1, 1, 2, 2.5, -0.5, 50, 10**400, 1e-12, 1e308, -1e308,
     float("inf"), float("-inf"), float("nan"), -10**400, "1", "nan", "",
     {}, [], [[]], [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]],
 ]
-SIZE_KEYS = {"N", "n_traj", "traj_len"}
+SIZE_KEYS = {"N", "n_traj", "traj_len", "x_points", "u_points"}
 
 
 def small(doc):
     """``doc`` with T at most 3 and every size key and grid point count at most 50."""
     doc["T"] = min(doc["T"], 3)
-    for key in ("x_points", "u_points"):
-        if key in doc.get("steady_grid", {}):
-            doc["steady_grid"][key] = [min(p, 50) for p in doc["steady_grid"][key]]
 
     def cap(node):
         for key, value in node.items():
             if isinstance(value, dict):
                 cap(value)
             elif key in SIZE_KEYS:
-                node[key] = min(value, 50)
+                capped = [min(p, 50) for p in value] if isinstance(value, list) else min(value, 50)
+                node[key] = capped
 
     cap(doc)
     return doc

@@ -29,6 +29,7 @@ from oracles import (
     numerical_example_matrices,
     reference_closed_loop,
     save_log_csv_with_csv_writer,
+    training_data_by_list,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -170,6 +171,29 @@ def test_generate_training_data_deterministic():
     for (sa, ua), (sb, ub) in zip(a.trajectories, b.trajectories):
         assert np.array_equal(sa, sb) and np.array_equal(ua, ub)
     assert not np.array_equal(a.trajectories[0][0], c.trajectories[0][0])
+
+
+@pytest.mark.parametrize("plant", [numerical_example_plant(), unicycle_plant(dt=0.1)],
+                         ids=["numerical_example", "unicycle"])
+@pytest.mark.parametrize("n_traj, traj_len", [(1, 1), (1, 6), (7, 1), (40, 5)])
+@pytest.mark.parametrize("seed", range(4))
+def test_training_data_matches_the_list_and_stack_rollout_bit_for_bit(plant, n_traj, traj_len,
+                                                                      seed):
+    # Boxes of odd seeds have dense generator matrices with more generators
+    # than dimensions; the others are axis-aligned.
+    rng = np.random.default_rng(seed)
+
+    def box(n):
+        if seed % 2:
+            return Zonotope(rng.standard_normal(n), rng.standard_normal((n, n + 2)))
+        return box_zonotope(rng.uniform(0.5, 3.0, n), center=rng.standard_normal(n))
+
+    boxes = {"state_box": box(plant.n_x), "input_box": box(plant.n_u)}
+    data = generate_training_data(plant, n_traj, traj_len, seed=seed, **boxes)
+    states, inputs = training_data_by_list(plant, n_traj, traj_len, seed=seed, **boxes)
+    assert data.states.tobytes() == states.reshape(-1, plant.n_x).tobytes()
+    assert data.inputs.tobytes() == inputs.reshape(-1, plant.n_u).tobytes()
+    assert data.lengths.tolist() == [traj_len + 1] * n_traj
 
 
 def spread_boxes(n_x, n_u):
