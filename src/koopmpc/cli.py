@@ -53,7 +53,9 @@ from .model import (
     save_model,
 )
 from .qp import SolverFailed
-from .sets import EmptyTightenedSet, TighteningSchedule, Zonotope, box_polytope, tighten_constraints
+from .sets import (
+    EmptyTightenedSet, TighteningSchedule, Zonotope, box_polytope, box_zonotope, tighten_constraints,
+)
 from .sim import (
     Plant,
     ReferenceSchedule,
@@ -95,12 +97,10 @@ def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
     if "center" not in doc:
         raise ValueError(f"{what} needs 'center' and 'half_extents' or 'generators'")
     center = _floats(doc["center"], f"{what}.center")
-    if "half_extents" in doc:
-        gens = np.diag(_floats(doc["half_extents"], f"{what}.half_extents"))
-    else:
-        gens = _floats(doc["generators"], f"{what}.generators")
+    key = "half_extents" if "half_extents" in doc else "generators"
+    value = _floats(doc[key], f"{what}.{key}")
     try:
-        Z = Zonotope(center=center, generators=gens)
+        Z = box_zonotope(value, center) if key == "half_extents" else Zonotope(center, value)
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from None
     if Z.dim != dim:
@@ -134,7 +134,6 @@ def _weight(value, n: int, what: str) -> np.ndarray:
 
 
 _PLANT_PARAMS = {"numerical_example": {"lambda", "mu"}, "unicycle": {"dt"}}
-_LIFTING_PARAMS = {"pre", "exponents"}
 _FIT_LIFTING_KEYS = {"kind", "params", "n_x", "ridge", "output_matrix"}
 _SCENARIO_KEYS = {
     "plant", "lifting", "output_matrix", "ridge", "data", "disturbance", "injected", "constraints",
@@ -158,11 +157,9 @@ def _check_keys(doc, allowed: set, what: str) -> None:
 
 
 def _lifting(doc, n_x: int, keys=frozenset({"kind", "params"})):
-    """The lifting of ``doc``; a key outside ``keys``, or a ``params`` key its
-    kind does not take, is rejected by name."""
+    """The lifting of ``doc``; a key outside ``keys`` is rejected by name, and
+    ``_lifting_from_doc`` checks the kind and ``params``."""
     _check_keys(doc, keys, "lifting")
-    if doc.get("kind") == "explicit":  # LiftingSpec rejects any other kind
-        _check_keys(doc.get("params"), _LIFTING_PARAMS, "lifting.params")
     return _lifting_from_doc(doc, n_x=n_x)
 
 
@@ -368,10 +365,12 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     def noise(doc, what, n_w) -> DisturbanceModel:
         """W is n_w-dimensional and the measurement noise V acts on the state."""
         _check_keys(doc, {"W", "V"}, what)
-        return DisturbanceModel(
-            W=_zonotope_from_doc(doc["W"], f"{what}.W", n_w),
-            V=_zonotope_from_doc(doc["V"], f"{what}.V", plant.n_x),
-        )
+        W = _zonotope_from_doc(doc["W"], f"{what}.W", n_w)
+        V = _zonotope_from_doc(doc["V"], f"{what}.V", plant.n_x)
+        try:
+            return DisturbanceModel(W=W, V=V)
+        except ValueError as exc:
+            raise ValueError(f"{what}.{exc}") from None
 
     # The plant's injected disturbance lives in its exact lifted coordinates,
     # so a plant without an exact lifting takes none (see sim.step_plant).

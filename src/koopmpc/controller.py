@@ -30,22 +30,12 @@ import numpy as np
 
 from . import qp as qps
 from .gains import _as_spd
-from .model import KoopmanModel
+from .model import KoopmanModel, _as_vector
 from .sets import TighteningSchedule
 
 
 class Infeasible(Exception):
     """A controller QP is certified primal infeasible."""
-
-
-def _as_vector(v, n: int, name: str) -> np.ndarray:
-    """v as a float (n,) vector; a float64 ndarray of that shape is taken as it is."""
-    if type(v) is np.ndarray and v.dtype == float and v.shape == (n,):
-        return v
-    out = np.atleast_1d(np.asarray(v, dtype=float))
-    if out.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {out.shape}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,7 @@ class KtmpcSolution:
 @dataclass(frozen=True)
 class LyapunovDiag:
     """Tracking cost V1, optimality gap V2 = J_N* - J_eq~*, and J_eq~* itself,
-    one entry per step of a run (0-d entries for a single step).
+    one entry per step of a run.
 
     V2 >= 0 up to the rounding of the two costs it subtracts, so its floor is
     -1e-7 relative to J_eq~* (absolute when J_eq~* <= 1); a failure names its first step."""
@@ -234,10 +224,10 @@ def _steady_target(model: KoopmanModel, s: float, z_s, u_s, y_t) -> SteadyTarget
 def solve_steady_nonlinear(plant, y_t, s: float, grid_spec: GridSpec) -> NonlinearSteadyTarget:
     """Brute-force steady pair of the true plant, used as a reference oracle.
 
-    ``plant`` must expose batched maps ``f(X, U) -> X_next`` and ``h(X) -> Y``
-    over row-stacked arrays.  Among all grid points with ``||f(x,u) - x||_inf
-    <= fp_tol``, returns the one minimizing ``s*||h(x) - y_t||^2`` (first hit
-    wins ties, so the result is deterministic).
+    ``plant`` must expose a batched map ``f(X, U) -> X_next`` over row-stacked
+    arrays and an output matrix ``C``.  Among all grid points with
+    ``||f(x,u) - x||_inf <= fp_tol``, returns the one minimizing
+    ``s*||C x - y_t||^2`` (first hit wins ties, so the result is deterministic).
     """
     y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
     mesh = np.meshgrid(*grid_spec.x_values, indexing="ij")
@@ -251,7 +241,7 @@ def solve_steady_nonlinear(plant, y_t, s: float, grid_spec: GridSpec) -> Nonline
         if not np.any(fp):
             continue
         Xf = X[fp]
-        Y = np.atleast_2d(np.asarray(plant.h(Xf), dtype=float))
+        Y = Xf @ plant.C.T
         costs = s * np.sum((Y - y_t) ** 2, axis=1)
         i = int(np.argmin(costs))
         if best is None or costs[i] < best[0]:
@@ -387,10 +377,7 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
 def diagnostics(J_N, offset_costs) -> LyapunovDiag:
     """V1 = max(J_N* - its target's offset cost, 0) and V2 = J_N* - J_eq~* for a
     run's (k,) costs J_N* and (k, 2) offset costs (targets', then offline J_eq~*),
-    bit for bit per entry; a KtmpcSolution and its offline SteadyTarget give 0-d ones."""
-    if isinstance(J_N, KtmpcSolution):
-        offset_costs = np.array([J_N.target.offset_cost, offset_costs.offset_cost])
-        J_N = J_N.total_cost
+    bit for bit per entry."""
     own, J_eq = offset_costs[..., 0], offset_costs[..., 1]
     return LyapunovDiag(V1=np.maximum(J_N - own, 0.0), V2=J_N - J_eq, J_eq_tilde=J_eq)
 

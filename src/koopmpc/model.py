@@ -20,7 +20,6 @@ from scipy.optimize import linprog
 
 from .sets import Zonotope
 
-_KINDS = ("explicit",)
 _PRES = ("identity", "planar_heading")
 
 
@@ -54,6 +53,16 @@ def _as_matrix(M, name: str, finite: bool = True) -> np.ndarray:
     return out
 
 
+def _as_vector(v, n: int, name: str) -> np.ndarray:
+    """v as a float (n,) vector; a float64 ndarray of that shape is taken as it is."""
+    if type(v) is np.ndarray and v.dtype == float and v.shape == (n,):
+        return v
+    out = np.atleast_1d(np.asarray(v, dtype=float))
+    if out.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {out.shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class LiftingSpec:
     """Dictionary of scalar observables evaluated on the (pre-mapped) state.
@@ -64,23 +73,18 @@ class LiftingSpec:
     vector is always the raw state followed by the dictionary features, so
     ``n_z = n_x + <feature count>``.
 
-    The one ``kind`` is ``"explicit"``: the caller supplies the exponent
-    matrix, one row per monomial over the pre-features.  A polynomial
-    dictionary is written out this way; degree 2 over two states is
-    ``[[2, 0], [1, 1], [0, 2]]``.
+    The caller supplies the exponent matrix, one row per monomial over the
+    pre-features.  A polynomial dictionary is written out this way; degree 2
+    over two states is ``[[2, 0], [1, 1], [0, 2]]``.
     """
 
-    kind: str
     n_x: int
     pre: str = "identity"
     exponents: np.ndarray | None = None
-    _linear: bool = field(default=False, init=False, repr=False, compare=False)  # no exponent > 1
     # One column or none per monomial: the column, or n_f (a column of ones).
     _columns: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown lifting kind {self.kind!r}")
         if self.pre not in _PRES:
             raise ValueError(f"unknown pre-map {self.pre!r}")
         if not (_is_number(self.n_x, integer=True) and self.n_x >= 1):
@@ -96,8 +100,7 @@ class LiftingSpec:
         if bad:
             raise ValueError(f"exponents must be integers in [0, 2**63), got {bad[0]!r}")
         object.__setattr__(self, "exponents", E := exps.astype(int))
-        object.__setattr__(self, "_linear", np.all(E < 2))
-        if self._linear and np.all(E.sum(axis=1) < 2):
+        if np.all(E < 2) and np.all(E.sum(axis=1) < 2):
             object.__setattr__(self, "_columns", np.where(E.any(axis=1), E.argmax(axis=1), n_f))
 
     @property
@@ -108,8 +111,7 @@ class LiftingSpec:
 def _lifted(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
     """[X, features(X)] of a batch of states, one (n, n_z) array, the trig
     pre-map filled in place. Monomials of one column or none (the unicycle's)
-    gather it, pow's other factors being exact 1.0s; other exponents all 0 or 1
-    skip ``pow`` and the rest keep it, each bit for bit."""
+    gather it, pow's other factors being exact 1.0s, bit for bit; the rest take ``pow``."""
     n_x, cols = spec.n_x, spec._columns
     if spec.pre == "identity" and cols is None:
         F = X
@@ -123,8 +125,6 @@ def _lifted(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
             np.cos(X[:, 2], out=F[:, 3])
     if cols is not None:
         P = F[:, cols]
-    elif spec._linear:
-        P = np.multiply.reduce(np.where(spec.exponents == 1, F[:, None, :], 1.0), axis=2)
     else:
         P = np.multiply.reduce(F[:, None, :] ** spec.exponents, axis=2)
     return np.concatenate((X, P), axis=1)
@@ -194,11 +194,7 @@ def make_model(A, B, lifting: LiftingSpec, output_matrix=None) -> KoopmanModel:
 
 def lift(model: KoopmanModel, x) -> np.ndarray:
     """[x; features(x)]; a float64 (n_x,) ndarray x is taken as it is."""
-    if not (type(x) is np.ndarray and x.dtype == float and x.shape == (model.n_x,)):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (model.n_x,):
-            raise ValueError(f"state must have shape ({model.n_x},), got {x.shape}")
-    return _lifted(model.lifting, x[None, :])[0]
+    return _lifted(model.lifting, _as_vector(x, model.n_x, "state")[None, :])[0]
 
 
 def lift_many(model: KoopmanModel, X) -> np.ndarray:
@@ -318,7 +314,7 @@ def fit_edmd(
     with np.errstate(over="ignore", invalid="ignore"):
         Z, rows = _lifted(lifting, data.states), data._transition_rows()
     if not (finite := np.isfinite(Z)).all():
-        raise ValueError(f"lifting of kind {lifting.kind!r} maps {np.sum(~finite.all(axis=1))} "
+        raise ValueError(f"the lifting maps {np.sum(~finite.all(axis=1))} "
                          "training states to non-finite features")
     Phi = np.hstack([Z[rows], data.inputs])
     Psi_next = Z[1:][rows]  # Z[rows + 1], without a second index array
@@ -376,24 +372,26 @@ def _zonotope_contains_origin(Z: Zonotope, tol: float = 1e-9) -> bool:
 # --- persistence -----------------------------------------------------------------------
 
 def _lifting_to_doc(spec: LiftingSpec) -> dict:
-    return {"kind": spec.kind, "params": {"pre": spec.pre, "exponents": spec.exponents.tolist()}}
+    return {"kind": "explicit", "params": {"pre": spec.pre, "exponents": spec.exponents.tolist()}}
 
 
 def _lifting_from_doc(doc: dict, n_x: int) -> LiftingSpec:
-    """The lifting of a ``{"kind", "params"}`` document. An unknown kind is
-    named before ``params`` is read, and a missing ``exponents`` after it; a
-    ``doc`` or ``params`` that is not an object is named as ``lifting`` or
-    ``lifting.params``."""
+    """The lifting of a ``{"kind", "params"}`` document, whose one kind is
+    ``"explicit"``. An unknown kind is named before ``params`` is read, and an
+    unknown or missing key of ``params`` after it; a ``doc`` or ``params``
+    that is not an object is named as ``lifting`` or ``lifting.params``."""
     if not isinstance(doc, dict):
         raise ValueError(f"lifting must be an object, got {doc!r}")
     kind, params = doc.get("kind"), doc.get("params", {})
-    if kind not in _KINDS:
+    if kind != "explicit":
         raise ValueError(f"unknown lifting kind {kind!r}")
     if not isinstance(params, dict):
         raise ValueError(f"lifting.params must be an object, got {params!r}")
+    if unknown := sorted(set(params) - {"pre", "exponents"}):
+        raise ValueError(f"unknown lifting.params key {unknown[0]!r} (allowed: exponents, pre)")
     if "exponents" not in params:
         raise ValueError(f"lifting.params of kind {kind!r} needs key 'exponents'")
-    return LiftingSpec(kind=kind, n_x=n_x, pre=params.get("pre", "identity"),
+    return LiftingSpec(n_x=n_x, pre=params.get("pre", "identity"),
                        exponents=params.get("exponents"))
 
 

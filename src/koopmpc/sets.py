@@ -31,7 +31,8 @@ class EmptyTightenedSet(Exception):
 
 @dataclass(frozen=True)
 class Zonotope:
-    """center + generators @ xi over xi in [-1, 1]^g; g = 0 is a singleton."""
+    """center + generators @ xi over xi in [-1, 1]^g, generators an (n, g)
+    matrix; g = 0 is a singleton."""
 
     center: np.ndarray
     generators: np.ndarray
@@ -40,7 +41,8 @@ class Zonotope:
         c = np.asarray(self.center, dtype=float).ravel()
         G = np.asarray(self.generators, dtype=float)
         if G.ndim != 2:
-            G = G.reshape(c.size, -1)
+            raise ValueError(f"generators must be an (n, g) matrix ([[], ...] for g = 0), "
+                             f"got shape {G.shape}")
         if G.shape[0] != c.size:
             raise ValueError(
                 f"generators have {G.shape[0]} rows for a {c.size}-dim center"
@@ -108,9 +110,9 @@ class TighteningSchedule:
 
 def box_zonotope(half_extents, center=None) -> Zonotope:
     """Axis-aligned box as a zonotope with a diagonal generator matrix."""
-    h = np.asarray(half_extents, dtype=float).ravel()
-    if np.any(h < 0):
-        raise ValueError("half extents must be nonnegative")
+    h = np.asarray(half_extents, dtype=float)
+    if h.ndim != 1 or np.any(h < 0):
+        raise ValueError(f"half_extents must be a list of numbers >= 0, got {h.tolist()}")
     c = np.zeros(h.size) if center is None else np.asarray(center, dtype=float).ravel()
     return Zonotope(center=c, generators=np.diag(h))
 
@@ -190,16 +192,15 @@ def contains(P: HPolytope, x, tol: float = CONTAINS_TOL) -> bool:
 
 
 def margin(P: HPolytope, x):
-    """Worst halfspace slack of x in P (negative: outside; +inf for no rows); a
-    float64 (P.dim,) ndarray x is taken as it is. A (k, P.dim) stack X gives its
-    k slacks, offsets[:, None] - normals @ X.T over axis 0: exact, so bit for bit the
-    one-point calls, on box rows (as the CLI builds); other normals may round otherwise."""
-    if not (type(x) is np.ndarray and x.dtype == float and x.shape == (P.dim,)):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2 and x.shape[1] == P.dim:
-            return np.minimum.reduce(P.offsets[:, None] - P.normals @ x.T, axis=0, initial=np.inf)
-        if (x := x.ravel()).size != P.dim:
-            raise ValueError(f"point of dimension {x.size} for a set of dimension {P.dim}")
+    """Worst halfspace slack of x in P (negative: outside; +inf for no rows). A
+    (k, P.dim) stack X gives its k slacks, offsets[:, None] - normals @ X.T over
+    axis 0: exact, so bit for bit the one-point calls, on box rows (as the CLI
+    builds); other normals may round otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and x.shape[1] == P.dim:
+        return np.minimum.reduce(P.offsets[:, None] - P.normals @ x.T, axis=0, initial=np.inf)
+    if (x := x.ravel()).size != P.dim:
+        raise ValueError(f"point of dimension {x.size} for a set of dimension {P.dim}")
     return float(np.minimum.reduce(P.offsets - P.normals @ x, initial=np.inf))
 
 

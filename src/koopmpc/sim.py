@@ -28,7 +28,7 @@ from .controller import (
     solve_steady,
     solve_step,
 )
-from .model import DisturbanceModel, TrajectoryData, _is_finite, lift
+from .model import DisturbanceModel, TrajectoryData, _as_vector, _is_finite, lift
 from .sets import CONTAINS_TOL, Zonotope, margin, point
 
 
@@ -36,14 +36,13 @@ from .sets import CONTAINS_TOL, Zonotope, margin, point
 
 @dataclass(frozen=True)
 class Plant:
-    """A benchmark plant: batched dynamics f, batched output h, output matrix C."""
+    """A benchmark plant: batched dynamics f and output matrix C (y = C x)."""
 
     kind: str
     n_x: int
     n_u: int
     C: np.ndarray
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray], np.ndarray]
     A_lift: np.ndarray | None = None
     B_lift: np.ndarray | None = None
 
@@ -64,10 +63,7 @@ def numerical_example_plant(lam: float = -0.1, mu: float = 2.0) -> Plant:
     def f(X: np.ndarray, U: np.ndarray) -> np.ndarray:
         return (np.concatenate([X, X[..., :1] ** 2], axis=-1) @ A_lift.T + U @ B_lift.T)[..., :2]
 
-    return Plant(
-        kind="numerical_example", n_x=2, n_u=1, C=C, f=f, h=lambda X: X @ C.T,
-        A_lift=A_lift, B_lift=B_lift,
-    )
+    return Plant(kind="numerical_example", n_x=2, n_u=1, C=C, f=f, A_lift=A_lift, B_lift=B_lift)
 
 
 def unicycle_plant(dt: float = 0.1) -> Plant:
@@ -81,7 +77,7 @@ def unicycle_plant(dt: float = 0.1) -> Plant:
         v, w = U[:, 0], U[:, 1]
         return np.column_stack([px + dt * v * np.cos(th), py + dt * v * np.sin(th), th + dt * w])
 
-    return Plant(kind="unicycle", n_x=3, n_u=2, C=C, f=f, h=lambda X: X @ C.T)
+    return Plant(kind="unicycle", n_x=3, n_u=2, C=C, f=f)
 
 
 def step_plant(
@@ -95,19 +91,12 @@ def step_plant(
     once per run); either one left out is zero. A plant without an exact
     lifting (the unicycle) takes none: its model error plays that role.
     """
-    if not (type(x) is type(u) is np.ndarray and x.dtype == u.dtype == float
-            and x.shape == (plant.n_x,) and u.shape == (plant.n_u,)):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if x.shape != (plant.n_x,) or u.shape != (plant.n_u,):
-            raise ValueError(f"expected shapes ({plant.n_x},) and ({plant.n_u},)")
+    x, u = _as_vector(x, plant.n_x, "x"), _as_vector(u, plant.n_u, "u")
     n_w, n_v = plant.noise_dims
     if (w is not None or v is not None) and not n_w:
         raise ValueError(f"the {plant.kind} plant takes no injected disturbance")
-    w = np.zeros(n_w) if w is None else np.asarray(w, dtype=float)
-    v = np.zeros(n_v) if v is None else np.asarray(v, dtype=float)
-    if w.shape != (n_w,) or v.shape != (n_v,):
-        raise ValueError(f"w must be {n_w}-dimensional and v {n_v}-dimensional")
+    w = np.zeros(n_w) if w is None else _as_vector(w, n_w, "w")
+    v = np.zeros(n_v) if v is None else _as_vector(v, n_v, "v")
     x_next = plant.f(x[None], u[None])[0]
     if n_w:
         x_next = x_next + w[:n_v] + v

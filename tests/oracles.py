@@ -517,13 +517,23 @@ def segment_inequality_check(y_s_star, y_sr_tilde, y_t, s: float, sigma_samples)
     return True
 
 
+def step_diagnostics(sol, offline):
+    """``controller.diagnostics`` of one step as a run of one: the (1,) cost
+    J_N* of ``sol`` and the (1, 2) offset costs of its target and of the
+    offline target ``offline``; each entry of the result is (1,)."""
+    from koopmpc.controller import diagnostics
+
+    return diagnostics(np.array([sol.total_cost]),
+                       np.array([[sol.target.offset_cost, offline.offset_cost]]))
+
+
 def reference_closed_loop(plant, problem, refs, disturbances=None, T=100, seed=0, x0=None):
     """The closed loop one step at a time, rows kept in lists: each step draws
     its noise with a ``sets.sample`` call per set (W, then V), steps the plant
     inline and recomputes ``y = C x``. Columns get the widths of the run's
     dimensions, so an empty run's columns are (0, n)."""
     from koopmpc.controller import (
-        Infeasible, diagnostics, shifted_candidate, solve_steady, solve_step,
+        Infeasible, shifted_candidate, solve_steady, solve_step,
     )
     from koopmpc.model import lift
     from koopmpc.sets import margin, sample
@@ -572,14 +582,14 @@ def reference_closed_loop(plant, problem, refs, disturbances=None, T=100, seed=0
                    state_margin=margin(schedule.state_sets[0], x), input_margin=np.nan,
                    w_inj=np.zeros(n_w), v_inj=np.zeros(n_v))
             return build(halted_at=k)
-        diag = diagnostics(sol, offline)
+        diag = step_diagnostics(sol, offline)
         w = sample(W, rng) if W is not None else np.zeros(n_w)
         v = sample(V, rng) if V is not None else np.zeros(n_v)
         x_next = plant.f(x[None], np.atleast_1d(u_k)[None])[0]
         if n_w:
             x_next = x_next + w[:n_v] + v
         append(k=k, x=x, u=u_k, y=y, y_t=y_t, y_s=sol.target.y_s, u_s=sol.target.u_s,
-               y_sr=offline.y_s, J_N=sol.total_cost, V1=diag.V1, V2=diag.V2, feasible=True,
+               y_sr=offline.y_s, J_N=sol.total_cost, V1=diag.V1[0], V2=diag.V2[0], feasible=True,
                margin_min=cand_margin, state_margin=margin(schedule.state_sets[0], x),
                input_margin=margin(schedule.input_sets[0], u_k), w_inj=w, v_inj=v)
         x = x_next

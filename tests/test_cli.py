@@ -41,6 +41,9 @@ def write_training_csv(path, n_traj=150, traj_len=4, seed=0):
     save_trajectories(data, path)
 
 
+HEADER_2X1 = "traj_id,t,x_0,x_1,u_0\n"  # two states, one input
+
+
 def write_lifting_json(path, ridge=0.0):
     doc = {
         "kind": "explicit",
@@ -508,6 +511,38 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
     ({"lifting": {"kind": "explicit", "params": {"exponents": [[2.5, 0]]}}},
      "exponents must be integers in [0, 2**63), got 2.5"),
     (["not", "an", "object"], "must contain a JSON object"),
+    # A zonotope is read as written: a flat generators list used to be
+    # reshaped to (n, -1), and half_extents written as a matrix went through
+    # np.diag, which took its diagonal as one generator column.
+    ({"disturbance": {"declared": {"W": {"center": [0.0] * 3,
+                                         "generators": [0.01, 0.02, 0.03, 0.01, 0.02, 0.03]},
+                                   "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}}},
+     "disturbance.declared.W: generators must be an (n, g) matrix ([[], ...] for g = 0), "
+     "got shape (6,)"),
+    ({"disturbance": {"declared": {"W": {"center": [0.0] * 3,
+                                         "half_extents": [[0.31, 0.0, 0.0], [0.0, 0.31, 0.0],
+                                                          [0.0, 0.0, 0.125]]},
+                                   "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}}},
+     "disturbance.declared.W: half_extents must be a list of numbers >= 0, got [[0.31"),
+    ({"disturbance": {"declared": {"W": {"center": [0.0] * 3, "half_extents": [0.31, -0.31, 0.1]},
+                                   "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}}},
+     "disturbance.declared.W: half_extents must be a list of numbers >= 0, got [0.31, -0.31, 0.1]"),
+    # A set that misses the origin is named with its block.
+    ({"disturbance": {"declared": {"W": {"center": [0.5, 0.0, 0.0], "half_extents": [0.1] * 3},
+                                   "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}}},
+     "disturbance.declared.W must contain the origin"),
+    ({"disturbance": {"declared": {"W": {"center": [0.1, 0.0, 0.0], "generators": [[], [], []]},
+                                   "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}}},
+     "disturbance.declared.W must contain the origin"),
+    ({"disturbance": {"declared": {"W": {"center": [0.0] * 3, "half_extents": [0.0] * 3},
+                                   "V": {"center": [0.0, 0.2], "half_extents": [0.1, 0.1]}}}},
+     "disturbance.declared.V must contain the origin"),
+    ({"injected": {"W": {"center": [0.0, 0.3, 0.0], "generators": [[0.1], [0.1], [0.1]]},
+                   "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}},
+     "injected.W must contain the origin"),
+    ({"injected": {"W": {"center": [0.0] * 3, "half_extents": [0.1] * 3},
+                   "V": {"center": [0.0, -0.1], "generators": [[], []]}}},
+     "injected.V must contain the origin"),
 ], ids=["injected.W-two-generator-forms", "constraints.state.hi-length",
         "lifting.params-missing-exponents", "injected.W-half-extents-length",
         "disturbance.declared.W-dim", "disturbance.declared.V-dim", "injected.W-dim",
@@ -515,7 +550,9 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
         "data-neither", "disturbance-neither", "disturbance-not-an-object", "references-neither", "plant.kind-unknown",
         "plant.kind-list", "lifting.kind-list",
         "controller-not-an-object", "injected.W-no-center", "lifting.exponents-fraction",
-        "scenario-not-an-object"])
+        "scenario-not-an-object", "declared.W-flat-generators", "declared.W-half-extents-matrix",
+        "declared.W-half-extents-negative", "declared.W-off-origin", "declared.W-point-off-origin",
+        "declared.V-off-origin", "injected.W-off-origin", "injected.V-point-off-origin"])
 def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, named):
     if isinstance(overrides, dict):
         scenario = base_scenario(tmp_path, **overrides)
@@ -524,6 +561,37 @@ def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, nam
         scenario.write_text(json.dumps(overrides))
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_a_zonotope_with_no_generators_is_the_point_it_is(tmp_path):
+    # generators [[], [], []] is the (3, 0) matrix: W is the origin alone, and
+    # tightens as zero half extents do.
+    offsets = {}
+    for form, W in (("point", {"center": [0.0] * 3, "generators": [[], [], []]}),
+                    ("box", {"center": [0.0] * 3, "half_extents": [0.0] * 3})):
+        V = {"center": [0.0] * 2, "half_extents": [0.0] * 2}
+        scenario = base_scenario(tmp_path, disturbance={"declared": {"W": W, "V": V}})
+        out = tmp_path / f"{form}.json"
+        assert main(["tighten", str(scenario), str(out)]) == 0
+        doc = json.loads(out.read_text())
+        offsets[form] = [P["offsets"] for P in doc["state_sets"] + doc["input_sets"]]
+        assert len(doc["error_generators"][0]) == doc["horizon"] * (0 if form == "point" else 3)
+    assert offsets["point"] == offsets["box"]
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", "{path} is empty"),
+    (HEADER_2X1 + "0,0,0.0,0.0,1.0\n0,1,1.0,1.0\n", "{path}:3: expected 5 cells, got 4"),
+    (HEADER_2X1 + "0,0,0.0,zero,1.0\n0,1,1.0,1.0,\n", "{path}:2: non-numeric cell"),
+], ids=["empty", "cell-count", "non-numeric"])
+def test_a_malformed_trajectory_file_is_named_by_path_and_line_exit_2(tmp_path, capsys, text,
+                                                                       named):
+    path = tmp_path / "train.csv"
+    path.write_text(text)
+    scenario = base_scenario(tmp_path, data={"path": "train.csv"})
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    assert f"error: {named.format(path=path)}" in capsys.readouterr().err
+    assert not (tmp_path / "schedule.json").exists()
 
 
 # Forms that no shipped scenario used and that were removed: each is refused by
@@ -562,7 +630,7 @@ def test_a_removed_form_is_refused_by_name_exit_2(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
     out = tmp_path / "out.json"
     if command == "load_model":
-        lifting = LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 0]])
+        lifting = LiftingSpec(n_x=2, exponents=[[2, 0]])
         save_model(make_model(np.eye(3), np.zeros((3, 1)), lifting), out)
         out.write_text(json.dumps(json.loads(out.read_text()) | {"lifting": doc}))
         with pytest.raises(ValueError, match=re.escape(named)):
@@ -589,7 +657,7 @@ def test_non_finite_lifted_features_are_named_before_the_fit_exit_2(tmp_path, ca
     scenario.write_text(json.dumps(doc))
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
     err = capfd.readouterr().err
-    assert "error: lifting of kind 'explicit' maps" in err
+    assert "error: the lifting maps" in err
     assert "training states to non-finite features" in err
     assert "DLASCL" not in err and "SVD did not converge" not in err
     assert not (tmp_path / "schedule.json").exists()
@@ -653,6 +721,8 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
      "plant.params.lambda must be a finite number, got 'nan'"),
     ("plant", '{"kind": "numerical_example", "params": {"mu": 1e400}}',
      "plant.params.mu must be a finite number, got inf"),
+    ("plant", '{"kind": "numerical_example", "params": {"lambda": 1e200}}',
+     "plant.params.lambda must have a finite square, got 1e+200"),
     # @big@ is an integer too large for a float, which json reads as an int.
     ("plant", '{"kind": "numerical_example", "params": {"lambda": @big@}}',
      "plant.params.lambda must be a finite number, got 1000"),
@@ -693,6 +763,7 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
 ], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
         "fp_tol-bool", "fp_tol-string", "Q-bool", "R-bool", "Qk-bool", "Rk-bool", "dt-string",
         "dt-bool", "dt-zero", "lambda-string", "lambda-bool", "lambda-nan-string", "mu-overflow",
+        "lambda-square-overflow",
         "lambda-big-int", "x0-big-int", "s-big-int", "Q-big-int", "Q-entry-big-int", "Qk-big-int",
         "ridge-big-int", "timed-target-big-int", "fp_tol-big-int", "constraints.state.hi-big-int",
         "half_extents-big-int", "switch_radius-big-int", "exponents-big-int", "Q-entry-object",

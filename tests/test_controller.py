@@ -16,7 +16,6 @@ from koopmpc.controller import (
     TrackingProblem,
     _steady_qp,
     build_qp,
-    diagnostics,
     shifted_candidate,
     solve_steady,
     solve_steady_nonlinear,
@@ -31,7 +30,9 @@ from koopmpc.sets import (
     box_zonotope,
     tighten_constraints,
 )
-from oracles import numerical_example_matrices, segment_inequality_check, steady_qp_by_block_diag
+from oracles import (
+    numerical_example_matrices, segment_inequality_check, steady_qp_by_block_diag, step_diagnostics,
+)
 
 LAM, MU = -0.1, 2.0
 
@@ -44,7 +45,7 @@ class _Bounds:
 
 def benchmark_model():
     A, B = numerical_example_matrices(LAM, MU)
-    spec = LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 0]])
+    spec = LiftingSpec(n_x=2, exponents=[[2, 0]])
     return make_model(A, B, spec, output_matrix=[[0.0, 1.0]])
 
 
@@ -175,11 +176,11 @@ def test_solve_steady_raises_infeasible_on_every_call_and_stores_no_support():
 
 
 class _DuckPlant:
-    """Minimal vectorized plant: f and h over row-stacked batches."""
+    """Minimal vectorized plant: f over row-stacked batches and an output matrix C."""
 
-    def __init__(self, f, h):
+    def __init__(self, f, C):
         self.f = f
-        self.h = h
+        self.C = np.asarray(C, dtype=float)
 
 
 def _benchmark_plant():
@@ -187,10 +188,7 @@ def _benchmark_plant():
         x1, x2 = X[:, 0], X[:, 1]
         return np.column_stack([LAM * x1, MU * x2 + (LAM**2 - MU) * x1**2 + U[:, 0]])
 
-    def h(X):
-        return X[:, 1:2]
-
-    return _DuckPlant(f, h)
+    return _DuckPlant(f, C=[[0.0, 1.0]])
 
 
 def test_steady_nonlinear_benchmark_fixed_point():
@@ -226,7 +224,7 @@ def test_steady_nonlinear_no_fixed_point():
 
 def test_steady_nonlinear_zero_input_family():
     # Integrator x+ = x + u: every x is steady at u = 0; minimizer hits target.
-    plant = _DuckPlant(f=lambda X, U: X + U, h=lambda X: X)
+    plant = _DuckPlant(f=lambda X, U: X + U, C=np.eye(1))
     grid = GridSpec(
         x_values=(np.linspace(-2, 2, 41),), u_values=(np.linspace(-1, 1, 5),), fp_tol=1e-12
     )
@@ -375,10 +373,10 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
     offline = solve_steady(problem, y_t)
     for _ in range(40):
         u_k, sol = solve_step(problem, lift(model, x), y_t)
-        d = diagnostics(sol, offline)
+        d = step_diagnostics(sol, offline)
         costs.append(sol.total_cost)
-        v1s.append(d.V1)
-        v2s.append(d.V2)
+        v1s.append(d.V1[0])
+        v2s.append(d.V2[0])
         x = nominal_step(model, x, u_k)
     assert abs(x[1] - 1.0) <= 1e-3
     for a, b in zip(costs, costs[1:]):
@@ -387,7 +385,7 @@ def test_nominal_closed_loop_monotone_cost_and_convergence():
         assert b <= a + 1e-7
     assert all(v >= 0.0 for v in v1s)
     assert all(v >= -1e-7 for v in v2s)
-    assert d.J_eq_tilde == pytest.approx(0.0, abs=1e-9)
+    assert d.J_eq_tilde[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_warm_start_matches_cold_start():
@@ -476,9 +474,9 @@ def test_diagnostics_steady_start_zero():
     problem = TrackingProblem(model, config, schedule)
     offline = solve_steady(problem, [1.0])
     _, sol = solve_step(problem, lift(model, [0.0, 1.0]), [1.0])
-    d = diagnostics(sol, offline)
-    assert d.V1 == pytest.approx(0.0, abs=1e-9)
-    assert d.V2 == pytest.approx(0.0, abs=1e-9)
+    d = step_diagnostics(sol, offline)
+    assert d.V1[0] == pytest.approx(0.0, abs=1e-9)
+    assert d.V2[0] == pytest.approx(0.0, abs=1e-9)
     assert isinstance(d, LyapunovDiag)
 
 
@@ -575,7 +573,7 @@ def test_steady_records_name_every_array_field(cls):
 def random_steady_setup(seed):
     """A random stable lifted model with n_u = 2 and two outputs, its schedule and s."""
     rng = np.random.default_rng(seed)
-    spec = LiftingSpec(kind="explicit", n_x=3, exponents=[[1, 1, 0], [2, 0, 1]])
+    spec = LiftingSpec(n_x=3, exponents=[[1, 1, 0], [2, 0, 1]])
     A = rng.standard_normal((5, 5))
     A *= 0.9 / max(abs(np.linalg.eigvals(A)))
     model = make_model(A, rng.standard_normal((5, 2)), spec,

@@ -39,7 +39,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 def benchmark_lifting():
     # psi(x) = (x1, x2, x1^2): one explicit monomial beyond the raw state.
-    return LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 0]])
+    return LiftingSpec(n_x=2, exponents=[[2, 0]])
 
 
 def benchmark_model():
@@ -76,7 +76,7 @@ def test_lift_benchmark_example():
 
 def test_lift_zero_state_polynomial():
     # The monomials of degree 2 and 3 over two states, as explicit exponents.
-    spec = LiftingSpec(kind="explicit", n_x=2, exponents=[
+    spec = LiftingSpec(n_x=2, exponents=[
         [2, 0], [1, 1], [0, 2], [3, 0], [2, 1], [1, 2], [0, 3]])
     m = make_model(np.eye(spec.n_z), np.zeros((spec.n_z, 1)), spec)
     assert np.allclose(lift(m, [0.0, 0.0]), np.zeros(spec.n_z))
@@ -84,7 +84,7 @@ def test_lift_zero_state_polynomial():
 
 def test_explicit_monomial_count_and_values():
     # The degree-2 monomials over two raw states: x1^2, x1 x2, x2^2.
-    spec = LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 0], [1, 1], [0, 2]])
+    spec = LiftingSpec(n_x=2, exponents=[[2, 0], [1, 1], [0, 2]])
     assert spec.n_z == 2 + 3
     z = lift_many(make_model(np.eye(5), np.zeros((5, 1)), spec), np.array([[2.0, 3.0]]))
     assert np.allclose(z[0], [2.0, 3.0, 4.0, 6.0, 9.0])
@@ -92,7 +92,6 @@ def test_explicit_monomial_count_and_values():
 
 def test_planar_heading_products():
     spec = LiftingSpec(
-        kind="explicit",
         n_x=3,
         pre="planar_heading",
         exponents=[[1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 1, 0]],
@@ -115,7 +114,7 @@ PLANAR_DEGREE_TWO = [
 def test_planar_heading_polynomial_degree_two():
     # Pre-features (p_x, p_y, s, c): s and c of degree one, then the ten
     # degree-2 monomials.
-    spec = LiftingSpec(kind="explicit", n_x=3, pre="planar_heading",
+    spec = LiftingSpec(n_x=3, pre="planar_heading",
                        exponents=PLANAR_DEGREE_TWO)
     assert spec.n_z == 3 + 2 + 10
     m = make_model(np.eye(15), np.zeros((15, 2)), spec, output_matrix=np.eye(3)[:2])
@@ -130,57 +129,75 @@ def test_planar_heading_polynomial_degree_two():
 # float where an integer belongs used to be cast: [[2.5, 0]] fitted as [[2, 0]]
 # and [[true, 0]] as [[1, 0]].
 LIFTING_REFUSALS = {
-    "kind": ({"kind": "chebyshev"}, "unknown lifting kind 'chebyshev'"),
-    "pre": ({"kind": "explicit", "pre": "polar", "exponents": [[2, 0]]}, "unknown pre-map 'polar'"),
-    "n_x-bool": ({"kind": "explicit", "n_x": True, "exponents": [[2, 0]]},
+    "pre": ({"pre": "polar", "exponents": [[2, 0]]}, "unknown pre-map 'polar'"),
+    "n_x-bool": ({"n_x": True, "exponents": [[2, 0]]},
                  "n_x must be a positive integer, got True"),
-    "n_x-zero": ({"kind": "explicit", "n_x": 0, "exponents": [[2, 0]]},
+    "n_x-zero": ({"n_x": 0, "exponents": [[2, 0]]},
                  "n_x must be a positive integer, got 0"),
-    "planar-n_x": ({"kind": "explicit", "pre": "planar_heading", "exponents": [[2, 0]]},
+    "planar-n_x": ({"pre": "planar_heading", "exponents": [[2, 0]]},
                    "planar_heading pre-map requires n_x == 3"),
-    "exponents-shape": ({"kind": "explicit", "exponents": [[2, 0, 0]]},
+    "exponents-shape": ({"exponents": [[2, 0, 0]]},
                         "exponents must have shape (k, 2)"),
-    "exponents-fraction": ({"kind": "explicit", "exponents": [[2.5, 0]]},
+    "exponents-fraction": ({"exponents": [[2.5, 0]]},
                            "exponents must be integers in [0, 2**63), got 2.5"),
-    "exponents-float": ({"kind": "explicit", "exponents": [[2.0, 0]]},
+    "exponents-float": ({"exponents": [[2.0, 0]]},
                         "exponents must be integers in [0, 2**63), got 2.0"),
-    "exponents-bool": ({"kind": "explicit", "exponents": [[True, 0]]},
+    "exponents-bool": ({"exponents": [[True, 0]]},
                        "exponents must be integers in [0, 2**63), got True"),
-    "exponents-string": ({"kind": "explicit", "exponents": [["2", 0]]},
+    "exponents-string": ({"exponents": [["2", 0]]},
                          "exponents must be integers in [0, 2**63), got '2'"),
-    "exponents-negative": ({"kind": "explicit", "exponents": [[0, -1]]},
+    "exponents-negative": ({"exponents": [[0, -1]]},
                            "exponents must be integers in [0, 2**63), got -1"),
-    "exponents-huge": ({"kind": "explicit", "exponents": [[10**29, 0]]},
+    "exponents-huge": ({"exponents": [[10**29, 0]]},
                        f"exponents must be integers in [0, 2**63), got {10**29}"),
-    "exponents-vector": ({"kind": "explicit", "exponents": [2, 0]},
+    "exponents-vector": ({"exponents": [2, 0]},
                          "exponents must have shape (k, 2)"),
-    "exponents-ragged": ({"kind": "explicit", "exponents": [[2, 0], [1]]},
+    "exponents-ragged": ({"exponents": [[2, 0], [1]]},
                          "exponents must have shape (k, 2)"),
-    "planar-exponents-shape": ({"kind": "explicit", "n_x": 3, "pre": "planar_heading",
+    "planar-exponents-shape": ({"n_x": 3, "pre": "planar_heading",
                                 "exponents": [[1, 0, 0]]},
                                "exponents must have shape (k, 4)"),
-    # The removed dictionary kinds are unknown kinds, named before their parameters.
-    "kind-polynomial": ({"kind": "polynomial", "max_degree": 2}, "unknown lifting kind 'polynomial'"),
-    "kind-rbf": ({"kind": "rbf", "centers": [[0.0, 0.0]], "width": 1.0},
-                 "unknown lifting kind 'rbf'"),
 }
 
 
 @pytest.mark.parametrize("spec, named", LIFTING_REFUSALS.values(), ids=LIFTING_REFUSALS)
 def test_lifting_spec_refuses_a_malformed_parameter_by_name(tmp_path, spec, named):
-    removed = {"max_degree", "centers", "width"}  # parameters LiftingSpec no longer takes
     with pytest.raises(ValueError, match=re.escape(named)):
-        LiftingSpec(**{"n_x": 2} | {k: v for k, v in spec.items() if k not in removed})
+        LiftingSpec(**{"n_x": 2} | spec)
     if "n_x" in spec:  # a model file's n_x is its own field
         return
     # A model file's lifting goes through the same checks.
     path = tmp_path / "model.json"
     save_model(benchmark_model(), path)
     doc = json.loads(path.read_text())
-    kind, params = spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
-    path.write_text(json.dumps(doc | {"lifting": {"kind": kind, "params": params}}))
+    path.write_text(json.dumps(doc | {"lifting": {"kind": "explicit", "params": spec}}))
     with pytest.raises(ValueError, match=re.escape(named)):
         load_model(path)
+
+
+# The one kind, "explicit", is a key of the documents, not a field of
+# LiftingSpec: the doc reader names any other kind before reading its params,
+# the removed kinds and their parameters among them.
+KIND_REFUSALS = {
+    "kind": {"kind": "chebyshev"},
+    "kind-polynomial": {"kind": "polynomial", "params": {"max_degree": 2}},
+    "kind-rbf": {"kind": "rbf", "params": {"centers": [[0.0, 0.0]], "width": 1.0}},
+    "kind-rbf-params-list": {"kind": "rbf", "params": [1.0]},
+}
+
+
+@pytest.mark.parametrize("doc", KIND_REFUSALS.values(), ids=KIND_REFUSALS)
+def test_a_lifting_document_of_another_kind_is_refused_by_name(tmp_path, doc):
+    named = f"unknown lifting kind {doc['kind']!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        model_module._lifting_from_doc(doc, n_x=2)
+    path = tmp_path / "model.json"
+    save_model(benchmark_model(), path)
+    path.write_text(json.dumps(json.loads(path.read_text()) | {"lifting": doc}))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_model(path)
+    with pytest.raises(TypeError, match="kind"):
+        LiftingSpec(kind=doc["kind"], n_x=2, exponents=[[2, 0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -295,10 +312,10 @@ def test_model_json_roundtrip_is_bit_faithful(tmp_path, rng):
     assert np.array_equal(loaded.B, model.B)
     assert np.array_equal(loaded.C_x, model.C_x)
     assert np.array_equal(loaded.C_y, model.C_y)
-    assert loaded.lifting.kind == model.lifting.kind
     assert np.array_equal(loaded.lifting.exponents, model.lifting.exponents)
     doc = json.loads(path.read_text())
     assert set(doc) == {"n_x", "n_u", "n_y", "n_z", "lifting", "A", "B", "C_x", "C_y"}
+    assert doc["lifting"]["kind"] == "explicit"
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -325,10 +342,14 @@ def test_model_json_roundtrip_is_bit_faithful(tmp_path, rng):
     (lambda doc: doc | {"lifting": "x"}, "lifting must be an object, got 'x'"),
     (lambda doc: doc | {"lifting": {"kind": "explicit", "params": 5}},
      "lifting.params must be an object, got 5"),
+    (lambda doc: doc | {"lifting": {"kind": "explicit", "params": {"exponents": [[2, 0]],
+                                                                   "max_degree": 2}}},
+     "unknown lifting.params key 'max_degree'"),
 ], ids=["invalid-json", "missing-B", "missing-n_y", "n_u-mismatch", "n_z-mismatch",
         "n_x-fraction", "n_x-string", "n_u-fraction", "n_z-string", "A-big-int", "C_y-big-int",
         "exponents-big-int", "lifting-missing-exponents", "lifting-missing-kind",
-        "lifting-number", "lifting-list", "lifting-string", "lifting-params-number"])
+        "lifting-number", "lifting-list", "lifting-string", "lifting-params-number",
+        "lifting-params-unknown-key"])
 def test_load_model_refuses_a_malformed_file_by_name(tmp_path, edit, named):
     # A declared size used to be cast with int(): "n_x": 2.5 or "2" loaded as 2,
     # and an integer too large for a float raised OverflowError. A lifting
@@ -343,7 +364,7 @@ def test_load_model_refuses_a_malformed_file_by_name(tmp_path, edit, named):
 
 
 def test_planar_heading_polynomial_model_json_roundtrip(tmp_path):
-    spec = LiftingSpec(kind="explicit", n_x=3, pre="planar_heading", exponents=PLANAR_DEGREE_TWO)
+    spec = LiftingSpec(n_x=3, pre="planar_heading", exponents=PLANAR_DEGREE_TWO)
     m = make_model(0.5 * np.eye(15), np.ones((15, 2)), spec, output_matrix=np.eye(3)[:2])
     save_model(m, tmp_path / "m.json")
     assert json.loads((tmp_path / "m.json").read_text())["lifting"] == {
@@ -544,7 +565,7 @@ def ragged_explicit_fit_inputs():
     # Exponents above 1 keep the lift on its pow path.
     rng = np.random.default_rng(7)
     trajs = [(rng.standard_normal((n, 2)), rng.standard_normal((n - 1, 1))) for n in (1, 9, 2, 6)]
-    lifting = LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 1], [0, 3], [1, 1]])
+    lifting = LiftingSpec(n_x=2, exponents=[[2, 1], [0, 3], [1, 1]])
     return TrajectoryData.from_pairs(trajs), lifting, {"ridge": 1e-6, "output_matrix": None}
 
 
@@ -569,7 +590,7 @@ def test_a_shipped_lifting_round_trips_through_a_model_file(tmp_path, name):
         "params": {"pre": params.get("pre", "identity"), "exponents": params["exponents"]},
     }
     loaded = load_model(tmp_path / "m.json")
-    assert (loaded.lifting.kind, loaded.lifting.pre) == (spec.kind, spec.pre)
+    assert loaded.lifting.pre == spec.pre
     assert np.array_equal(loaded.lifting.exponents, spec.exponents)
     x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, plant.n_x))
     assert lift_many(loaded, x).tobytes() == lift_many(m, x).tobytes()
@@ -592,14 +613,14 @@ def scenario_lifting(name):
 
 LIFTINGS = {name: (lambda name=name: scenario_lifting(name))
             for name in ("a1", "a2", "unicycle_square")}
-LIFTINGS["mixed"] = lambda: LiftingSpec(kind="explicit", n_x=4, exponents=[
+LIFTINGS["mixed"] = lambda: LiftingSpec(n_x=4, exponents=[
     [2, 1, 0, 3], [0, 0, 0, 0], [1, 0, 1, 1], [1, 1, 1, 1], [0, 5, 2, 0], [0, 1, 0, 0]])
-LIFTINGS["linear"] = lambda: LiftingSpec(kind="explicit", n_x=4, exponents=[
+LIFTINGS["linear"] = lambda: LiftingSpec(n_x=4, exponents=[
     [1, 1, 1, 1], [1, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
-LIFTINGS["one-column"] = lambda: LiftingSpec(kind="explicit", n_x=3, exponents=[
+LIFTINGS["one-column"] = lambda: LiftingSpec(n_x=3, exponents=[
     [0, 0, 1], [0, 0, 0], [1, 0, 0], [0, 0, 1]])
-LIFTINGS["none"] = lambda: LiftingSpec(kind="explicit", n_x=2, exponents=np.zeros((0, 2), int))
-LIFTINGS["planar-pow"] = lambda: LiftingSpec(kind="explicit", n_x=3, pre="planar_heading",
+LIFTINGS["none"] = lambda: LiftingSpec(n_x=2, exponents=np.zeros((0, 2), int))
+LIFTINGS["planar-pow"] = lambda: LiftingSpec(n_x=3, pre="planar_heading",
                                              exponents=[[2, 0, 1, 0], [0, 1, 0, 3], [0, 0, 1, 1]])
 
 
@@ -627,8 +648,7 @@ def assert_lifts_match_pow(spec, X):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
 def test_monomials_match_pow_bit_for_bit(name, seed, n):
-    # One column or none per monomial takes a gather; other exponents 0 and 1
-    # skip pow; the others keep it.
+    # One column or none per monomial takes a gather; the others take pow.
     spec = LIFTINGS[name]()
     assert_lifts_match_pow(spec, special_states(seed, n, spec.n_x))
 
@@ -640,7 +660,7 @@ def test_a_random_0_1_dictionary_lifts_as_pow_bit_for_bit(seed, k, pre):
     rng = np.random.default_rng(seed)
     n_x = 3 if pre == "planar_heading" else int(rng.integers(1, 6))
     exponents = rng.integers(0, 2, size=(k, 4 if pre == "planar_heading" else n_x))
-    spec = LiftingSpec(kind="explicit", n_x=n_x, pre=pre, exponents=exponents)
+    spec = LiftingSpec(n_x=n_x, pre=pre, exponents=exponents)
     assert_lifts_match_pow(spec, special_states(seed, 40, n_x))
 
 
@@ -669,6 +689,20 @@ def test_trajectory_csv_needs_t_counting_from_zero(tmp_path):
         load_trajectories(path)
     path.write_text(HEADER + "0,1,0.0,0.0,1.0\n0,2,1.0,1.0,\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: trajectory 0 needs t = 0"):
+        load_trajectories(path)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", "{path} is empty"),
+    (HEADER + "0,0,0.0,0.0,1.0\n0,1,1.0,1.0\n", "{path}:3: expected 5 cells, got 4"),
+    (HEADER + "0,0,0.0,0.0,1.0,7\n0,1,1.0,1.0,\n", "{path}:2: expected 5 cells, got 6"),
+    (HEADER + "0,0,0.0,zero,1.0\n0,1,1.0,1.0,\n", "{path}:2: non-numeric cell"),
+    (HEADER + "0,0,0.0,0.0,1.0\n0,1,1.0,1.0,x\n", "{path}:3: non-numeric cell"),
+], ids=["empty", "short-row", "long-row", "non-numeric-state", "non-numeric-input"])
+def test_a_malformed_trajectory_csv_is_named_by_path_and_line(tmp_path, text, named):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(named.format(path=path))}$"):
         load_trajectories(path)
 
 

@@ -351,6 +351,23 @@ def test_zonotope_shape_validation():
         Zonotope(center=[0.0, 0.0], generators=np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("generators", [[0.1, 0.2, 0.3, 0.4], [], 0.5, np.zeros((2, 2, 1))],
+                         ids=["flat", "flat-empty", "scalar", "3-D"])
+def test_zonotope_generators_are_a_matrix_as_given(generators):
+    # A generators array that is not 2-D used to be reshaped to (n, -1), so a
+    # flat list of 2n numbers became an n x 2 matrix.
+    with pytest.raises(ValueError, match=re.escape("generators must be an (n, g) matrix")):
+        Zonotope(center=[0.0, 0.0], generators=generators)
+    assert Zonotope(center=[0.0, 0.0], generators=[[], []]).generators.shape == (2, 0)
+
+
+@pytest.mark.parametrize("half_extents", [[[0.1, 0.0], [0.0, 0.2]], [0.1, -0.2], 0.1],
+                         ids=["matrix", "negative", "scalar"])
+def test_box_zonotope_takes_a_list_of_half_extents_at_least_zero(half_extents):
+    with pytest.raises(ValueError, match=re.escape("half_extents must be a list of numbers >= 0")):
+        box_zonotope(half_extents)
+
+
 # --- tighten_constraints -------------------------------------------------------
 
 def _benchmark_instance():

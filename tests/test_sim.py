@@ -37,7 +37,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 def exact_model():
     A, B = numerical_example_matrices(-0.1, 2.0)
-    spec = LiftingSpec(kind="explicit", n_x=2, exponents=[[2, 0]])
+    spec = LiftingSpec(n_x=2, exponents=[[2, 0]])
     return make_model(A, B, spec, output_matrix=[[0.0, 1.0]])
 
 
@@ -102,12 +102,12 @@ def test_step_plant_unicycle():
 
 
 @pytest.mark.parametrize("x, u, kwargs, named", [
-    ([1.0, 0.0, 0.0], [0.0], {}, "expected shapes (2,) and (1,)"),
-    ([1.0, 0.0], [0.0, 0.0], {}, "expected shapes (2,) and (1,)"),
-    ([1.0, 0.0], [0.0], {"w": [0.1] * 2}, "w must be 3-dimensional and v 2-dimensional"),
-    ([1.0, 0.0], [0.0], {"v": [0.1] * 3}, "w must be 3-dimensional and v 2-dimensional"),
-    ([1.0, 0.0], [0.0], {"w": [[0.1] * 3]}, "w must be 3-dimensional and v 2-dimensional"),
-    ([1.0, 0.0], [0.0], {"w": [0.1] * 3, "v": 0.1}, "w must be 3-dimensional and v 2-dimensional"),
+    ([1.0, 0.0, 0.0], [0.0], {}, "x must have shape (2,), got (3,)"),
+    ([1.0, 0.0], [0.0, 0.0], {}, "u must have shape (1,), got (2,)"),
+    ([1.0, 0.0], [0.0], {"w": [0.1] * 2}, "w must have shape (3,), got (2,)"),
+    ([1.0, 0.0], [0.0], {"v": [0.1] * 3}, "v must have shape (2,), got (3,)"),
+    ([1.0, 0.0], [0.0], {"w": [[0.1] * 3]}, "w must have shape (3,), got (1, 3)"),
+    ([1.0, 0.0], [0.0], {"w": [0.1] * 3, "v": 0.1}, "v must have shape (2,), got (1,)"),
 ], ids=["x-length", "u-length", "W-size", "V-size", "w-row", "v-scalar"])
 def test_step_plant_rejects_bad_shapes_and_injections(x, u, kwargs, named):
     with pytest.raises(ValueError, match=re.escape(named)):

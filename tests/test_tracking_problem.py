@@ -435,8 +435,8 @@ def test_a_vector_argument_is_taken_as_the_old_conversion_took_it(stacks, target
         "solve_step y_t": (y_t, lambda v: step(solve_step(problem(), z, v)), shape.format("y_t", 1)),
         "shifted_candidate z_next": (z, lambda v: (shifted_candidate(problem(), prev, v),),
                                      shape.format("z_next", 3)),
-        "step_plant x": (x, lambda v: sim.step_plant(plant, v, u), "expected shapes (2,) and (1,)"),
-        "step_plant u": (u, lambda v: sim.step_plant(plant, x, v), "expected shapes (2,) and (1,)"),
+        "step_plant x": (x, lambda v: sim.step_plant(plant, v, u), shape.format("x", 2)),
+        "step_plant u": (u, lambda v: sim.step_plant(plant, x, v), shape.format("u", 1)),
         "margin x": (x, lambda v: (margin(X0, v),), None),
         "solve_steady y_t": (y_t, lambda v: dataclasses.astuple(solve_steady(problem(), v)),
                              shape.format("y_t", 1)),
