@@ -357,8 +357,8 @@ def _zonotope_contains_origin(Z: Zonotope, tol: float = 1e-9) -> bool:
         return True
     # Feasibility of c + G xi = 0 with ||xi||_inf <= 1.
     n, g = Z.generators.shape
-    if g == 0:
-        return bool(np.max(np.abs(Z.center)) <= tol)
+    if g == 0:  # a point: its center, which allclose has just judged
+        return False
     res = linprog(
         c=np.zeros(g),
         A_eq=Z.generators,

@@ -72,11 +72,14 @@ Each QuadraticProgram keeps the support of its last Optimal solve with its maps
 before NNLS: [x; lam_S] = M_S [theta; 1] is taken only where lam_S > 0 and
 R_S [theta; 1] passes the full-space check, which is Lawson and Hanson's
 optimality test on the other columns. So the stored support can make a solve
-faster but never changes which results are accepted. A miss starts NNLS from
-the stored support's rows and the rows its map's point breaks (or, with no
-map, those x_0 breaks), then builds the maps of NNLS's final support and
-evaluates them, so that a warm and a cold solve that end on the same support
-agree bit for bit; where that fails, NNLS's own weights are checked.
+faster but never changes which results are accepted. A hit forms only x, its
+objective and the verdict (stationarity and equality in one reduction); the
+KKT residuals and multipliers are formed on first read (see QpSolution). A
+miss starts NNLS from the stored support's rows and the rows its map's point
+breaks (or, with no map, those x_0 breaks), then builds the maps of NNLS's
+final support and evaluates them, so that a warm and a cold solve that end on
+the same support agree bit for bit; where that fails, NNLS's own weights are
+checked.
 """
 
 from __future__ import annotations
@@ -165,19 +168,50 @@ class QuadraticProgram:
 
 @dataclass
 class QpSolution:
+    """A solve's result. An Optimal one keeps its check's record (this solve's
+    residual column r, S's rows, lam_S, n_eq, primal_in and complementarity),
+    from which kkt_residuals, in_multipliers (zero off S) and eq_multipliers
+    are formed on first read. A PrimalInfeasible one has NaN x_star and
+    objective, and its Farkas pair (u, mu), if any, as its multipliers."""
+
     x_star: np.ndarray
     objective: float
     status: str
-    kkt_residuals: dict[str, float]
-    eq_multipliers: np.ndarray | None = None
-    in_multipliers: np.ndarray | None = None
     active_set: tuple[int, ...] = ()
+    _record: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def kkt_residuals(self) -> dict[str, float]:
+        if not self._record:
+            return {}
+        r, _, _, n_eq, p_in, comp = self._record
+        a, d = np.abs(r), self.x_star.size
+        return {"stationarity": float(np.max(a[:d], initial=0.0)),
+                "primal_eq": float(np.max(a[d : d + n_eq], initial=0.0)),
+                "primal_in": float(p_in), "complementarity": float(comp)}
+
+    @cached_property
+    def in_multipliers(self) -> np.ndarray | None:
+        if not self._record:
+            return None
+        r, rows, lam_S, n_eq, _, _ = self._record
+        lam = np.zeros(r.size - 2 * (self.x_star.size + n_eq))
+        lam[rows] = lam_S
+        return lam
+
+    @cached_property
+    def eq_multipliers(self) -> np.ndarray | None:
+        if not self._record:
+            return None
+        r, _, _, n_eq, _, _ = self._record
+        return r[r.size - n_eq :]
 
 
 def _infeasible(qp: QuadraticProgram, u=None, mu=None) -> QpSolution:
     """A PrimalInfeasible result, with its checked Farkas pair (u, mu) if any."""
-    return QpSolution(x_star=np.full(qp.dim, np.nan), objective=np.nan, status=PRIMAL_INFEASIBLE,
-                      kkt_residuals={}, eq_multipliers=mu, in_multipliers=u)
+    sol = QpSolution(np.full(qp.dim, np.nan), np.nan, PRIMAL_INFEASIBLE)
+    sol.in_multipliers, sol.eq_multipliers = u, mu
+    return sol
 
 
 @dataclass(frozen=True)
@@ -347,22 +381,16 @@ def _checked(qp, f, S: _Support, r, x, lam_S, qb, tol) -> QpSolution | None:
     Column j's NNLS gradient is a positive multiple of (A_in x - b_in)_j, so
     the primal check is also Lawson and Hanson's optimality test on the
     columns outside S."""
-    d, n, m, amax = qp.dim, qp.dim + qp.b_eq.size, qp.b_in.size, np.maximum.reduce
-    a, r_in = np.abs(r[:n]), r[n : n + m]
-    stat, eq = amax(a[:d], initial=0.0), amax(a[d:], initial=0.0)
+    d, n_eq, m, amax = qp.dim, qp.b_eq.size, qp.b_in.size, np.maximum.reduce
+    n, r_in = d + n_eq, r[d + n_eq : d + n_eq + m]
     p_in = amax(r_in / f.row_scale, initial=0.0)
     comp = amax(np.abs(lam_S * r_in[S.rows])) if lam_S.size else 0.0
-    # primal_in takes the fixed rows' per-row rule; a NaN residual fails.
-    if not (stat <= tol and eq <= tol and p_in <= _FEAS_TOL and comp <= tol):
+    # One reduction for stationarity and equality; primal_in per row; NaN fails.
+    if not (amax(np.abs(r[:n]), initial=0.0) <= tol and p_in <= _FEAS_TOL and comp <= tol):
         return None
-    lam = np.zeros(m)
-    lam[S.rows] = lam_S
-    kkt = {"stationarity": float(stat), "primal_eq": float(eq), "primal_in": float(p_in),
-           "complementarity": float(comp)}
     Px = r[n + m : n + m + d]
-    return QpSolution(x_star=x, objective=float(0.5 * x @ Px + qb[:d] @ x), status=OPTIMAL,
-                      kkt_residuals=kkt, eq_multipliers=r[n + m + d :], in_multipliers=lam,
-                      active_set=S.active_set)
+    return QpSolution(x, 0.5 * float(x.dot(Px)) + float(qb[:d].dot(x)), OPTIMAL, S.active_set,
+                      (r, S.rows, lam_S, n_eq, p_in, comp))
 
 
 def _on_support(qp, f, S: _Support, v, qb, tol):
@@ -371,11 +399,11 @@ def _on_support(qp, f, S: _Support, v, qb, tol):
     pass. Returns the result or None, and r_in = A_in x - b_in at the map's
     point."""
     d, k, n = qp.dim, S.rows.size, len(f.head)
-    r = v[n + d + k :]
+    lam_S, r = v[n + d : n + d + k], v[n + d + k :]
     r_in = r[d + qp.b_eq.size : d + qp.b_eq.size + qp.b_in.size]
-    if k and not v[n + d : n + d + k].min() > 0.0:
+    if k and not np.minimum.reduce(lam_S) > 0.0:
         return None, r_in
-    return _checked(qp, f, S, r, v[n : n + d], v[n + d : n + d + k], qb, tol), r_in
+    return _checked(qp, f, S, r, v[n : n + d], lam_S, qb, tol), r_in
 
 
 def _nnls(f: _Factors, h, rows, r_in):

@@ -38,8 +38,10 @@ class Zonotope:
     generators: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).ravel()
+        c = np.asarray(self.center, dtype=float)
         G = np.asarray(self.generators, dtype=float)
+        if c.ndim != 1:
+            raise ValueError(f"center must be a list of numbers, got shape {c.shape}")
         if G.ndim != 2:
             raise ValueError(f"generators must be an (n, g) matrix ([[], ...] for g = 0), "
                              f"got shape {G.shape}")
@@ -113,8 +115,7 @@ def box_zonotope(half_extents, center=None) -> Zonotope:
     h = np.asarray(half_extents, dtype=float)
     if h.ndim != 1 or np.any(h < 0):
         raise ValueError(f"half_extents must be a list of numbers >= 0, got {h.tolist()}")
-    c = np.zeros(h.size) if center is None else np.asarray(center, dtype=float).ravel()
-    return Zonotope(center=c, generators=np.diag(h))
+    return Zonotope(center=np.zeros(h.size) if center is None else center, generators=np.diag(h))
 
 
 def box_polytope(lo, hi) -> HPolytope:

@@ -527,6 +527,11 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
     ({"disturbance": {"declared": {"W": {"center": [0.0] * 3, "half_extents": [0.31, -0.31, 0.1]},
                                    "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}}},
      "disturbance.declared.W: half_extents must be a list of numbers >= 0, got [0.31, -0.31, 0.1]"),
+    # A center written as a 3 x 1 matrix used to be raveled to 3 numbers.
+    ({"disturbance": {"declared": {"W": {"center": [[0.0], [0.0], [0.0]],
+                                         "half_extents": [0.31, 0.31, 0.125]},
+                                   "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}}},
+     "disturbance.declared.W: center must be a list of numbers, got shape (3, 1)"),
     # A set that misses the origin is named with its block.
     ({"disturbance": {"declared": {"W": {"center": [0.5, 0.0, 0.0], "half_extents": [0.1] * 3},
                                    "V": {"center": [0.0] * 2, "half_extents": [0.0] * 2}}}},
@@ -551,7 +556,7 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
         "plant.kind-list", "lifting.kind-list",
         "controller-not-an-object", "injected.W-no-center", "lifting.exponents-fraction",
         "scenario-not-an-object", "declared.W-flat-generators", "declared.W-half-extents-matrix",
-        "declared.W-half-extents-negative", "declared.W-off-origin", "declared.W-point-off-origin",
+        "declared.W-half-extents-negative", "declared.W-center-column", "declared.W-off-origin", "declared.W-point-off-origin",
         "declared.V-off-origin", "injected.W-off-origin", "injected.V-point-off-origin"])
 def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, named):
     if isinstance(overrides, dict):

@@ -361,6 +361,18 @@ def test_zonotope_generators_are_a_matrix_as_given(generators):
     assert Zonotope(center=[0.0, 0.0], generators=[[], []]).generators.shape == (2, 0)
 
 
+@pytest.mark.parametrize("make", [lambda c: Zonotope(center=c, generators=np.eye(2)),
+                                  lambda c: box_zonotope([0.1, 0.2], c)], ids=["Zonotope", "box"])
+@pytest.mark.parametrize("center", [[[0.0], [0.0]], [[0.0, 0.0]], 0.0],
+                         ids=["column", "row", "scalar"])
+def test_zonotope_center_is_a_list_as_given(make, center):
+    # A center that is not 1-D used to be raveled, so a 2 x 1 matrix passed
+    # as a 2-dim center.
+    with pytest.raises(ValueError, match=re.escape("center must be a list of numbers, got shape")):
+        make(center)
+    assert make([0.0, 0.0]).center.shape == (2,)
+
+
 @pytest.mark.parametrize("half_extents", [[[0.1, 0.0], [0.0, 0.2]], [0.1, -0.2], 0.1],
                          ids=["matrix", "negative", "scalar"])
 def test_box_zonotope_takes_a_list_of_half_extents_at_least_zero(half_extents):

@@ -170,25 +170,61 @@ def test_unicycle_course_halt_is_certified_without_highs(course, problems, monke
 
 # --- the stored support: each solve tries the support of the QP's last Optimal one ---
 
-@pytest.mark.parametrize("name", NAMES)
+def assert_same_result(got, want, rtol=0.0):
+    """Every field of two QpSolutions agrees bit for bit (NaN equal to NaN),
+    but the multipliers, which agree to ``rtol`` of their largest entry, with
+    the same zeros."""
+    assert got.status == want.status and got.active_set == want.active_set
+    assert np.array_equal(got.x_star, want.x_star, equal_nan=True)
+    assert np.array_equal(got.objective, want.objective, equal_nan=True)
+    assert got.kkt_residuals == want.kkt_residuals
+    for a, b in [(got.in_multipliers, want.in_multipliers),
+                 (got.eq_multipliers, want.eq_multipliers)]:
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and np.array_equal(a == 0.0, b == 0.0)
+            assert np.all(np.abs(a - b) <= rtol * np.max(np.abs(b), initial=0.0))
+
+
+@pytest.mark.parametrize("name", ("a1",) + NAMES)
 def test_stored_support_solves_equal_cold_solves_bit_for_bit(stacks, logs, name):
     # The loop's problem tries the support of its last Optimal solve first; a
     # QP built cold for each step starts from no row and reaches the same
     # support through nnls. Both end in the same support solve, so every step
-    # agrees bit for bit, the unicycle's halt included.
-    stack, log = stacks[name], logs[name]
+    # agrees bit for bit in every field of its result; at the unicycle's halt,
+    # every field but the Farkas pair.
+    stack = stacks.get(name) or cli.build_stack(SCENARIOS / f"{name}.json")
+    log = logs[name] if name in logs else stack.run(stack.seed)
     model, config, schedule = stack.model, stack.config, stack.schedule
     problem = TrackingProblem(model, config, schedule)
     for k in range(log.k.size):
         theta = np.concatenate([lift(model, log.x[k]), log.y_t[k]])
         warm = solve(problem.qp, theta)
         cold = solve(build_qp(model, config, schedule), theta)
-        assert warm.status == cold.status == (
-            PRIMAL_INFEASIBLE if k == log.halted_at else OPTIMAL)
-        assert np.array_equal(warm.x_star, cold.x_star, equal_nan=True), k
-        assert warm.active_set == cold.active_set
-        if warm.status == OPTIMAL:
-            assert np.array_equal(warm.in_multipliers, cold.in_multipliers)
+        assert warm.status == (PRIMAL_INFEASIBLE if k == log.halted_at else OPTIMAL), k
+        # The halt's Farkas pair is NNLS's weights from runs started on other
+        # columns (the stored support's rows, and the rows x_0 breaks): the
+        # same rows, with weights that agree to rounding.
+        assert_same_result(warm, cold, rtol=0.0 if warm.status == OPTIMAL else 1e-14)
+
+
+def test_a_result_read_after_later_solves_is_the_one_its_solve_made(stacks, logs):
+    # A hit's multipliers and KKT residuals are formed on first read. Read
+    # after two more solves of the same QP at other theta (hits on the same
+    # support), they are those of a twin problem whose result was read at once.
+    stack, log = stacks["a2"], logs["a2"]
+    late, twin = (TrackingProblem(stack.model, stack.config, stack.schedule) for _ in range(2))
+    thetas = [np.concatenate([lift(stack.model, x), y_t]) for x, y_t in zip(log.x, log.y_t)]
+    for theta in thetas[:250]:
+        solve(late.qp, theta)
+        solve(twin.qp, theta)
+    read = solve(late.qp, thetas[250])
+    want = solve(twin.qp, thetas[250])
+    assert_same_result(want, want)  # forms every field of the twin's result now
+    for theta in thetas[251:253]:
+        assert solve(late.qp, theta).active_set == read.active_set
+    assert len(read.active_set) > 0
+    assert_same_result(read, want)
 
 
 @pytest.mark.parametrize("name, seeds", [("a1", range(5)), ("a2", range(5)),
