@@ -15,14 +15,15 @@ which keeps them well conditioned on an unstable model. The QP takes the
 lifted state z = psi(x_k) through the equality z(0) = z, and x(0) in X~(0)
 is one more block of its rows; it is built once, as a family of QPs in
 theta = (z, y_t), and solved at each step's theta. A loop lifts each
-measured state once, solves one :class:`TrackingProblem` with
-``solve_step(problem, z, y_t)`` and checks the recursive-feasibility candidate
-``shifted_candidate(problem, prev, z)``, a decision vector of the same QP
-whose margins are read off its rows through one precomputed map.
+measured state once, solves one :class:`TrackingProblem` with ``solve_step(problem,
+z, y_t)``, which forms u_k and x* (the target and J_N on first read), and checks the
+recursive-feasibility candidate ``shifted_candidate(problem, prev, z)``, a decision
+vector of the same QP whose margins are read off its rows through one precomputed map.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -81,20 +82,29 @@ class NonlinearSteadyTarget:
     offset_cost: float
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class KtmpcSolution:
-    """Optimal trajectory, artificial target, and total cost J_N of one step's
-    QP: its objective plus ``s * ||y_t||^2``, the constant the QP leaves out.
-    ``x_star`` is the QP's optimum, laid out by ``layout``; ``u_bar`` (N x n_u)
-    and ``z_bar`` (N + 1 x n_z) are its predictions through the layout's maps,
-    and the target's z_s and u_s are views of it."""
+    """One step's optimum ``x_star`` of ``problem``'s QP at ``y_t`` and the QP's
+    ``objective``. Its artificial ``target`` and J_N, ``total_cost`` = objective + s ||y_t||^2
+    (the constant the QP leaves out), are formed on first read. ``u_bar`` (N x n_u) and
+    ``z_bar`` (N + 1 x n_z) are its predictions; the target's z_s and u_s view x_star."""
 
-    target: SteadyTarget
-    total_cost: float
     x_star: np.ndarray
-    layout: _Layout
+    objective: float
+    y_t: np.ndarray
+    problem: TrackingProblem
+    layout = property(lambda self: self.problem.layout)
     u_bar = property(lambda self: self.layout.U @ self.x_star)
     z_bar = property(lambda self: self.layout.Z @ self.x_star)
+
+    @functools.cached_property
+    def target(self) -> SteadyTarget:
+        p, x, lay = self.problem, self.x_star, self.layout
+        return _steady_target(p.model, p.config.s, x[lay.z_s], x[lay.u_s], self.y_t)
+
+    @functools.cached_property
+    def total_cost(self) -> float:
+        return self.objective + self.problem.config.s * float(self.y_t @ self.y_t)
 
 
 @dataclass(frozen=True)
@@ -360,7 +370,7 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
     return the first input to apply, ``u_k = K z*(0) + c*(0)``. A state
     outside X~(0) makes the QP infeasible, certified like any other
     infeasible step."""
-    model, config, lay = problem.model, problem.config, problem.layout
+    model, lay = problem.model, problem.layout
     z_k = _as_vector(z_k, model.n_z, "z_k")
     y_t = _as_vector(y_t, model.n_y, "y_t")
     sol = qps.solve(problem.qp, np.concatenate((z_k, y_t)))
@@ -368,10 +378,8 @@ def solve_step(problem: TrackingProblem, z_k, y_t) -> tuple[np.ndarray, KtmpcSol
         raise Infeasible("tracking QP is primal infeasible")
 
     x = sol.x_star
-    target = _steady_target(model, config.s, x[lay.z_s], x[lay.u_s], y_t)
-    J_N = sol.objective + config.s * float(y_t @ y_t)
-    u_k = config.K.dot(x[lay.z0]) + x[lay.c(0)]  # .dot skips the ufunc machinery of @
-    return u_k, KtmpcSolution(target=target, total_cost=J_N, x_star=x, layout=lay)
+    u_k = problem.config.K.dot(x[lay.z0]) + x[lay.c(0)]  # .dot skips the ufunc machinery of @
+    return u_k, KtmpcSolution(x, sol.objective, y_t, problem)
 
 
 def diagnostics(J_N, offset_costs) -> LyapunovDiag:
@@ -399,5 +407,9 @@ def shifted_candidate(problem: TrackingProblem, prev: KtmpcSolution, z_next) -> 
     product with ``problem.candidate_rows`` and x_c itself is never formed.
     """
     z_next = _as_vector(z_next, problem.model.n_z, "z_next")
-    rows = problem.candidate_rows @ np.concatenate((prev.x_star, z_next))
-    return np.minimum.reduceat(problem.qp.b_in - rows, problem.block_starts)
+    return np.minimum.reduceat(_candidate_slack(problem, prev.x_star, z_next), problem.block_starts)
+
+
+def _candidate_slack(problem: TrackingProblem, x_prev, z_next) -> np.ndarray:
+    """The slack of every QP inequality row at :func:`shifted_candidate`'s candidate."""
+    return problem.qp.b_in - problem.candidate_rows @ np.concatenate((x_prev, z_next))

@@ -220,7 +220,16 @@ class TrajectoryData:
     lengths: np.ndarray
 
     def __post_init__(self):
-        states, inputs = np.array(self.states, dtype=float), np.array(self.inputs, dtype=float)
+        self._keep(np.array(self.states, dtype=float), np.array(self.inputs, dtype=float))
+
+    @classmethod
+    def _handed(cls, states, inputs, lengths) -> TrajectoryData:
+        """Float stacks made for this object alone, kept read-only without a copy."""
+        object.__setattr__(data := object.__new__(cls), "lengths", lengths)
+        data._keep(states, inputs)
+        return data
+
+    def _keep(self, states, inputs):
         lengths = np.array(self.lengths, dtype=int)
         if not (states.ndim == inputs.ndim == 2 and lengths.ndim == 1 and np.all(lengths >= 1)
                 and lengths.sum() == len(states) == len(inputs) + len(lengths)):

@@ -77,9 +77,9 @@ objective and the verdict (stationarity and equality in one reduction); the
 KKT residuals and multipliers are formed on first read (see QpSolution). A
 miss starts NNLS from the stored support's rows and the rows its map's point
 breaks (or, with no map, those x_0 breaks), then builds the maps of NNLS's
-final support and evaluates them, so that a warm and a cold solve that end on
-the same support agree bit for bit; where that fails, NNLS's own weights are
-checked.
+final support and evaluates them, so that a warm and a cold Optimal solve that
+end on the same support agree bit for bit (a Farkas certificate's last bits
+follow NNLS's start columns); where that fails, NNLS's own weights are checked.
 """
 
 from __future__ import annotations

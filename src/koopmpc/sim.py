@@ -8,26 +8,20 @@ margins, and the injected noise realizations.  Data and runs step each plant
 through its one map ``f``.  Runs share one ``TrackingProblem``: each step
 solves its tracking QP, and each reference new to the problem its
 steady-target QP.  A run forms its noise and log before step 0, each step
-fills its own row, and what is only logged is formed once per run.  A run
-that loses feasibility ends there: its log stops at the infeasible step.
+writes only its feedback row, and what is only logged is formed once per run.
+A run that loses feasibility ends there: its log stops at the infeasible step.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .controller import (
-    Infeasible,
-    TrackingProblem,
-    diagnostics,
-    shifted_candidate,
-    solve_steady,
-    solve_step,
-)
+from .controller import (Infeasible, TrackingProblem, _candidate_slack, diagnostics,
+                         solve_steady, solve_step)
 from .model import DisturbanceModel, TrajectoryData, _as_vector, _is_finite, lift
 from .sets import CONTAINS_TOL, Zonotope, margin, point
 
@@ -97,10 +91,15 @@ def step_plant(
         raise ValueError(f"the {plant.kind} plant takes no injected disturbance")
     w = np.zeros(n_w) if w is None else _as_vector(w, n_w, "w")
     v = np.zeros(n_v) if v is None else _as_vector(v, n_v, "v")
+    return (*_plant_step(plant, x, u, w, v), w, v)
+
+
+def _plant_step(plant: Plant, x, u, w, v) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`step_plant`'s (x_next, y), for the float vectors its checks pass."""
     x_next = plant.f(x[None], u[None])[0]
-    if n_w:
-        x_next = x_next + w[:n_v] + v
-    return x_next, plant.C @ x_next, w, v
+    if w.size:
+        x_next = x_next + w[: v.size] + v
+    return x_next, plant.C @ x_next
 
 
 # --- reference schedules --------------------------------------------------------------
@@ -171,7 +170,8 @@ class _RefCursor:
             return refs.entries[self._i][1]
         wp = refs.points[self._i]
         if position is not None and not self._last_reached:
-            if np.linalg.norm(np.asarray(position, dtype=float) - wp) < refs.switch_radius:
+            d = np.asarray(position, dtype=float) - wp
+            if math.sqrt(d.dot(d)) < refs.switch_radius:  # np.linalg.norm's own form
                 self.reached_steps.append(k)
                 if self._i + 1 < len(refs.points):
                     self._i += 1
@@ -247,13 +247,14 @@ def run_closed_loop(
 ) -> SimLog:
     """Run T steps of ``problem`` from x0 (origin by default); seeded, deterministic.
 
-    T must be an integer >= 0 (a bool is not one) and x0 a finite (n_x,)
-    vector. Before step 0 the run draws every step's xi with one
-    ``rng.uniform`` call (row k holds W's draws, then V's: the stream of a
+    T must be an integer >= 0 (a bool is not one), x0 a finite (n_x,) vector and
+    W and V of the plant's noise sizes. Before step 0 the run draws every step's xi
+    with one ``rng.uniform`` call (row k holds W's draws, then V's: the stream of a
     ``sets.sample`` call per set and step), forms their points with one
-    :func:`~koopmpc.sets.point` call per set and allocates T log rows, so its
-    memory grows linearly in T. A step runs only the feedback path (the offline
-    target is looked up once per reference); margins, V1 and V2 are formed after
+    :func:`~koopmpc.sets.point` call per set and allocates T log rows, so its memory
+    grows linearly in T. A step forms only its feedback, u_k and x*, with J_N and
+    the candidate's worst margin (the offline target is set once per reference);
+    the steps' targets (per-row products of x*), margins, V1 and V2 are formed after
     the last step, bit for bit the per-step values. An infeasible step ends the
     run: the log stops there, with ``feasible`` false and ``halted_at`` set.
     """
@@ -263,55 +264,62 @@ def run_closed_loop(
     if x.dtype.kind not in "iuf" or x.shape != (plant.n_x,) or not np.isfinite(x).all():
         raise ValueError(f"x0 must be a vector of {plant.n_x} finite numbers, got {x0!r}")
     x = x.astype(float)
+    n_w, n_v = plant.noise_dims
     noise_sets = () if disturbances is None else (disturbances.W, disturbances.V)
+    if noise_sets and (disturbances.W.dim, disturbances.V.dim) != (n_w, n_v):
+        raise ValueError(f"the {plant.kind} plant takes injected W and V of sizes {(n_w, n_v)}")
     g = [Z.generators.shape[1] for Z in noise_sets]
     xi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(T, sum(g)))
-    points = map(point, noise_sets, np.split(xi, g[:1], axis=1))  # W's draws, then V's
-    noise = zip(*points) if noise_sets else itertools.repeat((None, None))
-    n_w, n_v = plant.noise_dims
 
-    model = problem.model
+    model, s = problem.model, problem.config.s
     log = _allocate(T, {"n_x": plant.n_x, "n_u": plant.n_u, "n_y_plant": plant.C.shape[0],
                         "n_y": model.n_y, "n_w": n_w, "n_v": n_v})
+    if noise_sets:  # W's draws, then V's
+        log.w_inj[:], log.v_inj[:] = map(point, noise_sets, np.split(xi, g[:1], axis=1))
+    X_star = np.empty((T, problem.layout.dim))  # each step's optimum
     offset_costs = np.empty((T, 2))  # each step's target's, then its offline target's
     cursor = _RefCursor(refs)
-    prev, y_known = None, None  # the last solution, and the reference of `offline`
+    prev, y_known = None, None  # the last optimum, and the reference of `offline`
     y = plant.C @ x
 
-    for k, (w, v) in zip(range(T), noise):
+    for k, w, v in zip(range(T), log.w_inj, log.v_inj):
         y_t = cursor.advance(k, position=y)
         z = lift(model, x)
-        cand_margin = np.nan if prev is None else shifted_candidate(problem, prev, z).min()
+        worst = np.nan if prev is None else np.minimum.reduce(_candidate_slack(problem, prev, z))
         try:
-            if y_t is not y_known:
+            if y_t is not y_known:  # the offline target holds from step k on, until the next
                 offline, y_known = solve_steady(problem, y_t), y_t
+                log.y_sr[k:], offset_costs[k:, 1] = offline.y_s, offline.offset_cost
+                c = s * float(y_t @ y_t)  # J_N's constant
             u_k, sol = solve_step(problem, z, y_t)
         except Infeasible:
             sol = None
-        log.x[k], log.y[k], log.y_t[k], log.margin_min[k] = x, y, y_t, cand_margin
+        log.x[k], log.y[k], log.y_t[k], log.margin_min[k] = x, y, y_t, worst
         if sol is None:
             for name in ("u", "y_s", "u_s", "y_sr", "J_N", "V1", "V2", "input_margin"):
                 getattr(log, name)[k] = np.nan
-            log.feasible[k] = False
-            return _finished(log, problem, offset_costs, k, cursor.reached_steps, halted_at=k)
-        x_next, y, log.w_inj[k], log.v_inj[k] = step_plant(plant, x, u_k, w, v)
-        log.u[k], log.y_s[k], log.u_s[k] = u_k, sol.target.y_s, sol.target.u_s
-        log.y_sr[k], log.J_N[k] = offline.y_s, sol.total_cost
-        offset_costs[k] = sol.target.offset_cost, offline.offset_cost
-        x, prev = x_next, sol
-    return _finished(log, problem, offset_costs, T, cursor.reached_steps, halted_at=None)
+            log.feasible[k], log.w_inj[k], log.v_inj[k] = False, 0.0, 0.0
+            return _finished(log, problem, X_star, offset_costs, k, cursor.reached_steps, k)
+        x_next, y = _plant_step(plant, x, u_k, w, v)
+        log.u[k], X_star[k], log.J_N[k] = u_k, sol.x_star, sol.objective + c
+        x, prev = x_next, sol.x_star
+    return _finished(log, problem, X_star, offset_costs, T, cursor.reached_steps, None)
 
 
-def _finished(log: SimLog, problem, offset_costs, n: int, reached_steps, halted_at) -> SimLog:
-    """The run's own log, completed in place and cut after a halted step, with what
-    it only logs: every row's state margin, and the n feasible rows' input margin, V1 and V2."""
-    rows = n + (halted_at is not None)
+def _finished(log: SimLog, problem, X_star, offset_costs, n: int, reached, halted_at) -> SimLog:
+    """The run's log, completed in place and cut after a halted step, with all it only
+    logs: the state margins, and the n feasible rows' input margins, V1, V2, y_s and u_s."""
+    rows, lay = n + (halted_at is not None), problem.layout
     log.state_margin[:rows] = margin(problem.schedule.state_sets[0], log.x[:rows])
     log.input_margin[:n] = margin(problem.schedule.input_sets[0], log.u[:n])
+    np.matmul(problem.model.C_y, X_star[:n, lay.z_s, None], out=log.y_s[:n, :, None])
+    log.u_s[:n] = X_star[:n, lay.u_s]
+    e = log.y_s[:n] - log.y_t[:n]
+    offset_costs[:n, 0] = problem.config.s * (e[:, None, :] @ e[:, :, None])[:, 0, 0]
     diag = diagnostics(log.J_N[:n], offset_costs[:n])
     log.V1[:n], log.V2[:n] = diag.V1, diag.V2
     cut = {} if rows == log.k.size else {f.name: getattr(log, f.name)[:rows] for f in _COLUMNS}
-    log.__dict__.update(reached_steps=tuple(reached_steps), halted_at=halted_at, **cut)
+    log.__dict__.update(reached_steps=tuple(reached), halted_at=halted_at, **cut)
     return log
 
 
@@ -341,7 +349,8 @@ def generate_training_data(
     states[:, 0] = state_box.center + xi[:, :g_x] @ state_box.generators.T
     for t in range(traj_len):
         states[:, t + 1] = plant.f(states[:, t], inputs[:, t])
-    return TrajectoryData.batch(states, inputs)
+    return TrajectoryData._handed(states.reshape(-1, plant.n_x), inputs.reshape(-1, plant.n_u),
+                                  [traj_len + 1] * n_traj)
 
 
 # --- metrics and persistence ------------------------------------------------------------

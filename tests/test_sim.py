@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import re
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from koopmpc import cli
 from koopmpc import sim as sim_module
 from koopmpc.controller import KtmpcConfig, TrackingProblem, solve_steady
 from koopmpc.gains import dlqr
-from koopmpc.model import DisturbanceModel, LiftingSpec, make_model
+from koopmpc.model import DisturbanceModel, LiftingSpec, TrajectoryData, make_model
 from koopmpc.sets import (
     Zonotope, box_polytope, box_zonotope, margin, sample, tighten_constraints,
 )
@@ -41,8 +43,8 @@ def exact_model():
     return make_model(A, B, spec, output_matrix=[[0.0, 1.0]])
 
 
-def make_loop_setup(W=None, V=None, N=10, s=1000.0):
-    model = exact_model()
+def make_loop_setup(W=None, V=None, N=10, s=1000.0, C_y=None):
+    model = exact_model() if C_y is None else dataclasses.replace(exact_model(), C_y=C_y)
     gains = dlqr(model.A, model.B, np.eye(3), np.eye(1))
     X = box_polytope([-5.0, -5.0], [5.0, 5.0])
     U = box_polytope([-3.0], [3.0])
@@ -243,6 +245,20 @@ def test_generate_training_data_steps_the_lifted_model_in_one_batch(monkeypatch)
     assert data.states.shape == (1000, 2) and data.inputs.shape == (800, 1)
 
 
+def test_generated_training_data_keeps_its_stacks_without_a_second_copy():
+    """generate_training_data hands the stacks it allocated to TrajectoryData,
+    which keeps them read-only as they are (views of the rollout's arrays, not
+    copies of them); the stacks equal the batch form's, which copies its input."""
+    box_kwargs = {"input_box": box_zonotope([1.0, 1.0]), "state_box": box_zonotope([1.0] * 3)}
+    data = generate_training_data(unicycle_plant(), n_traj=6, traj_len=4, seed=5, **box_kwargs)
+    batch = TrajectoryData.batch(data.states.reshape(6, 5, 3), data.inputs.reshape(6, 4, 2))
+    for kept, copied in ((data.states, batch.states), (data.inputs, batch.inputs),
+                         (data.lengths, batch.lengths)):
+        assert not kept.flags.writeable and copied.flags.owndata
+        assert kept.dtype == copied.dtype and kept.tobytes() == copied.tobytes()
+    assert not data.states.flags.owndata and not data.inputs.flags.owndata
+
+
 # --- reference schedules --------------------------------------------------------------
 
 def test_reference_schedule_validation():
@@ -319,6 +335,36 @@ def test_waypoint_cursor_switching():
     # Arrival at the last waypoint is recorded once.
     cur.advance(4, position=np.array([1.0, 1.0]))
     assert cur.reached_steps == [1, 2, 3]
+
+
+@pytest.mark.parametrize("radius", [0.3, 1.0, 2.5e-3])
+def test_a_waypoint_switches_where_the_norm_falls_below_the_radius(radius):
+    # The cursor takes the distance as sqrt(d . d), the form np.linalg.norm
+    # computes for a float vector, so the two agree bit for bit. Along an axis
+    # the distance is exact: one ulp inside switch_radius switches, the radius
+    # itself and one ulp outside do not. Off the axes, near the radius, each
+    # switch is the one that np.linalg.norm(d) < switch_radius gives.
+    refs = ReferenceSchedule.waypoints([[0.0, 0.0], [5.0, 5.0]], switch_radius=radius)
+
+    def switches(position):
+        cursor = _RefCursor(refs)
+        cursor.advance(0, position=position)
+        return cursor.reached_steps == [0]
+
+    inside, outside = np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)
+    for sign, axis in itertools.product((1.0, -1.0), np.eye(2)):
+        got = [switches(sign * r * axis) for r in (inside, radius, outside)]
+        assert got == [True, False, False]
+    rng = np.random.default_rng(17)
+    wp, outcomes = refs.points[0], set()
+    for direction in rng.standard_normal((500, 2)):
+        d = direction * (radius / np.linalg.norm(direction))
+        for position in (d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)):
+            norm = np.linalg.norm(position - wp)
+            assert math.sqrt((position - wp).dot(position - wp)) == norm
+            assert switches(position) == (norm < radius)
+            outcomes.add(norm < radius)
+    assert outcomes == {True, False}
 
 
 # --- closed loop -----------------------------------------------------------------------
@@ -443,18 +489,24 @@ def loop_case(name, stacks):
     T, x0, halted_at = {"halt_at_step_0": (10, [0.0, 10.0], 0), "T_0": (0, None, None)}.get(
         name, (60, None, None))
     refs = ReferenceSchedule.timed([(0, [1.0]), (30, [-1.0])])
-    return (numerical_example_plant(), lambda: make_loop_setup(W=declared), refs, injected, T,
-            x0, (0, 1), halted_at)
+    C_y = None
+    if name == "dense_output_matrix":  # two outputs, each a mix of all three lifted coordinates
+        C_y = [[0.7, 0.9, 0.05], [-0.4, 1.3, -0.2]]
+        refs = ReferenceSchedule.timed([(0, [1.0, 0.5]), (30, [-1.0, 0.25])])
+    return (numerical_example_plant(), lambda: make_loop_setup(W=declared, C_y=C_y), refs,
+            injected, T, x0, (0, 1), halted_at)
 
 
 @pytest.mark.parametrize("name", ["a2", "random_generators", "W_without_generators",
                                   "V_without_generators", "halt_at_step_0", "unicycle_square",
-                                  "T_0"])
+                                  "T_0", "dense_output_matrix"])
 def test_run_closed_loop_matches_the_step_by_step_loop(scenario_stacks, name):
     """The run with its noise drawn once and its log preallocated gives every
     SimLog field of the loop that samples each step and keeps rows in lists,
     bit for bit. Each side runs its seeds in turn on a problem of its own, so
-    both see the same stored supports and steady targets."""
+    both see the same stored supports and steady targets. The run forms its
+    targets' y_s and offset costs after the last step, by per-row products;
+    the dense two-output C_y checks them where C_y is not a selector."""
     plant, make_problem, refs, injected, T, x0, seeds, halted_at = loop_case(name, scenario_stacks)
     reference_problem, problem = make_problem(), make_problem()
     for seed in seeds:
@@ -466,6 +518,8 @@ def test_run_closed_loop_matches_the_step_by_step_loop(scenario_stacks, name):
         assert log.k.size == (T if halted_at is None else halted_at + 1)
     if name == "unicycle_square":
         assert log.reached_steps == ()
+    if name == "dense_output_matrix":  # the targets miss y_t in both outputs: e is dense too
+        assert np.all(problem.model.C_y != 0.0) and np.all(log.y_s != log.y_t)
     if name == "random_generators":
         # A batched xi G' would not pass here: it differs in bits from the
         # per-step G xi on some of this run's rows.
@@ -506,22 +560,28 @@ def test_margin_of_a_stack_is_the_per_point_margin_bit_for_bit_on_the_loop_sets(
 def test_a_run_whose_cost_falls_below_the_offline_offset_still_raises_naming_v2_and_the_step(
         monkeypatch):
     # V2 = J_N - J_eq~ is checked once per run, after the last step; a step
-    # whose J_N falls below the offline offset cost by more than V2's floor
-    # still fails the run, and the error names V2 and that step.
+    # whose J_N, its QP objective plus s |y_t|^2, falls below the offline
+    # offset cost by more than V2's floor still fails the run, and the error
+    # names V2 and that step. The run forms J_N from the objective, so step 4's
+    # objective is lowered, and V2 is -0.001 to the rounding of that sum.
     problem = make_loop_setup()
     refs = ReferenceSchedule.timed([(0, [1.0])])
-    J_eq = solve_steady(problem, [1.0]).offset_cost
+    J_eq, c = solve_steady(problem, [1.0]).offset_cost, problem.config.s * 1.0
+    objective = J_eq - 1e-3 * max(1.0, J_eq) - c
+    V2 = (objective + c) - J_eq
+    assert V2 == pytest.approx(-1e-3, rel=1e-9)
     solve, calls = sim_module.solve_step, []
 
-    def low_cost_at_step_4(*args):
+    def low_objective_at_step_4(*args):
         u_k, sol = solve(*args)
         calls.append(1)
         if len(calls) == 5:
-            sol = dataclasses.replace(sol, total_cost=J_eq - 1e-3 * max(1.0, J_eq))
+            sol = dataclasses.replace(sol, objective=objective)
         return u_k, sol
 
-    monkeypatch.setattr(sim_module, "solve_step", low_cost_at_step_4)
-    with pytest.raises(ValueError, match=r"^V2 = -0\.001 violates its -1e-07 lower bound at step 4$"):
+    monkeypatch.setattr(sim_module, "solve_step", low_objective_at_step_4)
+    with pytest.raises(ValueError, match=rf"^V2 = {re.escape(repr(V2))} violates its -1e-07 "
+                                         r"lower bound at step 4$"):
         run_closed_loop(numerical_example_plant(), problem, refs, T=8)
     assert len(calls) == 8
 

@@ -590,61 +590,123 @@ def test_closed_loop_assembles_the_qp_once(stacks, monkeypatch):
 @pytest.mark.parametrize("name", NAMES)
 def test_a_closed_loop_step_runs_the_feedback_path_and_the_logged_values_are_formed_once(
         stacks, monkeypatch, name):
-    # A step lifts its state once, for the candidate and the QP alike, and
-    # takes one shifted candidate (none at step 0); the steady target is
-    # looked up once per reference (a2 steps its reference twice, the course
-    # halts before its first waypoint). The noise points are one stacked call
-    # per set before step 0, and the logged margins and V1/V2 one call each
-    # after the last step. The controller itself neither lifts nor calls
-    # sets.margin.
+    # A step lifts its state once, for the candidate and the QP alike, takes
+    # the candidate's slack once (none at step 0) and makes one solve_step
+    # call; the steady target is looked up once per reference (a2 steps its
+    # reference twice, the course halts before its first waypoint). The noise
+    # points are one stacked call per set before step 0, and the logged
+    # margins, V1/V2 and the steps' targets are formed once, after the last
+    # step: no step writes y_s or u_s, and no step's KtmpcSolution forms its
+    # target or total cost in the run. The controller itself neither lifts
+    # nor calls sets.margin.
     assert not any(v is f for v in vars(controller).values() for f in (lift, margin))
-    names = ("lift", "shifted_candidate", "solve_steady", "point", "margin", "diagnostics")
-    calls = {attr: [] for attr in names}
+    names = ("lift", "_candidate_slack", "solve_step", "solve_steady", "point", "margin",
+             "diagnostics", "_finished")
+    calls, order, solutions = {attr: [] for attr in names}, [], []
     for attr in names:
         def counted(*args, _attr=attr, _original=getattr(sim, attr)):
             calls[_attr].append(args)
-            return _original(*args)
+            order.append(_attr)
+            if _attr == "_finished":  # args[0] is the log, as the steps left it
+                assert np.isnan(args[0].y_s).all() and np.isnan(args[0].u_s).all()
+                assert not any({"target", "total_cost"} & set(vars(sol)) for sol in solutions)
+            out = _original(*args)
+            if _attr == "solve_step":
+                solutions.append(out[1])
+            return out
 
         monkeypatch.setattr(sim, attr, counted)
+    allocate = sim._allocate
+
+    def allocated(*args):
+        log = allocate(*args)
+        log.y_s[:] = log.u_s[:] = np.nan  # a step that wrote them would show
+        return log
+
+    monkeypatch.setattr(sim, "_allocate", allocated)
     stack = stacks[name]
     log = stack.run(stack.seed)
     assert log.halted_at == (None if name == "a2" else 29)
-    steps = log.k.size
-    assert len(calls["lift"]) == steps and len(calls["shifted_candidate"]) == steps - 1
+    steps, feasible = log.k.size, log.feasible.sum()
+    assert len(calls["lift"]) == len(calls["solve_step"]) == steps
+    assert len(calls["_candidate_slack"]) == steps - 1
+    assert len(calls["_finished"]) == 1  # after the last step: only its own calls follow it
+    assert sorted(order[order.index("_finished") + 1 :]) == ["diagnostics", "margin", "margin"]
     assert [args[1].tolist() for args in calls["solve_steady"]] == (
         [[1.0], [-1.0], [2.0]] if name == "a2" else [log.y_t[0].tolist()])
     assert [args[1].shape for args in calls["point"]] == (
         [(steps, 3), (steps, 2)] if name == "a2" else [])
     assert [args[1].shape for args in calls["margin"]] == [
         (steps, stack.plant.n_x), (steps - (log.halted_at is not None), stack.plant.n_u)]
-    assert [args[0].shape for args in calls["diagnostics"]] == [(log.feasible.sum(),)]
+    assert [args[0].shape for args in calls["diagnostics"]] == [(feasible,)]
+    # Nothing read a target or a total cost until now; read here, they are
+    # what the run logged, bit for bit.
+    assert len(solutions) == feasible
+    assert not any({"target", "total_cost"} & set(vars(sol)) for sol in solutions)
+    for column, values in ((log.y_s, [sol.target.y_s for sol in solutions]),
+                           (log.u_s, [sol.target.u_s for sol in solutions]),
+                           (log.J_N, [sol.total_cost for sol in solutions])):
+        assert column[:feasible].tobytes() == np.array(values).tobytes()
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_closed_loop_builds_the_candidate_map_once(stacks, monkeypatch, name):
     # The candidate map is built with the stack's TrackingProblem, by its
-    # first run, and never by shifted_candidate, which only multiplies by it.
-    builds, in_candidate = [], [False]
-    build, candidate = controller._candidate_map, sim.shifted_candidate
+    # first run, and never by the candidate's slack, which only multiplies by it.
+    builds, in_candidate, slacks = [], [False], []
+    build, slack = controller._candidate_map, sim._candidate_slack
 
     def counted_build(*args):
         builds.append(in_candidate[0])
         return build(*args)
 
-    def watched_candidate(*args):
+    def watched_slack(*args):
         in_candidate[0] = True
+        slacks.append(1)
         try:
-            return candidate(*args)
+            return slack(*args)
         finally:
             in_candidate[0] = False
 
     monkeypatch.setattr(controller, "_candidate_map", counted_build)
-    monkeypatch.setattr(sim, "shifted_candidate", watched_candidate)
+    monkeypatch.setattr(sim, "_candidate_slack", watched_slack)
     stack = fresh(stacks[name])
     for _ in range(2):
         log = stack.run(stack.seed)
         assert log.halted_at == (None if name == "a2" else 29)
         assert builds == [False]
+    assert len(slacks) == 2 * (log.k.size - 1)
+
+
+@pytest.mark.parametrize("name", ["a1", *NAMES])
+def test_a_solutions_target_and_total_cost_are_formed_on_first_read_as_the_eager_forms(
+        monkeypatch, name):
+    # solve_step returns u_k and x*; its KtmpcSolution forms the artificial
+    # target and J_N only when read, and bit for bit as a step formed them
+    # before: y_s = C_y z_s, offset s ||y_s - y_t||^2 and J_N = objective +
+    # s ||y_t||^2. A second read returns the object the first one made.
+    stack, step, solutions = cli.build_stack(SCENARIOS / f"{name}.json"), sim.solve_step, []
+
+    def recorded(*args):
+        out = step(*args)
+        solutions.append(out[1])
+        return out
+
+    monkeypatch.setattr(sim, "solve_step", recorded)
+    stack.run(stack.seed)
+    model, s, lay = stack.model, stack.config.s, stack.problem.layout
+    assert len(solutions) > 20
+    for sol in solutions:
+        x, y_t = sol.x_star, sol.y_t
+        z_s, u_s = x[lay.z_s], x[lay.u_s]
+        y_s = model.C_y @ z_s
+        e = y_s - y_t
+        eager = (z_s, u_s, y_s, s * float(e @ e), sol.objective + s * float(y_t @ y_t))
+        lazy = (sol.target.z_s, sol.target.u_s, sol.target.y_s, sol.target.offset_cost,
+                sol.total_cost)
+        for a, b in zip(lazy, eager):
+            assert np.shape(a) == np.shape(b) and np.array(a).tobytes() == np.array(b).tobytes()
+        assert sol.target is sol.target and sol.total_cost is sol.total_cost
 
 
 def pushed_out_of_initial_set(stack, log, face, by, k=0):
