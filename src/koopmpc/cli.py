@@ -30,14 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import (
-    GridSpec,
-    Infeasible,
-    KtmpcConfig,
-    TrackingProblem,
-    solve_steady,
-    solve_steady_nonlinear,
-)
+from .controller import Infeasible, KtmpcConfig, TrackingProblem, solve_steady
 from .gains import NoConvergence, NotStabilizing, dlqr
 from .model import (
     DisturbanceModel,
@@ -64,17 +57,11 @@ from .sim import (
     numerical_example_plant,
     run_closed_loop,
     save_log_csv,
+    step_plant,
     tracking_metrics,
     unicycle_plant,
 )
 
-# Grid resolutions for the fixed-point oracle when the scenario does not
-# override them; chosen so the benchmark grids land exactly on the known
-# steady pairs while staying fast for the 3-state unicycle.
-_DEFAULT_GRIDS = {
-    "numerical_example": ([11, 101], [121]),
-    "unicycle": ([13, 13, 13], [5, 9]),
-}
 MAX_SCENARIO_BYTES = 2 * 2**30  # the memory build_stack lets a scenario's sizes need (README)
 
 
@@ -137,12 +124,11 @@ _PLANT_PARAMS = {"numerical_example": {"lambda", "mu"}, "unicycle": {"dt"}}
 _FIT_LIFTING_KEYS = {"kind", "params", "n_x", "ridge", "output_matrix"}
 _SCENARIO_KEYS = {
     "plant", "lifting", "output_matrix", "ridge", "data", "disturbance", "injected", "constraints",
-    "controller", "references", "x0", "T", "seed", "settle_window", "out_dir", "steady_grid",
+    "controller", "references", "x0", "T", "seed", "settle_window", "out_dir",
 }
 _CONTROLLER_KEYS = {"N", "Q", "R", "s", "lqr"}
 _LQR_KEYS = {"Qk", "Rk", "tol", "max_iter"}
 _GENERATE_KEYS = {"n_traj", "traj_len", "input_box", "state_box", "seed"}
-_GRID_KEYS = {"x_points", "u_points", "fp_tol"}
 
 
 def _check_keys(doc, allowed: set, what: str) -> None:
@@ -290,29 +276,12 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> partial:
     )
 
 
-def _grid_from_scenario(sc: dict, plant) -> tuple[dict, float]:
-    """The steady-pair search grid's checked point counts and ``fp_tol``:
-    ``x_points``/``u_points`` give one positive point count per state/input
-    dimension."""
-    doc = sc.get("steady_grid", {})
-    _check_keys(doc, _GRID_KEYS, "steady_grid")
-    counts = {}
-    for key, default, n, what in zip(("x_points", "u_points"), _DEFAULT_GRIDS[plant.kind],
-                                     (plant.n_x, plant.n_u), ("state", "input")):
-        points = counts[key] = doc.get(key, default)
-        if not (isinstance(points, list) and len(points) == n
-                and all(type(p) is int and p >= 1 for p in points)):
-            raise ValueError(f"steady_grid.{key} must list one positive integer per {what} "
-                             f"dimension ({n}), got {points!r}")
-    return counts, float(_positive(doc.get("fp_tol", 1e-6), "steady_grid.fp_tol"))
-
-
 # --- the scenario stack ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Stack:
-    """A scenario assembled: plant, fitted model, tube controller, steady-pair
-    search grid and run settings. Its ``problem`` is built on first use, once."""
+    """A scenario assembled: plant, fitted model, tube controller and run
+    settings. Its ``problem`` is built on first use, once."""
 
     sc: dict
     plant: Plant
@@ -320,7 +289,6 @@ class Stack:
     config: KtmpcConfig
     schedule: TighteningSchedule
     refs: ReferenceSchedule
-    grid: GridSpec
     injected: DisturbanceModel | None
     x0: np.ndarray | None
     T: int
@@ -394,7 +362,6 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     _check_keys(con, {"state", "input"}, "constraints")
     X = _box_from_doc(con["state"], plant.n_x, "constraints.state")
     U = _box_from_doc(con["input"], plant.n_u, "constraints.input")
-    counts, fp_tol = _grid_from_scenario(sc, plant)
     x0 = None if sc.get("x0") is None else np.array(_numbers(sc["x0"], plant.n_x, "x0"), float)
     T, N = _count(sc, "T", "T"), _count(cfg_doc, "N", "controller.N")
     seed = _count(sc, "seed", "seed", minimum=0, default=0)
@@ -413,24 +380,16 @@ def build_stack(scenario_path, y_t=None) -> Stack:
              f"T = {T}": T * (2 * (plant.n_x + n_u + n_z) + 4 * n_y + 16),
              f"data.generate.n_traj = {n_traj} with traj_len = {traj_len}": n_traj
                  * (traj_len + 1) * (plant.n_x + 2 * n_u + 3 * n_z + 1 + lifting.exponents.size)}
-    # The grid's axes, and `koopmpc steady` stepping each state under each input.
-    axes, n = sum(map(sum, counts.values())), {key: math.prod(p) for key, p in counts.items()}
-    key = max(n, key=n.get)
-    sizes[f"steady_grid.{key} = {counts[key]} in a search of {n['x_points']} states under "
-          f"{n['u_points']} inputs"] = axes + n["x_points"] * n["u_points"] * plant.n_x
     if 8 * sum(sizes.values()) > MAX_SCENARIO_BYTES:
         raise ValueError(f"{max(sizes, key=sizes.get)} is too large: the scenario would need "
                          f"more than the {MAX_SCENARIO_BYTES >> 30} GiB bound on its memory")
-    # Each count spread over its box, whose rows are ordered [I; -I].
-    grid = GridSpec(*(tuple(map(np.linspace, -box.offsets[len(p):], box.offsets[:len(p)], p))
-                      for box, p in zip((X, U), counts.values())), fp_tol)
     data = make_data()
     model = fit_edmd(data, lifting, ridge=ridge, output_matrix=om)
     gain = dlqr(model.A, model.B, Qk, Rk, **lqr_opts)
     schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)
     config = KtmpcConfig(N=N, Q=Q, R=R, s=s, K=gain.K)
     return Stack(
-        sc=sc, plant=plant, model=model, config=config, schedule=schedule, refs=refs, grid=grid,
+        sc=sc, plant=plant, model=model, config=config, schedule=schedule, refs=refs,
         injected=injected, x0=x0, T=T, seed=seed, settle_window=settle_window,
     )
 
@@ -548,26 +507,18 @@ def cmd_simulate(scenario_json, seed=None, seeds=None, out=None, deterministic=F
 
 
 def cmd_steady(scenario_json, y_t) -> int:
-    """Print the lifted-model steady target next to a grid search over true plant fixed points."""
+    """Print the lifted model's steady target for ``y_t`` and how far one plant step
+    moves from it: x+ = f(x_s, u_s) with x_s = C_x z_s, and ||x+ - x_s||_inf."""
     y_target = np.atleast_1d(np.asarray(y_t, dtype=float))
     stack = build_stack(scenario_json, y_target)
-    plant, model, s = stack.plant, stack.model, stack.config.s
-
     target = solve_steady(stack.problem, y_target)
-    x_s = model.C_x @ target.z_s
+    x_s = stack.model.C_x @ target.z_s
     print(f"lifted-model steady target: y_s = {np.array2string(target.y_s)}, "
           f"x_s = {np.array2string(x_s)}, u_s = {np.array2string(target.u_s)}, "
           f"offset cost = {target.offset_cost:.6e}")
-
-    try:
-        oracle = solve_steady_nonlinear(plant, y_target, s, stack.grid)
-    except ValueError as exc:
-        print(f"grid search found no steady pair: {exc}")
-        return 0
-    print(f"plant fixed-point target:   y_s = {np.array2string(oracle.y_s)}, "
-          f"x_s = {np.array2string(oracle.x_s)}, u_s = {np.array2string(oracle.u_s)}, "
-          f"offset cost = {oracle.offset_cost:.6e}")
-    print(f"output gap between the two: {float(np.max(np.abs(target.y_s - oracle.y_s))):.6e}")
+    x_next = step_plant(stack.plant, x_s, target.u_s)[0]
+    print(f"plant step from (x_s, u_s): x+ = {np.array2string(x_next)}, "
+          f"||x+ - x_s||_inf = {float(np.max(np.abs(x_next - x_s))):.6e}")
     return 0
 
 
@@ -633,7 +584,7 @@ def main(argv=None) -> int:
     p.add_argument("--deterministic", action="store_true",
                    help="omit timestamps so outputs are byte-for-byte reproducible")
 
-    p = sub.add_parser("steady", help="compare the steady target against a plant grid search")
+    p = sub.add_parser("steady", help="print the steady target and the plant's residual at it")
     p.add_argument("scenario_json")
     p.add_argument("y_t", help="target output, comma-separated floats")
 

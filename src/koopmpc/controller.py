@@ -24,7 +24,6 @@ vector of the same QP whose margins are read off its rows through one precompute
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,16 +66,6 @@ class SteadyTarget:
     """A steady pair of the lifted model with its output and offset cost."""
 
     z_s: np.ndarray
-    u_s: np.ndarray
-    y_s: np.ndarray
-    offset_cost: float
-
-
-@dataclass(frozen=True)
-class NonlinearSteadyTarget:
-    """Best steady pair of the true plant found by grid search."""
-
-    x_s: np.ndarray
     u_s: np.ndarray
     y_s: np.ndarray
     offset_cost: float
@@ -126,24 +115,6 @@ class LyapunovDiag:
                 k = np.argmin(holds)  # the first failing step
                 v, b = (np.broadcast_to(a, holds.shape).flat[k] for a in (value, bound))
                 raise ValueError(f"{name} = {v} violates its {b:.3g} lower bound at step {k}")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Per-dimension grid values for the nonlinear steady-pair search."""
-
-    x_values: tuple
-    u_values: tuple
-    fp_tol: float = 1e-6
-
-    def __post_init__(self):
-        for field_name in ("x_values", "u_values"):
-            vals = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in getattr(self, field_name))
-            if not vals or any(v.ndim != 1 or v.size == 0 for v in vals):
-                raise ValueError(f"{field_name} must be non-empty 1-D grids")
-            object.__setattr__(self, field_name, vals)
-        if not (self.fp_tol > 0):
-            raise ValueError("fp_tol must be positive")
 
 
 # --- the decision vector [c(0..N-1); z(0); z_s; u_s] and its predictions ----------
@@ -229,37 +200,6 @@ def _steady_target(model: KoopmanModel, s: float, z_s, u_s, y_t) -> SteadyTarget
     y_s = model.C_y @ z_s
     e = y_s - y_t
     return SteadyTarget(z_s=z_s, u_s=u_s, y_s=y_s, offset_cost=s * float(e @ e))
-
-
-def solve_steady_nonlinear(plant, y_t, s: float, grid_spec: GridSpec) -> NonlinearSteadyTarget:
-    """Brute-force steady pair of the true plant, used as a reference oracle.
-
-    ``plant`` must expose a batched map ``f(X, U) -> X_next`` over row-stacked
-    arrays and an output matrix ``C``.  Among all grid points with
-    ``||f(x,u) - x||_inf <= fp_tol``, returns the one minimizing
-    ``s*||C x - y_t||^2`` (first hit wins ties, so the result is deterministic).
-    """
-    y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
-    mesh = np.meshgrid(*grid_spec.x_values, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    best = None
-    for u_combo in itertools.product(*grid_spec.u_values):
-        u = np.array(u_combo, dtype=float)
-        U = np.broadcast_to(u, (X.shape[0], u.size))
-        X_next = np.asarray(plant.f(X, U), dtype=float)
-        fp = np.max(np.abs(X_next - X), axis=1) <= grid_spec.fp_tol
-        if not np.any(fp):
-            continue
-        Xf = X[fp]
-        Y = Xf @ plant.C.T
-        costs = s * np.sum((Y - y_t) ** 2, axis=1)
-        i = int(np.argmin(costs))
-        if best is None or costs[i] < best[0]:
-            best = (float(costs[i]), Xf[i], u, Y[i])
-    if best is None:
-        raise ValueError("no fixed point of the plant found on the given grid")
-    cost, x_s, u_s, y_s = best
-    return NonlinearSteadyTarget(x_s=x_s, u_s=u_s, y_s=y_s, offset_cost=cost)
 
 
 # --- per-step QP ---------------------------------------------------------------------

@@ -261,7 +261,8 @@ class TrajectoryData:
                 raise ValueError("all trajectories must share state/input dimensions")
             pairs.append((states, inputs))
         states, inputs = zip(*pairs) if pairs else ([np.empty((0, 0))],) * 2
-        return cls(np.concatenate(states), np.concatenate(inputs), [len(s) for s, _ in pairs])
+        return cls._handed(np.concatenate(states), np.concatenate(inputs),
+                           [len(s) for s, _ in pairs])
 
     @classmethod
     def batch(cls, states, inputs) -> "TrajectoryData":
@@ -499,6 +500,6 @@ def load_trajectories(path) -> TrajectoryData:
         if [u is None for _, u in steps] != [False] * (len(steps) - 1) + [True]:
             raise ValueError(f"{path}: trajectory {traj_id} must leave exactly the last input empty")
     flat = [step for steps in by_traj.values() for step in steps]
-    return TrajectoryData(np.array([x for x, _ in flat]).reshape(-1, n_x),
-                          np.array([u for _, u in flat if u is not None]).reshape(-1, n_u),
-                          [len(steps) for steps in by_traj.values()])
+    return TrajectoryData._handed(np.array([x for x, _ in flat]).reshape(-1, n_x),
+                                  np.array([u for _, u in flat if u is not None]).reshape(-1, n_u),
+                                  [len(steps) for steps in by_traj.values()])

@@ -433,11 +433,12 @@ def test_path_scenario_keys_must_be_strings_exit_2(tmp_path, capsys, monkeypatch
 
 
 def scenario_with_key(tmp_path, block, key):
-    """The base scenario with ``key`` added to the (possibly new) dotted ``block``."""
+    """The base scenario with ``key`` added to the (possibly new) dotted ``block``;
+    the block ``scenario`` is the top level."""
     scenario = base_scenario(tmp_path)
     doc = json.loads(scenario.read_text())
     node = doc
-    for part in block.split("."):
+    for part in block.split(".") if block != "scenario" else ():
         node = node.setdefault(part, {})
     node[key] = 1.0
     scenario.write_text(json.dumps(doc))
@@ -453,16 +454,18 @@ def scenario_with_key(tmp_path, block, key):
     ("injected", "scale"),
     ("constraints", "output"),
     ("references", "waypoint"),
-    ("steady_grid", "xpoints"),
+    ("scenario", "steady_grid"),  # the removed grid search's block
     ("lifting", "parms"),
     ("lifting.params", "max_degree"),  # a key of the removed polynomial kind
     ("disturbance.declared.W", "radius"),
     ("constraints.state", "mid"),
 ])
 def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
-    scenario = scenario_with_key(tmp_path, block, key)
-    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
-    assert f"unknown {block} key {key!r}" in capsys.readouterr().err
+    scenario = str(scenario_with_key(tmp_path, block, key))
+    for argv in (["tighten", scenario, str(tmp_path / "schedule.json")],
+                 ["simulate", scenario, "--out", str(tmp_path / "runs")], ["steady", scenario, "1.0"]):
+        assert main(argv) == 2
+        assert f"unknown {block} key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, named", [
@@ -706,8 +709,6 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
     ("ridge", '"0.0"', "ridge must be a finite number >= 0, got '0.0'"),
     ("ridge", "true", "ridge must be a finite number >= 0, got True"),
     ("ridge", "-1e-3", "ridge must be a finite number >= 0, got -0.001"),
-    ("steady_grid.fp_tol", "true", "steady_grid.fp_tol must be a finite positive number"),
-    ("steady_grid.fp_tol", '"1e-9"', "steady_grid.fp_tol must be a finite positive number"),
     ("controller.Q", "true", "controller.Q must be a scalar or an 3x3 matrix"),
     ("controller.R", "true", "controller.R must be a scalar or an 1x1 matrix"),
     ("controller.lqr.Qk", "true", "controller.lqr.Qk must be a scalar or an 3x3 matrix"),
@@ -740,8 +741,6 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
     ("ridge", "@big@", "ridge must be a finite number >= 0, got 1000"),
     ("references", '{"timed": [[0, [@big@]]]}',
      "references.timed[0] target must list 1 numbers, all finite, got [1000"),
-    ("steady_grid", '{"fp_tol": @big@}',
-     "steady_grid.fp_tol must be a finite positive number, got 1000"),
     ("constraints.state", '{"lo": [-5.0, -5.0], "hi": [@big@, 5.0]}',
      "constraints.state.hi holds an integer too large for a float"),
     ("data.generate.state_box", '{"center": [0.0, 0.0], "half_extents": [@big@, 2.0]}',
@@ -766,11 +765,11 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
     ("controller.Q", "[[1, 0, 0], [0, 1], [0, 0, 1]]",
      "controller.Q must be a rectangular list, got [[1, 0, 0], [0, 1], [0, 0, 1]]"),
 ], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
-        "fp_tol-bool", "fp_tol-string", "Q-bool", "R-bool", "Qk-bool", "Rk-bool", "dt-string",
+        "Q-bool", "R-bool", "Qk-bool", "Rk-bool", "dt-string",
         "dt-bool", "dt-zero", "lambda-string", "lambda-bool", "lambda-nan-string", "mu-overflow",
         "lambda-square-overflow",
         "lambda-big-int", "x0-big-int", "s-big-int", "Q-big-int", "Q-entry-big-int", "Qk-big-int",
-        "ridge-big-int", "timed-target-big-int", "fp_tol-big-int", "constraints.state.hi-big-int",
+        "ridge-big-int", "timed-target-big-int", "constraints.state.hi-big-int",
         "half_extents-big-int", "switch_radius-big-int", "exponents-big-int", "Q-entry-object",
         "input.lo-object", "Q-entry-string", "W.half_extents-string", "constraints.state.hi-string",
         "exponents-huge-int", "Q-ragged"])
@@ -787,7 +786,7 @@ def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, d
     # array-valued key ran.
     for name in ("generate_training_data", "fit_edmd"):
         monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
-    scenario = scenario_with_value(tmp_path, dotted, "@value@", steady_grid={})
+    scenario = scenario_with_value(tmp_path, dotted, "@value@")
     text = text.replace("@big@", str(10**400)).replace("@huge@", str(10**29))
     scenario.write_text(scenario.read_text().replace('"@value@"', text))
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
@@ -834,18 +833,6 @@ def test_malformed_references_exit_2_before_fitting(tmp_path, capsys, monkeypatc
         monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
     scenario = base_scenario(tmp_path, **overrides)
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "runs")]) == 2
-    assert named in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("grid, named", [
-    ({"x_points": [11]}, "steady_grid.x_points"),  # one count for a two-state plant
-    ({"u_points": [121, 5]}, "steady_grid.u_points"),
-    ({"x_points": [11, 0]}, "steady_grid.x_points"),
-    ({"x_points": [11, 10.5]}, "steady_grid.x_points"),
-])
-def test_steady_rejects_a_malformed_grid_exit_2(tmp_path, capsys, grid, named):
-    scenario = base_scenario(tmp_path, steady_grid=grid)
-    assert main(["steady", str(scenario), "1.0"]) == 2
     assert named in capsys.readouterr().err
 
 
@@ -1067,40 +1054,30 @@ def test_simulate_unknown_plant_param_exit_2(tmp_path, capsys, plant, key):
 
 # --- steady -----------------------------------------------------------------------
 
-def test_steady_prints_both_targets(tmp_path, capsys):
-    scenario = base_scenario(
-        tmp_path,
-        steady_grid={"x_points": [11, 101], "u_points": [121], "fp_tol": 1e-9},
-    )
-    code = main(["steady", str(scenario), "1.0"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "lifted-model steady target" in out
-    assert "plant fixed-point target" in out
-    gap_line = [ln for ln in out.splitlines() if "output gap" in ln][0]
-    assert float(gap_line.split()[-1]) <= 1e-6
+@pytest.mark.parametrize("name, y_t", [("base", "1.0"), ("unicycle_square", "2.0,3.0")])
+def test_steady_prints_the_plants_residual_at_the_model_target(tmp_path, capsys, name, y_t):
+    # x_s = C_x z_s stepped once under u_s: the numerical example's lifting is
+    # exact, so its target is a plant equilibrium to rounding; the unicycle's
+    # model target is not one.
+    scenario = base_scenario(tmp_path) if name == "base" else SCENARIOS / f"{name}.json"
+    assert main(["steady", str(scenario), y_t]) == 0
+    target, step = capsys.readouterr().out.splitlines()
+    assert target.startswith("lifted-model steady target: y_s = ")
+    assert step.startswith("plant step from (x_s, u_s): x+ = ")
+    label, residual = step.rsplit(" = ", 1)
+    assert label.endswith("||x+ - x_s||_inf")
+    if name == "base":
+        assert float(residual) <= 1e-14
+    else:
+        assert residual == "4.059601e-02"
 
 
 def test_steady_unreachable_reports_clipped_target(tmp_path, capsys):
-    scenario = base_scenario(
-        tmp_path,
-        steady_grid={"x_points": [11, 101], "u_points": [121], "fp_tol": 1e-9},
-    )
+    scenario = base_scenario(tmp_path)
     code = main(["steady", str(scenario), "10.0"])
     assert code == 0
     out = capsys.readouterr().out
     assert "y_s = [3." in out  # steady outputs cap at u-bound 3
-
-
-def test_steady_reports_a_grid_with_no_fixed_point(tmp_path, capsys):
-    # Every fixed point of the plant has x1 = 0, which two x1 points on
-    # [-5, 5] miss: the lifted target is still printed, and the run exits 0.
-    scenario = base_scenario(tmp_path, steady_grid={"x_points": [2, 101], "u_points": [121]})
-    assert main(["steady", str(scenario), "1.0"]) == 0
-    out = capsys.readouterr().out
-    assert "lifted-model steady target: y_s = [1.]" in out
-    assert "grid search found no steady pair: no fixed point of the plant found" in out
-    assert "plant fixed-point target" not in out
 
 
 def test_steady_with_no_steady_pair_in_the_terminal_sets_exit_5(tmp_path, capsys):
@@ -1193,57 +1170,3 @@ def test_a_size_under_the_memory_bound_goes_on_to_build_the_stack(tmp_path, monk
     scenario.write_text(json.dumps(sc))
     with pytest.raises(RuntimeError, match="data generation reached"):
         cli_module.build_stack(scenario)
-
-
-def unicycle_with_grid(tmp_path, **grid):
-    sc = json.loads((SCENARIOS / "unicycle_square.json").read_text())
-    sc["steady_grid"] = grid
-    scenario = tmp_path / "grid.json"
-    scenario.write_text(json.dumps(sc))
-    return scenario
-
-
-def grid_argv(command, scenario, tmp_path):
-    return {"tighten": ["tighten", str(scenario), str(tmp_path / "schedule.json")],
-            "simulate": ["simulate", str(scenario), "--out", str(tmp_path), "--deterministic"],
-            "steady": ["steady", str(scenario), "1.0,1.0"]}[command]
-
-
-def refuse(monkeypatch, module, *attrs):
-    """Patch each of ``attrs`` of ``module`` to fail when it is called."""
-    for attr in attrs:
-        def refused(*args, attr=attr, **kwargs):
-            raise AssertionError(f"{attr} was called")
-
-        monkeypatch.setattr(module, attr, refused)
-
-
-@pytest.mark.parametrize("command, grid, named", [
-    *((command, {"x_points": [10**12, 13, 13]}, "steady_grid.x_points = [1000000000000, 13, 13]")
-      for command in ("tighten", "simulate", "steady")),
-    *((command, {"x_points": [10**400, 13, 13]}, f"steady_grid.x_points = [{10**400}, 13, 13]")
-      for command in ("tighten", "simulate", "steady")),
-    *((command, {"u_points": [10**6, 10**6]},
-       "steady_grid.u_points = [1000000, 1000000] in a search of 2197 states under "
-       "1000000000000 inputs is too large") for command in ("tighten", "simulate", "steady")),
-], ids=[f"{command}-{grid}" for grid in ("x-10**12", "x-10**400", "u-10**6")
-        for command in ("tighten", "simulate", "steady")])
-def test_a_steady_grid_past_the_memory_bound_exits_2_naming_the_key_before_it_is_built(
-        tmp_path, capsys, monkeypatch, command, grid, named):
-    # With np.linspace run on the counts before the size check,
-    # x_points = [10**12, 13, 13] raised a raw MemoryError out of main and
-    # [10**400, 13, 13] exited 2 naming no key. Every command counts the grid's
-    # axes and the steady search over it, grid states times input combinations,
-    # and names the key of the larger product.
-    refuse(monkeypatch, np, "linspace")
-    refuse(monkeypatch, cli_module, "generate_training_data", "fit_edmd", "tighten_constraints")
-    scenario = unicycle_with_grid(tmp_path, **grid)
-    assert main(grid_argv(command, scenario, tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert named in err and f"{cli_module.MAX_SCENARIO_BYTES >> 30} GiB bound" in err
-
-
-def test_steady_builds_the_declared_grid_under_the_bound(tmp_path, capsys):
-    scenario = unicycle_with_grid(tmp_path, x_points=[3, 3, 5], u_points=[2, 3])
-    assert main(grid_argv("steady", scenario, tmp_path)) == 0
-    assert "lifted-model steady target" in capsys.readouterr().out

@@ -6,19 +6,16 @@ import pytest
 
 from koopmpc import qp as qps
 from koopmpc.controller import (
-    GridSpec,
     Infeasible,
     KtmpcConfig,
     KtmpcSolution,
     LyapunovDiag,
-    NonlinearSteadyTarget,
     SteadyTarget,
     TrackingProblem,
     _steady_qp,
     build_qp,
     shifted_candidate,
     solve_steady,
-    solve_steady_nonlinear,
     solve_step,
 )
 from koopmpc.cli import build_stack
@@ -173,64 +170,6 @@ def test_solve_steady_raises_infeasible_on_every_call_and_stores_no_support():
         with pytest.raises(Infeasible):
             solve_steady(problem, [y])
         assert problem.steady_qp._support is None and problem.steady_targets == {}
-
-
-class _DuckPlant:
-    """Minimal vectorized plant: f over row-stacked batches and an output matrix C."""
-
-    def __init__(self, f, C):
-        self.f = f
-        self.C = np.asarray(C, dtype=float)
-
-
-def _benchmark_plant():
-    def f(X, U):
-        x1, x2 = X[:, 0], X[:, 1]
-        return np.column_stack([LAM * x1, MU * x2 + (LAM**2 - MU) * x1**2 + U[:, 0]])
-
-    return _DuckPlant(f, C=[[0.0, 1.0]])
-
-
-def test_steady_nonlinear_benchmark_fixed_point():
-    grid = GridSpec(
-        x_values=(np.linspace(-5, 5, 11), np.linspace(-5, 5, 101)),
-        u_values=(np.linspace(-3, 3, 121),),
-        fp_tol=1e-9,
-    )
-    t = solve_steady_nonlinear(_benchmark_plant(), y_t=[1.0], s=2.0, grid_spec=grid)
-    assert np.allclose(t.x_s, [0.0, 1.0], atol=1e-12)
-    assert np.allclose(t.u_s, [-1.0], atol=1e-12)
-    assert t.y_s[0] == pytest.approx(1.0)
-    assert t.offset_cost == pytest.approx(0.0, abs=1e-12)
-
-
-def test_steady_nonlinear_boundary_minimizer():
-    # Fixed points of the benchmark need u = -x2, so |x2| <= 3 is reachable.
-    grid = GridSpec(
-        x_values=(np.linspace(-5, 5, 11), np.linspace(-5, 5, 101)),
-        u_values=(np.linspace(-3, 3, 121),),
-        fp_tol=1e-9,
-    )
-    t = solve_steady_nonlinear(_benchmark_plant(), y_t=[10.0], s=2.0, grid_spec=grid)
-    assert t.y_s[0] == pytest.approx(3.0)
-    assert t.offset_cost == pytest.approx(2.0 * 49.0)
-
-
-def test_steady_nonlinear_no_fixed_point():
-    grid = GridSpec(x_values=(np.array([5.0]), np.array([5.0])), u_values=(np.array([0.0]),))
-    with pytest.raises(ValueError):
-        solve_steady_nonlinear(_benchmark_plant(), y_t=[0.0], s=1.0, grid_spec=grid)
-
-
-def test_steady_nonlinear_zero_input_family():
-    # Integrator x+ = x + u: every x is steady at u = 0; minimizer hits target.
-    plant = _DuckPlant(f=lambda X, U: X + U, C=np.eye(1))
-    grid = GridSpec(
-        x_values=(np.linspace(-2, 2, 41),), u_values=(np.linspace(-1, 1, 5),), fp_tol=1e-12
-    )
-    t = solve_steady_nonlinear(plant, y_t=[1.3], s=1.0, grid_spec=grid)
-    assert t.x_s[0] == pytest.approx(1.3)
-    assert np.allclose(t.u_s, 0.0)
 
 
 # --- QP assembly ---------------------------------------------------------------------
@@ -545,22 +484,13 @@ def test_steady_target_and_report_types():
     assert margins.shape == (problem.block_starts.size,) and margins.dtype == float
 
 
-def steady_record(cls):
-    """A record of ``cls`` as its solver builds it, at an unreachable output."""
+def test_steady_records_name_every_array_field():
+    # The record is plain: the solver hands over arrays and a cost >= 0,
+    # here at an unreachable output.
     model, config, schedule = make_setup(N=3)
-    if cls is SteadyTarget:
-        return solve_steady(TrackingProblem(model, config, schedule), [10.0])
-    grid = GridSpec(x_values=(np.linspace(-5, 5, 11), np.linspace(-5, 5, 101)),
-                    u_values=(np.linspace(-3, 3, 121),), fp_tol=1e-9)
-    return solve_steady_nonlinear(_benchmark_plant(), [10.0], config.s, grid)
-
-
-@pytest.mark.parametrize("cls", [SteadyTarget, NonlinearSteadyTarget])
-def test_steady_records_name_every_array_field(cls):
-    # The records are plain: each solver hands over arrays and a cost >= 0.
-    record = steady_record(cls)
-    assert type(record) is cls and not hasattr(cls, "__post_init__")
-    for f in dataclasses.fields(cls):
+    record = solve_steady(TrackingProblem(model, config, schedule), [10.0])
+    assert type(record) is SteadyTarget and not hasattr(SteadyTarget, "__post_init__")
+    for f in dataclasses.fields(SteadyTarget):
         value = getattr(record, f.name)
         if f.name == "offset_cost":
             assert type(value) is float and value > 0.0

@@ -1,10 +1,10 @@
 """Seeded scenario mutation: every malformed scenario ends in a documented exit code.
 
-Each case takes a shipped scenario, made small (T <= 3, and N, n_traj,
-traj_len and each steady-grid point count capped at 50), sets one of its
-leaves to one of 26 fixed values or deletes it, and runs ``tighten`` or
-``simulate`` through ``cli.main`` in-process. Every outcome must be an exit
-code in {0, 2, 3, 4, 5, 6}: no exception may escape ``main``.
+Each case takes a shipped scenario, made small (T <= 3, and N, n_traj and
+traj_len capped at 50), sets one of its leaves to one of 26 fixed values or
+deletes it, and runs ``tighten`` or ``simulate`` through ``cli.main``
+in-process. Every outcome must be an exit code in {0, 2, 3, 4, 5, 6}: no
+exception may escape ``main``.
 """
 
 import json
@@ -19,19 +19,18 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CASES_PER_SCENARIO = 100
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 DELETE = object()
-# 10**400 as T, N, n_traj, traj_len or a steady-grid point count is refused
-# by the size check of build_stack; no other value is a count that passes and
-# runs long.
+# 10**400 as T, N, n_traj or traj_len is refused by the size check of
+# build_stack; no other value is a count that passes and runs long.
 VALUES = [
     None, True, False, 0, -1, 1, 2, 2.5, -0.5, 50, 10**400, 1e-12, 1e308, -1e308,
     float("inf"), float("-inf"), float("nan"), -10**400, "1", "nan", "",
     {}, [], [[]], [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]],
 ]
-SIZE_KEYS = {"N", "n_traj", "traj_len", "x_points", "u_points"}
+SIZE_KEYS = {"N", "n_traj", "traj_len"}
 
 
 def small(doc):
-    """``doc`` with T at most 3 and every size key and grid point count at most 50."""
+    """``doc`` with T at most 3 and every size key at most 50."""
     doc["T"] = min(doc["T"], 3)
 
     def cap(node):
@@ -39,8 +38,7 @@ def small(doc):
             if isinstance(value, dict):
                 cap(value)
             elif key in SIZE_KEYS:
-                capped = [min(p, 50) for p in value] if isinstance(value, list) else min(value, 50)
-                node[key] = capped
+                node[key] = min(value, 50)
 
     cap(doc)
     return doc

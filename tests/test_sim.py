@@ -11,7 +11,9 @@ from koopmpc import cli
 from koopmpc import sim as sim_module
 from koopmpc.controller import KtmpcConfig, TrackingProblem, solve_steady
 from koopmpc.gains import dlqr
-from koopmpc.model import DisturbanceModel, LiftingSpec, TrajectoryData, make_model
+from koopmpc.model import (
+    DisturbanceModel, LiftingSpec, TrajectoryData, load_trajectories, make_model, save_trajectories,
+)
 from koopmpc.sets import (
     Zonotope, box_polytope, box_zonotope, margin, sample, tighten_constraints,
 )
@@ -245,18 +247,28 @@ def test_generate_training_data_steps_the_lifted_model_in_one_batch(monkeypatch)
     assert data.states.shape == (1000, 2) and data.inputs.shape == (800, 1)
 
 
-def test_generated_training_data_keeps_its_stacks_without_a_second_copy():
-    """generate_training_data hands the stacks it allocated to TrajectoryData,
-    which keeps them read-only as they are (views of the rollout's arrays, not
-    copies of them); the stacks equal the batch form's, which copies its input."""
+@pytest.mark.parametrize("source", ["generate", "from_pairs", "load"])
+def test_generated_training_data_keeps_its_stacks_without_a_second_copy(tmp_path, monkeypatch,
+                                                                        source):
+    """generate_training_data, TrajectoryData.from_pairs and load_trajectories
+    (of a save_trajectories CSV) hand the stacks they allocated to
+    TrajectoryData, which keeps them read-only as they are: the copying
+    constructor is never entered, and no caller's array is aliased. The
+    stacks equal the batch form's, which copies its input."""
     box_kwargs = {"input_box": box_zonotope([1.0, 1.0]), "state_box": box_zonotope([1.0] * 3)}
-    data = generate_training_data(unicycle_plant(), n_traj=6, traj_len=4, seed=5, **box_kwargs)
-    batch = TrajectoryData.batch(data.states.reshape(6, 5, 3), data.inputs.reshape(6, 4, 2))
+    made = generate_training_data(unicycle_plant(), n_traj=6, traj_len=4, seed=5, **box_kwargs)
+    batch = TrajectoryData.batch(made.states.reshape(6, 5, 3), made.inputs.reshape(6, 4, 2))
+    save_trajectories(made, tmp_path / "data.csv")
+    monkeypatch.setattr(TrajectoryData, "__post_init__", lambda self: pytest.fail("copied"))
+    data = {"generate": lambda: generate_training_data(unicycle_plant(), n_traj=6, traj_len=4,
+                                                       seed=5, **box_kwargs),
+            "from_pairs": lambda: TrajectoryData.from_pairs(made.trajectories),
+            "load": lambda: load_trajectories(tmp_path / "data.csv")}[source]()
     for kept, copied in ((data.states, batch.states), (data.inputs, batch.inputs),
                          (data.lengths, batch.lengths)):
         assert not kept.flags.writeable and copied.flags.owndata
         assert kept.dtype == copied.dtype and kept.tobytes() == copied.tobytes()
-    assert not data.states.flags.owndata and not data.inputs.flags.owndata
+        assert not np.shares_memory(kept, made.states) and not np.shares_memory(kept, made.inputs)
 
 
 # --- reference schedules --------------------------------------------------------------

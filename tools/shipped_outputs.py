@@ -8,8 +8,8 @@ one thread, and writes into ``<out_dir>``:
 * ``tighten/<scenario>.json``: the ``koopmpc tighten`` schedule of each shipped scenario;
 * ``simulate/<scenario>/``: ``koopmpc simulate --deterministic`` logs and metrics,
   a1 seeds 0..4, a2 seeds 0..9 and the unicycle seeds 0..2 (it halts at step 29);
-* ``steady/<scenario>.txt``: the stdout of ``koopmpc steady`` (a1 1.5, a2 1.5,
-  unicycle 2.0,3.0);
+* ``steady/<scenario>.txt``: the stdout of ``koopmpc steady``, the lifted model's
+  steady target and the plant's residual at it (a1 1.5, a2 1.5, unicycle 2.0,3.0);
 * ``exit_codes.txt``: each command's exit code.
 
 Two checkouts give the same outputs when ``diff -r`` of their directories is empty.
