@@ -445,7 +445,7 @@ def scenario_with_key(tmp_path, block, key):
     return scenario
 
 
-@pytest.mark.parametrize("block, key", [
+UNKNOWN_KEYS = pytest.mark.parametrize("block, key", [
     ("plant", "parms"),
     ("data", "pth"),
     ("data.generate", "n_trajs"),
@@ -460,12 +460,24 @@ def scenario_with_key(tmp_path, block, key):
     ("disturbance.declared.W", "radius"),
     ("constraints.state", "mid"),
 ])
+
+
+@UNKNOWN_KEYS
 def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
+    scenario = scenario_with_key(tmp_path, block, key)
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    assert f"unknown {block} key {key!r}" in capsys.readouterr().err
+
+
+@UNKNOWN_KEYS
+@pytest.mark.parametrize("command", ["simulate", "steady"])
+def test_simulate_and_steady_refuse_the_same_unknown_keys_exit_2(tmp_path, capsys, command,
+                                                                block, key):
     scenario = str(scenario_with_key(tmp_path, block, key))
-    for argv in (["tighten", scenario, str(tmp_path / "schedule.json")],
-                 ["simulate", scenario, "--out", str(tmp_path / "runs")], ["steady", scenario, "1.0"]):
-        assert main(argv) == 2
-        assert f"unknown {block} key {key!r}" in capsys.readouterr().err
+    argv = {"simulate": ["simulate", scenario, "--out", str(tmp_path / "runs")],
+            "steady": ["steady", scenario, "1.0"]}[command]
+    assert main(argv) == 2
+    assert f"unknown {block} key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, named", [
@@ -1054,11 +1066,13 @@ def test_simulate_unknown_plant_param_exit_2(tmp_path, capsys, plant, key):
 
 # --- steady -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("name, y_t", [("base", "1.0"), ("unicycle_square", "2.0,3.0")])
+@pytest.mark.parametrize("name, y_t", [
+    ("base", "1.0"), ("a1", "1.5"), ("a2", "1.5"), ("unicycle_square", "2.0,3.0"),
+])
 def test_steady_prints_the_plants_residual_at_the_model_target(tmp_path, capsys, name, y_t):
-    # x_s = C_x z_s stepped once under u_s: the numerical example's lifting is
-    # exact, so its target is a plant equilibrium to rounding; the unicycle's
-    # model target is not one.
+    # x_s = C_x z_s stepped once under u_s: the numerical example's lifting
+    # (base, a1, a2) is exact, so its target is a plant equilibrium to
+    # rounding; the unicycle's model target is not one.
     scenario = base_scenario(tmp_path) if name == "base" else SCENARIOS / f"{name}.json"
     assert main(["steady", str(scenario), y_t]) == 0
     target, step = capsys.readouterr().out.splitlines()
@@ -1066,7 +1080,7 @@ def test_steady_prints_the_plants_residual_at_the_model_target(tmp_path, capsys,
     assert step.startswith("plant step from (x_s, u_s): x+ = ")
     label, residual = step.rsplit(" = ", 1)
     assert label.endswith("||x+ - x_s||_inf")
-    if name == "base":
+    if name != "unicycle_square":
         assert float(residual) <= 1e-14
     else:
         assert residual == "4.059601e-02"
@@ -1131,7 +1145,7 @@ def test_steady_rejects_a_non_finite_target_before_fitting_exit_2(tmp_path, caps
     ("a2", ("data", "generate", "traj_len"), 10**9,
      "data.generate.n_traj = 200 with traj_len = 1000000000 is too large"),
 ], ids=["T-huge", "T-over", "N-huge", "N-10**400", "n_traj", "traj_len"])
-@pytest.mark.parametrize("command", ["tighten", "simulate"])
+@pytest.mark.parametrize("command", ["tighten", "simulate", "steady"])
 def test_a_size_past_the_memory_bound_exits_2_naming_the_key_before_anything_is_built(
         tmp_path, capsys, monkeypatch, name, path, value, named, command):
     # Seed commit: N = 10**7 kept tighten running, T = 10**12 raised numpy's
@@ -1151,7 +1165,8 @@ def test_a_size_past_the_memory_bound_exits_2_naming_the_key_before_anything_is_
     node[key] = value
     scenario = tmp_path / "big.json"
     scenario.write_text(json.dumps(sc))
-    out = [str(tmp_path / "schedule.json")] if command == "tighten" else ["--out", str(tmp_path)]
+    out = {"tighten": [str(tmp_path / "schedule.json")], "simulate": ["--out", str(tmp_path)],
+           "steady": ["1.0" if name == "a2" else "1.0,1.0"]}[command]
     assert main([command, str(scenario), *out]) == 2
     err = capsys.readouterr().err
     assert named in err and f"{cli_module.MAX_SCENARIO_BYTES >> 30} GiB bound" in err
