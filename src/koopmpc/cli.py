@@ -40,6 +40,7 @@ from .model import (
     _is_finite,
     _is_number,
     _lifting_from_doc,
+    _load_json,
     fit_edmd,
     lift,
     load_trajectories,
@@ -63,17 +64,6 @@ from .sim import (
 )
 
 MAX_SCENARIO_BYTES = 2 * 2**30  # the memory build_stack lets a scenario's sizes need (README)
-
-
-def _load_json(path) -> dict:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} must contain a JSON object")
-    return doc
 
 
 def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
@@ -120,10 +110,12 @@ def _weight(value, n: int, what: str) -> np.ndarray:
     return M
 
 
-_PLANT_PARAMS = {"numerical_example": {"lambda", "mu"}, "unicycle": {"dt"}}
+# Each plant kind's factory and its parameters: scenario key -> keyword.
+_PLANTS = {"numerical_example": (numerical_example_plant, {"lambda": "lam", "mu": "mu"}),
+           "unicycle": (unicycle_plant, {"dt": "dt"})}
 _FIT_LIFTING_KEYS = {"kind", "params", "n_x", "ridge", "output_matrix"}
 _SCENARIO_KEYS = {
-    "plant", "lifting", "output_matrix", "ridge", "data", "disturbance", "injected", "constraints",
+    "plant", "lifting", "ridge", "data", "disturbance", "injected", "constraints",
     "controller", "references", "x0", "T", "seed", "settle_window", "out_dir",
 }
 _CONTROLLER_KEYS = {"N", "Q", "R", "s", "lqr"}
@@ -150,21 +142,19 @@ def _lifting(doc, n_x: int, keys=frozenset({"kind", "params"})):
 
 
 def _build_plant(doc: dict):
-    """The plant of ``doc``: ``lambda`` and ``mu`` are finite numbers and ``dt``
-    a finite positive one, each named ``plant.params.<key>`` when it is not."""
+    """The plant of ``doc``; its factory checks the parameters and keeps the
+    defaults of those left out, and a refusal is named ``plant.params.<key>``."""
     _check_keys(doc, {"kind", "params"}, "plant")
     kind = doc.get("kind")
     params = doc.get("params", {})
-    if not isinstance(kind, str) or kind not in _PLANT_PARAMS:
+    if not isinstance(kind, str) or kind not in _PLANTS:
         raise ValueError(f"unknown plant kind {kind!r}")
-    _check_keys(params, _PLANT_PARAMS[kind], "plant.params")
-    if kind == "numerical_example":
-        lam, mu = (_finite(params.get(key, default), f"plant.params.{key}")
-                   for key, default in (("lambda", -0.1), ("mu", 2.0)))
-        if not math.isfinite(lam * lam):  # the plant's lifted matrix holds lambda^2
-            raise ValueError(f"plant.params.lambda must have a finite square, got {lam!r}")
-        return numerical_example_plant(lam=lam, mu=mu)
-    return unicycle_plant(dt=float(_positive(params.get("dt", 0.1), "plant.params.dt")))
+    make, keywords = _PLANTS[kind]
+    _check_keys(params, set(keywords), "plant.params")
+    try:
+        return make(**{keywords[key]: value for key, value in params.items()})
+    except ValueError as exc:
+        raise ValueError(f"plant.params.{exc}") from None
 
 
 def _box_from_doc(doc, n: int, what: str):
@@ -213,7 +203,8 @@ def _numbers(values, n: int, what: str) -> list:
 
 
 def _output_matrix(value, n_x: int):
-    """``value`` (y = value x): None, or a non-empty list of rows of ``n_x`` finite numbers."""
+    """A lifting file's ``value`` (y = value x): None, or a non-empty list of
+    rows of ``n_x`` finite numbers."""
     if value is not None and not (isinstance(value, list) and value):
         raise ValueError(f"output_matrix must be a non-empty list of rows, got {value!r}")
     for i, row in enumerate(value or []):
@@ -352,8 +343,7 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     if "declared" not in dist_doc:
         raise ValueError("scenario 'disturbance' must give 'declared'")
     disturbance = noise(dist_doc["declared"], "disturbance.declared", lifting.n_z)
-    om = _output_matrix(sc.get("output_matrix"), plant.n_x)
-    n_y = plant.n_x if om is None else len(om)
+    n_y = plant.C.shape[0]  # the tracked output is the plant's y = C x
     refs = _references(sc.get("references"), n_y)
     if y_t is not None and len(y_t) != n_y:
         raise ValueError(f"y_t: the target needs {n_y} comma-separated value(s), one per "
@@ -384,7 +374,7 @@ def build_stack(scenario_path, y_t=None) -> Stack:
         raise ValueError(f"{max(sizes, key=sizes.get)} is too large: the scenario would need "
                          f"more than the {MAX_SCENARIO_BYTES >> 30} GiB bound on its memory")
     data = make_data()
-    model = fit_edmd(data, lifting, ridge=ridge, output_matrix=om)
+    model = fit_edmd(data, lifting, ridge=ridge, output_matrix=plant.C)
     gain = dlqr(model.A, model.B, Qk, Rk, **lqr_opts)
     schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)
     config = KtmpcConfig(N=N, Q=Q, R=R, s=s, K=gain.K)
@@ -399,9 +389,10 @@ def build_stack(scenario_path, y_t=None) -> Stack:
 def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     """Fit a lifted linear model from a trajectory CSV and report held-out errors.
 
-    The last ~10% of trajectories are held out; the multi-step error rolls the
-    fitted model forward up to 10 steps (capped at trajectory length) under the
-    recorded inputs. A single trajectory is not held out: the model is fitted
+    The last ~10% of trajectories are held out. The one-step error covers
+    every held-out transition; the multi-step error rolls the fitted model
+    forward up to 10 steps (capped at trajectory length) under the recorded
+    inputs. A single trajectory is not held out: the model is fitted
     to it and its errors are reported as in-sample.
     """
     lift_doc = _load_json(lifting_json)
@@ -417,14 +408,15 @@ def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
     scored = trajs[len(trajs) - n_hold :] or train_trajs
     model = fit_edmd(TrajectoryData.from_pairs(train_trajs), lifting, ridge=ridge, output_matrix=om)
 
-    one_step, multi_step = [], []
+    one_step, multi_step, C_x = [], [], model.C_x
     for states, inputs in scored:
         z = lift(model, states[0])
-        for t, u in enumerate(inputs[: min(10, len(inputs))]):
+        for t, u in enumerate(inputs):
             z_next = model.A @ lift(model, states[t]) + model.B @ u
-            one_step.append(np.linalg.norm(model.C_x @ z_next - states[t + 1]))
-            z = model.A @ z + model.B @ u
-            multi_step.append(np.linalg.norm(model.C_x @ z - states[t + 1]))
+            one_step.append(np.linalg.norm(C_x @ z_next - states[t + 1]))
+            if t < 10:
+                z = model.A @ z + model.B @ u
+                multi_step.append(np.linalg.norm(C_x @ z - states[t + 1]))
     save_model(model, out_model_json)
     n_train = sum(len(inputs) for _, inputs in train_trajs)
     held = (f"{n_hold} held-out trajectories" if n_hold else

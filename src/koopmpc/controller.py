@@ -30,7 +30,7 @@ import numpy as np
 
 from . import qp as qps
 from .gains import _as_spd
-from .model import KoopmanModel, _as_vector
+from .model import KoopmanModel, _as_vector, _is_finite, _is_number
 from .sets import TighteningSchedule
 
 
@@ -40,8 +40,9 @@ class Infeasible(Exception):
 
 @dataclass(frozen=True)
 class KtmpcConfig:
-    """Horizon, tracking weights, offset weight s (for S = s*I), and tube gain
-    (whose shape :func:`build_qp` checks against the model)."""
+    """Horizon N, a positive integer, tracking weights, offset weight s (for
+    S = s*I), a finite positive number (a bool or a string is neither), and
+    tube gain (whose shape :func:`build_qp` checks against the model)."""
 
     N: int
     Q: np.ndarray
@@ -50,14 +51,13 @@ class KtmpcConfig:
     K: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise ValueError("horizon N must be a positive integer")
+        if not (_is_number(self.N, integer=True) and self.N >= 1):
+            raise ValueError(f"horizon N must be a positive integer, got {self.N!r}")
         object.__setattr__(self, "Q", _as_spd("Q", self.Q))
         object.__setattr__(self, "R", _as_spd("R", self.R))
-        s = float(self.s)
-        if not 0 < s < np.inf:
+        if not (_is_finite(self.s) and self.s > 0):
             raise ValueError(f"offset weight s must be finite and positive, got {self.s!r}")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
 
 
@@ -155,21 +155,19 @@ def _inequality_blocks(schedule: TighteningSchedule) -> list:
 
 # --- steady-target optimizers ---------------------------------------------------
 
-def _steady_qp(model: KoopmanModel, schedule: TighteningSchedule, s: float) -> qps.QuadraticProgram:
+def _steady_qp(problem: TrackingProblem) -> qps.QuadraticProgram:
     """The steady-pair QP over ``[z_s; u_s]``, a family in ``theta = y_t``: the
-    offset ``s*||C_y z_s - y_t||^2`` less its constant, steady pairs
-    ``(I - A) z_s - B u_s = 0``, ``C_x z_s`` in X~(N) and ``u_s`` in U~(N)."""
-    X_N, U_N = schedule.state_sets[-1], schedule.input_sets[-1]
-    n_z, m_x = model.n_z, len(X_N.offsets)
-    P = np.zeros((n_z + model.n_u,) * 2)
-    P[:n_z, :n_z] = 2.0 * s * model.C_y.T @ model.C_y
-    A_in = np.zeros((m_x + len(U_N.offsets), n_z + model.n_u))
-    A_in[:m_x, :n_z], A_in[m_x:, n_z:] = X_N.normals @ model.C_x, U_N.normals
+    offset ``s*||C_y z_s - y_t||^2`` less its constant, under the rows of
+    ``problem.qp`` that hold ``[z_s; u_s]`` alone, sliced out of it: the steady
+    pair ``(I - A) z_s - B u_s = 0``, ``C_x z_s`` in X~(N) and ``u_s`` in
+    U~(N), and the offset's linear cost ``-2 s C_y' y_t``."""
+    n_z, lay, qp = problem.model.n_z, problem.layout, problem.qp
+    pair, rows = slice(lay.z_s.start, lay.dim), slice(problem.block_starts[-2], None)
+    P = np.zeros((lay.dim - lay.z_s.start,) * 2)
+    P[:n_z, :n_z] = 2.0 * problem.config.s * problem.model.C_y.T @ problem.model.C_y
     return qps.QuadraticProgram(
-        P=P, q=np.zeros(n_z + model.n_u),
-        A_eq=np.hstack([np.eye(n_z) - model.A, -model.B]), b_eq=np.zeros(n_z), A_in=A_in,
-        b_in=np.concatenate([X_N.offsets, U_N.offsets]),
-        F_q=np.vstack([-2.0 * s * model.C_y.T, np.zeros((model.n_u, model.n_y))]),
+        P=P, q=qp.q[pair], A_eq=qp.A_eq[n_z : 2 * n_z, pair], b_eq=qp.b_eq[n_z : 2 * n_z],
+        A_in=qp.A_in[rows, pair], b_in=qp.b_in[rows], F_q=qp.F_q[pair, n_z:],
     )
 
 
@@ -301,7 +299,7 @@ class TrackingProblem:
         self.block_starts = np.cumsum([0] + rows[:-1])
         self.candidate_map = _candidate_map(config.K, self.layout)
         self.candidate_rows = self.qp.A_in @ self.candidate_map
-        self.steady_qp = _steady_qp(model, schedule, config.s)
+        self.steady_qp = _steady_qp(self)
         self.steady_targets: dict[bytes, SteadyTarget] = {}
 
 

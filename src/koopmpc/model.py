@@ -1,10 +1,10 @@
 """Lifted linear models: dictionary construction, EDMD fitting, persistence.
 
 A model consists of lifted dynamics ``z+ = A z + B u`` together with the
-projections ``C_x`` (lifted -> state) and ``C_y`` (lifted -> tracked output).
-All lifting dictionaries here are identity-augmented: the first ``n_x``
-coordinates of the lifted vector are the raw state, so ``C_x = [I 0]`` and
-decoding is exact by construction.
+output projection ``C_y`` (lifted -> tracked output). All lifting
+dictionaries here are identity-augmented: the first ``n_x`` coordinates of
+the lifted vector are the raw state, so the state projection is
+``C_x = [I 0]``, formed on read, and decoding is exact by construction.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +42,18 @@ def _is_finite(v) -> bool:
         return _is_number(v) and math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _load_json(path) -> dict:
+    """The JSON object in the file at ``path``; anything else raises ValueError naming it."""
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must contain a JSON object")
+    return doc
 
 
 def _as_matrix(M, name: str, finite: bool = True) -> np.ndarray:
@@ -132,34 +145,36 @@ def _lifted(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KoopmanModel:
-    """Fitted lifted-linear model with state and output projections."""
+    """Fitted lifted-linear model with its output projection ``C_y``; the
+    state projection ``C_x = [I 0]`` of its identity-augmented lifting is
+    formed on each read."""
 
     A: np.ndarray
     B: np.ndarray
-    C_x: np.ndarray
     C_y: np.ndarray
     lifting: LiftingSpec
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
         B = _as_matrix(self.B, "B")
-        C_x = _as_matrix(self.C_x, "C_x")
         C_y = _as_matrix(self.C_y, "C_y")
         n_z = self.lifting.n_z
         if A.shape != (n_z, n_z):
             raise ValueError(f"A must be {n_z}x{n_z}, got {A.shape}")
         if B.shape[0] != n_z:
             raise ValueError(f"B must have {n_z} rows, got {B.shape}")
-        if C_x.shape != (self.lifting.n_x, n_z):
-            raise ValueError(f"C_x must be {self.lifting.n_x}x{n_z}, got {C_x.shape}")
         if C_y.shape[1] != n_z:
             raise ValueError(f"C_y must have {n_z} columns, got {C_y.shape}")
-        for name, M in (("A", A), ("B", B), ("C_x", C_x), ("C_y", C_y)):
+        for name, M in (("A", A), ("B", B), ("C_y", C_y)):
             object.__setattr__(self, name, M)
 
     @property
+    def C_x(self) -> np.ndarray:
+        return np.eye(self.n_x, self.n_z)
+
+    @property
     def n_x(self) -> int:
-        return self.C_x.shape[0]
+        return self.lifting.n_x
 
     @property
     def n_u(self) -> int:
@@ -175,19 +190,15 @@ class KoopmanModel:
 
 
 def make_model(A, B, lifting: LiftingSpec, output_matrix=None) -> KoopmanModel:
-    """Assemble a model around identity-augmented projections.
-
-    ``C_x = [I 0]`` picks the raw state out of the lifted vector; the output
-    map is ``output_matrix @ C_x`` (identity over the state by default).
-    """
-    n_z = lifting.n_z
-    C_x = np.hstack([np.eye(lifting.n_x), np.zeros((lifting.n_x, n_z - lifting.n_x))])
+    """Assemble a model whose output map is ``output_matrix @ C_x`` (identity
+    over the state by default), ``C_x = [I 0]`` picking the raw state out of
+    the lifted vector."""
     if output_matrix is None:
         output_matrix = np.eye(lifting.n_x)
     C = _as_matrix(output_matrix, "output_matrix")
     if C.shape[1] != lifting.n_x:
         raise ValueError(f"output_matrix must have {lifting.n_x} columns")
-    return KoopmanModel(A=A, B=B, C_x=C_x, C_y=C @ C_x, lifting=lifting)
+    return KoopmanModel(A=A, B=B, C_y=C @ np.eye(lifting.n_x, lifting.n_z), lifting=lifting)
 
 
 # --- pointwise operations -----------------------------------------------------
@@ -212,8 +223,8 @@ class TrajectoryData:
     """Trajectories stacked once, read-only: every trajectory's ``states`` in
     order, their ``inputs``, and each one's state count in ``lengths``; a
     trajectory has one more state than inputs. :meth:`from_pairs` takes
-    (states, inputs) pairs of any lengths, :meth:`batch` trajectories of one
-    length, and :attr:`trajectories` gives the pairs back as views."""
+    (states, inputs) pairs of any lengths, and :attr:`trajectories` gives the
+    pairs back as views."""
 
     states: np.ndarray
     inputs: np.ndarray
@@ -263,20 +274,6 @@ class TrajectoryData:
         states, inputs = zip(*pairs) if pairs else ([np.empty((0, 0))],) * 2
         return cls._handed(np.concatenate(states), np.concatenate(inputs),
                            [len(s) for s, _ in pairs])
-
-    @classmethod
-    def batch(cls, states, inputs) -> "TrajectoryData":
-        """The trajectories ``zip(states, inputs)`` of (n_traj, T+1, n_x) states
-        and (n_traj, T, n_u) inputs."""
-        states, inputs = np.asarray(states, dtype=float), np.asarray(inputs, dtype=float)
-        if not (states.ndim == inputs.ndim == 3 and len(states) == len(inputs)
-                and states.shape[1] == inputs.shape[1] + 1):
-            raise ValueError(
-                "a batch needs (n_traj, T+1, n_x) states and (n_traj, T, n_u) inputs, "
-                f"got shapes {states.shape} and {inputs.shape}"
-            )
-        return cls(states.reshape(-1, states.shape[2]), inputs.reshape(-1, inputs.shape[2]),
-                   [states.shape[1]] * len(states))
 
     @property
     def trajectories(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -414,25 +411,20 @@ def save_model(model: KoopmanModel, path) -> None:
         "lifting": _lifting_to_doc(model.lifting),
         "A": model.A.tolist(),
         "B": model.B.tolist(),
-        "C_x": model.C_x.tolist(),
         "C_y": model.C_y.tolist(),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_model(path) -> KoopmanModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    doc = _load_json(path)
     try:
         sizes = {key: doc[key] for key in ("n_x", "n_u", "n_y", "n_z")}
         for key, size in sizes.items():
             if not _is_number(size, integer=True):
                 raise ValueError(f"{path}: {key} must be an integer, got {size!r}")
         lifting = _lifting_from_doc(doc["lifting"], sizes["n_x"])
-        model = KoopmanModel(A=doc["A"], B=doc["B"], C_x=doc["C_x"], C_y=doc["C_y"],
-                             lifting=lifting)
+        model = KoopmanModel(A=doc["A"], B=doc["B"], C_y=doc["C_y"], lifting=lifting)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} is missing required model fields: {exc}") from exc
     for key in ("n_u", "n_y", "n_z"):
@@ -460,7 +452,12 @@ def save_trajectories(data: TrajectoryData, path) -> None:
 def load_trajectories(path) -> TrajectoryData:
     """The trajectories of a CSV laid out as :func:`save_trajectories` writes it:
     each trajectory's rows are contiguous and its ``t`` reads 0, 1, 2, ... in
-    file order. A row that breaks this raises ValueError naming ``path:line``."""
+    file order. A row that breaks this raises ValueError naming ``path:line``;
+    a trajectory whose inputs are not all given but the last is named once
+    every row has passed. The file is read in one pass, each row's floats
+    appended to the flat stacks as it is read."""
+    states, inputs, lengths = array("d"), array("d"), {}  # lengths: each trajectory's, in order
+    traj_id, ended, bad = None, True, None  # ended: the last row had no input
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -472,34 +469,33 @@ def load_trajectories(path) -> TrajectoryData:
         expected = ["traj_id", "t"] + [f"x_{i}" for i in range(n_x)] + [f"u_{i}" for i in range(n_u)]
         if header != expected or n_x == 0 or n_u == 0:
             raise ValueError(f"{path}: unexpected header {header}")
-        rows = [(row, line_no) for line_no, row in enumerate(reader, start=2) if row]
-
-    # Each trajectory's steps, in file order; its rows are contiguous.
-    by_traj: dict[str, list[tuple[list[float], list[float] | None]]] = {}
-    traj_id = None
-    for row, line_no in rows:
-        if len(row) != len(expected):
-            raise ValueError(f"{path}:{line_no}: expected {len(expected)} cells, got {len(row)}")
-        try:
-            x = [float(v) for v in row[2 : 2 + n_x]]
-            u_cells = row[2 + n_x :]
-            u = None if all(c == "" for c in u_cells) else [float(v) for v in u_cells]
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
-        if row[0] not in by_traj:
-            by_traj[row[0]] = []
-        elif row[0] != traj_id:
-            raise ValueError(f"{path}:{line_no}: the rows of trajectory {row[0]} are not contiguous")
-        traj_id, steps = row[0], by_traj[row[0]]
-        if row[1] != str(len(steps)):
-            raise ValueError(f"{path}:{line_no}: trajectory {traj_id} needs t = {len(steps)} "
-                             f"here, got {row[1]!r}")
-        steps.append((x, u))
-
-    for traj_id, steps in by_traj.items():
-        if [u is None for _, u in steps] != [False] * (len(steps) - 1) + [True]:
-            raise ValueError(f"{path}: trajectory {traj_id} must leave exactly the last input empty")
-    flat = [step for steps in by_traj.values() for step in steps]
-    return TrajectoryData._handed(np.array([x for x, _ in flat]).reshape(-1, n_x),
-                                  np.array([u for _, u in flat if u is not None]).reshape(-1, n_u),
-                                  [len(steps) for steps in by_traj.values()])
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(expected):
+                raise ValueError(f"{path}:{line_no}: expected {len(expected)} cells, got {len(row)}")
+            try:
+                x = [float(v) for v in row[2 : 2 + n_x]]
+                u_cells = row[2 + n_x :]
+                u = None if all(c == "" for c in u_cells) else [float(v) for v in u_cells]
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
+            if bad is None and (row[0] == traj_id) == ended:
+                bad = traj_id  # a row without input was not its trajectory's last, or one with was
+            if row[0] != traj_id:
+                if row[0] in lengths:
+                    raise ValueError(f"{path}:{line_no}: the rows of trajectory {row[0]} "
+                                     "are not contiguous")
+                traj_id, lengths[row[0]] = row[0], 0
+            if row[1] != str(lengths[traj_id]):
+                raise ValueError(f"{path}:{line_no}: trajectory {traj_id} needs t = "
+                                 f"{lengths[traj_id]} here, got {row[1]!r}")
+            states.extend(x)
+            inputs.extend(u or ())
+            lengths[traj_id] += 1
+            ended = u is None
+    bad = traj_id if bad is None and not ended else bad  # the last trajectory's last row
+    if bad is not None:
+        raise ValueError(f"{path}: trajectory {bad} must leave exactly the last input empty")
+    return TrajectoryData._handed(np.frombuffer(states).reshape(-1, n_x),
+                                  np.frombuffer(inputs).reshape(-1, n_u), list(lengths.values()))

@@ -172,7 +172,8 @@ class QpSolution:
     residual column r, S's rows, lam_S, n_eq, primal_in and complementarity),
     from which kkt_residuals, in_multipliers (zero off S) and eq_multipliers
     are formed on first read. A PrimalInfeasible one has NaN x_star and
-    objective, and its Farkas pair (u, mu), if any, as its multipliers."""
+    objective, and its Farkas pair (u, mu), if any, as its multipliers, set
+    when it is made (None without a pair)."""
 
     x_star: np.ndarray
     objective: float
@@ -192,8 +193,6 @@ class QpSolution:
 
     @cached_property
     def in_multipliers(self) -> np.ndarray | None:
-        if not self._record:
-            return None
         r, rows, lam_S, n_eq, _, _ = self._record
         lam = np.zeros(r.size - 2 * (self.x_star.size + n_eq))
         lam[rows] = lam_S
@@ -201,8 +200,6 @@ class QpSolution:
 
     @cached_property
     def eq_multipliers(self) -> np.ndarray | None:
-        if not self._record:
-            return None
         r, _, _, n_eq, _, _ = self._record
         return r[r.size - n_eq :]
 

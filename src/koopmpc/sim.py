@@ -22,7 +22,7 @@ import numpy as np
 
 from .controller import (Infeasible, TrackingProblem, _candidate_slack, diagnostics,
                          solve_steady, solve_step)
-from .model import DisturbanceModel, TrajectoryData, _as_vector, _is_finite, lift
+from .model import DisturbanceModel, TrajectoryData, _as_vector, _is_finite, _is_number, lift
 from .sets import CONTAINS_TOL, Zonotope, margin, point
 
 
@@ -49,7 +49,16 @@ class Plant:
 
 def numerical_example_plant(lam: float = -0.1, mu: float = 2.0) -> Plant:
     """Two-state polynomial benchmark; ``f`` is its exact lifted step, x+ the
-    first two coordinates of ``A_lift (x1, x2, x1^2) + B_lift u``."""
+    first two coordinates of ``A_lift (x1, x2, x1^2) + B_lift u``. ``lam`` and
+    ``mu`` are finite numbers (a bool or a string is not one), and ``lam``'s
+    square, which ``A_lift`` holds, is finite too; a refusal names the
+    parameter as a scenario does, ``lambda`` or ``mu``."""
+    for name, value in (("lambda", lam), ("mu", mu)):
+        if not _is_finite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    lam, mu = float(lam), float(mu)
+    if not math.isfinite(lam * lam):
+        raise ValueError(f"lambda must have a finite square, got {lam!r}")
     C = np.array([[0.0, 1.0]])
     A_lift = np.array([[lam, 0.0, 0.0], [0.0, mu, lam**2 - mu], [0.0, 0.0, lam**2]])
     B_lift = np.array([[0.0], [1.0], [0.0]])
@@ -61,9 +70,11 @@ def numerical_example_plant(lam: float = -0.1, mu: float = 2.0) -> Plant:
 
 
 def unicycle_plant(dt: float = 0.1) -> Plant:
-    """Kinematic unicycle (p_x, p_y, theta) under forward-Euler discretization."""
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
+    """Kinematic unicycle (p_x, p_y, theta) under forward-Euler discretization
+    with step ``dt``, a finite positive number (a bool or a string is not one)."""
+    if not (_is_finite(dt) and dt > 0):
+        raise ValueError(f"dt must be a finite positive number, got {dt!r}")
+    dt = float(dt)
     C = np.hstack([np.eye(2), np.zeros((2, 1))])
 
     def f(X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -120,7 +131,7 @@ class ReferenceSchedule:
         targets all have one length."""
         norm = []
         for i, (k, y) in enumerate(entries):
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            if not (_is_number(k, integer=True) and k >= 0):
                 raise ValueError(f"timed[{i}] start step must be an integer >= 0, got {k!r}")
             norm.append((int(k), np.atleast_1d(np.asarray(y, dtype=float))))
         if not norm or norm[0][0] != 0:
@@ -258,7 +269,7 @@ def run_closed_loop(
     the last step, bit for bit the per-step values. An infeasible step ends the
     run: the log stops there, with ``feasible`` false and ``halted_at`` set.
     """
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 0:
+    if not (_is_number(T, integer=True) and T >= 0):
         raise ValueError(f"T must be an integer >= 0, got {T!r}")
     x = np.zeros(plant.n_x) if x0 is None else np.atleast_1d(np.asarray(x0))
     if x.dtype.kind not in "iuf" or x.shape != (plant.n_x,) or not np.isfinite(x).all():
@@ -368,6 +379,9 @@ def tracking_metrics(log: SimLog, settle_window: int) -> dict:
         raise ValueError("cannot compute metrics of an empty simulation log")
     if settle_window < 1:
         raise ValueError("settle_window must be at least 1")
+    if log.y.shape != log.y_sr.shape:  # a run whose model tracks another output than y = C x
+        raise ValueError(f"the plant's outputs y {log.y.shape} and the model's targets y_sr "
+                         f"{log.y_sr.shape} must have one shape")
     errs = np.linalg.norm(log.y - log.y_sr, axis=1)
     changed = np.any(log.y_t[1:] != log.y_t[:-1], axis=1)
     boundaries = [0] + list(np.nonzero(changed)[0] + 1) + [log.k.size]

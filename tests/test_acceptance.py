@@ -91,8 +91,7 @@ def test_exact_model_recovery():
         state_box=box_zonotope([2.0, 2.0]),
         seed=0,
     )
-    model = fit_edmd(data, lifting, ridge=0.0,
-                     output_matrix=np.asarray(sc["output_matrix"], dtype=float))
+    model = fit_edmd(data, lifting, ridge=0.0, output_matrix=plant.C)
     elapsed = time.perf_counter() - t0
     A_true, B_true = numerical_example_matrices(-0.1, 2.0)
     err = max(np.abs(model.A - A_true).max(), np.abs(model.B - B_true).max())

@@ -13,6 +13,7 @@ from koopmpc import qp as qp_module
 from koopmpc.cli import main
 from koopmpc.model import (
     LiftingSpec,
+    TrajectoryData,
     load_model,
     make_model,
     save_model,
@@ -64,7 +65,6 @@ def base_scenario(tmp_path, **overrides):
         "plant": {"kind": "numerical_example", "params": {"lambda": -0.1, "mu": 2.0}},
         "lifting": {"kind": "explicit", "params": {"pre": "identity", "exponents": [[2, 0]]}},
         "ridge": 0.0,
-        "output_matrix": [[0.0, 1.0]],
         "data": {
             "generate": {
                 "n_traj": 150,
@@ -132,6 +132,30 @@ def test_fit_of_one_trajectory_reports_in_sample_errors(tmp_path, capsys):
             in out)
     assert "held-out" not in out
     assert "one-step mean prediction error" in out and "10-step mean prediction error" in out
+
+
+def test_fit_one_step_error_covers_every_held_out_transition(tmp_path, capsys):
+    # The held-out trajectory is the plant's own but for x_2 at t = 12, moved
+    # by 0.5: transition 11 then misses by 0.5 and transition 12 by mu * 0.5
+    # = 1.0, so the one-step mean over its 15 transitions is 0.1, while the
+    # 10-step rollout, which stops at t = 10, sees no error. The one-step
+    # error used to stop at the tenth transition too, and read 0.
+    plant, kwargs = numerical_example_plant(), {"input_box": box_zonotope([3.0]),
+                                                "state_box": box_zonotope([2.0, 2.0])}
+    train = generate_training_data(plant, n_traj=9, traj_len=4, seed=0, **kwargs)
+    (states, inputs), = generate_training_data(plant, n_traj=1, traj_len=15, seed=1,
+                                               **kwargs).trajectories
+    states = states.copy()
+    states[12, 1] += 0.5
+    csv_path, lift_path = tmp_path / "train.csv", tmp_path / "lifting.json"
+    save_trajectories(TrajectoryData.from_pairs([*train.trajectories, (states, inputs)]), csv_path)
+    write_lifting_json(lift_path)
+    assert main(["fit", str(csv_path), str(lift_path), str(tmp_path / "model.json")]) == 0
+    out = capsys.readouterr().out
+    assert "36 training transitions, 1 held-out trajectories" in out
+    one_step = float(re.search(r"one-step mean prediction error: (\S+)", out).group(1))
+    ten_step = float(re.search(r"10-step mean prediction error: +(\S+)", out).group(1))
+    assert one_step == pytest.approx(0.1, rel=1e-6) and ten_step < 1e-9
 
 
 @pytest.mark.parametrize("rows, line", [
@@ -455,6 +479,7 @@ UNKNOWN_KEYS = pytest.mark.parametrize("block, key", [
     ("constraints", "output"),
     ("references", "waypoint"),
     ("scenario", "steady_grid"),  # the removed grid search's block
+    ("scenario", "output_matrix"),  # the tracked output is the plant's C, stated once
     ("lifting", "parms"),
     ("lifting.params", "max_degree"),  # a key of the removed polynomial kind
     ("disturbance.declared.W", "radius"),
@@ -478,6 +503,15 @@ def test_simulate_and_steady_refuse_the_same_unknown_keys_exit_2(tmp_path, capsy
             "steady": ["steady", scenario, "1.0"]}[command]
     assert main(argv) == 2
     assert f"unknown {block} key {key!r}" in capsys.readouterr().err
+
+
+def test_a_plant_takes_its_factorys_defaults_for_the_params_it_leaves_out():
+    default = numerical_example_plant().A_lift.tobytes()
+    for doc in ({"kind": "numerical_example"}, {"kind": "numerical_example", "params": {}},
+                {"kind": "numerical_example", "params": {"mu": 2}}):
+        assert cli_module._build_plant(doc).A_lift.tobytes() == default
+    unicycle = cli_module._build_plant({"kind": "unicycle"})
+    assert unicycle.f(np.zeros((1, 3)), np.ones((1, 2))).tolist() == [[0.1, 0.0, 0.1]]
 
 
 @pytest.mark.parametrize("overrides, named", [
@@ -822,7 +856,6 @@ def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, d
      "references.timed[0] target must list 1 numbers, all finite"),
     ({"references": {"timed": [[0, [True]]]}},
      "references.timed[0] target must list 1 numbers, all finite"),
-    ({"output_matrix": None}, "references.timed[0] target must list 2 numbers, all finite"),
     ({"references": {"waypoints": {"points": [[1.0, 1.0]], "switch_radius": 0.3}}},
      "references.waypoints.points[0] must list 1 numbers, all finite"),
     ({"references": {"waypoints": {"points": [], "switch_radius": 0.3}}},
@@ -834,9 +867,8 @@ def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, d
     ({"references": {"waypoints": {"points": [[1.0]], "switch_radius": 0}}},
      "references.waypoints.switch_radius must be a finite positive number, got 0"),
 ], ids=["start-fraction", "start-bool", "start-negative", "entry-not-a-pair", "timed-empty",
-        "target-too-long", "target-scalar", "target-nan", "target-bool",
-        "target-per-state-without-output-matrix", "waypoint-too-long", "waypoints-empty",
-        "radius-bool", "radius-string", "radius-zero"])
+        "target-too-long", "target-scalar", "target-nan", "target-bool", "waypoint-too-long",
+        "waypoints-empty", "radius-bool", "radius-string", "radius-zero"])
 def test_malformed_references_exit_2_before_fitting(tmp_path, capsys, monkeypatch, overrides,
                                                     named):
     # A timed start of 2.5 used to run as step 2, and a target of the wrong
@@ -858,17 +890,6 @@ MALFORMED_OUTPUT_MATRICES = pytest.mark.parametrize("value, named", [
     ([[0.0, "1"]], "output_matrix[0] must list 2 numbers, all finite, got [0.0, '1']"),
     ([[0.0, float("nan")]], "output_matrix[0] must list 2 numbers, all finite, got [0.0, nan]"),
 ], ids=["bool", "string", "empty", "flat", "row-too-long", "ragged", "string-entry", "nan"])
-
-
-@MALFORMED_OUTPUT_MATRICES
-def test_scenario_output_matrix_is_checked_before_any_data_exit_2(tmp_path, capsys, monkeypatch,
-                                                                  value, named):
-    # [[true, 1.0]] used to run as [[1.0, 1.0]], and "abc" to exit 2 naming no key.
-    for name in ("generate_training_data", "fit_edmd"):
-        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
-    scenario = base_scenario(tmp_path, output_matrix=value)
-    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
-    assert named in capsys.readouterr().err
 
 
 @MALFORMED_OUTPUT_MATRICES

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from koopmpc.controller import (
     LyapunovDiag,
     SteadyTarget,
     TrackingProblem,
-    _steady_qp,
     build_qp,
     shifted_candidate,
     solve_steady,
@@ -88,6 +88,26 @@ def test_config_rejects_bad_weights():
             KtmpcConfig(N=2, Q=np.eye(3), R=np.eye(1), s=s, K=K)
     with pytest.raises(ValueError):
         KtmpcConfig(N=2, Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(1), s=1.0, K=np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("N, s, named", [
+    (True, 1.0, "horizon N must be a positive integer, got True"),
+    (2.0, 1.0, "horizon N must be a positive integer, got 2.0"),
+    ("2", 1.0, "horizon N must be a positive integer, got '2'"),
+    (2, "5", "offset weight s must be finite and positive, got '5'"),
+    (2, True, "offset weight s must be finite and positive, got True"),
+    (2, 10**400, "offset weight s must be finite and positive, got 1000"),
+], ids=["N-bool", "N-float", "N-string", "s-string", "s-bool", "s-big-int"])
+def test_config_takes_N_and_s_only_as_numbers(N, s, named):
+    # N=True and s="5" used to construct, as a horizon of 1 and a weight of 5.0.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        KtmpcConfig(N=N, Q=np.eye(3), R=np.eye(1), s=s, K=np.zeros((1, 3)))
+
+
+def test_config_takes_numpy_numbers():
+    config = KtmpcConfig(N=np.int64(2), Q=np.eye(3), R=np.eye(1), s=np.float32(0.5),
+                         K=np.zeros((1, 3)))
+    assert config.N == 2 and type(config.s) is float and config.s == 0.5
 
 
 # --- steady-target optimizers ------------------------------------------------------
@@ -214,6 +234,14 @@ def test_build_qp_horizon_mismatch():
     bad = KtmpcConfig(N=4, Q=config.Q, R=config.R, s=config.s, K=config.K)
     with pytest.raises(ValueError):
         build_qp(model, bad, schedule)
+
+
+def test_build_qp_rejects_weights_of_another_model():
+    model, config, schedule = make_setup(N=3)
+    for Q, R in ((np.eye(2), config.R), (config.Q, np.eye(2))):
+        bad = KtmpcConfig(N=3, Q=Q, R=R, s=config.s, K=config.K)
+        with pytest.raises(ValueError, match="Q/R dimensions do not match the model"):
+            build_qp(model, bad, schedule)
 
 
 def test_build_qp_rejects_a_tube_gain_of_the_wrong_shape():
@@ -498,10 +526,11 @@ def test_steady_records_name_every_array_field():
             assert isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == float
 
 
-# --- the steady-pair QP's blocks ------------------------------------------------------
+# --- the steady-pair QP, sliced out of the tracking QP -----------------------------------
 
-def random_steady_setup(seed):
-    """A random stable lifted model with n_u = 2 and two outputs, its schedule and s."""
+def random_steady_problem(seed):
+    """The tracking problem of a random stable lifted model with n_u = 2 and
+    two outputs, tightened under K = 0, with a random s."""
     rng = np.random.default_rng(seed)
     spec = LiftingSpec(n_x=3, exponents=[[1, 1, 0], [2, 0, 1]])
     A = rng.standard_normal((5, 5))
@@ -514,26 +543,37 @@ def random_steady_setup(seed):
     schedule = tighten_constraints(box_polytope([-5.0] * 3, [5.0, 4.0, 3.0]),
                                    box_polytope([-1.0, -2.0], [1.0, 2.0]), dist, A, model.B, K,
                                    model.C_x, 4)
-    return model, schedule, float(rng.uniform(1.0, 100.0))
+    config = KtmpcConfig(N=4, Q=np.eye(5), R=np.eye(2), s=float(rng.uniform(1.0, 100.0)), K=K)
+    return TrackingProblem(model, config, schedule)
 
 
-def shipped_steady_setup(name):
-    stack = build_stack(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
-    return stack.model, stack.schedule, stack.config.s
+def shipped_problem(name):
+    return build_stack(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json").problem
 
 
 @pytest.mark.parametrize("setup", [
-    lambda: shipped_steady_setup("a1"), lambda: shipped_steady_setup("a2"),
-    lambda: shipped_steady_setup("unicycle_square"), lambda: random_steady_setup(3),
-    lambda: random_steady_setup(4)],
+    lambda: shipped_problem("a1"), lambda: shipped_problem("a2"),
+    lambda: shipped_problem("unicycle_square"), lambda: random_steady_problem(3),
+    lambda: random_steady_problem(4)],
     ids=["a1", "a2", "unicycle_square", "random-n_u-2", "random-n_u-2-other"])
-def test_the_steady_qp_equals_its_block_diag_form_bit_for_bit(setup):
-    model, schedule, s = setup()
-    got = _steady_qp(model, schedule, s)
-    P, A_in, b_in, F_q = steady_qp_by_block_diag(model, schedule, s)
-    want = qps.QuadraticProgram(P=P, q=got.q, A_eq=got.A_eq, b_eq=got.b_eq, A_in=A_in, b_in=b_in,
-                                F_q=F_q)
-    assert got.q.tobytes() == np.zeros(model.n_z + model.n_u).tobytes()
-    for name in ("P", "A_in", "b_in", "F_q"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+def test_the_steady_qp_is_the_tracking_qps_rows_on_the_steady_pair(setup):
+    problem = setup()
+    model, qp, lay, got = problem.model, problem.qp, problem.layout, problem.steady_qp
+    n_z, pair, rows = model.n_z, slice(lay.z_s.start, lay.dim), slice(problem.block_starts[-2], None)
+    # Bit for bit the tracking QP's steady-pair equalities, its X~(N) and U~(N)
+    # blocks and the offset's theta-columns, which hold nothing off the pair.
+    steady = slice(n_z, 2 * n_z)
+    for name, want, rest in (("A_eq", qp.A_eq[steady, pair], qp.A_eq[steady, : pair.start]),
+                             ("A_in", qp.A_in[rows, pair], qp.A_in[rows, : pair.start]),
+                             ("F_q", qp.F_q[pair, n_z:], qp.F_q[: pair.start, n_z:])):
+        assert getattr(got, name).tobytes() == np.ascontiguousarray(want).tobytes(), name
+        assert not rest.any(), name
+    assert got.b_in.tobytes() == qp.b_in[rows].tobytes()
+    assert got.b_eq.tobytes() == np.zeros(n_z).tobytes()
+    assert got.q.tobytes() == np.zeros(n_z + model.n_u).tobytes()
+    # As values, the steady-pair QP written out by its blocks; its P, which
+    # QuadraticProgram symmetrizes, is its own.
+    P, A_in, b_in, F_q = steady_qp_by_block_diag(model, problem.schedule, problem.config.s)
+    assert got.P.tobytes() == (0.5 * (P + P.T)).tobytes() and got.b_in.tobytes() == b_in.tobytes()
+    assert np.array_equal(got.A_eq, np.hstack([np.eye(n_z) - model.A, -model.B]))
+    assert np.array_equal(got.A_in, A_in) and np.array_equal(got.F_q, F_q)

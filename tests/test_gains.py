@@ -32,6 +32,16 @@ def test_spectral_radius_open_loop_benchmark():
     assert spectral_radius(A) == pytest.approx(2.0, abs=1e-10)
 
 
+def test_spectral_radius_of_an_empty_matrix_is_zero():
+    assert spectral_radius(np.zeros((0, 0))) == 0.0
+
+
+def test_dlqr_takes_a_single_input_as_a_vector():
+    A, B = numerical_example_matrices(-0.1, 2.0)
+    column, vector = dlqr(A, B, np.eye(3), np.eye(1)), dlqr(A, B[:, 0], np.eye(3), np.eye(1))
+    assert column.K.tobytes() == vector.K.tobytes()
+
+
 def test_spectral_radius_rejects_nonsquare():
     with pytest.raises(ValueError):
         spectral_radius(np.zeros((2, 3)))
@@ -170,7 +180,29 @@ def test_dlqr_budget_counts_riccati_steps():
 
 
 def test_gain_result_validates_its_invariants():
-    with pytest.raises(ValueError):
-        GainResult(K=np.zeros((1, 1)), riccati_P=np.eye(1), spectral_radius_AK=1.5)
-    with pytest.raises(ValueError):
+    # Its rho < 1 is dlqr's NotStabilizing test, made on the same rho just before.
+    with pytest.raises(ValueError, match="riccati_P must be positive definite"):
         GainResult(K=np.zeros((1, 1)), riccati_P=-np.eye(1), spectral_radius_AK=0.5)
+
+
+def test_dlqr_gives_exactly_symmetric_riccati_matrices(seed=5):
+    # GainResult no longer checks symmetry: every doubling round makes P exact.
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
+    M = rng.standard_normal((4, 4))
+    res = dlqr(A, B, M @ M.T + np.eye(4), np.eye(2))
+    assert np.array_equal(res.riccati_P, res.riccati_P.T)
+
+
+@pytest.mark.parametrize("shapes, named", [
+    (((2, 3), (2, 1), (2, 2), (1, 1)), r"A must be square, got shape \(2, 3\)"),
+    (((2, 2), (3, 1), (2, 2), (1, 1)), r"B row count 3 does not match A \(2\)"),
+    (((2, 2), (2, 1), (3, 3), (1, 1)), "Q_k dimension does not match A"),
+    (((2, 2), (2, 1), (2, 2), (2, 2)), "R_k dimension does not match B"),
+    (((2, 2), (2, 1), (2, 3), (1, 1)), r"Q_k must be square, got shape \(2, 3\)"),
+], ids=["A-not-square", "B-rows", "Q_k-size", "R_k-size", "Q_k-not-square"])
+def test_dlqr_rejects_mismatched_shapes(shapes, named):
+    # An identity in each square position, ones elsewhere.
+    args = [np.eye(*shape) if shape[0] == shape[1] else np.ones(shape) for shape in shapes]
+    with pytest.raises(ValueError, match=named):
+        dlqr(*args)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -310,12 +311,56 @@ def test_model_json_roundtrip_is_bit_faithful(tmp_path, rng):
     loaded = load_model(path)
     assert np.array_equal(loaded.A, model.A)
     assert np.array_equal(loaded.B, model.B)
-    assert np.array_equal(loaded.C_x, model.C_x)
     assert np.array_equal(loaded.C_y, model.C_y)
     assert np.array_equal(loaded.lifting.exponents, model.lifting.exponents)
     doc = json.loads(path.read_text())
-    assert set(doc) == {"n_x", "n_u", "n_y", "n_z", "lifting", "A", "B", "C_x", "C_y"}
+    assert set(doc) == {"n_x", "n_u", "n_y", "n_z", "lifting", "A", "B", "C_y"}
     assert doc["lifting"]["kind"] == "explicit"
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("A", np.eye(2).tolist(), "A must be 3x3, got (2, 2)"),
+    ("B", [[0.0], [1.0]], "B must have 3 rows, got (2, 1)"),
+    ("C_y", [[0.0, 1.0]], "C_y must have 3 columns, got (1, 2)"),
+], ids=["A", "B", "C_y"])
+def test_a_model_file_with_a_matrix_of_the_wrong_shape_is_refused(tmp_path, key, value, named):
+    path = tmp_path / "model.json"
+    save_model(benchmark_model(), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: make_model(np.eye(3), np.zeros((3, 1)), benchmark_lifting(), output_matrix=[[1.0]]),
+     "output_matrix must have 2 columns"),
+    (lambda: lift_many(benchmark_model(), np.zeros((4, 3))),
+     "states must have shape (n, 2), got (4, 3)"),
+    (lambda: fit_edmd(TrajectoryData.from_pairs([(np.zeros((9, 2)), np.zeros((8, 1)))]),
+                      benchmark_lifting(), ridge=-1e-3), "ridge must be non-negative"),
+    (lambda: fit_edmd(TrajectoryData.from_pairs([(np.zeros((9, 3)), np.zeros((8, 1)))]),
+                      benchmark_lifting()), "data has n_x=3 but lifting expects 2"),
+], ids=["output_matrix-columns", "lift_many-shape", "ridge-negative", "data-n_x"])
+def test_mismatched_model_arguments_are_refused_by_name(make, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+        make()
+
+
+def test_a_model_file_is_written_without_C_x_which_the_lifting_makes(tmp_path, rng):
+    # C_x = [I 0] follows from the identity-augmented lifting, so the model
+    # file no longer holds it; a file that still does loads as before.
+    model = fit_edmd(make_benchmark_data(rng), benchmark_lifting(), ridge=1e-8)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert "C_x" not in doc
+    assert np.array_equal(model.C_x, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert model.C_x.tobytes() == load_model(path).C_x.tobytes()
+    doc["C_x"] = np.eye(2, 3).tolist()
+    path.write_text(json.dumps(doc))
+    assert load_model(path).A.tobytes() == model.A.tobytes()
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -498,58 +543,6 @@ def test_the_stacked_form_checks_that_its_lengths_split_the_stack(states, inputs
     assert TrajectoryData(np.zeros((4, 2)), np.zeros((3, 1)), [4]).lengths.tolist() == [4]
 
 
-# --- trajectory batches ----------------------------------------------------------------
-
-def batch_arrays(rng, n_traj=5, traj_len=3):
-    return rng.standard_normal((n_traj, traj_len + 1, 2)), rng.standard_normal((n_traj, traj_len, 1))
-
-
-def test_batch_equals_the_list_form(rng):
-    S, U = batch_arrays(rng)
-    batch, listed = TrajectoryData.batch(S, U), TrajectoryData.from_pairs(list(zip(S, U)))
-    assert (batch.n_x, batch.n_u, len(batch.trajectories)) == (2, 1, 5)
-    assert len(listed.trajectories) == 5
-    for (s0, u0), (s1, u1) in zip(batch.trajectories, listed.trajectories):
-        for a, b in ((s0, s1), (u0, u1)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert not a.flags.writeable and not b.flags.writeable
-    for a, b in ((batch.states, listed.states), (batch.inputs, listed.inputs),
-                 (batch.lengths, listed.lengths)):
-        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert not a.flags.writeable and not b.flags.writeable
-    # Both forms stack a copy: an edit of the caller's arrays does not reach it.
-    S[0, 0, 0] = U[0, 0, 0] = 99.0
-    assert batch.states[0, 0] != 99.0 and batch.inputs[0, 0] != 99.0
-
-
-@pytest.mark.parametrize("bad, named", [
-    ("states", "trajectory 3 states must be a finite 2-D array"),
-    ("inputs", "trajectory 1 inputs must be a finite 2-D array"),
-    ("both", "trajectory 1 inputs must be a finite 2-D array"),
-], ids=["states", "inputs", "both"])
-def test_a_non_finite_batch_fails_with_the_list_forms_message(rng, bad, named):
-    S, U = batch_arrays(rng)
-    if bad in ("states", "both"):
-        S[3, 2, 1] = np.nan
-    if bad in ("inputs", "both"):
-        U[1, 0, 0] = -np.inf
-    with pytest.raises(ValueError) as listed:
-        TrajectoryData.from_pairs(list(zip(S, U)))
-    assert str(listed.value).startswith(named)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(listed.value))}$"):
-        TrajectoryData.batch(S, U)
-
-
-@pytest.mark.parametrize("states, inputs", [
-    (np.zeros((4, 2)), np.zeros((3, 1))),
-    (np.zeros((2, 4, 2)), np.zeros((2, 4, 1))),
-    (np.zeros((2, 4, 2)), np.zeros((3, 3, 1))),
-], ids=["one-trajectory", "one-state-too-few", "trajectory-count"])
-def test_batch_shape_checks_name_both_shapes(states, inputs):
-    with pytest.raises(ValueError, match=re.escape(f"got shapes {states.shape} and {inputs.shape}")):
-        TrajectoryData.batch(states, inputs)
-
-
 # --- one lift per state ------------------------------------------------------------------
 
 def scenario_fit_inputs(name):
@@ -557,7 +550,7 @@ def scenario_fit_inputs(name):
     sc = json.loads((SCENARIOS / f"{name}.json").read_text())
     plant = cli._build_plant(sc["plant"])
     data = cli._training_data(sc, plant, SCENARIOS)()
-    options = {"ridge": sc.get("ridge", 1e-8), "output_matrix": sc.get("output_matrix")}
+    options = {"ridge": sc.get("ridge", 1e-8), "output_matrix": plant.C}
     return data, cli._lifting(sc["lifting"], plant.n_x), options
 
 
@@ -672,7 +665,7 @@ def test_the_shipped_unicycle_fit_matches_the_oracle_data_and_fit_bit_for_bit():
     generate = cli._training_data(sc, plant, SCENARIOS).keywords
     states, inputs = training_data_by_list(plant, **generate)
     model = fit_edmd(data, lifting, **options)
-    A, B = fit_edmd_two_lifts(TrajectoryData.batch(states, inputs), lifting, **options)
+    A, B = fit_edmd_two_lifts(TrajectoryData.from_pairs(zip(states, inputs)), lifting, **options)
     assert model.A.tobytes() == A.tobytes() and model.B.tobytes() == B.tobytes()
 
 
@@ -714,3 +707,59 @@ def test_trajectory_csv_needs_each_trajectorys_rows_together(tmp_path):
         load_trajectories(path)
     path.write_text(HEADER + "0,0,0.0,0.0,1.0\n0,1,1.0,1.0,\n1,0,5.0,5.0,1.0\n1,1,6.0,6.0,\n")
     assert [len(s) for s, _ in load_trajectories(path).trajectories] == [2, 2]
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ("0,0,0.0,0.0,\n0,1,1.0,1.0,0.5\n0,2,1.0,1.0,\n", "0"),
+    ("0,0,0.0,0.0,1.0\n0,1,1.0,1.0,\n1,0,0.0,0.0,1.0\n1,1,1.0,1.0,0.5\n", "1"),
+    ("0,0,0.0,0.0,1.0\n1,0,0.0,0.0,\n", "0"),
+    ("0,0,0.0,0.0,1.0\n0,1,1.0,1.0,1.0\n", "0"),
+    ("a,0,0.0,0.0,\nb,0,0.0,0.0,\nb,1,1.0,1.0,\n", "b"),
+], ids=["empty-mid", "input-at-the-end", "one-row-with-input", "last-row-with-input",
+        "second-of-two"])
+def test_a_trajectory_csv_needs_exactly_the_last_input_empty(tmp_path, rows, bad):
+    path = tmp_path / "inputs.csv"
+    path.write_text(HEADER + rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: trajectory {bad} must leave "
+                                         "exactly the last input empty$"):
+        load_trajectories(path)
+
+
+def test_a_row_fault_is_named_before_an_earlier_trajectorys_inputs(tmp_path):
+    # The input rule is checked once every row has passed, so a later row's
+    # fault is the one named, as when the rows were all read first.
+    path = tmp_path / "both.csv"
+    path.write_text(HEADER + "0,0,0.0,0.0,1.0\n0,1,1.0,1.0,1.0\n1,0,0.0,0.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: expected 5 cells, got 4$"):
+        load_trajectories(path)
+
+
+def test_a_trajectory_csv_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text(HEADER + "\n0,0,0.0,0.0,1.0\n\n0,1,1.0,1.0,\n\n1,0,2.0,2.0,\n1,2,3.0,3.0,\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:8: trajectory 1 needs t = 1"):
+        load_trajectories(path)
+    path.write_text(HEADER + "\n0,0,0.0,0.0,1.0\n\n0,1,1.0,1.0,\n\n1,0,2.0,2.0,\n")
+    data = load_trajectories(path)
+    assert data.lengths.tolist() == [2, 1] and data.states.tolist() == [[0, 0], [1, 1], [2, 2]]
+    assert data.inputs.tolist() == [[1.0]] and not data.states.flags.writeable
+
+
+def test_loading_a_trajectory_csv_peaks_near_the_stack_it_builds(tmp_path):
+    # 200 unicycle-sized trajectories: an 85 kB stack. Holding every row as
+    # Python objects until the stacks were built used to peak at 25 times it.
+    rng = np.random.default_rng(0)
+    trajs = [(rng.standard_normal((11, 3)), rng.standard_normal((10, 2))) for _ in range(200)]
+    path = tmp_path / "many.csv"
+    save_trajectories(TrajectoryData.from_pairs(trajs), path)
+    load_trajectories(path)  # first-call allocations (imports, caches) out of the measure
+    tracemalloc.start()
+    try:
+        data = load_trajectories(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = data.states.nbytes + data.inputs.nbytes
+    assert stack == 84_800 and peak < 3 * stack
+    for (s0, u0), (s1, u1) in zip(trajs, data.trajectories):
+        assert s0.tobytes() == s1.tobytes() and u0.tobytes() == u1.tobytes()

@@ -791,6 +791,18 @@ def test_theta_must_have_one_entry_per_parameter():
                          F_q=np.zeros((2, 3)), F_eq=np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("blocks, named", [
+    ({"P": np.eye(3)}, r"P shape \(3, 3\) does not match q size 2"),
+    ({"A_eq": [[1.0, 1.0]], "b_eq": [0.0, 1.0]},
+     r"A_eq shape \(1, 2\) inconsistent with rhs size 2 and dimension 2"),
+    ({"A_in": [[1.0, 1.0, 1.0]], "b_in": [0.0]},
+     r"A_in shape \(1, 3\) inconsistent with rhs size 1 and dimension 2"),
+], ids=["P", "A_eq-rows", "A_in-columns"])
+def test_data_of_mismatched_shapes_is_refused_by_name(blocks, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        QuadraticProgram(**({"P": np.eye(2), "q": np.zeros(2)} | blocks))
+
+
 def test_only_an_optimal_solve_replaces_the_stored_support():
     # min (x - 2)^2 over x <= 1 and x >= c, with c = theta pinned by an
     # equality: the support {x <= 1} outlives the infeasible c = 2.

@@ -653,3 +653,23 @@ def test_tightening_names_the_argument_of_a_mismatched_shape(message, replace, m
     with pytest.raises(ValueError, match=rf"^tighten_constraints: {message}"):
         tighten_constraints(args["X"], args["U"], args["d"], args["A"], args["B"], args["K"],
                             args["C_x"], 3)
+
+
+# --- argument refusals -------------------------------------------------------------------
+
+def _schedule_missing_an_error_set():
+    box = box_polytope([-1.0], [1.0])
+    return TighteningSchedule([box, box], [box, box], [])
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: HPolytope(np.eye(2), [1.0]), "row count of normals must match offsets"),
+    (_schedule_missing_an_error_set, "need exactly one error set per tightened step"),
+    (lambda: box_polytope([0.0, 0.0], [1.0]), "lo and hi must have equal length"),
+    (lambda: pontryagin_diff(box_polytope([-1.0] * 2, [1.0] * 2), box_zonotope([0.1] * 3)),
+     "dimension mismatch in Pontryagin difference"),
+    (lambda: tighten_constraints(*_benchmark_instance(), N=0), "horizon must be at least 1"),
+], ids=["polytope-rows", "error-set-count", "box-lengths", "pontryagin-dimension", "horizon-0"])
+def test_mismatched_set_arguments_are_refused_by_name(make, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        make()

@@ -71,6 +71,23 @@ def test_step_plant_numerical_example():
     assert np.allclose(x_next, 0.0)
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: unicycle_plant(dt=float("inf")), "dt must be a finite positive number, got inf"),
+    (lambda: unicycle_plant(dt=True), "dt must be a finite positive number, got True"),
+    (lambda: unicycle_plant(dt=-0.1), "dt must be a finite positive number, got -0.1"),
+    (lambda: numerical_example_plant(lam="-0.1"), "lambda must be a finite number, got '-0.1'"),
+    (lambda: numerical_example_plant(mu=math.nan), "mu must be a finite number, got nan"),
+    (lambda: numerical_example_plant(lam=10**400), "lambda must be a finite number, got 1000"),
+    (lambda: numerical_example_plant(lam=-1e200), "lambda must have a finite square, got -1e+200"),
+], ids=["dt-inf", "dt-bool", "dt-negative", "lambda-string", "mu-nan", "lambda-big-int",
+        "lambda-square-overflow"])
+def test_plants_check_their_parameters(make, named):
+    # unicycle_plant(dt=inf) used to build a plant whose every step is inf or
+    # nan; a scenario's plant.params is checked here, the key named after it.
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+        make()
+
+
 def test_step_plant_injects_in_lifted_coordinates():
     # The caller draws the noise; step_plant adds w's first two lifted
     # coordinates and v to the nominal step and returns the noise it added.
@@ -254,10 +271,10 @@ def test_generated_training_data_keeps_its_stacks_without_a_second_copy(tmp_path
     (of a save_trajectories CSV) hand the stacks they allocated to
     TrajectoryData, which keeps them read-only as they are: the copying
     constructor is never entered, and no caller's array is aliased. The
-    stacks equal the batch form's, which copies its input."""
+    stacks equal those the copying constructor makes of the generated ones."""
     box_kwargs = {"input_box": box_zonotope([1.0, 1.0]), "state_box": box_zonotope([1.0] * 3)}
     made = generate_training_data(unicycle_plant(), n_traj=6, traj_len=4, seed=5, **box_kwargs)
-    batch = TrajectoryData.batch(made.states.reshape(6, 5, 3), made.inputs.reshape(6, 4, 2))
+    batch = TrajectoryData(made.states, made.inputs, made.lengths)
     save_trajectories(made, tmp_path / "data.csv")
     monkeypatch.setattr(TrajectoryData, "__post_init__", lambda self: pytest.fail("copied"))
     data = {"generate": lambda: generate_training_data(unicycle_plant(), n_traj=6, traj_len=4,
@@ -625,6 +642,37 @@ def test_run_closed_loop_rejects_a_bad_T_or_x0_before_drawing(monkeypatch, kwarg
     with pytest.raises(ValueError, match=re.escape(named)):
         run_closed_loop(numerical_example_plant(), make_loop_setup(), refs,
                         **({"T": 5} | kwargs))
+
+
+def test_mismatched_run_and_data_arguments_are_refused_by_name():
+    refs = ReferenceSchedule.timed([(0, [1.0])])
+    with pytest.raises(ValueError, match=re.escape("the numerical_example plant takes injected W "
+                                                   "and V of sizes (3, 2)")):
+        run_closed_loop(numerical_example_plant(), make_loop_setup(), refs, T=2,
+                        disturbances=DisturbanceModel(W=box_zonotope([0.1] * 2),
+                                                      V=box_zonotope([0.1] * 2)))
+    with pytest.raises(ValueError, match="^state_box/input_box dimensions do not match the plant$"):
+        generate_training_data(numerical_example_plant(), n_traj=2, traj_len=2,
+                               input_box=box_zonotope([1.0]), state_box=box_zonotope([1.0] * 3),
+                               seed=0)
+    log = run_closed_loop(numerical_example_plant(), make_loop_setup(), refs, T=2)
+    with pytest.raises(ValueError, match="^settle_window must be at least 1$"):
+        tracking_metrics(log, settle_window=0)
+    with pytest.raises(ValueError, match="^waypoint schedule needs at least one point$"):
+        ReferenceSchedule.waypoints([], switch_radius=0.3)
+
+
+def test_metrics_refuse_a_run_whose_model_tracks_another_output():
+    # A two-output model on the one-output plant converges to its target
+    # (0, 1), where the plant's y reads 1. Its final_error used to read 1.0,
+    # the plant's y broadcast against both of the model's outputs.
+    problem = make_loop_setup(C_y=np.eye(2, 3))
+    log = run_closed_loop(numerical_example_plant(), problem,
+                          ReferenceSchedule.timed([(0, [0.0, 1.0])]), T=60)
+    assert log.halted_at is None and np.allclose(log.y_sr[-1], [0.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape("the plant's outputs y (60, 1) and the model's "
+                                                   "targets y_sr (60, 2) must have one shape")):
+        tracking_metrics(log, settle_window=10)
 
 
 def test_run_closed_loop_takes_numpy_integers_and_integer_states():
