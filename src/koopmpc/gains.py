@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import lapack
 
 
 class NoConvergence(Exception):
@@ -62,7 +61,12 @@ def _as_spd(name: str, M) -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, atol=1e-10):
+    # np.allclose(M, M.T, atol=1e-10), written out: equal entries (an infinity
+    # and itself too), or a finite M' entry within 1e-10 + 1e-5 |M'| of M's.
+    Mt = M.T
+    with np.errstate(invalid="ignore"):  # inf - inf
+        symmetric = ((np.abs(M - Mt) <= 1e-10 + 1e-5 * np.abs(Mt)) & np.isfinite(Mt) | (M == Mt))
+    if not symmetric.all():
         raise ValueError(f"{name} must be symmetric")
     M = 0.5 * (M + M.T)
     if np.linalg.eigvalsh(M).min() <= 0.0:
@@ -79,8 +83,16 @@ def _doubling_rounds(A, B, Q, R):
     eye = np.eye(n)
     while True:
         # W = I + GP is similar to I + P^(1/2) G P^(1/2), whose eigenvalues are
-        # at least 1, so LAPACK's LU solve needs no pivot check.
-        WinvAG = lapack.dgesv(eye + G @ P, np.hstack([Ak, G]))[2]
+        # at least 1, so W is singular only where rounding loses I in GP (as
+        # for B = (1, 1)', R = 1 and Q = 2^60 I). np.linalg.solve raises
+        # LinAlgError on such a W; the round then keeps [A_k, G], as LAPACK's
+        # dgesv leaves its right-hand sides on a zero pivot, and dlqr ends in
+        # one of its own outcomes.
+        AG = np.hstack([Ak, G])
+        try:
+            WinvAG = np.linalg.solve(eye + G @ P, AG)
+        except np.linalg.LinAlgError:
+            WinvAG = AG
         WinvA, WinvG = WinvAG[:, :n], WinvAG[:, n:]
         P = P + Ak.T @ P @ WinvA
         P = 0.5 * (P + P.T)

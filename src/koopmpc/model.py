@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
+from .qp import _scipy
 from .sets import Zonotope
+
+linprog = _scipy("scipy.optimize.linprog")  # only a zonotope off the origin needs it
 
 _PRES = ("identity", "planar_heading")
 
@@ -360,11 +362,11 @@ class DisturbanceModel:
 
 
 def _zonotope_contains_origin(Z: Zonotope, tol: float = 1e-9) -> bool:
-    if np.allclose(Z.center, 0.0, atol=tol):
+    if (np.abs(Z.center) <= tol).all():  # np.allclose(Z.center, 0.0, atol=tol), written out
         return True
     # Feasibility of c + G xi = 0 with ||xi||_inf <= 1.
     n, g = Z.generators.shape
-    if g == 0:  # a point: its center, which allclose has just judged
+    if g == 0:  # a point: its center, which the test above has just judged
         return False
     res = linprog(
         c=np.zeros(g),

@@ -80,17 +80,39 @@ breaks (or, with no map, those x_0 breaks), then builds the maps of NNLS's
 final support and evaluates them, so that a warm and a cold Optimal solve that
 end on the same support agree bit for bit (a Farkas certificate's last bits
 follow NNLS's start columns); where that fails, NNLS's own weights are checked.
+
+The QR, triangular and Cholesky solves and NNLS are scipy's. Building a
+QuadraticProgram loads scipy.linalg and scipy.optimize; importing this module
+does not, since its names qr, solve_triangular, dposv and nnls look their
+routine up at each call. So a process that solves no QP, such as ``koopmpc
+tighten`` or ``fit``, never loads them, and a closed loop loads them when it
+builds its QPs, before its first step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from importlib import import_module
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.linalg.lapack import dposv
-from scipy.optimize import nnls
+
+
+def _scipy(path: str):
+    """A stand-in for the scipy routine ``path`` (``"<module>.<name>"``),
+    named and placed as it is, that looks it up in its module at each call,
+    so that importing this module loads no scipy subpackage."""
+    module, name = path.rsplit(".", 1)
+
+    def routine(*args, **kwargs):
+        return getattr(import_module(module), name)(*args, **kwargs)
+
+    routine.__module__, routine.__name__, routine.__qualname__ = module, name, name
+    return routine
+
+
+qr, solve_triangular = _scipy("scipy.linalg.qr"), _scipy("scipy.linalg.solve_triangular")
+dposv, nnls = _scipy("scipy.linalg.lapack.dposv"), _scipy("scipy.optimize.nnls")
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasible"
@@ -125,6 +147,8 @@ class QuadraticProgram:
     _support: "_Support | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for module in ("scipy.linalg", "scipy.optimize"):  # at set-up: no solve pays the import
+            import_module(module)
         self.q = np.array(self.q, dtype=float).ravel()
         d = self.q.size
         self.P = np.atleast_2d(np.asarray(self.P, dtype=float))

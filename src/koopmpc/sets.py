@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .gains import spectral_radius
-from .qp import SolverFailed
+from .qp import SolverFailed, _scipy
+
+linprog = _scipy("scipy.optimize.linprog")  # only a set that is not a box needs it
 
 CONTAINS_TOL = 1e-9
 

@@ -195,7 +195,7 @@ class _RefCursor:
 
 def _column(width: str | None = None, dtype=float):
     """A per-step SimLog column: one row per step, of ``width`` entries (a
-    dimension of the run: n_x, n_u, the plant's n_y_plant, the model's n_y,
+    dimension of the run: n_x, n_u, n_y (the plant's and the model's),
     n_w or n_v) or one scalar."""
     return field(metadata={"width": width, "dtype": dtype})
 
@@ -211,7 +211,7 @@ class SimLog:
     k: np.ndarray = _column(dtype=int)
     x: np.ndarray = _column("n_x")
     u: np.ndarray = _column("n_u")
-    y: np.ndarray = _column("n_y_plant")
+    y: np.ndarray = _column("n_y")
     y_t: np.ndarray = _column("n_y")
     y_s: np.ndarray = _column("n_y")
     u_s: np.ndarray = _column("n_u")
@@ -259,7 +259,8 @@ def run_closed_loop(
     """Run T steps of ``problem`` from x0 (origin by default); seeded, deterministic.
 
     T must be an integer >= 0 (a bool is not one), x0 a finite (n_x,) vector and
-    W and V of the plant's noise sizes. Before step 0 the run draws every step's xi
+    W and V of the plant's noise sizes, and the model's C_y as many rows as the plant's
+    C (the model tracks the plant's y = C x). Before step 0 the run draws every step's xi
     with one ``rng.uniform`` call (row k holds W's draws, then V's: the stream of a
     ``sets.sample`` call per set and step), forms their points with one
     :func:`~koopmpc.sets.point` call per set and allocates T log rows, so its memory
@@ -275,16 +276,18 @@ def run_closed_loop(
     if x.dtype.kind not in "iuf" or x.shape != (plant.n_x,) or not np.isfinite(x).all():
         raise ValueError(f"x0 must be a vector of {plant.n_x} finite numbers, got {x0!r}")
     x = x.astype(float)
+    model, s = problem.model, problem.config.s
+    if model.n_y != plant.C.shape[0]:
+        raise ValueError(f"the model's C_y {model.C_y.shape} and the plant's C {plant.C.shape} "
+                         f"must have as many rows: the model tracks the plant's y = C x")
     n_w, n_v = plant.noise_dims
     noise_sets = () if disturbances is None else (disturbances.W, disturbances.V)
     if noise_sets and (disturbances.W.dim, disturbances.V.dim) != (n_w, n_v):
         raise ValueError(f"the {plant.kind} plant takes injected W and V of sizes {(n_w, n_v)}")
     g = [Z.generators.shape[1] for Z in noise_sets]
     xi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(T, sum(g)))
-
-    model, s = problem.model, problem.config.s
-    log = _allocate(T, {"n_x": plant.n_x, "n_u": plant.n_u, "n_y_plant": plant.C.shape[0],
-                        "n_y": model.n_y, "n_w": n_w, "n_v": n_v})
+    log = _allocate(T, {"n_x": plant.n_x, "n_u": plant.n_u, "n_y": model.n_y, "n_w": n_w,
+                        "n_v": n_v})
     if noise_sets:  # W's draws, then V's
         log.w_inj[:], log.v_inj[:] = map(point, noise_sets, np.split(xi, g[:1], axis=1))
     X_star = np.empty((T, problem.layout.dim))  # each step's optimum
@@ -379,9 +382,6 @@ def tracking_metrics(log: SimLog, settle_window: int) -> dict:
         raise ValueError("cannot compute metrics of an empty simulation log")
     if settle_window < 1:
         raise ValueError("settle_window must be at least 1")
-    if log.y.shape != log.y_sr.shape:  # a run whose model tracks another output than y = C x
-        raise ValueError(f"the plant's outputs y {log.y.shape} and the model's targets y_sr "
-                         f"{log.y_sr.shape} must have one shape")
     errs = np.linalg.norm(log.y - log.y_sr, axis=1)
     changed = np.any(log.y_t[1:] != log.y_t[:-1], axis=1)
     boundaries = [0] + list(np.nonzero(changed)[0] + 1) + [log.k.size]

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
+from koopmpc import gains as gains_module
 from koopmpc.gains import (
     GainResult,
     NoConvergence,
     NotStabilizing,
+    _as_spd,
     _doubling_rounds,
     dlqr,
     spectral_radius,
@@ -206,3 +208,100 @@ def test_dlqr_rejects_mismatched_shapes(shapes, named):
     args = [np.eye(*shape) if shape[0] == shape[1] else np.ones(shape) for shape in shapes]
     with pytest.raises(ValueError, match=named):
         dlqr(*args)
+
+
+def passes_the_symmetry_test(M) -> bool:
+    """Whether ``_as_spd`` lets M past its symmetry test (it may refuse it later)."""
+    try:
+        _as_spd("M", M)
+    except ValueError as exc:
+        return "must be symmetric" not in str(exc)
+    return True
+
+
+def _near(value, steps=2):
+    """``value`` and its 2 * steps nearest doubles."""
+    out = [value]
+    for direction in (np.inf, -np.inf):
+        v = value
+        for _ in range(steps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return out
+
+
+# Off-diagonal pairs (M[0, 1], M[1, 0]) of [[2, a], [b, 2]]: at and around
+# the absolute bound 1e-10 (b = 0) and the relative one 1e-5 |b| (b = 1e3,
+# where it dominates), NaN and infinities.
+SYMMETRY_PAIRS = (
+    [(a, 0.0) for a in _near(1e-10)] + [(0.0, -a) for a in _near(1e-10)]
+    + [(a, 1e3) for a in _near(1e3 + (1e-10 + 1e-5 * 1e3))]
+    + [(-1e3, -a) for a in _near(1e3 + (1e-10 + 1e-5 * 1e3))]
+    + [(np.nan, 1.0), (np.nan, np.nan), (np.inf, np.inf), (-np.inf, -np.inf),
+       (np.inf, -np.inf), (np.inf, 1.0), (1.0, -np.inf), (np.inf, np.nan)]
+)
+
+
+def test_the_symmetry_test_gives_np_allclose_verdicts():
+    # The test written out in _as_spd against np.allclose(M, M.T, atol=1e-10)
+    # on both sides of its bounds, and on non-finite entries off and on the
+    # diagonal (an infinity equals itself there).
+    verdicts = []
+    for a, b in SYMMETRY_PAIRS:
+        M = np.array([[2.0, a], [b, 2.0]])
+        verdicts.append(passes_the_symmetry_test(M))
+        assert verdicts[-1] == np.allclose(M, M.T, atol=1e-10), (a, b)
+    assert any(verdicts) and not all(verdicts)
+    for d in (np.nan, np.inf, -np.inf):
+        M = np.diag([d, 1.0])
+        assert passes_the_symmetry_test(M) == np.allclose(M, M.T, atol=1e-10), d
+
+
+def test_the_symmetry_test_gives_np_allclose_verdicts_on_random_near_symmetric_matrices():
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for _ in range(500):
+        n = int(rng.integers(1, 5))
+        S = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-12, 6)
+        M = S + S.T + rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-16, -3)
+        verdicts.append(passes_the_symmetry_test(M))
+        assert verdicts[-1] == np.allclose(M, M.T, atol=1e-10)
+    assert any(verdicts) and not all(verdicts)
+
+
+def dgesv_rounds(A, B, Q, R):
+    """:func:`_doubling_rounds` with each W^-1 [A_k, G] from LAPACK's dgesv, which
+    returns its right-hand sides as they are on a zero pivot."""
+    from scipy.linalg import lapack
+
+    n = A.shape[0]
+    Ak, G, P = A, B @ np.linalg.solve(R, B.T), Q
+    G = 0.5 * (G + G.T)
+    while True:
+        WinvAG = lapack.dgesv(np.eye(n) + G @ P, np.hstack([Ak, G]))[2]
+        WinvA, WinvG = WinvAG[:, :n], WinvAG[:, n:]
+        P = P + Ak.T @ P @ WinvA
+        P = 0.5 * (P + P.T)
+        G = G + Ak @ WinvG @ Ak.T
+        G = 0.5 * (G + G.T)
+        Ak = Ak @ WinvA
+        yield P
+
+
+@pytest.mark.parametrize("A, raised", [
+    ([[0.5, 0.1], [0.0, 0.9]], NoConvergence),
+    ([[2.0, 1.0], [0.0, 1.5]], NotStabilizing),
+], ids=["stable", "unstable"])
+def test_a_W_that_rounding_makes_singular_ends_in_one_of_dlqrs_outcomes(monkeypatch, A, raised):
+    # With Q = 2^60 I the first W = I + 2^60 (1, 1)'(1, 1) loses its I: it is
+    # exactly singular, and np.linalg.solve refuses it. dlqr still ends as the
+    # rounds that solve with dgesv make it end, with the same message.
+    A, B, Q = np.array(A), np.array([[1.0], [1.0]]), 2.0**60 * np.eye(2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(2) + B @ B.T @ Q, np.eye(2))
+    with pytest.raises(raised) as got:
+        dlqr(A, B, Q, np.eye(1))
+    monkeypatch.setattr(gains_module, "_doubling_rounds", dgesv_rounds)
+    with pytest.raises(raised) as expected:
+        dlqr(A, B, Q, np.eye(1))
+    assert str(got.value) == str(expected.value)

@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -763,3 +764,16 @@ def test_loading_a_trajectory_csv_peaks_near_the_stack_it_builds(tmp_path):
     assert stack == 84_800 and peak < 3 * stack
     for (s0, u0), (s1, u1) in zip(trajs, data.trajectories):
         assert s0.tobytes() == s1.tobytes() and u0.tobytes() == u1.tobytes()
+
+
+@pytest.mark.parametrize("center", [
+    [1e-9, -1e-9], [np.nextafter(1e-9, 1.0), 0.0], [0.0, -np.nextafter(1e-9, 1.0)],
+    [np.nextafter(1e-9, 0.0), -0.0], [0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf],
+], ids=["at-tol", "beyond-tol", "beyond-minus-tol", "inside-tol", "origin", "nan", "inf",
+        "minus-inf"])
+def test_the_center_test_gives_np_allclose_verdicts(center):
+    # A point (no generators) is decided by its center alone, by the test
+    # written out in place of np.allclose(center, 0.0, atol=1e-9). A Zonotope
+    # holds only finite centers, so a stand-in carries the non-finite ones.
+    Z = SimpleNamespace(center=np.array(center), generators=np.zeros((2, 0)))
+    assert model_module._zonotope_contains_origin(Z) == np.allclose(Z.center, 0.0, atol=1e-9)

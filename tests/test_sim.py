@@ -518,12 +518,13 @@ def loop_case(name, stacks):
     T, x0, halted_at = {"halt_at_step_0": (10, [0.0, 10.0], 0), "T_0": (0, None, None)}.get(
         name, (60, None, None))
     refs = ReferenceSchedule.timed([(0, [1.0]), (30, [-1.0])])
-    C_y = None
-    if name == "dense_output_matrix":  # two outputs, each a mix of all three lifted coordinates
-        C_y = [[0.7, 0.9, 0.05], [-0.4, 1.3, -0.2]]
+    plant, C_y = numerical_example_plant(), None
+    if name == "dense_output_matrix":  # two outputs, each a mix of both states
+        plant = dataclasses.replace(plant, C=np.array([[0.7, 0.9], [-0.4, 1.3]]))
+        C_y = plant.C @ exact_model().C_x
         refs = ReferenceSchedule.timed([(0, [1.0, 0.5]), (30, [-1.0, 0.25])])
-    return (numerical_example_plant(), lambda: make_loop_setup(W=declared, C_y=C_y), refs,
-            injected, T, x0, (0, 1), halted_at)
+    return (plant, lambda: make_loop_setup(W=declared, C_y=C_y), refs, injected, T, x0, (0, 1),
+            halted_at)
 
 
 @pytest.mark.parametrize("name", ["a2", "random_generators", "W_without_generators",
@@ -535,7 +536,7 @@ def test_run_closed_loop_matches_the_step_by_step_loop(scenario_stacks, name):
     bit for bit. Each side runs its seeds in turn on a problem of its own, so
     both see the same stored supports and steady targets. The run forms its
     targets' y_s and offset costs after the last step, by per-row products;
-    the dense two-output C_y checks them where C_y is not a selector."""
+    a plant with a dense two-row C checks them where C_y is not a selector."""
     plant, make_problem, refs, injected, T, x0, seeds, halted_at = loop_case(name, scenario_stacks)
     reference_problem, problem = make_problem(), make_problem()
     for seed in seeds:
@@ -548,7 +549,7 @@ def test_run_closed_loop_matches_the_step_by_step_loop(scenario_stacks, name):
     if name == "unicycle_square":
         assert log.reached_steps == ()
     if name == "dense_output_matrix":  # the targets miss y_t in both outputs: e is dense too
-        assert np.all(problem.model.C_y != 0.0) and np.all(log.y_s != log.y_t)
+        assert np.all(plant.C != 0.0) and np.all(log.y_s != log.y_t)
     if name == "random_generators":
         # A batched xi G' would not pass here: it differs in bits from the
         # per-step G xi on some of this run's rows.
@@ -662,17 +663,19 @@ def test_mismatched_run_and_data_arguments_are_refused_by_name():
         ReferenceSchedule.waypoints([], switch_radius=0.3)
 
 
-def test_metrics_refuse_a_run_whose_model_tracks_another_output():
-    # A two-output model on the one-output plant converges to its target
-    # (0, 1), where the plant's y reads 1. Its final_error used to read 1.0,
-    # the plant's y broadcast against both of the model's outputs.
+@pytest.mark.parametrize("refs", [
+    ReferenceSchedule.timed([(0, [0.0, 1.0])]),
+    ReferenceSchedule.waypoints([[1.0, 1.0]], switch_radius=0.1),
+], ids=["timed", "waypoints"])
+def test_run_closed_loop_refuses_a_model_that_tracks_another_number_of_outputs(refs):
+    # A two-output model on the one-output plant. Run, its waypoint cursor
+    # would broadcast the plant's y against the waypoint (1, 1) and mark it
+    # reached at step 3, with the state at (0, 0.943), 1.0 away from it.
     problem = make_loop_setup(C_y=np.eye(2, 3))
-    log = run_closed_loop(numerical_example_plant(), problem,
-                          ReferenceSchedule.timed([(0, [0.0, 1.0])]), T=60)
-    assert log.halted_at is None and np.allclose(log.y_sr[-1], [0.0, 1.0])
-    with pytest.raises(ValueError, match=re.escape("the plant's outputs y (60, 1) and the model's "
-                                                   "targets y_sr (60, 2) must have one shape")):
-        tracking_metrics(log, settle_window=10)
+    with pytest.raises(ValueError, match=re.escape(
+            "the model's C_y (2, 3) and the plant's C (1, 2) must have as many rows")):
+        run_closed_loop(numerical_example_plant(), problem, refs, T=60)
+    assert problem.steady_targets == {}  # refused before step 0
 
 
 def test_run_closed_loop_takes_numpy_integers_and_integer_states():
