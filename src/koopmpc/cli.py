@@ -1,4 +1,4 @@
-"""Command-line front end for fitting, tightening, simulation, and target inspection.
+"""Command-line front end for tightening, simulation, and target inspection.
 
 A *scenario* is a single JSON document that describes everything a run needs:
 the plant, the lifting dictionary (explicit monomial exponents), where training
@@ -10,11 +10,12 @@ run length.  See ``scenarios/`` for complete examples.
 :func:`build_stack` validates and assembles the whole scenario for every
 scenario command.
 
-Exit codes: 0 success, 2 missing/malformed input, 3 underdetermined fit,
-4 the tube could not be built: no converged stabilizing LQR gain, or an empty
-tightened set, 5 infeasibility (a closed loop halted, or no steady pair lies in
-the terminal sets), 6 the QP solver failed (an NNLS failure, or a reduced
-Hessian that is not positive definite).
+Exit codes: 0 success, 2 missing/malformed input, 3 underdetermined fit (the
+scenario's training data cannot determine the lifted model), 4 the tube could
+not be built: no converged stabilizing LQR gain, or an empty tightened set,
+5 infeasibility (a closed loop halted, or no steady pair lies in the terminal
+sets), 6 the QP solver failed (an NNLS failure, or a reduced Hessian that is
+not positive definite).
 """
 
 from __future__ import annotations
@@ -35,16 +36,12 @@ from .gains import NoConvergence, NotStabilizing, dlqr
 from .model import (
     DisturbanceModel,
     KoopmanModel,
-    TrajectoryData,
     UnderdeterminedData,
     _is_finite,
     _is_number,
     _lifting_from_doc,
-    _load_json,
     fit_edmd,
-    lift,
     load_trajectories,
-    save_model,
 )
 from .qp import SolverFailed
 from .sets import (
@@ -64,6 +61,19 @@ from .sim import (
 )
 
 MAX_SCENARIO_BYTES = 2 * 2**30  # the memory build_stack lets a scenario's sizes need (README)
+
+
+def _load_json(path) -> dict:
+    """The JSON object in the scenario file at ``path``; anything else raises
+    ValueError naming the file."""
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must contain a JSON object")
+    return doc
 
 
 def _zonotope_from_doc(doc: dict, what: str, dim: int) -> Zonotope:
@@ -113,7 +123,6 @@ def _weight(value, n: int, what: str) -> np.ndarray:
 # Each plant kind's factory and its parameters: scenario key -> keyword.
 _PLANTS = {"numerical_example": (numerical_example_plant, {"lambda": "lam", "mu": "mu"}),
            "unicycle": (unicycle_plant, {"dt": "dt"})}
-_FIT_LIFTING_KEYS = {"kind", "params", "n_x", "ridge", "output_matrix"}
 _SCENARIO_KEYS = {
     "plant", "lifting", "ridge", "data", "disturbance", "injected", "constraints",
     "controller", "references", "x0", "T", "seed", "settle_window", "out_dir",
@@ -134,10 +143,11 @@ def _check_keys(doc, allowed: set, what: str) -> None:
         )
 
 
-def _lifting(doc, n_x: int, keys=frozenset({"kind", "params"})):
-    """The lifting of ``doc``; a key outside ``keys`` is rejected by name, and
-    ``_lifting_from_doc`` checks the kind and ``params``."""
-    _check_keys(doc, keys, "lifting")
+def _lifting(doc, n_x: int):
+    """The lifting of a scenario's ``lifting`` block; a key other than
+    ``kind`` and ``params`` is rejected by name, and ``_lifting_from_doc``
+    checks the kind and ``params``."""
+    _check_keys(doc, {"kind", "params"}, "lifting")
     return _lifting_from_doc(doc, n_x=n_x)
 
 
@@ -200,16 +210,6 @@ def _numbers(values, n: int, what: str) -> list:
     if not (isinstance(values, list) and len(values) == n and all(map(_is_finite, values))):
         raise ValueError(f"{what} must list {n} numbers, all finite, got {values!r}")
     return values
-
-
-def _output_matrix(value, n_x: int):
-    """A lifting file's ``value`` (y = value x): None, or a non-empty list of
-    rows of ``n_x`` finite numbers."""
-    if value is not None and not (isinstance(value, list) and value):
-        raise ValueError(f"output_matrix must be a non-empty list of rows, got {value!r}")
-    for i, row in enumerate(value or []):
-        _numbers(row, n_x, f"output_matrix[{i}]")
-    return value
 
 
 def _references(doc, n_y: int) -> ReferenceSchedule:
@@ -386,48 +386,6 @@ def build_stack(scenario_path, y_t=None) -> Stack:
 
 # --- subcommands -----------------------------------------------------------------------
 
-def cmd_fit(data_csv, lifting_json, out_model_json) -> int:
-    """Fit a lifted linear model from a trajectory CSV and report held-out errors.
-
-    The last ~10% of trajectories are held out. The one-step error covers
-    every held-out transition; the multi-step error rolls the fitted model
-    forward up to 10 steps (capped at trajectory length) under the recorded
-    inputs. A single trajectory is not held out: the model is fitted
-    to it and its errors are reported as in-sample.
-    """
-    lift_doc = _load_json(lifting_json)
-    if "n_x" not in lift_doc:
-        raise ValueError(f"{lifting_json} is missing required field 'n_x'")
-    lifting = _lifting(lift_doc, _count(lift_doc, "n_x", "lifting n_x"), _FIT_LIFTING_KEYS)
-    ridge = float(_positive(lift_doc.get("ridge", 1e-8), "ridge", minimum=0))
-    om = _output_matrix(lift_doc.get("output_matrix"), lifting.n_x)
-
-    trajs = load_trajectories(data_csv).trajectories
-    n_hold = max(1, len(trajs) // 10) if len(trajs) > 1 else 0
-    train_trajs = trajs[: len(trajs) - n_hold]
-    scored = trajs[len(trajs) - n_hold :] or train_trajs
-    model = fit_edmd(TrajectoryData.from_pairs(train_trajs), lifting, ridge=ridge, output_matrix=om)
-
-    one_step, multi_step, C_x = [], [], model.C_x
-    for states, inputs in scored:
-        z = lift(model, states[0])
-        for t, u in enumerate(inputs):
-            z_next = model.A @ lift(model, states[t]) + model.B @ u
-            one_step.append(np.linalg.norm(C_x @ z_next - states[t + 1]))
-            if t < 10:
-                z = model.A @ z + model.B @ u
-                multi_step.append(np.linalg.norm(C_x @ z - states[t + 1]))
-    save_model(model, out_model_json)
-    n_train = sum(len(inputs) for _, inputs in train_trajs)
-    held = (f"{n_hold} held-out trajectories" if n_hold else
-            "no trajectory held out: the errors below are in-sample")
-    print(f"fitted lifted model: n_z={model.n_z}, {n_train} training transitions, {held}")
-    print(f"one-step mean prediction error: {float(np.mean(one_step)):.6e}")
-    print(f"10-step mean prediction error:  {float(np.mean(multi_step)):.6e}")
-    print(f"wrote {out_model_json}")
-    return 0
-
-
 def cmd_tighten(scenario_json, out_json) -> int:
     """Compute the tightened constraint schedule for a scenario and save it as JSON.
 
@@ -553,14 +511,9 @@ def _parse_targets(text: str) -> list[float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="koopmpc",
-        description="Tracking MPC on lifted linear models: fit, tighten, simulate, steady.",
+        description="Tracking MPC on lifted linear models: tighten, simulate, steady.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit a lifted linear model from a trajectory CSV")
-    p.add_argument("data_csv")
-    p.add_argument("lifting_json")
-    p.add_argument("out_model_json")
 
     p = sub.add_parser("tighten", help="compute and save the tightened constraint schedule")
     p.add_argument("scenario_json")
@@ -582,8 +535,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "fit":
-            return cmd_fit(args.data_csv, args.lifting_json, args.out_model_json)
         if args.command == "tighten":
             return cmd_tighten(args.scenario_json, args.out_json)
         if args.command == "simulate":

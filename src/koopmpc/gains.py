@@ -84,15 +84,12 @@ def _doubling_rounds(A, B, Q, R):
     while True:
         # W = I + GP is similar to I + P^(1/2) G P^(1/2), whose eigenvalues are
         # at least 1, so W is singular only where rounding loses I in GP (as
-        # for B = (1, 1)', R = 1 and Q = 2^60 I). np.linalg.solve raises
-        # LinAlgError on such a W; the round then keeps [A_k, G], as LAPACK's
-        # dgesv leaves its right-hand sides on a zero pivot, and dlqr ends in
-        # one of its own outcomes.
-        AG = np.hstack([Ak, G])
+        # for B = (1, 1)', R = 1 and Q = 2^60 I).
         try:
-            WinvAG = np.linalg.solve(eye + G @ P, AG)
+            WinvAG = np.linalg.solve(eye + G @ P, np.hstack([Ak, G]))
         except np.linalg.LinAlgError:
-            WinvAG = AG
+            raise NoConvergence("the doubling round's W = I + GP is singular: rounding "
+                                "lost its I, so the Riccati iteration cannot go on") from None
         WinvA, WinvG = WinvAG[:, :n], WinvAG[:, n:]
         P = P + Ak.T @ P @ WinvA
         P = 0.5 * (P + P.T)
@@ -132,7 +129,8 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
         The closed loop A + BK is not Schur stable — this covers diverging
         iterations caused by unstabilizable unstable modes.
     NoConvergence
-        The iteration budget ran out without divergence.
+        The iteration budget ran out without divergence, or a round's
+        W = I + G_j P_j is singular in floating point.
     ValueError
         Dimension mismatches or non-SPD weights.
     """

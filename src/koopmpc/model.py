@@ -1,4 +1,4 @@
-"""Lifted linear models: dictionary construction, EDMD fitting, persistence.
+"""Lifted linear models: dictionary construction, EDMD fitting, training-data CSVs.
 
 A model consists of lifted dynamics ``z+ = A z + B u`` together with the
 output projection ``C_y`` (lifted -> tracked output). All lifting
@@ -10,11 +10,9 @@ the lifted vector are the raw state, so the state projection is
 from __future__ import annotations
 
 import csv
-import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -44,18 +42,6 @@ def _is_finite(v) -> bool:
         return _is_number(v) and math.isfinite(v)
     except OverflowError:
         return False
-
-
-def _load_json(path) -> dict:
-    """The JSON object in the file at ``path``; anything else raises ValueError naming it."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} must contain a JSON object")
-    return doc
 
 
 def _as_matrix(M, name: str, finite: bool = True) -> np.ndarray:
@@ -378,19 +364,13 @@ def _zonotope_contains_origin(Z: Zonotope, tol: float = 1e-9) -> bool:
     return bool(res.status == 0)
 
 
-# --- persistence -----------------------------------------------------------------------
-
-def _lifting_to_doc(spec: LiftingSpec) -> dict:
-    return {"kind": "explicit", "params": {"pre": spec.pre, "exponents": spec.exponents.tolist()}}
-
+# --- the lifting document and training-data files -----------------------------------------
 
 def _lifting_from_doc(doc: dict, n_x: int) -> LiftingSpec:
-    """The lifting of a ``{"kind", "params"}`` document, whose one kind is
-    ``"explicit"``. An unknown kind is named before ``params`` is read, and an
-    unknown or missing key of ``params`` after it; a ``doc`` or ``params``
-    that is not an object is named as ``lifting`` or ``lifting.params``."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"lifting must be an object, got {doc!r}")
+    """The lifting of a scenario's ``{"kind", "params"}`` object, whose one kind
+    is ``"explicit"``. An unknown kind is named before ``params`` is read, and
+    an unknown or missing key of ``params`` after it; a ``params`` that is not
+    an object is named as ``lifting.params``."""
     kind, params = doc.get("kind"), doc.get("params", {})
     if kind != "explicit":
         raise ValueError(f"unknown lifting kind {kind!r}")
@@ -402,37 +382,6 @@ def _lifting_from_doc(doc: dict, n_x: int) -> LiftingSpec:
         raise ValueError(f"lifting.params of kind {kind!r} needs key 'exponents'")
     return LiftingSpec(n_x=n_x, pre=params.get("pre", "identity"),
                        exponents=params.get("exponents"))
-
-
-def save_model(model: KoopmanModel, path) -> None:
-    doc = {
-        "n_x": model.n_x,
-        "n_u": model.n_u,
-        "n_y": model.n_y,
-        "n_z": model.n_z,
-        "lifting": _lifting_to_doc(model.lifting),
-        "A": model.A.tolist(),
-        "B": model.B.tolist(),
-        "C_y": model.C_y.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_model(path) -> KoopmanModel:
-    doc = _load_json(path)
-    try:
-        sizes = {key: doc[key] for key in ("n_x", "n_u", "n_y", "n_z")}
-        for key, size in sizes.items():
-            if not _is_number(size, integer=True):
-                raise ValueError(f"{path}: {key} must be an integer, got {size!r}")
-        lifting = _lifting_from_doc(doc["lifting"], sizes["n_x"])
-        model = KoopmanModel(A=doc["A"], B=doc["B"], C_y=doc["C_y"], lifting=lifting)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is missing required model fields: {exc}") from exc
-    for key in ("n_u", "n_y", "n_z"):
-        if sizes[key] != getattr(model, key):
-            raise ValueError(f"{path}: declared {key}={sizes[key]} does not match matrices")
-    return model
 
 
 def save_trajectories(data: TrajectoryData, path) -> None:

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,51 +10,17 @@ from koopmpc import cli as cli_module
 from koopmpc import controller as controller_module
 from koopmpc import qp as qp_module
 from koopmpc.cli import main
-from koopmpc.model import (
-    LiftingSpec,
-    TrajectoryData,
-    load_model,
-    make_model,
-    save_model,
-    save_trajectories,
-)
+from koopmpc.model import save_trajectories
 from koopmpc.sets import (
     HPolytope,
     TighteningSchedule,
     Zonotope,
     box_polytope,
-    box_zonotope,
 )
-from koopmpc.sim import generate_training_data, numerical_example_plant
-from oracles import numerical_example_matrices
-
-
-def write_training_csv(path, n_traj=150, traj_len=4, seed=0):
-    data = generate_training_data(
-        numerical_example_plant(),
-        n_traj=n_traj,
-        traj_len=traj_len,
-        input_box=box_zonotope([3.0]),
-        state_box=box_zonotope([2.0, 2.0]),
-        seed=seed,
-    )
-    save_trajectories(data, path)
+from koopmpc.sim import numerical_example_plant
 
 
 HEADER_2X1 = "traj_id,t,x_0,x_1,u_0\n"  # two states, one input
-
-
-def write_lifting_json(path, ridge=0.0):
-    doc = {
-        "kind": "explicit",
-        "n_x": 2,
-        "params": {"pre": "identity", "exponents": [[2, 0]]},
-        "ridge": ridge,
-        "output_matrix": [[0.0, 1.0]],
-    }
-    path.write_text(json.dumps(doc))
-
-
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CONTROLLER = {"N": 10, "Q": 1.0, "R": 1.0, "s": 1000.0, "lqr": {"Qk": 1.0, "Rk": 1.0}}
 
@@ -95,163 +60,6 @@ def base_scenario(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc, indent=2))
     return path
-
-
-# --- fit -------------------------------------------------------------------------
-
-def test_fit_recovers_ground_truth(tmp_path, capsys):
-    csv_path = tmp_path / "train.csv"
-    lift_path = tmp_path / "lifting.json"
-    out_path = tmp_path / "model.json"
-    write_training_csv(csv_path)
-    write_lifting_json(lift_path)
-    code = main(["fit", str(csv_path), str(lift_path), str(out_path)])
-    assert code == 0
-    model = load_model(out_path)
-    A_true, _ = numerical_example_matrices(-0.1, 2.0)
-    assert np.max(np.abs(model.A - A_true)) <= 1e-8
-    out = capsys.readouterr().out
-    assert "one-step" in out and "10-step" in out
-
-
-def test_fit_reports_how_many_trajectories_it_held_out(tmp_path, capsys):
-    csv_path, lift_path = tmp_path / "train.csv", tmp_path / "lifting.json"
-    write_training_csv(csv_path, n_traj=25, traj_len=4)
-    write_lifting_json(lift_path)
-    assert main(["fit", str(csv_path), str(lift_path), str(tmp_path / "model.json")]) == 0
-    assert "92 training transitions, 2 held-out trajectories" in capsys.readouterr().out
-
-
-def test_fit_of_one_trajectory_reports_in_sample_errors(tmp_path, capsys):
-    csv_path, lift_path = tmp_path / "one.csv", tmp_path / "lifting.json"
-    write_training_csv(csv_path, n_traj=1, traj_len=8)
-    write_lifting_json(lift_path, ridge=1e-8)
-    assert main(["fit", str(csv_path), str(lift_path), str(tmp_path / "model.json")]) == 0
-    out = capsys.readouterr().out
-    assert ("8 training transitions, no trajectory held out: the errors below are in-sample"
-            in out)
-    assert "held-out" not in out
-    assert "one-step mean prediction error" in out and "10-step mean prediction error" in out
-
-
-def test_fit_one_step_error_covers_every_held_out_transition(tmp_path, capsys):
-    # The held-out trajectory is the plant's own but for x_2 at t = 12, moved
-    # by 0.5: transition 11 then misses by 0.5 and transition 12 by mu * 0.5
-    # = 1.0, so the one-step mean over its 15 transitions is 0.1, while the
-    # 10-step rollout, which stops at t = 10, sees no error. The one-step
-    # error used to stop at the tenth transition too, and read 0.
-    plant, kwargs = numerical_example_plant(), {"input_box": box_zonotope([3.0]),
-                                                "state_box": box_zonotope([2.0, 2.0])}
-    train = generate_training_data(plant, n_traj=9, traj_len=4, seed=0, **kwargs)
-    (states, inputs), = generate_training_data(plant, n_traj=1, traj_len=15, seed=1,
-                                               **kwargs).trajectories
-    states = states.copy()
-    states[12, 1] += 0.5
-    csv_path, lift_path = tmp_path / "train.csv", tmp_path / "lifting.json"
-    save_trajectories(TrajectoryData.from_pairs([*train.trajectories, (states, inputs)]), csv_path)
-    write_lifting_json(lift_path)
-    assert main(["fit", str(csv_path), str(lift_path), str(tmp_path / "model.json")]) == 0
-    out = capsys.readouterr().out
-    assert "36 training transitions, 1 held-out trajectories" in out
-    one_step = float(re.search(r"one-step mean prediction error: (\S+)", out).group(1))
-    ten_step = float(re.search(r"10-step mean prediction error: +(\S+)", out).group(1))
-    assert one_step == pytest.approx(0.1, rel=1e-6) and ten_step < 1e-9
-
-
-@pytest.mark.parametrize("rows, line", [
-    ("0,0,0.0,0.0,1.0\n0,5,1.0,1.0,1.0\n1,0,2.0,2.0,\n0,1,3.0,3.0,\n", 3),
-    ("0,0,0.0,0.0,1.0\n1,0,5.0,5.0,1.0\n0,1,1.0,1.0,\n1,1,6.0,6.0,\n", 4),
-], ids=["t-skips", "interleaved"])
-def test_fit_csv_out_of_order_exit_2(tmp_path, capsys, rows, line):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("traj_id,t,x_0,x_1,u_0\n" + rows)
-    lift_path = tmp_path / "lifting.json"
-    write_lifting_json(lift_path)
-    assert main(["fit", str(bad), str(lift_path), str(tmp_path / "m.json")]) == 2
-    assert f"{bad}:{line}: " in capsys.readouterr().err
-
-
-def test_fit_missing_file_exit_2(tmp_path, capsys):
-    lift_path = tmp_path / "lifting.json"
-    write_lifting_json(lift_path)
-    code = main(["fit", str(tmp_path / "nope.csv"), str(lift_path), str(tmp_path / "m.json")])
-    assert code == 2
-    assert "nope.csv" in capsys.readouterr().err
-
-
-def test_fit_malformed_csv_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("not,a,training\nfile,1,2\n")
-    lift_path = tmp_path / "lifting.json"
-    write_lifting_json(lift_path)
-    assert main(["fit", str(bad), str(lift_path), str(tmp_path / "m.json")]) == 2
-
-
-def test_fit_underdetermined_exit_3(tmp_path, capsys):
-    csv_path = tmp_path / "tiny.csv"
-    write_training_csv(csv_path, n_traj=2, traj_len=1)
-    lift_path = tmp_path / "lifting.json"
-    write_lifting_json(lift_path, ridge=0.0)
-    assert main(["fit", str(csv_path), str(lift_path), str(tmp_path / "m.json")]) == 3
-
-
-@pytest.mark.parametrize("key, where, named", [
-    ("rigde", None, "unknown lifting key 'rigde'"),
-    ("exponent", "params", "unknown lifting.params key 'exponent'"),
-], ids=["top-level", "params"])
-def test_fit_rejects_an_unknown_lifting_key_exit_2(tmp_path, capsys, key, where, named):
-    csv_path = tmp_path / "train.csv"
-    lift_path = tmp_path / "lifting.json"
-    write_training_csv(csv_path)
-    write_lifting_json(lift_path)
-    doc = json.loads(lift_path.read_text())
-    (doc if where is None else doc[where])[key] = 0.0
-    lift_path.write_text(json.dumps(doc))
-    out_path = tmp_path / "model.json"
-    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
-    assert named in capsys.readouterr().err
-    assert not out_path.exists()
-
-
-@pytest.mark.parametrize("n_x", [2.5, "2", True, 0, None])
-def test_fit_rejects_a_non_integer_n_x_exit_2(tmp_path, capsys, n_x):
-    # "n_x": 2.5 used to fit as 2 and exit 0; None drops the key.
-    csv_path = tmp_path / "train.csv"
-    lift_path = tmp_path / "lifting.json"
-    write_training_csv(csv_path)
-    write_lifting_json(lift_path)
-    doc = json.loads(lift_path.read_text())
-    doc["n_x"] = n_x
-    if n_x is None:
-        del doc["n_x"]
-    lift_path.write_text(json.dumps(doc))
-    out_path = tmp_path / "model.json"
-    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
-    err = capsys.readouterr().err
-    assert ("missing required field 'n_x'" if n_x is None else "lifting n_x must be") in err
-    assert not out_path.exists()
-
-
-def test_fit_rejects_an_exponent_too_large_for_a_float_exit_2(tmp_path, capsys):
-    # A lifting file's integer too large for a float is named, not cast.
-    csv_path, lift_path, out_path = tmp_path / "train.csv", tmp_path / "l.json", tmp_path / "m.json"
-    write_training_csv(csv_path)
-    lift_path.write_text(json.dumps({"kind": "explicit", "n_x": 2, "ridge": 0.0,
-                                     "params": {"exponents": [[10**400, 0]]}}))
-    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
-    assert "exponents must be integers in [0, 2**63), got 1000" in capsys.readouterr().err
-    assert not out_path.exists()
-
-
-@pytest.mark.parametrize("ridge", [True, "0.5", -1.0])
-def test_fit_rejects_a_malformed_ridge_exit_2(tmp_path, capsys, ridge):
-    # A ridge of true used to fit with ridge 1.0, and "0.5" with 0.5.
-    csv_path, lift_path, out_path = tmp_path / "train.csv", tmp_path / "l.json", tmp_path / "m.json"
-    write_training_csv(csv_path)
-    write_lifting_json(lift_path, ridge=ridge)
-    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
-    assert f"ridge must be a finite number >= 0, got {ridge!r}" in capsys.readouterr().err
-    assert not out_path.exists()
 
 
 # --- tighten ----------------------------------------------------------------------
@@ -389,6 +197,20 @@ def test_tighten_lqr_not_stabilizing_exit_4(tmp_path, capsys):
     )
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 4
     assert "spectral radius" in capsys.readouterr().err
+
+
+def test_tighten_underdetermined_fit_exit_3(tmp_path, capsys):
+    # One transition cannot pin down a2's 3 + 1 coefficient columns, and ridge
+    # 0 adds no penalty that would: the scenario's own fit exits 3.
+    a2 = json.loads((SCENARIOS / "a2.json").read_text())
+    a2["ridge"] = 0
+    a2["data"]["generate"] |= {"n_traj": 1, "traj_len": 1}
+    scenario = tmp_path / "a2.json"
+    scenario.write_text(json.dumps(a2))
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 3
+    assert ("fit failed: 1 transitions cannot determine 4 coefficient columns"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "schedule.json").exists()
 
 
 @pytest.mark.parametrize("lqr, named", [
@@ -553,6 +375,10 @@ def test_a_plant_takes_its_factorys_defaults_for_the_params_it_leaves_out():
     ({"plant": {"kind": "pendulum"}}, "unknown plant kind 'pendulum'"),
     ({"plant": {"kind": ["unicycle"]}}, "unknown plant kind ['unicycle']"),
     ({"lifting": {"kind": ["explicit"], "params": {}}}, "unknown lifting kind ['explicit']"),
+    ({"lifting": {"params": {"exponents": [[2, 0]]}}}, "unknown lifting kind None"),
+    ({"lifting": 5}, "lifting must be an object"),
+    ({"lifting": [1]}, "lifting must be an object"),
+    ({"lifting": {"kind": "explicit", "params": 5}}, "lifting.params must be an object, got 5"),
     ({"controller": 5}, "controller must be an object"),
     ({"injected": {"W": {"half_extents": [0.1, 0.1, 0.1]},
                    "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}},
@@ -602,7 +428,8 @@ def test_a_plant_takes_its_factorys_defaults_for_the_params_it_leaves_out():
         "disturbance.declared.W-dim", "disturbance.declared.V-dim", "injected.W-dim",
         "injected-on-unicycle", "x0-length", "x0-nan", "constraints.state-infinite",
         "data-neither", "disturbance-neither", "disturbance-not-an-object", "references-neither", "plant.kind-unknown",
-        "plant.kind-list", "lifting.kind-list",
+        "plant.kind-list", "lifting.kind-list", "lifting.kind-missing", "lifting-number",
+        "lifting-list", "lifting.params-number",
         "controller-not-an-object", "injected.W-no-center", "lifting.exponents-fraction",
         "scenario-not-an-object", "declared.W-flat-generators", "declared.W-half-extents-matrix",
         "declared.W-half-extents-negative", "declared.W-center-column", "declared.W-off-origin", "declared.W-point-off-origin",
@@ -637,11 +464,18 @@ def test_a_zonotope_with_no_generators_is_the_point_it_is(tmp_path):
     ("", "{path} is empty"),
     (HEADER_2X1 + "0,0,0.0,0.0,1.0\n0,1,1.0,1.0\n", "{path}:3: expected 5 cells, got 4"),
     (HEADER_2X1 + "0,0,0.0,zero,1.0\n0,1,1.0,1.0,\n", "{path}:2: non-numeric cell"),
-], ids=["empty", "cell-count", "non-numeric"])
+    (HEADER_2X1 + "0,0,0.0,0.0,1.0\n0,5,1.0,1.0,1.0\n1,0,2.0,2.0,\n0,1,3.0,3.0,\n",
+     "{path}:3: trajectory 0 needs t = 1 here, got '5'"),
+    (HEADER_2X1 + "0,0,0.0,0.0,1.0\n1,0,5.0,5.0,1.0\n0,1,1.0,1.0,\n1,1,6.0,6.0,\n",
+     "{path}:4: the rows of trajectory 0 are not contiguous"),
+    ("not,a,training\nfile,1,2\n", "{path}: unexpected header ['not', 'a', 'training']"),
+    (None, "[Errno 2] No such file or directory: '{path}'"),
+], ids=["empty", "cell-count", "non-numeric", "t-skips", "interleaved", "header", "missing"])
 def test_a_malformed_trajectory_file_is_named_by_path_and_line_exit_2(tmp_path, capsys, text,
                                                                        named):
     path = tmp_path / "train.csv"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     scenario = base_scenario(tmp_path, data={"path": "train.csv"})
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
     assert f"error: {named.format(path=path)}" in capsys.readouterr().err
@@ -651,54 +485,41 @@ def test_a_malformed_trajectory_file_is_named_by_path_and_line_exit_2(tmp_path, 
 # Forms that no shipped scenario used and that were removed: each is refused by
 # name, before any training data is read, generated or fitted.
 REMOVED_FORMS = {
-    "scenario-polynomial": ("tighten", {"lifting": {"kind": "polynomial",
-                                                    "params": {"max_degree": 2}}},
+    "scenario-polynomial": ({"lifting": {"kind": "polynomial", "params": {"max_degree": 2}}},
                             "unknown lifting kind 'polynomial'"),
-    "scenario-rbf": ("tighten", {"lifting": {"kind": "rbf", "params": {"centers": [[0.0, 0.0]],
-                                                                       "width": 1.0}}},
+    "scenario-rbf": ({"lifting": {"kind": "rbf", "params": {"centers": [[0.0, 0.0]],
+                                                            "width": 1.0}}},
                      "unknown lifting kind 'rbf'"),
-    "scenario-rbf-params-list": ("tighten", {"lifting": {"kind": "rbf", "params": [1.0]}},
+    "scenario-rbf-params-list": ({"lifting": {"kind": "rbf", "params": [1.0]}},
                                  "unknown lifting kind 'rbf'"),
-    "scenario-estimate": ("tighten", {"disturbance": {"estimate": {"inflation": 1.5}}},
+    "scenario-estimate": ({"disturbance": {"estimate": {"inflation": 1.5}}},
                           "unknown disturbance key 'estimate'"),
     "scenario-estimate-beside-declared": (
-        "tighten", {"disturbance": {"declared": {"W": {"center": [0.0] * 3,
-                                                       "half_extents": [0.0] * 3}},
-                                    "estimate": {}}},
+        {"disturbance": {"declared": {"W": {"center": [0.0] * 3, "half_extents": [0.0] * 3}},
+                         "estimate": {}}},
         "unknown disturbance key 'estimate'"),
-    "fit-rbf": ("fit", {"kind": "rbf", "n_x": 2, "params": {"centers": [[0.0, 0.0]], "width": 1.0}},
-                "unknown lifting kind 'rbf'"),
-    "fit-polynomial": ("fit", {"kind": "polynomial", "n_x": 2, "params": {"max_degree": 2}},
-                       "unknown lifting kind 'polynomial'"),
-    "model-polynomial": ("load_model", {"kind": "polynomial", "params": {"max_degree": 2}},
-                         "unknown lifting kind 'polynomial'"),
-    "model-rbf": ("load_model", {"kind": "rbf", "params": {"centers": [[0.0, 0.0]], "width": 1.0}},
-                  "unknown lifting kind 'rbf'"),
 }
 
 
-@pytest.mark.parametrize("command, doc, named", REMOVED_FORMS.values(), ids=REMOVED_FORMS)
-def test_a_removed_form_is_refused_by_name_exit_2(tmp_path, capsys, monkeypatch, command, doc,
-                                                  named):
+@pytest.mark.parametrize("doc, named", REMOVED_FORMS.values(), ids=REMOVED_FORMS)
+def test_a_removed_form_is_refused_by_name_exit_2(tmp_path, capsys, monkeypatch, doc, named):
     for name in ("generate_training_data", "load_trajectories", "fit_edmd"):
         monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
     out = tmp_path / "out.json"
-    if command == "load_model":
-        lifting = LiftingSpec(n_x=2, exponents=[[2, 0]])
-        save_model(make_model(np.eye(3), np.zeros((3, 1)), lifting), out)
-        out.write_text(json.dumps(json.loads(out.read_text()) | {"lifting": doc}))
-        with pytest.raises(ValueError, match=re.escape(named)):
-            load_model(out)
-        return
-    if command == "fit":
-        lifting_path = tmp_path / "lifting.json"
-        lifting_path.write_text(json.dumps(doc))
-        args = [str(tmp_path / "train.csv"), str(lifting_path), str(out)]
-    else:
-        args = [str(base_scenario(tmp_path, **doc)), str(out)]
-    assert main([command, *args]) == 2
+    assert main(["tighten", str(base_scenario(tmp_path, **doc)), str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_removed_fit_command_exits_2_in_argparse(tmp_path, capsys):
+    # Every scenario fits its own model, so there is no fit command: its
+    # arguments are refused before any file is opened.
+    with pytest.raises(SystemExit) as done:
+        main(["fit", str(tmp_path / "train.csv"), str(tmp_path / "lifting.json"),
+              str(tmp_path / "model.json")])
+    assert done.value.code == 2
+    assert "invalid choice: 'fit'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_lifted_features_are_named_before_the_fit_exit_2(tmp_path, capfd):
@@ -880,34 +701,6 @@ def test_malformed_references_exit_2_before_fitting(tmp_path, capsys, monkeypatc
     assert named in capsys.readouterr().err
 
 
-MALFORMED_OUTPUT_MATRICES = pytest.mark.parametrize("value, named", [
-    ([[True, 1.0]], "output_matrix[0] must list 2 numbers, all finite, got [True, 1.0]"),
-    ("abc", "output_matrix must be a non-empty list of rows, got 'abc'"),
-    ([], "output_matrix must be a non-empty list of rows, got []"),
-    ([0.0, 1.0], "output_matrix[0] must list 2 numbers, all finite, got 0.0"),
-    ([[0.0, 1.0, 0.0]], "output_matrix[0] must list 2 numbers, all finite, got [0.0, 1.0, 0.0]"),
-    ([[0.0, 1.0], [1.0]], "output_matrix[1] must list 2 numbers, all finite, got [1.0]"),
-    ([[0.0, "1"]], "output_matrix[0] must list 2 numbers, all finite, got [0.0, '1']"),
-    ([[0.0, float("nan")]], "output_matrix[0] must list 2 numbers, all finite, got [0.0, nan]"),
-], ids=["bool", "string", "empty", "flat", "row-too-long", "ragged", "string-entry", "nan"])
-
-
-@MALFORMED_OUTPUT_MATRICES
-def test_fit_output_matrix_is_checked_before_the_data_is_read_exit_2(tmp_path, capsys,
-                                                                     monkeypatch, value, named):
-    csv_path, lift_path, out_path = tmp_path / "train.csv", tmp_path / "l.json", tmp_path / "m.json"
-    write_training_csv(csv_path)
-    write_lifting_json(lift_path)
-    doc = json.loads(lift_path.read_text())
-    doc["output_matrix"] = value
-    lift_path.write_text(json.dumps(doc))
-    for name in ("load_trajectories", "fit_edmd"):
-        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
-    assert main(["fit", str(csv_path), str(lift_path), str(out_path)]) == 2
-    assert named in capsys.readouterr().err
-    assert not out_path.exists()
-
-
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_writes_log_and_metrics(tmp_path):
@@ -1066,7 +859,7 @@ def test_simulate_bad_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     assert main(["simulate", str(bad)]) == 2
-    assert "broken.json" in capsys.readouterr().err
+    assert f"{bad} is not valid JSON" in capsys.readouterr().err
 
 
 def test_simulate_missing_scenario_exit_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
-"""Which processes load scipy: each case runs in a fresh interpreter, through
-``tools/import_footprint.py``'s runner. Only a process that solves a QP loads
-scipy.linalg and scipy.optimize, when it builds its QPs; a closed loop loads
-nothing after its first step."""
+"""Which processes load scipy, and what a run reports: each case runs in a fresh
+interpreter, through ``tools/import_footprint.py``'s runner. Only a process
+that solves a QP loads scipy.linalg and scipy.optimize, when it builds its QPs;
+a closed loop loads nothing after its first step."""
 
 import importlib.util
 import json
@@ -33,12 +33,11 @@ def test_tighten_loads_no_scipy_solver_package(tmp_path, footprint, name):
     assert SOLVER_PACKAGES.isdisjoint(run["scipy"]), run["scipy"]
 
 
-def test_fit_loads_no_scipy_solver_package(tmp_path, footprint):
-    data, lifting = footprint.write_fit_inputs(tmp_path)
-    run = footprint.run_command(ROOT, ["fit", str(data), str(lifting),
-                                       str(tmp_path / "model.json")], tmp_path)
+def test_each_run_reports_its_wall_time_next_to_its_peak_rss(tmp_path, footprint):
+    run = footprint.run_command(ROOT, ["steady", str(ROOT / "scenarios" / "a1.json"), "1.5"],
+                                tmp_path)
     assert run["exit"] == 0
-    assert SOLVER_PACKAGES.isdisjoint(run["scipy"]), run["scipy"]
+    assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
 
 
 @pytest.mark.parametrize("name, code", [("a2", 0), ("unicycle_square", 5)])

@@ -20,10 +20,8 @@ from koopmpc.model import (
     fit_edmd,
     lift,
     lift_many,
-    load_model,
     load_trajectories,
     make_model,
-    save_model,
     save_trajectories,
 )
 from koopmpc.sets import Zonotope, box_zonotope
@@ -162,19 +160,23 @@ LIFTING_REFUSALS = {
 }
 
 
+def assert_a_scenario_refuses(tmp_path, lifting, named):
+    """Building a1 with ``lifting`` as its ``lifting`` block raises ValueError naming ``named``."""
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps(json.loads((SCENARIOS / "a1.json").read_text())
+                               | {"lifting": lifting}))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        cli.build_stack(path)
+
+
 @pytest.mark.parametrize("spec, named", LIFTING_REFUSALS.values(), ids=LIFTING_REFUSALS)
 def test_lifting_spec_refuses_a_malformed_parameter_by_name(tmp_path, spec, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         LiftingSpec(**{"n_x": 2} | spec)
-    if "n_x" in spec:  # a model file's n_x is its own field
+    if "n_x" in spec:  # a scenario's n_x is its plant's
         return
-    # A model file's lifting goes through the same checks.
-    path = tmp_path / "model.json"
-    save_model(benchmark_model(), path)
-    doc = json.loads(path.read_text())
-    path.write_text(json.dumps(doc | {"lifting": {"kind": "explicit", "params": spec}}))
-    with pytest.raises(ValueError, match=re.escape(named)):
-        load_model(path)
+    # A scenario's lifting goes through the same checks.
+    assert_a_scenario_refuses(tmp_path, {"kind": "explicit", "params": spec}, named)
 
 
 # The one kind, "explicit", is a key of the documents, not a field of
@@ -193,11 +195,7 @@ def test_a_lifting_document_of_another_kind_is_refused_by_name(tmp_path, doc):
     named = f"unknown lifting kind {doc['kind']!r}"
     with pytest.raises(ValueError, match=re.escape(named)):
         model_module._lifting_from_doc(doc, n_x=2)
-    path = tmp_path / "model.json"
-    save_model(benchmark_model(), path)
-    path.write_text(json.dumps(json.loads(path.read_text()) | {"lifting": doc}))
-    with pytest.raises(ValueError, match=re.escape(named)):
-        load_model(path)
+    assert_a_scenario_refuses(tmp_path, doc, named)
     with pytest.raises(TypeError, match="kind"):
         LiftingSpec(kind=doc["kind"], n_x=2, exponents=[[2, 0]])
 
@@ -302,36 +300,21 @@ def test_disturbance_model_must_contain_origin():
         )
 
 
-# --- persistence -----------------------------------------------------------------
-
-def test_model_json_roundtrip_is_bit_faithful(tmp_path, rng):
-    data = make_benchmark_data(rng)
-    model = fit_edmd(data, benchmark_lifting(), ridge=1e-8, output_matrix=[[0.0, 1.0]])
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert np.array_equal(loaded.A, model.A)
-    assert np.array_equal(loaded.B, model.B)
-    assert np.array_equal(loaded.C_y, model.C_y)
-    assert np.array_equal(loaded.lifting.exponents, model.lifting.exponents)
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"n_x", "n_u", "n_y", "n_z", "lifting", "A", "B", "C_y"}
-    assert doc["lifting"]["kind"] == "explicit"
-
+# --- a model's arguments ------------------------------------------------------------
 
 @pytest.mark.parametrize("key, value, named", [
-    ("A", np.eye(2).tolist(), "A must be 3x3, got (2, 2)"),
+    ("A", np.eye(2), "A must be 3x3, got (2, 2)"),
     ("B", [[0.0], [1.0]], "B must have 3 rows, got (2, 1)"),
     ("C_y", [[0.0, 1.0]], "C_y must have 3 columns, got (1, 2)"),
-], ids=["A", "B", "C_y"])
-def test_a_model_file_with_a_matrix_of_the_wrong_shape_is_refused(tmp_path, key, value, named):
-    path = tmp_path / "model.json"
-    save_model(benchmark_model(), path)
-    doc = json.loads(path.read_text())
-    doc[key] = value
-    path.write_text(json.dumps(doc))
+    ("A", [[10**400, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+     "A holds an integer too large for a float"),
+    ("C_y", [[0.0, 10**400, 0.0]], "C_y holds an integer too large for a float"),
+], ids=["A", "B", "C_y", "A-big-int", "C_y-big-int"])
+def test_a_model_with_a_malformed_matrix_is_refused_by_name(key, value, named):
+    m = benchmark_model()
+    matrices = {"A": m.A, "B": m.B, "C_y": m.C_y} | {key: value}
     with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
-        load_model(path)
+        KoopmanModel(**matrices, lifting=m.lifting)
 
 
 @pytest.mark.parametrize("make, named", [
@@ -349,81 +332,7 @@ def test_mismatched_model_arguments_are_refused_by_name(make, named):
         make()
 
 
-def test_a_model_file_is_written_without_C_x_which_the_lifting_makes(tmp_path, rng):
-    # C_x = [I 0] follows from the identity-augmented lifting, so the model
-    # file no longer holds it; a file that still does loads as before.
-    model = fit_edmd(make_benchmark_data(rng), benchmark_lifting(), ridge=1e-8)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    doc = json.loads(path.read_text())
-    assert "C_x" not in doc
-    assert np.array_equal(model.C_x, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert model.C_x.tobytes() == load_model(path).C_x.tobytes()
-    doc["C_x"] = np.eye(2, 3).tolist()
-    path.write_text(json.dumps(doc))
-    assert load_model(path).A.tobytes() == model.A.tobytes()
-
-
-@pytest.mark.parametrize("edit, named", [
-    (lambda doc: "{not json", "is not valid JSON"),
-    (lambda doc: {k: v for k, v in doc.items() if k != "B"}, "is missing required model fields"),
-    (lambda doc: {k: v for k, v in doc.items() if k != "n_y"}, "is missing required model fields"),
-    (lambda doc: doc | {"n_u": 2}, "declared n_u=2 does not match matrices"),
-    (lambda doc: doc | {"n_z": 4}, "declared n_z=4 does not match matrices"),
-    (lambda doc: doc | {"n_x": 2.5}, "n_x must be an integer, got 2.5"),
-    (lambda doc: doc | {"n_x": "2"}, "n_x must be an integer, got '2'"),
-    (lambda doc: doc | {"n_u": 1.9}, "n_u must be an integer, got 1.9"),
-    (lambda doc: doc | {"n_z": "3"}, "n_z must be an integer, got '3'"),
-    (lambda doc: doc | {"A": [[10**400] + doc["A"][0][1:]] + doc["A"][1:]},
-     "A holds an integer too large for a float"),
-    (lambda doc: doc | {"C_y": [[0.0, 10**400, 0.0]]}, "C_y holds an integer too large for a float"),
-    (lambda doc: doc | {"lifting": {"kind": "explicit", "params": {"exponents": [[10**400, 0]]}}},
-     "exponents must be integers in [0, 2**63), got 1000"),
-    (lambda doc: doc | {"lifting": {"kind": "explicit", "params": {"pre": "identity"}}},
-     "lifting.params of kind 'explicit' needs key 'exponents'"),
-    (lambda doc: doc | {"lifting": {"params": {"exponents": [[2, 0]]}}},
-     "unknown lifting kind None"),
-    (lambda doc: doc | {"lifting": 5}, "lifting must be an object, got 5"),
-    (lambda doc: doc | {"lifting": [1]}, "lifting must be an object, got [1]"),
-    (lambda doc: doc | {"lifting": "x"}, "lifting must be an object, got 'x'"),
-    (lambda doc: doc | {"lifting": {"kind": "explicit", "params": 5}},
-     "lifting.params must be an object, got 5"),
-    (lambda doc: doc | {"lifting": {"kind": "explicit", "params": {"exponents": [[2, 0]],
-                                                                   "max_degree": 2}}},
-     "unknown lifting.params key 'max_degree'"),
-], ids=["invalid-json", "missing-B", "missing-n_y", "n_u-mismatch", "n_z-mismatch",
-        "n_x-fraction", "n_x-string", "n_u-fraction", "n_z-string", "A-big-int", "C_y-big-int",
-        "exponents-big-int", "lifting-missing-exponents", "lifting-missing-kind",
-        "lifting-number", "lifting-list", "lifting-string", "lifting-params-number",
-        "lifting-params-unknown-key"])
-def test_load_model_refuses_a_malformed_file_by_name(tmp_path, edit, named):
-    # A declared size used to be cast with int(): "n_x": 2.5 or "2" loaded as 2,
-    # and an integer too large for a float raised OverflowError. A lifting
-    # that is not an object raised a raw AttributeError, and a params that is
-    # not one read as "missing required model fields".
-    path = tmp_path / "model.json"
-    save_model(benchmark_model(), path)
-    doc = edit(json.loads(path.read_text()))
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    with pytest.raises(ValueError, match=re.escape(named)):
-        load_model(path)
-
-
-def test_planar_heading_polynomial_model_json_roundtrip(tmp_path):
-    spec = LiftingSpec(n_x=3, pre="planar_heading", exponents=PLANAR_DEGREE_TWO)
-    m = make_model(0.5 * np.eye(15), np.ones((15, 2)), spec, output_matrix=np.eye(3)[:2])
-    save_model(m, tmp_path / "m.json")
-    assert json.loads((tmp_path / "m.json").read_text())["lifting"] == {
-        "kind": "explicit", "params": {"pre": "planar_heading", "exponents": PLANAR_DEGREE_TWO}
-    }
-    loaded = load_model(tmp_path / "m.json")
-    assert loaded.lifting.pre == "planar_heading"
-    assert np.array_equal(loaded.lifting.exponents, spec.exponents)
-    for name in ("A", "B", "C_x", "C_y"):
-        assert np.array_equal(getattr(loaded, name), getattr(m, name))
-    x = [1.5, -0.5, 2.0]
-    assert np.array_equal(lift(loaded, x), lift(m, x))
-
+# --- training-data files ------------------------------------------------------------
 
 def test_trajectory_csv_roundtrip(tmp_path, rng):
     data = make_benchmark_data(rng, n_traj=3, traj_len=5)
@@ -567,27 +476,6 @@ FIT_INPUTS = {"a1": lambda: scenario_fit_inputs("a1"),
               "a2": lambda: scenario_fit_inputs("a2"),
               "unicycle_square": lambda: scenario_fit_inputs("unicycle_square"),
               "ragged-explicit": ragged_explicit_fit_inputs}
-
-
-@pytest.mark.parametrize("name", ["a1", "a2", "unicycle_square"])
-def test_a_shipped_lifting_round_trips_through_a_model_file(tmp_path, name):
-    """Each shipped scenario's lifting is written as its explicit exponents and
-    pre-map, and reads back to the same dictionary, lifting bit for bit."""
-    sc = json.loads((SCENARIOS / f"{name}.json").read_text())
-    plant = cli._build_plant(sc["plant"])
-    spec = cli._lifting(sc["lifting"], plant.n_x)
-    m = make_model(np.eye(spec.n_z), np.zeros((spec.n_z, plant.n_u)), spec)
-    save_model(m, tmp_path / "m.json")
-    params = sc["lifting"]["params"]
-    assert json.loads((tmp_path / "m.json").read_text())["lifting"] == {
-        "kind": "explicit",
-        "params": {"pre": params.get("pre", "identity"), "exponents": params["exponents"]},
-    }
-    loaded = load_model(tmp_path / "m.json")
-    assert loaded.lifting.pre == spec.pre
-    assert np.array_equal(loaded.lifting.exponents, spec.exponents)
-    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, plant.n_x))
-    assert lift_many(loaded, x).tobytes() == lift_many(m, x).tobytes()
 
 
 @pytest.mark.parametrize("source", sorted(FIT_INPUTS))

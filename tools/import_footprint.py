@@ -1,14 +1,15 @@
-"""Peak memory and scipy subpackages of each shipped command, each in a fresh interpreter.
+"""Wall time, peak memory and scipy subpackages of each shipped command, each in a
+fresh interpreter.
 
     python3 tools/import_footprint.py --root <checkout>
 
 runs ``koopmpc tighten``, ``simulate`` and ``steady`` on each shipped scenario
-of ``<checkout>``, and ``koopmpc fit`` on a small trajectory CSV of the
-numerical example that the script writes, each in a new Python process that
-imports ``koopmpc`` from ``<checkout>/src`` with BLAS pinned to one thread.
-For each command it prints the exit code, the process's peak RSS
-(``ru_maxrss``), the scipy subpackages it loaded, and, for a ``simulate``, the
-modules its closed loops loaded between their first step and their return.
+of ``<checkout>``, each in a new Python process that imports ``koopmpc`` from
+``<checkout>/src`` with BLAS pinned to one thread. For each command it prints
+the exit code, the process's wall time from its start to its exit, its peak
+RSS (``ru_maxrss``), the scipy subpackages it loaded, and, for a
+``simulate``, the modules its closed loops loaded between their first step
+and their return.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SCENARIOS = {"a1": "1.5", "a2": "1.5", "unicycle_square": "2.0,3.0"}  # with a steady target
@@ -65,35 +66,20 @@ print(json.dumps({
 
 def run_command(root: Path, argv: list[str], cwd: Path) -> dict:
     """``koopmpc <argv>`` of the checkout ``root`` in a fresh interpreter run in
-    ``cwd``: its exit code, peak RSS in MB, the public scipy subpackages in
-    ``sys.modules`` at its end, its count of closed loops and the modules they
-    loaded between step 0 and their return."""
+    ``cwd``: its exit code, its wall time in seconds (``wall_s``, from the
+    process's start to its exit, interpreter start-up included), peak RSS in
+    MB, the public scipy subpackages in ``sys.modules`` at its end, its count
+    of closed loops and the modules they loaded between step 0 and their
+    return."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", _CHILD, str(Path(root).resolve()),
                            json.dumps(argv)], cwd=cwd, env=env, capture_output=True, text=True,
                           check=False)
+    wall_s = time.perf_counter() - start
     if done.returncode != 0:
         raise RuntimeError(f"koopmpc {' '.join(argv)} failed:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-def write_fit_inputs(directory: Path) -> tuple[Path, Path]:
-    """A trajectory CSV of the numerical example (20 trajectories of 5 steps,
-    uniform inputs in [-3, 3] from a seeded generator) and its lifting file."""
-    rng, lam, mu = random.Random(0), -0.1, 2.0
-    rows = ["traj_id,t,x_0,x_1,u_0"]
-    for i in range(20):
-        x1, x2 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-        for t in range(6):
-            u = rng.uniform(-3.0, 3.0) if t < 5 else None
-            rows.append(f"{i},{t},{x1!r},{x2!r},{'' if u is None else repr(u)}")
-            if u is not None:
-                x1, x2 = lam * x1, mu * x2 + (lam * lam - mu) * x1 * x1 + u
-    data, lifting = directory / "fit_data.csv", directory / "fit_lifting.json"
-    data.write_text("\n".join(rows) + "\n")
-    lifting.write_text(json.dumps({"n_x": 2, "kind": "explicit",
-                                   "params": {"pre": "identity", "exponents": [[2, 0]]}}))
-    return data, lifting
+    return json.loads(done.stdout.splitlines()[-1]) | {"wall_s": wall_s}
 
 
 def main(argv=None) -> int:
@@ -102,8 +88,7 @@ def main(argv=None) -> int:
     root = parser.parse_args(argv).root.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        data, lifting = write_fit_inputs(tmp)
-        runs = {"fit": ["fit", str(data), str(lifting), str(tmp / "model.json")]}
+        runs = {}
         for name, y_t in SCENARIOS.items():
             scenario = str(root / "scenarios" / f"{name}.json")
             runs[f"tighten {name}"] = ["tighten", scenario, str(tmp / f"{name}_schedule.json")]
@@ -112,7 +97,8 @@ def main(argv=None) -> int:
             runs[f"steady {name}"] = ["steady", scenario, y_t]
         for label, command in runs.items():
             r = run_command(root, command, tmp)
-            line = (f"{label}: exit {r['exit']}, peak RSS {r['peak_rss_mb']:.1f} MB, "
+            line = (f"{label}: exit {r['exit']}, wall {r['wall_s']:.3f} s, "
+                    f"peak RSS {r['peak_rss_mb']:.1f} MB, "
                     f"scipy subpackages: {', '.join(r['scipy']) or 'none'}")
             if r["loops"]:
                 line += (f"; modules loaded in {r['loops']} closed loop(s) after step 0: "
