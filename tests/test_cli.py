@@ -62,6 +62,22 @@ def base_scenario(tmp_path, **overrides):
     return path
 
 
+SCENARIO_COMMANDS = ["tighten", "simulate", "steady"]
+
+
+def scenario_argv(command, scenario, tmp_path):
+    """The arguments that run ``command`` on ``scenario`` (with one output,
+    as the base scenario has), writing under ``tmp_path``."""
+    return {"tighten": ["tighten", str(scenario), str(tmp_path / "schedule.json")],
+            "simulate": ["simulate", str(scenario), "--out", str(tmp_path / "runs")],
+            "steady": ["steady", str(scenario), "1.0"]}[command]
+
+
+def wrote_nothing(tmp_path) -> bool:
+    """Whether no run of :func:`scenario_argv` left its output under ``tmp_path``."""
+    return not (tmp_path / "schedule.json").exists() and not (tmp_path / "runs").exists()
+
+
 # --- tighten ----------------------------------------------------------------------
 
 def test_tighten_reads_training_data_from_a_path(tmp_path):
@@ -243,15 +259,9 @@ def test_tighten_rejects_malformed_lqr_settings_exit_2(tmp_path, capsys, monkeyp
     ({"controller": {**CONTROLLER, "lqr": {"Qk": 1.0, "Rk": 1.0, "Q": 1.0}}},
      "controller.lqr key 'Q'"),
 ])
-@pytest.mark.parametrize("command", ["tighten", "simulate", "steady"])
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
 def test_unknown_scenario_key_exit_2(tmp_path, capsys, overrides, named, command):
-    scenario = str(base_scenario(tmp_path, **overrides))
-    args = {
-        "tighten": [scenario, str(tmp_path / "schedule.json")],
-        "simulate": [scenario, "--out", str(tmp_path / "runs")],
-        "steady": [scenario, "1.0"],
-    }[command]
-    assert main([command, *args]) == 2
+    assert main(scenario_argv(command, base_scenario(tmp_path, **overrides), tmp_path)) == 2
     assert f"unknown {named}" in capsys.readouterr().err
 
 
@@ -320,10 +330,7 @@ def test_unknown_key_in_a_scenario_block_exit_2(tmp_path, capsys, block, key):
 @pytest.mark.parametrize("command", ["simulate", "steady"])
 def test_simulate_and_steady_refuse_the_same_unknown_keys_exit_2(tmp_path, capsys, command,
                                                                 block, key):
-    scenario = str(scenario_with_key(tmp_path, block, key))
-    argv = {"simulate": ["simulate", scenario, "--out", str(tmp_path / "runs")],
-            "steady": ["steady", scenario, "1.0"]}[command]
-    assert main(argv) == 2
+    assert main(scenario_argv(command, scenario_with_key(tmp_path, block, key), tmp_path)) == 2
     assert f"unknown {block} key {key!r}" in capsys.readouterr().err
 
 
@@ -344,8 +351,6 @@ def test_a_plant_takes_its_factorys_defaults_for_the_params_it_leaves_out():
     ({"constraints": {"state": {"lo": [-5.0, -5.0], "hi": [5.0, 5.0, 5.0]},
                       "input": {"lo": [-3.0], "hi": [3.0]}}},
      "constraints.state.hi must list 2 numbers"),
-    ({"lifting": {"kind": "explicit", "params": {"pre": "identity"}}},
-     "lifting.params of kind 'explicit' needs key 'exponents'"),
     ({"injected": {"W": {"center": [0.0, 0.0, 0.0], "half_extents": [0.1, 0.1]},
                    "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}},
      "injected.W: generators have 2 rows for a 3-dim center"),
@@ -374,18 +379,10 @@ def test_a_plant_takes_its_factorys_defaults_for_the_params_it_leaves_out():
     ({"references": {}}, "scenario 'references' must give 'timed' or 'waypoints'"),
     ({"plant": {"kind": "pendulum"}}, "unknown plant kind 'pendulum'"),
     ({"plant": {"kind": ["unicycle"]}}, "unknown plant kind ['unicycle']"),
-    ({"lifting": {"kind": ["explicit"], "params": {}}}, "unknown lifting kind ['explicit']"),
-    ({"lifting": {"params": {"exponents": [[2, 0]]}}}, "unknown lifting kind None"),
-    ({"lifting": 5}, "lifting must be an object"),
-    ({"lifting": [1]}, "lifting must be an object"),
-    ({"lifting": {"kind": "explicit", "params": 5}}, "lifting.params must be an object, got 5"),
     ({"controller": 5}, "controller must be an object"),
     ({"injected": {"W": {"half_extents": [0.1, 0.1, 0.1]},
                    "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}}},
      "injected.W needs 'center' and 'half_extents' or 'generators'"),
-    ({"lifting": {"kind": "explicit", "params": {"exponents": [[2.5, 0]]}}},
-     "exponents must be integers in [0, 2**63), got 2.5"),
-    (["not", "an", "object"], "must contain a JSON object"),
     # A zonotope is read as written: a flat generators list used to be
     # reshaped to (n, -1), and half_extents written as a matrix went through
     # np.diag, which took its diagonal as one generator column.
@@ -424,24 +421,50 @@ def test_a_plant_takes_its_factorys_defaults_for_the_params_it_leaves_out():
                    "V": {"center": [0.0, -0.1], "generators": [[], []]}}},
      "injected.V must contain the origin"),
 ], ids=["injected.W-two-generator-forms", "constraints.state.hi-length",
-        "lifting.params-missing-exponents", "injected.W-half-extents-length",
+        "injected.W-half-extents-length",
         "disturbance.declared.W-dim", "disturbance.declared.V-dim", "injected.W-dim",
         "injected-on-unicycle", "x0-length", "x0-nan", "constraints.state-infinite",
         "data-neither", "disturbance-neither", "disturbance-not-an-object", "references-neither", "plant.kind-unknown",
-        "plant.kind-list", "lifting.kind-list", "lifting.kind-missing", "lifting-number",
-        "lifting-list", "lifting.params-number",
-        "controller-not-an-object", "injected.W-no-center", "lifting.exponents-fraction",
-        "scenario-not-an-object", "declared.W-flat-generators", "declared.W-half-extents-matrix",
+        "plant.kind-list", "controller-not-an-object", "injected.W-no-center",
+        "declared.W-flat-generators", "declared.W-half-extents-matrix",
         "declared.W-half-extents-negative", "declared.W-center-column", "declared.W-off-origin", "declared.W-point-off-origin",
         "declared.V-off-origin", "injected.W-off-origin", "injected.V-point-off-origin"])
 def test_malformed_scenario_sub_document_exit_2(tmp_path, capsys, overrides, named):
-    if isinstance(overrides, dict):
-        scenario = base_scenario(tmp_path, **overrides)
-    else:  # the whole document is not an object
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(overrides))
+    scenario = base_scenario(tmp_path, **overrides)
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
     assert named in capsys.readouterr().err
+
+
+# A lifting block is read by the one reader that every scenario command calls,
+# before any training data is read, generated or fitted.
+MALFORMED_LIFTING_BLOCKS = {
+    "lifting.kind-missing": ({"params": {"exponents": [[2, 0]]}}, "unknown lifting kind None"),
+    "lifting.kind-list": ({"kind": ["explicit"], "params": {}},
+                          "unknown lifting kind ['explicit']"),
+    "lifting-number": (5, "lifting must be an object"),
+    "lifting-list": ([1], "lifting must be an object"),
+    "lifting-string": ("x", "lifting must be an object"),
+    "lifting.params-number": ({"kind": "explicit", "params": 5},
+                              "lifting.params must be an object, got 5"),
+    "lifting.params-list": ({"kind": "explicit", "params": [[2, 0]]},
+                            "lifting.params must be an object, got [[2, 0]]"),
+    "lifting.params-missing-exponents": ({"kind": "explicit", "params": {"pre": "identity"}},
+                                         "lifting.params of kind 'explicit' needs key 'exponents'"),
+    "lifting.exponents-fraction": ({"kind": "explicit", "params": {"exponents": [[2.5, 0]]}},
+                                   "exponents must be integers in [0, 2**63), got 2.5"),
+}
+
+
+@pytest.mark.parametrize("lifting, named", MALFORMED_LIFTING_BLOCKS.values(),
+                         ids=MALFORMED_LIFTING_BLOCKS)
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_a_malformed_lifting_block_is_refused_by_name_exit_2(tmp_path, capsys, monkeypatch,
+                                                             command, lifting, named):
+    for name in ("generate_training_data", "load_trajectories", "fit_edmd"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("validated too late"))
+    assert main(scenario_argv(command, base_scenario(tmp_path, lifting=lifting), tmp_path)) == 2
+    assert named in capsys.readouterr().err
+    assert wrote_nothing(tmp_path)
 
 
 def test_a_zonotope_with_no_generators_is_the_point_it_is(tmp_path):
@@ -471,15 +494,16 @@ def test_a_zonotope_with_no_generators_is_the_point_it_is(tmp_path):
     ("not,a,training\nfile,1,2\n", "{path}: unexpected header ['not', 'a', 'training']"),
     (None, "[Errno 2] No such file or directory: '{path}'"),
 ], ids=["empty", "cell-count", "non-numeric", "t-skips", "interleaved", "header", "missing"])
-def test_a_malformed_trajectory_file_is_named_by_path_and_line_exit_2(tmp_path, capsys, text,
-                                                                       named):
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_a_malformed_trajectory_file_is_named_by_path_and_line_exit_2(tmp_path, capsys, command,
+                                                                       text, named):
     path = tmp_path / "train.csv"
     if text is not None:
         path.write_text(text)
     scenario = base_scenario(tmp_path, data={"path": "train.csv"})
-    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
+    assert main(scenario_argv(command, scenario, tmp_path)) == 2
     assert f"error: {named.format(path=path)}" in capsys.readouterr().err
-    assert not (tmp_path / "schedule.json").exists()
+    assert wrote_nothing(tmp_path)
 
 
 # Forms that no shipped scenario used and that were removed: each is refused by
@@ -855,17 +879,29 @@ def test_simulate_singular_reduced_hessian_exit_6(tmp_path, capsys, monkeypatch)
         assert code == 6 and "reduced Hessian Z'PZ is singular or indefinite" in err, make_P
 
 
-def test_simulate_bad_json_exit_2(tmp_path, capsys):
-    bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    assert main(["simulate", str(bad)]) == 2
-    assert f"{bad} is not valid JSON" in capsys.readouterr().err
+# A scenario file that holds no JSON object is named by its path; None stands
+# for no file at all, and "dir" for a directory in the file's place.
+SCENARIO_FILE_FAULTS = {
+    "missing": (None, "[Errno 2] No such file or directory: '{path}'"),
+    "directory": ("dir", "[Errno 21] Is a directory: '{path}'"),
+    "invalid-json": ("{not json", "{path} is not valid JSON: Expecting property name"),
+    "empty": ("", "{path} is not valid JSON: Expecting value: line 1 column 1"),
+    "not-an-object": ('["not", "an", "object"]', "{path} must contain a JSON object"),
+}
 
 
-def test_simulate_missing_scenario_exit_2(tmp_path, capsys):
-    missing = tmp_path / "ghost.json"
-    assert main(["simulate", str(missing)]) == 2
-    assert "ghost.json" in capsys.readouterr().err
+@pytest.mark.parametrize("text, named", SCENARIO_FILE_FAULTS.values(), ids=SCENARIO_FILE_FAULTS)
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_a_scenario_file_that_holds_no_json_object_is_named_exit_2(tmp_path, capsys, command,
+                                                                    text, named):
+    path = tmp_path / "scenario.json"
+    if text == "dir":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    assert main(scenario_argv(command, path, tmp_path)) == 2
+    assert f"error: {named.format(path=path)}" in capsys.readouterr().err
+    assert wrote_nothing(tmp_path)
 
 
 @pytest.mark.parametrize("plant, key", [

@@ -22,6 +22,7 @@ from koopmpc.cli import build_stack
 from koopmpc.gains import dlqr
 from koopmpc.model import LiftingSpec, lift, make_model
 from koopmpc.sets import (
+    HPolytope,
     Zonotope,
     box_polytope,
     box_zonotope,
@@ -253,6 +254,17 @@ def test_build_qp_rejects_a_tube_gain_of_the_wrong_shape():
         build_qp(model, bad, schedule)
     with pytest.raises(ValueError, match="tube gain K"):
         TrackingProblem(model, bad, schedule)
+
+
+def test_tracking_problem_refuses_a_schedule_set_with_no_rows():
+    # Each step's margins are read off its sets' rows of the QP, so a set
+    # with no rows is refused when the problem is built.
+    model, config, schedule = make_setup(N=3)
+    no_rows = HPolytope(np.zeros((0, 1)), np.zeros(0))
+    bad = dataclasses.replace(schedule, input_sets=[no_rows, *schedule.input_sets[1:]])
+    with pytest.raises(ValueError,
+                       match="^every set of the tightening schedule needs at least one row$"):
+        TrackingProblem(model, config, bad)
 
 
 # --- solve_step ------------------------------------------------------------------------

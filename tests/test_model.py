@@ -134,6 +134,12 @@ LIFTING_REFUSALS = {
                  "n_x must be a positive integer, got True"),
     "n_x-zero": ({"n_x": 0, "exponents": [[2, 0]]},
                  "n_x must be a positive integer, got 0"),
+    "n_x-fraction": ({"n_x": 2.5, "exponents": [[2, 0]]},
+                     "n_x must be a positive integer, got 2.5"),
+    "n_x-string": ({"n_x": "2", "exponents": [[2, 0]]},
+                   "n_x must be a positive integer, got '2'"),
+    "n_x-none": ({"n_x": None, "exponents": [[2, 0]]},
+                 "n_x must be a positive integer, got None"),
     "planar-n_x": ({"pre": "planar_heading", "exponents": [[2, 0]]},
                    "planar_heading pre-map requires n_x == 3"),
     "exponents-shape": ({"exponents": [[2, 0, 0]]},

@@ -346,6 +346,15 @@ def test_hpolytope_rejects_zero_rows():
         HPolytope(normals=[[0.0, 0.0]], offsets=[1.0])
 
 
+@pytest.mark.parametrize("lo, hi, named", [
+    ([-1.0, 2.0], [1.0, 1.0], "need lo <= hi componentwise"),
+    ([-1.0, -1.0], [1.0], "lo and hi must have equal length"),
+], ids=["crossed", "lengths"])
+def test_box_polytope_refuses_bounds_that_make_no_box(lo, hi, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        box_polytope(lo, hi)
+
+
 def test_zonotope_shape_validation():
     with pytest.raises(ValueError):
         Zonotope(center=[0.0, 0.0], generators=np.zeros((3, 2)))
