@@ -130,7 +130,8 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
         iterations caused by unstabilizable unstable modes.
     NoConvergence
         The iteration budget ran out without divergence, or a round's
-        W = I + G_j P_j is singular in floating point.
+        W = I + G_j P_j, or the final R_k + B'PB, is singular in floating
+        point.
     ValueError
         Dimension mismatches or non-SPD weights.
     """
@@ -165,7 +166,11 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
             converged = True
             break
 
-    K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    try:
+        K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    except np.linalg.LinAlgError:
+        raise NoConvergence("R_k + B'PB is singular in floating point: no gain "
+                            "K = -(R_k + B'PB)^{-1} B'PA") from None
     rho = spectral_radius(A + B @ K)
     if rho >= 1.0:
         raise NotStabilizing(f"closed-loop spectral radius {rho:.6g} >= 1")

@@ -25,15 +25,15 @@ formed once. Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23)
 solve the program by one nonnegative least-squares (NNLS) problem on
 E = [G'; h']: its solution u and residual r = Eu - e_{n+1} give either the
 optimum v = -r[:n]/r[n] with multipliers u/|r|^2, or, when r = 0, a Farkas
-vector u >= 0 with G'u = 0 and h'u = 1. NNLS runs on generated columns
-(Bemporad, IEEE TAC 61(4), 2016): on a few columns C of E, then also on the
-rows that its point x_0 - Y (A_in Y)_C' u / r[n] breaks by more than 1e-9 of
-max(1, |b_in|), until it breaks none. Column j's NNLS gradient is -r[n]
-times (A_in x - b_in)_j, so that is Lawson and Hanson's optimality test on
-the columns left out, and u solves the NNLS on all columns (where that
-solution is not unique, as at a vertex with more active rows than null-space
-dimensions, possibly with another support). A result with r[n] >= 0 on C is
-a Farkas vector of the whole program, with zeros elsewhere.
+vector u >= 0 with G'u = 0 and h'u = 1. NNLS is Lawson and Hanson's active-set
+algorithm, here on every column of E at once (:func:`_nnls`): its passive
+columns are held in a QR factorization that LAPACK builds and a Householder
+reflection or Givens rotations update as a column enters or leaves. Column
+j's NNLS gradient is -r[n] times (A_in x - b_in)_j at the point
+x = x_0 - Y (A_in Y)_P' u / r[n] of the passive columns P, so its
+optimality test asks that no row be broken. At a least-squares solution
+|r|^2 = -r[n], so NNLS stops at a zero residual, with at most n + 1 passive
+columns, and its weights are then a Farkas vector.
 
 The rows S with positive NNLS weight are a support. Held as equalities, they
 give the multipliers lam_S = (G_S G_S')^-1 h_S and x = x_0 - Y (A_in Y)_S'
@@ -75,22 +75,28 @@ optimality test on the other columns. So the stored support can make a solve
 faster but never changes which results are accepted. A hit forms only x, its
 objective and the verdict (stationarity and equality in one reduction); the
 KKT residuals and multipliers are formed on first read (see QpSolution). A
-miss starts NNLS from the stored support's rows and the rows its map's point
-breaks (or, with no map, those x_0 breaks), then builds the maps of NNLS's
-final support and evaluates them, so that a warm and a cold Optimal solve that
-end on the same support agree bit for bit (a Farkas certificate's last bits
-follow NNLS's start columns); where that fails, NNLS's own weights are checked.
+miss starts NNLS where Lawson and Hanson's first step from the stored support
+would take it (:func:`_start`; with no row stored, from the rows x_0 breaks),
+then builds the maps of NNLS's final support and evaluates them, so that a
+warm and a cold Optimal solve that end on the same support agree bit for bit.
+A final support with a zero residual gets no map; its weights, and those of
+a support whose map fails, are refactored from its columns in row order and
+checked, so a warm and a cold Farkas certificate on the same support agree
+bit for bit too.
 
-The QR, triangular and Cholesky solves and NNLS are scipy's. Building a
-QuadraticProgram loads scipy.linalg and scipy.optimize; importing this module
-does not, since its names qr, solve_triangular, dposv and nnls look their
-routine up at each call. So a process that solves no QP, such as ``koopmpc
-tighten`` or ``fit``, never loads them, and a closed loop loads them when it
-builds its QPs, before its first step.
+The QR and triangular solves of the factors, the support's Cholesky solve and
+NNLS's factorizations are LAPACK's, through scipy.linalg; NNLS's column
+deletion is scipy.linalg.qr_delete. Building a QuadraticProgram loads
+scipy.linalg, and no other scipy subpackage; importing this module does not,
+since its names qr, solve_triangular and dposv look their routine up at each
+call and NNLS imports its routines when it runs. So a process that solves no
+QP, such as ``koopmpc tighten``, never loads it, and a closed loop loads it
+when it builds its QPs, before its first step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import import_module
@@ -112,7 +118,7 @@ def _scipy(path: str):
 
 
 qr, solve_triangular = _scipy("scipy.linalg.qr"), _scipy("scipy.linalg.solve_triangular")
-dposv, nnls = _scipy("scipy.linalg.lapack.dposv"), _scipy("scipy.optimize.nnls")
+dposv = _scipy("scipy.linalg.lapack.dposv")
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasible"
@@ -147,8 +153,7 @@ class QuadraticProgram:
     _support: "_Support | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for module in ("scipy.linalg", "scipy.optimize"):  # at set-up: no solve pays the import
-            import_module(module)
+        import_module("scipy.linalg")  # at set-up: no solve pays the import
         self.q = np.array(self.q, dtype=float).ravel()
         d = self.q.size
         self.P = np.atleast_2d(np.asarray(self.P, dtype=float))
@@ -264,7 +269,8 @@ class _Factors:
     ``fixed`` lists the rows of A_in whose row of AY is zero to rounding
     (1e-12 of the largest), and ``free`` the others. row_scale is
     max(1, |b_in|) and rhs_floor max(1, max |b_in|). ``empty`` is the support
-    of no row, whose map is X0, stacked with its residual map."""
+    of no row, whose map is X0, stacked with its residual map. ET and AY2,
+    which only NNLS reads, are formed on its first run."""
 
     neg_pinv_T: np.ndarray
     PA: np.ndarray
@@ -279,6 +285,19 @@ class _Factors:
     row_scale: np.ndarray
     rhs_floor: float
     empty: _Support
+
+    @cached_property
+    def ET(self) -> np.ndarray:
+        """The buffer of E', NNLS's matrix transposed, on the free rows:
+        [-AY_free, h_free], whose last column each miss writes."""
+        ET = np.zeros((self.free.size, self.Y.shape[1] + 1))
+        ET[:, :-1] = -self.AY[self.free]
+        return ET
+
+    @cached_property
+    def AY2(self) -> np.ndarray:
+        """The squared norms of the free rows of AY."""
+        return np.einsum("ij,ij->i", self.ET[:, :-1], self.ET[:, :-1])
 
 
 def _null_basis(A_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,6 +365,8 @@ def _factor(qp: QuadraticProgram) -> _Factors:
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 _NO_WEIGHTS = np.zeros(0)
 _ONE = np.ones(1)
+_ZERO = np.zeros(1)
+_EPS = np.finfo(float).eps
 
 
 def _support(qp: QuadraticProgram, f: _Factors, rows: np.ndarray) -> _Support:
@@ -417,57 +438,184 @@ def _checked(qp, f, S: _Support, r, x, lam_S, qb, tol) -> QpSolution | None:
 def _on_support(qp, f, S: _Support, v, qb, tol):
     """The support S's result from v = M_S [theta; 1], whose rows after the
     head are [x; lam_S; r]: taken only where lam_S > 0 and its residuals r
-    pass. Returns the result or None, and r_in = A_in x - b_in at the map's
-    point."""
+    pass, else None."""
     d, k, n = qp.dim, S.rows.size, len(f.head)
-    lam_S, r = v[n + d : n + d + k], v[n + d + k :]
-    r_in = r[d + qp.b_eq.size : d + qp.b_eq.size + qp.b_in.size]
+    lam_S = v[n + d : n + d + k]
     if k and not np.minimum.reduce(lam_S) > 0.0:
-        return None, r_in
-    return _checked(qp, f, S, r, v[n : n + d], lam_S, qb, tol), r_in
+        return None
+    return _checked(qp, f, S, v[n + d + k :], v[n : n + d], lam_S, qb, tol)
 
 
-def _nnls(f: _Factors, h, rows, r_in):
-    """NNLS on generated columns of E: the free columns C, ascending, and
-    NNLS's weights u on them. C starts from ``rows`` and the rows where
-    r_in = A_in x - b_in is positive; each round adds the rows whose
-    A_in x - b_in = h + AY AY_C'u / r_n (r_n = h_C'u - 1) at u's point exceeds
-    1e-9 of max(1, |b_in|). It stops
-    when no row outside C is broken, or at r_n >= 0. Each nnls call has the
-    iteration limit of one call on every free column, 3 per free row."""
-    e = np.zeros(f.Y.shape[1] + 1)
-    e[-1] = 1.0
-    take = r_in > _FEAS_TOL * f.row_scale
-    take[rows] = True
-    take[f.fixed] = False
-    while True:
-        C = np.flatnonzero(take)
-        u = _NO_WEIGHTS
-        if C.size:  # nnls on a matrix with no columns aborts the process
-            try:
-                u = nnls(np.vstack((-f.AY[C].T, h[C])), e, maxiter=3 * f.free.size)[0]
-            except RuntimeError as exc:
-                raise SolverFailed(
-                    f"NNLS solve of the least-distance program failed: {exc}") from exc
-        r_n = h[C] @ u - 1.0
-        if not r_n < 0.0:
-            return C, u
-        broken = h + f.AY @ (f.AY[C].T @ u / r_n) > _FEAS_TOL * f.row_scale
-        broken[f.fixed] = False
-        if not (broken & ~take).any():
-            return C, u
-        take |= broken
+def _start(qp, f, S: _Support, v, h):
+    """Where NNLS starts a miss of the stored support S: its start columns (as
+    positions in ``free``) and, if known, feasible weights on them. With no
+    row stored, the rows x_0 = X0 [theta; 1] breaks. When S's map gave
+    positive lam_S at theta, its point, from v = M_S [theta; 1], is the
+    least-squares point of S's columns, whose weights are
+    lam_S / (1 + h_S'lam_S): they start S's columns, and the row that point
+    breaks most (where E'r, the gradient of Lawson and Hanson's first step
+    from S, is largest) enters at weight 0. Otherwise S's columns alone."""
+    if not S.rows.size:
+        return np.flatnonzero(h[f.free] > _FEAS_TOL * f.row_scale[f.free]), None
+    start, d, k, n = np.searchsorted(f.free, S.rows), qp.dim, S.rows.size, len(f.head)
+    lam = None if S.M is None else v[n + d : n + d + k]
+    if lam is None or not np.minimum.reduce(lam) > 0.0:
+        return start, None
+    r_in = v[n + 2 * d + k + qp.b_eq.size :][f.free]  # A_in x - b_in on the free rows
+    j = r_in.argmax()
+    u = lam / (1.0 + h[S.rows] @ lam)
+    if not r_in[j] > 0.0:
+        return start, u
+    return np.concatenate((start, (j,))), np.concatenate((u, _ZERO))
 
 
-def _from_weights(qp, f, S: _Support, u, h_S, tb, qb, tol) -> QpSolution | None:
+def _least_squares(ET: np.ndarray, P: np.ndarray):
+    """Q, R (in its upper triangle, in an (n+1)-square buffer) and the
+    least-squares weights z of the columns P of E = ET' against the last unit
+    vector e, from one complete QR factorization E_P = QR (LAPACK's dgeqrf
+    and dorgqr): z = R^-1 (Q'e)[:k]."""
+    from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs  # loaded with the QP
+
+    n1 = ET.shape[1]
+    R = np.zeros((n1, n1), order="F")
+    if not P.size:
+        return np.eye(n1, order="F"), R, _NO_WEIGHTS
+    qr, tau, _, _ = dgeqrf(ET[P].T, overwrite_a=1)
+    R[:, : P.size] = qr
+    Q = dorgqr(R, tau)[0]
+    return Q, R, dtrtrs(R[:, : P.size], Q[-1])[0][: P.size]
+
+
+def _nnls(ET: np.ndarray, norm2: np.ndarray, maxiter: int, start, weights=None):
+    """Lawson and Hanson's NNLS (1974, ch. 23): min |Eu - e| over u >= 0, with
+    E = ET' ((n+1) x m), e the last unit vector and norm2 the squared column
+    norms |E_j|^2. Returns the passive columns P, their weights u_P > 0 (every
+    other weight is 0), and whether the residual is zero to rounding,
+    |Eu - e| <= (n+1) eps: at a least-squares solution |Eu - e|^2 = 1 - h_P'u,
+    so u is then a Farkas vector.
+
+    The passive columns are held in a complete QR factorization E_P = QR: with
+    c = Q'e, the least-squares weights are z = R^-1 c[:k], the residual
+    e - E_P z is Q[:, k:] c[k:], and the gradient of every column is
+    w = E'Q[:, k:] c[k:]. A column enters by one Householder reflection of Q
+    and leaves by Givens rotations (scipy's qr_delete); each change of P ends
+    in one triangular solve for z.
+
+    The columns ``start`` (at most n + 1) are factored by LAPACK. Given
+    feasible ``weights`` on them (positive, or 0 on a column entering), the
+    inner loop runs from there; otherwise the columns whose weight is not
+    positive, or that the earlier ones span to rounding, are dropped until
+    every weight is positive (no column is the classic start). The optimality
+    test asks that no gradient exceed 10 (n+1) eps max_j |E_j|, which a zero
+    residual passes; n + 1 passive columns end the run, since their residual
+    is zero. A column whose weight on entering would not be positive, or
+    that E_P spans to within 100 eps of its norm, is skipped for that round.
+    Each least-squares solve (a factorization, an entering column or a
+    deletion) counts one of at most ``maxiter`` iterations; SolverFailed
+    beyond."""
+    from scipy.linalg import qr_delete  # loaded with the QP
+    from scipy.linalg.lapack import dtrtrs
+
+    m, n1 = ET.shape
+    if not m:
+        return _NO_ROWS, _NO_WEIGHTS, False
+    tol, spanned = 10 * n1 * _EPS * math.sqrt(np.max(norm2)), (100 * _EPS) ** 2 * norm2
+    iterations, passive = 0, np.empty(n1, dtype=np.intp)
+
+    def count():
+        nonlocal iterations
+        iterations += 1
+        if iterations > maxiter:
+            raise SolverFailed(f"NNLS of the least-distance program reached its iteration "
+                               f"limit ({maxiter})")
+
+    def drop(keep):
+        """Delete the passive columns that ``keep`` leaves out; the weights of the rest."""
+        nonlocal Q, k
+        count()
+        for i in np.flatnonzero(~keep)[::-1]:
+            Q, R[:, : k - 1] = qr_delete(Q, R[:, :k], i, 1, "col", overwrite_qr=True,
+                                         check_finite=False)
+            k -= 1
+        passive[:k] = passive[: keep.size][keep]
+        return dtrtrs(R[:, :k], Q[-1])[0][:k] if k else _NO_WEIGHTS
+
+    def feasible(u, z):
+        """Lawson and Hanson's inner loop: from the feasible weights u toward
+        the least-squares weights z, dropping each column that reaches 0 first,
+        until every weight of the least-squares solution is positive."""
+        keep = z > 0.0
+        while not keep.all():
+            d = u - z
+            step = np.divide(u, d, out=np.full(k, np.inf), where=~keep)
+            i = step.argmin()
+            u -= step.item(i) * d
+            u[i] = 0.0
+            keep = u > 0.0
+            u = u[keep]
+            z = drop(keep)
+            keep = z > 0.0
+        return z
+
+    count()
+    P = np.asarray(start, dtype=np.intp)[:n1]
+    Q, R, z = _least_squares(ET, P)
+    k = P.size
+    passive[:k] = P
+    independent = np.diagonal(R)[:k] ** 2 > spanned[P]
+    if weights is not None and independent.all():
+        z = feasible(np.array(weights, dtype=float), z)
+    else:
+        keep = (z > 0.0) & independent
+        while not keep.all():
+            z = drop(keep)
+            keep = z > 0.0
+    while k < n1:
+        QT = Q.T
+        B, c = QT[k:], QT[k:, -1]  # c = (Q'e)[k:], the residual's coordinates
+        w = ET @ (c @ B)  # rounding on a passive column, which E_P spans and so skips
+        j = w.argmax()
+        while w.item(j) > tol:
+            v = QT @ ET[j]  # column j in the basis Q
+            s = v[k:]
+            sigma2 = s @ s
+            if sigma2 > spanned.item(j):
+                s0 = s.item(0)
+                alpha = -math.copysign(math.sqrt(sigma2), s0)
+                gamma = sigma2 - s0 * alpha
+                s[0] = s0 - alpha  # the reflection I - s s'/gamma maps s to alpha e_1
+                t = (s @ B) / gamma
+                # j's weight, computed as the triangular solve below computes it
+                if (c.item(0) - s.item(0) * t.item(-1)) / alpha > 0.0:
+                    break
+            w[j] = 0.0
+            j = w.argmax()
+        else:  # no column may enter
+            break
+        count()
+        B -= s[:, None] * t
+        v[k] = alpha
+        R[: k + 1, k], passive[k] = v[: k + 1], j
+        k += 1
+        z_new = dtrtrs(R[:, :k], Q[-1])[0][:k]
+        if np.minimum.reduce(z_new) > 0.0:
+            z = z_new
+        else:
+            z = feasible(np.concatenate((z, _ZERO)), z_new)
+    c = Q[-1, k:]
+    return passive[:k].copy(), z, c @ c <= (n1 * _EPS) ** 2
+
+
+def _from_weights(qp, f, S: _Support, u, h_S, tb, qb, tol, farkas) -> QpSolution | None:
     """The checked solution of NNLS's own weights u on the columns S of E,
     or None. The residual r = Eu - e is (-AY_S'u, h_S'u - 1). r[n] < 0 gives
     the optimum v = -r[:n]/r[n] with multipliers u/|r|^2 (at the NNLS optimum
     |r|^2 = -r[n], and dividing by -r[n] keeps v = G'lam exact), checked from
-    its one-column residual map. Otherwise u is returned as PrimalInfeasible
-    if it passes the Farkas check."""
+    its one-column residual map, unless NNLS ended on a zero residual
+    (``farkas``), which puts that optimum at infinity. Otherwise u is
+    returned as PrimalInfeasible if it passes the Farkas check."""
     r_n = h_S @ u - 1.0
-    if r_n < 0.0:
+    if r_n < 0.0 and not farkas:
         x, lam_S = f.X0 @ tb + f.Y @ (f.AY[S.rows].T @ u / r_n), -u / r_n
         r = _residual_map(qp, f, S.rows, x[:, None], lam_S[:, None], qb[:, None])[:, 0]
         if (sol := _checked(qp, f, S, r, x, lam_S, qb, tol)) is not None:
@@ -487,9 +635,9 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
     first through its map, whose one product M_S [theta; 1] gives [q; b_eq],
     the least-squares residual of the equalities, x, lam_S and R_S [theta; 1]
     (a support stored without a map gives the first two from the factors'
-    head); NNLS runs, on columns generated from that support, only when that
-    fails its check, and the map of its final support is then built and
-    tried. Returns an Optimal solution whose KKT residuals passed
+    head); NNLS runs, on every free column and started from that support,
+    only when that fails its check, and the map of its final support is then
+    built and tried. Returns an Optimal solution whose KKT residuals passed
     their check, or a PrimalInfeasible one certified by a checked Farkas
     vector (or by the residual of inconsistent equalities). Raises
     SolverFailed when Z'PZ is not positive definite, NNLS reaches its
@@ -507,7 +655,7 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
     tol = _KKT_TOL * max(f.rhs_floor, float(np.maximum.reduce(np.abs(qb), initial=0.0)))
     if len(f.head) > n and np.maximum.reduce(np.abs(v[n : len(f.head)])) > tol:
         return _infeasible(qp)  # the least-squares residual of A_eq x = b_eq
-    sol, r_in = (None, None) if S.M is None else _on_support(qp, f, S, v, qb, tol)
+    sol = None if S.M is None else _on_support(qp, f, S, v, qb, tol)
     if sol is None:
         h = f.H @ tb
         # x_0 alone decides the fixed rows; one violated beyond rounding is
@@ -519,11 +667,21 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
             u[row] = 1.0 / h[row]
             if (mu := _farkas(qp, f, u, qb[qp.dim :])) is not None:
                 return _infeasible(qp, u, mu)
-        C, u = _nnls(f, h, S.rows, h if r_in is None else r_in)
-        S = _support(qp, f, C[u > 0])
-        sol = None if S.M is None else _on_support(qp, f, S, S.M @ tb, qb, tol)[0]
-        if sol is None:  # the map failed: NNLS's own weights
-            sol = _from_weights(qp, f, S, u[u > 0], h[S.rows], tb, qb, tol)
+        # NNLS on every free column, from where Lawson and Hanson's first
+        # step from the stored support takes it
+        ET, h_free = f.ET, h[f.free]
+        ET[:, -1] = h_free
+        P, _, farkas = _nnls(ET, f.AY2 + h_free * h_free, 3 * f.free.size,
+                             *_start(qp, f, S, v, h))
+        P.sort()
+        rows = f.free[P]
+        # a zero residual leaves no optimum to map: its weights are a Farkas vector
+        S = _Support(rows, None, tuple(rows.tolist())) if farkas else _support(qp, f, rows)
+        sol = None if S.M is None else _on_support(qp, f, S, S.M @ tb, qb, tol)
+        if sol is None:  # no map, or it failed: NNLS's weights, refactored in row order
+            # (a weight that is 0 in exact arithmetic can come out at -eps)
+            u = np.maximum(_least_squares(ET, P)[2], 0.0)
+            sol = _from_weights(qp, f, S, u, h[rows], tb, qb, tol, farkas)
         if sol is None:
             raise SolverFailed("NNLS gave neither a checked optimum nor a Farkas vector")
     if sol.status == OPTIMAL:

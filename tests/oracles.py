@@ -237,36 +237,40 @@ def assert_checks_match_the_dense_check(calls):
                 assert abs(sol.kkt_residuals[key] - value) <= 1e-12 * max(1.0, scales[key]), key
 
 
-def all_column_nnls(f, h, rows, r_in):
-    """The least-distance program's NNLS as one call on every free column of
-    E, from zero, with scipy's default iteration limit: the miss of
-    ``qp.solve`` before it generated columns, with the signature of
-    ``qp._nnls`` (``rows`` and ``r_in`` are not read)."""
+def scipys_nnls(ET, norm2, maxiter, start, weights=None):
+    """The least-distance program's NNLS as ``scipy.optimize.nnls`` solves it:
+    on every column of E = ET', from zero, with scipy's default iteration
+    limit, with the signature and the results of ``qp._nnls`` (``norm2``,
+    ``maxiter``, ``start`` and ``weights`` are not read): the columns of
+    positive weight, their weights, and whether the residual is zero to
+    rounding (|Eu - e| <= (n+1) eps)."""
     from scipy.optimize import nnls
 
-    if not f.free.size:  # nnls on a matrix with no columns aborts the process
-        return f.free, np.zeros(0)
-    e = np.zeros(f.Y.shape[1] + 1)
+    m, n1 = ET.shape
+    if not m:  # nnls on a matrix with no columns aborts the process
+        return np.zeros(0, dtype=np.intp), np.zeros(0), False
+    e = np.zeros(n1)
     e[-1] = 1.0
-    return f.free, nnls(np.vstack([-f.AY[f.free].T, h[f.free]]), e)[0]
+    u, rnorm = nnls(ET.T, e)
+    P = np.flatnonzero(u > 0.0)
+    return P, u[P], rnorm <= n1 * np.finfo(float).eps
 
 
 def solve_by_both_nnls(solve, qp, theta=()):
     """Solve ``qp`` at theta with ``solve`` (``qp.solve``) twice from the
-    support it holds: first with :func:`all_column_nnls` in place of the
-    solver's generated columns, then as it is. Returns the two outcomes, each
-    a result or the SolverFailed it raised, and how many NNLS solves the
-    second ran (its misses cost one each, however many rounds). The QP keeps
-    the support that the second solve stored."""
+    support it holds: first with :func:`scipys_nnls` in place of the solver's
+    own NNLS, then as it is. Returns the two outcomes, each a result or the
+    SolverFailed it raised, and how many NNLS runs the second made (one per
+    miss). The QP keeps the support that the second solve stored."""
     from koopmpc import qp as qp_module
 
-    held, generated, outcomes, misses = qp._support, qp_module._nnls, [], []
+    held, own, outcomes, misses = qp._support, qp_module._nnls, [], []
 
     def counted(*args):
         misses.append(1)
-        return generated(*args)
+        return own(*args)
 
-    for miss in (all_column_nnls, counted):
+    for miss in (scipys_nnls, counted):
         qp._support = held
         qp_module._nnls = miss
         try:
@@ -274,15 +278,15 @@ def solve_by_both_nnls(solve, qp, theta=()):
         except qp_module.SolverFailed as exc:
             outcomes.append(exc)
         finally:
-            qp_module._nnls = generated
+            qp_module._nnls = own
     return outcomes[0], outcomes[1], len(misses)
 
 
-def assert_generated_columns_match_all_columns(qp, theta, want, got):
-    """``got`` (generated columns) has the status of ``want`` (all columns),
-    or both raised. An Optimal pair has the same active set and the same bits
-    of x. A Farkas vector that ``got`` carries passes ``qp._farkas`` against
-    every row of A_in."""
+def assert_same_outcome_as_scipys_nnls(qp, theta, want, got):
+    """``got`` (the own NNLS) has the status of ``want`` (scipy's), or both
+    raised. An Optimal pair has the same active set and the same bits of x. A
+    Farkas vector that ``got`` carries passes ``qp._farkas`` against every row
+    of A_in."""
     from koopmpc import qp as qp_module
 
     if isinstance(want, qp_module.SolverFailed) or isinstance(got, qp_module.SolverFailed):

@@ -834,14 +834,14 @@ def _simulate_exit_code(tmp_path, capsys, **overrides):
 
 def test_simulate_qp_iteration_limit_exit_6(tmp_path, capsys, monkeypatch):
     # Every QP of the base scenario is solved on its stored support without
-    # nnls. A reference beyond the state bound y <= 5 puts the offline steady
-    # target on that bound, so its first solve misses and nnls runs.
-    def capped(E, e, maxiter):
-        raise RuntimeError("Maximum number of iterations reached.")  # as scipy's nnls does
-
-    monkeypatch.setattr(qp_module, "nnls", capped)
+    # NNLS. A reference beyond the state bound y <= 5 puts the offline steady
+    # target on that bound, so its first solve misses and NNLS runs; with an
+    # iteration limit of one least-squares solve it stops at the limit.
+    nnls = qp_module._nnls
+    monkeypatch.setattr(qp_module, "_nnls",
+                        lambda ET, norm2, maxiter, *start: nnls(ET, norm2, 1, *start))
     code, err = _simulate_exit_code(tmp_path, capsys, references={"timed": [[0, [10.0]]]})
-    assert code == 6 and "Maximum number of iterations reached" in err
+    assert code == 6 and "NNLS of the least-distance program reached its iteration limit (1)" in err
 
 
 def test_simulate_reference_beyond_the_state_bound_exit_0(tmp_path, capsys):

@@ -5,11 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopmpc import qp as qps
 from koopmpc.controller import (
     Infeasible,
     KtmpcConfig,
-    KtmpcSolution,
     LyapunovDiag,
     SteadyTarget,
     TrackingProblem,

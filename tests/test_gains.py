@@ -279,3 +279,12 @@ def test_a_W_that_rounding_makes_singular_raises_no_convergence(A):
         np.linalg.solve(np.eye(2) + B @ B.T @ Q, np.eye(2))
     with pytest.raises(NoConvergence, match=re.escape("W = I + GP is singular")):
         dlqr(A, B, Q, np.eye(1))
+
+
+def test_a_singular_final_solve_raises_no_convergence():
+    # B'PB of this one-state, two-input system has rank 1 and entries near
+    # 8.4e12, which swamp R = 3.58e-5 I: R + B'PB is singular in floating
+    # point, and the gain K = -(R + B'PB)^{-1} B'PA cannot be formed.
+    A, B, Q, R = [[0.5]], [[3.4e3, 3.4e3]], [[7.27e5]], 3.58e-5 * np.eye(2)
+    with pytest.raises(NoConvergence, match=re.escape("R_k + B'PB is singular")):
+        dlqr(A, B, Q, R)

@@ -19,8 +19,8 @@ from koopmpc.qp import (
 )
 from oracles import (
     assert_checks_match_the_dense_check,
-    assert_generated_columns_match_all_columns,
     assert_null_basis_and_pinv,
+    assert_same_outcome_as_scipys_nnls,
     plain_qp,
     qp_by_active_set_enumeration,
     solve_by_both_nnls,
@@ -178,26 +178,31 @@ def test_singular_objective_with_flat_directions():
 
 
 def test_max_iterations_status_reported(monkeypatch):
-    # nnls stops at its iteration limit with a RuntimeError, which the solver
-    # reports as SolverFailed, never as a status. The box corner needs two.
-    monkeypatch.setattr(qp_module, "nnls", lambda E, e, maxiter: nnls(E, e, maxiter=1))
-    qp = QuadraticProgram(
-        P=2.0 * np.eye(2),
-        q=[-4.0, -4.0],
-        A_in=np.vstack([np.eye(2), -np.eye(2)]),
-        b_in=[1.0, 1.0, 0.0, 0.0],
-    )
-    with pytest.raises(SolverFailed, match="Maximum number of iterations"):
-        solve(qp)
+    # NNLS stops at its iteration limit with SolverFailed, never with a
+    # status. The minimizer of |x - (2, 0)|^2 with x1 <= 1 and x1 + x2 >= 1.5
+    # is (1, 0.5), on both rows; x_0 = (2, 0) breaks x1 <= 1 only, so NNLS
+    # starts from that row's column (one solve) and the other enters (two).
+    nnls_ = qp_module._nnls
+    qp = QuadraticProgram(P=2.0 * np.eye(2), q=[-4.0, 0.0], A_in=[[1.0, 0.0], [-1.0, -1.0]],
+                          b_in=[1.0, -1.5])
+    for limit in (0, 1):
+        monkeypatch.setattr(qp_module, "_nnls",
+                            lambda ET, norm2, maxiter, *start: nnls_(ET, norm2, limit, *start))
+        with pytest.raises(SolverFailed, match=rf"iteration limit \({limit}\)"):
+            solve(dataclasses.replace(qp))
+    monkeypatch.setattr(qp_module, "_nnls",
+                        lambda ET, norm2, maxiter, *start: nnls_(ET, norm2, 2, *start))
+    sol = solve(dataclasses.replace(qp))
+    assert sol.active_set == (0, 1) and np.allclose(sol.x_star, [1.0, 0.5], atol=1e-12)
 
 
 def test_no_inequality_rows_are_solved_without_nnls(monkeypatch):
     # With no inequality rows the least-distance optimum is v = 0 in closed
     # form; nnls on a matrix with no columns would abort the process.
-    def refused(E, e, maxiter):
+    def refused(*args):
         raise AssertionError("nnls was called on a QP with no inequality rows")
 
-    monkeypatch.setattr(qp_module, "nnls", refused)
+    monkeypatch.setattr(qp_module, "_nnls", refused)
     A_eq = np.array([[1.0, 2.0], [3.0, -1.0], [4.0, 1.0]])
     x_pin = np.array([0.25, -0.5])
     cases = [
@@ -656,17 +661,20 @@ def test_a_violated_pinned_row_is_certified_by_its_own_farkas_vector(farkas_vect
     assert qp.b_in @ u + qp.b_eq @ mu == pytest.approx(-1.0)
 
 
-@pytest.mark.parametrize("u", [[0.0], [10.0]])
-def test_a_result_that_fails_its_check_raises(monkeypatch, u):
-    # x <= 0 and x >= 1: x_0 = 0 breaks x >= 1 only, so NNLS is given that
-    # row's one column. u = (0) gives the "optimum" x_0, which violates
-    # x >= 1, and u = (10) leaves r[n] >= 0 but A_in'u != 0. Neither is
-    # reported.
-    def stub(E, e, maxiter):
-        assert E.shape[1] == len(u)
-        return np.array(u), 0.0
+@pytest.mark.parametrize("passive, zero", [([], False), ([1], False), ([1], True)],
+                         ids=["no-row", "broken-row", "broken-row-zero-residual"])
+def test_a_result_that_fails_its_check_raises(monkeypatch, passive, zero):
+    # x <= 0 and x >= 1: x_0 = 0 breaks x >= 1 (row 1) only. A stubbed NNLS
+    # that ends on no row gives the "optimum" x_0, which violates x >= 1; one
+    # that ends on row 1 gives x = 1, which violates x <= 0, and weights with
+    # A_in'u != 0, also when it claims a zero residual (which skips the
+    # optimum). The solver refactors the weights of the rows it gets, so
+    # none of these is reported.
+    def stub(ET, norm2, maxiter, start, weights=None):
+        assert ET.shape == (2, 2) and start.tolist() == [1] and weights is None
+        return np.array(passive, dtype=np.intp), np.ones(len(passive)), zero
 
-    monkeypatch.setattr(qp_module, "nnls", stub)
+    monkeypatch.setattr(qp_module, "_nnls", stub)
     qp = _infeasible_qps()[1]
     with pytest.raises(SolverFailed, match="Farkas"):
         solve(qp)
@@ -718,10 +726,10 @@ def test_a_repeated_solve_takes_the_stored_support_without_nnls(monkeypatch):
     first = solve(qp)
     assert first.status == OPTIMAL and first.active_set
 
-    def refused(E, e, maxiter):
+    def refused(*args):
         raise AssertionError("nnls was called although the stored support is optimal")
 
-    monkeypatch.setattr(qp_module, "nnls", refused)
+    monkeypatch.setattr(qp_module, "_nnls", refused)
     again = solve(qp)
     assert np.array_equal(again.x_star, first.x_star)
     assert again.active_set == first.active_set
@@ -772,7 +780,7 @@ def test_a_hit_calls_neither_nnls_nor_dposv():
         raise AssertionError("a stored-support hit called nnls, dposv or _residual_map")
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("nnls", "dposv", "_residual_map"):
+        for name in ("_nnls", "dposv", "_residual_map"):
             mp.setattr(qp_module, name, refused)
         hit = solve(qp, near)
     assert hit.active_set == first.active_set
@@ -886,31 +894,32 @@ def test_near_parallel_blocking_row_gives_the_true_minimizer():
         assert x[1] == pytest.approx(5.0 - 5e-11, rel=0.0, abs=1e-13)
 
 
-# --- generated columns against one all-column NNLS ----------------------------------------
+# --- the own NNLS against scipy's, on every free column from zero ----------------------------
 
 @pytest.mark.parametrize("case", ["near-parallel-pair", "infeasible"])
-def test_generated_columns_give_the_all_column_result(case):
-    # A miss runs NNLS on the columns of the rows x_0 breaks, adding the rows
-    # each round's point breaks; on these degenerate QPs it must end where one
-    # NNLS on every free column ends: the same status, and for an optimum the
-    # same active set and bits of x.
+def test_own_nnls_gives_scipys_result(case):
+    # A cold miss runs the own NNLS from the columns of the rows x_0 breaks;
+    # on these degenerate QPs it must end where scipy's NNLS on every free
+    # column from zero ends: the same status, and for an optimum the same
+    # active set and bits of x.
     qps = {"near-parallel-pair": [_near_parallel_pair()], "infeasible": _infeasible_qps()}[case]
     misses = 0
     for qp in qps:
         want, got, n = solve_by_both_nnls(solve, qp)
-        assert_generated_columns_match_all_columns(qp, (), want, got)
+        assert_same_outcome_as_scipys_nnls(qp, (), want, got)
         misses += n
     assert misses >= 1
 
 
-def test_generated_columns_give_the_all_column_vertex():
+def test_own_nnls_gives_scipys_vertex():
     # At a vertex with more active rows than null-space dimensions the
     # multipliers are not unique: any positively spanning subset of the
     # active rows is a support, and which one NNLS ends on depends on the
-    # order its columns enter. Generated columns offer them in another order,
-    # so on 5 of these 20 seeds they end on another subset. The point is the
-    # same to rounding and both supports are active rows of v; on the other
-    # seeds the active set and the bits of x are the same.
+    # order its columns enter. The own NNLS starts from the rows x_0 breaks,
+    # and scipy's from no column, so on 3 of these 20 seeds they end on
+    # another subset. The point is the same to rounding and both supports
+    # are active rows of v; on the other seeds the active set and the bits of
+    # x are the same.
     same = 0
     for seed in range(20):
         qp, v = _overdetermined_vertex(np.random.default_rng(seed))
@@ -922,7 +931,100 @@ def test_generated_columns_give_the_all_column_vertex():
         if got.active_set == want.active_set:
             assert np.array_equal(got.x_star, want.x_star)
             same += 1
-    assert same == 15
+    assert same == 17
+
+
+def _random_nnls_matrix(rng, kind):
+    """E' (m x (n+1), m up to 3n) of a seeded random NNLS min |Eu - e|, with
+    e the last unit vector, of one of four kinds: plain; a zero residual,
+    where e = E_S u_S for some columns S and weights u_S > 0 (a Farkas
+    vector); a duplicated column; and a column (0, ..., 0, -1) whose gradient
+    e'(e - Eu) (...) is never positive at a point that improves on u = 0."""
+    n = int(rng.integers(0, 9))
+    m = int(rng.integers(1, 3 * max(n, 1) + 1))
+    ET = rng.standard_normal((m, n + 1))
+    if kind == "zero-residual":
+        S = rng.choice(m, int(rng.integers(1, min(n + 1, m) + 1)), replace=False)
+        u = rng.uniform(0.5, 2.0, S.size)
+        ET[S[-1]] = -ET[S[:-1]].T @ u[:-1]
+        ET[S[-1], -1] += 1.0
+        ET[S[-1]] /= u[-1]
+    elif kind == "duplicated" and m > 1:
+        ET[-1] = ET[0]
+    elif kind == "never-useful":
+        ET[-1] = 0.0
+        ET[-1, -1] = -1.0
+    return ET
+
+
+@pytest.mark.parametrize("kind", ["plain", "zero-residual", "duplicated", "never-useful"])
+@pytest.mark.parametrize("seed", range(25))
+def test_own_nnls_matches_scipys_on_random_matrices(kind, seed):
+    # The own Lawson-Hanson against scipy.optimize.nnls on the same E: the
+    # same objective |Eu - e|^2 within 1e-13 (at most 3.2e-15 over 2000
+    # draws), from no column or from a random start of at most n + 1
+    # columns. Its weights are positive on at most n + 1 distinct columns,
+    # no column's gradient E'(e - Eu) exceeds 1e-12 of the largest column
+    # norm, and a zero residual it reports is one.
+    rng = np.random.default_rng(seed)
+    ET = _random_nnls_matrix(rng, kind)
+    m, n1 = ET.shape
+    e = np.eye(n1)[-1]
+    _, rnorm = nnls(ET.T, e)
+    norm2 = np.einsum("ij,ij->i", ET, ET)
+    for start in (np.zeros(0, dtype=np.intp), rng.choice(m, min(m, n1), replace=False)):
+        P, u, zero = qp_module._nnls(ET, norm2, 3 * m, start)
+        r = e - ET[P].T @ u
+        assert abs(r @ r - rnorm**2) <= 1e-13
+        assert np.all(u > 0.0) and len(set(P.tolist())) == P.size <= n1
+        assert np.max(ET @ r) <= 1e-12 * max(1.0, np.sqrt(np.max(norm2)))
+        assert not zero or r @ r <= 1e-26
+    if kind == "zero-residual":
+        assert zero
+
+
+def test_own_nnls_of_one_row_and_of_no_column():
+    # n = 0: E is the row h'. From u = 0 the gradient is h, so the column of
+    # the largest h_j > 0 enters, with weight 1/h_j and a zero residual; with
+    # no positive entry, u = 0. With no column at all there is nothing to
+    # solve.
+    for h, want in (([-1.0, 2.0, 4.0], ([2], [0.25])), ([-1.0, 0.0], ([], []))):
+        ET = np.array(h)[:, None]
+        P, u, zero = qp_module._nnls(ET, ET[:, 0] ** 2, 3 * ET.shape[0], np.zeros(0, np.intp))
+        assert (P.tolist(), u.tolist(), zero) == (*want, bool(want[0]))
+    P, u, zero = qp_module._nnls(np.zeros((0, 3)), np.zeros(0), 0, np.zeros(0, np.intp))
+    assert P.size == u.size == 0 and not zero
+
+
+@pytest.mark.parametrize("kind", ["plain", "duplicated", "never-useful"])
+@pytest.mark.parametrize("seed", range(20))
+def test_own_nnls_support_map_passes_the_check_on_random_qps(kind, seed):
+    # Random least-distance programs (P = I, random rows), feasible or not:
+    # the own NNLS and scipy's give the same status and objective (within
+    # 1e-9 of max(1, |objective|)); an Optimal result's support has a map
+    # whose point passes the full-space check, and a PrimalInfeasible one
+    # carries a Farkas vector that passes qp._farkas.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    A_in = rng.standard_normal((int(rng.integers(2, 3 * d + 3)), d))
+    b_in = rng.standard_normal(A_in.shape[0])
+    if kind == "duplicated":
+        A_in[-1], b_in[-1] = A_in[0], b_in[0]
+    elif kind == "never-useful":
+        b_in[-1] = 1e6
+    qp = QuadraticProgram(P=np.eye(d), q=3.0 * rng.standard_normal(d), A_in=A_in, b_in=b_in)
+    want, got, n = solve_by_both_nnls(solve, qp)
+    assert n <= 1 and got.status == want.status  # no miss where x_0 breaks no row
+    f, tb = qp.factors, np.ones(1)
+    if got.status == OPTIMAL:
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+        S = qp_module._support(qp, f, np.array(got.active_set, dtype=np.intp))
+        v = S.M @ tb
+        qb = v[: qp.dim]
+        tol = qp_module._KKT_TOL * max(f.rhs_floor, np.max(np.abs(qb)))
+        assert qp_module._on_support(qp, f, S, v, qb, tol) is not None
+    else:
+        assert qp_module._farkas(qp, f, got.in_multipliers, np.zeros(0)) is not None
 
 
 # --- the full-space check against its dense formulation ---------------------------------

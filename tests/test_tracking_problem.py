@@ -28,8 +28,8 @@ from koopmpc.qp import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from koopmpc.sets import TighteningSchedule, margin
 from oracles import (
     assert_checks_match_the_dense_check,
-    assert_generated_columns_match_all_columns,
     assert_null_basis_and_pinv,
+    assert_same_outcome_as_scipys_nnls,
     plain_qp,
     shifted_rollout,
     solve_by_both_nnls,
@@ -168,12 +168,32 @@ def test_unicycle_course_halt_is_certified_without_highs(course, problems, monke
     assert qp.b_in @ u + qp.b_eq @ mu < -0.5
 
 
+def test_unicycle_halt_ends_nnls_on_a_zero_residual_of_n_plus_1_columns(course, monkeypatch):
+    # At the step-29 halt NNLS, warm from the loop's stored support or cold,
+    # ends with n + 1 = 38 passive columns: E_P is square, the residual is
+    # zero and the weights are a Farkas vector, which passes qp._farkas.
+    stack, log = course
+    model, config, schedule = stack.model, stack.config, stack.schedule
+    problem, runs, nnls = TrackingProblem(model, config, schedule), [], qp_module._nnls
+    monkeypatch.setattr(qp_module, "_nnls", lambda *args: runs.append(nnls(*args)) or runs[-1])
+    thetas = [np.concatenate([lift(model, log.x[k]), log.y_t[k]])
+              for k in range(log.halted_at + 1)]
+    for theta in thetas:
+        warm = solve(problem.qp, theta)
+    warm_run, cold_qp = runs[-1], build_qp(model, config, schedule)
+    cold = solve(cold_qp, thetas[-1])
+    for qp, sol, (P, _, zero) in ((problem.qp, warm, warm_run), (cold_qp, cold, runs[-1])):
+        assert zero and P.size == qp.factors.Y.shape[1] + 1 == 38
+        assert sol.status == PRIMAL_INFEASIBLE
+        b_eq = qp.factors.QB[qp.dim :] @ np.append(thetas[-1], 1.0)
+        assert qp_module._farkas(qp, qp.factors, sol.in_multipliers, b_eq) is not None
+
+
 # --- the stored support: each solve tries the support of the QP's last Optimal one ---
 
-def assert_same_result(got, want, rtol=0.0):
+def assert_same_result(got, want):
     """Every field of two QpSolutions agrees bit for bit (NaN equal to NaN),
-    but the multipliers, which agree to ``rtol`` of their largest entry, with
-    the same zeros."""
+    the multipliers included."""
     assert got.status == want.status and got.active_set == want.active_set
     assert np.array_equal(got.x_star, want.x_star, equal_nan=True)
     assert np.array_equal(got.objective, want.objective, equal_nan=True)
@@ -182,8 +202,7 @@ def assert_same_result(got, want, rtol=0.0):
                  (got.eq_multipliers, want.eq_multipliers)]:
         assert (a is None) == (b is None)
         if a is not None:
-            assert a.shape == b.shape and np.array_equal(a == 0.0, b == 0.0)
-            assert np.all(np.abs(a - b) <= rtol * np.max(np.abs(b), initial=0.0))
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", ("a1",) + NAMES)
@@ -191,8 +210,8 @@ def test_stored_support_solves_equal_cold_solves_bit_for_bit(stacks, logs, name)
     # The loop's problem tries the support of its last Optimal solve first; a
     # QP built cold for each step starts from no row and reaches the same
     # support through nnls. Both end in the same support solve, so every step
-    # agrees bit for bit in every field of its result; at the unicycle's halt,
-    # every field but the Farkas pair.
+    # agrees bit for bit in every field of its result, the unicycle's halt
+    # included.
     stack = stacks.get(name) or cli.build_stack(SCENARIOS / f"{name}.json")
     log = logs[name] if name in logs else stack.run(stack.seed)
     model, config, schedule = stack.model, stack.config, stack.schedule
@@ -203,9 +222,10 @@ def test_stored_support_solves_equal_cold_solves_bit_for_bit(stacks, logs, name)
         cold = solve(build_qp(model, config, schedule), theta)
         assert warm.status == (PRIMAL_INFEASIBLE if k == log.halted_at else OPTIMAL), k
         # The halt's Farkas pair is NNLS's weights from runs started on other
-        # columns (the stored support's rows, and the rows x_0 breaks): the
-        # same rows, with weights that agree to rounding.
-        assert_same_result(warm, cold, rtol=0.0 if warm.status == OPTIMAL else 1e-14)
+        # columns (the stored support's rows, and the rows x_0 breaks), which
+        # end on the same rows; the weights are refactored in row order, so
+        # they agree bit for bit too.
+        assert_same_result(warm, cold)
 
 
 def test_a_result_read_after_later_solves_is_the_one_its_solve_made(stacks, logs):
@@ -292,10 +312,10 @@ def test_stored_support_checks_match_the_dense_check_along_the_closed_loop(stack
 
 def test_each_stored_support_map_is_built_once(course, monkeypatch):
     # A map is built (one dposv) only for the final support of a solve that
-    # ran NNLS, however many rounds of generated columns it took; every other
-    # solve of the course takes a stored map. So a fresh course builds as many
-    # maps as it has misses, 4 on the first course and 3 on each later one,
-    # while it runs NNLS 8 and 5 times (see the test below).
+    # ran NNLS and did not end on a zero residual; every other solve of the
+    # course takes a stored map. So a fresh course builds a map for each miss
+    # but the certified halt, 3 on the first course and 2 on each later one,
+    # while it runs NNLS 4 and 3 times (see the test below).
     stack, counts = fresh(course[0]), {}
 
     def counted(key, call):
@@ -305,8 +325,8 @@ def test_each_stored_support_map_is_built_once(course, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(qp_module, "dposv", counted("dposv", qp_module.dposv))
-    monkeypatch.setattr(qp_module, "nnls", counted("nnls", qp_module.nnls))
-    for expected in ({"dposv": 4, "nnls": 8}, {"dposv": 3, "nnls": 5}):
+    monkeypatch.setattr(qp_module, "_nnls", counted("nnls", qp_module._nnls))
+    for expected in ({"dposv": 3, "nnls": 4}, {"dposv": 2, "nnls": 3}):
         counts.update(dposv=0, nnls=0)
         assert stack.run(stack.seed).halted_at == 29
         assert counts == expected
@@ -314,17 +334,18 @@ def test_each_stored_support_map_is_built_once(course, monkeypatch):
 
 @pytest.mark.parametrize("name, seeds, expected", [("a2", range(5), 11),
                                                     ("unicycle_square", [None], 4)])
-def test_generated_columns_give_the_all_column_result_along_the_closed_loop(
+def test_own_nnls_gives_scipys_result_along_the_closed_loop(
         stacks, monkeypatch, name, seeds, expected):
     # Every solve of the loop (the steady targets' too) is also made from the
-    # support the QP holds by one NNLS on every free column. The two agree:
-    # the same status, and for an optimum the same active set and bits of x,
-    # so the loop runs on as it would have. ``expected`` counts the misses.
+    # support the QP holds with scipy's NNLS on every free column from zero.
+    # The two agree: the same status, and for an optimum the same active set
+    # and bits of x, so the loop runs on as it would have. ``expected``
+    # counts the misses.
     stack, solve_, misses = fresh(stacks[name]), qp_module.solve, []
 
     def both(qp, theta=()):
         want, got, n = solve_by_both_nnls(solve_, qp, theta)
-        assert_generated_columns_match_all_columns(qp, theta, want, got)
+        assert_same_outcome_as_scipys_nnls(qp, theta, want, got)
         misses.append(n)
         if isinstance(got, Exception):
             raise got
@@ -525,13 +546,19 @@ def test_a_stale_or_foreign_support_gives_the_cold_result(stacks, logs, name):
 def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch):
     # The offline steady target is taken at its unconstrained optimum; NNLS
     # runs for the cold first step, at steps 3 and 23, whose supports change,
-    # and for the certified halt. Each of those misses runs NNLS on generated
-    # columns: three rounds for step 0 and for the halt, one for steps 3 and
-    # 23, which start from the stored support and the rows its point breaks.
-    # A later course on the same stack reuses the steady target, and its step
-    # 0 takes the support that steps 23-28 stored (steps 0-2 have the same
-    # one), so it makes 30 solves, 3 misses and 5 nnls calls, exactly, every
-    # time.
+    # and for the certified halt. The cold step starts from the 19 rows x_0
+    # breaks and takes 7 least-squares solves. Steps 3 and 23 start from the
+    # stored support's weights with the row its point breaks most, and take
+    # 2 each: that row enters and one stored row leaves. The halt starts the
+    # same way and takes 19, one for each row that enters, until 38 (n + 1)
+    # columns give a zero residual, and one more for the Farkas vector's
+    # weights in row order. A later course on the same stack reuses the
+    # steady target, and its step 0 takes the support that steps 23-28
+    # stored (steps 0-2 have the same one), so it makes 30 solves, 3 misses
+    # and 24 least-squares solves, exactly, every time. Each least-squares
+    # solve ends in one triangular solve (dtrtrs).
+    from scipy.linalg import lapack
+
     stack, counts = fresh(course[0]), {}
 
     def counted(key, call):
@@ -542,10 +569,11 @@ def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch
 
     monkeypatch.setattr(qp_module, "solve", counted("solve", qp_module.solve))
     monkeypatch.setattr(qp_module, "_nnls", counted("miss", qp_module._nnls))
-    monkeypatch.setattr(qp_module, "nnls", counted("nnls", qp_module.nnls))
-    for expected in ({"solve": 31, "miss": 4, "nnls": 8}, {"solve": 30, "miss": 3, "nnls": 5},
-                     {"solve": 30, "miss": 3, "nnls": 5}):
-        counts.update(solve=0, miss=0, nnls=0)
+    monkeypatch.setattr(lapack, "dtrtrs", counted("least_squares", lapack.dtrtrs))
+    for expected in ({"solve": 31, "miss": 4, "least_squares": 31},
+                     {"solve": 30, "miss": 3, "least_squares": 24},
+                     {"solve": 30, "miss": 3, "least_squares": 24}):
+        counts.update(solve=0, miss=0, least_squares=0)
         assert stack.run(stack.seed).halted_at == 29
         assert counts == expected
 
