@@ -12,11 +12,15 @@ import numpy as np
 
 
 class NoConvergence(Exception):
-    """Riccati iteration did not converge within the iteration budget."""
+    """Riccati iteration did not converge within the iteration budget, or its
+    result failed the certificate of :func:`dlqr`."""
 
 
 class NotStabilizing(Exception):
     """No Schur-stabilizing gain exists for the given pair (A, B)."""
+
+
+RICCATI_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,15 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
     10,000 steps (a1, a2) and 65,535 of 300,000 (the unicycle). The iterates
     rise monotonically from Q_k, so a round's sup-norm change bounds every
     one-step change inside it: the iteration has converged when that change
-    is at most `tol`. Returns
+    is at most `tol`. The test is absolute, so that the shipped gains stay
+    as they are; the certificate below is the relative one. Returns
     K = -(R_k + B'PB)^{-1} B'PA with the certified closed-loop spectral radius.
+
+    The gain is certified before it is returned: P must be positive definite
+    (GainResult's Cholesky factorization), and the Riccati residual
+    Q_k + A'PA - P + A'PBK must be within RICCATI_TOL (1e-8) of the sum of its
+    four terms' magnitudes, entry by entry. The check reads K and P and
+    changes neither.
 
     Raises
     ------
@@ -129,9 +140,11 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
         The closed loop A + BK is not Schur stable — this covers diverging
         iterations caused by unstabilizable unstable modes.
     NoConvergence
-        The iteration budget ran out without divergence, or a round's
+        The iteration budget ran out without divergence; a round's
         W = I + G_j P_j, or the final R_k + B'PB, is singular in floating
-        point.
+        point; or the converged P fails the certificate (not positive
+        definite, or a scaled Riccati residual above RICCATI_TOL, named in
+        the message).
     ValueError
         Dimension mismatches or non-SPD weights.
     """
@@ -176,4 +189,25 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
         raise NotStabilizing(f"closed-loop spectral radius {rho:.6g} >= 1")
     if not converged:
         raise NoConvergence(f"Riccati iteration did not converge in {max_iter} steps")
-    return GainResult(K=K, riccati_P=P, spectral_radius_AK=rho)
+    try:
+        gain = GainResult(K=K, riccati_P=P, spectral_radius_AK=rho)
+    except ValueError:  # GainResult's one check: P is not positive definite
+        raise NoConvergence(
+            f"the Riccati matrix P is not positive definite in floating point (smallest "
+            f"eigenvalue {np.linalg.eigvalsh(P).min():.3g}, largest entry {np.abs(P).max():.3g})"
+        ) from None
+    _certify(A, B, Q, K, P)
+    return gain
+
+
+def _certify(A, B, Q, K, P) -> None:
+    """Raise NoConvergence unless the Riccati residual Q + A'PA - P + A'PBK,
+    where A'PBK = -A'PB (R + B'PB)^{-1} B'PA, is within RICCATI_TOL of the sum
+    of its terms' magnitudes, entrywise."""
+    APA, APBK = A.T @ P @ A, (B.T @ P @ A).T @ K
+    scale = np.abs(Q) + np.abs(APA) + np.abs(P) + np.abs(APBK)
+    residual = np.abs(Q + APA - P + APBK)
+    scaled = float(np.max(np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0)))
+    if not scaled <= RICCATI_TOL:
+        raise NoConvergence(f"Riccati residual {scaled:.3g} of its terms' size exceeds "
+                            f"{RICCATI_TOL:g}: P does not solve the Riccati equation")

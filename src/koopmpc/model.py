@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qp import _scipy
+from .qp import OPTIMAL, QuadraticProgram, solve
 from .sets import Zonotope
-
-linprog = _scipy("scipy.optimize.linprog")  # only a zonotope off the origin needs it
 
 _PRES = ("identity", "planar_heading")
 
@@ -348,20 +346,18 @@ class DisturbanceModel:
 
 
 def _zonotope_contains_origin(Z: Zonotope, tol: float = 1e-9) -> bool:
+    """Whether c + G xi = 0 for some |xi|_inf <= 1: a center within ``tol`` of
+    the origin, or else an Optimal min 0.5 |xi|^2 s.t. G xi = -c, -1 <= xi <= 1
+    (PrimalInfeasible when no such xi exists)."""
     if (np.abs(Z.center) <= tol).all():  # np.allclose(Z.center, 0.0, atol=tol), written out
         return True
-    # Feasibility of c + G xi = 0 with ||xi||_inf <= 1.
-    n, g = Z.generators.shape
+    g = Z.generators.shape[1]
     if g == 0:  # a point: its center, which the test above has just judged
         return False
-    res = linprog(
-        c=np.zeros(g),
-        A_eq=Z.generators,
-        b_eq=-Z.center,
-        bounds=[(-1.0, 1.0)] * g,
-        method="highs",
-    )
-    return bool(res.status == 0)
+    box = np.vstack((np.eye(g), -np.eye(g)))
+    qp = QuadraticProgram(P=np.eye(g), q=np.zeros(g), A_eq=Z.generators, b_eq=-Z.center,
+                          A_in=box, b_in=np.ones(2 * g))
+    return solve(qp).status == OPTIMAL
 
 
 # --- the lifting document and training-data files -----------------------------------------

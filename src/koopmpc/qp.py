@@ -10,8 +10,8 @@ with q(theta) = q + F_q theta and b_eq(theta) = b_eq + F_eq theta, and P
 positive definite on the null space of A_eq (P itself may be indefinite). A
 QP with p = 0 is a plain QP, solved by ``solve(qp)``. All the data are private
 read-only copies. Everything the solver derives from them is computed once per
-problem, on first use: one pivoted QR of A_eq' giving its rank, an
-orthonormal null basis Z and the pseudo-inverse, the Cholesky factorization
+problem, on first use: one SVD of A_eq giving its rank, an orthonormal null
+basis Z and the pseudo-inverse, the Cholesky factorization
 Z'PZ = LL', the reduced rows, and the p + 1 theta-columns below. That
 Cholesky factorization is the one check of the contract: a Z'PZ that is not
 positive definite, as for P = 0, raises SolverFailed.
@@ -84,14 +84,14 @@ a support whose map fails, are refactored from its columns in row order and
 checked, so a warm and a cold Farkas certificate on the same support agree
 bit for bit too.
 
-The QR and triangular solves of the factors, the support's Cholesky solve and
-NNLS's factorizations are LAPACK's, through scipy.linalg; NNLS's column
-deletion is scipy.linalg.qr_delete. Building a QuadraticProgram loads
-scipy.linalg, and no other scipy subpackage; importing this module does not,
-since its names qr, solve_triangular and dposv look their routine up at each
-call and NNLS imports its routines when it runs. So a process that solves no
-QP, such as ``koopmpc tighten``, never loads it, and a closed loop loads it
-when it builds its QPs, before its first step.
+The factors' SVD and Cholesky factorizations and the support's Cholesky
+solve are numpy's. NNLS's factorizations and triangular solves are LAPACK's,
+through scipy.linalg.lapack, and its column deletion is scipy.linalg.qr_delete;
+NNLS imports them when it runs. Building a QuadraticProgram loads
+scipy.linalg, and no other scipy subpackage, so that no solve pays the import;
+importing this module does not. So a process that solves no QP, such as
+``koopmpc tighten``, never loads it, and a closed loop loads it when it builds
+its QPs, before its first step.
 """
 
 from __future__ import annotations
@@ -103,22 +103,6 @@ from importlib import import_module
 
 import numpy as np
 
-
-def _scipy(path: str):
-    """A stand-in for the scipy routine ``path`` (``"<module>.<name>"``),
-    named and placed as it is, that looks it up in its module at each call,
-    so that importing this module loads no scipy subpackage."""
-    module, name = path.rsplit(".", 1)
-
-    def routine(*args, **kwargs):
-        return getattr(import_module(module), name)(*args, **kwargs)
-
-    routine.__module__, routine.__name__, routine.__qualname__ = module, name, name
-    return routine
-
-
-qr, solve_triangular = _scipy("scipy.linalg.qr"), _scipy("scipy.linalg.solve_triangular")
-dposv = _scipy("scipy.linalg.lapack.dposv")
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasible"
@@ -259,7 +243,8 @@ class _Factors:
 
     neg_pinv_T = -(A_eq^+)', whose product with r is minus the minimum-norm
     solution of A_eq' nu = r, and PA = [A_eq; A_in; P]. Y = Z L^-T, where Z
-    is an orthonormal basis of the null space of A_eq and Z'PZ = LL' the
+    is an orthonormal basis of the null space of A_eq (both from
+    :func:`_null_basis`'s one SVD) and Z'PZ = LL' the
     Cholesky factorization of the reduced Hessian, spans the same null space
     with Y'PY = I; AY = A_in Y. The theta-columns multiply [theta; 1]: QB
     gives [q(theta); b_eq(theta)], X0 the unconstrained minimizer x_0 and H
@@ -301,29 +286,20 @@ class _Factors:
 
 
 def _null_basis(A_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z, an orthonormal basis of null(A_eq), and (A_eq^+)', from one pivoted
-    QR A_eq'[:, piv] = QR. The rank r counts the |R_ii| above |R_00|
-    max(shape) eps, Z = Q[:, r:], and with Q_1 = Q[:, :r] and R_1 = R[:r],
-    A_eq^+[:, piv] = Q_1 R_1^-T, or Q_1 R_2^-1 Q_2' through the QR
-    R_1' = Q_2 R_2 when r is below the row count."""
+    """Z, an orthonormal basis of null(A_eq), and (A_eq^+)', from one SVD
+    A_eq = U S V'. The rank r counts the singular values above
+    s_0 max(shape) eps (``np.linalg.matrix_rank``'s cut), Z = V[:, r:] and
+    (A_eq^+)' = U_r S_r^-1 V_r'."""
     n_eq, d = A_eq.shape
-    pinv_T = np.zeros((n_eq, d))
     if n_eq == 0:
-        return np.eye(d), pinv_T
-    Q, R, piv = qr(A_eq.T, pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > diag[0] * max(A_eq.shape) * np.finfo(float).eps))
-    Q1, R1 = Q[:, :rank].T, R[:rank]
-    if rank == n_eq:
-        pinv_T[piv] = solve_triangular(R1, Q1)
-    elif rank:
-        Q2, R2 = qr(R1.T, mode="economic")
-        pinv_T[piv] = Q2 @ solve_triangular(R2, Q1, trans="T")
-    return Q[:, rank:], pinv_T
+        return np.eye(d), np.zeros((0, d))
+    U, s, Vt = np.linalg.svd(A_eq)
+    rank = int(np.sum(s > s[0] * max(A_eq.shape) * _EPS))
+    return Vt[rank:].T, (U[:, :rank] / s[:rank]) @ Vt[:rank]
 
 
 def _factor(qp: QuadraticProgram) -> _Factors:
-    """Take the null basis and pseudo-inverse of A_eq from one pivoted QR
+    """Take the null basis and pseudo-inverse of A_eq from one SVD
     (:func:`_null_basis`) and one Cholesky factorization of Z'PZ, and form
     the theta-columns.
 
@@ -342,7 +318,7 @@ def _factor(qp: QuadraticProgram) -> _Factors:
             "reduced Hessian Z'PZ is singular or indefinite: P must be positive "
             "definite on the null space of A_eq"
         )
-    Y = solve_triangular(L, Z.T, lower=True).T
+    Y = np.linalg.solve(L, Z.T).T
     AY = A_in @ Y
     reach = np.max(np.abs(AY), axis=1, initial=0.0)
     moves = reach > 1e-12 * np.max(reach, initial=1.0)
@@ -371,14 +347,17 @@ _EPS = np.finfo(float).eps
 
 def _support(qp: QuadraticProgram, f: _Factors, rows: np.ndarray) -> _Support:
     """The support S = ``rows`` with its map M_S = [X_S; Lam_S], X_S = X0 - Y AY_S' Lam_S
-    and Lam_S = (AY_S AY_S')^-1 H_S, from one Cholesky solve with p + 1
-    right-hand sides, stacked as the M of :class:`_Support`."""
+    and Lam_S = (AY_S AY_S')^-1 H_S, from the Cholesky factorization
+    AY_S AY_S' = LL' and two solves with p + 1 right-hand sides, stacked as
+    the M of :class:`_Support`; without a map where that factorization fails."""
     if not rows.size:
         return f.empty
     AY = f.AY[rows]
-    _, Lam, info = dposv(AY @ AY.T, f.H[rows])
-    if info:
+    try:
+        L = np.linalg.cholesky(AY @ AY.T)
+    except np.linalg.LinAlgError:
         return _Support(rows, None, tuple(rows.tolist()))
+    Lam = np.linalg.solve(L.T, np.linalg.solve(L, f.H[rows]))
     X = f.X0 - f.Y @ (AY.T @ Lam)
     return _Support(rows, np.vstack((f.head, X, Lam, _residual_map(qp, f, rows, X, Lam, f.QB))),
                     tuple(rows.tolist()))

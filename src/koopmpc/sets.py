@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gains import spectral_radius
-from .qp import SolverFailed, _scipy
-
-linprog = _scipy("scipy.optimize.linprog")  # only a set that is not a box needs it
+from .qp import SolverFailed
 
 CONTAINS_TOL = 1e-9
 
@@ -161,8 +159,9 @@ def _empty_rows(normals, offsets, tol):
 
     Empty iff the minimal slack of min s s.t. a_i'x - s <= b_i, s >= 0 exceeds
     tol. A box (signed unit rows, as in every set the CLI builds) has a closed
-    form, taken for all rows at once; otherwise HiGHS solves one LP per row as
-    it is read, and SolverFailed is raised when it does not report success.
+    form, taken for all rows at once; otherwise HiGHS (scipy.optimize.linprog,
+    imported only here) solves one LP per row as it is read, and SolverFailed
+    is raised when it does not report success.
     """
     m, n = normals.shape
     rows, axis = np.nonzero(normals)
@@ -175,6 +174,8 @@ def _empty_rows(normals, offsets, tol):
         np.maximum.at(lo.T, axis[sign < 0], -offsets[:, sign < 0].T)
         yield from np.max(lo - hi, axis=1, initial=0.0) / 2 > tol
         return
+    from scipy.optimize import linprog
+
     for b in offsets:
         res = linprog(c=np.eye(n + 1)[n], A_ub=np.hstack([normals, -np.ones((m, 1))]), b_ub=b,
                       bounds=[(None, None)] * n + [(0.0, None)], method="highs")

@@ -321,6 +321,31 @@ def assert_null_basis_and_pinv(A_eq):
     assert np.max(np.abs(pinv_T.T - pinv)) <= 1e-11 * np.max(np.abs(pinv))
 
 
+def null_basis_by_pivoted_qr(A_eq):
+    """Z, an orthonormal basis of null(A_eq), and (A_eq^+)', as ``qp._null_basis``
+    once took them from one pivoted QR A_eq'[:, piv] = QR: the rank r counts
+    the |R_ii| above |R_00| max(shape) eps, Z = Q[:, r:], and with
+    Q_1 = Q[:, :r] and R_1 = R[:r], A_eq^+[:, piv] = Q_1 R_1^-T, or
+    Q_1 R_2^-1 Q_2' through the QR R_1' = Q_2 R_2 when r is below the row
+    count."""
+    from scipy.linalg import qr, solve_triangular
+
+    n_eq, d = A_eq.shape
+    pinv_T = np.zeros((n_eq, d))
+    if n_eq == 0:
+        return np.eye(d), pinv_T
+    Q, R, piv = qr(A_eq.T, pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(A_eq.shape) * np.finfo(float).eps))
+    Q1, R1 = Q[:, :rank].T, R[:rank]
+    if rank == n_eq:
+        pinv_T[piv] = solve_triangular(R1, Q1)
+    elif rank:
+        Q2, R2 = qr(R1.T, mode="economic")
+        pinv_T[piv] = Q2 @ solve_triangular(R2, Q1, trans="T")
+    return Q[:, rank:], pinv_T
+
+
 def plain_qp(family, theta):
     """The p = 0 QP of the affine family ``family`` at ``theta``: the same P,
     A_eq, A_in and b_in, with q = q0 + F_q theta and b_eq = b0 + F_eq theta."""

@@ -215,6 +215,18 @@ def test_tighten_lqr_not_stabilizing_exit_4(tmp_path, capsys):
     assert "spectral radius" in capsys.readouterr().err
 
 
+def test_tighten_lqr_indefinite_riccati_matrix_exit_4(tmp_path, capsys):
+    # On a2 with Q_k = 1e-10 I and R_k = 1e6, P's entries reach 3e6 and its
+    # smallest eigenvalue is lost to rounding: dlqr refuses the gain with
+    # NoConvergence, not with GainResult's ValueError (exit 2).
+    a2 = json.loads((SCENARIOS / "a2.json").read_text())
+    a2["controller"]["lqr"] = {"Qk": 1e-10, "Rk": 1e6}
+    scenario = tmp_path / "a2.json"
+    scenario.write_text(json.dumps(a2))
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 4
+    assert "P is not positive definite" in capsys.readouterr().err
+
+
 def test_tighten_underdetermined_fit_exit_3(tmp_path, capsys):
     # One transition cannot pin down a2's 3 + 1 coefficient columns, and ridge
     # 0 adds no penalty that would: the scenario's own fit exits 3.

@@ -1,11 +1,13 @@
 import re
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
 from koopmpc.gains import (
+    RICCATI_TOL,
     GainResult,
     NoConvergence,
     NotStabilizing,
@@ -15,6 +17,8 @@ from koopmpc.gains import (
     spectral_radius,
 )
 from oracles import numerical_example_matrices, riccati_value_iterates, scalar_dare_root
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_spectral_radius_diagonal():
@@ -288,3 +292,72 @@ def test_a_singular_final_solve_raises_no_convergence():
     A, B, Q, R = [[0.5]], [[3.4e3, 3.4e3]], [[7.27e5]], 3.58e-5 * np.eye(2)
     with pytest.raises(NoConvergence, match=re.escape("R_k + B'PB is singular")):
         dlqr(A, B, Q, R)
+
+
+def _scaled_riccati_residual(A, B, Q, R, K, P):
+    """max |Q + A'PA - P - A'PB (R + B'PB)^-1 B'PA| over the sum of the four
+    terms' magnitudes, entrywise, with the middle term formed from R."""
+    APA, BPA = A.T @ P @ A, B.T @ P @ A
+    APBK = -BPA.T @ np.linalg.solve(R + B.T @ P @ B, BPA)
+    scale = np.abs(Q) + np.abs(APA) + np.abs(P) + np.abs(APBK)
+    return float(np.max(np.abs(Q + APA - P + APBK) / scale))
+
+
+def test_a_riccati_matrix_rounded_indefinite_raises_no_convergence():
+    # The lifted benchmark with Q = 1e-10 I and R = 1e6: P's entries reach
+    # 3e6, which swamps its smallest eigenvalue, near 1e-10, so P is not
+    # positive definite in floating point. GainResult would refuse it with a
+    # ValueError; dlqr refuses it first.
+    A, B = numerical_example_matrices(-0.1, 2.0)
+    with pytest.raises(NoConvergence, match="P is not positive definite"):
+        dlqr(A, B, 1e-10 * np.eye(3), 1e6 * np.eye(1))
+    assert dlqr(A, B, 1e-10 * np.eye(3), 1e4 * np.eye(1)).riccati_P[0, 0] > 0.0
+
+
+def test_every_gain_returned_on_an_extreme_scale_draw_passes_its_certificate():
+    # n 1-5, m 1-2, with B, Q and R scaled by 10^U(-8, 8): each gain dlqr
+    # returns solves the Riccati equation to RICCATI_TOL of its terms' size,
+    # checked here with the middle term formed from R (not from K), and has
+    # a positive definite P. Of 500 systems dlqr returns 347 gains and
+    # refuses 55 with NoConvergence from the certificate: 52 residuals above
+    # the bound (some near 1) and 3 P that are not positive definite.
+    rng, returned, refused = np.random.default_rng(0), 0, []
+    for _ in range(500):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-8, 8)
+        M = rng.standard_normal((n, n))
+        Q = (M @ M.T + 0.1 * np.eye(n)) * 10.0 ** rng.uniform(-8, 8)
+        M = rng.standard_normal((m, m))
+        R = (M @ M.T + 0.1 * np.eye(m)) * 10.0 ** rng.uniform(-8, 8)
+        try:
+            gain = dlqr(A, B, Q, R)
+        except NoConvergence as exc:
+            refused.append(str(exc))
+            continue
+        except NotStabilizing:
+            continue
+        returned += 1
+        assert _scaled_riccati_residual(A, B, Q, R, gain.K, gain.riccati_P) <= 2 * RICCATI_TOL
+        np.linalg.cholesky(gain.riccati_P)
+    assert returned == 347
+    assert sum("Riccati residual" in msg for msg in refused) == 52
+    assert sum("P is not positive definite" in msg for msg in refused) == 3
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "unicycle_square"])
+def test_the_shipped_gains_solve_the_riccati_equation_to_rounding(name):
+    # The certificate is a check: the shipped gains pass it with residuals
+    # near eps (1.1e-16 on a1 and a2, 2.0e-16 on the unicycle), and their K
+    # is scipy's to 5.6e-10 of its size.
+    from koopmpc import cli
+
+    stack = cli.build_stack(SCENARIOS / f"{name}.json")
+    lqr = stack.sc["controller"]["lqr"]
+    model, n_z, n_u = stack.model, stack.model.n_z, stack.model.B.shape[1]
+    Q, R = lqr["Qk"] * np.eye(n_z), lqr["Rk"] * np.eye(n_u)
+    gain = dlqr(model.A, model.B, Q, R, **{k: lqr[k] for k in ("tol", "max_iter") if k in lqr})
+    P = solve_discrete_are(model.A, model.B, Q, R)
+    K = -np.linalg.solve(R + model.B.T @ P @ model.B, model.B.T @ P @ model.A)
+    assert np.max(np.abs(gain.K - K)) <= 1e-9 * np.max(np.abs(K))
+    assert _scaled_riccati_residual(model.A, model.B, Q, R, gain.K, gain.riccati_P) <= 1e-15

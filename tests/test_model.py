@@ -671,3 +671,32 @@ def test_the_center_test_gives_np_allclose_verdicts(center):
     # holds only finite centers, so a stand-in carries the non-finite ones.
     Z = SimpleNamespace(center=np.array(center), generators=np.zeros((2, 0)))
     assert model_module._zonotope_contains_origin(Z) == np.allclose(Z.center, 0.0, atol=1e-9)
+
+
+def test_the_origin_test_gives_highs_verdicts():
+    # min 0.5 |xi|^2 s.t. G xi = -c, -1 <= xi <= 1 is Optimal exactly when
+    # HiGHS finds the LP c + G xi = 0, |xi| <= 1 feasible. The seeded draw
+    # spans scales 1e-2 to 1e2 and has fewer generators than dimensions
+    # (inconsistent equalities for a random center), centers with the origin
+    # on the boundary (one |xi_i| = 1), outside it (|xi| scaled to 1.5) and
+    # inside; no verdict raises.
+    from scipy.optimize import linprog
+
+    rng, g_below_n, verdicts = np.random.default_rng(43), 0, []
+    for trial in range(300):
+        n, g = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        G = rng.standard_normal((n, g)) * 10.0 ** rng.uniform(-2, 2)
+        xi = rng.uniform(-1.0, 1.0, g)
+        kind = trial % 4
+        if kind == 1:  # the origin on the boundary for a full-column-rank G
+            xi[rng.integers(g)] = rng.choice([-1.0, 1.0])
+        elif kind == 2:
+            xi *= 1.5 / np.max(np.abs(xi))
+        c = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2) if kind == 3 else -G @ xi
+        lp = linprog(np.zeros(g), A_eq=G, b_eq=-c, bounds=[(-1.0, 1.0)] * g, method="highs")
+        assert lp.status in (0, 2)
+        verdict = model_module._zonotope_contains_origin(Zonotope(c, G))
+        assert verdict == (lp.status == 0), (trial, n, g)
+        g_below_n += g < n
+        verdicts.append(verdict)
+    assert g_below_n > 50 and 50 < sum(verdicts) < 250

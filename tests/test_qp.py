@@ -2,14 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import nnls
 
-from koopmpc import model as model_module
 from koopmpc import qp as qp_module
-from koopmpc import sets as sets_module
 from koopmpc.qp import (
     OPTIMAL,
     PRIMAL_INFEASIBLE,
@@ -21,6 +20,7 @@ from oracles import (
     assert_checks_match_the_dense_check,
     assert_null_basis_and_pinv,
     assert_same_outcome_as_scipys_nnls,
+    null_basis_by_pivoted_qr,
     plain_qp,
     qp_by_active_set_enumeration,
     solve_by_both_nnls,
@@ -489,8 +489,8 @@ def _no_highs(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("HiGHS was called for a QP")
 
-    for module in (sets_module, model_module):  # the package's only linprog bindings
-        monkeypatch.setattr(module, "linprog", refused)
+    # sets._empty_rows imports linprog where it runs: the package's one HiGHS call
+    monkeypatch.setattr(scipy.optimize, "linprog", refused)
 
 
 def _overshooting_warm_start(rng):
@@ -681,11 +681,10 @@ def test_a_result_that_fails_its_check_raises(monkeypatch, passive, zero):
 
 
 def test_factors_are_computed_once_per_problem(monkeypatch):
-    # One pivoted QR of A_eq' per problem (A_eq has full row rank here, so no
-    # second QR is taken for its pseudo-inverse).
-    qrs = []
-    qr = qp_module.qr
-    monkeypatch.setattr(qp_module, "qr", lambda *a, **k: qrs.append(k) or qr(*a, **k))
+    # One null basis (one SVD of A_eq) per problem, whatever theta.
+    bases = []
+    null_basis = qp_module._null_basis
+    monkeypatch.setattr(qp_module, "_null_basis", lambda A: bases.append(A) or null_basis(A))
     qp = QuadraticProgram(P=2.0 * np.eye(3), q=[-2.0, 0.0, 4.0], A_eq=[[1.0, 1.0, 1.0]],
                           b_eq=[0.0], A_in=np.vstack([np.eye(3), -np.eye(3)]), b_in=np.ones(6),
                           F_q=np.eye(3, 4), F_eq=np.eye(1, 4, 3))
@@ -693,7 +692,7 @@ def test_factors_are_computed_once_per_problem(monkeypatch):
     # The right-hand sides change with theta between solves; the factors stay.
     theta = np.array([3.0, -1.0, -3.5, 0.5])  # q = (1, -1, 0.5), b_eq = 0.5
     second = solve(qp, theta)
-    assert qrs == [{"pivoting": True}]
+    assert len(bases) == 1 and np.array_equal(bases[0], qp.A_eq)
     assert np.allclose(second.x_star, solve(plain_qp(qp, theta)).x_star, atol=1e-10)
     _check_kkt(second)
 
@@ -709,6 +708,30 @@ def test_null_basis_and_pinv_of_random_matrices():
         A = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
         assert_null_basis_and_pinv(A)
         assert_null_basis_and_pinv(rng.standard_normal((m, d)))
+
+
+def test_svd_null_basis_matches_the_pivoted_qr_reference():
+    # Seeded rank-deficient A_eq (products of rank r < min(m, d), wide, tall
+    # and square, some with duplicated rows): the SVD finds the pivoted QR's
+    # rank, a null basis and a pseudo-inverse within 1e-11 of both the QR's
+    # and np.linalg.pinv's.
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        m, d = (int(k) for k in rng.integers(2, 13, 2))
+        r = int(rng.integers(1, min(m, d)))
+        A = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
+        if rng.uniform() < 0.3:
+            A[-1] = A[0]
+        Z, pinv_T = qp_module._null_basis(A)
+        Z_qr, pinv_T_qr = null_basis_by_pivoted_qr(A)
+        assert Z.shape == Z_qr.shape == (d, d - r)
+        assert np.max(np.abs(A @ Z)) <= 1e-12 * max(1.0, np.max(np.abs(A)))
+        assert np.max(np.abs(Z.T @ Z - np.eye(d - r)), initial=0.0) <= 1e-12
+        # the two bases span one space: the QR's is the SVD's rotated
+        assert np.max(np.abs(Z_qr - Z @ (Z.T @ Z_qr)), initial=0.0) <= 1e-12
+        scale = np.max(np.abs(pinv_T_qr))
+        assert np.max(np.abs(pinv_T - pinv_T_qr)) <= 1e-11 * scale
+        assert np.max(np.abs(pinv_T - np.linalg.pinv(A).T)) <= 1e-11 * scale
 
 
 # --- the support of the last Optimal solve, tried before nnls ----------------------------
@@ -765,11 +788,11 @@ def test_any_stored_support_gives_the_cold_result(rng):
             assert solve(bad).status == PRIMAL_INFEASIBLE
 
 
-def test_a_hit_calls_neither_nnls_nor_dposv():
+def test_a_hit_runs_no_nnls_and_builds_no_support():
     # A parameter near the last one keeps its support: the stored maps give
     # [x; lam_S] and the residuals by one product each, with no NNLS, no
-    # Cholesky solve and no residual build, and the result is the cold
-    # family's, bit for bit.
+    # support built (no Cholesky solve) and no residual build, and the result
+    # is the cold family's, bit for bit.
     qp = _box_family()
     theta = np.array([-4.0, -4.0, 1.0, 0.1])
     first = solve(qp, theta)
@@ -777,10 +800,10 @@ def test_a_hit_calls_neither_nnls_nor_dposv():
     near = theta + [0.01, -0.01, 0.02, 0.01]
 
     def refused(*args, **kwargs):
-        raise AssertionError("a stored-support hit called nnls, dposv or _residual_map")
+        raise AssertionError("a stored-support hit called _nnls, _support or _residual_map")
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_nnls", "dposv", "_residual_map"):
+        for name in ("_nnls", "_support", "_residual_map"):
             mp.setattr(qp_module, name, refused)
         hit = solve(qp, near)
     assert hit.active_set == first.active_set
@@ -916,7 +939,7 @@ def test_own_nnls_gives_scipys_vertex():
     # multipliers are not unique: any positively spanning subset of the
     # active rows is a support, and which one NNLS ends on depends on the
     # order its columns enter. The own NNLS starts from the rows x_0 breaks,
-    # and scipy's from no column, so on 3 of these 20 seeds they end on
+    # and scipy's from no column, so on 2 of these 20 seeds they end on
     # another subset. The point is the same to rounding and both supports
     # are active rows of v; on the other seeds the active set and the bits of
     # x are the same.
@@ -931,7 +954,7 @@ def test_own_nnls_gives_scipys_vertex():
         if got.active_set == want.active_set:
             assert np.array_equal(got.x_star, want.x_star)
             same += 1
-    assert same == 17
+    assert same == 18
 
 
 def _random_nnls_matrix(rng, kind):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,7 +226,7 @@ def test_is_empty_slack_program_failure_raises_solver_failed(monkeypatch):
     def failed(*args, **kwargs):
         return SimpleNamespace(success=False, status=4, message="Numerical difficulties.")
 
-    monkeypatch.setattr(sets_module, "linprog", failed)
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)  # imported where it runs
     P = HPolytope(normals=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], offsets=[1.0, 0.0, 0.0])
     with pytest.raises(SolverFailed, match="slack program did not solve: Numerical difficulties"):
         is_empty(P)

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmpc import cli, controller, model as model_module, qp as qp_module, sets, sim
+from koopmpc import cli, controller, qp as qp_module, sim
 from koopmpc.controller import (
     Infeasible,
     TrackingProblem,
@@ -30,6 +31,7 @@ from oracles import (
     assert_checks_match_the_dense_check,
     assert_null_basis_and_pinv,
     assert_same_outcome_as_scipys_nnls,
+    null_basis_by_pivoted_qr,
     plain_qp,
     shifted_rollout,
     solve_by_both_nnls,
@@ -153,8 +155,8 @@ def test_unicycle_course_halt_is_certified_without_highs(course, problems, monke
         solves.append((qp, theta, solve_qp(qp, theta)))
         return solves[-1][2]
 
-    for module in (sets, model_module):  # the package's only linprog bindings
-        monkeypatch.setattr(module, "linprog", refused)
+    # sets._empty_rows imports linprog where it runs: the package's one HiGHS call
+    monkeypatch.setattr(scipy.optimize, "linprog", refused)
     monkeypatch.setattr(qp_module, "solve", recorded_solve)
     log = stack.run(stack.seed)
     assert log.halted_at == 29
@@ -311,7 +313,7 @@ def test_stored_support_checks_match_the_dense_check_along_the_closed_loop(stack
 
 
 def test_each_stored_support_map_is_built_once(course, monkeypatch):
-    # A map is built (one dposv) only for the final support of a solve that
+    # A map is built (one _support) only for the final support of a solve that
     # ran NNLS and did not end on a zero residual; every other solve of the
     # course takes a stored map. So a fresh course builds a map for each miss
     # but the certified halt, 3 on the first course and 2 on each later one,
@@ -324,10 +326,10 @@ def test_each_stored_support_map_is_built_once(course, monkeypatch):
             return call(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(qp_module, "dposv", counted("dposv", qp_module.dposv))
+    monkeypatch.setattr(qp_module, "_support", counted("support", qp_module._support))
     monkeypatch.setattr(qp_module, "_nnls", counted("nnls", qp_module._nnls))
-    for expected in ({"dposv": 3, "nnls": 4}, {"dposv": 2, "nnls": 3}):
-        counts.update(dposv=0, nnls=0)
+    for expected in ({"support": 3, "nnls": 4}, {"support": 2, "nnls": 3}):
+        counts.update(support=0, nnls=0)
         assert stack.run(stack.seed).halted_at == 29
         assert counts == expected
 
@@ -362,13 +364,14 @@ def test_own_nnls_gives_scipys_result_along_the_closed_loop(
 def test_null_basis_and_pinv_of_the_tracking_equalities(stacks, name, rank):
     # The condensed A_eq has 3 n_z rows: z(0), the steady pair and z(N) = z_s.
     # a2's has rank 7 of its 9 rows (its first lifted coordinate, and its
-    # square, are uncontrollable), so its pseudo-inverse goes through the
-    # second QR; the unicycle's 15 rows are independent.
+    # square, are uncontrollable), which the SVD finds as the pivoted QR
+    # reference does; the unicycle's 15 rows are independent.
     stack = stacks[name]
     A_eq = build_qp(stack.model, stack.config, stack.schedule).A_eq
     assert A_eq.shape[0] == 3 * stack.model.n_z
     assert np.linalg.matrix_rank(A_eq) == rank
     assert_null_basis_and_pinv(A_eq)
+    assert null_basis_by_pivoted_qr(A_eq)[0].shape == qp_module._null_basis(A_eq)[0].shape
 
 
 def test_a2_inconsistent_equalities_are_certified_by_the_least_squares_residual(stacks, logs):
@@ -403,7 +406,7 @@ def test_a2_inconsistent_equalities_are_certified_by_the_least_squares_residual(
 
 @pytest.mark.parametrize("later", ["same theta", "next step's theta"])
 def test_a_support_stored_without_a_map_gives_the_cold_result(stacks, logs, monkeypatch, later):
-    # A support whose Gram matrix dposv refuses is stored without a map, with
+    # A support whose Gram matrix Cholesky refuses is stored without a map, with
     # the result of NNLS's own weights. The next solve takes [q; b_eq] and the
     # residual of the equalities from the factors' head, runs NNLS from that
     # support's rows and gives the cold result, bit for bit.
@@ -413,8 +416,13 @@ def test_a_support_stored_without_a_map_gives_the_cold_result(stacks, logs, monk
     thetas = [np.concatenate([lift(model, log.x[k]), log.y_t[k]]) for k in range(log.k.size)]
     k = next(k for k, theta in enumerate(thetas) if solve(probe, theta).active_set)
     qp = build_qp(model, config, schedule)
+    qp.factors  # factored before the Cholesky of every support's Gram matrix fails
+
+    def refused(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
     with monkeypatch.context() as mp:
-        mp.setattr(qp_module, "dposv", lambda a, b: (a, b, 1))
+        mp.setattr(np.linalg, "cholesky", refused)
         first = solve(qp, thetas[k])
     assert first.status == OPTIMAL and first.active_set
     assert qp._support.M is None and qp._support.rows.tolist() == list(first.active_set)
