@@ -112,11 +112,14 @@ def _floats(value, what: str) -> np.ndarray:
 
 
 def _weight(value, n: int, what: str) -> np.ndarray:
-    """Scalar shorthand c -> c * I_n (a finite number, not a bool); otherwise an explicit matrix."""
+    """Scalar shorthand c -> c * I_n (a finite number, not a bool); otherwise an
+    explicit matrix of finite numbers."""
     if type(value) in (int, float):
         return _finite(value, what) * np.eye(n)
-    if not (isinstance(value, list) and (M := _floats(value, what)).shape == (n, n)):
-        raise ValueError(f"{what} must be a scalar or an {n}x{n} matrix, got {value!r}")
+    if not (isinstance(value, list) and (M := _floats(value, what)).shape == (n, n)
+            and np.isfinite(M).all()):
+        raise ValueError(f"{what} must be a scalar or an {n}x{n} matrix of finite numbers, "
+                         f"got {value!r}")
     return M
 
 
@@ -128,7 +131,7 @@ _SCENARIO_KEYS = {
     "controller", "references", "x0", "T", "seed", "settle_window", "out_dir",
 }
 _CONTROLLER_KEYS = {"N", "Q", "R", "s", "lqr"}
-_LQR_KEYS = {"Qk", "Rk", "tol", "max_iter"}
+_LQR_KEYS = {"Qk", "Rk"}
 _GENERATE_KEYS = {"n_traj", "traj_len", "input_box", "state_box", "seed"}
 
 
@@ -312,12 +315,6 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     _check_keys(cfg_doc, _CONTROLLER_KEYS, "controller")
     lqr_doc = cfg_doc.get("lqr", {})
     _check_keys(lqr_doc, _LQR_KEYS, "controller.lqr")
-    # dlqr keeps the defaults of the keys a scenario leaves out.
-    lqr_opts = {}
-    if "tol" in lqr_doc:
-        lqr_opts["tol"] = _positive(lqr_doc["tol"], "controller.lqr.tol")
-    if "max_iter" in lqr_doc:
-        lqr_opts["max_iter"] = _count(lqr_doc, "max_iter", "controller.lqr.max_iter")
     plant = _build_plant(sc["plant"])
     lifting = _lifting(sc["lifting"], plant.n_x)
 
@@ -375,7 +372,7 @@ def build_stack(scenario_path, y_t=None) -> Stack:
                          f"more than the {MAX_SCENARIO_BYTES >> 30} GiB bound on its memory")
     data = make_data()
     model = fit_edmd(data, lifting, ridge=ridge, output_matrix=plant.C)
-    gain = dlqr(model.A, model.B, Qk, Rk, **lqr_opts)
+    gain = dlqr(model.A, model.B, Qk, Rk)
     schedule = tighten_constraints(X, U, disturbance, model.A, model.B, gain.K, model.C_x, N)
     config = KtmpcConfig(N=N, Q=Q, R=R, s=s, K=gain.K)
     return Stack(

@@ -1,7 +1,7 @@
 """Tube-feedback gain synthesis: discrete-time LQR by Riccati value iteration
 from Q, run in doubling rounds (:func:`dlqr`). Round k ends at the iterate after
-2^k - 1 steps, so a closed loop near the unit circle costs a few rounds;
-``max_iter`` counts Riccati steps and ``tol`` bounds a round's change."""
+2^k - 1 steps, so a closed loop near the unit circle costs a few rounds; the
+iteration stops at the first round that leaves P unchanged bit for bit."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import numpy as np
 
 
 class NoConvergence(Exception):
-    """Riccati iteration did not converge within the iteration budget, or its
-    result failed the certificate of :func:`dlqr`."""
+    """Riccati iteration stopped before a fixed point, or its result failed the
+    certificate of :func:`dlqr`."""
 
 
 class NotStabilizing(Exception):
@@ -21,6 +21,9 @@ class NotStabilizing(Exception):
 
 
 RICCATI_TOL = 1e-8
+# A backstop, not a setting: after 64 rounds (A + BK)^(2^64) underflows in
+# double precision for any spectral radius below 1, so P stops changing.
+MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,10 @@ def _as_spd(name: str, M) -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    # np.allclose(M, M.T, atol=1e-10), written out: equal entries (an infinity
-    # and itself too), or a finite M' entry within 1e-10 + 1e-5 |M'| of M's.
-    Mt = M.T
-    with np.errstate(invalid="ignore"):  # inf - inf
-        symmetric = ((np.abs(M - Mt) <= 1e-10 + 1e-5 * np.abs(Mt)) & np.isfinite(Mt) | (M == Mt))
-    if not symmetric.all():
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must hold finite numbers")
+    # np.allclose(M, M.T, atol=1e-10) of a finite M, written out.
+    if not (np.abs(M - M.T) <= 1e-10 + 1e-5 * np.abs(M.T)).all():
         raise ValueError(f"{name} must be symmetric")
     M = 0.5 * (M + M.T)
     if np.linalg.eigvalsh(M).min() <= 0.0:
@@ -103,7 +104,7 @@ def _doubling_rounds(A, B, Q, R):
         yield P
 
 
-def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResult:
+def dlqr(A, B, Q_k, R_k) -> GainResult:
     """LQR gain for z+ = A z + B u by Riccati value iteration, taken in doubling rounds.
 
     The value iteration P <- Q_k + A'PA - A'PB (R_k + B'PB)^{-1} B'PA from
@@ -117,15 +118,11 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
 
     so after k rounds P_k is the one-step iterate after 2^k - 1 Riccati steps.
 
-    `max_iter` counts Riccati steps: a round that would take the count past
-    it is not taken, so a budget is used only up to its largest 2^k - 1, and
-    a budget that would admit the one-step iteration's own step count may
-    fall short of the next power of two. The shipped scenarios need 63 of
-    10,000 steps (a1, a2) and 65,535 of 300,000 (the unicycle). The iterates
-    rise monotonically from Q_k, so a round's sup-norm change bounds every
-    one-step change inside it: the iteration has converged when that change
-    is at most `tol`. The test is absolute, so that the shipped gains stay
-    as they are; the certificate below is the relative one. Returns
+    The iteration stops at its floating-point fixed point: the first round
+    whose P equals the one before it bit for bit (round 6 on a1 and a2, round
+    16 on the unicycle). It stops early where some entry of P passes 1e12 in
+    magnitude or is NaN (a diverging cost-to-go: some unstable mode is out of
+    reach of B), and after MAX_ROUNDS (64) rounds. Returns
     K = -(R_k + B'PB)^{-1} B'PA with the certified closed-loop spectral radius.
 
     The gain is certified before it is returned: P must be positive definite
@@ -140,11 +137,11 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
         The closed loop A + BK is not Schur stable — this covers diverging
         iterations caused by unstabilizable unstable modes.
     NoConvergence
-        The iteration budget ran out without divergence; a round's
-        W = I + G_j P_j, or the final R_k + B'PB, is singular in floating
-        point; or the converged P fails the certificate (not positive
-        definite, or a scaled Riccati residual above RICCATI_TOL, named in
-        the message).
+        The iteration stopped at the 1e12 bound or the round cap with a
+        stabilizing K, the message naming which; a round's W = I + G_j P_j, or
+        the final R_k + B'PB, is singular in floating point; or the converged P
+        fails the certificate (not positive definite, or a scaled Riccati
+        residual above RICCATI_TOL, named in the message).
     ValueError
         Dimension mismatches or non-SPD weights.
     """
@@ -164,19 +161,12 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
     if R.shape[0] != B.shape[1]:
         raise ValueError("R_k dimension does not match B")
 
-    # Round k ends after 2^k - 1 steps: the most rounds within max_iter steps.
-    rounds = (max(max_iter, 0) + 1).bit_length() - 1
-    P = Q
-    converged = False
-    for P_next in islice(_doubling_rounds(A, B, Q, R), rounds):
-        delta = np.abs(P_next - P).max()
-        P = P_next
-        if not np.abs(P).max() <= 1e12:
-            # Diverging cost-to-go (NaN fails the test too): some unstable
-            # mode is out of reach of B.
-            break
-        if delta <= tol:
-            converged = True
+    P, stop = Q, f"reached no fixed point in {MAX_ROUNDS} doubling rounds"
+    for P_next in islice(_doubling_rounds(A, B, Q, R), MAX_ROUNDS):
+        P, fixed = P_next, np.array_equal(P_next, P)
+        diverged = not np.abs(P).max() <= 1e12  # NaN fails the test too
+        if fixed or diverged:
+            stop = "stopped where |P| passed its divergence bound 1e12" if diverged else None
             break
 
     try:
@@ -187,8 +177,8 @@ def dlqr(A, B, Q_k, R_k, tol: float = 1e-12, max_iter: int = 10_000) -> GainResu
     rho = spectral_radius(A + B @ K)
     if rho >= 1.0:
         raise NotStabilizing(f"closed-loop spectral radius {rho:.6g} >= 1")
-    if not converged:
-        raise NoConvergence(f"Riccati iteration did not converge in {max_iter} steps")
+    if stop:
+        raise NoConvergence(f"Riccati iteration {stop}")
     try:
         gain = GainResult(K=K, riccati_P=P, spectral_radius_AK=rho)
     except ValueError:  # GainResult's one check: P is not positive definite

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qp import OPTIMAL, QuadraticProgram, solve
-from .sets import Zonotope
+from .sets import CONTAINS_TOL, Zonotope
 
 _PRES = ("identity", "planar_heading")
 
@@ -345,11 +345,11 @@ class DisturbanceModel:
                 raise ValueError(f"{name} must contain the origin")
 
 
-def _zonotope_contains_origin(Z: Zonotope, tol: float = 1e-9) -> bool:
-    """Whether c + G xi = 0 for some |xi|_inf <= 1: a center within ``tol`` of
-    the origin, or else an Optimal min 0.5 |xi|^2 s.t. G xi = -c, -1 <= xi <= 1
-    (PrimalInfeasible when no such xi exists)."""
-    if (np.abs(Z.center) <= tol).all():  # np.allclose(Z.center, 0.0, atol=tol), written out
+def _zonotope_contains_origin(Z: Zonotope) -> bool:
+    """Whether c + G xi = 0 for some |xi|_inf <= 1: a center within
+    ``sets.CONTAINS_TOL`` of the origin, or else an Optimal min 0.5 |xi|^2
+    s.t. G xi = -c, -1 <= xi <= 1 (PrimalInfeasible when no such xi exists)."""
+    if (np.abs(Z.center) <= CONTAINS_TOL).all():  # np.allclose(c, 0, atol=1e-9), written out
         return True
     g = Z.generators.shape[1]
     if g == 0:  # a point: its center, which the test above has just judged

@@ -128,7 +128,7 @@ class ReferenceSchedule:
     def timed(cls, entries) -> "ReferenceSchedule":
         """Targets ``y`` from each ``(start_step, y)`` on. Start steps are
         integers (a bool is not one), strictly increasing from 0, and the
-        targets all have one length."""
+        targets are finite and all have one length."""
         norm = []
         for i, (k, y) in enumerate(entries):
             if not (_is_number(k, integer=True) and k >= 0):
@@ -139,17 +139,17 @@ class ReferenceSchedule:
         starts = [k for k, _ in norm]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("timed entries must be strictly increasing in start_step")
-        _one_length([y for _, y in norm], "timed targets")
+        _finite_one_length([y for _, y in norm], "timed targets")
         return cls(mode="timed", entries=tuple(norm))
 
     @classmethod
     def waypoints(cls, points, switch_radius: float) -> "ReferenceSchedule":
-        """Waypoints of one length, each passed once the output comes within
-        ``switch_radius``, a finite positive number (a bool is not one)."""
+        """Finite waypoints of one length, each passed once the output comes
+        within ``switch_radius``, a finite positive number (a bool is not one)."""
         pts = tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in points)
         if not pts:
             raise ValueError("waypoint schedule needs at least one point")
-        _one_length(pts, "waypoints")
+        _finite_one_length(pts, "waypoints")
         r = switch_radius
         if not (_is_finite(r) and r > 0):
             raise ValueError(f"waypoints.switch_radius must be a finite positive number, "
@@ -157,7 +157,11 @@ class ReferenceSchedule:
         return cls(mode="waypoint", points=pts, switch_radius=float(r))
 
 
-def _one_length(vectors, what: str) -> None:
+def _finite_one_length(vectors, what: str) -> None:
+    """Refuse a vector that is not finite, naming its entry, or vectors of two lengths."""
+    for i, v in enumerate(vectors):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{what} must be finite, got entry {i}: {v.tolist()}")
     lengths = [v.size for v in vectors]
     if len(set(lengths)) > 1:
         raise ValueError(f"{what} must all have one length, got lengths {lengths}")
@@ -373,13 +377,16 @@ def tracking_metrics(log: SimLog, settle_window: int) -> dict:
     """Summary of tracking quality against the per-segment reachable target.
 
     ``final_error`` is the worst segment's mean ``||y - y_sr~||`` over that
-    segment's last ``settle_window`` steps; segments are maximal runs of equal
-    reference values.  Margins within the membership tolerance of the boundary
-    count as satisfied (same convention as :func:`koopmpc.sets.contains`), so
-    an input sitting on an active bound does not report roundoff as violation.
+    segment's last ``settle_window`` steps (an integer >= 1, not a bool);
+    segments are maximal runs of equal reference values.  Margins within the
+    membership tolerance of the boundary count as satisfied (same convention
+    as :func:`koopmpc.sets.contains`), so an input sitting on an active bound
+    does not report roundoff as violation.
     """
     if log.k.size == 0:
         raise ValueError("cannot compute metrics of an empty simulation log")
+    if not _is_number(settle_window, integer=True):
+        raise ValueError(f"settle_window must be an integer, got {settle_window!r}")
     if settle_window < 1:
         raise ValueError("settle_window must be at least 1")
     errs = np.linalg.norm(log.y - log.y_sr, axis=1)

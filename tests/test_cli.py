@@ -199,11 +199,23 @@ def test_tighten_oversized_disturbance_exit_4(tmp_path, capsys):
 
 
 def test_tighten_lqr_no_convergence_exit_4(tmp_path, capsys):
+    # P starts at Q_k = 1e13 I, past the divergence bound, on a stabilizable pair.
     scenario = base_scenario(
-        tmp_path, controller={**CONTROLLER, "lqr": {"Qk": 1.0, "Rk": 1.0, "max_iter": 1}}
+        tmp_path, controller={**CONTROLLER, "lqr": {"Qk": 1e13, "Rk": 1.0}}
     )
     assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 4
-    assert "did not converge" in capsys.readouterr().err
+    assert "Riccati iteration stopped where |P| passed its divergence bound 1e12" in (
+        capsys.readouterr().err)
+
+
+def test_tighten_takes_tiny_lqr_weights_exit_0(tmp_path):
+    # Q_k = R_k = 1e-14 is the LQR problem of a2's own Q_k = R_k = 1: dlqr's
+    # fixed-point stop has no absolute scale that would refuse it.
+    a2 = json.loads((SCENARIOS / "a2.json").read_text())
+    a2["controller"]["lqr"] = {"Qk": 1e-14, "Rk": 1e-14}
+    scenario = tmp_path / "a2.json"
+    scenario.write_text(json.dumps(a2))
+    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 0
 
 
 def test_tighten_lqr_not_stabilizing_exit_4(tmp_path, capsys):
@@ -241,17 +253,12 @@ def test_tighten_underdetermined_fit_exit_3(tmp_path, capsys):
     assert not (tmp_path / "schedule.json").exists()
 
 
-@pytest.mark.parametrize("lqr, named", [
-    ({"tol": -1}, "controller.lqr.tol"),
-    ({"tol": "nan"}, "controller.lqr.tol"),
-    ({"tol": 0.0}, "controller.lqr.tol"),
-    ({"tol": float("inf")}, "controller.lqr.tol"),
-    ({"max_iter": 2.7}, "controller.lqr.max_iter"),
-    ({"max_iter": 0}, "controller.lqr.max_iter"),
-    ({"max_iter": "many"}, "controller.lqr.max_iter"),
-    ({"max_iter": True}, "controller.lqr.max_iter"),
-])
-def test_tighten_rejects_malformed_lqr_settings_exit_2(tmp_path, capsys, monkeypatch, lqr, named):
+@pytest.mark.parametrize("lqr", [{"tol": 1e-9}, {"max_iter": 300000}], ids=["tol", "max_iter"])
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_the_removed_lqr_stopping_keys_are_refused_exit_2(tmp_path, capsys, monkeypatch, lqr,
+                                                          command):
+    # dlqr stops at its floating-point fixed point, so controller.lqr takes no
+    # tolerance or step budget: a scenario that sets one is refused by name.
     def no_fit(*args, **kwargs):
         raise AssertionError("the scenario was fitted before its lqr block was checked")
 
@@ -259,8 +266,8 @@ def test_tighten_rejects_malformed_lqr_settings_exit_2(tmp_path, capsys, monkeyp
     scenario = base_scenario(
         tmp_path, controller={**CONTROLLER, "lqr": {"Qk": 1.0, "Rk": 1.0, **lqr}}
     )
-    assert main(["tighten", str(scenario), str(tmp_path / "schedule.json")]) == 2
-    assert named in capsys.readouterr().err
+    assert main(scenario_argv(command, scenario, tmp_path)) == 2
+    assert f"unknown controller.lqr key {next(iter(lqr))!r}" in capsys.readouterr().err
 
 
 # --- scenario validation -------------------------------------------------------------
@@ -667,6 +674,19 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
      f"exponents must be integers in [0, 2**63), got {10**29}"),
     ("controller.Q", "[[1, 0, 0], [0, 1], [0, 0, 1]]",
      "controller.Q must be a rectangular list, got [[1, 0, 0], [0, 1], [0, 0, 1]]"),
+    ("controller.Q", "[[Infinity, 0, 0], [0, 1, 0], [0, 0, 1]]",
+     "controller.Q must be a scalar or an 3x3 matrix of finite numbers, got [[inf, 0, 0]"),
+    ("controller.R", "[[Infinity]]",
+     "controller.R must be a scalar or an 1x1 matrix of finite numbers, got [[inf]]"),
+    ("controller.lqr.Qk", "[[1, 0, 0], [0, Infinity, 0], [0, 0, 1]]",
+     "controller.lqr.Qk must be a scalar or an 3x3 matrix of finite numbers, got [[1, 0, 0], "
+     "[0, inf, 0]"),
+    ("controller.lqr.Rk", "[[Infinity]]",
+     "controller.lqr.Rk must be a scalar or an 1x1 matrix of finite numbers, got [[inf]]"),
+    ("controller.Q", "[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]",
+     "controller.Q must be a scalar or an 3x3 matrix of finite numbers, got [[nan, 0, 0]"),
+    ("controller.lqr.Rk", "[[-Infinity]]",
+     "controller.lqr.Rk must be a scalar or an 1x1 matrix of finite numbers, got [[-inf]]"),
 ], ids=["s-string", "s-bool", "s-overflow", "ridge-string", "ridge-bool", "ridge-negative",
         "Q-bool", "R-bool", "Qk-bool", "Rk-bool", "dt-string",
         "dt-bool", "dt-zero", "lambda-string", "lambda-bool", "lambda-nan-string", "mu-overflow",
@@ -675,7 +695,8 @@ def test_integer_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, 
         "ridge-big-int", "timed-target-big-int", "constraints.state.hi-big-int",
         "half_extents-big-int", "switch_radius-big-int", "exponents-big-int", "Q-entry-object",
         "input.lo-object", "Q-entry-string", "W.half_extents-string", "constraints.state.hi-string",
-        "exponents-huge-int", "Q-ragged"])
+        "exponents-huge-int", "Q-ragged", "Q-entry-inf", "R-entry-inf", "Qk-entry-inf",
+        "Rk-entry-inf", "Q-entry-nan", "Rk-entry-minus-inf"])
 def test_scalar_scenario_keys_are_strict_exit_2(tmp_path, capsys, monkeypatch, dotted, text,
                                                 named):
     # Rejected with the key named before any data is generated or fitted:

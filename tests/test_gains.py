@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
+from koopmpc import gains
 from koopmpc.gains import (
     RICCATI_TOL,
     GainResult,
@@ -100,7 +101,7 @@ def test_dlqr_riccati_residual_small():
     rng = np.random.default_rng(7)
     A = 0.9 * rng.standard_normal((4, 4)) / 2
     B = rng.standard_normal((4, 2))
-    res = dlqr(A, B, np.eye(4), np.eye(2), tol=1e-12)
+    res = dlqr(A, B, np.eye(4), np.eye(2))
     P = res.riccati_P
     S = np.eye(2) + B.T @ P @ B
     back = np.eye(4) + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(S, B.T @ P @ A)
@@ -130,10 +131,20 @@ def test_dlqr_rejects_indefinite_weights():
         dlqr(np.eye(2) * 0.5, np.eye(2), np.eye(2), np.zeros((2, 2)))
 
 
-def test_dlqr_no_convergence_budget():
-    A = np.array([[0.999]])
-    with pytest.raises(NoConvergence):
-        dlqr(A, np.array([[1.0]]), np.eye(1), np.eye(1), tol=1e-15, max_iter=2)
+def test_dlqr_names_the_round_cap_when_it_stops_there(monkeypatch):
+    # The benchmark pair reaches its fixed point in round 6; a cap of 5 rounds
+    # stops it short, with a stabilizing gain.
+    A, B = numerical_example_matrices(-0.1, 2.0)
+    monkeypatch.setattr(gains, "MAX_ROUNDS", 5)
+    with pytest.raises(NoConvergence, match="^Riccati iteration reached no fixed point in 5 "
+                                            "doubling rounds$"):
+        dlqr(A, B, np.eye(3), np.eye(1))
+
+
+def test_dlqr_names_the_divergence_bound_when_it_stops_there():
+    # P starts at Q = 1e13 I, past the bound, although the plant is stable.
+    with pytest.raises(NoConvergence, match="divergence bound 1e12"):
+        dlqr(np.array([[0.5]]), np.array([[1.0]]), 1e13 * np.eye(1), np.eye(1))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -159,30 +170,49 @@ def test_dlqr_near_unit_closed_loop_matches_are():
     B = T @ np.array([[1.0], [1e-3], [0.2]])
     Q, R = np.eye(3), np.array([[100.0]])
     assert np.abs(np.linalg.eigvals(A)).max() > 1.0
-    tol = 1e-9
-    res = dlqr(A, B, Q, R, tol=tol, max_iter=300_000)
+    res = dlqr(A, B, Q, R)
     assert 0.998 < res.spectral_radius_AK < 1.0
     X = solve_discrete_are(A, B, Q, R)
     P = res.riccati_P
     assert np.abs(P - X).max() <= 1e-8 * np.abs(X).max()
     AtPB = A.T @ P @ B
     step = Q + A.T @ P @ A - AtPB @ np.linalg.solve(R + B.T @ P @ B, AtPB.T)
-    assert np.abs(step - P).max() <= tol
+    # P is the iteration's fixed point: one more step moves it by rounding.
+    assert np.abs(step - P).max() <= 1e-14 * np.abs(P).max()
 
 
-def test_dlqr_budget_counts_riccati_steps():
-    # The benchmark pair converges in round k, the first whose own change is
-    # at most tol; its 2^k - 1 steps are the smallest budget that reaches it.
+def fixed_point_round(A, B, Q, R):
+    """The first doubling round whose P equals the one before it bit for bit,
+    and that P."""
+    before = Q
+    for k, P in enumerate(islice(_doubling_rounds(A, B, Q, R), 64), start=1):
+        if np.array_equal(P, before):
+            return k, P
+        before = P
+    raise AssertionError("no fixed point in 64 rounds")
+
+
+def test_dlqr_stops_at_the_first_round_that_leaves_P_unchanged():
+    # The benchmark pair's round 5 still moves P (by 3.4e-12); round 6 does
+    # not, and dlqr returns its iterate, that of 63 one-step Riccati steps.
     A, B = numerical_example_matrices(-0.1, 2.0)
-    Q, R, tol = np.eye(3), np.eye(1), 1e-12
-    iterates = riccati_value_iterates(A, B, Q, R, 2**8 - 1)
-    k = next(k for k in range(1, 9)
-             if np.abs(iterates[2**k - 1] - iterates[2 ** (k - 1) - 1]).max() <= tol)
+    Q, R = np.eye(3), np.eye(1)
+    k, P = fixed_point_round(A, B, Q, R)
     assert k == 6
-    with pytest.raises(NoConvergence):
-        dlqr(A, B, Q, R, tol=tol, max_iter=2**k - 2)
-    res = dlqr(A, B, Q, R, tol=tol, max_iter=2**k - 1)
-    assert np.abs(res.riccati_P - iterates[2**k - 1]).max() <= 1e-12 * np.abs(res.riccati_P).max()
+    assert dlqr(A, B, Q, R).riccati_P.tobytes() == P.tobytes()
+    iterates = riccati_value_iterates(A, B, Q, R, 2**k - 1)
+    assert np.abs(P - iterates[2**k - 1]).max() <= 1e-12 * np.abs(P).max()
+
+
+def test_jointly_scaled_weights_give_the_same_gain_bit_for_bit():
+    # (Q, R) -> 2^k (Q, R) scales every iterate by 2^k exactly, so the fixed
+    # point is reached in the same round and K is bit-equal. From k = 38 on,
+    # Q itself passes the divergence bound 1e12.
+    A, B = numerical_example_matrices(-0.1, 2.0)
+    K = dlqr(A, B, np.eye(3), np.eye(1)).K
+    for k in range(-60, 37):
+        scale = 2.0**k
+        assert dlqr(A, B, scale * np.eye(3), scale * np.eye(1)).K.tobytes() == K.tobytes(), k
 
 
 def test_gain_result_validates_its_invariants():
@@ -248,17 +278,31 @@ SYMMETRY_PAIRS = (
 
 def test_the_symmetry_test_gives_np_allclose_verdicts():
     # The test written out in _as_spd against np.allclose(M, M.T, atol=1e-10)
-    # on both sides of its bounds, and on non-finite entries off and on the
-    # diagonal (an infinity equals itself there).
+    # on both sides of its bounds. Non-finite entries, off and on the
+    # diagonal and symmetric or not, are refused before it.
     verdicts = []
     for a, b in SYMMETRY_PAIRS:
         M = np.array([[2.0, a], [b, 2.0]])
+        if not np.isfinite(M).all():
+            with pytest.raises(ValueError, match="^M must hold finite numbers$"):
+                _as_spd("M", M)
+            continue
         verdicts.append(passes_the_symmetry_test(M))
         assert verdicts[-1] == np.allclose(M, M.T, atol=1e-10), (a, b)
     assert any(verdicts) and not all(verdicts)
     for d in (np.nan, np.inf, -np.inf):
-        M = np.diag([d, 1.0])
-        assert passes_the_symmetry_test(M) == np.allclose(M, M.T, atol=1e-10), d
+        with pytest.raises(ValueError, match="^M must hold finite numbers$"):
+            _as_spd("M", np.diag([d, 1.0]))
+
+
+@pytest.mark.parametrize("M", [[[1.0, np.inf], [np.inf, 1.0]], [[np.inf]], [[np.nan]],
+                               [[1.0, 0.0], [0.0, -np.inf]]],
+                         ids=["symmetric-inf", "inf", "nan", "negative-inf"])
+def test_weights_that_are_not_finite_are_refused_by_name(M):
+    with pytest.raises(ValueError, match="^Q_k must hold finite numbers$"):
+        dlqr(np.eye(len(M)) * 0.5, np.ones((len(M), 1)), M, np.eye(1))
+    with pytest.raises(ValueError, match="^R_k must hold finite numbers$"):
+        dlqr(np.eye(len(M)) * 0.5, np.ones((len(M), len(M))), np.eye(len(M)), M)
 
 
 def test_the_symmetry_test_gives_np_allclose_verdicts_on_random_near_symmetric_matrices():
@@ -318,10 +362,12 @@ def test_every_gain_returned_on_an_extreme_scale_draw_passes_its_certificate():
     # n 1-5, m 1-2, with B, Q and R scaled by 10^U(-8, 8): each gain dlqr
     # returns solves the Riccati equation to RICCATI_TOL of its terms' size,
     # checked here with the middle term formed from R (not from K), and has
-    # a positive definite P. Of 500 systems dlqr returns 347 gains and
+    # a positive definite P. Of 500 systems dlqr returns 348 gains and
     # refuses 55 with NoConvergence from the certificate: 52 residuals above
-    # the bound (some near 1) and 3 P that are not positive definite.
-    rng, returned, refused = np.random.default_rng(0), 0, []
+    # the bound (some near 1) and 3 P that are not positive definite. The
+    # other 97 are refused before it: 49 not stabilizable, 24 with a singular
+    # W, 22 stopped by the divergence bound and 2 with a singular R + B'PB.
+    rng, returned, refused, not_stabilizing = np.random.default_rng(0), 0, [], 0
     for _ in range(500):
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 3))
         A = rng.standard_normal((n, n))
@@ -336,27 +382,36 @@ def test_every_gain_returned_on_an_extreme_scale_draw_passes_its_certificate():
             refused.append(str(exc))
             continue
         except NotStabilizing:
+            not_stabilizing += 1
             continue
         returned += 1
         assert _scaled_riccati_residual(A, B, Q, R, gain.K, gain.riccati_P) <= 2 * RICCATI_TOL
         np.linalg.cholesky(gain.riccati_P)
-    assert returned == 347
+    assert returned == 348 and not_stabilizing == 49
     assert sum("Riccati residual" in msg for msg in refused) == 52
     assert sum("P is not positive definite" in msg for msg in refused) == 3
+    assert sum("W = I + GP is singular" in msg for msg in refused) == 24
+    assert sum("divergence bound 1e12" in msg for msg in refused) == 22
+    assert sum("R_k + B'PB is singular" in msg for msg in refused) == 2
+    assert len(refused) == 55 + 24 + 22 + 2
 
 
-@pytest.mark.parametrize("name", ["a1", "a2", "unicycle_square"])
-def test_the_shipped_gains_solve_the_riccati_equation_to_rounding(name):
+@pytest.mark.parametrize("name, rounds", [("a1", 6), ("a2", 6), ("unicycle_square", 16)])
+def test_the_shipped_gains_solve_the_riccati_equation_to_rounding(name, rounds):
     # The certificate is a check: the shipped gains pass it with residuals
     # near eps (1.1e-16 on a1 and a2, 2.0e-16 on the unicycle), and their K
-    # is scipy's to 5.6e-10 of its size.
+    # is scipy's to 5.6e-10 of its size. Their P is the doubling iterate of
+    # the round that first leaves P unchanged: round 6 on a1 and a2 (round 5
+    # moves P by 3.4e-12) and round 16 on the unicycle (round 15 by 1.6e-7).
     from koopmpc import cli
 
     stack = cli.build_stack(SCENARIOS / f"{name}.json")
     lqr = stack.sc["controller"]["lqr"]
     model, n_z, n_u = stack.model, stack.model.n_z, stack.model.B.shape[1]
     Q, R = lqr["Qk"] * np.eye(n_z), lqr["Rk"] * np.eye(n_u)
-    gain = dlqr(model.A, model.B, Q, R, **{k: lqr[k] for k in ("tol", "max_iter") if k in lqr})
+    gain = dlqr(model.A, model.B, Q, R)
+    k, P_k = fixed_point_round(model.A, model.B, Q, R)
+    assert k == rounds and gain.riccati_P.tobytes() == P_k.tobytes()
     P = solve_discrete_are(model.A, model.B, Q, R)
     K = -np.linalg.solve(R + model.B.T @ P @ model.B, model.B.T @ P @ model.A)
     assert np.max(np.abs(gain.K - K)) <= 1e-9 * np.max(np.abs(K))

@@ -34,11 +34,13 @@ class Validated(Exception):
 
 
 def test_readme_scenario_schema_matches_the_validator(tmp_path, monkeypatch):
-    """The schema's top-level keys are the ones a scenario may give, its
-    lifting passes as written, and its disturbance keys are the ones
-    ``build_stack`` takes."""
+    """The schema's top-level, ``controller`` and ``controller.lqr`` keys are
+    the ones a scenario may give, its lifting passes as written, and its
+    disturbance keys are the ones ``build_stack`` takes."""
     schema = readme_scenario_schema()
     assert set(schema) == cli._SCENARIO_KEYS
+    assert set(schema["controller"]) == cli._CONTROLLER_KEYS
+    assert set(schema["controller"]["lqr"]) == cli._LQR_KEYS
     cli._lifting(schema["lifting"], 2)
     # Each of the schema's disturbance keys, holding a2's declared sets, in a2.
     sc = json.loads((ROOT / "scenarios" / "a2.json").read_text())

@@ -336,6 +336,31 @@ def test_waypoint_schedule_rejects_a_bad_radius_or_ragged_points(points, radius,
         ReferenceSchedule.waypoints(points, switch_radius=radius)
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: ReferenceSchedule.timed([(0, [np.nan])]),
+     "timed targets must be finite, got entry 0: [nan]"),
+    (lambda: ReferenceSchedule.timed([(0, [1.0]), (3, [np.inf])]),
+     "timed targets must be finite, got entry 1: [inf]"),
+    (lambda: ReferenceSchedule.waypoints([[np.nan]], 0.3),
+     "waypoints must be finite, got entry 0: [nan]"),
+    (lambda: ReferenceSchedule.waypoints([[1.0, 1.0], [2.0, -np.inf]], 0.3),
+     "waypoints must be finite, got entry 1: [2.0, -inf]"),
+], ids=["timed-nan", "timed-inf", "waypoint-nan", "waypoint-minus-inf"])
+def test_reference_schedules_refuse_targets_that_are_not_finite(make, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        make()
+
+
+@pytest.mark.parametrize("window", [True, 2.5, 2.0, "2"])
+def test_tracking_metrics_refuse_a_settle_window_that_is_not_an_integer(window):
+    log = run_closed_loop(numerical_example_plant(), make_loop_setup(),
+                          ReferenceSchedule.timed([(0, [1.0])]), T=2)
+    named = f"settle_window must be an integer, got {window!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        tracking_metrics(log, settle_window=window)
+    assert tracking_metrics(log, np.int64(2)) == tracking_metrics(log, 2)
+
+
 def test_waypoint_schedule_takes_a_numpy_radius():
     refs = ReferenceSchedule.waypoints([[1.0, 1.0]], switch_radius=np.float32(0.25))
     assert refs.switch_radius == 0.25 and type(refs.switch_radius) is float
