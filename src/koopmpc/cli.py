@@ -135,8 +135,9 @@ _LQR_KEYS = {"Qk", "Rk"}
 _GENERATE_KEYS = {"n_traj", "traj_len", "input_box", "state_box", "seed"}
 
 
-def _check_keys(doc, allowed: set, what: str) -> None:
-    """Reject a non-object or an unknown key, naming the block it sits in."""
+def _check_keys(doc, allowed: set, what: str, required=()) -> None:
+    """Reject a non-object, an unknown key or a missing ``required`` one,
+    naming the block it sits in."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be an object")
     unknown = sorted(set(doc) - allowed)
@@ -144,6 +145,8 @@ def _check_keys(doc, allowed: set, what: str) -> None:
         raise ValueError(
             f"unknown {what} key {unknown[0]!r} (allowed: {', '.join(sorted(allowed))})"
         )
+    if missing := [key for key in required if key not in doc]:
+        raise ValueError(f"{what} needs key {missing[0]!r}")
 
 
 def _lifting(doc, n_x: int):
@@ -239,7 +242,8 @@ def _references(doc, n_y: int) -> ReferenceSchedule:
             raise ValueError("scenario 'references' must give 'timed' or 'waypoints'")
         _check_keys(doc, {"waypoints"}, "references")
         wp = doc["waypoints"]
-        _check_keys(wp, {"points", "switch_radius"}, "references.waypoints")
+        _check_keys(wp, {"points", "switch_radius"}, "references.waypoints",
+                    required=("points", "switch_radius"))
         points = [_numbers(p, n_y, f"references.waypoints.points[{i}]")
                   for i, p in entries(wp["points"], "references.waypoints.points")]
         make, args = ReferenceSchedule.waypoints, (points, wp["switch_radius"])
@@ -258,7 +262,8 @@ def _training_data(sc: dict, plant, scenario_dir: Path) -> partial:
     if "path" in doc:
         return partial(load_trajectories, scenario_dir / doc["path"])
     gen = doc["generate"]
-    _check_keys(gen, _GENERATE_KEYS, "data.generate")
+    _check_keys(gen, _GENERATE_KEYS, "data.generate",
+                required=("n_traj", "traj_len", "input_box", "state_box"))
     return partial(
         generate_training_data,
         plant,
@@ -307,12 +312,13 @@ def build_stack(scenario_path, y_t=None) -> Stack:
     dimension with the scenario, before any data is generated.
     """
     sc = _load_json(scenario_path)
-    _check_keys(sc, _SCENARIO_KEYS, "scenario")
+    _check_keys(sc, _SCENARIO_KEYS, "scenario",
+                required=("plant", "lifting", "constraints", "controller", "T"))
     for doc, key, what in ((sc, "out_dir", "out_dir"), (sc.get("data"), "path", "data.path")):
         if isinstance(doc, dict) and key in doc and not isinstance(doc[key], str):
             raise ValueError(f"{what} must be a string (a path), got {doc[key]!r}")
     cfg_doc = sc["controller"]
-    _check_keys(cfg_doc, _CONTROLLER_KEYS, "controller")
+    _check_keys(cfg_doc, _CONTROLLER_KEYS, "controller", required=("N", "Q", "R", "s"))
     lqr_doc = cfg_doc.get("lqr", {})
     _check_keys(lqr_doc, _LQR_KEYS, "controller.lqr")
     plant = _build_plant(sc["plant"])
@@ -320,7 +326,7 @@ def build_stack(scenario_path, y_t=None) -> Stack:
 
     def noise(doc, what, n_w) -> DisturbanceModel:
         """W is n_w-dimensional and the measurement noise V acts on the state."""
-        _check_keys(doc, {"W", "V"}, what)
+        _check_keys(doc, {"W", "V"}, what, required=("W", "V"))
         W = _zonotope_from_doc(doc["W"], f"{what}.W", n_w)
         V = _zonotope_from_doc(doc["V"], f"{what}.V", plant.n_x)
         try:
@@ -346,7 +352,7 @@ def build_stack(scenario_path, y_t=None) -> Stack:
         raise ValueError(f"y_t: the target needs {n_y} comma-separated value(s), one per "
                          f"output of the scenario, got {len(y_t)}")
     con = sc["constraints"]
-    _check_keys(con, {"state", "input"}, "constraints")
+    _check_keys(con, {"state", "input"}, "constraints", required=("state", "input"))
     X = _box_from_doc(con["state"], plant.n_x, "constraints.state")
     U = _box_from_doc(con["input"], plant.n_u, "constraints.input")
     x0 = None if sc.get("x0") is None else np.array(_numbers(sc["x0"], plant.n_x, "x0"), float)

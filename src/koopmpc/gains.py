@@ -120,9 +120,10 @@ def dlqr(A, B, Q_k, R_k) -> GainResult:
 
     The iteration stops at its floating-point fixed point: the first round
     whose P equals the one before it bit for bit (round 6 on a1 and a2, round
-    16 on the unicycle). It stops early where some entry of P passes 1e12 in
-    magnitude or is NaN (a diverging cost-to-go: some unstable mode is out of
-    reach of B), and after MAX_ROUNDS (64) rounds. Returns
+    16 on the unicycle), whatever the size of P. A round that moves P stops
+    it early where some entry of P passes 1e12 in magnitude or is NaN (a
+    diverging cost-to-go: some unstable mode is out of reach of B), and so
+    does the end of MAX_ROUNDS (64) rounds. Returns
     K = -(R_k + B'PB)^{-1} B'PA with the certified closed-loop spectral radius.
 
     The gain is certified before it is returned: P must be positive definite
@@ -163,10 +164,9 @@ def dlqr(A, B, Q_k, R_k) -> GainResult:
 
     P, stop = Q, f"reached no fixed point in {MAX_ROUNDS} doubling rounds"
     for P_next in islice(_doubling_rounds(A, B, Q, R), MAX_ROUNDS):
-        P, fixed = P_next, np.array_equal(P_next, P)
-        diverged = not np.abs(P).max() <= 1e12  # NaN fails the test too
-        if fixed or diverged:
-            stop = "stopped where |P| passed its divergence bound 1e12" if diverged else None
+        fixed, P = np.array_equal(P_next, P), P_next
+        if fixed or not np.abs(P).max() <= 1e12:  # NaN fails the bound too
+            stop = None if fixed else "stopped where |P| passed its divergence bound 1e12"
             break
 
     try:

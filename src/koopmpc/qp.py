@@ -75,14 +75,11 @@ optimality test on the other columns. So the stored support can make a solve
 faster but never changes which results are accepted. A hit forms only x, its
 objective and the verdict (stationarity and equality in one reduction); the
 KKT residuals and multipliers are formed on first read (see QpSolution). A
-miss starts NNLS where Lawson and Hanson's first step from the stored support
-would take it (:func:`_start`; with no row stored, from the rows x_0 breaks),
-then builds the maps of NNLS's final support and evaluates them, so that a
-warm and a cold Optimal solve that end on the same support agree bit for bit.
-A final support with a zero residual gets no map; its weights, and those of
-a support whose map fails, are refactored from its columns in row order and
-checked, so a warm and a cold Farkas certificate on the same support agree
-bit for bit too.
+miss starts NNLS from the rows x_0 breaks, then builds the maps of NNLS's
+final support and evaluates them, so that a hit and a miss that end on the
+same support agree bit for bit. A final support with a zero residual gets no
+map; its weights, and those of a support whose map fails, are refactored from
+its columns in row order and checked.
 
 The factors' SVD and Cholesky factorizations and the support's Cholesky
 solve are numpy's. NNLS's factorizations and triangular solves are LAPACK's,
@@ -425,29 +422,6 @@ def _on_support(qp, f, S: _Support, v, qb, tol):
     return _checked(qp, f, S, v[n + d + k :], v[n : n + d], lam_S, qb, tol)
 
 
-def _start(qp, f, S: _Support, v, h):
-    """Where NNLS starts a miss of the stored support S: its start columns (as
-    positions in ``free``) and, if known, feasible weights on them. With no
-    row stored, the rows x_0 = X0 [theta; 1] breaks. When S's map gave
-    positive lam_S at theta, its point, from v = M_S [theta; 1], is the
-    least-squares point of S's columns, whose weights are
-    lam_S / (1 + h_S'lam_S): they start S's columns, and the row that point
-    breaks most (where E'r, the gradient of Lawson and Hanson's first step
-    from S, is largest) enters at weight 0. Otherwise S's columns alone."""
-    if not S.rows.size:
-        return np.flatnonzero(h[f.free] > _FEAS_TOL * f.row_scale[f.free]), None
-    start, d, k, n = np.searchsorted(f.free, S.rows), qp.dim, S.rows.size, len(f.head)
-    lam = None if S.M is None else v[n + d : n + d + k]
-    if lam is None or not np.minimum.reduce(lam) > 0.0:
-        return start, None
-    r_in = v[n + 2 * d + k + qp.b_eq.size :][f.free]  # A_in x - b_in on the free rows
-    j = r_in.argmax()
-    u = lam / (1.0 + h[S.rows] @ lam)
-    if not r_in[j] > 0.0:
-        return start, u
-    return np.concatenate((start, (j,))), np.concatenate((u, _ZERO))
-
-
 def _least_squares(ET: np.ndarray, P: np.ndarray):
     """Q, R (in its upper triangle, in an (n+1)-square buffer) and the
     least-squares weights z of the columns P of E = ET' against the last unit
@@ -465,7 +439,7 @@ def _least_squares(ET: np.ndarray, P: np.ndarray):
     return Q, R, dtrtrs(R[:, : P.size], Q[-1])[0][: P.size]
 
 
-def _nnls(ET: np.ndarray, norm2: np.ndarray, maxiter: int, start, weights=None):
+def _nnls(ET: np.ndarray, norm2: np.ndarray, maxiter: int, start):
     """Lawson and Hanson's NNLS (1974, ch. 23): min |Eu - e| over u >= 0, with
     E = ET' ((n+1) x m), e the last unit vector and norm2 the squared column
     norms |E_j|^2. Returns the passive columns P, their weights u_P > 0 (every
@@ -480,15 +454,14 @@ def _nnls(ET: np.ndarray, norm2: np.ndarray, maxiter: int, start, weights=None):
     and leaves by Givens rotations (scipy's qr_delete); each change of P ends
     in one triangular solve for z.
 
-    The columns ``start`` (at most n + 1) are factored by LAPACK. Given
-    feasible ``weights`` on them (positive, or 0 on a column entering), the
-    inner loop runs from there; otherwise the columns whose weight is not
-    positive, or that the earlier ones span to rounding, are dropped until
-    every weight is positive (no column is the classic start). The optimality
-    test asks that no gradient exceed 10 (n+1) eps max_j |E_j|, which a zero
-    residual passes; n + 1 passive columns end the run, since their residual
-    is zero. A column whose weight on entering would not be positive, or
-    that E_P spans to within 100 eps of its norm, is skipped for that round.
+    The columns ``start`` (at most n + 1) are factored by LAPACK, and those
+    whose weight is not positive, or that the earlier ones span to rounding,
+    are dropped until every weight is positive (no column is the classic
+    start). The optimality test asks that no gradient exceed
+    10 (n+1) eps max_j |E_j|, which a zero residual passes; n + 1 passive
+    columns end the run, since their residual is zero. A column whose weight
+    on entering would not be positive, or that E_P spans to within 100 eps of
+    its norm, is skipped for that round.
     Each least-squares solve (a factorization, an entering column or a
     deletion) counts one of at most ``maxiter`` iterations; SolverFailed
     beyond."""
@@ -541,14 +514,10 @@ def _nnls(ET: np.ndarray, norm2: np.ndarray, maxiter: int, start, weights=None):
     Q, R, z = _least_squares(ET, P)
     k = P.size
     passive[:k] = P
-    independent = np.diagonal(R)[:k] ** 2 > spanned[P]
-    if weights is not None and independent.all():
-        z = feasible(np.array(weights, dtype=float), z)
-    else:
-        keep = (z > 0.0) & independent
-        while not keep.all():
-            z = drop(keep)
-            keep = z > 0.0
+    keep = (z > 0.0) & (np.diagonal(R)[:k] ** 2 > spanned[P])
+    while not keep.all():
+        z = drop(keep)
+        keep = z > 0.0
     while k < n1:
         QT = Q.T
         B, c = QT[k:], QT[k:, -1]  # c = (Q'e)[k:], the residual's coordinates
@@ -614,10 +583,10 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
     first through its map, whose one product M_S [theta; 1] gives [q; b_eq],
     the least-squares residual of the equalities, x, lam_S and R_S [theta; 1]
     (a support stored without a map gives the first two from the factors'
-    head); NNLS runs, on every free column and started from that support,
-    only when that fails its check, and the map of its final support is then
-    built and tried. Returns an Optimal solution whose KKT residuals passed
-    their check, or a PrimalInfeasible one certified by a checked Farkas
+    head); NNLS runs, on every free column and started from the rows x_0
+    breaks, only when that fails its check, and the map of its final support
+    is then built and tried. Returns an Optimal solution whose KKT residuals
+    passed their check, or a PrimalInfeasible one certified by a checked Farkas
     vector (or by the residual of inconsistent equalities). Raises
     SolverFailed when Z'PZ is not positive definite, NNLS reaches its
     iteration limit, or neither result passes its check, and ValueError when
@@ -646,12 +615,11 @@ def solve(qp: QuadraticProgram, theta=()) -> QpSolution:
             u[row] = 1.0 / h[row]
             if (mu := _farkas(qp, f, u, qb[qp.dim :])) is not None:
                 return _infeasible(qp, u, mu)
-        # NNLS on every free column, from where Lawson and Hanson's first
-        # step from the stored support takes it
+        # NNLS on every free column, from the rows x_0 breaks
         ET, h_free = f.ET, h[f.free]
         ET[:, -1] = h_free
         P, _, farkas = _nnls(ET, f.AY2 + h_free * h_free, 3 * f.free.size,
-                             *_start(qp, f, S, v, h))
+                             np.flatnonzero(h_free > _FEAS_TOL * f.row_scale[f.free]))
         P.sort()
         rows = f.free[P]
         # a zero residual leaves no optimum to map: its weights are a Farkas vector

@@ -154,14 +154,14 @@ def pontryagin_diff(P: HPolytope, Z: Zonotope) -> HPolytope:
     return HPolytope(normals=P.normals, offsets=P.offsets - drop)
 
 
-def _empty_rows(normals, offsets, tol):
+def _empty_rows(normals, offsets):
     """Is {x : normals @ x <= b} empty, for each row b of `offsets`, in row order?
 
     Empty iff the minimal slack of min s s.t. a_i'x - s <= b_i, s >= 0 exceeds
-    tol. A box (signed unit rows, as in every set the CLI builds) has a closed
-    form, taken for all rows at once; otherwise HiGHS (scipy.optimize.linprog,
-    imported only here) solves one LP per row as it is read, and SolverFailed
-    is raised when it does not report success.
+    CONTAINS_TOL. A box (signed unit rows, as in every set the CLI builds) has
+    a closed form, taken for all rows at once; otherwise HiGHS
+    (scipy.optimize.linprog, imported only here) solves one LP per row as it
+    is read, and SolverFailed is raised when it does not report success.
     """
     m, n = normals.shape
     rows, axis = np.nonzero(normals)
@@ -172,7 +172,7 @@ def _empty_rows(normals, offsets, tol):
         hi, lo = np.full((len(offsets), n), np.inf), np.full((len(offsets), n), -np.inf)
         np.minimum.at(hi.T, axis[sign > 0], offsets[:, sign > 0].T)
         np.maximum.at(lo.T, axis[sign < 0], -offsets[:, sign < 0].T)
-        yield from np.max(lo - hi, axis=1, initial=0.0) / 2 > tol
+        yield from np.max(lo - hi, axis=1, initial=0.0) / 2 > CONTAINS_TOL
         return
     from scipy.optimize import linprog
 
@@ -181,17 +181,18 @@ def _empty_rows(normals, offsets, tol):
                       bounds=[(None, None)] * n + [(0.0, None)], method="highs")
         if not res.success:
             raise SolverFailed(f"slack program did not solve: {res.message}")
-        yield bool(res.x[n] > tol)
+        yield bool(res.x[n] > CONTAINS_TOL)
 
 
-def is_empty(P: HPolytope, tol: float = CONTAINS_TOL) -> bool:
+def is_empty(P: HPolytope) -> bool:
     """Whether P is empty, decided as `_empty_rows` decides it."""
-    return bool(next(_empty_rows(P.normals, P.offsets[None], tol)))
+    return bool(next(_empty_rows(P.normals, P.offsets[None])))
 
 
-def contains(P: HPolytope, x, tol: float = CONTAINS_TOL) -> bool:
-    """Whether x lies in P up to ``tol``; a wrong-size point raises as in :func:`margin`."""
-    return margin(P, x) >= -tol
+def contains(P: HPolytope, x) -> bool:
+    """Whether x lies in P up to CONTAINS_TOL; a wrong-size point raises as in
+    :func:`margin`."""
+    return margin(P, x) >= -CONTAINS_TOL
 
 
 def margin(P: HPolytope, x):
@@ -286,8 +287,8 @@ def tighten_constraints(X, U, disturbance, A, B, K, C_x, N: int) -> TighteningSc
         a.flags.writeable = False
     for P, offsets in ((X, x_off), (U, u_off)):  # all N+1 sets' halfspaces, checked as one polytope
         HPolytope(normals=np.tile(P.normals, (N + 1, 1)), offsets=offsets)
-    inputs_empty = _empty_rows(U.normals, u_off, CONTAINS_TOL)
-    for j, state_empty in enumerate(_empty_rows(X.normals, x_off, CONTAINS_TOL)):
+    inputs_empty = _empty_rows(U.normals, u_off)
+    for j, state_empty in enumerate(_empty_rows(X.normals, x_off)):
         if state_empty or next(inputs_empty):
             raise EmptyTightenedSet(j, "state" if state_empty else "input")
     return TighteningSchedule(  # state, input and error sets

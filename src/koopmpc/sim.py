@@ -378,7 +378,8 @@ def tracking_metrics(log: SimLog, settle_window: int) -> dict:
 
     ``final_error`` is the worst segment's mean ``||y - y_sr~||`` over that
     segment's last ``settle_window`` steps (an integer >= 1, not a bool);
-    segments are maximal runs of equal reference values.  Margins within the
+    segments are maximal runs of equal reference values.  A halt's NaN row
+    makes its segment's mean, and so ``final_error``, NaN.  Margins within the
     membership tolerance of the boundary count as satisfied (same convention
     as :func:`koopmpc.sets.contains`), so an input sitting on an active bound
     does not report roundoff as violation.
@@ -402,7 +403,7 @@ def tracking_metrics(log: SimLog, settle_window: int) -> dict:
     )
     violation = max(0.0, -float(worst))
     return {
-        "final_error": max(seg_means),
+        "final_error": float(np.max(seg_means)),  # NaN-propagating, unlike max()
         "mean_settled_error": float(np.mean(pooled)),
         "max_constraint_violation": violation if violation > CONTAINS_TOL else 0.0,
         "steps_to_waypoints": list(log.reached_steps),

@@ -237,13 +237,13 @@ def assert_checks_match_the_dense_check(calls):
                 assert abs(sol.kkt_residuals[key] - value) <= 1e-12 * max(1.0, scales[key]), key
 
 
-def scipys_nnls(ET, norm2, maxiter, start, weights=None):
+def scipys_nnls(ET, norm2, maxiter, start):
     """The least-distance program's NNLS as ``scipy.optimize.nnls`` solves it:
     on every column of E = ET', from zero, with scipy's default iteration
     limit, with the signature and the results of ``qp._nnls`` (``norm2``,
-    ``maxiter``, ``start`` and ``weights`` are not read): the columns of
-    positive weight, their weights, and whether the residual is zero to
-    rounding (|Eu - e| <= (n+1) eps)."""
+    ``maxiter`` and ``start`` are not read): the columns of positive weight,
+    their weights, and whether the residual is zero to rounding
+    (|Eu - e| <= (n+1) eps)."""
     from scipy.optimize import nnls
 
     m, n1 = ET.shape

@@ -284,6 +284,40 @@ def test_unknown_scenario_key_exit_2(tmp_path, capsys, overrides, named, command
     assert f"unknown {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, key", [
+    *(("scenario", key) for key in ("plant", "lifting", "constraints", "controller", "T")),
+    *(("controller", key) for key in ("N", "Q", "R", "s")),
+    ("constraints", "state"), ("constraints", "input"),
+    ("disturbance.declared", "W"), ("disturbance.declared", "V"),
+    ("injected", "W"), ("injected", "V"),
+    *(("data.generate", key) for key in ("n_traj", "traj_len", "input_box", "state_box")),
+    ("references.waypoints", "points"), ("references.waypoints", "switch_radius"),
+])
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_a_missing_required_key_is_named_exit_2(tmp_path, capsys, monkeypatch, block, key,
+                                                command):
+    # Every key the stack cannot do without is named with its block, before
+    # any data is made.
+    def no_data(*args, **kwargs):
+        raise AssertionError("training data was made before the scenario was checked")
+
+    monkeypatch.setattr(cli_module, "generate_training_data", no_data)
+    zero = {"center": [0.0, 0.0, 0.0], "half_extents": [0.0, 0.0, 0.0]}
+    scenario = base_scenario(
+        tmp_path, injected={"W": zero, "V": {"center": [0.0, 0.0], "half_extents": [0.0, 0.0]}},
+        references={"waypoints": {"points": [[1.0]], "switch_radius": 0.3}},
+    )
+    doc = json.loads(scenario.read_text())
+    holder = doc
+    for name in [] if block == "scenario" else block.split("."):
+        holder = holder[name]
+    del holder[key]
+    scenario.write_text(json.dumps(doc))
+    assert main(scenario_argv(command, scenario, tmp_path)) == 2
+    assert f"error: {block} needs key {key!r}\n" in capsys.readouterr().err
+    assert wrote_nothing(tmp_path)
+
+
 def test_tighten_validates_the_whole_scenario(tmp_path, capsys):
     # tighten never reads the references, but a scenario must be complete.
     scenario = base_scenario(tmp_path, references={"timed": [[5, [1.0]]]})

@@ -76,6 +76,14 @@ def test_dlqr_deadbeat_plant_needs_no_feedback():
     assert res.spectral_radius_AK == pytest.approx(0.0, abs=1e-12)
 
 
+def test_dlqr_returns_a_fixed_point_past_the_divergence_bound():
+    # With A = 0 the first round leaves P = Q_k, a fixed point, which is
+    # returned although |P| = 1e13 passes the bound of a round that moves P.
+    res = dlqr(np.zeros((2, 2)), np.array([[1.0], [0.5]]), 1e13 * np.eye(2), np.eye(1))
+    assert not res.K.any() and res.riccati_P.tobytes() == (1e13 * np.eye(2)).tobytes()
+    assert res.spectral_radius_AK == 0.0
+
+
 def test_dlqr_uncontrollable_unstable_raises():
     with pytest.raises(NotStabilizing):
         dlqr(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))

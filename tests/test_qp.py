@@ -670,14 +670,41 @@ def test_a_result_that_fails_its_check_raises(monkeypatch, passive, zero):
     # A_in'u != 0, also when it claims a zero residual (which skips the
     # optimum). The solver refactors the weights of the rows it gets, so
     # none of these is reported.
-    def stub(ET, norm2, maxiter, start, weights=None):
-        assert ET.shape == (2, 2) and start.tolist() == [1] and weights is None
+    def stub(ET, norm2, maxiter, start):
+        assert ET.shape == (2, 2) and start.tolist() == [1]
         return np.array(passive, dtype=np.intp), np.ones(len(passive)), zero
 
     monkeypatch.setattr(qp_module, "_nnls", stub)
     qp = _infeasible_qps()[1]
     with pytest.raises(SolverFailed, match="Farkas"):
         solve(qp)
+
+
+def test_nnls_starts_from_the_free_rows_x0_breaks_whatever_support_is_stored(monkeypatch):
+    # min |x - (theta, 0)|^2 over x_3 = 0 and the box: row 0 (x_3 <= 1) is
+    # fixed, so the free rows 1-4 (x_1 <= 1, x_2 <= 1, -x_1 <= 1, -x_2 <= 1)
+    # are NNLS's columns 0-3, and x_0 = (theta, 0). The first theta lies in
+    # the box, a hit on no row; each later one misses the support the one
+    # before stored: no row, then row 1, whose multiplier stays positive, and
+    # then supports whose multipliers do not. Every miss starts from the
+    # columns of the rows x_0 breaks.
+    nnls, starts = qp_module._nnls, []
+
+    def recorded(ET, norm2, maxiter, start):
+        starts.append(start.tolist())
+        return nnls(ET, norm2, maxiter, start)
+
+    monkeypatch.setattr(qp_module, "_nnls", recorded)
+    qp = QuadraticProgram(P=np.eye(3), q=np.zeros(3), A_eq=[[0.0, 0.0, 1.0]], b_eq=[0.0],
+                          A_in=np.vstack([np.eye(3)[2:], np.eye(3, 2).T, -np.eye(3, 2).T]),
+                          b_in=np.ones(5), F_q=-np.eye(3, 2))
+    assert qp.factors.fixed.tolist() == [0]
+    thetas = [(0.5, 0.5), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (-3.0, -3.0), (3.0, -3.0)]
+    for theta in thetas:
+        sol = solve(qp, theta)
+        assert sol.status == OPTIMAL
+        assert np.array_equal(sol.x_star, np.append(np.clip(theta, -1.0, 1.0), 0.0))
+    assert starts == [[0], [0, 1], [1], [2, 3], [0, 3]]
 
 
 def test_factors_are_computed_once_per_problem(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from koopmpc import sets as sets_module
 from koopmpc.qp import SolverFailed
 from koopmpc.sets import (
+    CONTAINS_TOL,
     EmptyTightenedSet,
     HPolytope,
     TighteningSchedule,
@@ -177,7 +178,7 @@ def test_erosion_then_dilation_is_contained(rng):
             continue
         for corner in box_vertices(lo_d, hi_d):
             for v in zonotope_vertices(Z.center, Z.generators):
-                assert contains(P, corner + v, tol=1e-9)
+                assert contains(P, corner + v)
 
 
 # --- is_empty / contains / sample --------------------------------------------
@@ -213,13 +214,20 @@ def test_is_empty_box_closed_form_agrees_with_the_slack_program():
     ([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [2.0, 0.0, -1.0], 0.0),  # the point (1, 1)
 ], ids=["empty", "triangle", "point"])
 def test_is_empty_oblique_normals_take_the_slack_program(normals, offsets, slack):
-    """The minimal slack s of a_i'x - s <= b_i decides emptiness against tol:
-    1/3 for the empty set (x1, x2 >= -s and x1 + x2 <= s - 1), 0 otherwise."""
+    """The minimal slack s of a_i'x - s <= b_i decides emptiness against
+    CONTAINS_TOL: 1/3 for the empty set (x1, x2 >= -s and x1 + x2 <= s - 1),
+    0 otherwise."""
     P = HPolytope(normals=normals, offsets=offsets)
     assert is_empty(P) == (slack > 0.0)
-    assert not is_empty(P, tol=slack + 1e-6)
-    if slack:
-        assert is_empty(P, tol=slack - 1e-6)
+
+
+@pytest.mark.parametrize("delta, empty", [(1e-12, True), (0.0, False), (-1e-12, False)])
+def test_is_empty_takes_a_box_gap_past_the_tolerance_as_empty(delta, empty):
+    """x <= 0 and x >= 2 (CONTAINS_TOL + delta): the closed form's minimal
+    slack, half the gap, is CONTAINS_TOL + delta exactly (a doubling and a
+    halving), and the set is empty only where it exceeds CONTAINS_TOL."""
+    gap = 2 * (CONTAINS_TOL + delta)
+    assert is_empty(HPolytope(normals=[[1.0], [-1.0]], offsets=[0.0, -gap])) == empty
 
 
 def test_is_empty_slack_program_failure_raises_solver_failed(monkeypatch):

@@ -735,13 +735,14 @@ def test_tracking_metrics_empty_log():
         tracking_metrics(log, 10)
 
 
-def _log_with_margins(state_margin):
-    """Three identical on-target steps with a prescribed worst state margin."""
-    n = 3
+def _log_with_margins(state_margin, y_t=(1.0, 1.0, 1.0)):
+    """On-target steps, one per reference in ``y_t``, with a prescribed worst
+    state margin."""
+    n = len(y_t)
     col = lambda v: np.full((n, 1), float(v))
     return SimLog(
         k=np.arange(n), x=np.zeros((n, 2)), u=np.zeros((n, 1)),
-        y=col(1.0), y_t=col(1.0), y_s=col(1.0), u_s=col(0.0), y_sr=col(1.0),
+        y=col(1.0), y_t=np.array(y_t)[:, None], y_s=col(1.0), u_s=col(0.0), y_sr=col(1.0),
         J_N=np.zeros(n), V1=np.zeros(n), V2=np.zeros(n),
         feasible=np.ones(n, dtype=bool), margin_min=np.zeros(n),
         state_margin=np.full(n, float(state_margin)), input_margin=np.ones(n),
@@ -754,6 +755,16 @@ def test_tracking_metrics_violation_respects_membership_tolerance():
     assert tracking_metrics(_log_with_margins(-5e-16), 2)["max_constraint_violation"] == 0.0
     # ...but anything beyond the membership tolerance reports its magnitude.
     assert tracking_metrics(_log_with_margins(-0.5), 2)["max_constraint_violation"] == 0.5
+
+
+def test_tracking_metrics_of_a_run_halted_in_a_later_segment_are_nan():
+    # Three segments of three steps, on target; the halt's row has a NaN y_sr
+    # in the last one, whose mean Python's max() would skip.
+    log = _log_with_margins(0.0, y_t=np.repeat([1.0, 2.0, 3.0], 3))
+    assert tracking_metrics(log, 2)["final_error"] == 0.0
+    log.y_sr[-1] = np.nan
+    m = tracking_metrics(log, 2)
+    assert math.isnan(m["final_error"]) and math.isnan(m["mean_settled_error"])
 
 
 def test_save_log_csv(tmp_path):

@@ -551,20 +551,25 @@ def test_a_stale_or_foreign_support_gives_the_cold_result(stacks, logs, name):
             assert np.array_equal(got.x_star, cold.x_star, equal_nan=True), (label, k)
 
 
-def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch):
+def test_unicycle_course_nnls_runs_take_38_then_31_least_squares_solves(course, monkeypatch):
     # The offline steady target is taken at its unconstrained optimum; NNLS
     # runs for the cold first step, at steps 3 and 23, whose supports change,
-    # and for the certified halt. The cold step starts from the 19 rows x_0
-    # breaks and takes 7 least-squares solves. Steps 3 and 23 start from the
-    # stored support's weights with the row its point breaks most, and take
-    # 2 each: that row enters and one stored row leaves. The halt starts the
-    # same way and takes 19, one for each row that enters, until 38 (n + 1)
-    # columns give a zero residual, and one more for the Farkas vector's
-    # weights in row order. A later course on the same stack reuses the
-    # steady target, and its step 0 takes the support that steps 23-28
-    # stored (steps 0-2 have the same one), so it makes 30 solves, 3 misses
-    # and 24 least-squares solves, exactly, every time. Each least-squares
-    # solve ends in one triangular solve (dtrtrs).
+    # and for the certified halt. Each run starts from the rows x_0 breaks,
+    # whatever support is stored; the first factorization of those rows is
+    # one least-squares solve, and each column that enters or leaves after
+    # it is one more.
+    # - Step 0: 19 rows; one leaves before any enters, then 3 enter and 2
+    #   leave, ending on 19 rows: 7 solves.
+    # - Step 3: 18 rows, and one enters: 2.
+    # - Step 23: 18 rows; 3 enter and 2 leave, ending on 19 rows: 6.
+    # - Step 29: 19 rows; one enters and one leaves, then 19 enter until 38
+    #   (n + 1) columns give a zero residual: 22, and one more for the
+    #   Farkas vector's weights in row order, 23.
+    # A later course on the same stack reuses the steady target, and its
+    # step 0 takes the support that steps 23-28 stored (steps 0-2 have the
+    # same one), so it makes 30 solves, 3 misses and 2 + 6 + 23 = 31
+    # least-squares solves, exactly, every time. Each least-squares solve
+    # ends in one triangular solve (dtrtrs).
     from scipy.linalg import lapack
 
     stack, counts = fresh(course[0]), {}
@@ -578,9 +583,9 @@ def test_unicycle_course_calls_nnls_on_four_of_its_31_solves(course, monkeypatch
     monkeypatch.setattr(qp_module, "solve", counted("solve", qp_module.solve))
     monkeypatch.setattr(qp_module, "_nnls", counted("miss", qp_module._nnls))
     monkeypatch.setattr(lapack, "dtrtrs", counted("least_squares", lapack.dtrtrs))
-    for expected in ({"solve": 31, "miss": 4, "least_squares": 31},
-                     {"solve": 30, "miss": 3, "least_squares": 24},
-                     {"solve": 30, "miss": 3, "least_squares": 24}):
+    for expected in ({"solve": 31, "miss": 4, "least_squares": 38},
+                     {"solve": 30, "miss": 3, "least_squares": 31},
+                     {"solve": 30, "miss": 3, "least_squares": 31}):
         counts.update(solve=0, miss=0, least_squares=0)
         assert stack.run(stack.seed).halted_at == 29
         assert counts == expected
